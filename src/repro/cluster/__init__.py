@@ -35,7 +35,13 @@ from repro.cluster.presets import (
     thunderhead,
 )
 from repro.cluster.processor import ProcessorSpec
-from repro.cluster.simtime import Phase, PhaseLedger, VirtualClock
+from repro.cluster.simtime import (
+    Op,
+    Phase,
+    PhaseLedger,
+    TimingCore,
+    VirtualClock,
+)
 
 __all__ = [
     "ANY_TAG",
@@ -47,6 +53,7 @@ __all__ = [
     "HOMOGENEOUS_CAPACITY",
     "HOMOGENEOUS_CYCLE_TIME",
     "HeterogeneousPlatform",
+    "Op",
     "Phase",
     "PhaseLedger",
     "ProcessorSpec",
@@ -55,6 +62,7 @@ __all__ = [
     "SEGMENT_CAPACITIES",
     "SimulationEngine",
     "SimulationResult",
+    "TimingCore",
     "TraceEvent",
     "VirtualClock",
     "all_networks",

@@ -22,7 +22,12 @@ from typing import TYPE_CHECKING, Any, Callable, Mapping, Sequence
 from repro.cluster.costs import DEFAULT_COST_MODEL, CostModel
 from repro.cluster.mailbox import OpDeadline, Router
 from repro.cluster.platform import HeterogeneousPlatform
-from repro.cluster.simtime import Phase, PhaseLedger, VirtualClock
+from repro.cluster.simtime import (
+    Phase,
+    PhaseLedger,
+    TimingCore,
+    TransferRecord,
+)
 from repro.errors import (
     CommunicationTimeout,
     ConfigurationError,
@@ -47,43 +52,6 @@ __all__ = [
 
 
 @dataclasses.dataclass(frozen=True)
-class TransferRecord:
-    """One matched message transfer with its scheduling context.
-
-    These are the happens-before *edges* of a run: the analyzer
-    (:mod:`repro.obs.analyze`) consumes them to build the critical-path
-    DAG and the per-link utilization timelines without re-deriving
-    link membership from the platform.
-
-    Attributes:
-        src, dst: sender and receiver ranks.
-        start, end: the transfer interval in virtual seconds (both
-            endpoint clocks advance to ``end``).
-        megabits: message volume.
-        link: canonical serial-link key (``"s1|s4"``) for
-            inter-segment traffic, or ``"intra:<segment>"`` for
-            switched intra-segment traffic.
-        src_wait, dst_wait: idle seconds each endpoint spent between
-            becoming ready and the transfer actually starting (the
-            receiver waiting on a slow sender, or either side waiting
-            on a busy serial link).
-    """
-
-    src: int
-    dst: int
-    start: Seconds
-    end: Seconds
-    megabits: float
-    link: str
-    src_wait: Seconds = 0.0
-    dst_wait: Seconds = 0.0
-
-    @property
-    def duration(self) -> Seconds:
-        return self.end - self.start
-
-
-@dataclasses.dataclass(frozen=True)
 class TraceEvent:
     """One simulated activity interval (engine built with ``trace=True``).
 
@@ -100,6 +68,23 @@ class TraceEvent:
     start: Seconds
     end: Seconds
     detail: str = ""
+
+
+class _FaultPerturbation:
+    """A fault injector seen through the timing core's perturbation
+    hook: RankSlowdown dilates compute, LinkDegrade scales a transfer's
+    capacity term only (the fixed per-message latency is unaffected)."""
+
+    def __init__(self, faults: "FaultInjector") -> None:
+        self._faults = faults
+
+    def compute_factor(self, rank: int, label: str, start: Seconds) -> float:
+        return self._faults.compute_factor(rank, start)
+
+    def transfer_factors(
+        self, src: int, dst: int, pair: tuple[str, str], start: Seconds
+    ) -> tuple[float, float]:
+        return self._faults.transfer_factor(src, dst, start), 1.0
 
 
 class RankContext:
@@ -160,28 +145,21 @@ class RankContext:
         """
         if self.faults is not None:
             self.faults.before_op(self.rank, "compute", self.clock.now)
-        dt = self.platform.processor(self.rank).compute_seconds(mflops)
-        start = self.clock.now
-        slow_factor = 1.0
-        predicted = dt
-        if self.faults is not None:
-            slow_factor = self.faults.compute_factor(self.rank, start)
-            dt *= slow_factor
+        charge = self._engine.core.compute(self.rank, mflops, sequential)
+        start, dt, slow_factor = charge.start, charge.seconds, charge.factor
         if self._live is not None and mflops > 0:
             # The online health detector compares the cost model's
             # prediction against the charged (possibly fault-dilated)
             # duration; the wall-clock backend feeds the same pair
             # nominally, so the detector fires identically there.
-            self._live.observe_compute(self.rank, predicted, dt, start)
-        self.clock.advance(dt)
-        self.ledger.add(Phase.SEQ if sequential else Phase.PAR, dt)
+            self._live.observe_compute(self.rank, charge.nominal, dt, start)
         if self._engine.trace and dt > 0:
             self._engine.record_event(
                 TraceEvent(
                     kind="seq" if sequential else "compute",
                     rank=self.rank,
                     start=start,
-                    end=self.clock.now,
+                    end=charge.end,
                     detail=f"{mflops:.1f} Mflop",
                 )
             )
@@ -193,7 +171,7 @@ class RankContext:
             if slow_factor != 1.0:
                 attrs["factor"] = float(slow_factor)
             self.obs.tracer.add_span(
-                kind, self.rank, start, self.clock.now,
+                kind, self.rank, start, charge.end,
                 category=kind, **attrs,
             )
             self.obs.metrics.counter(
@@ -208,8 +186,7 @@ class RankContext:
         """Charge a raw duration (e.g. I/O) to this rank's clock."""
         if seconds < 0:
             raise ConfigurationError(f"cannot charge negative time {seconds}")
-        self.clock.advance(seconds)
-        self.ledger.add(phase, seconds)
+        self._engine.core.charge(self.rank, seconds, phase)
 
     # -- messaging (raw; prefer repro.mpi communicators) -------------------------
     def _deadline(self, timeout_s: Seconds | None) -> OpDeadline | None:
@@ -340,7 +317,9 @@ class SimulationResult:
 
 
 class SimulationEngine:
-    """Owns clocks, ledgers, the router, and the serial-link schedule."""
+    """Owns the rank threads, the router and the run's reporting; the
+    clocks, ledgers and serial-link schedule live in its
+    :class:`~repro.cluster.simtime.TimingCore`."""
 
     def __init__(
         self,
@@ -371,9 +350,12 @@ class SimulationEngine:
             obs.tracer.set_clock(lambda rank: self.clocks[rank].now)
         # clock_start > 0 resumes virtual time after a recovery
         # repartition, so post-recovery spans extend the same timeline.
-        self.clocks = [VirtualClock(clock_start) for _ in range(platform.size)]
-        self.ledgers = [PhaseLedger() for _ in range(platform.size)]
-        self._link_free: dict[tuple[str, str], Seconds] = {}
+        self.core = TimingCore(
+            platform, clock_start,
+            perturb=_FaultPerturbation(faults) if faults is not None else None,
+        )
+        self.clocks = self.core.clocks
+        self.ledgers = self.core.ledgers
         self._events: list[TraceEvent] = []
         self._transfers: list[TransferRecord] = []
         self._events_lock = threading.Lock()
@@ -388,73 +370,37 @@ class SimulationEngine:
             self._events.append(event)
 
     def _on_match(self, src: int, dst: int, megabits: float) -> None:
-        """Advance both endpoint clocks across a transfer (lock held).
-
-        The transfer starts when sender, receiver, *and* any serial
-        inter-segment link are all free; waiting is idle time (PAR), the
-        transfer itself is COM for both endpoints.
-        """
-        network = self.platform.network
-        start = max(self.clocks[src].now, self.clocks[dst].now)
-        link = network.link_resource(src, dst)
-        if link is not None:
-            start = max(start, self._link_free.get(link, 0.0))
-        duration = network.transfer_seconds(src, dst, megabits)
-        predicted = duration
-        if self.faults is not None:
-            # LinkDegrade scales the capacity term only; the fixed
-            # per-message latency is unaffected.
-            factor = self.faults.transfer_factor(src, dst, start)
-            if factor != 1.0:
-                duration = network.latency_s + factor * (
-                    duration - network.latency_s
-                )
-        link_label = (
-            "|".join(link) if link is not None
-            else f"intra:{network.segment_of(src)}"
-        )
+        """Time one matched transfer and report it (Router lock held)."""
+        record = self.core.transfer(src, dst, megabits)
+        start, end, duration = record.start, record.end, record.duration
         if self.live is not None:
-            self.live.observe_transfer(link_label, predicted, duration, start)
-        end = start + duration
-        waits = {}
-        for rank in (src, dst):
-            wait = start - self.clocks[rank].now
-            waits[rank] = max(wait, 0.0)
-            if wait > 0:
-                self.ledgers[rank].add_idle(wait)
-                if self.obs is not None:
-                    self.obs.metrics.counter(
-                        "sim.idle_seconds", rank=rank
-                    ).inc(wait)
-            self.ledgers[rank].add(Phase.COM, duration)
-            if self.obs is not None:
-                self.obs.metrics.counter(
-                    "sim.com_seconds", rank=rank
-                ).inc(duration)
-            self.clocks[rank].advance_to(end)
-        if link is not None:
-            self._link_free[link] = end
-        if self.trace or self.obs is not None:
-            record = TransferRecord(
-                src=src, dst=dst, start=start, end=end,
-                megabits=float(megabits), link=link_label,
-                src_wait=waits[src], dst_wait=waits[dst],
+            self.live.observe_transfer(
+                record.link, record.nominal, duration, start
             )
+        if self.trace or self.obs is not None:
             with self._events_lock:
                 self._transfers.append(record)
         if self.obs is not None:
-            self.obs.metrics.counter(
+            metrics = self.obs.metrics
+            ends = (
+                (src, dst, "send", record.src_wait),
+                (dst, src, "recv", record.dst_wait),
+            )
+            for rank, _, _, wait in ends:
+                if wait > 0:
+                    metrics.counter("sim.idle_seconds", rank=rank).inc(wait)
+                metrics.counter("sim.com_seconds", rank=rank).inc(duration)
+            metrics.counter(
                 "sim.link_megabits", src=src, dst=dst
             ).inc(megabits)
-            self.obs.metrics.histogram(
+            metrics.histogram(
                 "sim.transfer_seconds", src=src, dst=dst
             ).observe(duration)
-            for rank, peer in ((src, dst), (dst, src)):
+            for rank, peer, direction, wait in ends:
                 self.obs.tracer.add_span(
                     "transfer", rank, start, end, category="transfer",
-                    peer=peer, megabits=float(megabits),
-                    direction="send" if rank == src else "recv",
-                    link=link_label, wait=waits[rank],
+                    peer=peer, megabits=record.megabits,
+                    direction=direction, link=record.link, wait=wait,
                 )
         if self.trace:
             for rank, peer in ((src, dst), (dst, src)):

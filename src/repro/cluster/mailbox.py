@@ -39,6 +39,7 @@ from repro.types import Megabits
 __all__ = [
     "ANY_TAG",
     "ANY_SOURCE",
+    "ENVELOPE_VALUES",
     "payload_wire_megabits",
     "copy_payload",
     "freeze_payload",
@@ -56,7 +57,7 @@ ANY_TAG = -1
 ANY_SOURCE = -2
 
 #: Wire-size overhead charged for envelope/bookkeeping, in values.
-_ENVELOPE_VALUES = 8
+ENVELOPE_VALUES = 8
 
 
 def _count_values(payload: Any) -> int | None:
@@ -91,7 +92,7 @@ def payload_wire_megabits(payload: Any, bytes_per_value: int = 4) -> Megabits:
     """
     values = _count_values(payload)
     if values is not None:
-        nbytes = (values + _ENVELOPE_VALUES) * bytes_per_value
+        nbytes = (values + ENVELOPE_VALUES) * bytes_per_value
     else:
         nbytes = len(pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL))
     return nbytes * 8.0 / 1e6

@@ -1,4 +1,4 @@
-"""Virtual clocks and phase ledgers.
+"""Virtual time: clocks, phase ledgers and the one timing core.
 
 Each simulated rank owns a :class:`VirtualClock` that only moves
 forward, and a :class:`PhaseLedger` that buckets elapsed virtual time
@@ -10,17 +10,38 @@ into the paper's Table 6 categories:
 * **PAR** — parallel computation *plus idle waiting*, matching the
   paper's note that PAR "includes the times in which the workers
   remain idle".
+
+:class:`TimingCore` is the only place that advances them.  It states
+the one-port master-worker rule once: a compute charge of ``mflops``
+on rank *i* costs ``mflops × w_i`` (Table 1 cycle-times); a message of
+``megabits`` from *i* to *j* costs ``latency + megabits × c_ij``
+(Table 2) and starts when sender, receiver and — for inter-segment
+traffic — the serial link between the two segments are all free.  The
+threaded engine (:mod:`repro.cluster.engine`) calls it per charge and
+per matched message; the analytic model
+(:mod:`repro.experiments.model`) and the what-if replay
+(:mod:`repro.obs.whatif`) hand it whole :class:`Op` programs.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import enum
+from typing import Any, Iterable, Mapping, NamedTuple
 
-from repro.errors import ConfigurationError
-from repro.types import Seconds
+from repro.cluster.platform import HeterogeneousPlatform
+from repro.errors import ConfigurationError, PlatformError
+from repro.types import Megabits, Megaflops, Seconds
 
-__all__ = ["Phase", "VirtualClock", "PhaseLedger"]
+__all__ = [
+    "Phase",
+    "VirtualClock",
+    "PhaseLedger",
+    "Op",
+    "ComputeRecord",
+    "TransferRecord",
+    "TimingCore",
+]
 
 
 class Phase(enum.Enum):
@@ -114,3 +135,225 @@ class PhaseLedger:
             "total": self.total,
             "busy": self.busy,
         }
+
+
+class Op(NamedTuple):
+    """One engine-visible op: a compute charge or a point-to-point send.
+
+    ``factor`` carries a fault dilation *recorded* in the source trace
+    (the engine stamps it on slowed compute spans), so replaying a
+    faulted trace without a plan reproduces the faulted run.
+
+    Like the two records below a named tuple, not a frozen dataclass:
+    op programs run to 10^4 records and are rebuilt for every model
+    evaluation, and a frozen dataclass costs three times as much to
+    construct (1.2 µs against 0.4 µs).
+    """
+
+    kind: str  # "compute" | "transfer"
+    rank: int  # src for transfers
+    dst: int = -1
+    mflops: float = 0.0
+    megabits: float = 0.0
+    factor: float = 1.0
+    sequential: bool = False
+    label: str = ""
+
+
+class ComputeRecord(NamedTuple):
+    """What one compute charge cost.
+
+    ``seconds`` is the charged duration (``end - start`` only up to
+    rounding, so accumulators take this field); ``nominal`` is the
+    cycle-time cost before any factor, and ``factor`` what the
+    perturbation hook returned at ``start``.
+    """
+
+    start: Seconds
+    end: Seconds
+    seconds: Seconds
+    nominal: Seconds
+    factor: float
+
+
+class TransferRecord(NamedTuple):
+    """One message transfer with its scheduling context.
+
+    These are the happens-before *edges* of a run.
+
+    Attributes:
+        src, dst: sender and receiver ranks.
+        start, end: the transfer interval in virtual seconds (both
+            endpoint clocks advance to ``end``).
+        megabits: message volume.
+        link: canonical serial-link key (``"s1|s4"``) for
+            inter-segment traffic, or ``"intra:<segment>"`` for
+            switched intra-segment traffic.
+        src_wait, dst_wait: idle seconds each endpoint spent between
+            becoming ready and the transfer actually starting (the
+            receiver waiting on a slow sender, or either side waiting
+            on a busy serial link).
+        duration: the charged seconds (``end - start`` only up to
+            rounding); ``nominal`` is the same before perturbation.
+    """
+
+    src: int
+    dst: int
+    start: Seconds
+    end: Seconds
+    megabits: Megabits
+    link: str
+    src_wait: Seconds
+    dst_wait: Seconds
+    duration: Seconds
+    nominal: Seconds
+
+
+#: What a (src, dst) pair crosses: the serial-link key (``None`` inside
+#: a segment), the link label, and the sorted segment-name pair.
+_Route = tuple[tuple[str, str] | None, str, tuple[str, str]]
+
+
+class TimingCore:
+    """Per-rank clocks and ledgers plus the serial-link schedule.
+
+    ``perturb`` is an optional duck-typed hook, asked at each op's
+    computed *start* time:
+
+    * ``compute_factor(rank, label, start) -> float`` dilates a compute
+      charge;
+    * ``transfer_factors(src, dst, pair, start) -> (capacity, latency)``
+      scale a message's volume and latency terms separately (``pair``
+      is the sorted segment-name pair of the endpoints).
+
+    ``scales`` are calibration multipliers (``"compute"``,
+    ``"transfer"``) applied last.  The floating-point order is fixed,
+    because committed artefacts are compared byte for byte: a compute
+    charge is ``cycle-time cost × recorded factor × hook factor ×
+    compute scale``; a transfer is re-priced as ``latency factor ×
+    latency + capacity factor × (cost − latency)`` only when a factor
+    is not 1.0, then ``× transfer scale``.
+
+    :meth:`compute` and :meth:`charge` touch one rank's clock and
+    ledger, so rank threads may call them for their own rank without a
+    lock; :meth:`transfer` touches both endpoints and the link table
+    and must be serialised by the caller (the engine calls it under the
+    Router lock, while both endpoints are blocked in the rendezvous).
+    """
+
+    def __init__(
+        self,
+        platform: HeterogeneousPlatform,
+        clock_start: Seconds = 0.0,
+        perturb: Any = None,
+        scales: Mapping[str, float] | None = None,
+    ) -> None:
+        n = platform.size
+        self.clocks = [VirtualClock(clock_start) for _ in range(n)]
+        self.ledgers = [PhaseLedger() for _ in range(n)]
+        self._network = platform.network
+        self._processors = [platform.processor(rank) for rank in range(n)]
+        self._perturb = perturb
+        scales = scales or {}
+        self._compute_scale = float(scales.get("compute", 1.0))
+        self._transfer_scale = float(scales.get("transfer", 1.0))
+        self._link_free: dict[tuple[str, str], Seconds] = {}
+        self._routes: dict[tuple[int, int], _Route] = {}
+
+    def compute(
+        self,
+        rank: int,
+        mflops: Megaflops,
+        sequential: bool = False,
+        label: str = "",
+        factor: float = 1.0,
+    ) -> ComputeRecord:
+        """Charge ``mflops`` at ``rank``'s cycle-time (SEQ or PAR)."""
+        if not 0 <= rank < len(self.clocks):
+            raise PlatformError(f"rank {rank} outside [0, {len(self.clocks)})")
+        nominal = self._processors[rank].compute_seconds(mflops)
+        clock = self.clocks[rank]
+        start = clock._now
+        hook = (
+            1.0 if self._perturb is None
+            else self._perturb.compute_factor(rank, label, start)
+        )
+        seconds = nominal * factor * hook * self._compute_scale
+        end = clock._now = start + seconds
+        if sequential:
+            self.ledgers[rank].seq += seconds
+        else:
+            self.ledgers[rank].par += seconds
+        return ComputeRecord(start, end, seconds, nominal, hook)
+
+    def charge(self, rank: int, seconds: Seconds, phase: Phase = Phase.PAR) -> None:
+        """Charge a raw duration (I/O, retry back-off) to one rank."""
+        self.clocks[rank].advance(seconds)
+        self.ledgers[rank].add(phase, seconds)
+
+    def _route(self, src: int, dst: int) -> _Route:
+        # The network rejects ranks outside the platform (PlatformError).
+        link = self._network.link_resource(src, dst)
+        if link is not None:
+            route = (link, "|".join(link), link)
+        else:
+            segment = self._network.segment_of(src)
+            route = (None, f"intra:{segment}", (segment, segment))
+        self._routes[src, dst] = route
+        return route
+
+    def transfer(self, src: int, dst: int, megabits: Megabits) -> TransferRecord:
+        """Move ``megabits`` from ``src`` to ``dst``.
+
+        The transfer starts when sender, receiver *and* any serial
+        inter-segment link are all free; waiting is idle time (PAR),
+        the transfer itself is COM for both endpoints.
+        """
+        link, label, pair = self._routes.get((src, dst)) or self._route(src, dst)
+        clock_src, clock_dst = self.clocks[src], self.clocks[dst]
+        start = max(clock_src._now, clock_dst._now)
+        if link is not None:
+            start = max(start, self._link_free.get(link, 0.0))
+        network = self._network
+        nominal = duration = network.transfer_seconds(src, dst, megabits)
+        if self._perturb is not None:
+            capacity, latency = self._perturb.transfer_factors(
+                src, dst, pair, start
+            )
+            if capacity != 1.0 or latency != 1.0:
+                duration = latency * network.latency_s + capacity * (
+                    nominal - network.latency_s
+                )
+        duration *= self._transfer_scale
+        end = start + duration
+        src_wait = start - clock_src._now
+        dst_wait = start - clock_dst._now
+        ledger_src, ledger_dst = self.ledgers[src], self.ledgers[dst]
+        if src_wait > 0:
+            ledger_src.add_idle(src_wait)
+        if dst_wait > 0:
+            ledger_dst.add_idle(dst_wait)
+        ledger_src.com += duration
+        ledger_dst.com += duration
+        clock_src._now = clock_dst._now = end
+        if link is not None:
+            self._link_free[link] = end
+        return TransferRecord(
+            src, dst, start, end, float(megabits), label,
+            src_wait, dst_wait, duration, nominal,
+        )
+
+    def run(self, ops: Iterable[Op]) -> list[ComputeRecord | TransferRecord]:
+        """Execute an op program in order; one record per op."""
+        compute, transfer = self.compute, self.transfer
+        return [
+            compute(rank, mflops, sequential, label, factor)
+            if kind == "compute"
+            else transfer(rank, dst, megabits)
+            for kind, rank, dst, mflops, megabits, factor, sequential, label
+            in ops
+        ]
+
+    @property
+    def finish_times(self) -> list[Seconds]:
+        return [clock._now for clock in self.clocks]

@@ -1,17 +1,20 @@
-"""Closed-form (scalar) performance model of the four algorithms.
+"""Analytic performance model of the four algorithms.
 
 Running the thread-per-rank engine at 256 ranks is possible but wasteful
 when only *times* are needed: every compute charge is already an
 analytic formula and every transfer an analytic cost.  This module
-re-executes each algorithm's schedule — the same scatter/gather/bcast
-orders and the same :class:`~repro.cluster.costs.CostModel` formulas —
-with scalar clocks instead of threads and payload-size estimates
-instead of data.
+writes each algorithm's schedule down as an op program — the same
+scatter/gather/bcast orders and the same
+:class:`~repro.cluster.costs.CostModel` formulas, with payload-size
+estimates instead of data — and hands it to the
+:class:`~repro.cluster.simtime.TimingCore` the engine itself times
+with.  No timing arithmetic lives here.
 
-For ATDCA and UFCLS every charge is data-independent, so the model
-reproduces the engine's virtual times *exactly*; for PCT and MORPH the
-candidate-set message sizes are data-dependent and the model uses their
-upper bounds (a sub-percent effect).  The test-suite pins both claims.
+For ATDCA and UFCLS every charge is data-independent, so the emitted
+program is the engine's and the times are *equal*; for PCT and MORPH
+the candidate-set message sizes are data-dependent and the model uses
+their upper bounds (a sub-percent effect).  The test-suite pins both
+claims.
 
 Used for the Thunderhead sweeps (Table 8, Figure 2) where the engine
 would need 256 threads per point.
@@ -20,13 +23,14 @@ would need 256 threads per point.
 from __future__ import annotations
 
 import dataclasses
-import math
 from typing import Mapping
 
 import numpy as np
 
 from repro.cluster.costs import DEFAULT_COST_MODEL, CostModel
+from repro.cluster.mailbox import ENVELOPE_VALUES
 from repro.cluster.platform import HeterogeneousPlatform
+from repro.cluster.simtime import Op, TimingCore
 from repro.errors import ConfigurationError
 from repro.morphology.structuring import square
 from repro.perf.timers import PhaseBreakdown
@@ -34,9 +38,6 @@ from repro.scheduling.static_part import RowPartition
 from repro.types import FloatArray
 
 __all__ = ["ModelResult", "emit_op_program", "model_run"]
-
-#: Envelope overhead added per message, in values (mirrors the mailbox).
-_ENVELOPE = 8
 
 
 @dataclasses.dataclass
@@ -59,29 +60,30 @@ class ModelResult:
 class _OpEmitter:
     """Flattens an algorithm's schedule into a linear op program.
 
-    Ops are ``("compute", rank, mflops, sequential, label)`` and
-    ``("transfer", src, dst, values)`` tuples in the exact order the
-    scalar engine would execute them; collectives are expanded with the
-    same scatter/gather order and binomial trees as
-    ``repro.mpi.collectives``, so executing the emitted ops through
-    :class:`_ScalarEngine` is byte-identical to the pre-refactor
-    inline schedule.  The what-if replay engine consumes the same ops
-    to evaluate structural perturbations (worker add/remove, capacity
-    sweeps) that a recorded trace cannot express.
+    Ops are appended in the order the engine would execute them;
+    collectives are expanded with the same scatter/gather order and
+    binomial trees as ``repro.mpi.collectives``.  Message sizes are
+    given in spectral values and priced like the mailbox prices an
+    array payload: values plus the envelope, at the cost model's width.
     """
 
-    def __init__(self, size: int) -> None:
+    def __init__(self, size: int, cost: CostModel) -> None:
         self.size = size
-        self.ops: list[tuple] = []
+        self.cost = cost
+        self.ops: list[Op] = []
 
     def compute(
         self, rank: int, mflops: float, sequential: bool = False,
         label: str = "",
     ) -> None:
-        self.ops.append(("compute", rank, float(mflops), sequential, label))
+        self.ops.append(Op(
+            "compute", rank, mflops=float(mflops), sequential=sequential,
+            label=label,
+        ))
 
     def transfer(self, src: int, dst: int, values: float) -> None:
-        self.ops.append(("transfer", src, dst, float(values)))
+        megabits = self.cost.values_megabits(int(values) + ENVELOPE_VALUES)
+        self.ops.append(Op("transfer", src, dst, megabits=megabits))
 
     # -- collective schedules (mirroring repro.mpi.collectives) ---------------------
     def scatter(self, root: int, values_per_rank: FloatArray) -> None:
@@ -131,72 +133,6 @@ class _OpEmitter:
         self.bcast(root, values)
 
 
-class _ScalarEngine:
-    """Per-rank scalar clocks with the virtual-time engine's exact
-    transfer rule (sender/receiver/serial-link max, then volume cost)."""
-
-    def __init__(self, platform: HeterogeneousPlatform, cost: CostModel) -> None:
-        self.platform = platform
-        self.cost = cost
-        n = platform.size
-        self.clock = np.zeros(n)
-        self.com = np.zeros(n)
-        self.seq = np.zeros(n)
-        self.par = np.zeros(n)
-        self.idle = np.zeros(n)
-        self._link_free: dict[tuple[str, str], float] = {}
-
-    # -- compute ---------------------------------------------------------------
-    def compute(self, rank: int, mflops: float, sequential: bool = False) -> None:
-        dt = self.platform.processor(rank).compute_seconds(mflops)
-        self.clock[rank] += dt
-        if sequential:
-            self.seq[rank] += dt
-        else:
-            self.par[rank] += dt
-
-    # -- messaging ----------------------------------------------------------------
-    def transfer(self, src: int, dst: int, values: float) -> None:
-        """One message of ``values`` spectral samples (plus envelope)."""
-        megabits = self.cost.values_megabits(int(values) + _ENVELOPE)
-        network = self.platform.network
-        duration = network.transfer_seconds(src, dst, megabits)
-        start = max(self.clock[src], self.clock[dst])
-        link = network.link_resource(src, dst)
-        if link is not None:
-            start = max(start, self._link_free.get(link, 0.0))
-        end = start + duration
-        for rank in (src, dst):
-            wait = start - self.clock[rank]
-            if wait > 0:
-                self.idle[rank] += wait
-                self.par[rank] += wait
-            self.com[rank] += duration
-            self.clock[rank] = end
-        if link is not None:
-            self._link_free[link] = end
-
-    def execute(self, ops: list[tuple]) -> None:
-        for op in ops:
-            if op[0] == "compute":
-                self.compute(op[1], op[2], sequential=op[3])
-            else:
-                self.transfer(op[1], op[2], op[3])
-
-    def result(self, master: int) -> ModelResult:
-        total = float(self.clock.max())
-        com = float(self.com[master])
-        seq = float(self.seq[master])
-        par = max(total - com - seq, 0.0)
-        busy = self.seq + self.par - self.idle  # computation-only (Table 7)
-        return ModelResult(
-            total=total,
-            breakdown=PhaseBreakdown(com=com, seq=seq, par=par),
-            finish_times=self.clock.copy(),
-            busy_times=busy,
-        )
-
-
 def _block_values(partition: RowPartition, cols: int, bands: int, halo: int) -> FloatArray:
     """Per-rank scatter payload sizes in values (block + 7 metadata ints)."""
     counts = partition.counts
@@ -221,20 +157,20 @@ def emit_op_program(
     bands: int,
     params: Mapping[str, object] | None = None,
     cost_model: CostModel | None = None,
-) -> list[tuple]:
-    """Flatten ``algorithm``'s schedule into the scalar-engine op list.
+) -> list[Op]:
+    """Flatten ``algorithm``'s schedule into a timing-core op program.
 
-    Returns ``("compute", rank, mflops, sequential, label)`` and
-    ``("transfer", src, dst, values)`` tuples in execution order, with
-    ``label`` the charged kernel's name (matching the ``kernel.*``
-    span names of a traced run).  :func:`model_run` executes exactly
-    this list; the what-if engine replays it under perturbations.
+    Returns compute and transfer :class:`~repro.cluster.simtime.Op`
+    records in execution order, with ``label`` the charged kernel's
+    name (matching the ``kernel.*`` span names of a traced run).
+    :func:`model_run` executes exactly this list; the what-if replay
+    executes it under perturbations.
     """
     params = dict(params or {})
     cost = cost_model or DEFAULT_COST_MODEL
     master = platform.master_rank
     p = platform.size
-    eng = _OpEmitter(p)
+    eng = _OpEmitter(p, cost)
     counts = partition.counts
     n_local = counts * cols  # pixels per rank
 
@@ -372,11 +308,20 @@ def model_run(
         params: algorithm parameters (as for ``run_parallel``).
         cost_model: flop/byte accounting (must match the engine run).
     """
-    cost = cost_model or DEFAULT_COST_MODEL
-    ops = emit_op_program(
+    core = TimingCore(platform)
+    core.run(emit_op_program(
         algorithm, platform, partition, rows, cols, bands,
-        params=params, cost_model=cost,
+        params=params, cost_model=cost_model,
+    ))
+    finish_times = core.finish_times
+    total = max(finish_times)
+    master = core.ledgers[platform.master_rank]
+    return ModelResult(
+        total=total,
+        breakdown=PhaseBreakdown(
+            com=master.com, seq=master.seq,
+            par=max(total - master.com - master.seq, 0.0),
+        ),
+        finish_times=np.array(finish_times),
+        busy_times=np.array([ledger.compute_busy for ledger in core.ledgers]),
     )
-    eng = _ScalarEngine(platform, cost)
-    eng.execute(ops)
-    return eng.result(platform.master_rank)

@@ -50,7 +50,9 @@ from repro.obs import (
 from repro.perf.timers import breakdown_of_run
 
 __all__ = [
+    "DemoRun",
     "TracedRun",
+    "demo_run",
     "run_traced",
     "run_report",
     "run_calibration",
@@ -104,17 +106,24 @@ class TracedRun:
         return len(self.obs.tracer)
 
 
-def _demo_run(
+@dataclasses.dataclass(frozen=True)
+class DemoRun:
+    """One traced demo run before anything is exported."""
+
+    run: Union[ParallelRun, "RecoveredRun"]
+    obs: ObsSession
+    analysis: TraceAnalysis
+    tuning: "TuningPlan | None"
+
+
+def demo_run(
     cfg: ExperimentConfig,
     backend: str,
     algorithm: str,
     fault_plan: "FaultPlan | None",
     live_dir: Path | None = None,
     plan_mode: "str | None" = None,
-) -> tuple[
-    "ParallelRun | RecoveredRun", ObsSession, TraceAnalysis,
-    "TuningPlan | None",
-]:
+) -> DemoRun:
     """One traced demo run (shared by trace, report, and calibration):
     execute on the Table 1/2 platform, cross-check the span ledger on
     fault-free sim runs, analyze the trace."""
@@ -171,7 +180,7 @@ def _demo_run(
         partition=run.partition if run.sim is not None else None,
         platform=getattr(run, "platform", platform),
     )
-    return run, obs, analysis, tuning
+    return DemoRun(run=run, obs=obs, analysis=analysis, tuning=tuning)
 
 
 def run_traced(
@@ -214,10 +223,11 @@ def run_traced(
     out.mkdir(parents=True, exist_ok=True)
     stem = f"{algorithm}_{backend}"
     cell_live_dir = Path(live_dir) / stem if live_dir is not None else None
-    run, obs, analysis, tuning = _demo_run(
+    demo = demo_run(
         cfg, backend, algorithm, fault_plan,
         live_dir=cell_live_dir, plan_mode=plan_mode,
     )
+    run, obs, analysis, tuning = demo.run, demo.obs, demo.analysis, demo.tuning
     if obs.live is not None:
         obs.live.write_snapshot(include_sketches=True)
     trace_path = out / f"{stem}.trace.json"
@@ -275,10 +285,11 @@ def run_report(
     from repro.obs import profile_trace, write_report
 
     cfg = config or ExperimentConfig()
-    if traced is not None:
-        run, obs, analysis = traced.run, traced.obs, traced.analysis
-    else:
-        run, obs, analysis, _ = _demo_run(cfg, backend, algorithm, fault_plan)
+    source = (
+        traced if traced is not None
+        else demo_run(cfg, backend, algorithm, fault_plan)
+    )
+    run, obs, analysis = source.run, source.obs, source.analysis
     # Calibrate against the full starting platform: profile_trace maps
     # post-recovery dense ranks back to original ids via the seam spans.
     platform = fully_heterogeneous()
@@ -335,7 +346,7 @@ def run_calibration(
     platform = fully_heterogeneous()
     paths: list[Path] = []
     for backend in ("sim", "inproc"):
-        _, obs, _, _ = _demo_run(cfg, backend, algorithm, None)
+        obs = demo_run(cfg, backend, algorithm, None).obs
         report = profile_trace(obs, platform)
         json_path = out / f"calibration_{backend}.json"
         json_path.write_text(report.to_json() + "\n", encoding="utf-8")

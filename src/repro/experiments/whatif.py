@@ -22,7 +22,7 @@ from typing import Any, Mapping
 
 from repro.cluster.presets import fully_heterogeneous
 from repro.experiments.config import ExperimentConfig
-from repro.experiments.traced import TracedRun, _demo_run
+from repro.experiments.traced import TracedRun, demo_run
 from repro.obs.causal import CausalProfile, causal_profile
 from repro.obs.export import _JSON_KW
 from repro.obs.whatif import (
@@ -89,10 +89,11 @@ def run_whatif(
     """
     cfg = config or ExperimentConfig()
     platform = fully_heterogeneous()
-    if traced is not None:
-        obs = traced.obs
-    else:
-        _run, obs, _analysis = _demo_run(cfg, "sim", "atdca", None)
+    source = (
+        traced if traced is not None
+        else demo_run(cfg, "sim", "atdca", None)
+    )
+    obs = source.obs
     causal = causal_profile(
         obs, platform, speedup_pct=speedup_pct, jobs=jobs
     )

@@ -94,7 +94,6 @@ _LAZY = {
     "HealthMonitor": "repro.obs.health",
     "scales_from_calibration": "repro.obs.health",
     "LatencySketch": "repro.obs.sketch",
-    "P2Quantile": "repro.obs.sketch",
     "merge_sketches": "repro.obs.sketch",
     "WhatIfPlan": "repro.obs.whatif",
     "ReplayOp": "repro.obs.whatif",
@@ -176,7 +175,6 @@ __all__ = [
     "HealthMonitor",
     "scales_from_calibration",
     "LatencySketch",
-    "P2Quantile",
     "merge_sketches",
     "LoadedTrace",
     "breakdown_from_spans",

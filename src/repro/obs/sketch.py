@@ -1,24 +1,17 @@
-"""Streaming quantile sketches for the live observability runtime.
+"""The streaming quantile sketch of the live observability runtime.
 
-Two estimators with complementary guarantees:
+:class:`LatencySketch` is a fixed log-bucket histogram sketch.  Counts
+are integers, so merging two sketches (across ranks, or across grid
+cells) is exact bucket-count addition: merge is associative and
+commutative, the empty sketch is the identity, and a merged sketch is
+*bit-identical* to the sketch a single observer of the combined stream
+would have built.  Quantile estimates carry a hard relative-error
+bound of ``10**(1/buckets_per_decade) - 1`` (the bucket width) for any
+value inside the configured range.
 
-* :class:`LatencySketch` — a fixed log-bucket histogram sketch.  Counts
-  are integers, so merging two sketches (across ranks, or across grid
-  cells) is exact bucket-count addition: merge is associative and
-  commutative, the empty sketch is the identity, and a merged sketch is
-  *bit-identical* to the sketch a single observer of the combined stream
-  would have built.  Quantile estimates carry a hard relative-error
-  bound of ``10**(1/buckets_per_decade) - 1`` (the bucket width) for any
-  value inside the configured range.
-* :class:`P2Quantile` — the Jain & Chlamtac P² algorithm: five markers,
-  O(1) memory, no range configuration, smooth single-stream estimates.
-  Not mergeable — use it for one-stream displays, the bucket sketch for
-  anything that must combine across ranks or cells.
-
-Both are deterministic functions of their observation sequence;
-:class:`LatencySketch` is additionally order-independent (counts only),
-so per-rank sketches merged in any order agree exactly — the property
-the cross-rank merge-identity tests pin on both backends.
+It is a deterministic, order-independent function of its observations
+(counts only), so per-rank sketches merged in any order agree exactly —
+the property the cross-rank merge-identity tests pin on both backends.
 """
 
 from __future__ import annotations
@@ -28,7 +21,7 @@ from typing import Any, Iterable, Mapping, Sequence
 
 from repro.errors import ConfigurationError
 
-__all__ = ["LatencySketch", "P2Quantile", "merge_sketches"]
+__all__ = ["LatencySketch", "merge_sketches"]
 
 
 class LatencySketch:
@@ -262,90 +255,3 @@ def merge_sketches(sketches: Iterable[LatencySketch]) -> LatencySketch:
         merged.update(sketch)
     return merged if merged is not None else LatencySketch()
 
-
-class P2Quantile:
-    """Jain & Chlamtac's P² single-quantile estimator (CACM 1985).
-
-    Five markers track the min, the max, the target quantile, and the
-    two mid-quantiles; marker heights move by piecewise-parabolic
-    interpolation as observations stream in.  Exact for the first five
-    observations, O(1) memory forever after.
-    """
-
-    __slots__ = ("q", "_heights", "_positions", "_desired", "_increments",
-                 "count")
-
-    def __init__(self, q: float) -> None:
-        if not 0.0 < q < 1.0:
-            raise ConfigurationError(f"quantile must be in (0, 1), got {q}")
-        self.q = float(q)
-        self._heights: list[float] = []
-        self._positions = [1.0, 2.0, 3.0, 4.0, 5.0]
-        self._desired = [1.0, 1.0 + 2.0 * q, 1.0 + 4.0 * q, 3.0 + 2.0 * q, 5.0]
-        self._increments = [0.0, q / 2.0, q, (1.0 + q) / 2.0, 1.0]
-        self.count = 0
-
-    def observe(self, value: float) -> None:
-        v = float(value)
-        self.count += 1
-        heights = self._heights
-        if len(heights) < 5:
-            heights.append(v)
-            heights.sort()
-            return
-        # Find the marker cell containing v, clamping the extremes.
-        if v < heights[0]:
-            heights[0] = v
-            k = 0
-        elif v >= heights[4]:
-            heights[4] = v
-            k = 3
-        else:
-            k = 0
-            while v >= heights[k + 1]:
-                k += 1
-        for i in range(k + 1, 5):
-            self._positions[i] += 1.0
-        for i in range(5):
-            self._desired[i] += self._increments[i]
-        # Adjust the three interior markers.
-        for i in range(1, 4):
-            d = self._desired[i] - self._positions[i]
-            pos = self._positions
-            if (d >= 1.0 and pos[i + 1] - pos[i] > 1.0) or (
-                d <= -1.0 and pos[i - 1] - pos[i] < -1.0
-            ):
-                step = 1.0 if d >= 1.0 else -1.0
-                candidate = self._parabolic(i, step)
-                if not heights[i - 1] < candidate < heights[i + 1]:
-                    candidate = self._linear(i, step)
-                heights[i] = candidate
-                pos[i] += step
-
-    def _parabolic(self, i: int, d: float) -> float:
-        h, n = self._heights, self._positions
-        return h[i] + d / (n[i + 1] - n[i - 1]) * (
-            (n[i] - n[i - 1] + d) * (h[i + 1] - h[i]) / (n[i + 1] - n[i])
-            + (n[i + 1] - n[i] - d) * (h[i] - h[i - 1]) / (n[i] - n[i - 1])
-        )
-
-    def _linear(self, i: int, d: float) -> float:
-        h, n = self._heights, self._positions
-        j = i + int(d)
-        return h[i] + d * (h[j] - h[i]) / (n[j] - n[i])
-
-    @property
-    def value(self) -> float:
-        """The current quantile estimate (exact below five samples)."""
-        if not self._heights:
-            return 0.0
-        if len(self._heights) < 5 or self.count <= 5:
-            rank = max(1, math.ceil(self.q * len(self._heights)))
-            return sorted(self._heights)[rank - 1]
-        return self._heights[2]
-
-    def __repr__(self) -> str:
-        return (
-            f"P2Quantile(q={self.q}, count={self.count}, "
-            f"value={self.value:.3g})"
-        )

@@ -8,10 +8,11 @@ any two transfers that share a serial link are themselves
 happens-before ordered — scatter/gather are sequenced at the master and
 the binomial trees order parent before child — so the engine's
 link-claim order is determined by program structure, not by timing.
-That is the load-bearing fact of this module: a sequential scalar-clock
-replay that processes ops in any happens-before-topological order
-reproduces the engine's virtual times **exactly**, under *arbitrary*
-timing perturbations.  The recorded global span order
+That is the load-bearing fact of this module: handing the ops to the
+engine's own :class:`~repro.cluster.simtime.TimingCore` sequentially,
+in any happens-before-topological order, reproduces the engine's
+virtual times **exactly**, under *arbitrary* timing perturbations.
+The recorded global span order
 ``(start, rank, seq)`` is such an order (all durations are positive, so
 per-rank starts strictly increase).
 
@@ -43,6 +44,7 @@ from repro.cluster.accelerator import AcceleratorSpec
 from repro.cluster.costs import CostModel
 from repro.cluster.perturb import extend_platform, upgrade_ranks
 from repro.cluster.platform import HeterogeneousPlatform
+from repro.cluster.simtime import Op as ReplayOp, TimingCore
 from repro.errors import ConfigurationError, WhatIfPlanError
 from repro.obs.export import _JSON_KW, spans_of
 from repro.obs.provenance import provenance
@@ -60,7 +62,6 @@ __all__ = [
     "ReplayResult",
     "replay",
     "replay_ops_from_trace",
-    "replay_ops_from_model",
     "run_meta_of",
     "predict",
     "whatif_predict",
@@ -394,25 +395,6 @@ def load_whatif_plan(path: str | Path) -> WhatIfPlan:
 
 # -- replay ops ---------------------------------------------------------------
 
-@dataclasses.dataclass(frozen=True)
-class ReplayOp:
-    """One engine-visible op: a compute charge or a point-to-point send.
-
-    ``factor`` carries a fault dilation *recorded* in the source trace
-    (the engine stamps it on slowed compute spans), so replaying a
-    faulted trace without a plan reproduces the faulted run.
-    """
-
-    kind: str  # "compute" | "transfer"
-    rank: int  # src for transfers
-    dst: int = -1
-    mflops: float = 0.0
-    megabits: float = 0.0
-    factor: float = 1.0
-    sequential: bool = False
-    label: str = ""
-
-
 def run_meta_of(source: Any) -> dict[str, Any] | None:
     """The trace's ``run.meta`` workload descriptor (last one wins)."""
     meta = None
@@ -483,51 +465,13 @@ def replay_ops_from_trace(
     return ops, run_meta_of(source)
 
 
-def replay_ops_from_model(
-    algorithm: str,
-    platform: HeterogeneousPlatform,
-    partition: Any,
-    rows: int,
-    cols: int,
-    bands: int,
-    params: Mapping[str, Any] | None = None,
-    cost_model: CostModel | None = None,
-) -> list[ReplayOp]:
-    """Generate the op program analytically (for structural what-ifs).
-
-    Uses the scalar model's :func:`emit_op_program` — byte-identical to
-    what :func:`repro.experiments.model.model_run` executes, and (for
-    ATDCA/UFCLS) exactly what the engine itself would do.
-    """
-    from repro.cluster.costs import DEFAULT_COST_MODEL
-    from repro.experiments.model import _ENVELOPE, emit_op_program
-
-    cost = cost_model or DEFAULT_COST_MODEL
-    ops: list[ReplayOp] = []
-    for op in emit_op_program(
-        algorithm, platform, partition, rows, cols, bands,
-        params=params, cost_model=cost,
-    ):
-        if op[0] == "compute":
-            ops.append(ReplayOp(
-                kind="compute", rank=op[1], mflops=op[2],
-                sequential=op[3], label=op[4],
-            ))
-        else:
-            ops.append(ReplayOp(
-                kind="transfer", rank=op[1], dst=op[2],
-                megabits=cost.values_megabits(int(op[3]) + _ENVELOPE),
-            ))
-    return ops
-
-
 # -- the replay engine --------------------------------------------------------
 
 class _CompiledPlan:
-    """Plan → fast window-checked multiplicative factor lookups,
-    mirroring :class:`repro.faults.injector.FaultInjector` semantics
+    """Plan → the timing core's perturbation hook: window-checked
+    multiplicative factor lookups with the fault injector's semantics
     (factors of all matching windows multiply; windows are checked at
-    the op's replay *start* time)."""
+    the op's *start* time)."""
 
     def __init__(self, plan: WhatIfPlan | None) -> None:
         plan = plan or WhatIfPlan()
@@ -566,12 +510,14 @@ class _CompiledPlan:
             factor *= self.op_scales.get(label, 1.0)
         return factor
 
-    def link_factor(self, pair: tuple[str, str], t: float) -> float:
+    def transfer_factors(
+        self, src: int, dst: int, pair: tuple[str, str], t: float
+    ) -> tuple[float, float]:
         factor = 1.0
         for value, start_s, end_s in self.link_scales.get(pair, ()):
             if _in_window(start_s, end_s, t):
                 factor *= value
-        return factor
+        return factor, self.latency_factor
 
 
 @dataclasses.dataclass(frozen=True)
@@ -600,90 +546,44 @@ def replay(
     plan: WhatIfPlan | None = None,
     scales: Mapping[str, float] | None = None,
 ) -> ReplayResult:
-    """Re-execute an op program with scalar clocks under a plan.
+    """Re-execute an op program on a fresh timing core under a plan.
 
-    Duration rules are the engine's, bit for bit: compute
-    ``processor.compute_seconds(mflops)`` dilated by the recorded fault
-    factor, the plan's compute factor and the calibration compute
-    scale; transfers ``latency + capacity·megabits`` with sender /
-    receiver / serial-link readiness maxima, the plan's capacity factor
-    applied to the volume term only (exactly the fault injector's
-    formula), and the calibration transfer scale.  Neutral factors are
-    skipped so an unperturbed replay of a sim trace reproduces its
-    makespan *byte-identically*.
+    The durations are the engine's because the executor is the
+    engine's: the recorded fault factor, the plan's factors (evaluated
+    at each op's replayed start) and the calibration ``scales`` enter
+    :class:`~repro.cluster.simtime.TimingCore` in its fixed order, and
+    neutral factors change nothing, so an unperturbed replay of a sim
+    trace reproduces its makespan *byte-identically*.
 
     Note ``plan`` here must contain timing perturbations only —
     structural kinds (``resize_cluster``) and platform edits
     (``tier_upgrade``) are resolved by :func:`predict` before replay.
     """
     compiled = _CompiledPlan(plan)
-    scales = scales or {}
-    cscale = float(scales.get("compute", 1.0))
-    tscale = float(scales.get("transfer", 1.0))
-    n = platform.size
-    network = platform.network
-    processors = [platform.processor(r) for r in range(n)]
-    clock = [0.0] * n
-    link_free: dict[tuple[str, str], float] = {}
+    core = TimingCore(
+        platform, perturb=None if compiled.trivial else compiled,
+        scales=scales,
+    )
     rank_compute: dict[int, float] = {}
     op_compute: dict[str, float] = {}
     link_busy: dict[str, float] = {}
-    for op in ops:
+    for op, record in zip(ops, core.run(ops)):
         if op.kind == "compute":
-            rank = op.rank
-            if not 0 <= rank < n:
-                raise ConfigurationError(
-                    f"replay op references rank {rank} but the platform "
-                    f"has {n} ranks"
-                )
-            dt = processors[rank].compute_seconds(op.mflops)
-            if op.factor != 1.0:
-                dt *= op.factor
-            factor = compiled.compute_factor(rank, op.label, clock[rank])
-            if factor != 1.0:
-                dt *= factor
-            if cscale != 1.0:
-                dt *= cscale
-            clock[rank] += dt
-            rank_compute[rank] = rank_compute.get(rank, 0.0) + dt
+            rank_compute[op.rank] = (
+                rank_compute.get(op.rank, 0.0) + record.seconds
+            )
             if op.label:
-                op_compute[op.label] = op_compute.get(op.label, 0.0) + dt
+                op_compute[op.label] = (
+                    op_compute.get(op.label, 0.0) + record.seconds
+                )
         else:
-            src, dst = op.rank, op.dst
-            if src == dst:
-                continue
-            if not (0 <= src < n and 0 <= dst < n):
-                raise ConfigurationError(
-                    f"replay transfer {src}->{dst} outside the platform's "
-                    f"{n} ranks"
-                )
-            start = max(clock[src], clock[dst])
-            link = network.link_resource(src, dst)
-            if link is not None:
-                start = max(start, link_free.get(link, 0.0))
-            duration = network.transfer_seconds(src, dst, op.megabits)
-            seg_a = network.segment_of(src)
-            seg_b = network.segment_of(dst)
-            pair = (seg_a, seg_b) if seg_a <= seg_b else (seg_b, seg_a)
-            cap_factor = compiled.link_factor(pair, start)
-            lat_factor = compiled.latency_factor
-            if cap_factor != 1.0 or lat_factor != 1.0:
-                duration = (
-                    lat_factor * network.latency_s
-                    + cap_factor * (duration - network.latency_s)
-                )
-            if tscale != 1.0:
-                duration *= tscale
-            end = start + duration
-            clock[src] = end
-            clock[dst] = end
-            if link is not None:
-                link_free[link] = end
-            label = "|".join(link) if link else f"intra:{seg_a}"
-            link_busy[label] = link_busy.get(label, 0.0) + duration
+            link_busy[record.link] = (
+                link_busy.get(record.link, 0.0) + record.duration
+            )
+    finish_times = core.finish_times
     return ReplayResult(
-        makespan=max(clock),
-        finish_times=tuple(clock),
+        makespan=max(finish_times),
+        finish_times=tuple(finish_times),
         rank_compute_s=rank_compute,
         op_compute_s=op_compute,
         link_busy_s=link_busy,
@@ -726,6 +626,7 @@ def _model_ops_for_platform(
     """Regenerate the op program for a (possibly resized) platform with
     a fresh WEA partition, exactly as a real run would derive it."""
     from repro.core.runner import make_row_partition_for_dims
+    from repro.experiments.model import emit_op_program
 
     cost = _cost_model_from_meta(meta)
     params = _params_from_meta(meta)
@@ -737,7 +638,7 @@ def _model_ops_for_platform(
         target, rows, cols, bands, algorithm, params,
         variant=variant, cost_model=cost,
     )
-    return replay_ops_from_model(
+    return emit_op_program(
         algorithm, target, partition, rows, cols, bands,
         params=params, cost_model=cost,
     )

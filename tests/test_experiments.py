@@ -59,18 +59,32 @@ class TestModelValidation:
 
     @pytest.mark.parametrize("algorithm", ["atdca", "ufcls"])
     def test_detectors_exact(self, small_scene, algorithm):
-        plat = fully_heterogeneous()
+        # Engine and model time through the same TimingCore, so only
+        # the emitted schedule can differ: equality is to the bit, per
+        # rank.  (Looped, not parametrised, to keep the test ids.)
+        image = small_scene.image
         params = {"n_targets": 5}
-        run = run_parallel(algorithm, small_scene.image, plat, params=params)
-        predicted = model_run(
-            algorithm, plat, run.partition,
-            small_scene.image.rows, small_scene.image.cols,
-            small_scene.image.bands, params,
-        )
-        assert predicted.total == pytest.approx(run.makespan, rel=1e-9)
-        assert predicted.breakdown.com == pytest.approx(
-            run.sim.master_breakdown()["com"], rel=1e-9
-        )
+        for plat in (fully_heterogeneous(), thunderhead(4)):
+            for variant in ("hetero", "homo"):
+                run = run_parallel(
+                    algorithm, image, plat, params=params, variant=variant
+                )
+                predicted = model_run(
+                    algorithm, plat, run.partition,
+                    image.rows, image.cols, image.bands, params,
+                )
+                case = f"{plat.name}/{variant}"
+                assert predicted.total == run.makespan, case
+                assert (
+                    predicted.breakdown.com
+                    == run.sim.master_breakdown()["com"]
+                ), case
+                assert (
+                    predicted.finish_times.tolist() == run.sim.finish_times
+                ), case
+                assert (
+                    predicted.busy_times.tolist() == run.sim.busy_times()
+                ), case
 
     @pytest.mark.parametrize("algorithm", ["pct", "morph"])
     def test_classifiers_within_tolerance(self, small_scene, algorithm):
@@ -193,3 +207,17 @@ class TestFigure1:
         assert result.class_map_path.exists()
         assert result.composite_path.read_bytes().startswith(b"P6")
         assert "hot spots" in result.to_text()
+
+
+class TestWhatIfCli:
+    def test_bare_whatif_experiment_runs(self, tmp_path):
+        # No --trace: the experiment makes its own demo run, the path
+        # that crashed unpacking a positional tuple of the wrong arity.
+        from repro.experiments.runner import main
+
+        assert main([
+            "whatif", "--rows", "48", "--cols", "16", "--bands", "24",
+            "--outdir", str(tmp_path),
+        ]) == 0
+        assert (tmp_path / "whatif_causal.json").exists()
+        assert (tmp_path / "whatif_sweep.json").exists()

@@ -146,3 +146,42 @@ class TestExperimentsCLI:
 
         with pytest.raises(SystemExit):
             main(["tableX"])
+
+
+class TestImportHygiene:
+    #: ``(importing module, imported module, private name)`` violations
+    #: that predate the rule.  This list may only shrink.
+    ALLOWED = {
+        ("repro.tuning.registry", "repro.core.nfindr", "_sweep_scalar"),
+        ("repro.tuning.registry", "repro.core.nfindr", "_replacement_sweep"),
+        ("repro.obs.report", "repro.viz.timeline", "_recovery_segments"),
+        ("repro.obs.profile", "repro.viz.timeline", "_recovery_segments"),
+        ("repro.core.morph", "repro.morphology.ops", "_EPS"),
+        ("repro.experiments.whatif", "repro.obs.export", "_JSON_KW"),
+        ("repro.faults.recovery", "repro.core.runner", "_PROGRAMS"),
+    }
+
+    def test_no_private_name_crosses_a_package(self):
+        import ast
+        from pathlib import Path
+
+        import repro
+
+        root = Path(repro.__file__).parent
+        found = set()
+        for path in sorted(root.rglob("*.py")):
+            parts = path.relative_to(root).with_suffix("").parts
+            module = ".".join(("repro",) + parts)
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                if not isinstance(node, ast.ImportFrom) or node.level:
+                    continue
+                source = (node.module or "").split(".")
+                if source[0] != "repro" or source[1:2] == list(parts[:1]):
+                    continue
+                found.update(
+                    (module, node.module, alias.name)
+                    for alias in node.names
+                    if alias.name.startswith("_")
+                )
+        assert found - self.ALLOWED == set(), "new cross-package private import"
+        assert self.ALLOWED - found == set(), "fixed: drop it from ALLOWED"

@@ -1,5 +1,4 @@
-"""Streaming quantile sketches: error bounds, exact merges, and the
-P² estimator."""
+"""The streaming quantile sketch: error bounds and exact merges."""
 
 from __future__ import annotations
 
@@ -9,7 +8,7 @@ import numpy as np
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.obs.sketch import LatencySketch, P2Quantile, merge_sketches
+from repro.obs.sketch import LatencySketch, merge_sketches
 
 QS = (0.1, 0.25, 0.5, 0.75, 0.9, 0.99)
 
@@ -185,42 +184,3 @@ class TestLatencySketchValidation:
         with pytest.raises(ConfigurationError):
             sketch.quantile(1.5)
 
-
-class TestP2Quantile:
-    def test_exact_below_five_samples(self):
-        p2 = P2Quantile(0.5)
-        for v in (5.0, 1.0, 3.0):
-            p2.observe(v)
-        assert p2.value == _exact_quantile([5.0, 1.0, 3.0], 0.5)
-
-    def test_large_stream_accuracy(self):
-        values = _lognormal(20000)
-        for q in (0.5, 0.9):
-            p2 = P2Quantile(q)
-            for v in values:
-                p2.observe(v)
-            exact = _exact_quantile(values, q)
-            assert abs(p2.value - exact) / exact < 0.05
-
-    def test_monotone_stream(self):
-        p2 = P2Quantile(0.9)
-        for i in range(1, 1001):
-            p2.observe(float(i))
-        assert p2.value == pytest.approx(900.0, rel=0.02)
-
-    def test_empty_reads_zero(self):
-        assert P2Quantile(0.5).value == 0.0
-
-    def test_q_validation(self):
-        with pytest.raises(ConfigurationError):
-            P2Quantile(0.0)
-        with pytest.raises(ConfigurationError):
-            P2Quantile(1.0)
-
-    def test_deterministic(self):
-        values = _lognormal(500)
-        a, b = P2Quantile(0.75), P2Quantile(0.75)
-        for v in values:
-            a.observe(v)
-            b.observe(v)
-        assert a.value == b.value
