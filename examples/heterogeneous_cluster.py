@@ -17,8 +17,7 @@ from repro.cluster import (
     SimulationEngine,
     segmented_network,
 )
-from repro.core import run_parallel
-from repro.core.parallel_atdca import parallel_atdca_program
+from repro.core import parallel_atdca_program, run_parallel
 from repro.core.runner import make_row_partition
 from repro.hsi import SceneConfig, make_wtc_scene
 from repro.perf import breakdown_of_run, format_table, imbalance_of_run

@@ -8,14 +8,16 @@ from repro.core.morph import (
     select_endmembers,
 )
 from repro.core.nfindr import NFindrResult, nfindr, nfindr_pixels, simplex_volume
-from repro.core.parallel_atdca import parallel_atdca_program
+from repro.core.parallel_detect import (
+    parallel_atdca_program,
+    parallel_ufcls_program,
+)
 from repro.core.parallel_morph import (
     morph_halo_depth,
     parallel_morph_exchange_program,
     parallel_morph_program,
 )
 from repro.core.parallel_pct import parallel_pct_program
-from repro.core.parallel_ufcls import parallel_ufcls_program
 from repro.core.pct import PCTClassification, pct_classify, pct_classify_pixels
 from repro.core.pipeline import SceneAnalysis, analyze_scene
 from repro.core.runner import (

@@ -3,7 +3,7 @@
 The reference implementation of Algorithm 2's computational content,
 single-processor, exactly as the paper's sequential baseline ("really
 sequential, not parallel running on one processor").  The parallel
-versions in :mod:`repro.core.parallel_atdca` must produce identical
+versions in :mod:`repro.core.parallel_detect` must produce identical
 target sets on the same input.
 
 The algorithm: seed with the brightest pixel (max ``xᵀx``), then

@@ -4,9 +4,9 @@ Every algorithm of Section 2.2 opens the same way: the master holds the
 image cube, derives a WEA row partition, and scatters the blocks (with
 optional overlap borders for windowed kernels).  This module implements
 that prologue — with the master's packing work charged sequentially and
-the transfers costed by the engine — plus the small result containers
-programs return, so the four ``parallel_*`` modules contain only their
-algorithm-specific middle.
+the transfers costed by the engine — plus the master-side unique-set
+merge the two classifiers share, so the ``parallel_*`` modules contain
+only their algorithm-specific middle.
 
 Programs are SPMD callables ``program(ctx, **kwargs)`` run by either
 backend (virtual-time :class:`repro.cluster.engine.RankContext` or
@@ -23,6 +23,7 @@ from typing import Any, Iterator
 import numpy as np
 
 from repro.cluster.costs import DEFAULT_COST_MODEL, CostModel
+from repro.core.unique import UniqueSet, merge_unique_sets
 from repro.errors import ConfigurationError, DataError
 from repro.hsi.cube import HyperspectralImage
 from repro.morphology.halo import HaloBlock, extract_halo_block
@@ -33,23 +34,17 @@ from repro.types import FloatArray
 
 __all__ = [
     "cost_model_of",
-    "charge_sequential",
     "charged_kernel",
     "LocalBlock",
     "distribute_row_blocks",
     "master_only",
-    "save_detection_checkpoint",
+    "merge_unique_at_master",
 ]
 
 
 def cost_model_of(ctx: MessageContext) -> CostModel:
     """The context's cost model (wall-clock contexts use the default)."""
     return getattr(ctx, "cost_model", DEFAULT_COST_MODEL)
-
-
-def charge_sequential(ctx: MessageContext, mflops: float) -> None:
-    """Charge master-side sequential work (no-op on wall-clock backends)."""
-    ctx.compute(mflops, sequential=True)
 
 
 @contextlib.contextmanager
@@ -83,33 +78,6 @@ def charged_kernel(
     ):
         ctx.compute(mflops, sequential=sequential)
         yield
-
-
-def save_detection_checkpoint(
-    checkpoint: Any,
-    comm: Communicator,
-    indices: list[int],
-    signatures: list[np.ndarray],
-    scores: list[float],
-    u_matrix: np.ndarray,
-) -> None:
-    """Master-side per-iteration checkpoint for the target detectors.
-
-    Saved only *after* the iteration's closing broadcast completed, so
-    a restart from step ``len(indices)`` is consistent on all ranks.
-    No-op for workers or when checkpointing is off.
-    """
-    if checkpoint is None or not comm.is_master:
-        return
-    checkpoint.save(
-        len(indices),
-        {
-            "indices": list(indices),
-            "signatures": list(signatures),
-            "scores": list(scores),
-            "u": u_matrix,
-        },
-    )
 
 
 def master_only(ctx: MessageContext, value: Any, name: str) -> Any:
@@ -240,3 +208,40 @@ def distribute_row_blocks(
         bands=bands,
         total_rows=total_rows,
     )
+
+
+def merge_unique_at_master(
+    comm: Communicator,
+    local_set: UniqueSet | None,
+    threshold: float,
+    count: int,
+    bands: int,
+) -> UniqueSet:
+    """Gather per-rank unique sets, merge them at the master, broadcast.
+
+    The master's merge is the sequential "combined, one pair at a time"
+    step of Hetero-PCT (step 3) and Hetero-MORPH (step 3), charged as
+    ``dedup_unique_set``.  A rank with an empty share passes ``None``
+    and still takes part in both collectives.  Absent scores travel as
+    ``None``, which the wire-size estimate counts as zero values.
+    """
+    ctx = comm.context
+    gathered = comm.gather(
+        None
+        if local_set is None
+        else (local_set.signatures, local_set.indices, local_set.scores)
+    )
+    payload = None
+    if comm.is_master:
+        sets = [UniqueSet(*item) for item in gathered if item is not None]
+        with charged_kernel(
+            ctx,
+            "dedup_unique_set",
+            cost_model_of(ctx).dedup_unique_set(
+                sum(s.count for s in sets), bands, kept=count
+            ),
+            sequential=True,
+        ):
+            merged = merge_unique_sets(sets, threshold, count=count)
+        payload = (merged.signatures, merged.indices, merged.scores)
+    return UniqueSet(*comm.bcast(payload))

@@ -22,12 +22,13 @@ from repro.core.morph import (
     mei_map,
 )
 from repro.core.parallel_common import (
+    LocalBlock,
     charged_kernel,
     cost_model_of,
     distribute_row_blocks,
     master_only,
+    merge_unique_at_master,
 )
-from repro.core.unique import UniqueSet, merge_unique_sets
 from repro.errors import ConfigurationError
 from repro.hsi.cube import HyperspectralImage
 from repro.hsi.metrics import sad_to_references
@@ -111,7 +112,25 @@ def parallel_morph_program(
         ):
             mei_extended = mei_map(extended, se, iterations)
             mei_core = block.halo.core_view(mei_extended)
-            core = block.halo.core_view()
+
+    return _endmembers_and_labels(
+        ctx, comm, block, mei_core, n_classes, dedup_threshold
+    )
+
+
+def _endmembers_and_labels(
+    ctx: MessageContext,
+    comm: Communicator,
+    block: LocalBlock,
+    mei_core: np.ndarray,
+    n_classes: int,
+    dedup_threshold: float,
+) -> MorphClassification | None:
+    """Steps 3-5, shared by both MORPH programs: they differ only in how
+    ``mei_core`` (the MEI scores of the owned rows) was produced."""
+    cost = cost_model_of(ctx)
+    tracer = tracer_of(ctx)
+    bands = block.bands
 
     # -- step 3: master forms the unique endmember set --------------------------
     with tracer.span("morph.endmembers", rank=ctx.rank):
@@ -121,47 +140,17 @@ def parallel_morph_program(
         ):
             if block.n_core_pixels:
                 candidates = local_endmember_candidates(
-                    core,
+                    block.halo.core_view(),
                     mei_core,
                     n_classes,
                     row_offset=block.halo.core_start,
                     total_cols=block.cols,
                     dedup_threshold=dedup_threshold,
                 )
-                payload = (
-                    candidates.signatures, candidates.indices, candidates.scores
-                )
             else:
-                payload = None
-        gathered = comm.gather(payload)
-
-        if comm.is_master:
-            sets = [
-                UniqueSet(signatures=sig, indices=idx, scores=sc)
-                for item in gathered
-                if item is not None
-                for sig, idx, sc in [item]
-            ]
-            total = sum(s.count for s in sets)
-            with charged_kernel(
-                ctx,
-                "dedup_unique_set",
-                cost.dedup_unique_set(total, bands, kept=n_classes),
-                sequential=True,
-            ):
-                endmembers = merge_unique_sets(
-                    sets, dedup_threshold, count=n_classes
-                )
-            em_payload = (
-                endmembers.signatures,
-                endmembers.indices,
-                endmembers.scores,
-            )
-        else:
-            em_payload = None
-        em_payload = comm.bcast(em_payload)
-        endmembers = UniqueSet(
-            signatures=em_payload[0], indices=em_payload[1], scores=em_payload[2]
+                candidates = None
+        endmembers = merge_unique_at_master(
+            comm, candidates, dedup_threshold, n_classes, bands
         )
 
     # -- step 4: parallel labelling ----------------------------------------------
@@ -178,8 +167,7 @@ def parallel_morph_program(
                 labels = np.argmin(angles, axis=1).astype(np.int64)
             else:
                 labels = np.empty(0, dtype=np.int64)
-            mei_flat = mei_core.reshape(-1)
-        gathered_labels = comm.gather((labels, mei_flat))
+        gathered_labels = comm.gather((labels, mei_core.reshape(-1)))
 
     # -- step 5: master assembles the classification matrix ------------------------
     if not comm.is_master:
@@ -294,77 +282,6 @@ def parallel_morph_exchange_program(
     core_rows = block.halo.core_rows
     start = block.halo.top if mei_ext.shape[0] > core_rows else 0
     mei_core = mei_ext[start : start + core_rows]
-    core = block.halo.core_view()
-
-    with tracer.span("morph.endmembers", rank=ctx.rank):
-        pool = min(block.n_core_pixels, 8 * n_classes)
-        with charged_kernel(
-            ctx, "sad_pairs", cost.sad_pairs(pool * min(n_classes, pool), bands)
-        ):
-            if block.n_core_pixels:
-                candidates = local_endmember_candidates(
-                    core, mei_core, n_classes,
-                    row_offset=block.halo.core_start,
-                    total_cols=cols,
-                    dedup_threshold=dedup_threshold,
-                )
-                payload = (
-                    candidates.signatures, candidates.indices, candidates.scores
-                )
-            else:
-                payload = None
-        gathered = comm.gather(payload)
-
-        if comm.is_master:
-            sets = [
-                UniqueSet(signatures=sig, indices=idx, scores=sc)
-                for item in gathered
-                if item is not None
-                for sig, idx, sc in [item]
-            ]
-            total = sum(s.count for s in sets)
-            with charged_kernel(
-                ctx,
-                "dedup_unique_set",
-                cost.dedup_unique_set(total, bands, kept=n_classes),
-                sequential=True,
-            ):
-                endmembers = merge_unique_sets(
-                    sets, dedup_threshold, count=n_classes
-                )
-            em_payload = (
-                endmembers.signatures, endmembers.indices, endmembers.scores
-            )
-        else:
-            em_payload = None
-        em_payload = comm.bcast(em_payload)
-        endmembers = UniqueSet(
-            signatures=em_payload[0], indices=em_payload[1], scores=em_payload[2]
-        )
-
-    with tracer.span("morph.classify", rank=ctx.rank):
-        with charged_kernel(
-            ctx,
-            "classify_by_sad",
-            cost.classify_by_sad(block.n_core_pixels, bands, endmembers.count),
-        ):
-            if block.n_core_pixels:
-                angles = sad_to_references(
-                    block.core_pixels, endmembers.signatures
-                )
-                labels = np.argmin(angles, axis=1).astype(np.int64)
-            else:
-                labels = np.empty(0, dtype=np.int64)
-        gathered_labels = comm.gather((labels, mei_core.reshape(-1)))
-
-    if not comm.is_master:
-        return None
-    label_map = np.concatenate([lab for lab, _ in gathered_labels]).reshape(
-        block.total_rows, cols
-    )
-    mei_full = np.concatenate([m for _, m in gathered_labels]).reshape(
-        block.total_rows, cols
-    )
-    return MorphClassification(
-        labels=label_map, endmembers=endmembers, mei=mei_full
+    return _endmembers_and_labels(
+        ctx, comm, block, mei_core, n_classes, dedup_threshold
     )

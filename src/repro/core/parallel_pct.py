@@ -25,9 +25,10 @@ from repro.core.parallel_common import (
     cost_model_of,
     distribute_row_blocks,
     master_only,
+    merge_unique_at_master,
 )
 from repro.core.pct import DEFAULT_UNIQUE_THRESHOLD, PCTClassification
-from repro.core.unique import UniqueSet, greedy_unique, merge_unique_sets
+from repro.core.unique import UniqueSet, greedy_unique
 from repro.errors import ConfigurationError
 from repro.hsi.cube import HyperspectralImage
 from repro.hsi.metrics import sad_to_references
@@ -81,32 +82,9 @@ def parallel_pct_program(
                 )
             else:
                 local_unique = None
-        gathered_sets = comm.gather(
-            None
-            if local_unique is None
-            else (local_unique.signatures, local_unique.indices)
+        unique = merge_unique_at_master(
+            comm, local_unique, threshold, n_classes, bands
         )
-
-        if comm.is_master:
-            sets = [
-                UniqueSet(signatures=sig, indices=idx)
-                for payload in gathered_sets
-                if payload is not None
-                for sig, idx in [payload]
-            ]
-            total_candidates = sum(s.count for s in sets)
-            with charged_kernel(
-                ctx,
-                "dedup_unique_set",
-                cost.dedup_unique_set(total_candidates, bands, kept=n_classes),
-                sequential=True,
-            ):
-                unique = merge_unique_sets(sets, threshold, count=n_classes)
-            unique_payload = (unique.signatures, unique.indices)
-        else:
-            unique_payload = None
-        unique_payload = comm.bcast(unique_payload)
-        unique = UniqueSet(signatures=unique_payload[0], indices=unique_payload[1])
 
     # -- steps 4-7: distributed covariance, sequential eigendecomposition ------
     with tracer.span("pct.covariance", rank=ctx.rank):

@@ -30,10 +30,13 @@ from typing import TYPE_CHECKING, Any, Callable, Mapping
 from repro.cluster.costs import DEFAULT_COST_MODEL, CostModel
 from repro.cluster.engine import SimulationResult, run_program
 from repro.cluster.platform import HeterogeneousPlatform
-from repro.core.parallel_atdca import parallel_atdca_program
+from repro.core.parallel_detect import (
+    DETECTORS,
+    parallel_atdca_program,
+    parallel_ufcls_program,
+)
 from repro.core.parallel_morph import morph_halo_depth, parallel_morph_program
 from repro.core.parallel_pct import parallel_pct_program
-from repro.core.parallel_ufcls import parallel_ufcls_program
 from repro.errors import ConfigurationError
 from repro.hsi.cube import HyperspectralImage
 from repro.morphology.structuring import square
@@ -49,6 +52,7 @@ from repro.scheduling.static_part import (
 from repro.types import FloatArray
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.faults.adaptive import AdaptiveController
     from repro.faults.injector import FaultInjector
     from repro.faults.recovery import CheckpointStore
     from repro.obs import ObsSession
@@ -61,6 +65,8 @@ __all__ = [
     "make_row_partition",
     "make_row_partition_for_dims",
     "build_program_kwargs",
+    "ProgramLaunch",
+    "prepare_launch",
     "ParallelRun",
     "run_parallel",
 ]
@@ -101,13 +107,10 @@ def estimate_row_workload(
     _check_algorithm(algorithm)
     cost = cost_model or DEFAULT_COST_MODEL
     megabits = cost.pixels_megabits(cols, bands)
-    if algorithm == "atdca":
+    if algorithm in DETECTORS:
         t = int(params.get("n_targets", 18))
-        mflops = sum(cost.osp_scores(cols, bands, k) for k in range(1, t))
-        mflops += cost.brightest_search(cols, bands)
-    elif algorithm == "ufcls":
-        t = int(params.get("n_targets", 18))
-        mflops = sum(cost.fcls_scores(cols, bands, k) for k in range(1, t))
+        score = getattr(cost, DETECTORS[algorithm].score_kernel)
+        mflops = sum(score(cols, bands, k) for k in range(1, t))
         mflops += cost.brightest_search(cols, bands)
     elif algorithm == "pct":
         c = int(params.get("n_classes", 24))
@@ -223,18 +226,16 @@ def build_program_kwargs(
 
     ``kernels`` (kernel name → registry variant name, as a
     :class:`repro.tuning.planner.TuningPlan` carries) adds the kernel
-    dispatch arguments the iterative detectors accept; classifier
+    dispatch argument the iterative detectors accept; classifier
     programs dispatch through the registry defaults and ignore it.
     """
     _check_algorithm(algorithm)
     program_kwargs: dict[str, Any] = {"partition": partition}
-    if algorithm in ("atdca", "ufcls"):
+    if algorithm in DETECTORS:
         program_kwargs["n_targets"] = int(params.get("n_targets", 18))
-        if kernels:
-            if algorithm == "atdca" and "osp_step" in kernels:
-                program_kwargs["osp_variant"] = kernels["osp_step"]
-            if algorithm == "ufcls" and "fcls_solve" in kernels:
-                program_kwargs["fcls_variant"] = kernels["fcls_solve"]
+        registry_kernel = DETECTORS[algorithm].registry_kernel
+        if kernels and registry_kernel in kernels:
+            program_kwargs["kernel_variant"] = kernels[registry_kernel]
     else:
         program_kwargs["n_classes"] = int(params.get("n_classes", 24))
         if algorithm == "morph":
@@ -248,6 +249,62 @@ def build_program_kwargs(
         elif params.get("threshold") is not None:
             program_kwargs["threshold"] = params["threshold"]
     return program_kwargs
+
+
+@dataclasses.dataclass(frozen=True)
+class ProgramLaunch:
+    """What a backend needs to start one execution of an algorithm.
+
+    Attributes:
+        program: the SPMD callable ``program(ctx, **kwargs)``.
+        program_kwargs: keyword arguments every rank receives.
+        kwargs_per_rank: per-rank extras — the image, at the master only.
+    """
+
+    program: Callable[..., Any]
+    program_kwargs: dict[str, Any]
+    kwargs_per_rank: list[dict[str, Any]]
+
+
+def prepare_launch(
+    algorithm: str,
+    params: Mapping[str, Any],
+    partition: RowPartition,
+    image: HyperspectralImage,
+    platform: HeterogeneousPlatform,
+    plan: "TuningPlan | None" = None,
+    checkpoint: "CheckpointStore | None" = None,
+    adaptive: "AdaptiveController | None" = None,
+) -> ProgramLaunch:
+    """Bind one execution attempt: program, shared and per-rank kwargs.
+
+    The one place that knows how a run's inputs become program
+    arguments — :func:`run_parallel` launches once through it, and
+    :func:`repro.faults.recovery.run_with_recovery` once per attempt,
+    on whatever survivor platform and fresh partition that attempt has.
+    ``plan`` contributes its kernel variants and checkpoint cadence;
+    ``checkpoint`` and ``adaptive`` reach only the iterative detectors.
+    """
+    program_kwargs = build_program_kwargs(
+        algorithm, params, partition,
+        kernels=plan.kernels if plan is not None else None,
+    )
+    if algorithm in DETECTORS:
+        if checkpoint is not None:
+            program_kwargs["checkpoint"] = checkpoint
+            if plan is not None:
+                program_kwargs["checkpoint_every"] = int(plan.checkpoint_every)
+        if adaptive is not None:
+            program_kwargs["adaptive"] = adaptive
+    master = platform.master_rank
+    return ProgramLaunch(
+        program=_PROGRAMS[algorithm],
+        program_kwargs=program_kwargs,
+        kwargs_per_rank=[
+            {"image": image if rank == master else None}
+            for rank in range(platform.size)
+        ],
+    )
 
 
 def _stamp_run_meta(
@@ -366,7 +423,7 @@ def run_parallel(
         params: algorithm parameters (``n_targets`` for the detectors,
             ``n_classes``/``iterations``/``se``/``exact_halo`` for the
             classifiers).
-        variant: ``"hetero"`` (default), ``"speed"``, or ``"homo"``.
+        variant: ``"hetero"`` (default), ``"dlt"``, or ``"homo"``.
         backend: ``"sim"`` (virtual time) or ``"inproc"`` (wall clock).
         cost_model: flop/byte accounting (sim backend).
         partition: override the derived partition (ablations).
@@ -392,22 +449,9 @@ def run_parallel(
     if backend not in ("sim", "inproc"):
         raise ConfigurationError(f"unknown backend {backend!r}")
     if plan is not None:
-        mismatches = [
-            f"{what}: plan has {got!r}, run has {want!r}"
-            for what, got, want in (
-                ("algorithm", plan.algorithm, algorithm),
-                ("rows", plan.rows, int(image.rows)),
-                ("cols", plan.cols, int(image.cols)),
-                ("bands", plan.bands, int(image.bands)),
-                ("platform size", plan.platform_size, int(platform.size)),
-            )
-            if got != want
-        ]
-        if mismatches:
-            raise ConfigurationError(
-                "tuning plan does not match this run — "
-                + "; ".join(mismatches)
-            )
+        plan.check_matches(
+            algorithm, image.rows, image.cols, image.bands, platform.size
+        )
         variant = plan.partition_variant
         if partition is None:
             partition = plan.row_partition()
@@ -419,32 +463,21 @@ def run_parallel(
             obs, algorithm, variant, image, platform, part, params,
             cost_model, plan=plan,
         )
-
-    program = _PROGRAMS[algorithm]
-    program_kwargs = build_program_kwargs(
-        algorithm, params, part,
-        kernels=plan.kernels if plan is not None else None,
+    launch = prepare_launch(
+        algorithm, params, part, image, platform,
+        plan=plan, checkpoint=checkpoint,
     )
-    if checkpoint is not None and algorithm in ("atdca", "ufcls"):
-        program_kwargs["checkpoint"] = checkpoint
-        if plan is not None:
-            program_kwargs["checkpoint_every"] = int(plan.checkpoint_every)
-
     master = platform.master_rank
-    kwargs_per_rank = [
-        {"image": image if rank == master else None}
-        for rank in range(platform.size)
-    ]
 
     if backend == "sim":
         sim = run_program(
             platform,
-            program,
-            kwargs_per_rank=kwargs_per_rank,
+            launch.program,
+            kwargs_per_rank=launch.kwargs_per_rank,
             cost_model=cost_model,
             obs=obs,
             faults=faults,
-            **program_kwargs,
+            **launch.program_kwargs,
         )
         return ParallelRun(
             algorithm=algorithm,
@@ -461,12 +494,12 @@ def run_parallel(
         live.bind(platform=platform, faults=faults)
     inproc = run_inproc(
         platform.size,
-        program,
-        kwargs_per_rank=kwargs_per_rank,
+        launch.program,
+        kwargs_per_rank=launch.kwargs_per_rank,
         master_rank=master,
         obs=obs,
         faults=faults,
-        **program_kwargs,
+        **launch.program_kwargs,
     )
     return ParallelRun(
         algorithm=algorithm,

@@ -31,6 +31,8 @@ from repro.cluster.costs import DEFAULT_COST_MODEL, CostModel
 from repro.cluster.mailbox import ENVELOPE_VALUES
 from repro.cluster.platform import HeterogeneousPlatform
 from repro.cluster.simtime import Op, TimingCore
+from repro.core.parallel_detect import DETECTORS
+from repro.core.parallel_morph import morph_halo_depth
 from repro.errors import ConfigurationError
 from repro.morphology.structuring import square
 from repro.perf.timers import PhaseBreakdown
@@ -174,7 +176,10 @@ def emit_op_program(
     counts = partition.counts
     n_local = counts * cols  # pixels per rank
 
-    if algorithm in ("atdca", "ufcls"):
+    if algorithm in DETECTORS:
+        spec = DETECTORS[algorithm]
+        score = getattr(cost, spec.score_kernel)
+        select = getattr(cost, spec.select_kernel)
         t = int(params.get("n_targets", 18))
         eng.compute(master, cost.scatter_pack(rows * cols * bands),
                     sequential=True, label="scatter_pack")
@@ -188,21 +193,11 @@ def emit_op_program(
         eng.bcast(master, 1.0 * bands)
         for k in range(1, t):
             for rank in range(p):
-                if algorithm == "atdca":
-                    work = cost.osp_scores(int(n_local[rank]), bands, k)
-                    label = "osp_scores"
-                else:
-                    work = cost.fcls_scores(int(n_local[rank]), bands, k)
-                    label = "fcls_scores"
-                eng.compute(rank, work, label=label)
+                eng.compute(rank, score(int(n_local[rank]), bands, k),
+                            label=spec.score_kernel)
             eng.gather(master, np.full(p, bands + 2.0))
-            if algorithm == "atdca":
-                sel = cost.master_osp_selection(bands, k, p)
-                label = "master_osp_selection"
-            else:
-                sel = cost.master_scls_selection(bands, k, p)
-                label = "master_scls_selection"
-            eng.compute(master, sel, sequential=True, label=label)
+            eng.compute(master, select(bands, k, p),
+                        sequential=True, label=spec.select_kernel)
             eng.bcast(master, float((k + 1) * bands))
         return eng.ops
 
@@ -251,8 +246,9 @@ def emit_op_program(
         c = int(params.get("n_classes", 24))
         iterations = int(params.get("iterations", 5))
         se = params.get("se") or square(3)
-        exact_halo = bool(params.get("exact_halo", False))
-        halo = se.radius * (2 * iterations + 1) if exact_halo else se.radius
+        halo = morph_halo_depth(
+            se, iterations, exact=bool(params.get("exact_halo", False))
+        )
         eng.compute(master, cost.scatter_pack(rows * cols * bands),
                     sequential=True, label="scatter_pack")
         eng.scatter(master, _block_values(partition, cols, bands, halo))

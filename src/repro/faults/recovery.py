@@ -245,10 +245,11 @@ def run_with_recovery(
         A :class:`RecoveredRun`; ``imbalance`` carries the Table 7
         ``D_all``/``D_minus`` for the post-recovery partition.
     """
+    from repro.core.parallel_detect import DETECTORS
     from repro.core.runner import (
-        _PROGRAMS,
-        build_program_kwargs,
+        ALGORITHM_NAMES,
         make_row_partition,
+        prepare_launch,
     )
 
     if backend not in ("sim", "inproc"):
@@ -259,12 +260,9 @@ def run_with_recovery(
         )
     params = dict(params or {})
     injector = injector_for(plan)
-    program = _PROGRAMS.get(algorithm)
-    if program is None:
+    if algorithm not in ALGORITHM_NAMES:
         raise ConfigurationError(f"unknown algorithm {algorithm!r}")
-    checkpoint = (
-        CheckpointStore() if algorithm in ("atdca", "ufcls") else None
-    )
+    checkpoint = CheckpointStore() if algorithm in DETECTORS else None
 
     initial_plan = None
     if tuning is not None:
@@ -272,23 +270,9 @@ def run_with_recovery(
 
         if isinstance(tuning, TuningPlan):
             initial_plan = tuning
-            mismatches = [
-                f"{what}: plan has {got!r}, run has {want!r}"
-                for what, got, want in (
-                    ("algorithm", initial_plan.algorithm, algorithm),
-                    ("rows", initial_plan.rows, int(image.rows)),
-                    ("cols", initial_plan.cols, int(image.cols)),
-                    ("bands", initial_plan.bands, int(image.bands)),
-                    ("platform size", initial_plan.platform_size,
-                     int(platform.size)),
-                )
-                if got != want
-            ]
-            if mismatches:
-                raise ConfigurationError(
-                    "tuning plan does not match this run — "
-                    + "; ".join(mismatches)
-                )
+            initial_plan.check_matches(
+                algorithm, image.rows, image.cols, image.bands, platform.size
+            )
         elif tuning != "auto":
             raise ConfigurationError(
                 f"tuning must be a TuningPlan or 'auto', got {tuning!r}"
@@ -397,35 +381,37 @@ def run_with_recovery(
             # surviving subset platform, and the nominal per-rank
             # clocks restart with it.
             live.bind(platform=run_platform, faults=injector)
-        program_kwargs = build_program_kwargs(
-            algorithm, params, partition,
-            kernels=attempt_plan.kernels if attempt_plan else None,
-        )
-        if checkpoint is not None:
-            program_kwargs["checkpoint"] = checkpoint
-            if attempt_plan is not None:
-                program_kwargs["checkpoint_every"] = int(
-                    attempt_plan.checkpoint_every
-                )
         if controller is not None:
             controller.attach(
                 monitor=obs.live.health,
                 rank_map=None if ordered == identity else ordered,
             )
-            program_kwargs["adaptive"] = controller
+        launch = prepare_launch(
+            algorithm, params, partition, image, run_platform,
+            plan=attempt_plan, checkpoint=checkpoint, adaptive=controller,
+        )
         resumed_step = (checkpoint.step or 0) if checkpoint is not None else 0
         tuned_variant = (
             attempt_plan.partition_variant if attempt_plan is not None
             else None
         )
         master = run_platform.master_rank
-        kwargs_per_rank = [
-            {"image": image if rank == master else None}
-            for rank in range(run_platform.size)
-        ]
+        # How the attempt is recorded if it runs to completion; a crash
+        # or an adaptation records it with that outcome filled in.
+        attempt = RecoveryAttempt(
+            index=len(attempts),
+            ranks=ordered,
+            crashed_rank=None,
+            clock_start=clock_start,
+            resumed_step=resumed_step,
+            tuned_variant=tuned_variant,
+        )
 
         engine: SimulationEngine | None = None
         try:
+            sim: SimulationResult | None = None
+            inproc: InprocResult | None = None
+            scores: ImbalanceScores | None = None
             if backend == "sim":
                 engine = SimulationEngine(
                     run_platform,
@@ -435,66 +421,37 @@ def run_with_recovery(
                     faults=injector,
                     clock_start=clock_start,
                 )
-                sim = engine.run(program, kwargs_per_rank, program_kwargs)
-                attempts.append(
-                    RecoveryAttempt(
-                        index=len(attempts),
-                        ranks=ordered,
-                        crashed_rank=None,
-                        clock_start=clock_start,
-                        resumed_step=resumed_step,
-                        tuned_variant=tuned_variant,
-                    )
+                result = sim = engine.run(
+                    launch.program, launch.kwargs_per_rank,
+                    launch.program_kwargs,
                 )
-                scores: ImbalanceScores | None
                 try:
                     scores = imbalance_of_run(sim)
                 except ConfigurationError:
-                    scores = None
-                return RecoveredRun(
-                    algorithm=algorithm,
-                    variant=tuned_variant or variant,
-                    output=sim.return_values[master],
-                    partition=partition,
-                    platform=run_platform,
-                    attempts=tuple(attempts),
-                    crashed_ranks=tuple(crashed),
-                    sim=sim,
-                    imbalance=scores,
-                    adaptations=(
-                        tuple(controller.events) if controller else ()
-                    ),
-                    model_platform=model_run if controller else None,
+                    pass
+            else:
+                result = inproc = run_inproc(
+                    run_platform.size,
+                    launch.program,
+                    kwargs_per_rank=launch.kwargs_per_rank,
+                    master_rank=master,
+                    deadlock_grace_s=deadlock_grace_s,
+                    obs=obs,
+                    faults=injector,
+                    **launch.program_kwargs,
                 )
-            inproc = run_inproc(
-                run_platform.size,
-                program,
-                kwargs_per_rank=kwargs_per_rank,
-                master_rank=master,
-                deadlock_grace_s=deadlock_grace_s,
-                obs=obs,
-                faults=injector,
-                **program_kwargs,
-            )
-            attempts.append(
-                RecoveryAttempt(
-                    index=len(attempts),
-                    ranks=ordered,
-                    crashed_rank=None,
-                    clock_start=clock_start,
-                    resumed_step=resumed_step,
-                    tuned_variant=tuned_variant,
-                )
-            )
+            attempts.append(attempt)
             return RecoveredRun(
                 algorithm=algorithm,
                 variant=tuned_variant or variant,
-                output=inproc.return_values[master],
+                output=result.return_values[master],
                 partition=partition,
                 platform=run_platform,
                 attempts=tuple(attempts),
                 crashed_ranks=tuple(crashed),
+                sim=sim,
                 inproc=inproc,
+                imbalance=scores,
                 adaptations=tuple(controller.events) if controller else (),
                 model_platform=model_run if controller else None,
             )
@@ -505,14 +462,7 @@ def run_with_recovery(
             if max_recoveries is not None and len(crashed) >= max_recoveries:
                 raise
             attempts.append(
-                RecoveryAttempt(
-                    index=len(attempts),
-                    ranks=ordered,
-                    crashed_rank=lost_orig,
-                    clock_start=clock_start,
-                    resumed_step=resumed_step,
-                    tuned_variant=tuned_variant,
-                )
+                dataclasses.replace(attempt, crashed_rank=lost_orig)
             )
             crashed.append(lost_orig)
             survivors.discard(lost_orig)
@@ -551,18 +501,9 @@ def run_with_recovery(
             controller.commit(
                 exc.rank, exc.factor, last_error=exc.ewma, step=exc.step
             )
-            attempts.append(
-                RecoveryAttempt(
-                    index=len(attempts),
-                    ranks=ordered,
-                    crashed_rank=None,
-                    clock_start=clock_start,
-                    resumed_step=resumed_step,
-                    adapted_rank=drifted_orig,
-                    adapted_factor=exc.factor,
-                    tuned_variant=tuned_variant,
-                )
-            )
+            attempts.append(dataclasses.replace(
+                attempt, adapted_rank=drifted_orig, adapted_factor=exc.factor
+            ))
             model_platform = scale_rank_compute(
                 model_platform, drifted_orig, exc.factor
             )

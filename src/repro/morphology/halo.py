@@ -80,13 +80,14 @@ def extract_halo_block(
 
     Borders are clipped at the image boundary (no wraparound); the
     windowed kernels use edge replication there, matching the
-    sequential reference.
+    sequential reference.  An empty range (``start == stop``) is a
+    rank's zero share: no core rows, only the borders around the cut.
     """
     arr = np.asarray(cube)
     if arr.ndim != 3:
         raise ShapeError(f"expected (rows, cols, bands), got {arr.shape}")
     rows = arr.shape[0]
-    if not 0 <= start < stop <= rows:
+    if not 0 <= start <= stop <= rows:
         raise ShapeError(f"row range [{start}, {stop}) invalid for {rows} rows")
     if depth < 0:
         raise ConfigurationError(f"halo depth must be >= 0, got {depth}")

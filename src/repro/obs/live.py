@@ -254,6 +254,9 @@ class LiveRuntime:
         self._platform: "HeterogeneousPlatform | None" = None
         self._faults: "FaultInjector | None" = None
         self._lock = threading.Lock()
+        # Serializes snapshot writers: they share one ``.tmp`` file per
+        # target.  Not ``_lock`` — ``snapshot()`` takes that.
+        self._write_lock = threading.Lock()
         self._nominal_s: dict[int, float] = {}
         self._snapshot_index = 0
         self._span_countdown = snapshot_every
@@ -412,22 +415,24 @@ class LiveRuntime:
             raise ConfigurationError(
                 "LiveRuntime has no out_dir; pass one at construction"
             )
-        self.out_dir.mkdir(parents=True, exist_ok=True)
-        files = [
-            _atomic_write(
-                self.out_dir / "live.json",
-                json.dumps(self.snapshot(include_sketches), **_JSON_KW) + "\n",
-            )
-        ]
-        if self._session is not None:
-            from repro.obs.export import openmetrics_text
-
-            files.append(
+        with self._write_lock:
+            self.out_dir.mkdir(parents=True, exist_ok=True)
+            files = [
                 _atomic_write(
-                    self.out_dir / "live.prom",
-                    openmetrics_text(self._session),
+                    self.out_dir / "live.json",
+                    json.dumps(self.snapshot(include_sketches), **_JSON_KW)
+                    + "\n",
                 )
-            )
+            ]
+            if self._session is not None:
+                from repro.obs.export import openmetrics_text
+
+                files.append(
+                    _atomic_write(
+                        self.out_dir / "live.prom",
+                        openmetrics_text(self._session),
+                    )
+                )
         return files
 
 

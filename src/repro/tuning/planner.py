@@ -44,6 +44,7 @@ from typing import Any, Mapping
 
 from repro.cluster.costs import DEFAULT_COST_MODEL, CostModel
 from repro.cluster.platform import HeterogeneousPlatform
+from repro.core.parallel_detect import DETECTORS
 from repro.core.runner import ALGORITHM_NAMES, make_row_partition_for_dims
 from repro.errors import ConfigurationError
 from repro.experiments.model import model_run
@@ -112,7 +113,7 @@ def choose_kernel_variants(
             f"{ALGORITHM_NAMES}"
         )
     rank_deficient = False
-    if algorithm in ("atdca", "ufcls"):
+    if algorithm in DETECTORS:
         rank_deficient = int(params.get("n_targets", 18)) > int(bands)
     chosen: dict[str, str] = {}
     for kernel in kernels:
@@ -183,18 +184,29 @@ class TuningPlan:
         """The planned partition as an executable :class:`RowPartition`."""
         return RowPartition(self.partition_counts)
 
-    def program_kwargs(self, algorithm: str) -> dict[str, Any]:
-        """Kernel-dispatch kwargs for the algorithm's SPMD program."""
-        if algorithm != self.algorithm:
-            raise ConfigurationError(
-                f"plan is for {self.algorithm!r}, not {algorithm!r}"
+    def check_matches(
+        self, algorithm: str, rows: int, cols: int, bands: int,
+        platform_size: int,
+    ) -> None:
+        """Raise unless the plan was made for this algorithm, scene
+        shape and rank count — a plan for anything else would dispatch a
+        partition the run cannot execute."""
+        mismatches = [
+            f"{what}: plan has {got!r}, run has {want!r}"
+            for what, got, want in (
+                ("algorithm", self.algorithm, algorithm),
+                ("rows", self.rows, int(rows)),
+                ("cols", self.cols, int(cols)),
+                ("bands", self.bands, int(bands)),
+                ("platform size", self.platform_size, int(platform_size)),
             )
-        out: dict[str, Any] = {}
-        if algorithm == "atdca":
-            out["osp_variant"] = self.kernels["osp_step"]
-        elif algorithm == "ufcls":
-            out["fcls_variant"] = self.kernels["fcls_solve"]
-        return out
+            if got != want
+        ]
+        if mismatches:
+            raise ConfigurationError(
+                "tuning plan does not match this run — "
+                + "; ".join(mismatches)
+            )
 
     def to_document(self) -> dict[str, Any]:
         """Serialize to a stable, schema-versioned JSON document."""

@@ -21,6 +21,7 @@ from repro.experiments.table6 import run_table6
 from repro.experiments.table7 import run_table7
 from repro.experiments.table8 import run_table8
 from repro.hsi import SceneConfig
+from repro.scheduling import RowPartition
 
 
 @pytest.fixture(scope="module")
@@ -64,27 +65,35 @@ class TestModelValidation:
         # rank.  (Looped, not parametrised, to keep the test ids.)
         image = small_scene.image
         params = {"n_targets": 5}
-        for plat in (fully_heterogeneous(), thunderhead(4)):
-            for variant in ("hetero", "homo"):
-                run = run_parallel(
-                    algorithm, image, plat, params=params, variant=variant
-                )
-                predicted = model_run(
-                    algorithm, plat, run.partition,
-                    image.rows, image.cols, image.bands, params,
-                )
-                case = f"{plat.name}/{variant}"
-                assert predicted.total == run.makespan, case
-                assert (
-                    predicted.breakdown.com
-                    == run.sim.master_breakdown()["com"]
-                ), case
-                assert (
-                    predicted.finish_times.tolist() == run.sim.finish_times
-                ), case
-                assert (
-                    predicted.busy_times.tolist() == run.sim.busy_times()
-                ), case
+        cases = [
+            (plat, variant, None)
+            for plat in (fully_heterogeneous(), thunderhead(4))
+            for variant in ("hetero", "homo")
+        ]
+        # A partition WEA never emits: seven ranks own no rows.
+        zero_share = RowPartition([image.rows - 8] + [0] * 7 + [1] * 8)
+        cases.append((fully_heterogeneous(), "hetero", zero_share))
+        for plat, variant, partition in cases:
+            run = run_parallel(
+                algorithm, image, plat, params=params, variant=variant,
+                partition=partition,
+            )
+            predicted = model_run(
+                algorithm, plat, run.partition,
+                image.rows, image.cols, image.bands, params,
+            )
+            case = f"{plat.name}/{variant}/{run.partition.counts.tolist()}"
+            assert predicted.total == run.makespan, case
+            assert (
+                predicted.breakdown.com
+                == run.sim.master_breakdown()["com"]
+            ), case
+            assert (
+                predicted.finish_times.tolist() == run.sim.finish_times
+            ), case
+            assert (
+                predicted.busy_times.tolist() == run.sim.busy_times()
+            ), case
 
     @pytest.mark.parametrize("algorithm", ["pct", "morph"])
     def test_classifiers_within_tolerance(self, small_scene, algorithm):

@@ -158,7 +158,6 @@ class TestImportHygiene:
         ("repro.obs.profile", "repro.viz.timeline", "_recovery_segments"),
         ("repro.core.morph", "repro.morphology.ops", "_EPS"),
         ("repro.experiments.whatif", "repro.obs.export", "_JSON_KW"),
-        ("repro.faults.recovery", "repro.core.runner", "_PROGRAMS"),
     }
 
     def test_no_private_name_crosses_a_package(self):

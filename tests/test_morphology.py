@@ -161,7 +161,7 @@ class TestHalo:
 
     def test_invalid_range_rejected(self, rng):
         with pytest.raises(ShapeError):
-            extract_halo_block(np.ones((5, 2, 2)), 3, 3, 1)
+            extract_halo_block(np.ones((5, 2, 2)), 4, 3, 1)
 
     def test_redundant_fraction(self, rng):
         cube = rng.random((12, 4, 3))

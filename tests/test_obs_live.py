@@ -4,6 +4,8 @@ snapshots, and the cross-backend determinism of drift detection."""
 from __future__ import annotations
 
 import json
+import sys
+import threading
 
 import pytest
 
@@ -363,6 +365,34 @@ class TestSnapshots:
         # The run emits thousands of spans, so the countdown fired.
         data = read_snapshot(out)
         assert data["snapshot_index"] >= 1
+
+    def test_concurrent_writers_share_one_out_dir(self, tmp_path):
+        """Rank threads whose countdowns expire back to back all write
+        through ``live.json.tmp``; unserialized, the loser's rename
+        finds the file already moved."""
+        live = LiveRuntime(out_dir=tmp_path)
+        errors = []
+
+        def writer():
+            try:
+                for _ in range(50):
+                    live.write_snapshot()
+            except Exception as exc:  # surfaced below, in the main thread
+                errors.append(exc)
+
+        threads = [threading.Thread(target=writer) for _ in range(8)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        assert read_snapshot(tmp_path)["snapshot_index"] >= 1
 
     def test_validation(self):
         with pytest.raises(ConfigurationError):

@@ -10,10 +10,16 @@ partitioning, so they are held to agreement/accuracy bounds instead.
 import numpy as np
 import pytest
 
-from repro.core import morph_classify, pct_classify, run_parallel
+from repro.core import (
+    ALGORITHM_NAMES,
+    morph_classify,
+    pct_classify,
+    run_parallel,
+)
 from repro.core.atdca import atdca
 from repro.core.ufcls import ufcls
-from repro.hsi import score_classification
+from repro.hsi import SceneConfig, make_wtc_scene, score_classification
+from repro.scheduling import RowPartition
 
 from conftest import make_tiny_platform
 
@@ -67,6 +73,42 @@ class TestDetectorsBitIdentical:
         assert np.array_equal(
             sim.output.flat_indices, inproc.output.flat_indices
         )
+
+
+class TestDegeneratePartitions:
+    """Legal partitions WEA never emits: every driver must still take
+    part in every collective and assemble a full-size result."""
+
+    PARTITIONS = {
+        "zero_share_workers": [40] + [0] * 7 + [1] * 8,
+        "zero_share_master": [0, 34] + [1] * 14,
+        "one_row_each_rest_on_last": [1] * 15 + [33],
+    }
+
+    @pytest.mark.parametrize("counts", PARTITIONS.values(), ids=PARTITIONS)
+    @pytest.mark.parametrize("algorithm", ALGORITHM_NAMES)
+    def test_every_driver_on_both_backends(
+        self, het_platform, algorithm, counts
+    ):
+        image = make_wtc_scene(
+            SceneConfig(rows=48, cols=8, bands=16, seed=7)
+        ).image
+        params = {"n_targets": 5, "n_classes": 4, "iterations": 2}
+        sim, inproc = (
+            run_parallel(
+                algorithm, image, het_platform, params=params,
+                partition=RowPartition(counts), backend=backend,
+            ).output
+            for backend in ("sim", "inproc")
+        )
+        sequential = {"atdca": atdca, "ufcls": ufcls}.get(algorithm)
+        if sequential is not None:
+            expected = sequential(image, params["n_targets"]).flat_indices
+            assert np.array_equal(sim.flat_indices, expected)
+            assert np.array_equal(inproc.flat_indices, expected)
+        else:
+            assert sim.labels.shape == (image.rows, image.cols)
+            assert np.array_equal(sim.labels, inproc.labels)
 
 
 class TestClassifierAgreement:
