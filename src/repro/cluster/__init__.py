@@ -18,7 +18,6 @@ from repro.cluster.network import (
 from repro.cluster.perturb import (
     extend_platform,
     scale_latency,
-    scale_link_capacity,
     upgrade_ranks,
 )
 from repro.cluster.platform import HeterogeneousPlatform
@@ -74,7 +73,6 @@ __all__ = [
     "payload_wire_megabits",
     "run_program",
     "scale_latency",
-    "scale_link_capacity",
     "segmented_network",
     "thunderhead",
     "uniform_network",

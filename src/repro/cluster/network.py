@@ -17,7 +17,6 @@ from __future__ import annotations
 
 from typing import Mapping, Sequence
 
-import networkx as nx
 import numpy as np
 
 from repro.errors import ConfigurationError, PlatformError
@@ -145,16 +144,6 @@ class CommunicationNetwork:
         if n < 2:
             return 0.0
         return float(self._capacity[~np.eye(n, dtype=bool)].mean())
-
-    def to_graph(self) -> nx.Graph:
-        """Export as a weighted complete graph (weight = capacity)."""
-        g = nx.Graph()
-        for i in range(self.size):
-            g.add_node(i, segment=self._segment_of[i])
-        for i in range(self.size):
-            for j in range(i + 1, self.size):
-                g.add_edge(i, j, capacity_ms_per_megabit=float(self._capacity[i, j]))
-        return g
 
     def _check_index(self, i: int) -> None:
         if not 0 <= i < self.size:

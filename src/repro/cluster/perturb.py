@@ -23,7 +23,6 @@ from repro.errors import PlatformError
 __all__ = [
     "upgrade_ranks",
     "scale_rank_compute",
-    "scale_link_capacity",
     "scale_latency",
     "extend_platform",
 ]
@@ -96,52 +95,6 @@ def upgrade_ranks(
         name=name or f"{platform.name}+{accelerator.name}x{len(ranks)}",
         processors=procs,
         network=platform.network,
-        master_rank=platform.master_rank,
-    )
-
-
-def scale_link_capacity(
-    platform: HeterogeneousPlatform,
-    segment_a: str,
-    segment_b: str,
-    factor: float,
-    name: str | None = None,
-) -> HeterogeneousPlatform:
-    """Scale the ms/megabit capacity between two segments by ``factor``.
-
-    ``segment_a == segment_b`` scales the intra-segment capacity.
-    Factors above 1 degrade the link (capacities are costs); below 1
-    upgrade it.
-    """
-    if factor <= 0:
-        raise PlatformError(f"capacity factor must be positive, got {factor}")
-    net = platform.network
-    segments = net.segments
-    for seg in (segment_a, segment_b):
-        if seg not in segments:
-            raise PlatformError(
-                f"unknown segment {seg!r} "
-                f"(platform has {sorted(segments)})"
-            )
-    cap = np.array(net.capacity_matrix, dtype=float, copy=True)
-    touched = False
-    for i in segments[segment_a]:
-        for j in segments[segment_b]:
-            if i != j:
-                cap[i, j] *= factor
-                cap[j, i] = cap[i, j]
-                touched = True
-    if not touched:
-        raise PlatformError(
-            f"segment pair ({segment_a!r}, {segment_b!r}) has no links"
-        )
-    new_net = CommunicationNetwork(
-        cap, segments=segments, latency_s=net.latency_s
-    )
-    return HeterogeneousPlatform(
-        name=name or f"{platform.name} [{segment_a}|{segment_b} x{factor:g}]",
-        processors=platform.processors,
-        network=new_net,
         master_rank=platform.master_rank,
     )
 

@@ -28,7 +28,6 @@ from repro.core.runner import (
     make_row_partition,
     run_parallel,
 )
-from repro.core.sam import SAMClassification, sam_classify
 from repro.core.ufcls import fcls_error_image, ufcls, ufcls_pixels
 from repro.core.unique import (
     UniqueSet,
@@ -44,7 +43,6 @@ __all__ = [
     "NFindrResult",
     "PCTClassification",
     "ParallelRun",
-    "SAMClassification",
     "SceneAnalysis",
     "TargetDetectionResult",
     "UniqueSet",
@@ -63,7 +61,6 @@ __all__ = [
     "morph_halo_depth",
     "nfindr",
     "nfindr_pixels",
-    "sam_classify",
     "simplex_volume",
     "parallel_atdca_program",
     "parallel_morph_exchange_program",

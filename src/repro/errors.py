@@ -16,8 +16,6 @@ __all__ = [
     "PlatformError",
     "PartitionError",
     "CommunicationError",
-    "TagMismatchError",
-    "TruncationError",
     "DeadlockError",
     "RankFailedError",
     "RepartitionSignal",
@@ -62,14 +60,6 @@ class PartitionError(ReproError):
 
 class CommunicationError(ReproError):
     """A message-passing operation failed or was used incorrectly."""
-
-
-class TagMismatchError(CommunicationError):
-    """A receive matched a message whose tag disagrees with the request."""
-
-
-class TruncationError(CommunicationError):
-    """A received message is larger than the posted receive buffer."""
 
 
 class DeadlockError(CommunicationError):

@@ -8,7 +8,6 @@ computed once and shared.
 from __future__ import annotations
 
 import dataclasses
-from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 from typing import TYPE_CHECKING, Any, Mapping
 
@@ -18,10 +17,12 @@ from repro.core.runner import ALGORITHM_NAMES, ParallelRun, run_parallel
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.faults.plan import FaultPlan
     from repro.faults.recovery import RecoveredRun
-from repro.errors import ExperimentError
+from repro.errors import ConfigurationError, ExperimentError
 from repro.experiments.config import ExperimentConfig
 from repro.hsi.scene import WTCScene, make_wtc_scene
 from repro.obs import ObsSession, write_chrome_trace, write_metrics_json
+from repro.obs.export import write_json
+from repro.perf.fanout import ordered_map
 from repro.perf.imbalance import ImbalanceScores, imbalance_of_run
 from repro.perf.timers import PhaseBreakdown, breakdown_of_run
 
@@ -30,11 +31,18 @@ __all__ = ["GridCell", "NetworkGrid", "run_network_grid", "variant_label"]
 #: The two variants the paper compares.
 VARIANTS: tuple[str, ...] = ("hetero", "homo")
 
+#: Row-label prefix of every partition variant ``run_parallel`` accepts.
+_VARIANT_PREFIX = {"hetero": "Hetero", "dlt": "DLT", "homo": "Homo"}
+
 
 def variant_label(algorithm: str, variant: str) -> str:
     """The paper's row labels, e.g. ``"Hetero-ATDCA"``."""
-    prefix = {"hetero": "Hetero", "homo": "Homo", "speed": "Speed"}[variant]
-    return f"{prefix}-{algorithm.upper()}"
+    if variant not in _VARIANT_PREFIX:
+        raise ConfigurationError(
+            f"unknown variant {variant!r}; choose from "
+            f"{list(_VARIANT_PREFIX)}"
+        )
+    return f"{_VARIANT_PREFIX[variant]}-{algorithm.upper()}"
 
 
 @dataclasses.dataclass(frozen=True)
@@ -86,7 +94,7 @@ class NetworkGrid:
 def _row_order(label: str) -> tuple[int, int]:
     alg_order = {name.upper(): i for i, name in enumerate(ALGORITHM_NAMES)}
     prefix, _, alg = label.partition("-")
-    return alg_order.get(alg, 99), 0 if prefix == "Hetero" else 1
+    return alg_order.get(alg, 99), list(_VARIANT_PREFIX.values()).index(prefix)
 
 
 def _cell_stem(algorithm: str, variant: str, network_name: str) -> str:
@@ -102,9 +110,7 @@ def _run_grid_cell(
     traces: Path | None,
     fault_plan: "FaultPlan | None",
     live_dir: Path | None,
-    network_name: str,
-    algorithm: str,
-    variant: str,
+    task: tuple[str, str, str],
 ) -> tuple[tuple[str, str], GridCell]:
     """Execute one (network, algorithm, variant) cell → (key, cell).
 
@@ -112,6 +118,8 @@ def _run_grid_cell(
     deterministic), so cells can run serially or fanned out over a
     process pool with identical results.
     """
+    network_name, algorithm, variant = task
+    label = variant_label(algorithm, variant)
     platform = all_networks()[network_name]
     live = None
     if live_dir is not None:
@@ -149,7 +157,6 @@ def _run_grid_cell(
             obs=obs,
         )
     assert run.sim is not None
-    label = variant_label(algorithm, variant)
     if live is not None:
         # Final snapshot carries the mergeable sketches so percentiles
         # can be combined across grid cells.
@@ -164,39 +171,6 @@ def _run_grid_cell(
         imbalance=imbalance_of_run(run.sim),
     )
     return (label, network_name), cell
-
-
-#: Per-worker state for the process-pool path (set by the initializer,
-#: read by :func:`_grid_pool_cell`; one copy per pool process).
-_POOL_STATE: dict[str, Any] | None = None
-
-
-def _grid_pool_init(
-    cfg: ExperimentConfig,
-    image: Any,
-    cost: Any,
-    traces: Path | None,
-    fault_plan: "FaultPlan | None",
-    live_dir: Path | None,
-) -> None:
-    global _POOL_STATE
-    _POOL_STATE = {
-        "cfg": cfg, "image": image, "cost": cost,
-        "traces": traces, "fault_plan": fault_plan, "live_dir": live_dir,
-    }
-
-
-def _grid_pool_cell(
-    task: tuple[str, str, str]
-) -> tuple[tuple[str, str], GridCell]:
-    assert _POOL_STATE is not None
-    network_name, algorithm, variant = task
-    return _run_grid_cell(
-        _POOL_STATE["cfg"], _POOL_STATE["image"], _POOL_STATE["cost"],
-        _POOL_STATE["traces"], _POOL_STATE["fault_plan"],
-        _POOL_STATE["live_dir"],
-        network_name, algorithm, variant,
-    )
 
 
 def run_network_grid(
@@ -250,24 +224,10 @@ def run_network_grid(
         for algorithm in algorithms
         for variant in variants
     ]
-    cells: dict[tuple[str, str], GridCell] = {}
-    if jobs is not None and jobs > 1 and len(tasks) > 1:
-        with ProcessPoolExecutor(
-            max_workers=min(jobs, len(tasks)),
-            initializer=_grid_pool_init,
-            initargs=(cfg, scn.image, cost, traces, fault_plan, live_root),
-        ) as pool:
-            # map() preserves task order: the merged dict is built in
-            # exactly the serial loop's order regardless of completion.
-            for key, cell in pool.map(_grid_pool_cell, tasks):
-                cells[key] = cell
-    else:
-        for network_name, algorithm, variant in tasks:
-            key, cell = _run_grid_cell(
-                cfg, scn.image, cost, traces, fault_plan, live_root,
-                network_name, algorithm, variant,
-            )
-            cells[key] = cell
+    cells = dict(ordered_map(
+        _run_grid_cell, tasks, jobs,
+        shared=(cfg, scn.image, cost, traces, fault_plan, live_root),
+    ))
     if live_root is not None:
         _write_health_summary(live_root, tasks)
     return NetworkGrid(cells=cells, scene=scn, config=cfg)
@@ -300,12 +260,7 @@ def _write_health_summary(
             "n_events": len(health.get("events", [])),
             "first_drift": drift_events[0] if drift_events else None,
         }
-    out = live_root / "health_summary.json"
-    out.write_text(
-        json.dumps(
-            {"schema": "repro.obs.live.summary/1", "cells": summary},
-            sort_keys=True, separators=(",", ":"),
-        ) + "\n",
-        encoding="utf-8",
+    return write_json(
+        live_root / "health_summary.json",
+        {"schema": "repro.obs.live.summary/1", "cells": summary},
     )
-    return out

@@ -16,15 +16,14 @@ byte-identical JSON artifacts.
 from __future__ import annotations
 
 import dataclasses
-import json
 from pathlib import Path
-from typing import Any, Mapping
+from typing import Any
 
 from repro.cluster.presets import fully_heterogeneous
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.traced import TracedRun, demo_run
 from repro.obs.causal import CausalProfile, causal_profile
-from repro.obs.export import _JSON_KW
+from repro.obs.export import write_json
 from repro.obs.whatif import (
     WhatIfPlan,
     capacity_sweep,
@@ -64,12 +63,6 @@ class WhatIfResult:
         return "\n".join(parts)
 
 
-def _write(doc: Mapping[str, Any], path: Path) -> Path:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(doc, **_JSON_KW) + "\n", encoding="utf-8")
-    return path
-
-
 def run_whatif(
     config: ExperimentConfig | None = None,
     plan: WhatIfPlan | None = None,
@@ -102,10 +95,10 @@ def run_whatif(
     files: list[Path] = []
     if outdir is not None:
         out = Path(outdir)
-        files.append(_write(causal.to_dict(), out / "whatif_causal.json"))
-        files.append(_write(sweep, out / "whatif_sweep.json"))
+        files.append(write_json(out / "whatif_causal.json", causal.to_dict()))
+        files.append(write_json(out / "whatif_sweep.json", sweep))
         if prediction is not None:
-            files.append(_write(prediction, out / "whatif_predict.json"))
+            files.append(write_json(out / "whatif_predict.json", prediction))
     return WhatIfResult(
         causal=causal,
         sweep=sweep,

@@ -35,7 +35,6 @@ from __future__ import annotations
 import itertools
 import json
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 from typing import Any, Mapping, Sequence
 
@@ -54,6 +53,8 @@ from repro.faults.plan import (
     RankSlowdown,
 )
 from repro.faults.policy import ResiliencePolicy
+from repro.obs.export import write_json
+from repro.perf.fanout import ordered_map
 
 __all__ = [
     "AXES",
@@ -404,21 +405,6 @@ def run_cell(state: Mapping[str, Any], cell: Mapping[str, Any]) -> dict[str, Any
     return record
 
 
-#: Per-worker state for the process-pool path (set once by the
-#: initializer; one copy per pool process).
-_POOL_STATE: dict[str, Any] | None = None
-
-
-def _sweep_pool_init(doc: dict[str, Any]) -> None:
-    global _POOL_STATE
-    _POOL_STATE = _prepare_state(doc)
-
-
-def _sweep_pool_cell(cell: dict[str, Any]) -> dict[str, Any]:
-    assert _POOL_STATE is not None
-    return run_cell(_POOL_STATE, cell)
-
-
 def run_sweep(
     doc: Mapping[str, Any], jobs: int | None = None
 ) -> dict[str, Any]:
@@ -430,18 +416,9 @@ def run_sweep(
     """
     doc = validate_grid(doc)
     cells = enumerate_cells(doc)
-    records: list[dict[str, Any]]
-    if jobs is not None and jobs > 1 and len(cells) > 1:
-        with ProcessPoolExecutor(
-            max_workers=min(jobs, len(cells)),
-            initializer=_sweep_pool_init,
-            initargs=(dict(doc),),
-        ) as pool:
-            # map() preserves cell order regardless of completion order.
-            records = list(pool.map(_sweep_pool_cell, cells))
-    else:
-        state = _prepare_state(doc)
-        records = [run_cell(state, cell) for cell in cells]
+    records = ordered_map(
+        run_cell, cells, jobs, shared=(_prepare_state(doc),)
+    )
     n_adapted = sum(1 for r in records if r.get("adaptations"))
     return {
         "schema": SWEEP_SCHEMA,
@@ -460,13 +437,7 @@ def run_sweep(
 def write_sweep(doc: Mapping[str, Any], path: str | Path) -> Path:
     """Write a sweep result deterministically (sorted keys, compact
     separators, trailing newline) so artifact diffs are meaningful."""
-    out = Path(path)
-    out.parent.mkdir(parents=True, exist_ok=True)
-    out.write_text(
-        json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n",
-        encoding="utf-8",
-    )
-    return out
+    return write_json(path, doc)
 
 
 # -- gating -------------------------------------------------------------------

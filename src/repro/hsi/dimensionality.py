@@ -22,9 +22,9 @@ strongly across bands, as AVIRIS's does.
 from __future__ import annotations
 
 import dataclasses
+from statistics import NormalDist
 
 import numpy as np
-from scipy import stats
 
 from repro.errors import ConfigurationError, DataError, ShapeError
 from repro.hsi.cube import HyperspectralImage
@@ -103,7 +103,7 @@ def hfc_virtual_dimensionality(
     # Under H0 (noise only) the matched eigenvalues agree; the variance
     # of their difference is approximately 2(λr² + λk²)/n.
     sigma = np.sqrt(2.0 * (lam_r**2 + lam_k**2) / n)
-    tau = -stats.norm.ppf(p_fa) * sigma  # one-sided threshold > 0
+    tau = -NormalDist().inv_cdf(p_fa) * sigma  # one-sided threshold > 0
     decisions = (lam_r - lam_k) > tau
     return VirtualDimensionalityResult(
         vd=int(decisions.sum()),

@@ -3,7 +3,6 @@
 from repro.linalg.fcls import (
     fcls_abundances,
     ls_abundances,
-    nnls_abundances,
     reconstruction_error,
     scls_abundances,
 )
@@ -33,7 +32,6 @@ __all__ = [
     "fcls_abundances",
     "ls_abundances",
     "mean_vector",
-    "nnls_abundances",
     "orthonormal_basis",
     "osp_projector",
     "partial_covariance_sums",

@@ -4,9 +4,9 @@ UFCLS (Algorithm 3) scores every pixel by the residual of its *fully
 constrained* linear-mixture fit against the current target set: the
 abundances must be non-negative and sum to one.  We provide the
 unconstrained (LS), sum-to-one (SCLS, closed form via a Lagrange
-multiplier), non-negative (NNLS), and fully constrained (FCLS,
-Heinz–Chang style active-set iteration on top of SCLS) solvers, plus
-the reconstruction-error map UFCLS consumes.
+multiplier) and fully constrained (FCLS, Heinz–Chang style active-set
+iteration on top of SCLS) solvers, plus the reconstruction-error map
+UFCLS consumes.
 
 The FCLS path is vectorized over pixels: the SCLS solve is a single
 batched linear-algebra expression, and only pixels whose solution went
@@ -16,7 +16,6 @@ negative enter the per-pixel active-set refinement.
 from __future__ import annotations
 
 import numpy as np
-import scipy.optimize
 
 from repro.errors import ConvergenceError, DataError, ShapeError
 from repro.types import FloatArray
@@ -24,7 +23,6 @@ from repro.types import FloatArray
 __all__ = [
     "ls_abundances",
     "scls_abundances",
-    "nnls_abundances",
     "fcls_abundances",
     "reconstruction_error",
     "IncrementalFCLS",
@@ -180,16 +178,6 @@ def scls_abundances(
     pix, end = _validate(pixels, endmembers)
     ginv = _gram_inverse(end, ridge)
     return _scls_from_cross(pix @ end.T, ginv)
-
-
-def nnls_abundances(pixels: FloatArray, endmembers: FloatArray) -> FloatArray:
-    """Non-negative least squares per pixel (scipy NNLS) → ``(n, k)``."""
-    pix, end = _validate(pixels, endmembers)
-    out = np.empty((pix.shape[0], end.shape[0]))
-    design = np.ascontiguousarray(end.T)  # (bands, k)
-    for i in range(pix.shape[0]):
-        out[i], _ = scipy.optimize.nnls(design, pix[i])
-    return out
 
 
 def fcls_abundances(

@@ -8,7 +8,6 @@ from repro.mpi.communicator import (
     min_op,
     sum_op,
 )
-from repro.mpi.datatypes import VectorDatatype, bsq_row_slab_type, pack, unpack
 from repro.mpi.inproc import InprocContext, InprocResult, run_inproc
 
 __all__ = [
@@ -16,13 +15,9 @@ __all__ = [
     "InprocContext",
     "InprocResult",
     "MessageContext",
-    "VectorDatatype",
-    "bsq_row_slab_type",
     "concat_op",
     "max_op",
     "min_op",
-    "pack",
     "run_inproc",
     "sum_op",
-    "unpack",
 ]

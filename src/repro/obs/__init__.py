@@ -130,7 +130,6 @@ def __getattr__(name: str) -> Any:
 
 __all__ = [
     "ObsSession",
-    "obs_of",
     "Span",
     "Tracer",
     "NullTracer",
@@ -241,8 +240,3 @@ class ObsSession:
         if live is not None:
             live.attach(session)
         return session
-
-
-def obs_of(ctx: Any) -> ObsSession | None:
-    """The session attached to a backend context, if any."""
-    return getattr(ctx, "obs", None)

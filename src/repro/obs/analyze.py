@@ -18,7 +18,6 @@ exported JSONL file — so traces can be analyzed long after the run.
 from __future__ import annotations
 
 import dataclasses
-import json
 from pathlib import Path
 from typing import TYPE_CHECKING, Any, Mapping, Sequence
 
@@ -29,7 +28,7 @@ from repro.obs.dag import (
     path_increments,
     path_rank_attribution,
 )
-from repro.obs.export import spans_of
+from repro.obs.export import canonical_json, spans_of, write_json
 from repro.obs.provenance import provenance
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -51,8 +50,6 @@ __all__ = [
     "wea_attribution",
     "analyze_trace",
 ]
-
-_JSON_KW = {"sort_keys": True, "separators": (",", ":")}
 
 
 def _round(value: float, digits: int = 9) -> float:
@@ -820,7 +817,7 @@ class TraceAnalysis:
         return out
 
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), **_JSON_KW)
+        return canonical_json(self.to_dict()).rstrip("\n")
 
     def to_text(self) -> str:
         parts = [
@@ -833,10 +830,7 @@ class TraceAnalysis:
         return "\n\n".join(parts)
 
     def write_json(self, path: str | Path) -> Path:
-        out = Path(path)
-        out.parent.mkdir(parents=True, exist_ok=True)
-        out.write_text(self.to_json() + "\n", encoding="utf-8")
-        return out
+        return write_json(path, self.to_dict())
 
     def write_text(self, path: str | Path) -> Path:
         out = Path(path)

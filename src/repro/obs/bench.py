@@ -48,12 +48,14 @@ from repro.errors import ReproError
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.grid import variant_label
 from repro.hsi.scene import SceneConfig, make_wtc_scene
+from repro.obs.export import canonical_json, write_json
 from repro.obs.provenance import (
     describe_mismatch,
     provenance,
     provenance_matches,
     warn_if_unstamped,
 )
+from repro.perf.fanout import ordered_map
 from repro.perf.imbalance import imbalance_of_run
 from repro.perf.report import format_table
 from repro.perf.timers import breakdown_of_run
@@ -80,8 +82,6 @@ COMPARE_SCHEMA = "repro.obs.bench.compare/1"
 
 #: Schema stamp of the ``plan`` subcommand's artifact.
 PLAN_BENCH_SCHEMA = "repro.obs.bench.plan/1"
-
-_JSON_KW = {"sort_keys": True, "separators": (",", ":")}
 
 #: Exact-virtual-time tolerance: only genuine behaviour changes exceed it.
 SIM_RTOL = 1e-9
@@ -155,17 +155,18 @@ def _run_sim_cell(
     scene: Any,
     cost: CostModel,
     traces_out: Path | None,
-    network: str,
-    algorithm: str,
-    variant: str,
+    task: tuple[str, str, str],
 ) -> tuple[str, dict[str, Any]]:
-    """One sim cell → ``(cell_id, cell_doc)``.
+    """One sim ``(network, algorithm, variant)`` cell →
+    ``(cell_id, cell_doc)``.
 
     Deterministic given its inputs, so the grid can run these serially
     or on a process pool with byte-identical artifacts.
     """
     from repro.cluster.presets import all_networks
 
+    network, algorithm, variant = task
+    label = variant_label(algorithm, variant)
     cid = _cell_id(algorithm, variant, network, "sim")
     obs = None
     if traces_out is not None:
@@ -186,7 +187,7 @@ def _run_sim_cell(
     scores = imbalance_of_run(run.sim)
     return cid, {
         "backend": "sim",
-        "label": variant_label(algorithm, variant),
+        "label": label,
         "network": network,
         "virtual": {
             "makespan": run.sim.makespan,
@@ -197,29 +198,6 @@ def _run_sim_cell(
             "d_minus": scores.d_minus,
         },
     }
-
-
-#: Per-worker state for ``run --jobs`` (one copy per pool process).
-_POOL_STATE: dict[str, Any] | None = None
-
-
-def _bench_pool_init(config: BenchConfig, trace_dir: str | None) -> None:
-    global _POOL_STATE
-    _POOL_STATE = {
-        "config": config,
-        "scene": make_wtc_scene(config.scene_config()),
-        "cost": _bench_cost(config),
-        "traces_out": Path(trace_dir) if trace_dir is not None else None,
-    }
-
-
-def _bench_pool_cell(task: tuple[str, str, str]) -> tuple[str, dict[str, Any]]:
-    assert _POOL_STATE is not None
-    network, algorithm, variant = task
-    return _run_sim_cell(
-        _POOL_STATE["config"], _POOL_STATE["scene"], _POOL_STATE["cost"],
-        _POOL_STATE["traces_out"], network, algorithm, variant,
-    )
 
 
 def run_bench(
@@ -265,24 +243,10 @@ def run_bench(
         for variant in config.variants
         if "sim" in config.backends
     ]
-    sim_cells: dict[str, dict[str, Any]] = {}
-    if jobs is not None and jobs > 1 and len(sim_tasks) > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(
-            max_workers=min(jobs, len(sim_tasks)),
-            initializer=_bench_pool_init,
-            initargs=(config, str(traces_out) if traces_out else None),
-        ) as pool:
-            # map() preserves task order → serial-loop merge order.
-            for cid, cell in pool.map(_bench_pool_cell, sim_tasks):
-                sim_cells[cid] = cell
-    else:
-        for network, algorithm, variant in sim_tasks:
-            cid, cell = _run_sim_cell(
-                config, scene, cost, traces_out, network, algorithm, variant
-            )
-            sim_cells[cid] = cell
+    sim_cells = dict(ordered_map(
+        _run_sim_cell, sim_tasks, jobs,
+        shared=(config, scene, cost, traces_out),
+    ))
 
     cells: dict[str, dict[str, Any]] = {}
     for network in config.networks:
@@ -351,11 +315,10 @@ def _plan_cell(
     config: BenchConfig,
     scene: Any,
     cost: CostModel,
-    network: str,
-    algorithm: str,
-    variant: str,
+    task: tuple[str, str, str],
 ) -> tuple[str, dict[str, Any]]:
-    """One planner-vs-default cell → ``(cell_id, cell_doc)``.
+    """One planner-vs-default ``(network, algorithm, variant)`` cell →
+    ``(cell_id, cell_doc)``.
 
     Plans the run with ``variant`` as the static default, executes both
     the default and the auto-planned configuration on the virtual-time
@@ -368,6 +331,7 @@ def _plan_cell(
     from repro.cluster.presets import all_networks
     from repro.tuning.planner import plan_run
 
+    network, algorithm, variant = task
     cid = _cell_id(algorithm, variant, network, "sim")
     platform = all_networks()[network]
     params = config.params_for(algorithm)
@@ -425,28 +389,6 @@ def _plan_cell(
     }
 
 
-#: Per-worker state for ``plan --jobs`` (one copy per pool process).
-_PLAN_POOL_STATE: dict[str, Any] | None = None
-
-
-def _plan_pool_init(config: BenchConfig) -> None:
-    global _PLAN_POOL_STATE
-    _PLAN_POOL_STATE = {
-        "config": config,
-        "scene": make_wtc_scene(config.scene_config()),
-        "cost": _bench_cost(config),
-    }
-
-
-def _plan_pool_cell(task: tuple[str, str, str]) -> tuple[str, dict[str, Any]]:
-    assert _PLAN_POOL_STATE is not None
-    network, algorithm, variant = task
-    return _plan_cell(
-        _PLAN_POOL_STATE["config"], _PLAN_POOL_STATE["scene"],
-        _PLAN_POOL_STATE["cost"], network, algorithm, variant,
-    )
-
-
 def run_plan_bench(
     config: BenchConfig,
     date: str,
@@ -480,24 +422,9 @@ def run_plan_bench(
         for algorithm in config.algorithms
         for variant in config.variants
     ]
-    cells: dict[str, dict[str, Any]] = {}
-    if jobs is not None and jobs > 1 and len(tasks) > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(
-            max_workers=min(jobs, len(tasks)),
-            initializer=_plan_pool_init,
-            initargs=(config,),
-        ) as pool:
-            # map() preserves task order → serial-loop merge order.
-            for cid, cell in pool.map(_plan_pool_cell, tasks):
-                cells[cid] = cell
-    else:
-        for network, algorithm, variant in tasks:
-            cid, cell = _plan_cell(
-                config, scene, cost, network, algorithm, variant
-            )
-            cells[cid] = cell
+    cells = dict(ordered_map(
+        _plan_cell, tasks, jobs, shared=(config, scene, cost)
+    ))
     return {
         "schema": PLAN_BENCH_SCHEMA,
         "date": date,
@@ -594,9 +521,7 @@ def plan_report(artifact: Mapping[str, Any]) -> str:
 
 
 def write_artifact(artifact: Mapping[str, Any], path: Path) -> Path:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(artifact, **_JSON_KW) + "\n", encoding="utf-8")
-    return path
+    return write_json(path, artifact)
 
 
 def load_artifact(path: str | Path) -> dict[str, Any]:
@@ -982,10 +907,7 @@ def _run_microbench_command(args: argparse.Namespace) -> int:
     artifact = run_microbench(config, date=date)
     print(microbench_report(artifact))
     if args.out is not None:
-        out = Path(args.out)
-        out.parent.mkdir(parents=True, exist_ok=True)
-        out.write_text(json.dumps(artifact, **_JSON_KW) + "\n",
-                       encoding="utf-8")
+        out = write_json(args.out, artifact)
         print(f"{len(artifact['kernels'])} kernels -> {out}")
     if args.record is not None:
         from repro.obs.history import entries_from_microbench
@@ -1148,13 +1070,10 @@ def main(argv: Sequence[str] | None = None) -> int:
             document = comparison_document(
                 diffs, baseline, candidate, failing
             )
-            payload = json.dumps(document, **_JSON_KW) + "\n"
             if args.json == "-":
-                sys.stdout.write(payload)
+                sys.stdout.write(canonical_json(document))
             else:
-                out = Path(args.json)
-                out.parent.mkdir(parents=True, exist_ok=True)
-                out.write_text(payload, encoding="utf-8")
+                out = write_json(args.json, document)
                 print(f"comparison json -> {out}")
         if failing:
             print("REGRESSION: "

@@ -20,14 +20,12 @@ zero gain is the classic off-critical-path signature.
 from __future__ import annotations
 
 import dataclasses
-import json
-from concurrent.futures import ProcessPoolExecutor
 from typing import Any, Mapping, Sequence
 
 from repro.cluster.platform import HeterogeneousPlatform
 from repro.errors import ConfigurationError
 from repro.obs.dag import build_dag, node_slack
-from repro.obs.export import _JSON_KW
+from repro.obs.export import canonical_json
 from repro.obs.provenance import provenance
 from repro.obs.whatif import (
     LatencyScale,
@@ -39,6 +37,7 @@ from repro.obs.whatif import (
     replay,
     replay_ops_from_trace,
 )
+from repro.perf.fanout import ordered_map
 
 __all__ = [
     "CausalEntry",
@@ -104,40 +103,14 @@ def _subject_gain(
     platform: HeterogeneousPlatform,
     scales: Mapping[str, float] | None,
     baseline_makespan: float,
-    subject: str,
     factor: float,
+    subject: str,
 ) -> float:
     plan = _subject_plan(subject, factor)
     makespan = replay(ops, platform, plan=plan, scales=scales).makespan
     if baseline_makespan <= 0:
         return 0.0
     return 100.0 * (baseline_makespan - makespan) / baseline_makespan
-
-
-#: Per-worker state for the pooled subject replays.
-_POOL_STATE: dict[str, Any] | None = None
-
-
-def _causal_pool_init(
-    ops: Sequence[ReplayOp],
-    platform: HeterogeneousPlatform,
-    scales: Mapping[str, float] | None,
-    baseline_makespan: float,
-    factor: float,
-) -> None:
-    global _POOL_STATE
-    _POOL_STATE = {
-        "ops": ops, "platform": platform, "scales": scales,
-        "baseline": baseline_makespan, "factor": factor,
-    }
-
-
-def _causal_pool_gain(subject: str) -> float:
-    assert _POOL_STATE is not None
-    return _subject_gain(
-        _POOL_STATE["ops"], _POOL_STATE["platform"], _POOL_STATE["scales"],
-        _POOL_STATE["baseline"], subject, _POOL_STATE["factor"],
-    )
 
 
 @dataclasses.dataclass(frozen=True)
@@ -172,7 +145,7 @@ class CausalProfile:
         }
 
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), **_JSON_KW)
+        return canonical_json(self.to_dict()).rstrip("\n")
 
     def to_text(self, top: int = 12) -> str:
         lines = [
@@ -204,8 +177,8 @@ def causal_profile(
     latency.  Each is replayed once at ``factor = 1 - speedup_pct/100``
     and ranked by predicted makespan gain (ties broken by subject name
     for deterministic output).  ``jobs`` fans the independent replays
-    over processes; ``pool.map`` preserves order, so serial and pooled
-    runs are byte-identical.
+    over processes in task order (:func:`~repro.perf.fanout.ordered_map`),
+    so serial and pooled runs are byte-identical.
     """
     if not 0 < speedup_pct < 100:
         raise ConfigurationError(
@@ -230,18 +203,10 @@ def causal_profile(
         )
 
     names = [name for name, _ in subjects]
-    if jobs is not None and jobs > 1 and len(names) > 1:
-        with ProcessPoolExecutor(
-            max_workers=min(jobs, len(names)),
-            initializer=_causal_pool_init,
-            initargs=(tuple(ops), platform, scales, base, factor),
-        ) as pool:
-            gains = list(pool.map(_causal_pool_gain, names))
-    else:
-        gains = [
-            _subject_gain(ops, platform, scales, base, name, factor)
-            for name in names
-        ]
+    gains = ordered_map(
+        _subject_gain, names, jobs,
+        shared=(ops, platform, scales, base, factor),
+    )
 
     entries = tuple(sorted(
         (

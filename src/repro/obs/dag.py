@@ -23,7 +23,7 @@ best-effort path with any unexplained gap reported as untracked time.
 from __future__ import annotations
 
 import dataclasses
-from typing import Any, Iterable, Mapping, Sequence
+from typing import Any, Mapping, Sequence
 
 from repro.obs.export import spans_of
 from repro.obs.trace import Span
@@ -277,13 +277,6 @@ def node_slack(dag: HappensBeforeDag) -> dict[str, float]:
         node.key: max(0.0, latest_end[node.key] - node.end)
         for node in order
     }
-
-
-def nodes_of_rank(
-    dag: HappensBeforeDag, rank: int
-) -> Iterable[ActivityNode]:
-    """The rank's activity chain in execution order."""
-    return (dag.nodes[k] for k in dag.rank_chains.get(rank, ()))
 
 
 def path_increments(path: Sequence[ActivityNode]) -> list[float]:

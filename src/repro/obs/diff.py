@@ -33,13 +33,11 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import json
 import sys
-from pathlib import Path
 from typing import Any, Sequence
 
 from repro.errors import ConfigurationError
-from repro.obs.export import spans_of
+from repro.obs.export import canonical_json, spans_of, write_json
 from repro.obs.trace import Span
 
 __all__ = [
@@ -59,7 +57,6 @@ COMPARABLE_CATEGORIES = ("phase", "mpi", "kernel", "transfer")
 #: Leaf categories whose durations are ranked (wrappers would double-count).
 DELTA_CATEGORIES = ("kernel", "transfer")
 
-_JSON_KW = {"sort_keys": True, "separators": (",", ":")}
 _MEGABITS_RTOL = 1e-6
 
 
@@ -206,7 +203,7 @@ class TraceDiff:
         }
 
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), **_JSON_KW)
+        return canonical_json(self.to_dict()).rstrip("\n")
 
     def to_text(self, top: int = 10) -> str:
         lines = [
@@ -411,7 +408,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     if args.json:
-        Path(args.json).write_text(diff.to_json() + "\n", encoding="utf-8")
+        write_json(args.json, diff.to_dict())
     print(diff.to_text(top=args.top))
     return 0 if diff.equivalent else 1
 

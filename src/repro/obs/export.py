@@ -31,6 +31,8 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.obs import ObsSession
 
 __all__ = [
+    "canonical_json",
+    "write_json",
     "spans_of",
     "chrome_trace",
     "write_chrome_trace",
@@ -58,6 +60,22 @@ JSONL_SCHEMA = "repro.obs.trace/2"
 #: Schema versions :func:`read_jsonl` accepts (``/1`` is the implicit
 #: version of header-less exports).
 _ACCEPTED_SCHEMAS = ("repro.obs.trace/1", JSONL_SCHEMA)
+
+
+def canonical_json(doc: Any) -> str:
+    """The byte-identical JSON text of ``doc``: sorted keys, compact
+    separators, one trailing newline.  Every artefact the ``cmp`` gates
+    compare is written in this format."""
+    return json.dumps(doc, **_JSON_KW) + "\n"
+
+
+def write_json(path: str | Path, doc: Any) -> Path:
+    """Write :func:`canonical_json` of ``doc`` to ``path`` (parent
+    directories created); returns the path."""
+    out = Path(path)
+    out.parent.mkdir(parents=True, exist_ok=True)
+    out.write_text(canonical_json(doc), encoding="utf-8")
+    return out
 
 
 def spans_of(source: Any) -> list[Span]:
@@ -127,13 +145,7 @@ def chrome_trace(source: Any, process_name: str = "repro") -> dict[str, Any]:
 def write_chrome_trace(path: str | Path, source: Any,
                        process_name: str = "repro") -> Path:
     """Serialize :func:`chrome_trace` to ``path``; returns the path."""
-    out = Path(path)
-    out.parent.mkdir(parents=True, exist_ok=True)
-    out.write_text(
-        json.dumps(chrome_trace(source, process_name), **_JSON_KW) + "\n",
-        encoding="utf-8",
-    )
-    return out
+    return write_json(path, chrome_trace(source, process_name))
 
 
 def _jsonable(value: Any) -> Any:
@@ -176,13 +188,7 @@ def write_jsonl(path: str | Path, source: Any) -> Path:
 
 def write_metrics_json(path: str | Path, source: Any) -> Path:
     """Metrics records as one pretty-stable JSON document."""
-    out = Path(path)
-    out.parent.mkdir(parents=True, exist_ok=True)
-    out.write_text(
-        json.dumps({"metrics": metrics_records(source)}, **_JSON_KW) + "\n",
-        encoding="utf-8",
-    )
-    return out
+    return write_json(path, {"metrics": metrics_records(source)})
 
 
 # -- OpenMetrics / Prometheus text exposition ---------------------------------

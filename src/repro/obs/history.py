@@ -55,6 +55,7 @@ from pathlib import Path
 from typing import Any, Iterable, Mapping, Sequence
 
 from repro.errors import ReproError
+from repro.obs.export import canonical_json, write_json
 from repro.obs.provenance import provenance
 from repro.obs.sketch import LatencySketch
 
@@ -94,8 +95,6 @@ TREND_SCHEMA = "repro.obs.history.trend/1"
 
 #: The committed seed ledger every fresh checkout starts from.
 DEFAULT_LEDGER = "benchmarks/history/ledger.jsonl"
-
-_JSON_KW = {"sort_keys": True, "separators": (",", ":")}
 
 #: Relative half-width of the control band for deterministic
 #: (virtual-time) series: only genuine behaviour changes exceed it.
@@ -213,16 +212,15 @@ def append_entries(
     lines = []
     if not out.exists() or out.stat().st_size == 0:
         lines.append(
-            json.dumps({"type": "header", "schema": HISTORY_SCHEMA},
-                       **_JSON_KW)
+            canonical_json({"type": "header", "schema": HISTORY_SCHEMA})
         )
     n = 0
     for entry in entries:
-        lines.append(json.dumps(entry.to_dict(), **_JSON_KW))
+        lines.append(canonical_json(entry.to_dict()))
         n += 1
     if lines:
         with out.open("a", encoding="utf-8") as fh:
-            fh.write("\n".join(lines) + "\n")
+            fh.write("".join(lines))
     return n
 
 
@@ -1396,14 +1394,10 @@ def _add_artifact_flags(p: argparse.ArgumentParser) -> None:
 
 
 def _write_json_output(doc: Mapping[str, Any], target: str) -> None:
-    payload = json.dumps(doc, **_JSON_KW) + "\n"
     if target == "-":
-        sys.stdout.write(payload)
+        sys.stdout.write(canonical_json(doc))
     else:
-        out = Path(target)
-        out.parent.mkdir(parents=True, exist_ok=True)
-        out.write_text(payload, encoding="utf-8")
-        print(f"json -> {out}")
+        print(f"json -> {write_json(target, doc)}")
 
 
 def main(argv: Sequence[str] | None = None) -> int:

@@ -43,6 +43,7 @@ from pathlib import Path
 from typing import TYPE_CHECKING, Any, Iterable, Mapping
 
 from repro.errors import ConfigurationError
+from repro.obs.export import canonical_json, openmetrics_text
 from repro.obs.health import HealthConfig, HealthEvent, HealthMonitor
 from repro.obs.provenance import provenance, warn_if_unstamped
 from repro.obs.sketch import LatencySketch, merge_sketches
@@ -64,8 +65,6 @@ __all__ = [
 ]
 
 LIVE_SCHEMA = "repro.obs.live/1"
-
-_JSON_KW = {"sort_keys": True, "separators": (",", ":")}
 
 #: Quantiles reported in snapshots.
 _QUANTILES = (("p50", 0.5), ("p90", 0.9), ("p99", 0.99))
@@ -420,13 +419,10 @@ class LiveRuntime:
             files = [
                 _atomic_write(
                     self.out_dir / "live.json",
-                    json.dumps(self.snapshot(include_sketches), **_JSON_KW)
-                    + "\n",
+                    canonical_json(self.snapshot(include_sketches)),
                 )
             ]
             if self._session is not None:
-                from repro.obs.export import openmetrics_text
-
                 files.append(
                     _atomic_write(
                         self.out_dir / "live.prom",

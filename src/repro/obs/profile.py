@@ -47,7 +47,7 @@ from repro.cluster.platform import HeterogeneousPlatform
 from repro.errors import ConfigurationError
 from repro.obs.analyze import _enclosing_op
 from repro.obs.dag import build_dag
-from repro.obs.export import spans_of
+from repro.obs.export import canonical_json, spans_of, write_json
 
 __all__ = [
     "SCHEMA",
@@ -63,7 +63,6 @@ __all__ = [
 SCHEMA = "repro.obs.profile/1"
 GATE_SCHEMA = "repro.obs.profile.gate/1"
 
-_JSON_KW = {"sort_keys": True, "separators": (",", ":")}
 _WORST_N = 5
 
 
@@ -225,7 +224,7 @@ class CalibrationReport:
         }
 
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), **_JSON_KW)
+        return canonical_json(self.to_dict()).rstrip("\n")
 
     def to_text(self) -> str:
         lines = [
@@ -463,7 +462,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     loaded = read_jsonl(args.trace)
     report = profile_trace(loaded.spans, _platform_by_name(args.platform))
     if args.json:
-        Path(args.json).write_text(report.to_json() + "\n", encoding="utf-8")
+        write_json(args.json, report.to_dict())
     print(report.to_text())
     return 0
 

@@ -29,13 +29,12 @@ for all text, and a selected dark mode via CSS custom properties.
 from __future__ import annotations
 
 import html
-import json
 from pathlib import Path
 from typing import Any, Mapping, Sequence
 
 from repro.errors import ConfigurationError
 from repro.obs.analyze import TraceAnalysis
-from repro.obs.export import spans_of
+from repro.obs.export import canonical_json, spans_of
 from repro.obs.profile import CalibrationReport
 from repro.obs.trace import Span
 from repro.viz.timeline import _recovery_segments
@@ -622,7 +621,7 @@ def render_report(
     if sweep is not None:
         embeds.append(
             '<script type="application/json" id="repro-whatif-sweep">'
-            + json.dumps(sweep, sort_keys=True, separators=(",", ":"))
+            + canonical_json(sweep).rstrip("\n")
             + "</script>"
         )
 

@@ -36,7 +36,6 @@ import dataclasses
 import json
 import math
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 from typing import Any, Iterable, Mapping, Sequence
 
@@ -46,8 +45,9 @@ from repro.cluster.perturb import extend_platform, upgrade_ranks
 from repro.cluster.platform import HeterogeneousPlatform
 from repro.cluster.simtime import Op as ReplayOp, TimingCore
 from repro.errors import ConfigurationError, WhatIfPlanError
-from repro.obs.export import _JSON_KW, spans_of
+from repro.obs.export import spans_of, write_json
 from repro.obs.provenance import provenance
+from repro.perf.fanout import ordered_map
 
 __all__ = [
     "RankComputeScale",
@@ -717,30 +717,6 @@ def _sweep_point(
     }
 
 
-#: Per-worker state for the pooled sweep path (grid.py's pattern).
-_POOL_STATE: dict[str, Any] | None = None
-
-
-def _sweep_pool_init(
-    meta: Mapping[str, Any],
-    platform: HeterogeneousPlatform,
-    plan: WhatIfPlan | None,
-    scales: Mapping[str, float] | None,
-) -> None:
-    global _POOL_STATE
-    _POOL_STATE = {
-        "meta": meta, "platform": platform, "plan": plan, "scales": scales,
-    }
-
-
-def _sweep_pool_point(n: int) -> dict[str, Any]:
-    assert _POOL_STATE is not None
-    return _sweep_point(
-        _POOL_STATE["meta"], _POOL_STATE["platform"], _POOL_STATE["plan"],
-        _POOL_STATE["scales"], n,
-    )
-
-
 def capacity_sweep(
     source: Any,
     platform: HeterogeneousPlatform,
@@ -755,7 +731,8 @@ def capacity_sweep(
     partition on the resized platform (clone-extended above the
     recorded size) and replays it under the optional timing plan.
     Points are pure functions of their inputs, so ``jobs`` fans them
-    out with byte-identical results (``pool.map`` preserves order).
+    out with byte-identical results
+    (:func:`~repro.perf.fanout.ordered_map` keeps order).
     """
     ops, meta = replay_ops_from_trace(source)
     meta = _meta_required(meta, "capacity_sweep")
@@ -763,17 +740,9 @@ def capacity_sweep(
     if not sizes:
         raise ConfigurationError("capacity sweep needs at least one size")
     baseline = replay(ops, platform, scales=scales)
-    if jobs is not None and jobs > 1 and len(sizes) > 1:
-        with ProcessPoolExecutor(
-            max_workers=min(jobs, len(sizes)),
-            initializer=_sweep_pool_init,
-            initargs=(dict(meta), platform, plan, scales),
-        ) as pool:
-            points = list(pool.map(_sweep_pool_point, sizes))
-    else:
-        points = [
-            _sweep_point(meta, platform, plan, scales, n) for n in sizes
-        ]
+    points = ordered_map(
+        _sweep_point, sizes, jobs, shared=(meta, platform, plan, scales)
+    )
     return {
         "schema": SWEEP_SCHEMA,
         "algorithm": str(meta["algorithm"]),
@@ -1072,11 +1041,8 @@ def _scales_arg(path: str | None) -> dict[str, float] | None:
 
 
 def _write_doc(doc: Mapping[str, Any], path: str | None) -> None:
-    if path is None:
-        return
-    out = Path(path)
-    out.parent.mkdir(parents=True, exist_ok=True)
-    out.write_text(json.dumps(doc, **_JSON_KW) + "\n", encoding="utf-8")
+    if path is not None:
+        write_json(path, doc)
 
 
 def _cmd_predict(args: argparse.Namespace) -> int:

@@ -1,7 +1,7 @@
 """Performance analysis: phase breakdowns, imbalance, scaling, reports."""
 
 from repro.perf.imbalance import ImbalanceScores, imbalance, imbalance_of_run
-from repro.perf.report import format_grid, format_table
+from repro.perf.report import format_table
 from repro.perf.speedup import (
     ScalingCurve,
     amdahl_serial_fraction,
@@ -17,7 +17,6 @@ __all__ = [
     "amdahl_serial_fraction",
     "breakdown_of_run",
     "efficiencies",
-    "format_grid",
     "format_table",
     "imbalance",
     "imbalance_of_run",

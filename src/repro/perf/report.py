@@ -8,11 +8,11 @@ monospace tables.
 
 from __future__ import annotations
 
-from typing import Mapping, Sequence
+from typing import Sequence
 
 from repro.errors import ConfigurationError
 
-__all__ = ["format_table", "format_grid"]
+__all__ = ["format_table"]
 
 
 def _cell(value: object, precision: int) -> str:
@@ -60,19 +60,3 @@ def format_table(
         lines.append(" | ".join(c.ljust(w) for c, w in zip(row, widths)))
     return "\n".join(lines)
 
-
-def format_grid(
-    row_labels: Sequence[str],
-    col_labels: Sequence[str],
-    values: Mapping[tuple[str, str], object],
-    title: str | None = None,
-    corner: str = "",
-    precision: int = 2,
-) -> str:
-    """Render a labelled 2-D grid (row label × column label → value)."""
-    headers = [corner, *col_labels]
-    rows = [
-        [rl, *(values.get((rl, cl)) for cl in col_labels)]
-        for rl in row_labels
-    ]
-    return format_table(headers, rows, title=title, precision=precision)

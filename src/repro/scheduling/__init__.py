@@ -1,4 +1,4 @@
-"""Heterogeneity-aware scheduling: WEA partitioning, mapping, baselines."""
+"""Heterogeneity-aware scheduling: WEA partitioning and its baselines."""
 
 from repro.scheduling.dynamic import (
     WorkerResigned,
@@ -15,19 +15,12 @@ from repro.scheduling.heho import (
     check_equivalence,
     heterogeneous_efficiency,
 )
-from repro.scheduling.mapping import (
-    apply_mapping,
-    greedy_mapping,
-    makespan_estimate,
-    per_rank_cost_estimate,
-)
 from repro.scheduling.static_part import (
     RowPartition,
     dlt_fractions,
     halo_compensated_rows,
     heterogeneous_fractions,
     homogeneous_fractions,
-    network_aware_fractions,
     rows_from_fractions,
     wea_partition,
 )
@@ -35,7 +28,6 @@ from repro.scheduling.static_part import (
 __all__ = [
     "EquivalenceReport",
     "RowPartition",
-    "apply_mapping",
     "check_equivalence",
     "WorkerResigned",
     "dlt_fractions",
@@ -44,13 +36,9 @@ __all__ = [
     "halo_compensated_rows",
     "iterative_makespan",
     "optimal_iterative_fractions",
-    "greedy_mapping",
     "heterogeneous_efficiency",
     "heterogeneous_fractions",
     "homogeneous_fractions",
-    "makespan_estimate",
-    "network_aware_fractions",
-    "per_rank_cost_estimate",
     "rows_from_fractions",
     "speculative_master_worker",
     "wea_partition",

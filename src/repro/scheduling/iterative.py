@@ -27,7 +27,6 @@ all is a net loss).  The ablation benchmark compares all three.
 from __future__ import annotations
 
 import numpy as np
-from scipy.optimize import linprog
 
 from repro.cluster.platform import HeterogeneousPlatform
 from repro.errors import ConfigurationError, PartitionError
@@ -105,6 +104,10 @@ def optimal_iterative_fractions(
     """
     if iterations < 1:
         raise ConfigurationError(f"iterations must be >= 1, got {iterations}")
+    # Imported lazily: this LP is the only scipy call in the package, and
+    # no command but the partitioning ablation solves it.
+    from scipy.optimize import linprog
+
     p = platform.size
     master = platform.master_rank
     a, b = _costs(platform, mflops_per_iteration, megabits_total)

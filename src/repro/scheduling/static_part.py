@@ -29,7 +29,6 @@ from repro.types import FloatArray, IntArray
 __all__ = [
     "heterogeneous_fractions",
     "homogeneous_fractions",
-    "network_aware_fractions",
     "dlt_fractions",
     "rows_from_fractions",
     "halo_compensated_rows",
@@ -53,40 +52,6 @@ def heterogeneous_fractions(platform: HeterogeneousPlatform) -> FloatArray:
 def homogeneous_fractions(platform: HeterogeneousPlatform) -> FloatArray:
     """Equal fractions — the homogeneous WEA variant (constant ``w_i``)."""
     return np.full(platform.size, 1.0 / platform.size)
-
-
-def network_aware_fractions(
-    platform: HeterogeneousPlatform,
-    mflops_per_row: float,
-    megabits_per_row: float,
-    kappa: float = 1.0,
-) -> FloatArray:
-    """Fractions proportional to *effective* row throughput.
-
-    A row assigned to ``p_i`` costs ``w_i · mflops_per_row`` of compute
-    plus ``κ · c(master,i) · megabits_per_row`` to ship from the master;
-    the fraction is proportional to the reciprocal of that total.
-    ``κ = 0`` recovers :func:`heterogeneous_fractions` exactly.
-
-    Args:
-        mflops_per_row: per-row computation for the target algorithm.
-        megabits_per_row: per-row data volume shipped to the worker.
-        kappa: weight of the communication term (ablation knob).
-    """
-    if mflops_per_row <= 0:
-        raise ConfigurationError("mflops_per_row must be positive")
-    if megabits_per_row < 0 or kappa < 0:
-        raise ConfigurationError("megabits_per_row and kappa must be >= 0")
-    master = platform.master_rank
-    rates = np.empty(platform.size)
-    for i in range(platform.size):
-        compute = platform.processor(i).cycle_time * mflops_per_row
-        if i == master:
-            comm = 0.0
-        else:
-            comm = platform.network.capacity(master, i) * 1e-3 * megabits_per_row
-        rates[i] = 1.0 / (compute + kappa * comm)
-    return rates / rates.sum()
 
 
 def dlt_fractions(

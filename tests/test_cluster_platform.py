@@ -99,13 +99,6 @@ class TestNetwork:
         with pytest.raises(PlatformError):
             segmented_network({"a": 1, "b": 1}, {("a", "a"): 1.0, ("b", "b"): 1.0})
 
-    def test_to_graph(self):
-        net = uniform_network(3, 4.0)
-        g = net.to_graph()
-        assert g.number_of_nodes() == 3
-        assert g.number_of_edges() == 3
-        assert g[0][1]["capacity_ms_per_megabit"] == 4.0
-
 
 class TestPlatform:
     def test_aggregates(self, tiny_platform):

@@ -1,9 +1,8 @@
-"""Tests for the MPI-like collectives and derived datatypes."""
+"""Tests for the MPI-like collectives."""
 
 import numpy as np
 import pytest
 
-from repro.errors import CommunicationError, ConfigurationError, ShapeError
 from repro.mpi.communicator import (
     Communicator,
     concat_op,
@@ -11,7 +10,6 @@ from repro.mpi.communicator import (
     min_op,
     sum_op,
 )
-from repro.mpi.datatypes import VectorDatatype, bsq_row_slab_type, pack, unpack
 from repro.mpi.inproc import run_inproc
 
 
@@ -141,40 +139,3 @@ class TestCommunicatorValidation:
         with pytest.raises(Exception):
             run_collective(2, body)
 
-
-class TestDatatypes:
-    def test_vector_roundtrip(self, rng):
-        buffer = rng.random(40)
-        dt = VectorDatatype(count=4, blocklength=3, stride=10)
-        packed = pack(buffer, dt)
-        assert packed.shape == (12,)
-        out = np.zeros(40)
-        unpack(packed, dt, out)
-        assert np.array_equal(out[dt.indices()], buffer[dt.indices()])
-
-    def test_extent(self):
-        dt = VectorDatatype(count=3, blocklength=2, stride=5)
-        assert dt.extent == 12
-        assert dt.n_elements == 6
-
-    def test_overlapping_stride_rejected(self):
-        with pytest.raises(ConfigurationError):
-            VectorDatatype(count=2, blocklength=5, stride=3)
-
-    def test_pack_bounds_checked(self, rng):
-        dt = VectorDatatype(count=4, blocklength=3, stride=10)
-        with pytest.raises(ShapeError):
-            pack(rng.random(20), dt)
-
-    def test_bsq_slab_extracts_rows(self, rng):
-        bands, rows, cols = 3, 6, 4
-        cube_bsq = rng.random((bands, rows, cols))
-        dt = bsq_row_slab_type(bands, rows, cols, slab_rows=2)
-        # Slab starting at row 2: offset = 2 rows * cols elements
-        packed = pack(cube_bsq, dt, offset=2 * cols)
-        expected = cube_bsq[:, 2:4, :].reshape(-1)
-        assert np.allclose(packed, expected)
-
-    def test_bsq_slab_bad_rows_rejected(self):
-        with pytest.raises(ConfigurationError):
-            bsq_row_slab_type(3, 6, 4, slab_rows=7)

@@ -46,6 +46,19 @@ class TestHFC:
         result = hfc_virtual_dimensionality(mixture_data(rng, 3))
         assert result.decisions.sum() == result.vd
 
+    @pytest.mark.parametrize(
+        "p_fa, quantile",
+        [(1e-3, 3.090232306167813), (1e-4, 3.7190164854556804)],
+    )
+    def test_threshold_is_the_normal_quantile(self, rng, p_fa, quantile):
+        data = mixture_data(rng, 3)
+        result = hfc_virtual_dimensionality(data, p_fa=p_fa)
+        sigma = np.sqrt(
+            2.0 * (result.correlation_eigenvalues**2
+                   + result.covariance_eigenvalues**2) / len(data)
+        )
+        assert result.thresholds == pytest.approx(quantile * sigma, rel=1e-12)
+
     def test_bad_pfa_rejected(self, rng):
         with pytest.raises(ConfigurationError):
             hfc_virtual_dimensionality(rng.random((100, 4)), p_fa=0.9)

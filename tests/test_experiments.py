@@ -9,6 +9,7 @@ import pytest
 
 from repro.cluster import fully_heterogeneous, fully_homogeneous, thunderhead
 from repro.core import run_parallel
+from repro.errors import ConfigurationError
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.figure1 import run_figure1
 from repro.experiments.figure2 import run_figure2
@@ -137,12 +138,18 @@ class TestAccuracyDrivers:
 class TestGridDrivers:
     @pytest.fixture(scope="class")
     def mini_grid(self, fast_config):
-        # Single fast algorithm over both variants, all four networks.
-        return run_network_grid(fast_config, algorithms=("pct",))
+        # Single fast algorithm over all three variants, all four networks.
+        return run_network_grid(
+            fast_config, algorithms=("pct",),
+            variants=("hetero", "dlt", "homo"),
+        )
 
     def test_variant_label(self):
         assert variant_label("atdca", "hetero") == "Hetero-ATDCA"
+        assert variant_label("ufcls", "dlt") == "DLT-UFCLS"
         assert variant_label("morph", "homo") == "Homo-MORPH"
+        with pytest.raises(ConfigurationError):
+            variant_label("atdca", "speed")
 
     def test_table5_shape(self, fast_config, mini_grid):
         result = run_table5(fast_config, grid=mini_grid)
@@ -157,6 +164,7 @@ class TestGridDrivers:
         assert homo["fully homogeneous"] == pytest.approx(
             het["fully homogeneous"], rel=0.05
         )
+        assert mini_grid.row_labels == ["Hetero-PCT", "DLT-PCT", "Homo-PCT"]
         assert "Table 5" in result.to_text()
 
     def test_table6_totals_consistent(self, fast_config, mini_grid):

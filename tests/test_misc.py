@@ -1,7 +1,5 @@
-"""Coverage for the small shared utilities: errors, types, logging,
+"""Coverage for the small shared utilities: errors, types,
 library persistence, the runner's validation paths, and the CLI."""
-
-import logging
 
 import numpy as np
 import pytest
@@ -19,7 +17,6 @@ from repro.errors import (
     ShapeError,
 )
 from repro.hsi.spectra import SpectralLibrary, build_wtc_library
-from repro.logging_utils import enable_console_logging, get_logger
 from repro.types import Interleave
 
 
@@ -64,19 +61,6 @@ class TestInterleave:
     def test_parse_unknown_rejected(self):
         with pytest.raises(ValueError, match="unknown interleave"):
             Interleave.parse("nope")
-
-
-class TestLogging:
-    def test_get_logger_namespaced(self):
-        assert get_logger("engine").name == "repro.engine"
-        assert get_logger("repro.hsi").name == "repro.hsi"
-
-    def test_enable_console_idempotent(self):
-        h1 = enable_console_logging(logging.DEBUG)
-        h2 = enable_console_logging(logging.WARNING)
-        assert h1 is h2
-        assert h1.level == logging.WARNING
-        logging.getLogger("repro").removeHandler(h1)
 
 
 class TestLibraryPersistence:
@@ -157,8 +141,42 @@ class TestImportHygiene:
         ("repro.obs.report", "repro.viz.timeline", "_recovery_segments"),
         ("repro.obs.profile", "repro.viz.timeline", "_recovery_segments"),
         ("repro.core.morph", "repro.morphology.ops", "_EPS"),
-        ("repro.experiments.whatif", "repro.obs.export", "_JSON_KW"),
     }
+
+    #: Modules no entry point reaches, and why each stays.  This set
+    #: may only shrink.
+    UNREACHED_KEPT = {
+        "repro.core.pipeline",  # README quick-start
+    }
+
+    @staticmethod
+    def _modules():
+        """``{dotted name: (path, ast)}`` of every module under
+        ``src/repro`` (a package is named without ``.__init__``)."""
+        import ast
+        from pathlib import Path
+
+        import repro
+
+        root = Path(repro.__file__).parent
+        modules = {}
+        for path in sorted(root.rglob("*.py")):
+            parts = path.relative_to(root).with_suffix("").parts
+            if parts[-1] == "__init__":
+                parts = parts[:-1]
+            modules[".".join(("repro",) + parts)] = (
+                path, ast.parse(path.read_text(encoding="utf-8"))
+            )
+        return modules
+
+    @staticmethod
+    def _defines_main(tree):
+        import ast
+
+        return any(
+            isinstance(node, ast.FunctionDef) and node.name == "main"
+            for node in tree.body
+        )
 
     def test_no_private_name_crosses_a_package(self):
         import ast
@@ -184,3 +202,111 @@ class TestImportHygiene:
                 )
         assert found - self.ALLOWED == set(), "new cross-package private import"
         assert self.ALLOWED - found == set(), "fixed: drop it from ALLOWED"
+
+    def test_commands_import_numpy_only(self):
+        """A fresh interpreter that imports every package and every CLI
+        module has loaded neither scipy nor networkx."""
+        import os
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        import repro
+
+        modules = self._modules()
+        names = sorted(
+            name for name, (path, tree) in modules.items()
+            if path.name == "__init__.py" or self._defines_main(tree)
+        )
+        code = (
+            "import importlib, sys\n"
+            "for name in sys.argv[1:]:\n"
+            "    importlib.import_module(name)\n"
+            "print(sorted(m for m in ('scipy', 'networkx')"
+            " if m in sys.modules))\n"
+        )
+        src = str(Path(repro.__file__).parents[1])
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [src, env.get("PYTHONPATH")])
+        )
+        done = subprocess.run(
+            [sys.executable, "-c", code, *names],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.strip() == "[]"
+
+    def test_every_module_is_reached(self):
+        """Every module is imported, directly or through others, by an
+        entry point: a ``__main__``, a module with a CLI ``main``, an
+        example or a benchmark.  A name taken from a package resolves to
+        the module that defines it, so a package ``__init__`` re-export
+        is not a use."""
+        import ast
+        from pathlib import Path
+
+        import repro
+
+        modules = self._modules()
+        trees = {name: tree for name, (_path, tree) in modules.items()}
+        packages = {
+            name for name, (path, _tree) in modules.items()
+            if path.name == "__init__.py"
+        }
+
+        def resolve(source, name, seen=()):
+            if f"{source}.{name}" in trees:
+                return f"{source}.{name}"
+            if source not in trees:
+                return None
+            if source in packages and source not in seen:
+                for node in trees[source].body:
+                    if isinstance(node, ast.ImportFrom) and not node.level:
+                        for alias in node.names:
+                            if (alias.asname or alias.name) == name:
+                                return resolve(
+                                    node.module or "", alias.name,
+                                    seen + (source,),
+                                )
+            return source
+
+        def imported_by(tree):
+            found = set()
+            for node in ast.walk(tree):
+                if isinstance(node, ast.Import):
+                    found.update(a.name for a in node.names if a.name in trees)
+                elif isinstance(node, ast.ImportFrom) and not node.level:
+                    found.update(
+                        resolve(node.module or "", alias.name)
+                        for alias in node.names
+                    )
+            return found - {None}
+
+        repo = Path(repro.__file__).parents[2]
+        scripts = sorted((repo / "examples").glob("*.py"))
+        scripts += sorted((repo / "benchmarks").rglob("*.py"))
+        assert scripts, "examples/ and benchmarks/ not found beside src/"
+        roots = [
+            name for name, tree in trees.items()
+            if name.endswith(".__main__") or self._defines_main(tree)
+        ]
+        for path in scripts:
+            roots.extend(
+                imported_by(ast.parse(path.read_text(encoding="utf-8")))
+            )
+
+        def unreached_from(todo):
+            reached = set()
+            while todo:
+                name = todo.pop()
+                if name not in reached:
+                    reached.add(name)
+                    if name not in packages:
+                        todo.extend(imported_by(trees[name]))
+            return set(trees) - reached - packages
+
+        assert self.UNREACHED_KEPT <= unreached_from(list(roots)), (
+            "reached now, or gone: drop it from UNREACHED_KEPT"
+        )
+        assert sorted(unreached_from(roots + sorted(self.UNREACHED_KEPT))) == []

@@ -4,7 +4,6 @@ into both backends (virtual-time engine and wall-clock threads)."""
 from __future__ import annotations
 
 import json
-import logging
 
 import pytest
 
@@ -14,7 +13,6 @@ from repro.errors import ConfigurationError
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.traced import run_traced
 from repro.hsi import SceneConfig, make_wtc_scene
-from repro.logging_utils import enable_console_logging
 from repro.mpi.communicator import Communicator
 from repro.mpi.inproc import run_inproc
 from repro.obs import (
@@ -468,47 +466,6 @@ class TestTracedRunsAndCLI:
 
         with pytest.raises(SystemExit):
             main([])
-
-
-class TestJsonLogging:
-    def _cleanup(self, handler):
-        logging.getLogger("repro").removeHandler(handler)
-
-    def test_json_format_and_rank(self):
-        handler = enable_console_logging(logging.INFO, fmt="json")
-        try:
-            record = logging.LogRecord(
-                "repro.engine", logging.WARNING, __file__, 1,
-                "rank %d stalled", (3,), None,
-            )
-            record.rank = 3
-            payload = json.loads(handler.formatter.format(record))
-            assert payload["logger"] == "repro.engine"
-            assert payload["level"] == "WARNING"
-            assert payload["message"] == "rank 3 stalled"
-            assert payload["rank"] == 3
-            assert "time" in payload
-        finally:
-            self._cleanup(handler)
-
-    def test_idempotent_format_swap(self):
-        h1 = enable_console_logging(logging.INFO, fmt="text")
-        try:
-            h2 = enable_console_logging(logging.DEBUG, fmt="json")
-            assert h1 is h2
-            record = logging.LogRecord(
-                "repro.x", logging.INFO, __file__, 1, "hello", (), None
-            )
-            assert json.loads(h2.formatter.format(record))["message"] == "hello"
-            h3 = enable_console_logging(logging.INFO, fmt="text")
-            assert h3 is h1
-            assert "hello" in h3.formatter.format(record)
-        finally:
-            self._cleanup(h1)
-
-    def test_unknown_format_rejected(self):
-        with pytest.raises(ValueError):
-            enable_console_logging(fmt="yaml")
 
 
 class TestOpenMetricsRoundTrip:

@@ -119,7 +119,7 @@ class TestCli:
     def test_default_artifact_name_uses_date(self, tmp_path):
         assert main([
             "run", "--outdir", str(tmp_path), "--date", "2026-01-01",
-            "--algorithms", "atdca", "--variants", "hetero",
+            "--algorithms", "atdca", "--variants", "hetero,dlt",
             "--networks", "fully heterogeneous", "--rows", "96",
         ]) == 0
         assert (tmp_path / "BENCH_2026-01-01.json").exists()

@@ -439,7 +439,7 @@ class TestGridIntegration:
         cost = cfg.cost_model(cfg.grid_scene)
         key, _cell = _run_grid_cell(
             cfg, scene.image, cost, None, _slowdown_plan(), tmp_path,
-            "fully heterogeneous", "atdca", "hetero",
+            ("fully heterogeneous", "atdca", "hetero"),
         )
         assert key == ("Hetero-ATDCA", "fully heterogeneous")
         stem = _cell_stem("atdca", "hetero", "fully heterogeneous")

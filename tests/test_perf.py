@@ -1,11 +1,16 @@
-"""Tests for performance analysis: imbalance, speedup, reports, timers."""
+"""Tests for performance analysis: imbalance, speedup, reports, timers,
+and the ordered process fan-out."""
+
+import os
+import time
 
 import numpy as np
 import pytest
 
 from repro.errors import ConfigurationError
+from repro.perf.fanout import ordered_map
 from repro.perf.imbalance import imbalance
-from repro.perf.report import format_grid, format_table
+from repro.perf.report import format_table
 from repro.perf.speedup import (
     ScalingCurve,
     amdahl_serial_fraction,
@@ -96,12 +101,38 @@ class TestReport:
         with pytest.raises(ConfigurationError):
             format_table(["a", "b"], [[1]])
 
-    def test_format_grid(self):
-        text = format_grid(
-            ["r1"], ["c1", "c2"], {("r1", "c1"): 1.0, ("r1", "c2"): 2.0}
-        )
-        assert "r1" in text and "1.00" in text and "2.00" in text
 
-    def test_grid_missing_cell_renders_dash(self):
-        text = format_grid(["r1"], ["c1"], {})
-        assert "-" in text.splitlines()[-1]
+def _sleep_then_report(tag, seconds):
+    time.sleep(seconds)
+    return tag, seconds, os.getpid()
+
+
+def _fail_on(bad, task):
+    if task == bad:
+        raise ValueError(f"task {task} failed")
+    return task
+
+
+class TestOrderedMap:
+    def test_order_kept_when_tasks_finish_out_of_order(self):
+        # Two workers: the first task outlasts the other three together.
+        delays = [0.4, 0.0, 0.05, 0.0]
+        results = ordered_map(_sleep_then_report, delays, 2, shared=("x",))
+        assert [(tag, d) for tag, d, _pid in results] == [
+            ("x", d) for d in delays
+        ]
+        pids = {pid for _tag, _d, pid in results}
+        assert os.getpid() not in pids and len(pids) <= 2
+
+    @pytest.mark.parametrize(
+        "tasks, jobs", [([0.0, 0.0], None), ([0.0, 0.0], 1), ([0.0], 4)]
+    )
+    def test_serial_in_the_caller(self, tasks, jobs):
+        results = ordered_map(_sleep_then_report, tasks, jobs, shared=("x",))
+        assert results == [("x", 0.0, os.getpid())] * len(tasks)
+
+    @pytest.mark.parametrize("jobs", [None, 2])
+    def test_a_task_exception_reaches_the_caller(self, jobs):
+        with pytest.raises(ValueError, match="task 2 failed"):
+            ordered_map(_fail_on, [1, 2, 3], jobs, shared=(2,))
+        assert ordered_map(_fail_on, [1, 2, 3], jobs, shared=(0,)) == [1, 2, 3]

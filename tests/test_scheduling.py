@@ -1,5 +1,4 @@
-"""Tests for WEA partitioning, DLT fractions, mapping, and dynamic
-scheduling."""
+"""Tests for WEA partitioning, DLT fractions and dynamic scheduling."""
 
 import numpy as np
 import pytest
@@ -12,19 +11,12 @@ from repro.cluster.processor import ProcessorSpec
 from repro.errors import ConfigurationError, PartitionError
 from repro.mpi.inproc import run_inproc
 from repro.scheduling.dynamic import dynamic_master_worker
-from repro.scheduling.mapping import (
-    apply_mapping,
-    greedy_mapping,
-    makespan_estimate,
-    per_rank_cost_estimate,
-)
 from repro.scheduling.static_part import (
     RowPartition,
     dlt_fractions,
     halo_compensated_rows,
     heterogeneous_fractions,
     homogeneous_fractions,
-    network_aware_fractions,
     rows_from_fractions,
     wea_partition,
 )
@@ -43,17 +35,6 @@ class TestFractions:
     def test_homogeneous_equal(self, tiny_platform):
         frac = homogeneous_fractions(tiny_platform)
         assert np.allclose(frac, 0.25)
-
-    def test_network_aware_kappa_zero_recovers_wea(self, het_platform):
-        speed = heterogeneous_fractions(het_platform)
-        net = network_aware_fractions(het_platform, 100.0, 10.0, kappa=0.0)
-        assert np.allclose(net, speed)
-
-    def test_network_aware_penalizes_far_workers(self, het_platform):
-        frac = network_aware_fractions(het_platform, 1.0, 10.0, kappa=1.0)
-        speed = heterogeneous_fractions(het_platform)
-        # p11-p16 (segment s4, 154.76 ms from the master's s1) lose share.
-        assert frac[12] < speed[12]
 
 
 class TestDLT:
@@ -196,33 +177,6 @@ class TestHaloCompensation:
     def test_bad_weights_rejected(self):
         with pytest.raises(PartitionError):
             halo_compensated_rows(10, np.array([1.0, -1.0]), halo=1)
-
-
-class TestMapping:
-    def test_cost_estimate_shape(self, het_platform):
-        frac = homogeneous_fractions(het_platform)
-        costs = per_rank_cost_estimate(het_platform, frac, 1000.0, 100.0)
-        assert costs.shape == (16,)
-        assert costs.min() > 0
-
-    def test_greedy_mapping_improves_makespan(self, het_platform):
-        frac = heterogeneous_fractions(het_platform)
-        base = makespan_estimate(het_platform, frac, 1000.0, 2000.0)
-        perm = greedy_mapping(het_platform, frac, 1000.0, 2000.0)
-        remapped = apply_mapping(frac, perm)
-        better = makespan_estimate(het_platform, remapped, 1000.0, 2000.0)
-        assert better <= base * 1.001
-
-    def test_apply_mapping_is_permutation(self, het_platform):
-        frac = heterogeneous_fractions(het_platform)
-        perm = greedy_mapping(het_platform, frac, 100.0, 10.0)
-        remapped = apply_mapping(frac, perm)
-        assert remapped.sum() == pytest.approx(1.0)
-        assert sorted(remapped.tolist()) == sorted(frac.tolist())
-
-    def test_bad_perm_rejected(self):
-        with pytest.raises(ConfigurationError):
-            apply_mapping(np.array([0.5, 0.5]), np.array([0, 0]))
 
 
 class TestDynamicScheduling:

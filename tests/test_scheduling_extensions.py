@@ -230,29 +230,6 @@ class TestNFindrAndSAM:
         with pytest.raises(ConfigurationError):
             nfindr_pixels(rng.random((10, 2)), 5)
 
-    def test_sam_classifies_library_scene(self, small_scene):
-        from repro.core import sam_classify
-
-        result = sam_classify(small_scene.image, small_scene.library)
-        assert result.labels.shape == small_scene.truth.class_map.shape
-        # Pure water pixels must map to the water class.
-        water_idx = small_scene.library.names.index("water")
-        names = small_scene.endmember_names
-        w = names.index("water")
-        pure_water = small_scene.abundances[:, :, w] > 0.99
-        agreement = (result.labels[pure_water] == water_idx).mean()
-        assert agreement > 0.95
-
-    def test_sam_rejection(self, small_scene):
-        from repro.core import sam_classify
-        import numpy as np
-
-        result = sam_classify(
-            small_scene.image, small_scene.library,
-            rejection_threshold=1e-6,
-        )
-        assert result.rejected_fraction > 0.5  # nearly everything noisy
-
 
 class TestSpeculativeScheduler:
     """speculative_master_worker: MapReduce-style backup tasks for
