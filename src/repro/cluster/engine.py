@@ -22,20 +22,19 @@ from typing import TYPE_CHECKING, Any, Callable, Mapping, Sequence
 from repro.cluster.costs import DEFAULT_COST_MODEL, CostModel
 from repro.cluster.mailbox import OpDeadline, Router
 from repro.cluster.platform import HeterogeneousPlatform
+from repro.cluster.runtime import (
+    BaseRankContext,
+    FaultPerturbation,
+    attach_live,
+    launch_ranks,
+)
 from repro.cluster.simtime import (
-    Phase,
+    ComputeRecord,
     PhaseLedger,
     TimingCore,
     TransferRecord,
 )
-from repro.errors import (
-    CommunicationTimeout,
-    ConfigurationError,
-    RankFailedError,
-    RepartitionSignal,
-    raise_root_cause,
-)
-from repro.types import Megaflops, Seconds
+from repro.types import Megabits, Megaflops, Seconds
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.faults.injector import FaultInjector
@@ -70,29 +69,10 @@ class TraceEvent:
     detail: str = ""
 
 
-class _FaultPerturbation:
-    """A fault injector seen through the timing core's perturbation
-    hook: RankSlowdown dilates compute, LinkDegrade scales a transfer's
-    capacity term only (the fixed per-message latency is unaffected)."""
+class RankContext(BaseRankContext):
+    """Per-rank handle of the virtual-time engine.
 
-    def __init__(self, faults: "FaultInjector") -> None:
-        self._faults = faults
-
-    def compute_factor(self, rank: int, label: str, start: Seconds) -> float:
-        return self._faults.compute_factor(rank, start)
-
-    def transfer_factors(
-        self, src: int, dst: int, pair: tuple[str, str], start: Seconds
-    ) -> tuple[float, float]:
-        return self._faults.transfer_factor(src, dst, start), 1.0
-
-
-class RankContext:
-    """Per-rank handle passed to programs.
-
-    Attributes:
-        rank: this rank's id (0-based; the platform master is usually 0).
-        size: number of ranks.
+    Adds to the shared base:
         platform: the platform being simulated.
         cost_model: flop/byte accounting shared by all ranks.
         clock: this rank's virtual clock.
@@ -100,59 +80,21 @@ class RankContext:
     """
 
     def __init__(self, rank: int, engine: "SimulationEngine") -> None:
-        self.rank = rank
+        platform = engine.platform
+        super().__init__(
+            rank, platform.size, platform.master_rank, engine.router,
+            core=engine.core, obs=engine.obs, faults=engine.faults,
+        )
         self._engine = engine
-        self.platform = engine.platform
+        self.platform = platform
         self.cost_model = engine.cost_model
         self.clock = engine.clocks[rank]
         self.ledger = engine.ledgers[rank]
-        #: Observability session shared by all ranks (``None`` = off).
-        self.obs = engine.obs
-        #: Fault injector interpreting the run's plan (``None`` = off).
-        self.faults = engine.faults
-        #: Live observability runtime (``None`` = off).
-        self._live = engine.live
 
-    @property
-    def size(self) -> int:
-        return self.platform.size
-
-    @property
-    def router(self) -> Router:
-        """The engine's message router (liveness/detection queries)."""
-        return self._engine.router
-
-    @property
-    def is_master(self) -> bool:
-        return self.rank == self.platform.master_rank
-
-    @property
-    def master_rank(self) -> int:
-        return self.platform.master_rank
-
-    # -- time charging -------------------------------------------------------
-    def compute(self, mflops: Megaflops, sequential: bool = False) -> Seconds:
-        """Charge ``mflops`` of computation at this rank's cycle-time.
-
-        Args:
-            mflops: nominal work (use :attr:`cost_model` formulas).
-            sequential: True for master-only steps executed while no
-                parallel work is outstanding — they land in the SEQ
-                bucket of Table 6 instead of PAR.
-
-        Returns:
-            The charged duration in virtual seconds.
-        """
-        if self.faults is not None:
-            self.faults.before_op(self.rank, "compute", self.clock.now)
-        charge = self._engine.core.compute(self.rank, mflops, sequential)
+    def _report_compute(
+        self, mflops: Megaflops, sequential: bool, charge: ComputeRecord
+    ) -> Seconds:
         start, dt, slow_factor = charge.start, charge.seconds, charge.factor
-        if self._live is not None and mflops > 0:
-            # The online health detector compares the cost model's
-            # prediction against the charged (possibly fault-dilated)
-            # duration; the wall-clock backend feeds the same pair
-            # nominally, so the detector fires identically there.
-            self._live.observe_compute(self.rank, charge.nominal, dt, start)
         if self._engine.trace and dt > 0:
             self._engine.record_event(
                 TraceEvent(
@@ -182,24 +124,11 @@ class RankContext:
             ).inc(dt)
         return dt
 
-    def charge_seconds(self, seconds: Seconds, phase: Phase = Phase.PAR) -> None:
-        """Charge a raw duration (e.g. I/O) to this rank's clock."""
-        if seconds < 0:
-            raise ConfigurationError(f"cannot charge negative time {seconds}")
-        self._engine.core.charge(self.rank, seconds, phase)
-
-    # -- messaging (raw; prefer repro.mpi communicators) -------------------------
-    def _deadline(self, timeout_s: Seconds | None) -> OpDeadline | None:
-        """Virtual per-op deadline ``timeout_s`` from now (None = none).
-
-        The waiter's clock cannot advance while it is blocked, so the
-        deadline fires at quiescence and ``on_fire`` advances the clock
-        to the deadline *exactly* — timeout timing is deterministic.
-        """
-        if timeout_s is None:
-            return None
-        if timeout_s <= 0:
-            raise ConfigurationError(f"timeout_s must be > 0, got {timeout_s}")
+    def _make_deadline(self, timeout_s: Seconds) -> OpDeadline:
+        """Virtual deadline: the waiter's clock cannot advance while it
+        is blocked, so the deadline fires at quiescence and ``on_fire``
+        advances the clock to it *exactly* — timeout timing is
+        deterministic."""
         at = self.clock.now + timeout_s
         return OpDeadline(
             at=at,
@@ -208,67 +137,8 @@ class RankContext:
             on_fire=lambda: self.clock.advance_to(at),
         )
 
-    def _count_timeout(self, exc: CommunicationTimeout) -> None:
-        if self.obs is not None:
-            self.obs.metrics.counter("comm.timeouts", rank=self.rank).inc()
-
-    def send(
-        self,
-        dest: int,
-        payload: Any,
-        tag: int = 0,
-        timeout_s: Seconds | None = None,
-    ) -> None:
-        """Synchronous send; virtual transfer time charged at match.
-
-        ``timeout_s`` bounds the rendezvous wait in virtual seconds
-        (:class:`~repro.errors.CommunicationTimeout` on expiry).
-        """
-        if self.faults is not None:
-            self.faults.before_op(self.rank, "send", self.clock.now)
-            delay = self.faults.on_send(self.rank, dest, tag, self.clock.now)
-            if delay > 0:
-                self.charge_seconds(delay)
-        megabits = self.cost_model.message_megabits(payload)
-        if self.obs is not None:
-            m = self.obs.metrics
-            m.counter("comm.messages_sent", rank=self.rank, peer=dest).inc()
-            m.counter("comm.megabits_sent", rank=self.rank, peer=dest).inc(megabits)
-        try:
-            self._engine.router.send(
-                self.rank, dest, tag, payload, megabits,
-                deadline=self._deadline(timeout_s),
-            )
-        except CommunicationTimeout as exc:
-            self._count_timeout(exc)
-            raise
-
-    def recv(
-        self, source: int, tag: int = -1, timeout_s: Seconds | None = None
-    ) -> Any:
-        """Blocking receive from ``source`` (tag -1 = any).
-
-        ``timeout_s`` bounds the wait in virtual seconds
-        (:class:`~repro.errors.CommunicationTimeout` on expiry, with
-        this rank's clock advanced to the deadline exactly).
-        """
-        if self.faults is not None:
-            self.faults.before_op(self.rank, "recv", self.clock.now)
-        try:
-            payload = self._engine.router.recv(
-                self.rank, source, tag, deadline=self._deadline(timeout_s)
-            )
-        except CommunicationTimeout as exc:
-            self._count_timeout(exc)
-            raise
-        if self.obs is not None:
-            megabits = self.cost_model.message_megabits(payload)
-            m = self.obs.metrics
-            m.counter("comm.messages_received", rank=self.rank, peer=source).inc()
-            m.counter(
-                "comm.megabits_received", rank=self.rank, peer=source
-            ).inc(megabits)
-        return payload
+    def _megabits(self, payload: Any) -> Megabits:
+        return self.cost_model.message_megabits(payload)
 
 
 @dataclasses.dataclass
@@ -301,10 +171,6 @@ class SimulationResult:
         """Total parallel execution time: the latest rank finish."""
         return max(self.finish_times)
 
-    @property
-    def master_value(self) -> Any:
-        return self.return_values[self.master_rank]
-
     def master_breakdown(self) -> dict[str, float]:
         """The Table 6 decomposition, taken at the master: COM + SEQ +
         PAR ≈ total wall time (PAR includes waits for workers)."""
@@ -325,7 +191,6 @@ class SimulationEngine:
         self,
         platform: HeterogeneousPlatform,
         cost_model: CostModel | None = None,
-        deadlock_grace_s: float = 0.25,
         trace: bool = False,
         obs: "ObsSession | None" = None,
         faults: "FaultInjector | None" = None,
@@ -340,10 +205,7 @@ class SimulationEngine:
         self.faults = faults
         #: Live observability runtime (flight recorder + health
         #: detector), wired exactly like the fault injector.
-        self.live = getattr(obs, "live", None) if obs is not None else None
-        if self.live is not None:
-            self.live.attach(obs)
-            self.live.bind(platform=platform, faults=faults)
+        self.live = attach_live(obs)
         if obs is not None:
             # Dual-clock design: spans read this engine's per-rank
             # virtual clocks, so exports are deterministic.
@@ -352,16 +214,14 @@ class SimulationEngine:
         # repartition, so post-recovery spans extend the same timeline.
         self.core = TimingCore(
             platform, clock_start,
-            perturb=_FaultPerturbation(faults) if faults is not None else None,
+            perturb=FaultPerturbation(faults) if faults is not None else None,
         )
         self.clocks = self.core.clocks
         self.ledgers = self.core.ledgers
         self._events: list[TraceEvent] = []
         self._transfers: list[TransferRecord] = []
         self._events_lock = threading.Lock()
-        self.router = Router(
-            platform.size, self._on_match, deadlock_grace_s=deadlock_grace_s
-        )
+        self.router = Router(platform.size, self._on_match)
 
     def record_event(self, event: TraceEvent) -> None:
         """Append a trace event (thread-safe; no-op semantics when the
@@ -431,63 +291,10 @@ class SimulationEngine:
         Raises:
             The first rank exception, if any rank failed.
         """
-        n = self.platform.size
-        if kwargs_per_rank is not None and len(kwargs_per_rank) != n:
-            raise ConfigurationError(
-                f"kwargs_per_rank has {len(kwargs_per_rank)} entries for "
-                f"{n} ranks"
-            )
-        results: list[Any] = [None] * n
-        failures: list[tuple[int, BaseException]] = []
-        failure_lock = threading.Lock()
-
-        def body(rank: int) -> None:
-            ctx = RankContext(rank, self)
-            kwargs = dict(common_kwargs or {})
-            if kwargs_per_rank is not None:
-                kwargs.update(kwargs_per_rank[rank])
-            try:
-                results[rank] = program(ctx, **kwargs)
-            except RankFailedError as exc:
-                with failure_lock:
-                    failures.append((rank, exc))
-                if exc.injected and exc.rank == rank:
-                    # This rank crashed: mark it dead surgically so the
-                    # survivors keep running and discover the failure in
-                    # their own program order (deterministic cascade).
-                    self.router.fail(rank)
-                else:
-                    self.router.abort()
-            except RepartitionSignal as exc:
-                # Coordinated exit: every rank raises this at the same
-                # program point after the decision broadcast, so nobody
-                # is left blocked — retire without aborting (an abort
-                # could kill peers still forwarding inside the tree).
-                with failure_lock:
-                    failures.append((rank, exc))
-            except BaseException as exc:  # noqa: BLE001 - reported to caller
-                with failure_lock:
-                    failures.append((rank, exc))
-                self.router.abort()
-            finally:
-                self.router.retire(rank)
-
-        threads = [
-            threading.Thread(target=body, args=(rank,), name=f"sim-rank-{rank}",
-                             daemon=True)
-            for rank in range(n)
-        ]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
-
-        if failures:
-            # A crashing rank makes its peers fail with secondary
-            # RankFailedError/DeadlockError fallout; report the root
-            # cause and chain the rest as __context__.
-            raise_root_cause(failures)
-
+        results = launch_ranks(
+            self.router, self.platform.size, lambda rank: RankContext(rank, self),
+            program, kwargs_per_rank, common_kwargs, "sim-rank",
+        )
         with self._events_lock:
             events = sorted(self._events, key=lambda e: (e.start, e.rank))
             transfers = sorted(

@@ -13,9 +13,11 @@ receive pair up.  The virtual-time engine uses it to advance clocks and
 reserve serial inter-segment links; the wall-clock backend passes a
 no-op.
 
-Deadlock detection: when every live rank is blocked and no
-(offer, receive) pair can match, all waiters raise
-:class:`~repro.errors.DeadlockError` instead of hanging the test suite.
+Liveness is computed from the router's own state, never timed: the
+run is *quiescent* when every rank is retired or parked and no parked
+waiter can proceed.  A quiescent run with a pending deadline hands the
+earliest one its :class:`~repro.errors.CommunicationTimeout`; one with
+none raises :class:`~repro.errors.DeadlockError` in every waiter.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ import copy
 import pickle
 import threading
 from collections import deque
-from typing import Any, Callable, NoReturn
+from typing import Any, Callable
 
 import numpy as np
 
@@ -181,11 +183,13 @@ class OpDeadline:
       ``clock()`` — typically ``time.monotonic`` — passes ``at``;
     * **virtual deadlines** (``wall=False``, sim engine): the waiter's
       virtual clock never advances while blocked, so the deadline fires
-      at *quiescence* (all ranks blocked, no progress) — the logical
-      point at which the message provably cannot arrive.  ``on_fire``
-      advances the waiter's virtual clock to ``at`` exactly before
-      :class:`~repro.errors.CommunicationTimeout` is raised, making
-      timeout timing deterministic.
+      at *quiescence* (every rank retired or parked, none able to
+      proceed) — the logical point at which the message provably
+      cannot arrive.  ``on_fire`` advances the waiter's virtual clock to
+      ``at`` exactly before :class:`~repro.errors.CommunicationTimeout`
+      is raised, making timeout timing deterministic.
+
+    A wall deadline still pending at quiescence fires then too.
     """
 
     __slots__ = ("at", "clock", "wall", "on_fire")
@@ -217,6 +221,24 @@ class _Offer:
         self.done = False
 
 
+class _Waiter:
+    """A parked rank: what it waits for, on whom, until when, and
+    whether quiescence has handed it its timeout."""
+
+    __slots__ = ("predicate", "peer", "deadline", "timed_out")
+
+    def __init__(
+        self,
+        predicate: Callable[[], Any],
+        peer: int | None,
+        deadline: OpDeadline | None,
+    ) -> None:
+        self.predicate = predicate
+        self.peer = peer
+        self.deadline = deadline
+        self.timed_out = False
+
+
 class Router:
     """Matches sends to receives across ``n_ranks`` threads.
 
@@ -224,38 +246,30 @@ class Router:
         n_ranks: number of participating ranks.
         match_handler: ``f(src, dst, megabits)`` invoked under the lock
             when a pair matches (use it to advance virtual clocks).
-        deadlock_grace_s: real-time grace period before an all-blocked,
-            no-progress state is declared a deadlock.
     """
 
     def __init__(
         self,
         n_ranks: int,
         match_handler: Callable[[int, int, float], None] | None = None,
-        deadlock_grace_s: float = 0.25,
     ) -> None:
         if n_ranks < 1:
             raise CommunicationError(f"need >= 1 rank, got {n_ranks}")
         self._n = n_ranks
         self._handler = match_handler or (lambda src, dst, mb: None)
-        self._grace = deadlock_grace_s
         self._cond = threading.Condition()
         self._offers: dict[int, deque[_Offer]] = {i: deque() for i in range(n_ranks)}
-        self._pending_recvs: dict[int, tuple[int, int]] = {}  # dst -> (src, tag)
-        self._blocked = 0
+        self._waiters: dict[int, _Waiter] = {}  # parked rank -> its wait
         self._retired: set[int] = set()
         self._failed: set[int] = set()
-        self._deadlines: dict[int, OpDeadline] = {}
-        self._version = 0
-        self._dead = False
+        self._dead: str | None = None  # why every wait is over, once it is
 
     # -- lifecycle -------------------------------------------------------------
     def retire(self, rank: int) -> None:
         """Mark a rank's program as finished (for deadlock accounting)."""
         with self._cond:
             self._retired.add(rank)
-            self._version += 1
-            self._cond.notify_all()
+            self._settle()
 
     def fail(self, rank: int) -> None:
         """Mark a rank as crashed; peers talking to it get
@@ -268,13 +282,12 @@ class Router:
         """
         with self._cond:
             self._failed.add(rank)
-            self._version += 1
             self._cond.notify_all()
 
     def abort(self) -> None:
         """Wake all waiters with a deadlock error (used on rank crash)."""
         with self._cond:
-            self._dead = True
+            self._dead = "communication aborted (deadlock or peer failure)"
             self._cond.notify_all()
 
     # -- liveness ---------------------------------------------------------------
@@ -315,7 +328,6 @@ class Router:
         offer = _Offer(src, dst, tag, freeze_payload(payload), megabits)
         with self._cond:
             self._offers[dst].append(offer)
-            self._version += 1
             self._cond.notify_all()
             try:
                 self._wait(
@@ -327,7 +339,6 @@ class Router:
                         self._offers[dst].remove(offer)
                     except ValueError:  # pragma: no cover - already consumed
                         pass
-                    self._version += 1
                     self._cond.notify_all()
                 raise
 
@@ -360,17 +371,12 @@ class Router:
 
         peer = src if src != ANY_SOURCE else None
         with self._cond:
-            self._pending_recvs[dst] = (src, tag)
-            try:
-                offer = self._wait(find, rank=dst, peer=peer, deadline=deadline)
-            finally:
-                self._pending_recvs.pop(dst, None)
+            offer = self._wait(find, rank=dst, peer=peer, deadline=deadline)
             self._offers[dst].remove(offer)
             # Timing decision happens here, in receiver program order,
             # while the sender is still parked on ``offer.done``.
             self._handler(offer.src, dst, offer.megabits)
             offer.done = True
-            self._version += 1
             self._cond.notify_all()
             return offer.payload
 
@@ -379,25 +385,52 @@ class Router:
         if not 0 <= rank < self._n:
             raise CommunicationError(f"{role} rank {rank} outside [0, {self._n})")
 
-    def _fire_timeout(self, rank: int, deadline: OpDeadline) -> NoReturn:
-        """Raise a timeout for ``rank`` (lock held); virtual clocks are
-        advanced to the deadline exactly via ``on_fire``."""
-        self._deadlines.pop(rank, None)
-        self._version += 1
-        self._cond.notify_all()
-        if deadline.on_fire is not None:
-            deadline.on_fire()
-        raise CommunicationTimeout(
-            f"rank {rank}: no matching message within the deadline "
-            f"(t={deadline.at:.6f})",
-            rank=rank,
-            deadline_s=deadline.at,
+    def _can_proceed(self, waiter: _Waiter) -> bool:
+        """Would this parked waiter leave its wait if it ran now?"""
+        deadline = waiter.deadline
+        return bool(
+            waiter.timed_out
+            or waiter.predicate()
+            or waiter.peer in self._failed
+            or (
+                deadline is not None
+                and deadline.wall
+                and deadline.clock() >= deadline.at
+            )
         )
 
-    def _wait_timeout(self, deadline: OpDeadline | None) -> float:
-        if deadline is not None and deadline.wall:
-            return max(0.0, min(self._grace, deadline.at - deadline.clock()))
-        return self._grace
+    def _settle(self) -> None:
+        """Give the verdict if the run is quiescent (lock held).
+
+        Quiescent: every rank is retired or parked and no parked waiter
+        can proceed, so no message can ever arrive again.  Only a rank
+        parking or retiring can bring that about (any other state
+        change lets somebody proceed), so those two call this.  The
+        verdict is normally a deadlock — but when any waiter holds a
+        deadline, the one with the smallest ``(at, rank)`` is handed
+        its timeout instead, giving timeout-aware code (e.g. the
+        fault-tolerant scheduler) a chance to recover before the run is
+        declared dead.
+        """
+        if (
+            self._dead is not None
+            or len(self._waiters) + len(self._retired) < self._n
+            or any(self._can_proceed(w) for w in self._waiters.values())
+        ):
+            return
+        timed = [
+            (w.deadline.at, rank)
+            for rank, w in self._waiters.items()
+            if w.deadline is not None
+        ]
+        if timed:
+            self._waiters[min(timed)[1]].timed_out = True
+        else:
+            self._dead = (
+                f"all {self._n} ranks blocked with no matching messages — "
+                "communication deadlock"
+            )
+        self._cond.notify_all()
 
     def _wait(
         self,
@@ -406,69 +439,48 @@ class Router:
         peer: int | None = None,
         deadline: OpDeadline | None = None,
     ) -> Any:
-        """Block until ``predicate()`` is truthy; detect global deadlock.
+        """Block until ``predicate()`` is truthy, or the wait is over
+        for another reason: the run is dead, the peer failed, or the
+        deadline expired (by the wall, or handed over by
+        :meth:`_settle`; ``on_fire`` then runs on this thread).
 
-        Quiescence (all ranks blocked/retired with no progress over the
-        grace period) normally raises :class:`DeadlockError` — but when
-        any waiter holds a deadline, the earliest deadline fires a
-        :class:`CommunicationTimeout` on its owner instead, giving
-        timeout-aware code (e.g. the fault-tolerant scheduler) a chance
-        to recover before the run is declared dead.
+        Every state change notifies and each waiter re-reads the
+        router's state on wake, so only a wall deadline puts a timeout
+        on the wait.
         """
         value = predicate()
-        self._blocked += 1
-        if deadline is not None:
-            self._deadlines[rank] = deadline
+        if value:
+            return value
+        waiter = self._waiters[rank] = _Waiter(predicate, peer, deadline)
         try:
-            while not value:
-                if self._dead:
-                    raise DeadlockError(
-                        f"rank {rank}: communication aborted (deadlock or "
-                        "peer failure)"
-                    )
+            self._settle()
+            while True:
+                if self._dead is not None:
+                    raise DeadlockError(f"rank {rank}: {self._dead}")
                 if peer is not None and peer in self._failed:
                     raise RankFailedError(
                         peer,
                         f"rank {rank}: peer rank {peer} failed",
                         secondary=True,
                     )
-                if (
-                    deadline is not None
-                    and deadline.wall
-                    and deadline.clock() >= deadline.at
-                ):
-                    self._fire_timeout(rank, deadline)
-                everyone_stuck = self._blocked + len(self._retired) >= self._n
-                if everyone_stuck:
-                    version = self._version
-                    self._cond.wait(timeout=self._wait_timeout(deadline))
-                    if (
-                        not self._dead
-                        and self._version == version
-                        and self._blocked + len(self._retired) >= self._n
-                        and not predicate()
+                remaining = None
+                if deadline is not None:
+                    if deadline.wall:
+                        remaining = deadline.at - deadline.clock()
+                    if waiter.timed_out or (
+                        remaining is not None and remaining <= 0
                     ):
-                        if self._deadlines:
-                            earliest = min(
-                                self._deadlines,
-                                key=lambda r: (self._deadlines[r].at, r),
-                            )
-                            if earliest == rank:
-                                self._fire_timeout(rank, deadline)
-                            # Another waiter's deadline is earlier: let
-                            # it fire first; keep waiting.
-                            continue
-                        self._dead = True
-                        self._cond.notify_all()
-                        raise DeadlockError(
-                            f"rank {rank}: all {self._n} ranks blocked with no "
-                            "matching messages — communication deadlock"
+                        if deadline.on_fire is not None:
+                            deadline.on_fire()
+                        raise CommunicationTimeout(
+                            f"rank {rank}: no matching message within the "
+                            f"deadline (t={deadline.at:.6f})",
+                            rank=rank,
+                            deadline_s=deadline.at,
                         )
-                else:
-                    self._cond.wait(timeout=self._wait_timeout(deadline))
+                self._cond.wait(timeout=remaining)
                 value = predicate()
+                if value:
+                    return value
         finally:
-            self._blocked -= 1
-            if deadline is not None:
-                self._deadlines.pop(rank, None)
-        return value
+            del self._waiters[rank]

@@ -1,0 +1,322 @@
+"""The rank runtime both backends share: one launcher, one context base.
+
+A *program* is a Python callable ``program(ctx, **kwargs)`` executed
+once per rank on its own thread.  :func:`launch_ranks` starts and joins
+the rank threads and sorts their failures; :class:`BaseRankContext` is
+the handle each program receives, and owns the sequence every operation
+follows on either backend: the fault hooks, the nominal clock (a
+:class:`~repro.cluster.simtime.TimingCore`), the ``comm.*`` counters,
+and the router call under the backend's deadline.
+
+The virtual-time engine (:mod:`repro.cluster.engine`) and the
+wall-clock backend (:mod:`repro.mpi.inproc`) subclass the context and
+keep only what defines them: what ``compute`` reports, which clock a
+deadline reads, and who emits transfer spans.
+"""
+
+from __future__ import annotations
+
+import threading
+from typing import TYPE_CHECKING, Any, Callable, Mapping, Sequence
+
+from repro.cluster.mailbox import OpDeadline, Router
+from repro.cluster.simtime import ComputeRecord, Phase, TimingCore
+from repro.errors import (
+    CommunicationTimeout,
+    ConfigurationError,
+    RankFailedError,
+    RepartitionSignal,
+    raise_root_cause,
+)
+from repro.types import Megabits, Megaflops, Seconds
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.faults.injector import FaultInjector
+    from repro.obs import ObsSession
+    from repro.obs.live import LiveRuntime
+
+__all__ = ["FaultPerturbation", "BaseRankContext", "attach_live", "launch_ranks"]
+
+
+class FaultPerturbation:
+    """A fault injector seen through the timing core's perturbation
+    hook: RankSlowdown dilates compute, LinkDegrade scales a transfer's
+    capacity term only (the fixed per-message latency is unaffected)."""
+
+    def __init__(self, faults: "FaultInjector") -> None:
+        self._faults = faults
+
+    def compute_factor(self, rank: int, label: str, start: Seconds) -> float:
+        return self._faults.compute_factor(rank, start)
+
+    def transfer_factors(
+        self, src: int, dst: int, pair: tuple[str, str], start: Seconds
+    ) -> tuple[float, float]:
+        return self._faults.transfer_factor(src, dst, start), 1.0
+
+
+def attach_live(obs: "ObsSession | None") -> "LiveRuntime | None":
+    """The session's live runtime, registered on its tracer (idempotent,
+    so manually-built sessions still get wired); ``None`` when off."""
+    live = getattr(obs, "live", None)
+    if live is not None:
+        live.attach(obs)
+    return live
+
+
+class BaseRankContext:
+    """Per-rank handle passed to programs.
+
+    Attributes:
+        rank: this rank's id (0-based).
+        size: number of ranks.
+        master_rank: which rank plays master.
+        router: the run's message router (liveness/detection queries).
+        core: the timing core holding this rank's nominal clock
+            (``None`` on a wall-clock run without a platform).
+        obs: observability session shared by all ranks (``None`` = off).
+        faults: fault injector interpreting the run's plan (``None`` =
+            off); duck-typed, so this module imports no repro.faults.
+    """
+
+    def __init__(
+        self,
+        rank: int,
+        size: int,
+        master_rank: int,
+        router: Router,
+        core: TimingCore | None = None,
+        obs: "ObsSession | None" = None,
+        faults: "FaultInjector | None" = None,
+    ) -> None:
+        if not 0 <= rank < size:
+            raise ConfigurationError(f"rank {rank} outside [0, {size})")
+        self.rank = rank
+        self.size = size
+        self.master_rank = master_rank
+        self.router = router
+        self.core = core
+        self.obs = obs
+        self.faults = faults
+        self._live = getattr(obs, "live", None)
+
+    @property
+    def is_master(self) -> bool:
+        return self.rank == self.master_rank
+
+    @property
+    def now(self) -> Seconds:
+        """This rank's nominal time — what fault triggers and windows
+        are evaluated against: virtual seconds on the engine, analytic
+        compute-plus-delay seconds on the wall-clock backend (0.0
+        without a platform).  Wall time is never consulted, keeping
+        injection deterministic."""
+        return 0.0 if self.core is None else self.core.clocks[self.rank].now
+
+    # -- what a backend supplies ---------------------------------------------
+    def _report_compute(
+        self, mflops: Megaflops, sequential: bool, charge: ComputeRecord | None
+    ) -> Seconds:
+        """Report one compute op; returns the seconds it charged."""
+        raise NotImplementedError
+
+    def _make_deadline(self, timeout_s: Seconds) -> OpDeadline:
+        """A deadline ``timeout_s`` from now on the backend's clock."""
+        raise NotImplementedError
+
+    def _megabits(self, payload: Any) -> Megabits:
+        """Wire size of a payload."""
+        raise NotImplementedError
+
+    def _span_start(self) -> float | None:
+        """Where a caller-timed transfer span opens; ``None`` when the
+        match handler emits transfer spans itself (virtual time)."""
+        return None
+
+    def _transfer_span(
+        self, start: float, direction: str, peer: int, megabits: Megabits
+    ) -> None:
+        """Close the span opened at a non-``None`` :meth:`_span_start`."""
+
+    def _charge_delay(self, delay: Seconds) -> None:
+        """Charge an injected MessageDelay."""
+        self.charge_seconds(delay)
+
+    # -- time charging -------------------------------------------------------
+    def compute(self, mflops: Megaflops, sequential: bool = False) -> Seconds:
+        """Charge ``mflops`` of computation at this rank's cycle-time.
+
+        Args:
+            mflops: nominal work (use the cost model's formulas).
+            sequential: True for master-only steps executed while no
+                parallel work is outstanding — they land in the SEQ
+                bucket of Table 6 instead of PAR.
+
+        Returns:
+            The charged duration in virtual seconds (0.0 on the
+            wall-clock backend, where real computation takes real time).
+        """
+        if self.faults is not None:
+            self.faults.before_op(self.rank, "compute", self.now)
+        charge = None
+        if self.core is not None:
+            charge = self.core.compute(self.rank, mflops, sequential)
+            if self._live is not None and mflops > 0:
+                # The online health detector compares the cost model's
+                # prediction against the charged (possibly
+                # fault-dilated) duration — the same pair on both
+                # backends, so it fires at the same op on either.
+                self._live.observe_compute(
+                    self.rank, charge.nominal, charge.seconds, charge.start
+                )
+        return self._report_compute(mflops, sequential, charge)
+
+    def charge_seconds(self, seconds: Seconds, phase: Phase = Phase.PAR) -> None:
+        """Charge a raw duration (I/O, retry back-off) to this rank's
+        nominal clock."""
+        if seconds < 0:
+            raise ConfigurationError(f"cannot charge negative time {seconds}")
+        if self.core is not None:
+            self.core.charge(self.rank, seconds, phase)
+
+    # -- messaging (raw; prefer repro.mpi communicators) ---------------------
+    def _deadline(self, timeout_s: Seconds | None) -> OpDeadline | None:
+        if timeout_s is None:
+            return None
+        if timeout_s <= 0:
+            raise ConfigurationError(f"timeout_s must be > 0, got {timeout_s}")
+        return self._make_deadline(timeout_s)
+
+    def _count_timeout(self) -> None:
+        if self.obs is not None:
+            self.obs.metrics.counter("comm.timeouts", rank=self.rank).inc()
+
+    def send(
+        self,
+        dest: int,
+        payload: Any,
+        tag: int = 0,
+        timeout_s: Seconds | None = None,
+    ) -> None:
+        """Synchronous send (transfer time is charged at match on the
+        engine).
+
+        ``timeout_s`` bounds the rendezvous wait on the backend's clock
+        (:class:`~repro.errors.CommunicationTimeout` on expiry).
+        """
+        if self.faults is not None:
+            self.faults.before_op(self.rank, "send", self.now)
+            delay = self.faults.on_send(self.rank, dest, tag, self.now)
+            if delay > 0:
+                self._charge_delay(delay)
+        megabits = self._megabits(payload)
+        if self.obs is not None:
+            m = self.obs.metrics
+            m.counter("comm.messages_sent", rank=self.rank, peer=dest).inc()
+            m.counter("comm.megabits_sent", rank=self.rank, peer=dest).inc(megabits)
+        start = self._span_start()
+        try:
+            self.router.send(
+                self.rank, dest, tag, payload, megabits,
+                deadline=self._deadline(timeout_s),
+            )
+        except CommunicationTimeout:
+            self._count_timeout()
+            raise
+        if start is not None:
+            self._transfer_span(start, "send", dest, megabits)
+
+    def recv(
+        self, source: int, tag: int = -1, timeout_s: Seconds | None = None
+    ) -> Any:
+        """Blocking receive from ``source`` (tag -1 = any).
+
+        ``timeout_s`` bounds the wait on the backend's clock
+        (:class:`~repro.errors.CommunicationTimeout` on expiry; on the
+        engine this rank's clock is advanced to the deadline exactly).
+        """
+        if self.faults is not None:
+            self.faults.before_op(self.rank, "recv", self.now)
+        start = self._span_start()
+        try:
+            payload = self.router.recv(
+                self.rank, source, tag, deadline=self._deadline(timeout_s)
+            )
+        except CommunicationTimeout:
+            self._count_timeout()
+            raise
+        if self.obs is not None:
+            megabits = self._megabits(payload)
+            m = self.obs.metrics
+            m.counter("comm.messages_received", rank=self.rank, peer=source).inc()
+            m.counter(
+                "comm.megabits_received", rank=self.rank, peer=source
+            ).inc(megabits)
+            if start is not None:
+                self._transfer_span(start, "recv", source, megabits)
+        return payload
+
+
+def launch_ranks(
+    router: Router,
+    n_ranks: int,
+    make_context: Callable[[int], BaseRankContext],
+    program: Callable[..., Any],
+    kwargs_per_rank: Sequence[Mapping[str, Any]] | None,
+    common_kwargs: Mapping[str, Any] | None,
+    thread_prefix: str,
+) -> list[Any]:
+    """Run ``program(make_context(rank), **kwargs)`` on one thread per
+    rank, join them, and return the per-rank return values.
+
+    Raises:
+        The root cause, if any rank failed: a crashing rank makes its
+        peers fail with secondary RankFailedError/DeadlockError
+        fallout, which is chained onto it as ``__context__``.
+    """
+    if kwargs_per_rank is not None and len(kwargs_per_rank) != n_ranks:
+        raise ConfigurationError(
+            f"kwargs_per_rank has {len(kwargs_per_rank)} entries for "
+            f"{n_ranks} ranks"
+        )
+    results: list[Any] = [None] * n_ranks
+    failures: list[tuple[int, BaseException]] = []
+    failure_lock = threading.Lock()
+
+    def body(rank: int) -> None:
+        kwargs = dict(common_kwargs or {})
+        if kwargs_per_rank is not None:
+            kwargs.update(kwargs_per_rank[rank])
+        try:
+            results[rank] = program(make_context(rank), **kwargs)
+        except BaseException as exc:  # noqa: BLE001 - reported to caller
+            with failure_lock:
+                failures.append((rank, exc))
+            if isinstance(exc, RankFailedError) and exc.injected and exc.rank == rank:
+                # This rank crashed: mark it dead surgically so the
+                # survivors keep running and discover the failure in
+                # their own program order (deterministic cascade on the
+                # engine, next interaction on the wall clock).
+                router.fail(rank)
+            elif not isinstance(exc, RepartitionSignal):
+                router.abort()
+            # RepartitionSignal is a coordinated exit: every rank raises
+            # it at the same program point after the decision broadcast,
+            # so nobody is left blocked — retire without aborting (an
+            # abort could kill peers still forwarding inside the tree).
+        finally:
+            router.retire(rank)
+
+    threads = [
+        threading.Thread(
+            target=body, args=(rank,), name=f"{thread_prefix}-{rank}", daemon=True
+        )
+        for rank in range(n_ranks)
+    ]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join()
+    if failures:
+        raise_root_cause(failures)
+    return results

@@ -486,12 +486,6 @@ def run_parallel(
             partition=part,
             sim=sim,
         )
-    live = getattr(obs, "live", None) if obs is not None else None
-    if live is not None:
-        # The wall-clock backend has no cost model of its own; the live
-        # runtime needs the platform to derive nominal compute
-        # durations for the online health detector.
-        live.bind(platform=platform, faults=faults)
     inproc = run_inproc(
         platform.size,
         launch.program,
@@ -499,6 +493,7 @@ def run_parallel(
         master_rank=master,
         obs=obs,
         faults=faults,
+        platform=platform,
         **launch.program_kwargs,
     )
     return ParallelRun(

@@ -23,8 +23,8 @@ Layers, shared by both MPI backends:
    :class:`RepartitionSignal` exit and a model-platform downgrade.
 
 The interpreter tying plans to execution is
-:class:`~repro.faults.injector.FaultInjector`; the wall-clock backend
-interposes it via :class:`~repro.faults.injector.FaultyCommunicator`.
+:class:`~repro.faults.injector.FaultInjector`; both backends drive its
+hooks from the one rank context in :mod:`repro.cluster.runtime`.
 The chaos-sweep harness (:mod:`repro.faults.sweep`) and the umbrella
 CLI (``python -m repro.faults``) sit on top.
 """
@@ -43,7 +43,7 @@ from repro.faults.detect import (
     recv_with_timeout,
     send_with_retry,
 )
-from repro.faults.injector import FaultInjector, FaultyCommunicator, injector_for
+from repro.faults.injector import FaultInjector, injector_for
 from repro.faults.plan import (
     FaultPlan,
     LinkDegrade,
@@ -78,7 +78,6 @@ __all__ = [
     "load_fault_plan",
     # injection
     "FaultInjector",
-    "FaultyCommunicator",
     "injector_for",
     # policies
     "RetryPolicy",

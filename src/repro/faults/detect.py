@@ -18,7 +18,7 @@ Attempt accounting is surfaced through the session metrics
 
 from __future__ import annotations
 
-from typing import Any
+from typing import Any, Iterator
 
 from repro.errors import (
     CommunicationTimeout,
@@ -46,39 +46,26 @@ __all__ = [
 ]
 
 
-def _now_of(ctx: Any) -> float:
-    """Best-effort current time of a rank context (virtual seconds on
-    the engine, the injector's nominal clock inproc, else 0.0)."""
-    clock = getattr(ctx, "clock", None)
-    if clock is not None:
-        return float(clock.now)
-    nominal = getattr(ctx, "_nominal_s", None)
-    if nominal is not None:
-        return float(nominal)
-    return 0.0
+def _unwrapped(ctx: Any) -> Iterator[Any]:
+    """``ctx`` and then each context it wraps: a ``Communicator`` holds
+    its context as ``_ctx``, its deadline decorator holds the rank
+    context as ``context``; a backend's rank context holds neither."""
+    while ctx is not None:
+        yield ctx
+        ctx = getattr(ctx, "_ctx", None) or getattr(ctx, "context", None)
 
 
 def policy_of(ctx: Any) -> ResiliencePolicy | None:
     """The resilience policy travelling with the context's fault plan.
 
-    Unwraps the context chain looking for a fault injector whose plan
-    carries a ``policy`` block; returns ``None`` when there is none, so
+    Reads ``faults`` (the rank context's injector) through any wrappers;
+    returns ``None`` when its plan carries no ``policy`` block, so
     callers can fall back to their defaults.
     """
-    seen = set()
-    obj = ctx
-    while obj is not None and id(obj) not in seen:
-        seen.add(id(obj))
-        for name in ("injector", "faults"):
-            injector = getattr(obj, name, None)
-            policy = getattr(injector, "policy", None)
-            if policy is not None:
-                return policy
-        obj = (
-            getattr(obj, "context", None)
-            or getattr(obj, "_ctx", None)
-            or getattr(obj, "engine", None)
-        )
+    for obj in _unwrapped(ctx):
+        policy = getattr(getattr(obj, "faults", None), "policy", None)
+        if policy is not None:
+            return policy
     return None
 
 
@@ -98,7 +85,7 @@ def send_with_retry(
     retry budget).  An explicit ``timeout_s`` overrides the policy's
     ``send_timeout_s`` deadline.  The backoff between attempts is
     charged to the sender's clock via ``ctx.charge_seconds`` — virtual
-    time on the engine (deterministic), a modelled no-op on the
+    time on the engine (deterministic), the nominal clock on the
     wall-clock backend.  Returns the number of attempts used; re-raises
     the last error when the budget is spent.  Non-transient errors
     (peer failed, timeout) propagate immediately.
@@ -132,7 +119,7 @@ def send_with_retry(
                     ).inc(attempt)
                 raise
             backoff = retry.backoff_for(attempt)
-            start = _now_of(ctx)
+            start = getattr(ctx, "now", 0.0)
             ctx.charge_seconds(backoff)
             if obs is not None:
                 obs.metrics.counter(
@@ -202,22 +189,13 @@ class LivenessView:
 def liveness_of(ctx: Any) -> LivenessView:
     """Build a :class:`LivenessView` from any backend's rank context.
 
-    Works with the engine's ``RankContext``, the inproc context, a
-    :class:`~repro.faults.injector.FaultyCommunicator`, and the
-    high-level ``Communicator`` wrapper (unwraps ``.context`` /
-    ``._ctx`` as needed).
+    Works with either backend's rank context and with the high-level
+    ``Communicator`` wrapper around one.
     """
-    seen = set()
-    obj = ctx
-    while id(obj) not in seen:
-        seen.add(id(obj))
+    for obj in _unwrapped(ctx):
         router = getattr(obj, "router", None)
         if router is not None:
             return LivenessView(router)
-        inner = getattr(obj, "context", None) or getattr(obj, "_ctx", None)
-        if inner is None:
-            break
-        obj = inner
     raise ConfigurationError(
         f"cannot derive a liveness view from {type(ctx).__name__}: "
         "no router is reachable"

@@ -2,13 +2,15 @@
 
 The :class:`FaultInjector` is the single stateful object that turns a
 declarative :class:`~repro.faults.plan.FaultPlan` into concrete
-failures.  The virtual-time engine calls its hooks natively from
-``RankContext.compute/send/recv`` and ``SimulationEngine._on_match``;
-the wall-clock backend interposes the same hooks via
-:class:`FaultyCommunicator`, which wraps each rank's
-``InprocContext``.  Both paths share the per-rank *operation counters*
-(compute/send/recv, counted in program order), so ``at_op_index``
-crash triggers fire at exactly the same operation on both clocks.
+failures.  Both backends call its hooks from one place: the shared
+rank context (:class:`repro.cluster.runtime.BaseRankContext`) runs
+``before_op``/``on_send`` ahead of every compute/send/recv, and the
+timing core asks ``compute_factor``/``transfer_factor`` through
+:class:`~repro.cluster.runtime.FaultPerturbation`.  The per-rank
+*operation counters* (compute/send/recv, counted in program order) are
+therefore the same on both clocks, so ``at_op_index`` crash triggers
+fire at exactly the same operation; time-based triggers and windows
+read the rank's nominal clock, never the wall.
 
 Fault state is keyed by **original** rank ids.  When
 checkpoint–restart recovery re-runs a program on a survivor subset,
@@ -21,7 +23,6 @@ remaining counts, and windows keep their absolute times.
 from __future__ import annotations
 
 import threading
-import time
 from typing import TYPE_CHECKING, Any, Sequence
 
 from repro.errors import FaultPlanError, RankFailedError, TransientNetworkError
@@ -31,12 +32,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.cluster.platform import HeterogeneousPlatform
     from repro.obs import ObsSession
 
-__all__ = ["FaultInjector", "FaultyCommunicator"]
-
-#: Cap on how long the wall-clock backend actually sleeps for an
-#: injected MessageDelay — delays are *modelled* (the nominal clock
-#: advances by the full delay) but the test suite shouldn't stall.
-_MAX_REAL_SLEEP_S = 0.05
+__all__ = ["FaultInjector"]
 
 
 class FaultInjector:
@@ -119,7 +115,7 @@ class FaultInjector:
                     link="|".join(fault.pair),
                 )
 
-    # -- hooks (engine + FaultyCommunicator) ---------------------------------
+    # -- hooks (called by the shared rank context) ---------------------------
     def before_op(self, rank: int, op: str, now: float) -> None:
         """Count one operation of ``rank`` and fire a due crash.
 
@@ -254,82 +250,6 @@ class FaultInjector:
         :func:`repro.faults.detect.policy_of`).
         """
         return getattr(self.plan, "policy", None)
-
-
-class FaultyCommunicator:
-    """Interposing wrapper applying a fault plan on the inproc backend.
-
-    Wraps an :class:`repro.mpi.inproc.InprocContext` (or any
-    ``MessageContext``) and drives the shared :class:`FaultInjector`
-    hooks so the *same plan file* produces the same fault sequence as
-    the virtual-time engine: op counting is identical, and time-based
-    triggers/windows are evaluated against a **nominal clock** that
-    accumulates the analytic compute cost (mflops × the rank's
-    cycle-time from the attached platform) — wall time is never
-    consulted, keeping injection deterministic.
-    """
-
-    def __init__(self, ctx: Any, injector: FaultInjector) -> None:
-        self.context = ctx
-        self.injector = injector
-        self._nominal_s = 0.0
-
-    # Delegate the MessageContext surface --------------------------------
-    @property
-    def rank(self) -> int:
-        return self.context.rank
-
-    @property
-    def size(self) -> int:
-        return self.context.size
-
-    @property
-    def master_rank(self) -> int:
-        return self.context.master_rank
-
-    @property
-    def is_master(self) -> bool:
-        return self.context.rank == self.context.master_rank
-
-    @property
-    def nominal_now(self) -> float:
-        """Accumulated nominal compute seconds (the trigger clock)."""
-        return self._nominal_s
-
-    def __getattr__(self, name: str) -> Any:
-        return getattr(self.context, name)
-
-    # Hooked operations ---------------------------------------------------
-    def _nominal_seconds(self, mflops: float) -> float:
-        platform = self.injector._platform
-        if platform is None:
-            return 0.0
-        return platform.processor(self.rank).compute_seconds(mflops)
-
-    def compute(self, mflops: float, sequential: bool = False) -> float:
-        self.injector.before_op(self.rank, "compute", self._nominal_s)
-        dt = self._nominal_seconds(mflops)
-        dt *= self.injector.compute_factor(self.rank, self._nominal_s)
-        self._nominal_s += dt
-        return self.context.compute(mflops, sequential=sequential)
-
-    def charge_seconds(self, seconds: float, phase: Any = None) -> None:
-        self._nominal_s += max(0.0, float(seconds))
-        self.context.charge_seconds(seconds, phase)
-
-    def send(
-        self, dest: int, payload: Any, tag: int = 0, **kwargs: Any
-    ) -> None:
-        self.injector.before_op(self.rank, "send", self._nominal_s)
-        delay = self.injector.on_send(self.rank, dest, tag, self._nominal_s)
-        if delay > 0:
-            self._nominal_s += delay
-            time.sleep(min(delay, _MAX_REAL_SLEEP_S))
-        self.context.send(dest, payload, tag, **kwargs)
-
-    def recv(self, source: int, tag: int = -1, **kwargs: Any) -> Any:
-        self.injector.before_op(self.rank, "recv", self._nominal_s)
-        return self.context.recv(source, tag, **kwargs)
 
 
 def injector_for(plan: FaultPlan | FaultInjector | None) -> FaultInjector | None:

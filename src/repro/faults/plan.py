@@ -3,9 +3,8 @@
 A :class:`FaultPlan` is an ordered tuple of fault specifications that
 deterministically describe *what goes wrong when* — no random number
 generator is involved, so the same plan file produces the same fault
-sequence on every run.  Plans are interpreted natively by the
-virtual-time engine and by the :class:`~repro.faults.FaultyCommunicator`
-wrapper on the wall-clock backend:
+sequence on every run.  Both backends interpret a plan through the
+same hook sequence of the shared rank context:
 
 * :class:`RankCrash` — the rank raises
   :class:`~repro.errors.RankFailedError` at its ``at_op_index``-th

@@ -190,7 +190,6 @@ def run_with_recovery(
     plan: "FaultPlan | FaultInjector | None" = None,
     obs: "ObsSession | None" = None,
     max_recoveries: int | None = None,
-    deadlock_grace_s: float = 0.25,
     repartition_overhead_s: float = 0.0,
     adaptive: "AdaptiveController | AdaptiveConfig | bool | None" = None,
     tuning: "TuningPlan | str | None" = None,
@@ -219,7 +218,6 @@ def run_with_recovery(
             land here.
         max_recoveries: abort after this many rank losses (``None`` =
             unbounded; a plan bounds losses naturally).
-        deadlock_grace_s: router grace period per attempt.
         repartition_overhead_s: modelled virtual seconds added at each
             recovery seam (sim backend).
         adaptive: enable performance-adaptive repartitioning — pass
@@ -375,12 +373,6 @@ def run_with_recovery(
                 obs=obs,
                 rank_map=None if ordered == identity else ordered,
             )
-        live = getattr(obs, "live", None) if obs is not None else None
-        if live is not None:
-            # Rebind per attempt: post-recovery attempts run on the
-            # surviving subset platform, and the nominal per-rank
-            # clocks restart with it.
-            live.bind(platform=run_platform, faults=injector)
         if controller is not None:
             controller.attach(
                 monitor=obs.live.health,
@@ -416,7 +408,6 @@ def run_with_recovery(
                 engine = SimulationEngine(
                     run_platform,
                     cost_model=cost_model,
-                    deadlock_grace_s=deadlock_grace_s,
                     obs=obs,
                     faults=injector,
                     clock_start=clock_start,
@@ -435,9 +426,9 @@ def run_with_recovery(
                     launch.program,
                     kwargs_per_rank=launch.kwargs_per_rank,
                     master_rank=master,
-                    deadlock_grace_s=deadlock_grace_s,
                     obs=obs,
                     faults=injector,
+                    platform=run_platform,
                     **launch.program_kwargs,
                 )
             attempts.append(attempt)

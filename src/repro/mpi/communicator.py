@@ -42,11 +42,21 @@ class MessageContext(Protocol):
     @property
     def master_rank(self) -> int: ...
 
-    def send(self, dest: int, payload: Any, tag: int = 0) -> None: ...
+    @property
+    def is_master(self) -> bool: ...
 
-    def recv(self, source: int, tag: int = -1) -> Any: ...
+    def send(
+        self, dest: int, payload: Any, tag: int = 0,
+        timeout_s: float | None = None,
+    ) -> None: ...
+
+    def recv(
+        self, source: int, tag: int = -1, timeout_s: float | None = None
+    ) -> Any: ...
 
     def compute(self, mflops: float, sequential: bool = False) -> float: ...
+
+    def charge_seconds(self, seconds: float) -> None: ...
 
 
 def sum_op(a: Any, b: Any) -> Any:

@@ -1,9 +1,11 @@
 """Wall-clock in-process backend.
 
 Runs the same SPMD programs as the virtual-time engine, but on real
-threads with real time: :meth:`InprocContext.compute` is a no-op (the
-actual numpy work *is* the computation) and message transfers cost
-whatever the memory copy costs.  NumPy's BLAS kernels release the GIL,
+threads with real time: :meth:`InprocContext.compute` charges nothing
+(the actual numpy work *is* the computation) and message transfers cost
+whatever the memory copy costs.  The rank launcher, the per-op hook
+sequence and the nominal clock are :mod:`repro.cluster.runtime`'s, the
+same code the engine runs.  NumPy's BLAS kernels release the GIL,
 so genuinely parallel speedups are possible for the dense-linear-algebra
 phases; regardless, this backend is the reference for *correctness* —
 algorithm outputs must be identical on both backends.
@@ -12,17 +14,19 @@ algorithm outputs must be identical on both backends.
 from __future__ import annotations
 
 import dataclasses
-import threading
 import time
 from typing import TYPE_CHECKING, Any, Callable, Mapping, Sequence
 
 from repro.cluster.mailbox import OpDeadline, Router, payload_wire_megabits
-from repro.errors import (
-    ConfigurationError,
-    RankFailedError,
-    RepartitionSignal,
-    raise_root_cause,
+from repro.cluster.platform import HeterogeneousPlatform
+from repro.cluster.runtime import (
+    BaseRankContext,
+    FaultPerturbation,
+    attach_live,
+    launch_ranks,
 )
+from repro.cluster.simtime import ComputeRecord, TimingCore
+from repro.errors import ConfigurationError
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.faults.injector import FaultInjector
@@ -30,131 +34,58 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 __all__ = ["InprocContext", "InprocResult", "run_inproc"]
 
+#: Cap on how long the wall-clock backend actually sleeps for an
+#: injected MessageDelay — delays are *modelled* (the nominal clock
+#: advances by the full delay) but the test suite shouldn't stall.
+_MAX_REAL_SLEEP_S = 0.05
 
-class InprocContext:
+
+class InprocContext(BaseRankContext):
     """Per-rank context for the wall-clock backend.
 
-    Satisfies :class:`repro.mpi.communicator.MessageContext`; the time
-    and cost hooks are inert so programs written for the virtual engine
-    run unchanged.
+    Programs written for the virtual engine run unchanged: computation
+    charges no time (the actual numpy work *is* the computation), a
+    deadline reads ``time.monotonic``, and each rank emits the transfer
+    spans it timed itself.
     """
 
-    def __init__(
-        self,
-        rank: int,
-        size: int,
-        router: Router,
-        master_rank: int = 0,
-        obs: "ObsSession | None" = None,
-    ):
-        if not 0 <= rank < size:
-            raise ConfigurationError(f"rank {rank} outside [0, {size})")
-        self.rank = rank
-        self._size = size
-        self._router = router
-        self._master = master_rank
-        #: Communication volume actually shipped by this rank (megabits).
-        self.sent_megabits = 0.0
-        #: Observability session shared by all ranks (``None`` = off).
-        self.obs = obs
-
-    @property
-    def size(self) -> int:
-        return self._size
-
-    @property
-    def master_rank(self) -> int:
-        return self._master
-
-    @property
-    def is_master(self) -> bool:
-        return self.rank == self._master
-
-    @property
-    def router(self) -> Router:
-        """The backend's message router (liveness/detection queries)."""
-        return self._router
-
-    @staticmethod
-    def _deadline(timeout_s: float | None) -> OpDeadline | None:
-        """Wall-clock per-op deadline ``timeout_s`` from now."""
-        if timeout_s is None:
-            return None
-        if timeout_s <= 0:
-            raise ConfigurationError(f"timeout_s must be > 0, got {timeout_s}")
-        return OpDeadline(
-            at=time.monotonic() + timeout_s, clock=time.monotonic, wall=True
-        )
-
-    def compute(self, mflops: float, sequential: bool = False) -> float:
-        """No time charged (real computation takes real time here), but
-        the nominal mflops are still metered when observability is on,
-        so both backends report comparable work counters.  When a live
-        runtime is attached it additionally receives the analytic
-        (predicted, observed) duration pair for this op, so the online
-        health detector sees the same sequence as on the virtual-time
-        engine."""
+    def _report_compute(
+        self, mflops: float, sequential: bool, charge: ComputeRecord | None
+    ) -> float:
+        """The nominal mflops are still metered when observability is
+        on, so both backends report comparable work counters."""
         if self.obs is not None and mflops > 0:
             self.obs.metrics.counter(
                 "compute.mflops",
                 rank=self.rank,
                 kind="seq" if sequential else "compute",
             ).inc(float(mflops))
-            live = self.obs.live
-            if live is not None:
-                live.observe_nominal_compute(self.rank, mflops, sequential)
         return 0.0
 
-    def charge_seconds(self, seconds: float, phase: Any = None) -> None:
-        """No-op for wall-clock execution."""
+    def _make_deadline(self, timeout_s: float) -> OpDeadline:
+        return OpDeadline(
+            at=time.monotonic() + timeout_s, clock=time.monotonic, wall=True
+        )
 
-    def send(
-        self, dest: int, payload: Any, tag: int = 0,
-        timeout_s: float | None = None,
+    def _megabits(self, payload: Any) -> float:
+        return payload_wire_megabits(payload)
+
+    def _span_start(self) -> float | None:
+        return None if self.obs is None else self.obs.tracer.now(self.rank)
+
+    def _transfer_span(
+        self, start: float, direction: str, peer: int, megabits: float
     ) -> None:
-        megabits = payload_wire_megabits(payload)
-        self.sent_megabits += megabits
-        deadline = self._deadline(timeout_s)
-        if self.obs is None:
-            self._router.send(
-                self.rank, dest, tag, payload, megabits, deadline=deadline
-            )
-            return
-        m = self.obs.metrics
-        m.counter("comm.messages_sent", rank=self.rank, peer=dest).inc()
-        m.counter("comm.megabits_sent", rank=self.rank, peer=dest).inc(megabits)
         tracer = self.obs.tracer
-        start = tracer.now(self.rank)
-        self._router.send(
-            self.rank, dest, tag, payload, megabits, deadline=deadline
-        )
         tracer.add_span(
             "transfer", self.rank, start, tracer.now(self.rank),
-            category="transfer", peer=dest, megabits=megabits,
-            direction="send",
+            category="transfer", peer=peer, megabits=megabits,
+            direction=direction,
         )
 
-    def recv(
-        self, source: int, tag: int = -1, timeout_s: float | None = None
-    ) -> Any:
-        deadline = self._deadline(timeout_s)
-        if self.obs is None:
-            return self._router.recv(self.rank, source, tag, deadline=deadline)
-        tracer = self.obs.tracer
-        start = tracer.now(self.rank)
-        payload = self._router.recv(self.rank, source, tag, deadline=deadline)
-        megabits = payload_wire_megabits(payload)
-        m = self.obs.metrics
-        m.counter("comm.messages_received", rank=self.rank, peer=source).inc()
-        m.counter(
-            "comm.megabits_received", rank=self.rank, peer=source
-        ).inc(megabits)
-        tracer.add_span(
-            "transfer", self.rank, start, tracer.now(self.rank),
-            category="transfer", peer=source, megabits=megabits,
-            direction="recv",
-        )
-        return payload
+    def _charge_delay(self, delay: float) -> None:
+        super()._charge_delay(delay)
+        time.sleep(min(delay, _MAX_REAL_SLEEP_S))
 
 
 @dataclasses.dataclass
@@ -164,19 +95,15 @@ class InprocResult:
     return_values: list[Any]
     wall_seconds: float
 
-    @property
-    def master_value(self) -> Any:
-        return self.return_values[0]
-
 
 def run_inproc(
     n_ranks: int,
     program: Callable[..., Any],
     kwargs_per_rank: Sequence[Mapping[str, Any]] | None = None,
     master_rank: int = 0,
-    deadlock_grace_s: float = 0.25,
     obs: "ObsSession | None" = None,
     faults: "FaultInjector | None" = None,
+    platform: HeterogeneousPlatform | None = None,
     **common_kwargs: Any,
 ) -> InprocResult:
     """Run ``program(ctx, **kwargs)`` on ``n_ranks`` real threads.
@@ -187,10 +114,15 @@ def run_inproc(
         kwargs_per_rank: optional per-rank keyword arguments.
         master_rank: which rank plays master.
         obs: observability session (spans clocked by the wall).
-        faults: fault injector; each rank's context is wrapped in a
-            :class:`~repro.faults.injector.FaultyCommunicator` so the
-            same plan file produces the same fault sequence as on the
-            virtual-time engine.
+        faults: fault injector; every context drives its hooks in the
+            same sequence as on the virtual-time engine, so the same
+            plan file produces the same fault sequence.
+        platform: the platform the ranks stand for.  Given one, each
+            rank keeps a *nominal clock* on a timing core (analytic
+            compute cost plus injected delays, never a transfer):
+            time-based fault triggers and windows are evaluated against
+            it and the online health detector is fed from it.  Without
+            one nominal time stays 0.0.
         common_kwargs: forwarded to every rank.
 
     Raises:
@@ -198,72 +130,28 @@ def run_inproc(
     """
     if n_ranks < 1:
         raise ConfigurationError(f"n_ranks must be >= 1, got {n_ranks}")
-    if kwargs_per_rank is not None and len(kwargs_per_rank) != n_ranks:
-        raise ConfigurationError(
-            f"kwargs_per_rank has {len(kwargs_per_rank)} entries for "
-            f"{n_ranks} ranks"
+    core = None
+    if platform is not None:
+        if platform.size != n_ranks:
+            raise ConfigurationError(
+                f"platform {platform.name!r} has {platform.size} ranks, "
+                f"not {n_ranks}"
+            )
+        core = TimingCore(
+            platform,
+            perturb=FaultPerturbation(faults) if faults is not None else None,
         )
-    live = getattr(obs, "live", None) if obs is not None else None
-    if live is not None:
-        # Wired like the fault injector: attach is idempotent, and the
-        # platform (needed for nominal health predictions) is bound by
-        # run_parallel / the recovery driver, which know it.
-        live.attach(obs)
-        if faults is not None:
-            live.bind(faults=faults)
-    router = Router(n_ranks, deadlock_grace_s=deadlock_grace_s)
-    results: list[Any] = [None] * n_ranks
-    failures: list[tuple[int, BaseException]] = []
-    lock = threading.Lock()
-
-    def body(rank: int) -> None:
-        ctx: Any = InprocContext(rank, n_ranks, router, master_rank, obs=obs)
-        if faults is not None:
-            # Imported lazily: repro.faults depends on repro.mpi.
-            from repro.faults.injector import FaultyCommunicator
-
-            ctx = FaultyCommunicator(ctx, faults)
-        kwargs = dict(common_kwargs)
-        if kwargs_per_rank is not None:
-            kwargs.update(kwargs_per_rank[rank])
-        try:
-            results[rank] = program(ctx, **kwargs)
-        except RankFailedError as exc:
-            with lock:
-                failures.append((rank, exc))
-            if exc.injected and exc.rank == rank:
-                # This rank crashed: mark it dead surgically so the
-                # survivors keep running and observe the failure on
-                # their next interaction with it.
-                router.fail(rank)
-            else:
-                router.abort()
-        except RepartitionSignal as exc:
-            # Coordinated exit: every rank raises this at the same
-            # program point after the decision broadcast, so nobody is
-            # left blocked — retire without aborting (an abort could
-            # kill peers still forwarding inside the tree).
-            with lock:
-                failures.append((rank, exc))
-        except BaseException as exc:  # noqa: BLE001 - reported to caller
-            with lock:
-                failures.append((rank, exc))
-            router.abort()
-        finally:
-            router.retire(rank)
-
+    attach_live(obs)
+    router = Router(n_ranks)
     start = time.perf_counter()
-    threads = [
-        threading.Thread(target=body, args=(r,), name=f"inproc-rank-{r}", daemon=True)
-        for r in range(n_ranks)
-    ]
-    for t in threads:
-        t.start()
-    for t in threads:
-        t.join()
-    elapsed = time.perf_counter() - start
-
-    if failures:
-        # Prefer the root cause over secondary fallout; chain the rest.
-        raise_root_cause(failures)
-    return InprocResult(return_values=results, wall_seconds=elapsed)
+    results = launch_ranks(
+        router,
+        n_ranks,
+        lambda rank: InprocContext(
+            rank, n_ranks, master_rank, router, core=core, obs=obs, faults=faults
+        ),
+        program, kwargs_per_rank, common_kwargs, "inproc-rank",
+    )
+    return InprocResult(
+        return_values=results, wall_seconds=time.perf_counter() - start
+    )

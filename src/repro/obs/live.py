@@ -11,13 +11,12 @@ it *while it executes*, at bounded cost, on both backends:
 * :class:`LiveRuntime` — binds the recorder, a
   :class:`~repro.obs.health.HealthMonitor`, and an output directory
   into one object attached to an :class:`~repro.obs.ObsSession`.  Both
-  backends feed it exactly the way the fault injector is fed: the
-  virtual-time engine reports each charged compute op and each modelled
-  transfer natively, and the wall-clock backend reports *nominal*
-  analytic durations (the platform's ``compute_seconds`` dilated by the
-  attached fault injector's factor) — so the health detector's firing
-  sequence is identical on virtual and wall clocks for the same fault
-  plan.
+  backends feed it exactly the way the fault injector is fed, from the
+  shared rank context: each compute op reports the (predicted,
+  charged) pair its timing core produced — the engine's virtual clock,
+  or the wall-clock backend's nominal one — so the health detector's
+  firing sequence is identical on virtual and wall clocks for the same
+  fault plan.  The engine additionally reports each modelled transfer.
 * atomic snapshots — ``live.json`` (ring + aggregates + percentiles +
   health state) and ``live.prom`` (the session's OpenMetrics dump) are
   rewritten atomically every ``snapshot_every`` spans, so ``obs watch``
@@ -50,8 +49,6 @@ from repro.obs.sketch import LatencySketch, merge_sketches
 from repro.obs.trace import Span
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.cluster.platform import HeterogeneousPlatform
-    from repro.faults.injector import FaultInjector
     from repro.obs import ObsSession
 
 __all__ = [
@@ -250,13 +247,10 @@ class LiveRuntime:
             self.health = HealthMonitor(config=health)
         self.health.emit = self._emit_health_event
         self._session: "ObsSession | None" = None
-        self._platform: "HeterogeneousPlatform | None" = None
-        self._faults: "FaultInjector | None" = None
         self._lock = threading.Lock()
         # Serializes snapshot writers: they share one ``.tmp`` file per
         # target.  Not ``_lock`` — ``snapshot()`` takes that.
         self._write_lock = threading.Lock()
-        self._nominal_s: dict[int, float] = {}
         self._snapshot_index = 0
         self._span_countdown = snapshot_every
 
@@ -266,22 +260,6 @@ class LiveRuntime:
         call this so manually-built sessions still get wired)."""
         self._session = session
         session.tracer.add_listener(self._on_span)
-
-    def bind(
-        self,
-        platform: "HeterogeneousPlatform | None" = None,
-        faults: "FaultInjector | None" = None,
-    ) -> None:
-        """Bind the platform/fault context for nominal predictions on
-        the wall-clock backend.  Called by both backends (and again per
-        recovery attempt); only non-``None`` arguments overwrite, and
-        each call restarts the per-rank nominal clocks."""
-        with self._lock:
-            if platform is not None:
-                self._platform = platform
-            if faults is not None:
-                self._faults = faults
-            self._nominal_s.clear()
 
     # -- span stream (tracer listener) ------------------------------------
     def _on_span(self, span: Span) -> None:
@@ -300,8 +278,9 @@ class LiveRuntime:
     def observe_compute(
         self, rank: int, predicted_s: float, observed_s: float, at: float
     ) -> None:
-        """Virtual-time engine hook: one charged compute op, with the
-        analytic duration before and after fault dilation."""
+        """One compute op charged on a rank's timing core (either
+        backend), with the analytic duration before and after fault
+        dilation."""
         self.health.observe_compute(rank, predicted_s, observed_s, at)
 
     def observe_transfer(
@@ -309,30 +288,6 @@ class LiveRuntime:
     ) -> None:
         """Virtual-time engine hook: one modelled transfer on ``link``."""
         self.health.observe_transfer(link, predicted_s, observed_s, at)
-
-    def observe_nominal_compute(
-        self, rank: int, mflops: float, sequential: bool = False
-    ) -> None:
-        """Wall-clock backend hook: derive the (predicted, observed)
-        pair analytically — predicted from the bound platform's
-        processor model, observed by dilating it with the bound fault
-        injector's factor at this rank's nominal clock — so the health
-        detector sees the same number sequence as on the virtual-time
-        engine and fires at the same op index."""
-        with self._lock:
-            platform = self._platform
-            faults = self._faults
-            if platform is None:
-                return
-            now = self._nominal_s.get(rank, 0.0)
-        predicted = platform.processor(rank).compute_seconds(mflops)
-        factor = 1.0
-        if faults is not None:
-            factor = faults.compute_factor(rank, now)
-        observed = predicted * factor
-        with self._lock:
-            self._nominal_s[rank] = now + observed
-        self.health.observe_compute(rank, predicted, observed, at=now)
 
     def _emit_health_event(self, event: HealthEvent) -> None:
         """Surface a detector event as a trace span + metrics."""

@@ -19,7 +19,7 @@ def run_collective(n_ranks, body):
     def program(ctx):
         return body(Communicator(ctx), ctx)
 
-    return run_inproc(n_ranks, program, deadlock_grace_s=0.1).return_values
+    return run_inproc(n_ranks, program).return_values
 
 
 @pytest.mark.parametrize("size", [1, 2, 3, 4, 7, 8])

@@ -48,6 +48,7 @@ from repro.faults import (
     send_with_retry,
 )
 from repro.hsi import SceneConfig, make_wtc_scene
+from repro.mpi import Communicator, run_inproc
 from repro.obs import ObsSession, analyze_trace, fault_windows, write_jsonl
 from repro.scheduling import fault_tolerant_master_worker
 
@@ -173,6 +174,70 @@ class TestVirtualTimeouts:
 
         result = run_program(tiny_platform, program)
         assert result.return_values[1] == "payload"
+
+
+# -- one hook sequence on both backends ---------------------------------------
+
+class _RecordingInjector:
+    """Duck-typed stand-in for ``FaultInjector``: the five names the
+    rank runtime calls, recording ``(op, now)`` per rank."""
+
+    policy = None
+
+    def __init__(self, factor):
+        self.factor = factor
+        self.ops = {}
+
+    def before_op(self, rank, op, now):
+        # One list per rank, appended to by that rank's thread only.
+        self.ops.setdefault(rank, []).append((op, now))
+
+    def on_send(self, rank, dest, tag, now):
+        return 0.0
+
+    def compute_factor(self, rank, start_s):
+        return self.factor
+
+    def transfer_factor(self, src, dst, start_s):
+        return 1.0
+
+
+class TestHookParity:
+    WORK = (30.0, 50.0, 70.0)
+
+    @classmethod
+    def _program(cls, ctx):
+        comm = Communicator(ctx)
+        scale = comm.scatter(
+            [r + 1.0 for r in range(ctx.size)] if comm.is_master else None
+        )
+        for mflops in cls.WORK:
+            ctx.compute(scale * mflops)
+        return comm.gather(scale)
+
+    def test_same_op_sequence_and_nominal_clock(self, tiny_platform):
+        sim, inproc = _RecordingInjector(1.5), _RecordingInjector(1.5)
+        run_program(tiny_platform, self._program, faults=sim)
+        run_inproc(
+            tiny_platform.size, self._program, faults=inproc,
+            platform=tiny_platform,
+        )
+        assert sorted(sim.ops) == sorted(inproc.ops) == [0, 1, 2, 3]
+        for rank in range(tiny_platform.size):
+            kinds = [op for op, _ in inproc.ops[rank]]
+            assert kinds == [op for op, _ in sim.ops[rank]]
+            assert kinds.count("compute") == len(self.WORK)
+            # No transfer is ever charged on the wall backend's nominal
+            # clock: it is the running sum of the dilated compute costs.
+            processor = tiny_platform.processor(rank)
+            expected, total = [], 0.0
+            for mflops in self.WORK:
+                expected.append(total)
+                total += processor.compute_seconds((rank + 1.0) * mflops) * 1.5
+            assert [
+                now for op, now in inproc.ops[rank] if op == "compute"
+            ] == expected
+            assert inproc.ops[rank][-1][1] == total
 
 
 # -- trace determinism --------------------------------------------------------

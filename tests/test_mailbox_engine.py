@@ -1,5 +1,7 @@
 """Tests for the rendezvous router and the virtual-time engine."""
 
+import time
+
 import numpy as np
 import pytest
 
@@ -16,8 +18,15 @@ from repro.cluster.network import segmented_network
 from repro.cluster.platform import HeterogeneousPlatform
 from repro.cluster.processor import ProcessorSpec
 from repro.cluster.simtime import Phase, PhaseLedger, VirtualClock
-from repro.errors import CommunicationError, ConfigurationError, DeadlockError, ReproError
+from repro.errors import (
+    CommunicationError,
+    CommunicationTimeout,
+    ConfigurationError,
+    DeadlockError,
+    ReproError,
+)
 from repro.mpi.inproc import run_inproc
+from repro.obs import ObsSession
 
 from conftest import make_tiny_platform
 
@@ -92,7 +101,7 @@ class TestRouterViaInproc:
             return ctx.recv(0, tag=2)
 
         with pytest.raises((DeadlockError, ReproError)):
-            run_inproc(2, program, deadlock_grace_s=0.05)
+            run_inproc(2, program)
 
     def test_any_tag_fifo(self):
         def program(ctx):
@@ -121,15 +130,23 @@ class TestRouterViaInproc:
             ctx.send(ctx.rank, "x")
 
         with pytest.raises((CommunicationError, ReproError)):
-            run_inproc(2, program, deadlock_grace_s=0.05)
+            run_inproc(2, program)
 
     def test_deadlock_detected(self):
         def program(ctx):
             # Everyone receives; nobody sends.
             ctx.recv((ctx.rank + 1) % ctx.size)
 
-        with pytest.raises((DeadlockError, ReproError)):
-            run_inproc(2, program, deadlock_grace_s=0.05)
+        # On both backends, and read off the Router's state rather than
+        # waited for: there is no grace period to sit out.
+        for run in (
+            lambda: run_inproc(2, program),
+            lambda: run_program(make_tiny_platform((0.002, 0.004)), program),
+        ):
+            start = time.perf_counter()
+            with pytest.raises((DeadlockError, ReproError)):
+                run()
+            assert time.perf_counter() - start < 0.1
 
     def test_peer_exit_detected(self):
         def program(ctx):
@@ -138,7 +155,7 @@ class TestRouterViaInproc:
             ctx.recv(0)  # waits forever for rank 0
 
         with pytest.raises((DeadlockError, ReproError)):
-            run_inproc(2, program, deadlock_grace_s=0.05)
+            run_inproc(2, program)
 
     def test_worker_exception_propagates(self):
         def program(ctx):
@@ -147,7 +164,60 @@ class TestRouterViaInproc:
             ctx.recv(1)
 
         with pytest.raises(ReproError, match="boom"):
-            run_inproc(2, program, deadlock_grace_s=0.05)
+            run_inproc(2, program)
+
+
+class TestComputedQuiescence:
+    """A deadline that nobody can meet fires when the Router's state
+    says so: every rank retired or parked, none able to proceed."""
+
+    def test_virtual_timeout_fires_at_quiescence_without_waiting(
+        self, tiny_platform
+    ):
+        def program(ctx):
+            if ctx.rank != 1:
+                return None
+            with pytest.raises(CommunicationTimeout) as info:
+                ctx.recv(0, timeout_s=2.0)
+            return info.value.rank, info.value.deadline_s, ctx.clock.now
+
+        start = time.perf_counter()
+        result = run_program(tiny_platform, program)
+        assert time.perf_counter() - start < 0.1
+        assert result.return_values[1] == (1, 2.0, 2.0)
+
+    def test_earliest_deadline_fires_first(self, tiny_platform):
+        fired = []
+
+        def program(ctx):
+            # The lower rank holds the later deadline.
+            timeout_s = {1: 3.0, 2: 2.0}.get(ctx.rank)
+            if timeout_s is not None:
+                with pytest.raises(CommunicationTimeout):
+                    ctx.recv(0, timeout_s=timeout_s)
+                fired.append((ctx.rank, ctx.clock.now))
+
+        run_program(tiny_platform, program)
+        assert fired == [(2, 2.0), (1, 3.0)]
+
+    def test_expired_recv_counts_a_timeout_on_both_backends(self, tiny_platform):
+        def program(ctx):
+            if ctx.rank == 1:
+                with pytest.raises(CommunicationTimeout):
+                    ctx.recv(0, timeout_s=2.0)
+
+        for run in (
+            lambda obs: run_program(tiny_platform, program, obs=obs),
+            lambda obs: run_inproc(tiny_platform.size, program, obs=obs),
+        ):
+            obs = ObsSession.create()
+            run(obs)
+            assert obs.metrics.value("comm.timeouts", rank=1) == 1.0
+            assert obs.metrics.total("comm.timeouts") == 1.0
+
+    def test_inproc_platform_must_match_rank_count(self, tiny_platform):
+        with pytest.raises(ConfigurationError, match="4 ranks"):
+            run_inproc(3, lambda ctx: None, platform=tiny_platform)
 
 
 class TestVirtualClock:
@@ -276,7 +346,7 @@ class TestEngineTiming:
                 raise RuntimeError("bad rank")
 
         with pytest.raises(ReproError, match="rank 2"):
-            SimulationEngine(tiny_platform, deadlock_grace_s=0.05).run(program)
+            SimulationEngine(tiny_platform).run(program)
 
     def test_cost_model_scaling(self):
         plat = make_tiny_platform(cycle_times=(0.01, 0.01))

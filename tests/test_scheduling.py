@@ -204,4 +204,4 @@ class TestDynamicScheduling:
             return dynamic_master_worker(ctx, [1], lambda c, t: t, chunk_size=0)
 
         with pytest.raises(Exception):
-            run_inproc(2, program, deadlock_grace_s=0.05)
+            run_inproc(2, program)

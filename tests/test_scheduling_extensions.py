@@ -410,4 +410,4 @@ class TestSpeculativeScheduler:
             )
 
         with pytest.raises(Exception):
-            run_inproc(2, program, deadlock_grace_s=0.05)
+            run_inproc(2, program)
