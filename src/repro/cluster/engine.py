@@ -24,7 +24,6 @@ from repro.cluster.mailbox import OpDeadline, Router
 from repro.cluster.platform import HeterogeneousPlatform
 from repro.cluster.runtime import (
     BaseRankContext,
-    FaultPerturbation,
     attach_live,
     launch_ranks,
 )
@@ -214,7 +213,7 @@ class SimulationEngine:
         # repartition, so post-recovery spans extend the same timeline.
         self.core = TimingCore(
             platform, clock_start,
-            perturb=FaultPerturbation(faults) if faults is not None else None,
+            perturb=faults.perturb if faults is not None else None,
         )
         self.clocks = self.core.clocks
         self.ledgers = self.core.ledgers

@@ -37,6 +37,7 @@ __all__ = [
     "partially_homogeneous",
     "thunderhead",
     "all_networks",
+    "platform_by_name",
 ]
 
 #: Table 1 — specifications of the 16 heterogeneous workstations.
@@ -192,3 +193,13 @@ def all_networks() -> dict[str, HeterogeneousPlatform]:
         "partially heterogeneous": partially_heterogeneous(),
         "partially homogeneous": partially_homogeneous(),
     }
+
+
+def platform_by_name(name: str) -> HeterogeneousPlatform:
+    """The evaluation network of that name (the CLIs' ``--platform``)."""
+    platforms = all_networks()
+    if name not in platforms:
+        raise ConfigurationError(
+            f"unknown platform {name!r} (choose from {sorted(platforms)})"
+        )
+    return platforms[name]

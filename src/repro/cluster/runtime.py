@@ -35,24 +35,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.obs import ObsSession
     from repro.obs.live import LiveRuntime
 
-__all__ = ["FaultPerturbation", "BaseRankContext", "attach_live", "launch_ranks"]
-
-
-class FaultPerturbation:
-    """A fault injector seen through the timing core's perturbation
-    hook: RankSlowdown dilates compute, LinkDegrade scales a transfer's
-    capacity term only (the fixed per-message latency is unaffected)."""
-
-    def __init__(self, faults: "FaultInjector") -> None:
-        self._faults = faults
-
-    def compute_factor(self, rank: int, label: str, start: Seconds) -> float:
-        return self._faults.compute_factor(rank, start)
-
-    def transfer_factors(
-        self, src: int, dst: int, pair: tuple[str, str], start: Seconds
-    ) -> tuple[float, float]:
-        return self._faults.transfer_factor(src, dst, start), 1.0
+__all__ = ["BaseRankContext", "attach_live", "launch_ranks"]
 
 
 def attach_live(obs: "ObsSession | None") -> "LiveRuntime | None":
@@ -76,7 +59,9 @@ class BaseRankContext:
             (``None`` on a wall-clock run without a platform).
         obs: observability session shared by all ranks (``None`` = off).
         faults: fault injector interpreting the run's plan (``None`` =
-            off); duck-typed, so this module imports no repro.faults.
+            off); duck-typed, so this module imports no repro.faults:
+            the context calls ``before_op``/``on_send``, and the backend
+            hands ``faults.perturb`` to the timing core as its hook.
     """
 
     def __init__(

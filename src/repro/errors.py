@@ -28,6 +28,7 @@ __all__ = [
     "ConvergenceError",
     "ExperimentError",
     "EnviFormatError",
+    "require",
     "raise_root_cause",
 ]
 
@@ -187,6 +188,17 @@ class ExperimentError(ReproError):
 
 class EnviFormatError(ReproError, IOError):
     """An ENVI header/binary pair could not be parsed or round-tripped."""
+
+
+def require(
+    condition: bool,
+    message: str,
+    error: type[ReproError] = ConfigurationError,
+) -> None:
+    """Raise ``error(message)`` unless ``condition`` holds (the
+    validators' one-line guard)."""
+    if not condition:
+        raise error(message)
 
 
 def _is_secondary(exc: BaseException) -> bool:

@@ -3,10 +3,13 @@
 Layers, shared by both MPI backends:
 
 1. **Plans** (:mod:`repro.faults.plan`) — declarative, seed-free fault
-   schedules (:class:`RankCrash`, :class:`RankSlowdown`,
-   :class:`LinkDegrade`, :class:`MessageDelay`, :class:`MessageDrop`)
-   that serialize to JSON; the same plan file produces the same fault
-   sequence on the virtual-time engine and the wall-clock backend.
+   schedules (:class:`RankCrash`, :class:`MessageDelay`,
+   :class:`MessageDrop`, and the two timing faults
+   :class:`RankComputeScale` / :class:`LinkScale`, which are
+   :mod:`repro.cluster.perturb`'s what-if perturbations, spelled
+   ``rank_slowdown`` / ``link_degrade`` in a plan file) that serialize
+   to JSON; the same plan file produces the same fault sequence on the
+   virtual-time engine and the wall-clock backend.
 2. **Policies** (:mod:`repro.faults.policy`) — declarative
    :class:`RetryPolicy`/:class:`DeadlinePolicy` resilience settings,
    embeddable in a plan's ``policy`` block.
@@ -24,7 +27,8 @@ Layers, shared by both MPI backends:
 
 The interpreter tying plans to execution is
 :class:`~repro.faults.injector.FaultInjector`; both backends drive its
-hooks from the one rank context in :mod:`repro.cluster.runtime`.
+hooks from the one rank context in :mod:`repro.cluster.runtime` and
+price ops through its compiled ``perturb`` hook.
 The chaos-sweep harness (:mod:`repro.faults.sweep`) and the umbrella
 CLI (``python -m repro.faults``) sit on top.
 """
@@ -46,11 +50,11 @@ from repro.faults.detect import (
 from repro.faults.injector import FaultInjector, injector_for
 from repro.faults.plan import (
     FaultPlan,
-    LinkDegrade,
+    LinkScale,
     MessageDelay,
     MessageDrop,
+    RankComputeScale,
     RankCrash,
-    RankSlowdown,
     load_fault_plan,
 )
 from repro.faults.policy import (
@@ -71,8 +75,8 @@ __all__ = [
     # plans
     "FaultPlan",
     "RankCrash",
-    "RankSlowdown",
-    "LinkDegrade",
+    "RankComputeScale",
+    "LinkScale",
     "MessageDelay",
     "MessageDrop",
     "load_fault_plan",

@@ -1,17 +1,13 @@
-"""Umbrella CLI for the fault-tolerance toolbox.
-
-``python -m repro.faults`` lists the sub-tools; ``python -m repro.faults
-<tool> ...`` dispatches to the tool's own CLI with the remaining
-arguments, exactly as ``python -m repro.faults.<tool> ...`` would.
-Each sub-CLI module is imported only when dispatched to, so ``--help``
-stays instant and a broken tool cannot take down the others.
+"""Umbrella CLI for the fault-tolerance toolbox: ``python -m repro.faults``
+lists the tools in :data:`TOOLS`, ``python -m repro.faults <tool> ...``
+dispatches to one (:func:`repro.toolbox.run_toolbox`).
 """
 
 from __future__ import annotations
 
-import importlib
-import sys
 from typing import Sequence
+
+from repro.toolbox import run_toolbox
 
 __all__ = ["main", "TOOLS"]
 
@@ -32,34 +28,8 @@ TOOLS: dict[str, tuple[str, str]] = {
 }
 
 
-def _usage() -> str:
-    lines = [
-        "usage: python -m repro.faults <tool> [args...]",
-        "",
-        "fault-tolerance tools:",
-    ]
-    width = max(len(name) for name in TOOLS)
-    for name, (_module, description) in sorted(TOOLS.items()):
-        lines.append(f"  {name:<{width}}  {description}")
-    lines.append("")
-    lines.append(
-        "run `python -m repro.faults <tool> --help` for a tool's options"
-    )
-    return "\n".join(lines)
-
-
 def main(argv: Sequence[str] | None = None) -> int:
-    args = list(sys.argv[1:] if argv is None else argv)
-    if not args or args[0] in ("-h", "--help"):
-        print(_usage())
-        return 0
-    tool = args[0]
-    entry = TOOLS.get(tool)
-    if entry is None:
-        print(f"error: unknown tool {tool!r}\n\n{_usage()}", file=sys.stderr)
-        return 2
-    module = importlib.import_module(entry[0])
-    return int(module.main(args[1:]))
+    return run_toolbox("repro.faults", "fault-tolerance tools", TOOLS, argv)
 
 
 if __name__ == "__main__":

@@ -5,8 +5,10 @@ declarative :class:`~repro.faults.plan.FaultPlan` into concrete
 failures.  Both backends call its hooks from one place: the shared
 rank context (:class:`repro.cluster.runtime.BaseRankContext`) runs
 ``before_op``/``on_send`` ahead of every compute/send/recv, and the
-timing core asks ``compute_factor``/``transfer_factor`` through
-:class:`~repro.cluster.runtime.FaultPerturbation`.  The per-rank
+timing core prices every op through :attr:`FaultInjector.perturb` — the
+plan's timing faults compiled once per attempt into a
+:class:`~repro.cluster.perturb.PerturbationHook`, the same object a
+what-if replay builds from the same faults.  The per-rank
 *operation counters* (compute/send/recv, counted in program order) are
 therefore the same on both clocks, so ``at_op_index`` crash triggers
 fire at exactly the same operation; time-based triggers and windows
@@ -25,14 +27,20 @@ from __future__ import annotations
 import threading
 from typing import TYPE_CHECKING, Any, Sequence
 
+from repro.cluster.perturb import LinkScale, PerturbationHook, RankComputeScale
 from repro.errors import FaultPlanError, RankFailedError, TransientNetworkError
-from repro.faults.plan import FaultPlan
+from repro.faults.plan import FaultPlan, MessageDelay, MessageDrop
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.cluster.platform import HeterogeneousPlatform
     from repro.obs import ObsSession
 
 __all__ = ["FaultInjector"]
+
+#: A trace span needs a finite end, so a window open to the end of the
+#: run is drawn to here (what the canned plans spell "whole run");
+#: every reader of ``fault`` spans clamps them to the run.
+_OPEN_WINDOW_SPAN_END_S = 1e9
 
 
 class FaultInjector:
@@ -44,6 +52,12 @@ class FaultInjector:
     session.  All hooks are thread-safe and take times on the caller's
     clock (virtual seconds on the engine, nominal compute seconds on
     the wall-clock backend).
+
+    Attributes:
+        perturb: the timing core's perturbation hook for the current
+            attempt (slowdown and degrade windows under the attempt's
+            rank numbering); rebuilt by :meth:`attach` before the rank
+            threads start and read-only afterwards.
     """
 
     def __init__(self, plan: FaultPlan) -> None:
@@ -55,12 +69,12 @@ class FaultInjector:
         # Remaining drop/delay budget per plan index (None = unlimited).
         self._remaining: dict[int, int | None] = {}
         for i, fault in enumerate(plan):
-            if fault.kind in ("message_drop", "message_delay"):
+            if isinstance(fault, (MessageDrop, MessageDelay)):
                 self._remaining[i] = fault.count
-        self._platform: "HeterogeneousPlatform | None" = None
         self._obs: "ObsSession | None" = None
         self._rank_map: tuple[int, ...] | None = None
         self._windows_emitted = False
+        self.perturb = PerturbationHook(plan)
 
     # -- binding -------------------------------------------------------------
     def attach(
@@ -73,16 +87,16 @@ class FaultInjector:
         attempt.
 
         Args:
-            platform: platform of the upcoming run (segment names are
-                used to resolve :class:`LinkDegrade` faults).
+            platform: platform of the upcoming run (a first attempt
+                validates the plan's ranks against it).
             obs: observability session for fault spans/counters.
             rank_map: ``rank_map[current_rank] == original_rank``; omit
                 for the identity mapping of a first attempt.
         """
         with self._lock:
-            self._platform = platform
             self._obs = obs
             self._rank_map = tuple(rank_map) if rank_map is not None else None
+            self.perturb = PerturbationHook(self.plan, self._rank_map)
             if platform is not None and self._rank_map is None:
                 # The plan speaks original rank ids; validate it against
                 # the full platform on the first (identity) attach only.
@@ -103,17 +117,20 @@ class FaultInjector:
         """Record window faults as spans once, so traces show when the
         plan degrades which resource (category ``fault``)."""
         for fault in self.plan:
-            if fault.kind == "rank_slowdown":
-                obs.tracer.add_span(
-                    "fault.slowdown", fault.rank, fault.start_s, fault.end_s,
-                    category="fault", factor=float(fault.factor),
-                )
-            elif fault.kind == "link_degrade":
-                obs.tracer.add_span(
-                    "fault.link_degrade", 0, fault.start_s, fault.end_s,
-                    category="fault", factor=float(fault.factor),
-                    link="|".join(fault.pair),
-                )
+            if isinstance(fault, RankComputeScale):
+                name, rank, attrs = "fault.slowdown", fault.rank, {}
+            elif isinstance(fault, LinkScale):
+                name, rank = "fault.link_degrade", 0
+                attrs = {"link": "|".join(fault.pair)}
+            else:
+                continue
+            end_s = (
+                _OPEN_WINDOW_SPAN_END_S if fault.end_s is None else fault.end_s
+            )
+            obs.tracer.add_span(
+                name, rank, fault.start_s, end_s,
+                category="fault", factor=float(fault.factor), **attrs,
+            )
 
     # -- hooks (called by the shared rank context) ---------------------------
     def before_op(self, rank: int, op: str, now: float) -> None:
@@ -154,36 +171,6 @@ class FaultInjector:
                     injected=True,
                 )
 
-    def compute_factor(self, rank: int, start_s: float) -> float:
-        """Dilation factor for computation starting at ``start_s``."""
-        factor = 1.0
-        with self._lock:
-            orig = self._original(rank)
-            for slow in self.plan.of_kind("rank_slowdown"):
-                if slow.rank == orig and slow.start_s <= start_s < slow.end_s:
-                    factor *= slow.factor
-        return factor
-
-    def transfer_factor(self, src: int, dst: int, start_s: float) -> float:
-        """Capacity dilation for a transfer starting at ``start_s``.
-
-        Resolved against the *current* platform's segment names (they
-        are preserved across survivor subsets); scales only the
-        capacity term — latency is unaffected.
-        """
-        platform = self._platform
-        if platform is None:
-            return 1.0
-        network = platform.network
-        a, b = network.segment_of(src), network.segment_of(dst)
-        pair = (a, b) if a <= b else (b, a)
-        factor = 1.0
-        with self._lock:
-            for deg in self.plan.of_kind("link_degrade"):
-                if deg.pair == pair and deg.start_s <= start_s < deg.end_s:
-                    factor *= deg.factor
-        return factor
-
     def on_send(self, rank: int, dest: int, tag: int, now: float) -> float:
         """Apply drop/delay faults to one send attempt.
 
@@ -197,7 +184,7 @@ class FaultInjector:
             src = self._original(rank)
             dst = self._original(dest)
             for i, fault in enumerate(self.plan):
-                if fault.kind != "message_drop":
+                if not isinstance(fault, MessageDrop):
                     continue
                 remaining = self._remaining.get(i, 0)
                 if not remaining or not fault.matches(src, dst, tag):
@@ -217,7 +204,7 @@ class FaultInjector:
                 )
             delay = 0.0
             for i, fault in enumerate(self.plan):
-                if fault.kind != "message_delay":
+                if not isinstance(fault, MessageDelay):
                     continue
                 remaining = self._remaining.get(i)
                 if remaining == 0 or not fault.matches(src, dst, tag):

@@ -6,21 +6,29 @@ generator is involved, so the same plan file produces the same fault
 sequence on every run.  Both backends interpret a plan through the
 same hook sequence of the shared rank context:
 
-* :class:`RankCrash` — the rank raises
+* :class:`RankCrash` (``rank_crash``) — the rank raises
   :class:`~repro.errors.RankFailedError` at its ``at_op_index``-th
   operation (op counting is identical on both backends) or at the
   first operation at/after ``at_virtual_s`` on its clock;
-* :class:`RankSlowdown` — computation charged inside
-  ``[start_s, end_s)`` is dilated by ``factor`` (virtual-time engine;
-  the wall-clock backend meters the windows but does not stall);
-* :class:`LinkDegrade` — transfers crossing the named segment pair
-  have their *capacity* term scaled by ``factor`` inside the window
-  (message latency is unaffected);
-* :class:`MessageDelay` — matching sends stall ``delay_s`` before
-  entering the network;
-* :class:`MessageDrop` — the first ``count`` matching sends raise
-  :class:`~repro.errors.TransientNetworkError` (pair with
-  :func:`repro.faults.send_with_retry`).
+* ``rank_slowdown`` — a
+  :class:`~repro.cluster.perturb.RankComputeScale`: computation
+  charged inside ``[start_s, end_s)`` is dilated by ``factor``
+  (virtual-time engine; the wall-clock backend meters the windows but
+  does not stall);
+* ``link_degrade`` — a :class:`~repro.cluster.perturb.LinkScale`:
+  transfers crossing the named segment pair have their *capacity* term
+  scaled by ``factor`` inside the window (message latency is
+  unaffected);
+* :class:`MessageDelay` (``message_delay``) — matching sends stall
+  ``delay_s`` before entering the network;
+* :class:`MessageDrop` (``message_drop``) — the first ``count``
+  matching sends raise :class:`~repro.errors.TransientNetworkError`
+  (pair with :func:`repro.faults.send_with_retry`).
+
+The two timing faults are the what-if vocabulary's own classes, not
+copies: a plan that holds nothing else *is* a replayable perturbation
+sequence (:attr:`FaultPlan.timing_perturbations`), and a window with no
+``end_s`` runs to the end of the run.
 
 Plans serialize to/from JSON (``{"faults": [{"kind": ...}, ...]}``)
 via :func:`load_fault_plan` / :meth:`FaultPlan.to_json`.  A plan may
@@ -33,30 +41,31 @@ plan files simply omit (parsing is backward compatible).
 from __future__ import annotations
 
 import dataclasses
-import json
 import math
 import sys
 from pathlib import Path
-from typing import Any, Iterable, Mapping, Sequence
+from typing import Any, Mapping, Sequence
 
-from repro.errors import FaultPlanError
+from repro.cluster.perturb import (
+    LinkScale,
+    PlanDocument,
+    RankComputeScale,
+    TimingPerturbation,
+)
+from repro.errors import FaultPlanError, require
 from repro.faults.policy import ResiliencePolicy
+from repro.obs.export import read_json
 
 __all__ = [
     "RankCrash",
-    "RankSlowdown",
-    "LinkDegrade",
+    "RankComputeScale",
+    "LinkScale",
     "MessageDelay",
     "MessageDrop",
     "FaultPlan",
     "load_fault_plan",
     "main",
 ]
-
-
-def _require(condition: bool, message: str) -> None:
-    if not condition:
-        raise FaultPlanError(message)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -74,87 +83,29 @@ class RankCrash:
     at_virtual_s: float | None = None
     at_op_index: int | None = None
 
-    kind = "rank_crash"
-
     def validate(self) -> None:
-        _require(self.rank >= 0, f"rank_crash: rank must be >= 0, got {self.rank}")
+        require(
+            self.rank >= 0, f"rank must be >= 0, got {self.rank}", FaultPlanError
+        )
         has_time = self.at_virtual_s is not None
         has_op = self.at_op_index is not None
-        _require(
+        require(
             has_time != has_op,
-            "rank_crash: exactly one of at_virtual_s / at_op_index required",
+            "exactly one of at_virtual_s / at_op_index required",
+            FaultPlanError,
         )
         if has_time:
-            _require(
+            require(
                 math.isfinite(self.at_virtual_s) and self.at_virtual_s >= 0,
-                f"rank_crash: at_virtual_s must be finite and >= 0, "
-                f"got {self.at_virtual_s}",
+                f"at_virtual_s must be finite and >= 0, got {self.at_virtual_s}",
+                FaultPlanError,
             )
         if has_op:
-            _require(
+            require(
                 self.at_op_index >= 1,
-                f"rank_crash: at_op_index must be >= 1, got {self.at_op_index}",
+                f"at_op_index must be >= 1, got {self.at_op_index}",
+                FaultPlanError,
             )
-
-
-@dataclasses.dataclass(frozen=True)
-class RankSlowdown:
-    """Dilate one rank's computation by ``factor`` inside a window."""
-
-    rank: int
-    factor: float
-    start_s: float = 0.0
-    end_s: float = 0.0
-
-    kind = "rank_slowdown"
-
-    def validate(self) -> None:
-        _require(self.rank >= 0, f"rank_slowdown: rank must be >= 0, got {self.rank}")
-        _require(
-            math.isfinite(self.factor) and self.factor > 0,
-            f"rank_slowdown: factor must be positive, got {self.factor}",
-        )
-        _require(
-            math.isfinite(self.start_s) and math.isfinite(self.end_s)
-            and 0 <= self.start_s < self.end_s,
-            f"rank_slowdown: need a finite window 0 <= start_s < end_s, "
-            f"got [{self.start_s}, {self.end_s})",
-        )
-
-
-@dataclasses.dataclass(frozen=True)
-class LinkDegrade:
-    """Scale the capacity term of a serial segment pair (or a switched
-    segment's internal medium when ``segment_a == segment_b``)."""
-
-    segment_a: str
-    segment_b: str
-    factor: float
-    start_s: float = 0.0
-    end_s: float = 0.0
-
-    kind = "link_degrade"
-
-    def validate(self) -> None:
-        _require(
-            bool(self.segment_a) and bool(self.segment_b),
-            "link_degrade: both segment names are required",
-        )
-        _require(
-            math.isfinite(self.factor) and self.factor > 0,
-            f"link_degrade: factor must be positive, got {self.factor}",
-        )
-        _require(
-            math.isfinite(self.start_s) and math.isfinite(self.end_s)
-            and 0 <= self.start_s < self.end_s,
-            f"link_degrade: need a finite window 0 <= start_s < end_s, "
-            f"got [{self.start_s}, {self.end_s})",
-        )
-
-    @property
-    def pair(self) -> tuple[str, str]:
-        a, b = self.segment_a, self.segment_b
-        return (a, b) if a <= b else (b, a)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -173,16 +124,16 @@ class MessageDelay:
     tag: int | None = None
     count: int | None = None
 
-    kind = "message_delay"
-
     def validate(self) -> None:
-        _require(
+        require(
             math.isfinite(self.delay_s) and self.delay_s > 0,
-            f"message_delay: delay_s must be positive, got {self.delay_s}",
+            f"delay_s must be positive, got {self.delay_s}",
+            FaultPlanError,
         )
-        _require(
+        require(
             self.count is None or self.count >= 1,
-            f"message_delay: count must be >= 1 or None, got {self.count}",
+            f"count must be >= 1 or None, got {self.count}",
+            FaultPlanError,
         )
 
     def matches(self, src: int, dst: int, tag: int) -> bool:
@@ -206,11 +157,10 @@ class MessageDrop:
     tag: int | None = None
     count: int = 1
 
-    kind = "message_drop"
-
     def validate(self) -> None:
-        _require(
-            self.count >= 1, f"message_drop: count must be >= 1, got {self.count}"
+        require(
+            self.count >= 1, f"count must be >= 1, got {self.count}",
+            FaultPlanError,
         )
 
     def matches(self, src: int, dst: int, tag: int) -> bool:
@@ -221,16 +171,11 @@ class MessageDrop:
         )
 
 
-_FAULT_KINDS = {
-    cls.kind: cls
-    for cls in (RankCrash, RankSlowdown, LinkDegrade, MessageDelay, MessageDrop)
-}
-
-Fault = RankCrash | RankSlowdown | LinkDegrade | MessageDelay | MessageDrop
+Fault = RankCrash | RankComputeScale | LinkScale | MessageDelay | MessageDrop
 
 
 @dataclasses.dataclass(frozen=True)
-class FaultPlan:
+class FaultPlan(PlanDocument):
     """An immutable, validated, ordered set of fault specifications.
 
     ``policy`` optionally attaches the resilience policy (retry +
@@ -242,23 +187,25 @@ class FaultPlan:
     name: str = ""
     policy: ResiliencePolicy | None = None
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "faults", tuple(self.faults))
-        for fault in self.faults:
-            if type(fault) not in _FAULT_KINDS.values():
-                raise FaultPlanError(
-                    f"unknown fault object {fault!r} in plan {self.name!r}"
-                )
-            fault.validate()
+    ITEMS = "faults"
+    KINDS = {
+        "rank_crash": RankCrash,
+        "rank_slowdown": RankComputeScale,
+        "link_degrade": LinkScale,
+        "message_delay": MessageDelay,
+        "message_drop": MessageDrop,
+    }
+    ERROR = FaultPlanError
 
-    def __iter__(self) -> Iterable[Fault]:
-        return iter(self.faults)
-
-    def __len__(self) -> int:
-        return len(self.faults)
-
-    def of_kind(self, kind: str) -> tuple[Fault, ...]:
-        return tuple(f for f in self.faults if f.kind == kind)
+    @property
+    def timing_perturbations(self) -> tuple[TimingPerturbation, ...] | None:
+        """The plan as a what-if replay takes it: its faults, when every
+        one is a timing perturbation; ``None`` when it also crashes,
+        delays or drops (those re-order the program, they do not
+        re-price it, so a replay cannot model them)."""
+        if all(isinstance(f, TimingPerturbation) for f in self.faults):
+            return self.faults
+        return None
 
     @property
     def max_rank(self) -> int:
@@ -285,79 +232,26 @@ class FaultPlan:
                     f"{master_rank} — unrecoverable by design"
                 )
 
-    # -- serialization -------------------------------------------------------
     def to_dict(self) -> dict[str, Any]:
-        out: dict[str, Any] = {"faults": []}
-        if self.name:
-            out["name"] = self.name
+        out = super().to_dict()
         if self.policy is not None:
             out["policy"] = self.policy.to_dict()
-        for fault in self.faults:
-            entry = {"kind": fault.kind}
-            for field in dataclasses.fields(fault):
-                value = getattr(fault, field.name)
-                if value is not None:
-                    entry[field.name] = value
-            out["faults"].append(entry)
-        return out
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2, sort_keys=True) + "\n"
-
-    def write_json(self, path: str | Path) -> Path:
-        out = Path(path)
-        out.parent.mkdir(parents=True, exist_ok=True)
-        out.write_text(self.to_json(), encoding="utf-8")
         return out
 
     @classmethod
     def from_dict(cls, doc: Mapping[str, Any]) -> "FaultPlan":
-        if not isinstance(doc, Mapping) or "faults" not in doc:
-            raise FaultPlanError('fault plan document needs a "faults" list')
-        faults = []
-        for i, entry in enumerate(doc["faults"]):
-            if not isinstance(entry, Mapping) or "kind" not in entry:
-                raise FaultPlanError(f'fault #{i} needs a "kind" field')
-            kind = entry["kind"]
-            fault_cls = _FAULT_KINDS.get(kind)
-            if fault_cls is None:
-                raise FaultPlanError(
-                    f"fault #{i}: unknown kind {kind!r} "
-                    f"(expected one of {sorted(_FAULT_KINDS)})"
-                )
-            fields = {f.name for f in dataclasses.fields(fault_cls)}
-            kwargs = {k: v for k, v in entry.items() if k != "kind"}
-            unknown = set(kwargs) - fields
-            if unknown:
-                raise FaultPlanError(
-                    f"fault #{i} ({kind}): unknown fields {sorted(unknown)}"
-                )
-            try:
-                faults.append(fault_cls(**kwargs))
-            except TypeError as exc:
-                raise FaultPlanError(f"fault #{i} ({kind}): {exc}") from exc
+        faults = cls.items_from_dict(doc)
         policy = None
         if doc.get("policy") is not None:
             policy = ResiliencePolicy.from_dict(doc["policy"])
-        return cls(
-            faults=tuple(faults),
-            name=str(doc.get("name", "")),
-            policy=policy,
-        )
+        return cls(faults, name=str(doc.get("name", "")), policy=policy)
 
 
 def load_fault_plan(path: str | Path) -> FaultPlan:
     """Read and validate a JSON fault plan file."""
-    source = Path(path)
-    try:
-        doc = json.loads(source.read_text(encoding="utf-8"))
-    except OSError as exc:
-        raise FaultPlanError(f"cannot read fault plan {source}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise FaultPlanError(f"fault plan {source} is not valid JSON: {exc}") from exc
-    plan = FaultPlan.from_dict(doc)
+    plan = FaultPlan.from_dict(read_json(path, "fault plan", FaultPlanError))
     if not plan.name:
-        plan = dataclasses.replace(plan, name=source.stem)
+        plan = dataclasses.replace(plan, name=Path(path).stem)
     return plan
 
 
@@ -370,7 +264,7 @@ def describe_plan(plan: FaultPlan) -> str:
             for f in dataclasses.fields(fault)
             if getattr(fault, f.name) is not None
         )
-        lines.append(f"  {fault.kind}: {fields}")
+        lines.append(f"  {plan.kind_of(fault)}: {fields}")
     if plan.policy is not None:
         from repro.faults.policy import describe_policy
 

@@ -28,6 +28,7 @@ from pathlib import Path
 from typing import Any, Mapping, Sequence
 
 from repro.errors import ConfigurationError, FaultPlanError
+from repro.obs.export import read_json
 
 __all__ = [
     "RetryPolicy",
@@ -198,18 +199,11 @@ def deadline_of(
 
 def load_policy(path: str | Path) -> ResiliencePolicy:
     """Read and validate a JSON resilience policy file."""
-    source = Path(path)
-    try:
-        doc = json.loads(source.read_text(encoding="utf-8"))
-    except OSError as exc:
-        raise FaultPlanError(f"cannot read policy {source}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise FaultPlanError(
-            f"policy {source} is not valid JSON: {exc}"
-        ) from exc
-    policy = ResiliencePolicy.from_dict(doc)
+    policy = ResiliencePolicy.from_dict(
+        read_json(path, "policy", FaultPlanError)
+    )
     if not policy.name:
-        policy = dataclasses.replace(policy, name=source.stem)
+        policy = dataclasses.replace(policy, name=Path(path).stem)
     return policy
 
 

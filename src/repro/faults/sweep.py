@@ -9,10 +9,11 @@ product in a fixed order and, per cell:
 1. builds the cell's :class:`~repro.faults.plan.FaultPlan` and runs
    the fault-tolerant driver **with** adaptive repartitioning;
 2. on the sim backend, also runs the same plan **without** adaptation
-   and replays the cell's *what-if twin* (``rank_slowdown`` →
-   ``rank_compute_scale``, ``link_degrade`` → ``link_scale``) over a
-   clean traced baseline — the model-side prediction of the no-adapt
-   perturbed makespan (crashes and delays have no twin);
+   and replays the cell's own plan — its slowdown and degrade windows
+   are the what-if vocabulary's timing perturbations — over a clean
+   traced baseline: the model-side prediction of the no-adapt
+   perturbed makespan (a cell that also crashes or delays is not
+   replayable and gets no prediction);
 3. checks the detection output byte-identically against the
    sequential reference.
 
@@ -33,7 +34,6 @@ makespans only, no wall-clock values — so a serial sweep and a
 from __future__ import annotations
 
 import itertools
-import json
 import sys
 from pathlib import Path
 from typing import Any, Mapping, Sequence
@@ -47,13 +47,13 @@ from repro.errors import FaultPlanError
 from repro.faults.adaptive import AdaptiveConfig
 from repro.faults.plan import (
     FaultPlan,
-    LinkDegrade,
+    LinkScale,
     MessageDelay,
+    RankComputeScale,
     RankCrash,
-    RankSlowdown,
 )
 from repro.faults.policy import ResiliencePolicy
-from repro.obs.export import write_json
+from repro.obs.export import read_json, write_json
 from repro.perf.fanout import ordered_map
 
 __all__ = [
@@ -63,7 +63,6 @@ __all__ = [
     "load_sweep_grid",
     "enumerate_cells",
     "plan_of_cell",
-    "whatif_twin",
     "run_sweep",
     "write_sweep",
     "sweep_gate",
@@ -81,24 +80,13 @@ AXES: tuple[str, ...] = ("crash", "slowdown", "link_degrade", "delay")
 #: Detector algorithms the adaptive driver supports.
 _ALGORITHMS = ("atdca", "ufcls")
 
-#: ``end_s`` values at/above this are treated as "whole run" and map to
-#: an unbounded what-if window.
-_OPEN_END_S = 1e8
-
 
 # -- grid loading -------------------------------------------------------------
 
 def load_sweep_grid(path: str | Path) -> dict[str, Any]:
     """Read + validate a sweep grid file."""
-    p = Path(path)
-    try:
-        doc = json.loads(p.read_text(encoding="utf-8"))
-    except OSError as exc:
-        raise FaultPlanError(f"cannot read sweep grid {p}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise FaultPlanError(f"sweep grid {p} is not valid JSON: {exc}") from exc
-    doc = validate_grid(doc)
-    doc.setdefault("name", p.stem)
+    doc = validate_grid(read_json(path, "sweep grid", FaultPlanError))
+    doc.setdefault("name", Path(path).stem)
     return doc
 
 
@@ -198,14 +186,14 @@ def plan_of_cell(
     opt = cell.get("slowdown")
     if opt:
         start_s, end_s = _window(opt)
-        faults.append(RankSlowdown(
+        faults.append(RankComputeScale(
             rank=int(opt["rank"]), factor=float(opt["factor"]),
             start_s=start_s, end_s=end_s,
         ))
     opt = cell.get("link_degrade")
     if opt:
         start_s, end_s = _window(opt)
-        faults.append(LinkDegrade(
+        faults.append(LinkScale(
             segment_a=str(opt["segment_a"]), segment_b=str(opt["segment_b"]),
             factor=float(opt["factor"]), start_s=start_s, end_s=end_s,
         ))
@@ -230,35 +218,6 @@ def _cell_label(cell: Mapping[str, Any]) -> str:
         opt = cell.get(axis)
         parts.append(f"{axis}=off" if not opt else f"{axis}=on")
     return "/".join(parts)
-
-
-def whatif_twin(plan: FaultPlan | None) -> "Any | None":
-    """The plan's what-if twin, or ``None`` when it has no faithful
-    model (crashes, delays and drops are not replayable timing
-    perturbations)."""
-    if plan is None:
-        from repro.obs.whatif import WhatIfPlan
-
-        return WhatIfPlan(())
-    from repro.obs.whatif import LinkScale, RankComputeScale, WhatIfPlan
-
-    perturbations: list[Any] = []
-    for fault in plan:
-        if fault.kind == "rank_slowdown":
-            perturbations.append(RankComputeScale(
-                rank=fault.rank, factor=fault.factor,
-                start_s=fault.start_s,
-                end_s=None if fault.end_s >= _OPEN_END_S else fault.end_s,
-            ))
-        elif fault.kind == "link_degrade":
-            perturbations.append(LinkScale(
-                segment_a=fault.segment_a, segment_b=fault.segment_b,
-                factor=fault.factor, start_s=fault.start_s,
-                end_s=None if fault.end_s >= _OPEN_END_S else fault.end_s,
-            ))
-        else:
-            return None
-    return WhatIfPlan(tuple(perturbations))
 
 
 # -- execution ---------------------------------------------------------------
@@ -389,10 +348,11 @@ def run_cell(state: Mapping[str, Any], cell: Mapping[str, Any]) -> dict[str, Any
     if crashy:
         return record
     record["makespan_noadapt"] = noadapt.makespan
-    twin = whatif_twin(plan)
-    if twin is not None:
+    perturbations = () if plan is None else plan.timing_perturbations
+    if perturbations is not None:
         predicted = replay(
-            state["baselines"][algorithm], state["platform"], plan=twin
+            state["baselines"][algorithm], state["platform"],
+            plan=perturbations,
         ).makespan
         record["predicted_noadapt"] = predicted
         record["prediction_rel_error"] = (
@@ -450,8 +410,8 @@ def sweep_gate(
     Returns the list of violations (empty = gate passes):
 
     * every cell ran and matched the sequential reference;
-    * cells with a what-if twin: the no-adapt makespan agrees with the
-      prediction within ``max_prediction_rel_error``;
+    * replayable cells (timing faults only): the no-adapt makespan
+      agrees with the prediction within ``max_prediction_rel_error``;
     * adapted slowdown cells (no crash): the adaptive makespan is at
       most ``max_adaptive_over_predicted`` × the predicted no-adapt
       makespan — the committed recovery-beats-model factor;
@@ -568,6 +528,16 @@ def main(argv: Sequence[str] | None = None) -> int:
         return 1
 
 
+def _gate(result: Mapping[str, Any], thresholds_path: str) -> int:
+    violations = sweep_gate(
+        result, read_json(thresholds_path, "gate thresholds", FaultPlanError)
+    )
+    for violation in violations:
+        print(f"GATE: {violation}", file=sys.stderr)
+    print("gate: " + ("FAIL" if violations else "PASS"))
+    return 1 if violations else 0
+
+
 def _dispatch(args: Any) -> int:
     if args.command == "cells":
         doc = load_sweep_grid(args.grid)
@@ -575,15 +545,10 @@ def _dispatch(args: Any) -> int:
             print(_cell_label(cell))
         return 0
     if args.command == "gate":
-        result = json.loads(Path(args.result).read_text(encoding="utf-8"))
-        thresholds = json.loads(
-            Path(args.thresholds).read_text(encoding="utf-8")
+        return _gate(
+            read_json(args.result, "sweep result", FaultPlanError),
+            args.thresholds,
         )
-        violations = sweep_gate(result, thresholds)
-        for violation in violations:
-            print(f"GATE: {violation}", file=sys.stderr)
-        print("gate: " + ("FAIL" if violations else "PASS"))
-        return 1 if violations else 0
     doc = load_sweep_grid(args.grid)
     result = run_sweep(doc, jobs=args.jobs)
     print(sweep_table(result))
@@ -591,12 +556,7 @@ def _dispatch(args: Any) -> int:
         path = write_sweep(result, args.out)
         print(f"wrote {path}")
     if args.gate:
-        thresholds = json.loads(Path(args.gate).read_text(encoding="utf-8"))
-        violations = sweep_gate(result, thresholds)
-        for violation in violations:
-            print(f"GATE: {violation}", file=sys.stderr)
-        print("gate: " + ("FAIL" if violations else "PASS"))
-        return 1 if violations else 0
+        return _gate(result, args.gate)
     return 0
 
 

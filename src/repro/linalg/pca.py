@@ -91,6 +91,11 @@ def pct_transform(
     cov = np.asarray(covariance, dtype=float)
     if cov.ndim != 2 or cov.shape[0] != cov.shape[1]:
         raise ShapeError(f"covariance must be square, got {cov.shape}")
+    if not np.isfinite(cov).all():
+        raise DataError(
+            "covariance matrix has non-finite entries "
+            "(NaN or infinite pixel values in the input)"
+        )
     if not np.allclose(cov, cov.T, atol=1e-8 * max(1.0, float(np.abs(cov).max()))):
         raise DataError("covariance matrix is not symmetric")
     eigvals, eigvecs = np.linalg.eigh(cov)

@@ -21,7 +21,6 @@ from repro.cluster.mailbox import OpDeadline, Router, payload_wire_megabits
 from repro.cluster.platform import HeterogeneousPlatform
 from repro.cluster.runtime import (
     BaseRankContext,
-    FaultPerturbation,
     attach_live,
     launch_ranks,
 )
@@ -139,7 +138,7 @@ def run_inproc(
             )
         core = TimingCore(
             platform,
-            perturb=FaultPerturbation(faults) if faults is not None else None,
+            perturb=faults.perturb if faults is not None else None,
         )
     attach_live(obs)
     router = Router(n_ranks)

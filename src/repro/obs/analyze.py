@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import dataclasses
 from pathlib import Path
-from typing import TYPE_CHECKING, Any, Mapping, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Mapping, Sequence
 
 from repro.obs.dag import (
     ACTIVITY_CATEGORIES,
@@ -46,6 +46,7 @@ __all__ = [
     "critical_path",
     "blocked_time",
     "fault_windows",
+    "original_rank_lookup",
     "link_utilization",
     "wea_attribution",
     "analyze_trace",
@@ -118,6 +119,42 @@ def fault_windows(source: Any) -> tuple[FaultWindow, ...]:
         )
     windows.sort(key=lambda w: (w.start, w.end, w.kind, w.rank or -1))
     return tuple(windows)
+
+
+def original_rank_lookup(source: Any) -> Callable[[int, float], int]:
+    """``lookup(rank, t)``: the original platform rank behind the dense
+    ``rank`` of a span starting at ``t``.
+
+    Each ``recovery.repartition`` seam records the survivor subset the
+    next attempt ran on (``ranks``: dense rank ``i`` is original rank
+    ``ordered[i]``), in force for spans starting at or after the seam's
+    end; before any seam the lookup is the identity.  Seams without the
+    attribute (pre-PR-4 traces) are skipped — those traces keep their
+    dense numbering.
+    """
+    segments: list[tuple[float, tuple[int, ...]]] = []
+    for span in spans_of(source):
+        if span.category != "fault" or span.name != "recovery.repartition":
+            continue
+        ranks_attr = span.attrs.get("ranks")
+        if ranks_attr:
+            segments.append(
+                (span.end, tuple(int(r) for r in str(ranks_attr).split(",")))
+            )
+    segments.sort(key=lambda seg: seg[0])
+
+    def lookup(rank: int, t: float) -> int:
+        mapping = None
+        for from_time, ordered in segments:
+            if t >= from_time:
+                mapping = ordered
+            else:
+                break
+        if mapping is not None and rank < len(mapping):
+            return mapping[rank]
+        return rank
+
+    return lookup
 
 
 def _is_degraded(

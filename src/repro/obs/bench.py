@@ -977,20 +977,7 @@ def main(argv: Sequence[str] | None = None) -> int:
                             "the responsible ops and dominant rank")
     p_rep = sub.add_parser("report", help="print one artifact as a table")
     p_rep.add_argument("artifact")
-    p_sweep = sub.add_parser(
-        "sweep",
-        help="chaos-sweep a fault grid through adaptive recovery "
-             "(delegates to `python -m repro.faults sweep`)",
-    )
-    p_sweep.add_argument("sweep_args", nargs=argparse.REMAINDER,
-                         help="arguments for repro.faults.sweep "
-                              "(e.g. run GRID --gate THRESHOLDS)")
     args = parser.parse_args(argv)
-
-    if args.command == "sweep":
-        from repro.faults.sweep import main as sweep_main
-
-        return sweep_main(args.sweep_args)
 
     if args.command == "run":
         config = _build_config(args)

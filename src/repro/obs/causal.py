@@ -27,16 +27,14 @@ from repro.errors import ConfigurationError
 from repro.obs.dag import build_dag, node_slack
 from repro.obs.export import canonical_json
 from repro.obs.provenance import provenance
-from repro.obs.whatif import (
+from repro.cluster.perturb import (
     LatencyScale,
     LinkScale,
     OpClassScale,
     RankComputeScale,
-    ReplayOp,
-    WhatIfPlan,
-    replay,
-    replay_ops_from_trace,
+    TimingPerturbation,
 )
+from repro.obs.whatif import ReplayOp, replay, replay_ops_from_trace
 from repro.perf.fanout import ordered_map
 
 __all__ = [
@@ -77,25 +75,22 @@ class CausalEntry:
         }
 
 
-def _subject_plan(subject: str, factor: float) -> WhatIfPlan:
-    """The one-perturbation plan that speeds ``subject`` up."""
+def _subject_perturbation(subject: str, factor: float) -> TimingPerturbation:
+    """The perturbation that speeds ``subject`` up."""
     kind, _, detail = subject.partition(":")
     if kind == "rank":
-        pert: Any = RankComputeScale(rank=int(detail), factor=factor)
-    elif kind == "op":
-        pert = OpClassScale(op=detail, factor=factor)
-    elif kind == "link":
+        return RankComputeScale(rank=int(detail), factor=factor)
+    if kind == "op":
+        return OpClassScale(op=detail, factor=factor)
+    if kind == "link":
         if detail.startswith("intra:"):
             seg = detail.split(":", 1)[1]
-            pert = LinkScale(segment_a=seg, segment_b=seg, factor=factor)
-        else:
-            a, _, b = detail.partition("|")
-            pert = LinkScale(segment_a=a, segment_b=b, factor=factor)
-    elif subject == "latency":
-        pert = LatencyScale(factor=factor)
-    else:
-        raise ConfigurationError(f"unknown causal subject {subject!r}")
-    return WhatIfPlan((pert,), name=f"speedup:{subject}")
+            return LinkScale(segment_a=seg, segment_b=seg, factor=factor)
+        a, _, b = detail.partition("|")
+        return LinkScale(segment_a=a, segment_b=b, factor=factor)
+    if subject == "latency":
+        return LatencyScale(factor=factor)
+    raise ConfigurationError(f"unknown causal subject {subject!r}")
 
 
 def _subject_gain(
@@ -106,7 +101,7 @@ def _subject_gain(
     factor: float,
     subject: str,
 ) -> float:
-    plan = _subject_plan(subject, factor)
+    plan = (_subject_perturbation(subject, factor),)
     makespan = replay(ops, platform, plan=plan, scales=scales).makespan
     if baseline_makespan <= 0:
         return 0.0

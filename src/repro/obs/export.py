@@ -33,6 +33,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 __all__ = [
     "canonical_json",
     "write_json",
+    "read_json",
     "spans_of",
     "chrome_trace",
     "write_chrome_trace",
@@ -76,6 +77,19 @@ def write_json(path: str | Path, doc: Any) -> Path:
     out.parent.mkdir(parents=True, exist_ok=True)
     out.write_text(canonical_json(doc), encoding="utf-8")
     return out
+
+
+def read_json(path: str | Path, what: str, error: type[Exception]) -> Any:
+    """Parse the JSON file at ``path``; an unreadable or malformed file
+    raises ``error`` with a message naming ``what`` (``"fault plan"``,
+    ``"policy"``, ...) and the path."""
+    source = Path(path)
+    try:
+        return json.loads(source.read_text(encoding="utf-8"))
+    except OSError as exc:
+        raise error(f"cannot read {what} {source}: {exc}") from exc
+    except json.JSONDecodeError as exc:
+        raise error(f"{what} {source} is not valid JSON: {exc}") from exc
 
 
 def spans_of(source: Any) -> list[Span]:

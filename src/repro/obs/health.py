@@ -19,7 +19,7 @@ EWMA trajectory — and hence the op index at which a rank is flagged —
 is a pure function of the per-op factor sequence.  The virtual-time
 engine feeds real charged durations and the wall-clock backend feeds
 nominal (analytic) durations through the same code path, so an injected
-``RankSlowdown`` plan flags the same rank at the same op index on both
+``rank_slowdown`` plan flags the same rank at the same op index on both
 backends.  This is the detection half of the ROADMAP's
 performance-adaptive repartitioning seam.
 """

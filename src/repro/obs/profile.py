@@ -44,8 +44,9 @@ from pathlib import Path
 from typing import Any, Mapping, Sequence
 
 from repro.cluster.platform import HeterogeneousPlatform
+from repro.cluster.presets import platform_by_name
 from repro.errors import ConfigurationError
-from repro.obs.analyze import _enclosing_op
+from repro.obs.analyze import _enclosing_op, original_rank_lookup
 from repro.obs.dag import build_dag
 from repro.obs.export import canonical_json, spans_of, write_json
 
@@ -326,25 +327,10 @@ def profile_trace(
         ConfigurationError: if the trace carries no kernel spans or
             transfers — nothing to calibrate against.
     """
-    from repro.viz.timeline import _recovery_segments
-
     spans = spans_of(source)
     wrappers = [s for s in spans if s.category == "phase"]
     network = platform.network
-    segments = _recovery_segments(spans)
-
-    def original_rank(rank: int, t: float) -> int:
-        """Post-recovery dense rank → original platform rank (the seam
-        spans carry the mapping; identity before any seam)."""
-        mapping = None
-        for from_time, ordered in segments:
-            if t >= from_time:
-                mapping = ordered
-            else:
-                break
-        if mapping is not None and rank < len(mapping):
-            return mapping[rank]
-        return rank
+    original_rank = original_rank_lookup(spans)
 
     samples: list[OpSample] = []
     for span in spans:
@@ -445,22 +431,11 @@ def calibration_gate(
 
 
 # -- CLI ---------------------------------------------------------------------
-def _platform_by_name(name: str) -> HeterogeneousPlatform:
-    from repro.cluster.presets import all_networks
-
-    platforms = all_networks()
-    if name not in platforms:
-        raise ConfigurationError(
-            f"unknown platform {name!r} (choose from {sorted(platforms)})"
-        )
-    return platforms[name]
-
-
 def _cmd_analyze(args: argparse.Namespace) -> int:
     from repro.obs.export import read_jsonl
 
     loaded = read_jsonl(args.trace)
-    report = profile_trace(loaded.spans, _platform_by_name(args.platform))
+    report = profile_trace(loaded.spans, platform_by_name(args.platform))
     if args.json:
         write_json(args.json, report.to_dict())
     print(report.to_text())

@@ -37,7 +37,6 @@ from repro.obs.analyze import TraceAnalysis
 from repro.obs.export import canonical_json, spans_of
 from repro.obs.profile import CalibrationReport
 from repro.obs.trace import Span
-from repro.viz.timeline import _recovery_segments
 
 __all__ = ["render_report", "write_report"]
 
@@ -196,20 +195,12 @@ def _time_axis(t_max: float, x0: int, y: int, height: int) -> list[str]:
 def _gantt_svg(spans: Sequence[Span]) -> str:
     """SVG gantt with recovery lane remapping, fault shading, and the
     critical path outlined on top."""
-    from repro.obs.analyze import critical_path
+    from repro.obs.analyze import critical_path, original_rank_lookup
 
-    segments = _recovery_segments(spans)
+    original_rank = original_rank_lookup(spans)
 
     def lane_of(span: Span) -> int:
-        mapping = None
-        for from_time, ordered in segments:
-            if span.start >= from_time:
-                mapping = ordered
-            else:
-                break
-        if mapping is not None and span.rank < len(mapping):
-            return mapping[span.rank]
-        return span.rank
+        return original_rank(span.rank, span.start)
 
     work = [s for s in spans if s.category != "fault"]
     if not work:
@@ -290,22 +281,11 @@ def _gantt_svg(spans: Sequence[Span]) -> str:
         steps = critical_path(spans).steps
     except ConfigurationError:
         steps = ()
-    def lane_at(rank: int, t: float) -> int:
-        mapping = None
-        for from_time, ordered in segments:
-            if t >= from_time:
-                mapping = ordered
-            else:
-                break
-        if mapping is not None and rank < len(mapping):
-            return mapping[rank]
-        return rank
-
     for step in steps:
         x = x_of(max(step.start, t0))
         w = max(x_of(min(step.end, t0 + t_max)) - x, 1.0)
         for rank in step.ranks:
-            lane = lane_at(rank, step.start)
+            lane = original_rank(rank, step.start)
             y = _MARGIN_T + lane * _LANE_H + (_LANE_H - _BAR_H) / 2 - 1.5
             parts.append(
                 f'<rect class="cp" x="{x:.2f}" y="{y:.1f}" '

@@ -17,16 +17,21 @@ The recorded global span order
 per-rank starts strictly increase).
 
 On top of that replay sit declarative perturbations
-(:class:`WhatIfPlan`): per-rank and per-op-class compute scaling, link
-capacity/latency edits, accelerator tier upgrades, and worker
-add/remove with WEA re-partitioning (the structural cases regenerate
-the op program analytically via
+(:class:`WhatIfPlan`): the four timing perturbations of
+:mod:`repro.cluster.perturb` (per-rank and per-op-class compute
+scaling, link capacity and latency edits — spelled
+``rank_compute_scale`` / ``op_class_scale`` / ``link_scale`` /
+``latency_scale`` in a what-if file), accelerator tier upgrades, and
+worker add/remove with WEA re-partitioning (the structural cases
+regenerate the op program analytically via
 :func:`repro.experiments.model.emit_op_program` from the trace's
-``run.meta`` descriptor).  Every perturbation that is also expressible
-as a fault plan or an edited platform table is *self-validating*: the
-replayed prediction must match an actual sim-engine run to 1e-9
-relative (``python -m repro.obs.whatif validate`` gates exactly that in
-CI).
+``run.meta`` descriptor).  A fault plan's slowdown and degrade windows
+are the same timing-perturbation objects, so :func:`replay` takes them
+as they stand, and every perturbation that is also runnable on the
+engine (under a fault plan or an edited platform table) is
+*self-validating*: the replayed prediction must match an actual
+sim-engine run to 1e-9 relative (``python -m repro.obs.whatif
+validate`` gates exactly that in CI, with one object on both sides).
 """
 
 from __future__ import annotations
@@ -37,15 +42,26 @@ import json
 import math
 import sys
 from pathlib import Path
-from typing import Any, Iterable, Mapping, Sequence
+from typing import Any, Mapping, Sequence
 
 from repro.cluster.accelerator import AcceleratorSpec
 from repro.cluster.costs import CostModel
-from repro.cluster.perturb import extend_platform, upgrade_ranks
+from repro.cluster.perturb import (
+    LatencyScale,
+    LinkScale,
+    OpClassScale,
+    PerturbationHook,
+    PlanDocument,
+    RankComputeScale,
+    TimingPerturbation,
+    extend_platform,
+    upgrade_ranks,
+)
 from repro.cluster.platform import HeterogeneousPlatform
+from repro.cluster.presets import platform_by_name
 from repro.cluster.simtime import Op as ReplayOp, TimingCore
-from repro.errors import ConfigurationError, WhatIfPlanError
-from repro.obs.export import spans_of, write_json
+from repro.errors import ConfigurationError, WhatIfPlanError, require
+from repro.obs.export import read_json, spans_of, write_json
 from repro.obs.provenance import provenance
 from repro.perf.fanout import ordered_map
 
@@ -81,123 +97,6 @@ VALIDATE_SCHEMA = "repro.obs.whatif.validate/1"
 DEFAULT_REL_TOLERANCE = 1e-9
 
 
-def _require(condition: bool, message: str) -> None:
-    if not condition:
-        raise WhatIfPlanError(message)
-
-
-def _finite_window(start_s: float, end_s: float | None, kind: str) -> None:
-    _require(
-        math.isfinite(start_s) and start_s >= 0,
-        f"{kind}: start_s must be finite and >= 0, got {start_s}",
-    )
-    if end_s is not None:
-        _require(
-            math.isfinite(end_s) and end_s > start_s,
-            f"{kind}: end_s must be finite and > start_s, got {end_s}",
-        )
-
-
-def _in_window(start_s: float, end_s: float | None, t: float) -> bool:
-    return start_s <= t and (end_s is None or t < end_s)
-
-
-@dataclasses.dataclass(frozen=True)
-class RankComputeScale:
-    """Scale one rank's compute durations by ``factor`` in a window.
-
-    ``factor == 3.0`` with a full-run window is the what-if twin of the
-    fault plan's ``rank_slowdown``; ``factor == 0.5`` asks "what if
-    this node were twice as fast".  ``end_s = None`` means unbounded.
-    """
-
-    rank: int
-    factor: float
-    start_s: float = 0.0
-    end_s: float | None = None
-
-    kind = "rank_compute_scale"
-
-    def validate(self) -> None:
-        _require(self.rank >= 0,
-                 f"rank_compute_scale: rank must be >= 0, got {self.rank}")
-        _require(
-            math.isfinite(self.factor) and self.factor > 0,
-            f"rank_compute_scale: factor must be positive, got {self.factor}",
-        )
-        _finite_window(self.start_s, self.end_s, "rank_compute_scale")
-
-
-@dataclasses.dataclass(frozen=True)
-class OpClassScale:
-    """Scale every compute op of one kernel class by ``factor``.
-
-    ``op`` names a charged kernel (``"osp_scores"``,
-    ``"brightest_search"``, ...) as recorded in the trace's ``kernel.*``
-    spans / emitted op labels.
-    """
-
-    op: str
-    factor: float
-
-    kind = "op_class_scale"
-
-    def validate(self) -> None:
-        _require(bool(self.op), "op_class_scale: op name is required")
-        _require(
-            math.isfinite(self.factor) and self.factor > 0,
-            f"op_class_scale: factor must be positive, got {self.factor}",
-        )
-
-
-@dataclasses.dataclass(frozen=True)
-class LinkScale:
-    """Scale the capacity term of a segment pair in a window.
-
-    Mirrors the fault plan's ``link_degrade`` (latency unaffected);
-    ``segment_a == segment_b`` targets the intra-segment medium.
-    """
-
-    segment_a: str
-    segment_b: str
-    factor: float
-    start_s: float = 0.0
-    end_s: float | None = None
-
-    kind = "link_scale"
-
-    def validate(self) -> None:
-        _require(
-            bool(self.segment_a) and bool(self.segment_b),
-            "link_scale: both segment names are required",
-        )
-        _require(
-            math.isfinite(self.factor) and self.factor > 0,
-            f"link_scale: factor must be positive, got {self.factor}",
-        )
-        _finite_window(self.start_s, self.end_s, "link_scale")
-
-    @property
-    def pair(self) -> tuple[str, str]:
-        a, b = self.segment_a, self.segment_b
-        return (a, b) if a <= b else (b, a)
-
-
-@dataclasses.dataclass(frozen=True)
-class LatencyScale:
-    """Scale the fixed per-message latency of every transfer."""
-
-    factor: float
-
-    kind = "latency_scale"
-
-    def validate(self) -> None:
-        _require(
-            math.isfinite(self.factor) and self.factor >= 0,
-            f"latency_scale: factor must be >= 0, got {self.factor}",
-        )
-
-
 @dataclasses.dataclass(frozen=True)
 class TierUpgrade:
     """Replace the processors at ``ranks`` with an accelerator tier.
@@ -215,25 +114,22 @@ class TierUpgrade:
     launch_overhead_s: float = 0.0
     hd_transfer_s_per_mflop: float = 0.0
 
-    kind = "tier_upgrade"
-
     def __post_init__(self) -> None:
         object.__setattr__(self, "ranks", tuple(int(r) for r in self.ranks))
 
     def validate(self) -> None:
-        _require(len(self.ranks) > 0, "tier_upgrade: ranks must be non-empty")
-        _require(all(r >= 0 for r in self.ranks),
-                 "tier_upgrade: ranks must be >= 0")
-        _require(
+        require(len(self.ranks) > 0, "ranks must be non-empty")
+        require(all(r >= 0 for r in self.ranks), "ranks must be >= 0")
+        require(
             math.isfinite(self.device_cycle_time)
             and self.device_cycle_time > 0,
-            f"tier_upgrade: device_cycle_time must be positive, "
+            f"device_cycle_time must be positive, "
             f"got {self.device_cycle_time}",
         )
-        _require(
+        require(
             self.launch_overhead_s >= 0
             and self.hd_transfer_s_per_mflop >= 0,
-            "tier_upgrade: overheads must be >= 0",
+            "overheads must be >= 0",
         )
 
     def accelerator(self) -> AcceleratorSpec:
@@ -257,112 +153,34 @@ class ResizeCluster:
 
     n_ranks: int
 
-    kind = "resize_cluster"
-
     def validate(self) -> None:
-        _require(self.n_ranks >= 1,
-                 f"resize_cluster: n_ranks must be >= 1, got {self.n_ranks}")
+        require(self.n_ranks >= 1, f"n_ranks must be >= 1, got {self.n_ranks}")
 
 
-_WHATIF_KINDS = {
-    cls.kind: cls
-    for cls in (
-        RankComputeScale, OpClassScale, LinkScale, LatencyScale,
-        TierUpgrade, ResizeCluster,
-    )
-}
-
-Perturbation = (
-    RankComputeScale | OpClassScale | LinkScale | LatencyScale
-    | TierUpgrade | ResizeCluster
-)
+Perturbation = TimingPerturbation | TierUpgrade | ResizeCluster
 
 
 @dataclasses.dataclass(frozen=True)
-class WhatIfPlan:
+class WhatIfPlan(PlanDocument):
     """An immutable, validated, ordered set of perturbations."""
 
     perturbations: tuple[Perturbation, ...] = ()
     name: str = ""
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "perturbations", tuple(self.perturbations))
-        for pert in self.perturbations:
-            if type(pert) not in _WHATIF_KINDS.values():
-                raise WhatIfPlanError(
-                    f"unknown perturbation object {pert!r} "
-                    f"in plan {self.name!r}"
-                )
-            pert.validate()
-
-    def __iter__(self) -> Iterable[Perturbation]:
-        return iter(self.perturbations)
-
-    def __len__(self) -> int:
-        return len(self.perturbations)
-
-    def of_kind(self, kind: str) -> tuple[Perturbation, ...]:
-        return tuple(p for p in self.perturbations if p.kind == kind)
-
-    # -- serialization -------------------------------------------------------
-    def to_dict(self) -> dict[str, Any]:
-        out: dict[str, Any] = {"perturbations": []}
-        if self.name:
-            out["name"] = self.name
-        for pert in self.perturbations:
-            entry: dict[str, Any] = {"kind": pert.kind}
-            for field in dataclasses.fields(pert):
-                value = getattr(pert, field.name)
-                if value is not None:
-                    entry[field.name] = (
-                        list(value) if isinstance(value, tuple) else value
-                    )
-            out["perturbations"].append(entry)
-        return out
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2, sort_keys=True) + "\n"
-
-    def write_json(self, path: str | Path) -> Path:
-        out = Path(path)
-        out.parent.mkdir(parents=True, exist_ok=True)
-        out.write_text(self.to_json(), encoding="utf-8")
-        return out
+    ITEMS = "perturbations"
+    KINDS = {
+        "rank_compute_scale": RankComputeScale,
+        "op_class_scale": OpClassScale,
+        "link_scale": LinkScale,
+        "latency_scale": LatencyScale,
+        "tier_upgrade": TierUpgrade,
+        "resize_cluster": ResizeCluster,
+    }
+    ERROR = WhatIfPlanError
 
     @classmethod
     def from_dict(cls, doc: Mapping[str, Any]) -> "WhatIfPlan":
-        if not isinstance(doc, Mapping) or "perturbations" not in doc:
-            raise WhatIfPlanError(
-                'what-if plan document needs a "perturbations" list'
-            )
-        perts = []
-        for i, entry in enumerate(doc["perturbations"]):
-            if not isinstance(entry, Mapping) or "kind" not in entry:
-                raise WhatIfPlanError(
-                    f'perturbation #{i} needs a "kind" field'
-                )
-            kind = entry["kind"]
-            pert_cls = _WHATIF_KINDS.get(kind)
-            if pert_cls is None:
-                raise WhatIfPlanError(
-                    f"perturbation #{i}: unknown kind {kind!r} "
-                    f"(expected one of {sorted(_WHATIF_KINDS)})"
-                )
-            fields = {f.name for f in dataclasses.fields(pert_cls)}
-            kwargs = {k: v for k, v in entry.items() if k != "kind"}
-            unknown = set(kwargs) - fields
-            if unknown:
-                raise WhatIfPlanError(
-                    f"perturbation #{i} ({kind}): "
-                    f"unknown fields {sorted(unknown)}"
-                )
-            try:
-                perts.append(pert_cls(**kwargs))
-            except TypeError as exc:
-                raise WhatIfPlanError(
-                    f"perturbation #{i} ({kind}): {exc}"
-                ) from exc
-        return cls(perturbations=tuple(perts), name=str(doc.get("name", "")))
+        return cls(cls.items_from_dict(doc), name=str(doc.get("name", "")))
 
     def apply_platform(
         self, platform: HeterogeneousPlatform
@@ -376,20 +194,11 @@ class WhatIfPlan:
 
 def load_whatif_plan(path: str | Path) -> WhatIfPlan:
     """Read and validate a JSON what-if plan file."""
-    source = Path(path)
-    try:
-        doc = json.loads(source.read_text(encoding="utf-8"))
-    except OSError as exc:
-        raise WhatIfPlanError(
-            f"cannot read what-if plan {source}: {exc}"
-        ) from exc
-    except json.JSONDecodeError as exc:
-        raise WhatIfPlanError(
-            f"what-if plan {source} is not valid JSON: {exc}"
-        ) from exc
-    plan = WhatIfPlan.from_dict(doc)
+    plan = WhatIfPlan.from_dict(
+        read_json(path, "what-if plan", WhatIfPlanError)
+    )
     if not plan.name:
-        plan = dataclasses.replace(plan, name=source.stem)
+        plan = dataclasses.replace(plan, name=Path(path).stem)
     return plan
 
 
@@ -467,59 +276,6 @@ def replay_ops_from_trace(
 
 # -- the replay engine --------------------------------------------------------
 
-class _CompiledPlan:
-    """Plan → the timing core's perturbation hook: window-checked
-    multiplicative factor lookups with the fault injector's semantics
-    (factors of all matching windows multiply; windows are checked at
-    the op's *start* time)."""
-
-    def __init__(self, plan: WhatIfPlan | None) -> None:
-        plan = plan or WhatIfPlan()
-        self.rank_scales: dict[int, list[tuple[float, float, float | None]]]
-        self.rank_scales = {}
-        for p in plan.of_kind("rank_compute_scale"):
-            self.rank_scales.setdefault(p.rank, []).append(
-                (p.factor, p.start_s, p.end_s)
-            )
-        self.op_scales: dict[str, float] = {}
-        for p in plan.of_kind("op_class_scale"):
-            self.op_scales[p.op] = (
-                self.op_scales.get(p.op, 1.0) * p.factor
-            )
-        self.link_scales: dict[
-            tuple[str, str], list[tuple[float, float, float | None]]
-        ] = {}
-        for p in plan.of_kind("link_scale"):
-            self.link_scales.setdefault(p.pair, []).append(
-                (p.factor, p.start_s, p.end_s)
-            )
-        self.latency_factor = 1.0
-        for p in plan.of_kind("latency_scale"):
-            self.latency_factor *= p.factor
-        self.trivial = not (
-            self.rank_scales or self.op_scales or self.link_scales
-            or self.latency_factor != 1.0
-        )
-
-    def compute_factor(self, rank: int, label: str, t: float) -> float:
-        factor = 1.0
-        for value, start_s, end_s in self.rank_scales.get(rank, ()):
-            if _in_window(start_s, end_s, t):
-                factor *= value
-        if label:
-            factor *= self.op_scales.get(label, 1.0)
-        return factor
-
-    def transfer_factors(
-        self, src: int, dst: int, pair: tuple[str, str], t: float
-    ) -> tuple[float, float]:
-        factor = 1.0
-        for value, start_s, end_s in self.link_scales.get(pair, ()):
-            if _in_window(start_s, end_s, t):
-                factor *= value
-        return factor, self.latency_factor
-
-
 @dataclasses.dataclass(frozen=True)
 class ReplayResult:
     """Predicted timing of one replay.
@@ -543,7 +299,7 @@ class ReplayResult:
 def replay(
     ops: Sequence[ReplayOp],
     platform: HeterogeneousPlatform,
-    plan: WhatIfPlan | None = None,
+    plan: WhatIfPlan | Sequence[TimingPerturbation] | None = None,
     scales: Mapping[str, float] | None = None,
 ) -> ReplayResult:
     """Re-execute an op program on a fresh timing core under a plan.
@@ -555,14 +311,16 @@ def replay(
     neutral factors change nothing, so an unperturbed replay of a sim
     trace reproduces its makespan *byte-identically*.
 
-    Note ``plan`` here must contain timing perturbations only —
-    structural kinds (``resize_cluster``) and platform edits
-    (``tier_upgrade``) are resolved by :func:`predict` before replay.
+    ``plan`` is a :class:`WhatIfPlan` or any sequence of timing
+    perturbations — a fault plan's
+    :attr:`~repro.faults.plan.FaultPlan.timing_perturbations` as they
+    stand.  Only the timing perturbations in it apply here: structural
+    kinds (``resize_cluster``) and platform edits (``tier_upgrade``)
+    are resolved by :func:`predict` before replay.
     """
-    compiled = _CompiledPlan(plan)
+    hook = PerturbationHook(plan or ())
     core = TimingCore(
-        platform, perturb=None if compiled.trivial else compiled,
-        scales=scales,
+        platform, perturb=None if hook.trivial else hook, scales=scales,
     )
     rank_compute: dict[int, float] = {}
     op_compute: dict[str, float] = {}
@@ -799,12 +557,14 @@ def run_validation(
 ) -> dict[str, Any]:
     """Gate the replay engine against actual sim-engine runs.
 
-    Four perturbations that are independently runnable on the engine:
+    Four perturbations that are independently runnable on the engine;
+    the timing ones are built once and the same object is replayed and
+    put in the fault plan the engine runs under:
 
-    1. ``rank_compute_scale`` (rank 1 ×3) vs the canned
-       ``rank_slowdown`` fault plan — and the causal profile of the
-       faulted trace must rank rank 1 first;
-    2. ``link_scale`` (s1↔s4 ×2.5) vs a ``link_degrade`` fault plan;
+    1. a rank compute scale (rank 1 ×3, the canned slowdown plan) — and
+       the causal profile of a ×50 faulted trace must rank rank 1
+       first;
+    2. a link capacity scale (s1↔s4 ×2.5);
     3. ``resize_cluster`` (2 workers removed, WEA re-partition) vs an
        actual run on the subset platform;
     4. ``tier_upgrade`` (accelerator on ranks 2 and 5) vs an actual run
@@ -816,7 +576,7 @@ def run_validation(
     from repro.core.runner import make_row_partition_for_dims, run_parallel
     from repro.experiments.config import ExperimentConfig
     from repro.faults.injector import FaultInjector
-    from repro.faults.plan import FaultPlan, LinkDegrade, RankSlowdown
+    from repro.faults.plan import FaultPlan
     from repro.hsi.scene import SceneConfig, make_wtc_scene
     from repro.obs import ObsSession
     from repro.obs.causal import causal_profile
@@ -860,52 +620,38 @@ def run_validation(
     # Case 0: unperturbed replay must reproduce the recorded makespan.
     case("identity_replay", replay(ops, platform).makespan, clean.makespan)
 
+    def under_faults(
+        name: str, pert: TimingPerturbation,
+        fault_obs: ObsSession | None = None,
+    ) -> None:
+        """One case: the replay of ``pert`` against the engine run under
+        the fault plan holding that same object."""
+        injector = FaultInjector(FaultPlan((pert,), name=name))
+        injector.attach(platform=platform, obs=fault_obs)
+        run = run_parallel(
+            "atdca", scene.image, platform, params=params, cost_model=cost,
+            obs=fault_obs, faults=injector,
+        )
+        case(name, replay(ops, platform, plan=(pert,)).makespan, run.makespan)
+
     # Case 1: rank slowdown (the canned plan's parameters).
-    slow_plan = FaultPlan(
-        faults=(RankSlowdown(rank=1, factor=3.0, start_s=0.0, end_s=1e9),),
-        name="slowdown",
-    )
-    wplan = WhatIfPlan((
-        RankComputeScale(rank=1, factor=3.0, start_s=0.0, end_s=1e9),
-    ))
-    injector = FaultInjector(slow_plan)
-    slow_obs = ObsSession.create()
-    injector.attach(platform=platform, obs=slow_obs)
-    slow_run = run_parallel(
-        "atdca", scene.image, platform, params=params, cost_model=cost,
-        obs=slow_obs, faults=injector,
-    )
-    case(
+    under_faults(
         "rank_slowdown",
-        replay(ops, platform, plan=wplan).makespan,
-        slow_run.makespan,
+        RankComputeScale(rank=1, factor=3.0, start_s=0.0, end_s=1e9),
     )
 
     # Causal gate: inject a slowdown strong enough to *dominate* the
     # run (a mild one just moves rank 1's slack; the causal profile
     # correctly reports near-zero gain for it, as the rank_slowdown
     # equivalence above shows) and require the faulted trace's causal
-    # profile to put the injected rank first.
-    hot_plan = FaultPlan(
-        faults=(RankSlowdown(rank=1, factor=50.0, start_s=0.0, end_s=1e9),),
-        name="hot-rank",
-    )
-    hot_injector = FaultInjector(hot_plan)
+    # profile to put the injected rank first.  The hot run *does* move
+    # the makespan, so its equivalence also proves the perturbation is
+    # applied, not silently dropped.
     hot_obs = ObsSession.create()
-    hot_injector.attach(platform=platform, obs=hot_obs)
-    hot_run = run_parallel(
-        "atdca", scene.image, platform, params=params, cost_model=cost,
-        obs=hot_obs, faults=hot_injector,
-    )
-    # The hot run *does* move the makespan, so this equivalence also
-    # proves the perturbation is applied, not silently dropped.
-    hot_wplan = WhatIfPlan((
-        RankComputeScale(rank=1, factor=50.0, start_s=0.0, end_s=1e9),
-    ))
-    case(
+    under_faults(
         "rank_slowdown_hot",
-        replay(ops, platform, plan=hot_wplan).makespan,
-        hot_run.makespan,
+        RankComputeScale(rank=1, factor=50.0, start_s=0.0, end_s=1e9),
+        fault_obs=hot_obs,
     )
     profile = causal_profile(hot_obs, platform)
     top_rank = profile.top("rank")
@@ -918,31 +664,12 @@ def run_validation(
     })
 
     # Case 2: link degrade (inter-segment s1↔s4, capacity ×2.5).
-    degrade_plan = FaultPlan(
-        faults=(
-            LinkDegrade(
-                segment_a="s1", segment_b="s4", factor=2.5,
-                start_s=0.0, end_s=1e9,
-            ),
-        ),
-        name="link-degrade",
-    )
-    link_injector = FaultInjector(degrade_plan)
-    link_injector.attach(platform=platform)
-    link_run = run_parallel(
-        "atdca", scene.image, platform, params=params, cost_model=cost,
-        faults=link_injector,
-    )
-    link_wplan = WhatIfPlan((
+    under_faults(
+        "link_degrade",
         LinkScale(
             segment_a="s1", segment_b="s4", factor=2.5,
             start_s=0.0, end_s=1e9,
         ),
-    ))
-    case(
-        "link_degrade",
-        replay(ops, platform, plan=link_wplan).makespan,
-        link_run.makespan,
     )
 
     # Case 3: two workers removed, fresh WEA partition on the subset.
@@ -1015,17 +742,6 @@ def validation_table(doc: Mapping[str, Any]) -> str:
 
 # -- CLI ----------------------------------------------------------------------
 
-def _platform_by_name(name: str) -> HeterogeneousPlatform:
-    from repro.cluster.presets import all_networks
-
-    platforms = all_networks()
-    if name not in platforms:
-        raise ConfigurationError(
-            f"unknown platform {name!r} (choose from {sorted(platforms)})"
-        )
-    return platforms[name]
-
-
 def _load_trace(path: str) -> Any:
     from repro.obs.export import read_jsonl
 
@@ -1049,7 +765,7 @@ def _cmd_predict(args: argparse.Namespace) -> int:
     plan = load_whatif_plan(args.plan)
     doc = predict(
         _load_trace(args.trace),
-        _platform_by_name(args.platform),
+        platform_by_name(args.platform),
         plan=plan,
         scales=_scales_arg(args.scales),
     )
@@ -1068,7 +784,7 @@ def _cmd_causal(args: argparse.Namespace) -> int:
 
     profile = causal_profile(
         _load_trace(args.trace),
-        _platform_by_name(args.platform),
+        platform_by_name(args.platform),
         speedup_pct=args.speedup,
         scales=_scales_arg(args.scales),
         jobs=args.jobs,
@@ -1083,7 +799,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     plan = load_whatif_plan(args.plan) if args.plan else None
     doc = capacity_sweep(
         _load_trace(args.trace),
-        _platform_by_name(args.platform),
+        platform_by_name(args.platform),
         sizes,
         plan=plan,
         scales=_scales_arg(args.scales),

@@ -131,28 +131,6 @@ class _SpanEvent:
     end: float
 
 
-def _recovery_segments(spans: Sequence[Any]) -> list[tuple[float, tuple[int, ...]]]:
-    """Rank remappings introduced by ``recovery.repartition`` seams.
-
-    Each returned ``(from_time, ordered)`` entry says: spans starting at
-    or after ``from_time`` ran on the survivor subset whose dense rank
-    ``i`` is original rank ``ordered[i]``.  Seams without a ``ranks``
-    attribute (pre-PR-4 traces) are skipped — those traces render as
-    before, with dense rank numbering.
-    """
-    segments: list[tuple[float, tuple[int, ...]]] = []
-    for span in spans:
-        if span.category != "fault" or span.name != "recovery.repartition":
-            continue
-        ranks_attr = span.attrs.get("ranks")
-        if not ranks_attr:
-            continue
-        ordered = tuple(int(r) for r in str(ranks_attr).split(","))
-        segments.append((span.end, ordered))
-    segments.sort(key=lambda seg: seg[0])
-    return segments
-
-
 def gantt_of_trace(
     source: Any,
     n_ranks: int | None = None,
@@ -181,30 +159,20 @@ def gantt_of_trace(
         width: characters across the time axis.
         labels: optional lane labels.
     """
+    from repro.obs.analyze import original_rank_lookup
     from repro.obs.export import spans_of
 
     spans = spans_of(source)
     if not spans:
         raise ConfigurationError("no spans to render (trace a run first)")
-    segments = _recovery_segments(spans)
-
-    def lane_of(span: Any) -> int:
-        mapping = None
-        for from_time, ordered in segments:
-            if span.start >= from_time:
-                mapping = ordered
-            else:
-                break
-        if mapping is not None and span.rank < len(mapping):
-            return mapping[span.rank]
-        return span.rank
+    original_rank = original_rank_lookup(spans)
 
     def kind_of(span: Any) -> str:
         if span.category == "kernel" and span.attrs.get("sequential"):
             return "seq"
         return _SPAN_KINDS.get(span.category, "phase")
 
-    lanes = [lane_of(s) for s in spans]
+    lanes = [original_rank(s.rank, s.start) for s in spans]
     ranks = n_ranks if n_ranks is not None else max(lanes) + 1
     t0 = min(s.start for s in spans)
     events = [

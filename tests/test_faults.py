@@ -38,11 +38,11 @@ from repro.faults import (
     CheckpointStore,
     FaultInjector,
     FaultPlan,
-    LinkDegrade,
+    LinkScale,
     MessageDelay,
     MessageDrop,
     RankCrash,
-    RankSlowdown,
+    RankComputeScale,
     load_fault_plan,
     run_with_recovery,
     send_with_retry,
@@ -74,8 +74,8 @@ class TestFaultPlan:
             (
                 RankCrash(rank=3, at_op_index=7),
                 RankCrash(rank=1, at_virtual_s=0.5),
-                RankSlowdown(rank=2, factor=2.5, start_s=0.0, end_s=1.0),
-                LinkDegrade(
+                RankComputeScale(rank=2, factor=2.5, start_s=0.0, end_s=1.0),
+                LinkScale(
                     segment_a="s1", segment_b="s4", factor=3.0,
                     start_s=0.25, end_s=0.75,
                 ),
@@ -104,9 +104,9 @@ class TestFaultPlan:
 
     def test_window_and_factor_validation(self):
         with pytest.raises(FaultPlanError):
-            FaultPlan((RankSlowdown(rank=1, factor=0.0, start_s=0, end_s=1),))
+            FaultPlan((RankComputeScale(rank=1, factor=0.0, start_s=0, end_s=1),))
         with pytest.raises(FaultPlanError):
-            FaultPlan((RankSlowdown(rank=1, factor=2.0, start_s=1, end_s=1),))
+            FaultPlan((RankComputeScale(rank=1, factor=2.0, start_s=1, end_s=1),))
         with pytest.raises(FaultPlanError):
             FaultPlan((MessageDrop(src=1, count=0),))
 
@@ -179,14 +179,17 @@ class TestVirtualTimeouts:
 # -- one hook sequence on both backends ---------------------------------------
 
 class _RecordingInjector:
-    """Duck-typed stand-in for ``FaultInjector``: the five names the
-    rank runtime calls, recording ``(op, now)`` per rank."""
+    """Duck-typed stand-in for ``FaultInjector``: the names the rank
+    runtime reads — ``before_op``, ``on_send`` and ``perturb``, here a
+    constant-factor timing hook of its own — recording ``(op, now)``
+    per rank."""
 
     policy = None
 
     def __init__(self, factor):
         self.factor = factor
         self.ops = {}
+        self.perturb = self
 
     def before_op(self, rank, op, now):
         # One list per rank, appended to by that rank's thread only.
@@ -195,11 +198,11 @@ class _RecordingInjector:
     def on_send(self, rank, dest, tag, now):
         return 0.0
 
-    def compute_factor(self, rank, start_s):
+    def compute_factor(self, rank, label, start):
         return self.factor
 
-    def transfer_factor(self, src, dst, start_s):
-        return 1.0
+    def transfer_factors(self, src, dst, pair, start):
+        return 1.0, 1.0
 
 
 class TestHookParity:
@@ -470,7 +473,7 @@ class TestTransientFaults:
             params={"n_targets": 5},
         )
         plan = FaultPlan(
-            (RankSlowdown(rank=1, factor=4.0, start_s=0.0, end_s=1e9),),
+            (RankComputeScale(rank=1, factor=4.0, start_s=0.0, end_s=1e9),),
             name="molasses",
         )
         slowed = run_with_recovery(
@@ -486,16 +489,17 @@ class TestTransientFaults:
     def test_link_degrade_scales_capacity_only(self):
         platform = fully_heterogeneous()
         plan = FaultPlan(
-            (LinkDegrade(segment_a="s1", segment_b="s4", factor=2.0,
+            (LinkScale(segment_a="s1", segment_b="s4", factor=2.0,
                          start_s=0.0, end_s=1.0),),
             name="degraded-link",
         )
-        injector = FaultInjector(plan).attach(platform=platform)
-        # Ranks 0 (s1) and 15 (s4) straddle the degraded pair.
-        assert injector.transfer_factor(0, 15, 0.5) == 2.0
-        assert injector.transfer_factor(15, 0, 0.5) == 2.0
-        assert injector.transfer_factor(0, 15, 1.5) == 1.0  # window over
-        assert injector.transfer_factor(0, 1, 0.5) == 1.0   # intra-s1
+        hook = FaultInjector(plan).attach(platform=platform).perturb
+        # Ranks 0 (s1) and 15 (s4) straddle the degraded pair; the
+        # timing core hands the hook the sorted segment pair.
+        assert hook.transfer_factors(0, 15, ("s1", "s4"), 0.5) == (2.0, 1.0)
+        assert hook.transfer_factors(15, 0, ("s1", "s4"), 0.5) == (2.0, 1.0)
+        assert hook.transfer_factors(0, 15, ("s1", "s4"), 1.5) == (1.0, 1.0)
+        assert hook.transfer_factors(0, 1, ("s1", "s1"), 0.5) == (1.0, 1.0)
 
 
 # -- checkpoint store ---------------------------------------------------------
@@ -557,7 +561,7 @@ class TestAnalyzeFaultLabels:
         plan = FaultPlan(
             (
                 RankCrash(rank=2, at_op_index=10),
-                RankSlowdown(rank=1, factor=2.0, start_s=0.0, end_s=1.0),
+                RankComputeScale(rank=1, factor=2.0, start_s=0.0, end_s=1.0),
             ),
             name="labeled",
         )

@@ -12,7 +12,7 @@ from repro.faults import (
     AdaptiveController,
     FaultPlan,
     RankCrash,
-    RankSlowdown,
+    RankComputeScale,
     run_with_recovery,
 )
 from repro.hsi import SceneConfig, make_wtc_scene
@@ -37,7 +37,7 @@ def small_adaptive_scene():
 
 def _slowdown_plan(rank=1, factor=4.0):
     return FaultPlan(
-        (RankSlowdown(rank=rank, factor=factor, start_s=0.0, end_s=FULL_RUN_S),),
+        (RankComputeScale(rank=rank, factor=factor, start_s=0.0, end_s=FULL_RUN_S),),
         name="adaptive-test",
     )
 
@@ -201,7 +201,7 @@ class TestAdaptiveEndToEnd:
         plan = FaultPlan(
             (
                 RankCrash(rank=3, at_op_index=40),
-                RankSlowdown(rank=1, factor=4.0, start_s=0.0, end_s=FULL_RUN_S),
+                RankComputeScale(rank=1, factor=4.0, start_s=0.0, end_s=FULL_RUN_S),
             ),
             name="crash+slow",
         )

@@ -1,5 +1,5 @@
 """Chaos-sweep harness: grid validation, deterministic enumeration,
-what-if twins, gating, and byte-identical parallel artifacts."""
+replayable cell plans, gating, and byte-identical parallel artifacts."""
 
 import json
 from pathlib import Path
@@ -19,10 +19,8 @@ from repro.faults.sweep import (
     sweep_gate,
     sweep_table,
     validate_grid,
-    whatif_twin,
     write_sweep,
 )
-from repro.obs.whatif import LinkScale, RankComputeScale, WhatIfPlan
 
 REPO = Path(__file__).resolve().parent.parent
 SMOKE_GRID = REPO / "benchmarks" / "plans" / "sweep_smoke.json"
@@ -119,7 +117,7 @@ class TestPlanOfCell:
         assert clean_plan is not None and len(clean_plan.faults) == 0
         assert clean_plan.policy.retry.max_attempts == 7
         slow_plan = plan_of_cell(slow, doc)
-        assert [f.kind for f in slow_plan.faults] == ["rank_slowdown"]
+        assert [slow_plan.kind_of(f) for f in slow_plan] == ["rank_slowdown"]
         assert slow_plan.policy == clean_plan.policy
 
     def test_four_axis_cell_builds_all_faults(self):
@@ -130,41 +128,14 @@ class TestPlanOfCell:
         ]
         assert len(full) == 2  # one per backend
         plan = plan_of_cell(full[0], doc)
-        assert sorted(f.kind for f in plan.faults) == [
+        assert sorted(plan.kind_of(f) for f in plan) == [
             "link_degrade", "message_delay", "rank_crash", "rank_slowdown",
         ]
         assert plan.policy is not None
 
 
-class TestWhatIfTwin:
-    def test_slowdown_maps_to_open_compute_scale(self):
-        doc = validate_grid(tiny_grid())
-        plan = plan_of_cell(enumerate_cells(doc)[1], doc)
-        twin = whatif_twin(plan)
-        (p,) = twin.perturbations
-        assert isinstance(p, RankComputeScale)
-        assert (p.rank, p.factor) == (1, 4.0)
-        assert p.end_s is None  # 1e9 sentinel -> open window
-
-    def test_windowed_slowdown_keeps_its_end(self):
-        doc = validate_grid(tiny_grid(axes={"slowdown": [
-            {"rank": 1, "factor": 2.0, "start_s": 0.01, "end_s": 0.05},
-        ]}))
-        plan = plan_of_cell(enumerate_cells(doc)[0], doc)
-        (p,) = whatif_twin(plan).perturbations
-        assert (p.start_s, p.end_s) == (0.01, 0.05)
-
-    def test_link_degrade_maps_to_link_scale(self):
-        doc = validate_grid(tiny_grid(axes={"link_degrade": [
-            {"segment_a": "s1", "segment_b": "s1", "factor": 2.0,
-             "start_s": 0.0, "end_s": 1e9},
-        ]}))
-        plan = plan_of_cell(enumerate_cells(doc)[0], doc)
-        (p,) = whatif_twin(plan).perturbations
-        assert isinstance(p, LinkScale)
-        assert p.end_s is None
-
-    def test_crash_and_delay_have_no_twin(self):
+class TestReplayableCells:
+    def test_crash_and_delay_cells_are_not_replayable(self):
         doc = load_sweep_grid(SMOKE_GRID)
         for axis in ("crash", "delay"):
             cell = next(
@@ -172,12 +143,13 @@ class TestWhatIfTwin:
                 if c[axis] is not None
                 and all(c[a] is None for a in AXES if a != axis)
             )
-            assert whatif_twin(plan_of_cell(cell, doc)) is None
+            assert plan_of_cell(cell, doc).timing_perturbations is None
 
-    def test_no_plan_twins_to_empty_whatif(self):
-        twin = whatif_twin(None)
-        assert isinstance(twin, WhatIfPlan)
-        assert twin.perturbations == ()
+    def test_policy_only_cell_replays_unperturbed(self):
+        doc = load_sweep_grid(SMOKE_GRID)
+        clean = plan_of_cell(enumerate_cells(doc)[0], doc)
+        assert clean.policy is not None
+        assert clean.timing_perturbations == ()
 
 
 class TestRunSweepAndGate:

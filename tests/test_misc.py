@@ -132,14 +132,55 @@ class TestExperimentsCLI:
             main(["tableX"])
 
 
+def _cli_tools():
+    """``(label, module)`` of every CLI tool: both umbrella tables and
+    the experiments driver."""
+    from repro.faults.__main__ import TOOLS as FAULT_TOOLS
+    from repro.obs.__main__ import TOOLS as OBS_TOOLS
+
+    tools = [("experiments", "repro.experiments.runner")]
+    for package, table in (("obs", OBS_TOOLS), ("faults", FAULT_TOOLS)):
+        tools += [
+            (f"{package} {name}", module)
+            for name, (module, _description) in sorted(table.items())
+        ]
+    return tools
+
+
+class TestEveryCliLeafAnswersHelp:
+    @pytest.mark.parametrize(
+        "module", [pytest.param(m, id=label) for label, m in _cli_tools()]
+    )
+    def test_help_exits_zero(self, module, capsys):
+        """``--help`` on the tool and on each of its subcommands, found
+        from the usage line (``{a,b,c} ...``), recursively: the parser
+        builds and the tool's lazy imports resolve."""
+        import importlib
+        import re
+
+        main = importlib.import_module(module).main
+        pending, leaves = [[]], 0
+        while pending:
+            prefix = pending.pop()
+            with pytest.raises(SystemExit) as info:
+                main([*prefix, "--help"])
+            assert info.value.code == 0, prefix
+            usage = capsys.readouterr().out
+            assert usage.startswith("usage:"), prefix
+            choices = re.search(r"\{([^}]+)\} \.\.\.", usage)
+            if choices is None:
+                leaves += 1
+            else:
+                pending += [[*prefix, c] for c in choices.group(1).split(",")]
+        assert leaves >= 1
+
+
 class TestImportHygiene:
     #: ``(importing module, imported module, private name)`` violations
     #: that predate the rule.  This list may only shrink.
     ALLOWED = {
         ("repro.tuning.registry", "repro.core.nfindr", "_sweep_scalar"),
         ("repro.tuning.registry", "repro.core.nfindr", "_replacement_sweep"),
-        ("repro.obs.report", "repro.viz.timeline", "_recovery_segments"),
-        ("repro.obs.profile", "repro.viz.timeline", "_recovery_segments"),
         ("repro.core.morph", "repro.morphology.ops", "_EPS"),
     }
 

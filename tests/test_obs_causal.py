@@ -10,7 +10,7 @@ from repro.core.runner import run_parallel
 from repro.errors import ConfigurationError
 from repro.experiments.config import ExperimentConfig
 from repro.faults.injector import FaultInjector
-from repro.faults.plan import FaultPlan, RankSlowdown
+from repro.faults.plan import FaultPlan, RankComputeScale
 from repro.hsi import SceneConfig, make_wtc_scene
 from repro.obs import ObsSession
 from repro.obs.causal import CAUSAL_SCHEMA, causal_profile
@@ -40,7 +40,7 @@ def clean_obs(causal_scene, het_platform):
 def hot_rank_obs(causal_scene, het_platform):
     """A run where rank 5 is slowed enough to dominate end to end."""
     injector = FaultInjector(FaultPlan(
-        faults=(RankSlowdown(rank=5, factor=80.0, start_s=0.0, end_s=1e9),),
+        faults=(RankComputeScale(rank=5, factor=80.0, start_s=0.0, end_s=1e9),),
         name="hot",
     ))
     obs = ObsSession.create()

@@ -8,7 +8,7 @@ import json
 import pytest
 
 from repro.core.runner import ALGORITHM_NAMES, run_parallel
-from repro.faults.plan import FaultPlan, RankSlowdown
+from repro.faults.plan import FaultPlan, RankComputeScale
 from repro.faults.recovery import run_with_recovery
 from repro.hsi import SceneConfig, make_wtc_scene
 from repro.obs import ObsSession, write_jsonl
@@ -89,7 +89,7 @@ class TestSlowdownAttribution:
         slowing, with a positive makespan delta."""
         empty = FaultPlan((), name="none")
         slow = FaultPlan(
-            (RankSlowdown(rank=1, factor=4.0, start_s=0.0, end_s=1e9),),
+            (RankComputeScale(rank=1, factor=4.0, start_s=0.0, end_s=1e9),),
             name="slow-r1",
         )
         base = _traced(diff_scene, plan=empty)
@@ -106,7 +106,7 @@ class TestSlowdownAttribution:
     def test_deltas_ranked_by_absolute_change(self, diff_scene):
         empty = FaultPlan((), name="none")
         slow = FaultPlan(
-            (RankSlowdown(rank=1, factor=3.0, start_s=0.0, end_s=1e9),),
+            (RankComputeScale(rank=1, factor=3.0, start_s=0.0, end_s=1e9),),
             name="slow-r1",
         )
         diff = diff_traces(

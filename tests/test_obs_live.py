@@ -14,7 +14,7 @@ from repro.core.runner import run_parallel
 from repro.errors import ConfigurationError
 from repro.experiments.config import ExperimentConfig
 from repro.faults.injector import FaultInjector
-from repro.faults.plan import FaultPlan, RankSlowdown
+from repro.faults.plan import FaultPlan, RankComputeScale
 from repro.hsi import SceneConfig, make_wtc_scene
 from repro.obs import ObsSession, Tracer
 from repro.obs.health import (
@@ -35,7 +35,7 @@ from repro.obs.live import (
 
 def _slowdown_plan(rank: int = 1, factor: float = 3.0) -> FaultPlan:
     return FaultPlan(
-        (RankSlowdown(rank=rank, factor=factor, start_s=0.0, end_s=1e9),),
+        (RankComputeScale(rank=rank, factor=factor, start_s=0.0, end_s=1e9),),
         name="slowdown",
     )
 
@@ -270,7 +270,7 @@ class TestHealthMonitor:
 
 
 class TestCrossBackendDeterminism:
-    """The acceptance property: an injected RankSlowdown flags the same
+    """The acceptance property: an injected rank slowdown flags the same
     rank at the same op index on the virtual-time engine and the
     wall-clock backend."""
 

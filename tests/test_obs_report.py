@@ -8,7 +8,7 @@ import json
 import pytest
 
 from repro.core.runner import run_parallel
-from repro.faults.plan import FaultPlan, RankCrash, RankSlowdown
+from repro.faults.plan import FaultPlan, RankCrash, RankComputeScale
 from repro.faults.recovery import run_with_recovery
 from repro.hsi import SceneConfig, make_wtc_scene
 from repro.obs import ObsSession, analyze_trace
@@ -107,7 +107,7 @@ class TestFaultRendering:
         platform = make_tiny_platform()
         obs = ObsSession.create()
         plan = FaultPlan(
-            (RankSlowdown(rank=2, factor=3.0, start_s=0.0, end_s=1e9),),
+            (RankComputeScale(rank=2, factor=3.0, start_s=0.0, end_s=1e9),),
             name="slow-r2",
         )
         run_with_recovery(

@@ -4,7 +4,9 @@ what-if / umbrella CLIs."""
 
 from __future__ import annotations
 
+import hashlib
 import json
+from pathlib import Path
 
 import pytest
 
@@ -14,11 +16,15 @@ from repro.cluster import (
     scale_latency,
     upgrade_ranks,
 )
+from repro.cluster.perturb import PerturbationHook
+from repro.cluster.simtime import TimingCore
 from repro.core.runner import run_parallel
 from repro.errors import ConfigurationError, WhatIfPlanError
 from repro.experiments.config import ExperimentConfig
 from repro.faults.injector import FaultInjector
-from repro.faults.plan import FaultPlan, LinkDegrade, RankSlowdown
+from repro.faults.plan import FaultPlan, RankCrash, load_fault_plan
+from repro.faults.recovery import run_with_recovery
+from repro.faults.sweep import enumerate_cells, load_sweep_grid, plan_of_cell
 from repro.hsi import SceneConfig, make_wtc_scene
 from repro.obs import ObsSession, write_jsonl
 from repro.obs.provenance import (
@@ -44,6 +50,8 @@ from repro.obs.whatif import (
     run_meta_of,
     run_validation,
 )
+
+from conftest import make_tiny_platform
 
 #: The self-validation contract: predicted == actual within this.
 REL_TOL = 1e-9
@@ -129,6 +137,69 @@ class TestWhatIfPlan:
         with pytest.raises(WhatIfPlanError):
             WhatIfPlan((pert(),))
 
+    #: sha256 of ``to_json()`` at the commit before the vocabularies
+    #: were merged (for the grid: of its cells' plans, concatenated).
+    PARENT_DIGESTS = {
+        "chaos": "80f7b5f616346937a368a9bb726e9967d2745396ef4e57915886e45266b4f9b9",
+        "slowdown": "52b719ddf1dcaa71743bd39db940c784c4465656bc6bc5e49e1b2a2d25a2badf",
+        "whatif_demo": "e57d556202eaa553fc7d64c3b48c67fa43442a251c31fa401c1793057ebb6243",
+        "sweep_smoke": "223b4f833c770378508390369444b1b9d4ef45b308adddb55e6af6d3815a828c",
+    }
+
+    def test_committed_plans_serialise_to_the_same_bytes(self):
+        grid = load_sweep_grid("benchmarks/plans/sweep_smoke.json")
+        texts = {
+            "chaos": load_fault_plan("benchmarks/plans/chaos.json").to_json(),
+            "slowdown":
+                load_fault_plan("benchmarks/plans/slowdown.json").to_json(),
+            "whatif_demo":
+                load_whatif_plan("benchmarks/plans/whatif_demo.json").to_json(),
+            "sweep_smoke": "".join(
+                plan_of_cell(cell, grid).to_json()
+                for cell in enumerate_cells(grid)
+            ),
+        }
+        assert sorted(texts) == sorted(
+            p.stem for p in Path("benchmarks/plans").glob("*.json")
+        )
+        assert {
+            name: hashlib.sha256(text.encode()).hexdigest()
+            for name, text in texts.items()
+        } == self.PARENT_DIGESTS
+
+    def test_each_plan_type_keeps_its_own_spelling(self):
+        slow = RankComputeScale(rank=1, factor=2.0, end_s=5.0)
+        link = LinkScale("s1", "s4", factor=2.0)
+        fault_doc = FaultPlan((slow, link)).to_dict()
+        whatif_doc = WhatIfPlan((slow, link)).to_dict()
+        assert [f["kind"] for f in fault_doc["faults"]] == [
+            "rank_slowdown", "link_degrade",
+        ]
+        assert [p["kind"] for p in whatif_doc["perturbations"]] == [
+            "rank_compute_scale", "link_scale",
+        ]
+        assert FaultPlan.from_dict(fault_doc).faults == (slow, link)
+        assert FaultPlan((slow, link)).of_kind("rank_slowdown") == (slow,)
+        assert WhatIfPlan((slow, link)).of_kind("link_scale") == (link,)
+
+    def test_fault_plan_answers_its_timing_perturbations(self):
+        slow = RankComputeScale(rank=1, factor=2.0)
+        link = LinkScale("s1", "s4", factor=2.0)
+        kept = FaultPlan((slow, link)).timing_perturbations
+        assert kept[0] is slow and kept[1] is link
+        crashing = FaultPlan((slow, RankCrash(rank=2, at_op_index=3)))
+        assert crashing.timing_perturbations is None
+        assert FaultPlan(()).timing_perturbations == ()
+
+    def test_open_ended_fault_window_loads(self):
+        plan = FaultPlan.from_dict({"faults": [
+            {"kind": "rank_slowdown", "rank": 1, "factor": 3.0},
+            {"kind": "link_degrade", "segment_a": "s1", "segment_b": "s4",
+             "factor": 2.0, "end_s": None},
+        ]})
+        assert [f.end_s for f in plan] == [None, None]
+        assert "end_s" not in json.dumps(plan.to_dict())
+
     def test_committed_demo_plan_loads(self):
         plan = load_whatif_plan("benchmarks/plans/whatif_demo.json")
         assert plan.name == "whatif-demo"
@@ -158,48 +229,116 @@ class TestReplayExactness:
         for rank, seconds in result.rank_compute_s.items():
             assert seconds == pytest.approx(busy[rank], rel=1e-12)
 
+    @staticmethod
+    def _engine_and_replay(perts, obs, scene, platform):
+        """(engine makespan under ``FaultPlan(perts)``, replay makespan
+        under the same ``perts`` objects)."""
+        ops, _ = replay_ops_from_trace(obs)
+        injector = FaultInjector(FaultPlan(perts, name="p"))
+        injector.attach(platform=platform)
+        actual = run_parallel(
+            "atdca", scene.image, platform,
+            params=_CFG.params_for("atdca"), faults=injector,
+        )
+        return actual.makespan, replay(ops, platform, plan=perts).makespan
+
     def test_rank_slowdown_matches_fault_injection(
         self, clean_traced, whatif_scene, het_platform
     ):
-        _, obs = clean_traced
-        ops, _ = replay_ops_from_trace(obs)
-        injector = FaultInjector(FaultPlan(
-            faults=(RankSlowdown(rank=1, factor=40.0, start_s=0.0,
-                                 end_s=1e9),),
-            name="slow",
-        ))
-        injector.attach(platform=het_platform)
-        actual = run_parallel(
-            "atdca", whatif_scene.image, het_platform,
-            params=_CFG.params_for("atdca"), faults=injector,
+        run, obs = clean_traced
+        slow = RankComputeScale(rank=1, factor=40.0, start_s=0.0, end_s=1e9)
+        actual, predicted = self._engine_and_replay(
+            (slow,), obs, whatif_scene, het_platform
         )
-        plan = WhatIfPlan((
-            RankComputeScale(rank=1, factor=40.0, start_s=0.0, end_s=1e9),
-        ))
-        predicted = replay(ops, het_platform, plan=plan).makespan
-        assert _rel(predicted, actual.makespan) <= REL_TOL
+        assert predicted == actual != run.makespan
 
     def test_link_degrade_matches_fault_injection(
         self, clean_traced, whatif_scene, het_platform
     ):
-        _, obs = clean_traced
-        ops, _ = replay_ops_from_trace(obs)
-        injector = FaultInjector(FaultPlan(
-            faults=(LinkDegrade(segment_a="s1", segment_b="s4", factor=3.0,
-                                start_s=0.0, end_s=1e9),),
-            name="degrade",
-        ))
-        injector.attach(platform=het_platform)
-        actual = run_parallel(
-            "atdca", whatif_scene.image, het_platform,
-            params=_CFG.params_for("atdca"), faults=injector,
+        run, obs = clean_traced
+        degrade = LinkScale(segment_a="s1", segment_b="s4", factor=3.0,
+                            start_s=0.0, end_s=1e9)
+        actual, predicted = self._engine_and_replay(
+            (degrade,), obs, whatif_scene, het_platform
         )
-        plan = WhatIfPlan((
-            LinkScale(segment_a="s1", segment_b="s4", factor=3.0,
-                      start_s=0.0, end_s=1e9),
-        ))
-        predicted = replay(ops, het_platform, plan=plan).makespan
-        assert _rel(predicted, actual.makespan) <= REL_TOL
+        assert predicted == actual != run.makespan
+
+    @pytest.mark.parametrize(
+        "perts_of",
+        [
+            # Two windows overlapping on [T/4, T/2): factors multiply.
+            lambda T: (
+                RankComputeScale(rank=1, factor=30.0, end_s=T / 2),
+                RankComputeScale(rank=1, factor=20.0, start_s=T / 4),
+            ),
+            # A fault window with no end runs to the end of the run.
+            lambda T: (RankComputeScale(rank=1, factor=40.0, end_s=None),),
+            # A fault may speed a rank up (the master's sequential
+            # steps are on this scene's critical path, so it shows).
+            lambda T: (RankComputeScale(rank=0, factor=0.25),),
+            # A switched segment's internal medium (segment_a == b).
+            lambda T: (LinkScale("s1", "s1", factor=6.0),),
+        ],
+        ids=["overlapping-windows", "open-ended", "factor-below-one",
+             "intra-segment-link"],
+    )
+    def test_one_object_engine_equals_replay(
+        self, perts_of, clean_traced, whatif_scene, het_platform
+    ):
+        """The replay of P equals the engine under P, stated with one
+        P, at 0.0 relative error."""
+        run, obs = clean_traced
+        perts = perts_of(run.makespan)
+        actual, predicted = self._engine_and_replay(
+            perts, obs, whatif_scene, het_platform
+        )
+        assert predicted == actual
+        assert actual != run.makespan  # the perturbation must matter
+
+    def test_rank_map_reaches_the_hook_after_crash_recovery(
+        self, whatif_scene
+    ):
+        """After a crash the survivors are renumbered densely; a
+        slowdown that names original rank 3 must dilate dense rank 2,
+        through the recovery driver and through the hook alone."""
+        platform = make_tiny_platform()
+        slow = RankComputeScale(rank=3, factor=50.0)
+        obs = ObsSession.create()
+        run = run_with_recovery(
+            "atdca", whatif_scene.image, platform, params={"n_targets": 5},
+            plan=FaultPlan((RankCrash(rank=1, at_op_index=10), slow)),
+            obs=obs,
+        )
+        assert run.crashed_ranks == (1,)
+        survivors = run.attempts[-1].ranks
+        assert survivors.index(3) == 2
+        seam = run.attempts[-1].clock_start
+        dilated = {
+            s.rank for s in obs.tracer.spans()
+            if s.category in ("compute", "seq") and s.start >= seam
+            and s.attrs.get("factor") == 50.0
+        }
+        assert dilated == {2}
+
+        # The same object, compiled with the attempt's rank map, is the
+        # engine's hook on the survivor platform: replaying the clean
+        # survivor run under it is exact.
+        small = platform.subset(survivors)
+        clean_obs = ObsSession.create()
+        clean = run_parallel(
+            "atdca", whatif_scene.image, small, params={"n_targets": 5},
+            obs=clean_obs,
+        )
+        ops, _ = replay_ops_from_trace(clean_obs)
+        injector = FaultInjector(FaultPlan((slow,)))
+        injector.attach(platform=small, rank_map=survivors)
+        actual = run_parallel(
+            "atdca", whatif_scene.image, small, params={"n_targets": 5},
+            partition=clean.partition, faults=injector,
+        )
+        core = TimingCore(small, perturb=PerturbationHook((slow,), survivors))
+        core.run(ops)
+        assert max(core.finish_times) == actual.makespan != clean.makespan
 
     def test_worker_removal_matches_subset_run(
         self, clean_traced, whatif_scene, het_platform
@@ -273,8 +412,8 @@ class TestReplayExactness:
         """A faulted trace carries its dilation; an unperturbed replay
         of that trace reproduces the *faulted* makespan."""
         injector = FaultInjector(FaultPlan(
-            faults=(RankSlowdown(rank=3, factor=10.0, start_s=0.0,
-                                 end_s=1e9),),
+            faults=(RankComputeScale(rank=3, factor=10.0, start_s=0.0,
+                                     end_s=1e9),),
             name="slow",
         ))
         obs = ObsSession.create()

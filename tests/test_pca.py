@@ -82,6 +82,22 @@ class TestTransform:
         with pytest.raises(DataError):
             pct_transform(np.array([[1.0, 2.0], [0.0, 1.0]]))
 
+    @pytest.mark.parametrize("parallel", [False, True])
+    def test_nan_pixel_is_named_as_the_cause(self, parallel, tiny_platform):
+        from repro.core import pct_classify
+        from repro.core.runner import run_parallel
+        from repro.hsi import HyperspectralImage, SceneConfig, make_wtc_scene
+
+        scene = make_wtc_scene(SceneConfig(rows=48, cols=8, bands=16, seed=7))
+        values = np.array(scene.image.values, copy=True)
+        values[5, 3, 2] = np.nan
+        image = HyperspectralImage(values)
+        with pytest.raises(DataError, match="non-finite"):
+            if parallel:
+                run_parallel("pct", image, tiny_platform)
+            else:
+                pct_classify(image, 8)
+
     def test_nonsquare_rejected(self):
         with pytest.raises(ShapeError):
             pct_transform(np.ones((2, 3)))
