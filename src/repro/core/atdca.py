@@ -17,7 +17,7 @@ import dataclasses
 
 import numpy as np
 
-from repro.errors import ConfigurationError, ShapeError
+from repro.errors import ConfigurationError, DataError, ShapeError
 from repro.hsi.cube import HyperspectralImage
 from repro.linalg.osp import brightest_pixel_index
 from repro.tuning.registry import resolve
@@ -59,6 +59,15 @@ def _check_inputs(pixels: FloatArray, n_targets: int) -> FloatArray:
     if n_targets > pix.shape[0]:
         raise ConfigurationError(
             f"cannot extract {n_targets} targets from {pix.shape[0]} pixels"
+        )
+    finite = np.isfinite(pix)
+    if not finite.all():
+        # A NaN score never wins an argmax: the detector would return the
+        # same pixel every round and all-NaN scores instead of failing.
+        pixel, band = np.argwhere(~finite)[0]
+        raise DataError(
+            f"pixels must be finite: pixel {pixel}, band {band} is "
+            f"{pix[pixel, band]}"
         )
     return pix
 

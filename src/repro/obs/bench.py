@@ -789,8 +789,9 @@ def _add_microbench_parser(sub: Any) -> None:
                    default=defaults.morph_iterations,
                    help="MORPH passes I_max (paper: 5)")
     p.add_argument("--ufcls-pixels", type=int, default=defaults.ufcls_pixels,
-                   help="pixel subset for the ufcls kernel (its shared "
-                        "active-set refinement makes full frames ~25 s/sample)")
+                   help="pixel subset for the ufcls kernel (both variants "
+                        "share the active-set refinement; the full 6144-pixel "
+                        "frame costs ~8 s/sample)")
     p.add_argument("--paper-scale", action="store_true",
                    help="use the paper's 614x512x224 cube (float64 cube "
                         "~563 MB, reference MEI peak ~2 GB — check memory)")

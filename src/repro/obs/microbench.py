@@ -107,11 +107,14 @@ class MicrobenchConfig:
     #: gate's jitter guard); below 3 the estimator is a plain minimum.
     repeats: int = 5
     kernels: tuple[str, ...] = KERNELS
-    #: Pixel subset for the ufcls kernel only.  Both sides of that
-    #: comparison are dominated by the shared per-pixel active-set
-    #: refinement (the fast path saves the Gram/ATDCA half), so the
-    #: ratio is already visible on a small subset — and the full frame
-    #: would cost ~25 s per timing sample.
+    #: Pixel subset for the ufcls kernel only.  Both variants spend
+    #: nearly all their time in the one active-set refinement they share
+    #: (``linalg.fcls._active_set_refine``; the fast path saves only the
+    #: Gram inverse and the cross-products), so the ratio sits near 1 at
+    #: any size and cannot see a change to that kernel — the number that
+    #: does is ``linalg.fcls_px_per_s`` in ``benchmarks/wall``.  At 30
+    #: targets a sample costs ~1.5 s on 512 pixels and ~8 s on the full
+    #: 6144-pixel frame.
     ufcls_pixels: int = 512
     #: Pixel subset and simplex size for the nfindr kernel (the scalar
     #: reference sweep is O(n·k) determinants per pass — the full frame

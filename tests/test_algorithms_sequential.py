@@ -8,7 +8,7 @@ from repro.core.atdca import atdca, atdca_pixels
 from repro.core.morph import morph_classify
 from repro.core.pct import pct_classify, pct_classify_pixels
 from repro.core.ufcls import fcls_error_image, ufcls, ufcls_pixels
-from repro.errors import ConfigurationError, ShapeError
+from repro.errors import ConfigurationError, DataError, ShapeError
 from repro.hsi import HyperspectralImage, match_targets, score_classification
 from repro.hsi.metrics import sad
 
@@ -60,6 +60,14 @@ class TestATDCA:
         with pytest.raises(ShapeError):
             atdca_pixels(rng.random(10), 2)
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_pixel_rejected(self, rng, value):
+        pixels, _ = planted_pixels(rng)
+        pixels[17, 5] = value
+        pixels[40, 2] = value
+        with pytest.raises(DataError, match="pixel 17, band 5"):
+            atdca_pixels(pixels, 3)
+
     def test_scene_detects_all_hotspots(self, default_scene):
         result = atdca(default_scene.image, 18)
         matches = match_targets(
@@ -86,6 +94,14 @@ class TestUFCLS:
         a = atdca_pixels(pixels, 1)
         u = ufcls_pixels(pixels, 1)
         assert a.flat_indices[0] == u.flat_indices[0]
+
+    @pytest.mark.parametrize("value", [np.nan, -np.inf])
+    def test_non_finite_pixel_rejected(self, rng, value):
+        pixels, _ = planted_pixels(rng)
+        pixels[17, 5] = value
+        pixels[40, 2] = value
+        with pytest.raises(DataError, match="pixel 17, band 5"):
+            ufcls_pixels(pixels, 3)
 
     def test_scene_misses_coolest_spot(self, default_scene):
         """The paper's Table 3 failure mode: UFCLS cannot pull the dim

@@ -1,12 +1,18 @@
 """Tests for the constrained unmixing solvers."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 import scipy.optimize
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from repro.errors import DataError, ShapeError
+from repro.core.ufcls import ufcls_pixels
+from repro.errors import ConvergenceError, DataError, ShapeError
+from repro.experiments.config import ExperimentConfig
+from repro.hsi import make_wtc_scene
+from repro.linalg import fcls
 from repro.linalg.fcls import (
     fcls_abundances,
     ls_abundances,
@@ -85,6 +91,26 @@ class TestFCLS:
         with pytest.raises(DataError):
             fcls_abundances(rng.random((2, 4)), np.empty((0, 4)))
 
+    def test_more_endmembers_than_a_mask_key_holds_rejected(self, rng):
+        with pytest.raises(DataError, match="at most 62"):
+            fcls_abundances(rng.random((4, 80)), rng.random((63, 80)))
+
+    def test_running_out_of_rounds_raises(self):
+        # SCLS gives (-1, -0.5, 2.5): the pixel has to drop the first
+        # endmember, then the second.
+        pixel = np.array([-1.0, -0.5, 2.5])
+        assert np.allclose(fcls_abundances(pixel, np.eye(3)), [0.0, 0.0, 1.0])
+        with pytest.raises(ConvergenceError, match="1 pixel"):
+            fcls_abundances(pixel, np.eye(3), max_iter=1)
+
+    def test_degenerate_sum_to_one_of_a_sub_mask_raises(self):
+        # 1ᵀG⁻¹1 is 1.8e-300 over both endmembers and 0.9e-300, below the
+        # solver's floor, once the pixel has dropped the first.
+        end = np.eye(2) * np.sqrt(1.0 / 0.9e-300)
+        pixel = -1.0 * end[0] + 2.0 * end[1]
+        with pytest.raises(DataError, match="degenerate"):
+            fcls_abundances(pixel, end, ridge=0.0)
+
 
 class TestReconstructionError:
     def test_zero_for_exact(self, rng, endmembers):
@@ -116,3 +142,114 @@ def test_fcls_constraints_property(n_end, bands, n_pixels, seed):
     est = fcls_abundances(pixels, endmembers)
     assert est.min() >= -1e-12
     assert np.allclose(est.sum(axis=1), 1.0, atol=1e-7)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    n_end=st.integers(min_value=2, max_value=18),
+    blocks=st.sampled_from([0, 1, 3]),
+    spill=st.integers(min_value=2, max_value=9),
+    duplicate=st.booleans(),
+    seed=st.integers(min_value=0, max_value=10_000),
+)
+@example(n_end=18, blocks=3, spill=2, duplicate=True, seed=0)
+@example(n_end=2, blocks=3, spill=2, duplicate=False, seed=0)
+def test_fcls_pixel_depends_on_nothing_but_itself(
+    n_end, blocks, spill, duplicate, seed
+):
+    """Solving a subset gives the rows the full solve gives, to the bit:
+    which pixels share the call, their order, and where the byte budget
+    cuts a round into blocks all leave a pixel's abundances alone.
+
+    Subsets hold two pixels or more: for a single row BLAS takes its
+    matrix-vector path in ``pixels @ endmembers.T``, before the solver
+    sees anything, and rounds that product differently."""
+    rng = np.random.default_rng(seed)
+    block = fcls._ROUND_BYTES // (8 * n_end * n_end)
+    n_pixels = blocks * block + spill
+    endmembers = rng.random((n_end, 24)) + 0.05
+    if duplicate:
+        endmembers[-1] = endmembers[0]
+    pixels = rng.random((n_pixels, 24)) * rng.uniform(0.1, 5.0)
+    idx = rng.permutation(n_pixels)[: rng.integers(2, n_pixels + 1)]
+    full = fcls_abundances(pixels, endmembers)
+    assert np.array_equal(full[idx], fcls_abundances(pixels[idx], endmembers))
+
+
+def _per_mask_loop_refine(result, cross, gram, ridge, rounds):
+    """The kernel ``_active_set_refine`` replaced, verbatim: one SCLS per
+    distinct active mask per round, in a Python loop.  The oracle."""
+    n, k = result.shape
+    bad = np.flatnonzero((result < -1e-12).any(axis=1))
+    if bad.size == 0:
+        np.maximum(result, 0.0, out=result)
+        return result
+
+    active = np.ones((n, k), dtype=bool)
+    # Round 0 already solved the all-active case; record first drops.
+    worst = np.argmin(result[bad], axis=1)
+    active[bad, worst] = False
+    todo = bad
+
+    for _ in range(rounds):
+        if todo.size == 0:
+            break
+        masks, inverse = np.unique(active[todo], axis=0, return_inverse=True)
+        next_todo: list[np.ndarray] = []
+        for m_idx in range(masks.shape[0]):
+            mask = masks[m_idx]
+            rows = todo[inverse == m_idx]
+            live = np.flatnonzero(mask)
+            if live.size == 0:
+                raise ConvergenceError(
+                    "FCLS active-set iteration emptied an active set"
+                )
+            sub_cross = cross[rows[:, None], live[None, :]]
+            sub_ginv = fcls._reg_inverse(gram[live[:, None], live[None, :]], ridge)
+            sub = fcls._scls_from_cross(sub_cross, sub_ginv)
+            feasible = ~(sub < -1e-12).any(axis=1)
+            done_rows = rows[feasible]
+            if done_rows.size:
+                result[done_rows] = 0.0
+                result[done_rows[:, None], live[None, :]] = np.maximum(
+                    sub[feasible], 0.0
+                )
+            bad_rows = rows[~feasible]
+            if bad_rows.size:
+                worst_local = np.argmin(sub[~feasible], axis=1)
+                active[bad_rows, live[worst_local]] = False
+                next_todo.append(bad_rows)
+        todo = (
+            np.concatenate(next_todo) if next_todo else np.empty(0, dtype=np.int64)
+        )
+    if todo.size:
+        raise ConvergenceError(
+            f"FCLS failed to converge for {todo.size} pixel(s) in "
+            f"{rounds} rounds"
+        )
+    np.maximum(result, 0.0, out=result)
+    return result
+
+
+class TestAgainstPerMaskLoop:
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_grid_scene_picks_and_abundances(self, seed, monkeypatch):
+        config = dataclasses.replace(ExperimentConfig().grid_scene, seed=seed)
+        pixels = make_wtc_scene(config).image.flatten_pixels()
+        picks = ufcls_pixels(pixels, 18).flat_indices
+        abundances = fcls_abundances(pixels, pixels[picks[:-1]])
+        monkeypatch.setattr(fcls, "_active_set_refine", _per_mask_loop_refine)
+        assert np.array_equal(ufcls_pixels(pixels, 18).flat_indices, picks)
+        oracle = fcls_abundances(pixels, pixels[picks[:-1]])
+        assert np.abs(abundances - oracle).max() < 1e-9
+
+    def test_one_mask_per_pixel(self, monkeypatch):
+        # 30 targets over 512 pixels: nearly every open pixel has a mask
+        # of its own, so the rounds cut the *masks* into blocks too.
+        rng = np.random.default_rng(30)
+        pixels = rng.random((512, 48))
+        endmembers = pixels[:30] + 0.01 * rng.random((30, 48))
+        abundances = fcls_abundances(pixels, endmembers)
+        monkeypatch.setattr(fcls, "_active_set_refine", _per_mask_loop_refine)
+        oracle = fcls_abundances(pixels, endmembers)
+        assert np.abs(abundances - oracle).max() < 1e-9
