@@ -119,24 +119,10 @@ def main(argv: list[str] | None = None) -> int:
                              "whatif_predict.json + whatif_causal.json + "
                              "whatif_sweep.json next to the traces and "
                              "prints the predicted makespan change")
-    parser.add_argument("--chaos-sweep", metavar="GRID", default=None,
-                        help="run the JSON chaos-sweep grid (crash x "
-                             "slowdown x link-degrade x delay cells through "
-                             "the adaptive fault-tolerant driver) and write "
-                             "sweep_<name>.json into --outdir; honors "
-                             "--jobs, artifacts are byte-identical at any "
-                             "job count")
     parser.add_argument("--jobs", type=int, default=None,
-                        help="fan the table5-7 grid cells (and chaos-sweep "
-                             "cells) out over N worker processes; results "
-                             "(and trace files) are identical to a serial "
-                             "run")
-    parser.add_argument("--history", metavar="LEDGER", default=None,
-                        help="append this invocation's artifacts (traced "
-                             "demo analysis, calibration drift, chaos-sweep "
-                             "ratios, live health summary) to the "
-                             "longitudinal run ledger "
-                             "(`python -m repro.obs.history`)")
+                        help="fan the table5-7 grid cells out over N worker "
+                             "processes; results (and trace files) are "
+                             "identical to a serial run")
     parser.add_argument("--rows", type=int, default=96, help="scene rows")
     parser.add_argument("--cols", type=int, default=64, help="scene cols")
     parser.add_argument("--bands", type=int, default=48, help="scene bands")
@@ -161,10 +147,6 @@ def main(argv: list[str] | None = None) -> int:
         parser.error("--live requires a directory name")
     if args.whatif == "":
         parser.error("--whatif requires a plan file name")
-    if args.chaos_sweep == "":
-        parser.error("--chaos-sweep requires a grid file name")
-    if args.history == "":
-        parser.error("--history requires a ledger file name")
     if args.plan == "":
         parser.error("--plan requires 'auto', 'default', or a plan file")
     if (args.plan is not None and args.plan not in ("auto", "default")
@@ -172,10 +154,10 @@ def main(argv: list[str] | None = None) -> int:
         parser.error(f"--plan file not found: {args.plan}")
     if (not args.experiments and args.trace is None and args.metrics is None
             and args.report is None and args.calibrate is None
-            and args.whatif is None and args.chaos_sweep is None):
+            and args.whatif is None):
         parser.error("nothing to do: name experiments and/or pass "
                      "--trace DIR / --metrics DIR / --report FILE / "
-                     "--calibrate DIR / --whatif PLAN / --chaos-sweep GRID "
+                     "--calibrate DIR / --whatif PLAN "
                      "(--live attaches to those runs)")
 
     wanted = list(EXPERIMENT_NAMES) if "all" in args.experiments else [
@@ -197,7 +179,6 @@ def main(argv: list[str] | None = None) -> int:
         live_dir.mkdir(parents=True, exist_ok=True)
     trace_dir = None
     sim_traced = None
-    sweep_result = None
     metrics_dir = Path(args.metrics) if args.metrics is not None else None
     if args.trace is not None:
         trace_dir = Path(args.trace)
@@ -280,29 +261,6 @@ def main(argv: list[str] | None = None) -> int:
               f"({doc['delta_pct']:+.2f}%, speedup {doc['speedup']:.3f}x)")
         print("  whatif json -> "
               + ", ".join(p.name for p in whatif_result.files))
-    if args.chaos_sweep is not None:
-        from repro.faults.sweep import (
-            load_sweep_grid,
-            run_sweep,
-            sweep_table,
-            write_sweep,
-        )
-
-        sweep_doc = load_sweep_grid(args.chaos_sweep)
-        n_cells = 1
-        for axis_options in (sweep_doc.get("axes") or {}).values():
-            n_cells *= max(len(axis_options), 1)
-        n_cells *= len(sweep_doc.get("algorithms", ["atdca"]))
-        n_cells *= len(sweep_doc.get("backends", ["sim"]))
-        print(f"chaos-sweeping grid {sweep_doc['name']!r} "
-              f"({n_cells} cells through adaptive recovery)...", flush=True)
-        sweep_result = run_sweep(sweep_doc, jobs=args.jobs)
-        print(sweep_table(sweep_result))
-        sweep_path = write_sweep(
-            sweep_result, outdir / f"sweep_{sweep_doc['name']}.json"
-        )
-        print(f"  sweep json -> {sweep_path}")
-
     scene = make_wtc_scene(config.scene)
     grid = None
     if _GRID_EXPERIMENTS & set(wanted):
@@ -349,48 +307,6 @@ def main(argv: list[str] | None = None) -> int:
         transcript.write_text("\n\n".join(sections) + "\n", encoding="utf-8")
         print(f"transcript written to {transcript}")
 
-    if args.history is not None:
-        import json as _json
-
-        from repro.obs.history import (
-            append_entries,
-            entries_from_analysis,
-            entries_from_calibration,
-            entries_from_health_summary,
-            entries_from_sweep,
-        )
-
-        entries = []
-        if trace_dir is not None:
-            for backend in ("sim", "inproc"):
-                analysis_path = trace_dir / f"atdca_{backend}.analysis.json"
-                if analysis_path.exists():
-                    doc = _json.loads(
-                        analysis_path.read_text(encoding="utf-8")
-                    )
-                    entries += entries_from_analysis(
-                        doc, label=f"atdca_{backend}", backend=backend
-                    )
-        if args.calibrate is not None:
-            for backend in ("sim", "inproc"):
-                calib_path = Path(args.calibrate) / f"calibration_{backend}.json"
-                if calib_path.exists():
-                    doc = _json.loads(calib_path.read_text(encoding="utf-8"))
-                    entries += entries_from_calibration(doc, backend=backend)
-        if args.chaos_sweep is not None and sweep_result is not None:
-            entries += entries_from_sweep(sweep_result)
-        if live_dir is not None:
-            health_path = live_dir / "health_summary.json"
-            if health_path.exists():
-                doc = _json.loads(health_path.read_text(encoding="utf-8"))
-                entries += entries_from_health_summary(doc)
-        if entries:
-            n = append_entries(args.history, entries)
-            print(f"{n} ledger entries -> {args.history}")
-        else:
-            print("history: nothing recorded (no recordable artifacts "
-                  "were produced; combine --history with --trace, "
-                  "--calibrate, --chaos-sweep, or --live)")
     return 0
 
 

@@ -2,20 +2,20 @@
 
 ``python -m repro.obs.bench`` runs a *pinned* subset of the Table 5–8
 experiment grid and persists the timings as a schema-versioned
-``BENCH_<iso-date>.json`` artifact; ``compare`` diffs two artifacts
-with noise-aware thresholds and exits nonzero on regression — the gate
-every performance PR is judged by.
+``BENCH_<iso-date>.json`` artifact; ``compare BASE CAND`` runs the
+ledger's regression gate (:func:`repro.obs.history.gate_entries`) with
+``BASE`` as a one-run history and exits nonzero on regression.
 
 Two measurement regimes, mirroring the repo's two backends:
 
 * **sim** — virtual-time makespans plus the Table 6 COM/SEQ/PAR triple
   and the Table 7 ``D_all``/``D_minus`` scores.  Virtual seconds are
   *exact*: two runs of the same code produce byte-identical artifacts,
-  so ``compare`` uses an effectively-zero tolerance and any drift is a
+  so the gate's tolerance is float round-off and any drift is a
   genuine behaviour change.
-* **inproc** — wall-clock seconds of the thread backend, measured with
-  ``--repeats`` repetitions and compared by median within a tolerance
-  band (wall time is noisy; the band absorbs scheduler jitter).
+* **inproc** — wall-clock seconds of the thread backend, the median of
+  ``--repeats`` repetitions: reported and trended, never gated (wall
+  claims are judged by the paired runs of ``benchmarks/wall``).
 
 Usage::
 
@@ -26,7 +26,7 @@ Usage::
     python -m repro.obs.bench microbench --gate    # fast-path kernel floors
     python -m repro.obs.bench plan --gate          # autotuning planner gate
 
-See README "Benchmarking & regression workflow" and EXPERIMENTS.md for
+See README "Benchmarking & the regression gate" and EXPERIMENTS.md for
 how these artifacts relate to the paper's Tables 5–8.
 """
 
@@ -48,7 +48,8 @@ from repro.errors import ReproError
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.grid import variant_label
 from repro.hsi.scene import SceneConfig, make_wtc_scene
-from repro.obs.export import canonical_json, write_json
+from repro.obs import history
+from repro.obs.export import write_json
 from repro.obs.provenance import (
     describe_mismatch,
     provenance,
@@ -62,31 +63,21 @@ from repro.perf.timers import breakdown_of_run
 
 __all__ = [
     "SCHEMA",
-    "COMPARE_SCHEMA",
     "PLAN_BENCH_SCHEMA",
     "BenchConfig",
     "run_bench",
     "run_plan_bench",
     "gate_plan",
     "plan_report",
-    "compare_artifacts",
-    "comparison_document",
+    "compare_report",
     "report_text",
     "main",
 ]
 
 SCHEMA = "repro.obs.bench/1"
 
-#: Schema stamp of the machine-readable ``compare --json`` output.
-COMPARE_SCHEMA = "repro.obs.bench.compare/1"
-
 #: Schema stamp of the ``plan`` subcommand's artifact.
 PLAN_BENCH_SCHEMA = "repro.obs.bench.plan/1"
-
-#: Exact-virtual-time tolerance: only genuine behaviour changes exceed it.
-SIM_RTOL = 1e-9
-#: Wall-clock tolerance band: absorbs thread-scheduler jitter.
-WALL_RTOL = 0.25
 
 
 @dataclasses.dataclass(frozen=True)
@@ -454,7 +445,7 @@ def gate_plan(
             f"unsupported plan-bench schema {artifact.get('schema')!r} "
             f"(expected {PLAN_BENCH_SCHEMA!r})"
         )
-    max_rel = float(gate.get("max_prediction_rel_error", SIM_RTOL))
+    max_rel = float(gate.get("max_prediction_rel_error", history.EXACT_RTOL))
     min_best = float(gate.get("min_best_improvement", 1.0))
     failures: list[str] = []
     best = 0.0
@@ -536,132 +527,39 @@ def load_artifact(path: str | Path) -> dict[str, Any]:
     return doc
 
 
-@dataclasses.dataclass(frozen=True)
-class CellDiff:
-    """Comparison outcome for one benchmark cell."""
-
-    cell_id: str
-    status: str  # "ok" | "regression" | "improvement" | "missing" | "new"
-    metric: str = ""
-    baseline: float | None = None
-    candidate: float | None = None
-
-    @property
-    def delta_pct(self) -> float:
-        if not self.baseline or self.candidate is None:
-            return 0.0
-        return 100.0 * (self.candidate - self.baseline) / self.baseline
-
-    def describe(self) -> str:
-        if self.status in ("missing", "new"):
-            return f"{self.status:<12} {self.cell_id}"
-        return (
-            f"{self.status:<12} {self.cell_id} [{self.metric}] "
-            f"{self.baseline:.6f} -> {self.candidate:.6f} "
-            f"({self.delta_pct:+.2f}%)"
-        )
-
-
-def comparison_document(
-    diffs: Sequence[CellDiff],
+def compare_report(
     baseline: Mapping[str, Any],
     candidate: Mapping[str, Any],
-    failing: Sequence[CellDiff],
-) -> dict[str, Any]:
-    """The machine-readable ``compare --json`` document: per-cell
-    deltas plus summary counts and the process exit status, so CI and
-    serve gates consume the comparison without text parsing."""
-    statuses = [d.status for d in diffs]
-    return {
-        "schema": COMPARE_SCHEMA,
-        "baseline_date": baseline.get("date"),
-        "candidate_date": candidate.get("date"),
-        "config_match": baseline.get("config") == candidate.get("config"),
-        "provenance_match": provenance_matches(
-            baseline.get("provenance"), candidate.get("provenance")
-        ),
-        "baseline_provenance": baseline.get("provenance"),
-        "candidate_provenance": candidate.get("provenance"),
-        "cells": [
-            {
-                "cell_id": d.cell_id,
-                "status": d.status,
-                "metric": d.metric,
-                "baseline": d.baseline,
-                "candidate": d.candidate,
-                "delta_pct": d.delta_pct,
-                "failing": d in failing,
-            }
-            for d in diffs
-        ],
-        "summary": {
-            status: statuses.count(status)
-            for status in ("ok", "regression", "improvement", "missing", "new")
-        },
-        "failing": [d.cell_id for d in failing],
-        "exit_status": 1 if failing else 0,
-    }
-
-
-def compare_artifacts(
-    baseline: Mapping[str, Any],
-    candidate: Mapping[str, Any],
-    sim_rtol: float = SIM_RTOL,
-    wall_rtol: float = WALL_RTOL,
-) -> list[CellDiff]:
-    """Diff two artifacts cell by cell.
-
-    The gating metric is the sim makespan (exact, ``sim_rtol``) or the
-    wall-clock median (noisy, ``wall_rtol``).  Slower-than-tolerance is
-    a ``regression``, faster an ``improvement``; cells present on only
-    one side are reported as ``missing``/``new`` but do not gate.
-    """
-    base_cells = baseline.get("cells", {})
-    cand_cells = candidate.get("cells", {})
-    diffs: list[CellDiff] = []
-    for cid in sorted(set(base_cells) | set(cand_cells)):
-        if cid not in cand_cells:
-            diffs.append(CellDiff(cell_id=cid, status="missing"))
-            continue
-        if cid not in base_cells:
-            diffs.append(CellDiff(cell_id=cid, status="new"))
-            continue
-        base, cand = base_cells[cid], cand_cells[cid]
-        if base.get("backend") != cand.get("backend"):
-            diffs.append(
-                CellDiff(cell_id=cid, status="regression", metric="backend")
-            )
-            continue
-        if base["backend"] == "sim":
-            metric, rtol = "virtual.makespan", sim_rtol
-            b = base["virtual"]["makespan"]
-            c = cand["virtual"]["makespan"]
-        else:
-            metric, rtol = "wall.median", wall_rtol
-            b = base["wall"]["median"]
-            c = cand["wall"]["median"]
-        if c > b * (1.0 + rtol):
-            status = "regression"
-        elif c < b * (1.0 - rtol):
-            status = "improvement"
-        else:
-            status = "ok"
-        diffs.append(
-            CellDiff(
-                cell_id=cid, status=status, metric=metric,
-                baseline=b, candidate=c,
-            )
-        )
-    return diffs
+    fail_on_missing: bool = False,
+) -> history.GateReport:
+    """Gate ``candidate`` against the one-run history ``baseline``: the
+    rule, bands and statuses of ``history gate`` over a ledger holding
+    only ``baseline``.  What needs both files is added here — cells the
+    candidate lacks report ``missing`` (failing under
+    ``fail_on_missing``)."""
+    base = history.entries_from_bench(baseline)
+    report = history.gate_entries(
+        history.Ledger(path=None, entries=tuple(base)),
+        history.entries_from_bench(candidate),
+    )
+    present = {result.series for result in report.results}
+    missing = tuple(
+        history.SeriesGate(series=entry.series, status="missing")
+        for entry in base if entry.series not in present
+    )
+    return history.GateReport(
+        results=report.results + missing, fail_on_missing=fail_on_missing
+    )
 
 
 def _regression_diff(
-    cell_id: str,
+    series: str,
     baseline_dir: str | Path,
     candidate_dir: str | Path,
     top: int = 5,
 ) -> str | None:
-    """Trace-level explanation of one regressed sim cell, if possible.
+    """Trace-level explanation of one regressed sim cell's
+    ``bench/<cell>/makespan`` series, if possible.
 
     Loads the cell's JSONL trace from both directories (written by
     ``run --trace-dir``) and returns the ranked per-op delta text of
@@ -673,7 +571,9 @@ def _regression_diff(
     from repro.obs.diff import diff_traces
     from repro.obs.export import read_jsonl
 
-    name = _cell_filename(cell_id)
+    name = _cell_filename(
+        series.removeprefix("bench/").removesuffix("/makespan")
+    )
     base_path = Path(baseline_dir) / name
     cand_path = Path(candidate_dir) / name
     if not (base_path.is_file() and cand_path.is_file()):
@@ -875,13 +775,6 @@ def _run_plan_command(args: argparse.Namespace) -> int:
     return 0
 
 
-def _record_to_ledger(ledger: str, entries: Any) -> None:
-    from repro.obs.history import append_entries
-
-    n = append_entries(ledger, entries)
-    print(f"{n} ledger entries -> {ledger}")
-
-
 def _run_microbench_command(args: argparse.Namespace) -> int:
     from repro.obs.microbench import (
         MicrobenchConfig,
@@ -911,9 +804,9 @@ def _run_microbench_command(args: argparse.Namespace) -> int:
         out = write_json(args.out, artifact)
         print(f"{len(artifact['kernels'])} kernels -> {out}")
     if args.record is not None:
-        from repro.obs.history import entries_from_microbench
-
-        _record_to_ledger(args.record, entries_from_microbench(artifact))
+        print(history.record_entries(
+            args.record, history.entries_from_microbench(artifact)
+        ))
     if args.gate is not None:
         try:
             floors = json.loads(Path(args.gate).read_text(encoding="utf-8"))
@@ -954,20 +847,18 @@ def main(argv: Sequence[str] | None = None) -> int:
     _add_run_parser(sub)
     _add_microbench_parser(sub)
     _add_plan_parser(sub)
-    p_cmp = sub.add_parser("compare", help="diff two artifacts, exit 1 on "
-                                           "regression")
+    p_cmp = sub.add_parser("compare", help="gate one artifact against "
+                                           "another, exit 1 on regression")
     p_cmp.add_argument("baseline")
     p_cmp.add_argument("candidate")
-    p_cmp.add_argument("--sim-rtol", type=float, default=SIM_RTOL)
-    p_cmp.add_argument("--wall-rtol", type=float, default=WALL_RTOL)
     p_cmp.add_argument("--fail-on-missing", action="store_true",
                        help="treat cells missing from the candidate as "
                             "regressions")
     p_cmp.add_argument("--json", metavar="FILE", default=None,
                        help="additionally write the machine-readable "
-                            "comparison (per-cell deltas + exit status) "
-                            "to FILE ('-' for stdout), so CI gates can "
-                            "consume it without text parsing")
+                            "gate document (per-series bands + exit "
+                            "status) to FILE ('-' for stdout), so CI gates "
+                            "can consume it without text parsing")
     p_cmp.add_argument("--baseline-traces", metavar="DIR", default=None,
                        help="per-cell JSONL traces of the baseline run "
                             "(from `run --trace-dir`)")
@@ -993,9 +884,9 @@ def main(argv: Sequence[str] | None = None) -> int:
         write_artifact(artifact, out)
         print(f"{len(artifact['cells'])} cells -> {out}")
         if args.record is not None:
-            from repro.obs.history import entries_from_bench
-
-            _record_to_ledger(args.record, entries_from_bench(artifact))
+            print(history.record_entries(
+                args.record, history.entries_from_bench(artifact)
+            ))
         if args.trace_dir is not None:
             n_traced = sum(
                 1 for cell in artifact["cells"].values()
@@ -1030,44 +921,20 @@ def main(argv: Sequence[str] | None = None) -> int:
                 baseline["provenance"], candidate["provenance"]
             ):
                 print(f"  {line}", file=sys.stderr)
-        diffs = compare_artifacts(
-            baseline, candidate,
-            sim_rtol=args.sim_rtol, wall_rtol=args.wall_rtol,
+        report = compare_report(
+            baseline, candidate, fail_on_missing=args.fail_on_missing
         )
-        failing = [d for d in diffs if d.status == "regression"]
-        if args.fail_on_missing:
-            failing += [d for d in diffs if d.status == "missing"]
-        explain = (
-            args.baseline_traces is not None
-            and args.candidate_traces is not None
-        )
-        for diff in diffs:
-            if diff.status != "ok":
-                print(diff.describe())
-            if diff.status == "regression" and explain:
+        print(report.to_text())
+        if args.baseline_traces and args.candidate_traces:
+            for result in report.failing:
                 explained = _regression_diff(
-                    diff.cell_id, args.baseline_traces, args.candidate_traces
+                    result.series, args.baseline_traces,
+                    args.candidate_traces,
                 )
                 if explained is not None:
+                    print(f"{result.series}:")
                     print(textwrap.indent(explained, "    "))
-        ok = sum(1 for d in diffs if d.status == "ok")
-        print(f"{len(diffs)} cells compared: {ok} ok, "
-              f"{sum(1 for d in diffs if d.status == 'improvement')} "
-              f"improved, {len(failing)} failing")
-        if args.json is not None:
-            document = comparison_document(
-                diffs, baseline, candidate, failing
-            )
-            if args.json == "-":
-                sys.stdout.write(canonical_json(document))
-            else:
-                out = write_json(args.json, document)
-                print(f"comparison json -> {out}")
-        if failing:
-            print("REGRESSION: "
-                  + "; ".join(d.cell_id for d in failing), file=sys.stderr)
-            return 1
-        return 0
+        return history.conclude_gate(report, args.json)
 
     # report
     try:

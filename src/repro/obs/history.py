@@ -13,12 +13,14 @@ it:
   offline changepoint detector (binary segmentation minimising the L1
   cost around segment medians), so step-changes in a series are located
   and dated, not averaged away;
-* **gate** — the *adaptive* regression gate: instead of comparing a
-  candidate against one committed baseline that rots, the candidate is
-  compared against a control band derived from the ledger's last
-  stable segment.  A failing series names the first offending entry —
-  and therefore the commit that introduced the step — via the same
-  changepoint machinery;
+* **gate** — the repo's one regression rule.  A candidate is compared
+  against a control band derived from its series' history: an exact
+  (virtual-time) series bands on its last recorded value, so every
+  recorded change re-baselines it; a noisy series bands on the MAD of
+  its last stable segment; wall-clock values are reported, never
+  gated.  A failing series names the first offending entry — and
+  therefore the commit that introduced the step.  ``bench compare A B``
+  is this gate over the one-run history ``entries_from_bench(A)``;
 * **dashboard** — a self-contained fleet HTML page (sparkline
   timelines per series with changepoint markers and control bands,
   calibration-drift and sweep-gate strips, light/dark) sharing the
@@ -32,13 +34,13 @@ comes from the source artifact — so recording the same artifact twice
 produces byte-identical lines, and serial vs ``--jobs N`` benchmark
 runs append byte-identical ledgers.
 
-Usage::
+Usage (``--ledger`` defaults to the committed seed)::
 
-    python -m repro.obs.history record --ledger L --bench BENCH_x.json
-    python -m repro.obs.history list   --ledger L
-    python -m repro.obs.history trend  --ledger L [PREFIX ...]
-    python -m repro.obs.history gate   --ledger L --bench BENCH_y.json
-    python -m repro.obs.history dashboard --ledger L --out fleet.html
+    python -m repro.obs.history --ledger L record --bench BENCH_x.json
+    python -m repro.obs.history --ledger L list
+    python -m repro.obs.history --ledger L trend [PREFIX ...]
+    python -m repro.obs.history --ledger L gate --bench BENCH_y.json
+    python -m repro.obs.history --ledger L dashboard --out fleet.html
 """
 
 from __future__ import annotations
@@ -84,6 +86,8 @@ __all__ = [
     "GateReport",
     "gate_entries",
     "gate_last",
+    "conclude_gate",
+    "record_entries",
     "render_dashboard",
     "write_dashboard",
     "main",
@@ -283,15 +287,28 @@ def _run_meta(doc: Mapping[str, Any], source: str,
     return meta
 
 
+#: The benchmark-config fields that fix what one cell measures; runs
+#: that differ only in the others — cell selectors, wall repeats, the
+#: regression-injecting ``comm_factor`` — compare cell by cell.
+_WORKLOAD_KEYS = ("rows", "cols", "bands", "seed", "n_targets", "n_classes")
+
+
+def _workload_digest(config: Mapping[str, Any]) -> str:
+    return " ".join(f"{key}={config.get(key)}" for key in _WORKLOAD_KEYS)
+
+
 def entries_from_bench(
     artifact: Mapping[str, Any], date: str | None = None
 ) -> list[LedgerEntry]:
     """Ledger entries for a ``BENCH_*.json`` artifact: one
     ``bench/<cell>/makespan`` series per sim cell (virtual seconds,
     deterministic) and one quarantined ``bench/<cell>/wall_median``
-    series per inproc cell."""
+    series per inproc cell.  ``run["config"]`` carries a digest of the
+    artifact's workload, which the gate uses to refuse comparing
+    different scenes (:func:`gate_entries`)."""
     prov = provenance()
     run = _run_meta(artifact, str(artifact.get("schema", "bench")), date)
+    run["config"] = _workload_digest(artifact.get("config") or {})
     out: list[LedgerEntry] = []
     for cid in sorted(artifact.get("cells", {})):
         cell = artifact["cells"][cid]
@@ -355,87 +372,50 @@ def entries_from_calibration(
     backend: str | None = None,
     date: str | None = None,
 ) -> list[LedgerEntry]:
-    """Calibration drift series.
-
-    Accepts both artifact shapes: a :mod:`repro.obs.profile` report
-    (``repro.obs.profile/1`` — the measured
-    ``median_phase_rel_error``) and the committed thresholds file
-    (``repro.obs.profile.gate/1`` — the bound per backend, recorded as
-    informational context so the drift trend starts with its budget).
-    """
+    """Calibration drift series: the measured
+    ``median_phase_rel_error`` of a :mod:`repro.obs.profile` report
+    (``repro.obs.profile/1``)."""
     schema = str(doc.get("schema", ""))
-    out: list[LedgerEntry] = []
-    prov = provenance()
-    if schema == "repro.obs.profile.gate/1":
-        run = _run_meta(doc, schema, date)
-        for name in sorted(doc.get("max_median_phase_rel_error", {})):
-            bound = doc["max_median_phase_rel_error"][name]
-            out.append(LedgerEntry(
-                series=f"calibration/{name}/max_median_phase_rel_error",
-                kind="calibration", unit="rel_error", direction="info",
-                deterministic=True, value=float(bound),
-                run=run, provenance=prov,
-            ))
-        return out
     if schema != "repro.obs.profile/1":
         raise ReproError(
             f"unsupported calibration schema {schema!r} (expected "
-            "repro.obs.profile/1 or repro.obs.profile.gate/1)"
+            "repro.obs.profile/1)"
         )
     if backend is None:
         raise ReproError(
             "a calibration report needs an explicit backend "
             "('sim' or 'inproc') to name its series"
         )
-    run = _run_meta(doc, schema, date)
-    deterministic = backend == "sim"
-    out.append(LedgerEntry(
+    return [LedgerEntry(
         series=f"calibration/{backend}/median_phase_rel_error",
         kind="calibration", unit="rel_error", direction="lower",
-        deterministic=deterministic,
+        deterministic=backend == "sim",
         value=float(doc["median_phase_rel_error"]),
-        run=run,
+        run=_run_meta(doc, schema, date),
         detail={
             "compute_scale": doc.get("compute_scale"),
             "transfer_scale": doc.get("transfer_scale"),
             "max_phase_rel_error": doc.get("max_phase_rel_error"),
             "platform": doc.get("platform"),
         },
-        provenance=prov,
-    ))
-    return out
+        provenance=provenance(),
+    )]
 
 
 def entries_from_sweep(
     doc: Mapping[str, Any], date: str | None = None
 ) -> list[LedgerEntry]:
-    """Chaos-sweep gate ratios.
-
-    Accepts a sweep result document (``repro.faults.sweep/1`` — the
-    measured worst prediction error and adaptive/predicted ratio over
-    the grid) or the committed thresholds file
-    (``repro.faults.sweep.gate/1`` — recorded as informational bounds).
-    """
+    """Chaos-sweep ratios of a sweep result document
+    (``repro.faults.sweep/1``): the measured worst prediction error
+    and adaptive/predicted ratio over the grid, and how many cells
+    adapted."""
     schema = str(doc.get("schema", ""))
     prov = provenance()
     out: list[LedgerEntry] = []
-    if schema == "repro.faults.sweep.gate/1":
-        run = _run_meta(doc, schema, date)
-        for key in ("max_prediction_rel_error",
-                    "max_adaptive_over_predicted", "min_adapted_cells"):
-            if key in doc:
-                out.append(LedgerEntry(
-                    series=f"sweep/gate/{key}",
-                    kind="sweep",
-                    unit="count" if key == "min_adapted_cells" else "ratio",
-                    direction="info", deterministic=True,
-                    value=float(doc[key]), run=run, provenance=prov,
-                ))
-        return out
     if schema != "repro.faults.sweep/1":
         raise ReproError(
             f"unsupported sweep schema {schema!r} (expected "
-            "repro.faults.sweep/1 or repro.faults.sweep.gate/1)"
+            "repro.faults.sweep/1)"
         )
     name = str(doc.get("name", "sweep"))
     run = _run_meta(doc, schema, date)
@@ -534,20 +514,16 @@ def entries_from_analysis(
     ):
         if val is None:
             continue
-        entry_kw: dict[str, Any] = dict(
+        out.append(LedgerEntry(
             series=f"trace/{label}/{metric}",
             kind="trace", unit="virtual_s" if deterministic else "wall_s",
             direction="lower", deterministic=deterministic,
+            value=float(val) if deterministic else None,
+            wall=None if deterministic else {"value": float(val)},
             run=run,
             detail={"dominant_rank": cp.get("dominant_rank")},
             provenance=prov,
-        )
-        if deterministic:
-            entry_kw["value"] = float(val)
-        else:
-            entry_kw["value"] = None
-            entry_kw["wall"] = {"value": float(val)}
-        out.append(LedgerEntry(**entry_kw))
+        ))
     return out
 
 
@@ -591,7 +567,7 @@ def _l1_cost(values: Sequence[float]) -> float:
 
 def changepoint_indices(
     values: Sequence[float],
-    penalty: float | None = None,
+    deterministic: bool = False,
     min_size: int = 1,
     max_changepoints: int = 8,
 ) -> list[int]:
@@ -599,26 +575,26 @@ def changepoint_indices(
 
     Greedily splits the series at the index that most reduces the
     summed L1 cost around segment medians, accepting a split only when
-    the reduction exceeds ``penalty``; recursion stops when no split
+    the reduction exceeds a penalty; recursion stops when no split
     pays for itself or ``max_changepoints`` is reached.  Returns sorted
     split indices ``i`` (each segment is ``values[a:i]``/``values[i:b]``).
 
-    The default penalty scales with the series' robust noise level
+    The penalty scales with the series' robust noise level
     (first-difference MAD × ``log(n)``) with a tiny absolute floor, so
-    a deterministic virtual-time series — zero jitter — reports *any*
-    genuine step while a noisy wall series needs a step that clears its
-    own jitter.
+    a noisy wall series needs a step that clears its own jitter.  A
+    ``deterministic`` virtual-time series has zero jitter by
+    definition — on ``[a, b]`` the first difference *is* the step, not
+    noise — so only the floor applies and *any* genuine step is
+    reported.
     """
     n = len(values)
     if n < 2 * min_size:
         return []
-    if penalty is None:
-        sigma = _noise_sigma(values)
-        scale = max(abs(_median(values)), 1.0)
-        penalty = max(
-            2.0 * sigma * math.log(max(n, 2)),
-            1e-9 * scale,
-        )
+    sigma = 0.0 if deterministic else _noise_sigma(values)
+    penalty = max(
+        2.0 * sigma * math.log(max(n, 2)),
+        EXACT_RTOL * max(abs(_median(values)), 1.0),
+    )
 
     segments: list[tuple[int, int]] = [(0, n)]
     splits: list[int] = []
@@ -725,7 +701,6 @@ def series_trend(
     series: str,
     entries: Sequence[LedgerEntry],
     ewma_alpha: float = 0.3,
-    penalty: float | None = None,
 ) -> SeriesTrend | None:
     """Trend statistics over a series' entries (``None`` when no entry
     carries a plottable measurement)."""
@@ -742,7 +717,7 @@ def series_trend(
     for v in values:
         sketch.observe(max(v, 0.0))
         ewma = ewma_alpha * v + (1.0 - ewma_alpha) * ewma
-    splits = changepoint_indices(values, penalty=penalty)
+    splits = changepoint_indices(values, deterministic=head.deterministic)
     bounds = [0, *splits, len(values)]
     segments = tuple(
         (a, b, _median(values[a:b]))
@@ -781,9 +756,7 @@ def series_trend(
 
 
 def ledger_trends(
-    ledger: Ledger,
-    prefixes: Sequence[str] = (),
-    penalty: float | None = None,
+    ledger: Ledger, prefixes: Sequence[str] = ()
 ) -> list[SeriesTrend]:
     """Trends for every series (optionally filtered by name prefix),
     sorted by series name."""
@@ -791,18 +764,17 @@ def ledger_trends(
     for name, entries in sorted(ledger.series().items()):
         if prefixes and not any(name.startswith(p) for p in prefixes):
             continue
-        trend = series_trend(name, entries, penalty=penalty)
+        trend = series_trend(name, entries)
         if trend is not None:
             out.append(trend)
     return out
 
 
-# -- adaptive regression gate -------------------------------------------------
+# -- the regression gate ------------------------------------------------------
 
 @dataclasses.dataclass(frozen=True)
 class ControlBand:
-    """The acceptance interval derived from a series' last stable
-    segment."""
+    """The acceptance interval derived from a series' current regime."""
 
     center: float
     lo: float
@@ -815,33 +787,29 @@ class ControlBand:
         return dataclasses.asdict(self)
 
 
-def control_band(
-    trend: SeriesTrend,
-    exact_rtol: float = EXACT_RTOL,
-    k_sigma: float = BAND_K_SIGMA,
-    noisy_rel_floor: float = NOISY_REL_FLOOR,
-) -> ControlBand:
-    """The ledger-derived control band for one series.
+def control_band(trend: SeriesTrend) -> ControlBand:
+    """The history-derived control band for one series.
 
-    Uses only the entries *after* the last detected changepoint — the
-    current regime — so an acknowledged step (a recorded improvement,
-    a re-scaled scenario) re-centres the band instead of poisoning it:
-    the adaptive replacement for a rotting committed baseline.
-    Deterministic series get an ``exact_rtol`` relative band (float
-    round-off only); noisy series get ``k_sigma`` MAD-sigmas with a
-    relative floor.
+    A deterministic series bands on its *last recorded value* within
+    :data:`EXACT_RTOL`: every change of an exact value is a regime
+    change, so recording a step once re-centres the band — what a
+    one-entry baseline file always meant.  A noisy series uses the
+    entries after its last changepoint: :data:`BAND_K_SIGMA` MAD-sigmas
+    around their median, at least :data:`NOISY_REL_FLOOR` of it.
     """
     start, _end, center = trend.segments[-1]
     seg_values = trend.values[start:]
     if trend.deterministic:
-        half = exact_rtol * max(abs(center), 1e-12)
+        center = trend.last
+        lo, hi = sorted(center * (1.0 + sign * EXACT_RTOL) for sign in (-1, 1))
     else:
-        sigma = _mad_sigma(seg_values)
-        half = max(k_sigma * sigma, noisy_rel_floor * abs(center))
-        if half == 0.0:
-            half = exact_rtol * max(abs(center), 1e-12)
+        half = max(
+            BAND_K_SIGMA * _mad_sigma(seg_values),
+            NOISY_REL_FLOOR * abs(center),
+        )
+        lo, hi = center - half, center + half
     return ControlBand(
-        center=center, lo=center - half, hi=center + half,
+        center=center, lo=lo, hi=hi,
         n=len(seg_values), segment_start=start,
         deterministic=trend.deterministic,
     )
@@ -852,10 +820,11 @@ class SeriesGate:
     """Gate outcome for one series."""
 
     series: str
-    status: str  # ok | regression | improvement | new | skipped
+    status: str  # ok | regression | improvement | new | skipped | missing
     candidate: float | None = None
     band: ControlBand | None = None
     offender: dict[str, Any] | None = None
+    reason: str = ""  # why a series was skipped
 
     @property
     def delta_pct(self) -> float:
@@ -866,9 +835,9 @@ class SeriesGate:
         )
 
     def describe(self) -> str:
-        if self.status in ("new", "skipped"):
-            return f"{self.status:<12} {self.series}"
-        assert self.band is not None and self.candidate is not None
+        if self.band is None or self.candidate is None:
+            why = f" ({self.reason})" if self.reason else ""
+            return f"{self.status:<12} {self.series}{why}"
         line = (
             f"{self.status:<12} {self.series} "
             f"{self.candidate:.9g} vs band "
@@ -893,184 +862,156 @@ class SeriesGate:
             "band": self.band.to_dict() if self.band else None,
             "delta_pct": self.delta_pct,
             "offender": self.offender,
+            "reason": self.reason,
         }
 
 
 @dataclasses.dataclass(frozen=True)
 class GateReport:
-    """The full adaptive-gate verdict."""
+    """The full gate verdict.  ``missing`` results (series of a
+    baseline run the candidate run lacks) fail only under
+    ``fail_on_missing``."""
 
     results: tuple[SeriesGate, ...]
+    fail_on_missing: bool = False
 
     @property
     def failing(self) -> tuple[SeriesGate, ...]:
-        return tuple(r for r in self.results if r.status == "regression")
+        return tuple(
+            r for r in self.results if r.status == "regression"
+            or (self.fail_on_missing and r.status == "missing")
+        )
 
     @property
     def exit_status(self) -> int:
         return 1 if self.failing else 0
 
-    def to_dict(self) -> dict[str, Any]:
+    @property
+    def summary(self) -> dict[str, int]:
         statuses = [r.status for r in self.results]
+        return {
+            status: statuses.count(status)
+            for status in ("ok", "regression", "improvement",
+                           "new", "skipped", "missing")
+        }
+
+    def to_dict(self) -> dict[str, Any]:
         return {
             "schema": GATE_SCHEMA,
             "results": [r.to_dict() for r in self.results],
-            "summary": {
-                status: statuses.count(status)
-                for status in ("ok", "regression", "improvement",
-                               "new", "skipped")
-            },
+            "summary": self.summary,
             "failing": [r.series for r in self.failing],
             "exit_status": self.exit_status,
             "provenance": provenance(),
         }
 
     def to_text(self) -> str:
-        lines = []
-        for result in self.results:
-            if result.status != "ok":
-                lines.append(result.describe())
-        counted = [r for r in self.results if r.status not in ("skipped",)]
-        ok = sum(1 for r in counted if r.status == "ok")
-        improved = sum(1 for r in counted if r.status == "improvement")
+        lines = [r.describe() for r in self.results if r.status != "ok"]
+        n = self.summary
+        gated = len(self.results) - n["skipped"] - n["missing"]
         lines.append(
-            f"{len(counted)} series gated: {ok} ok, {improved} improved, "
-            f"{len(self.failing)} failing, "
-            f"{sum(1 for r in self.results if r.status == 'new')} new"
+            f"{gated} series gated: {n['ok']} ok, {n['improvement']} "
+            f"improved, {len(self.failing)} failing, {n['new']} new"
         )
         return "\n".join(lines)
 
 
 def _find_offender(
     history: Sequence[LedgerEntry],
-    trend_values: Sequence[float],
+    trend: SeriesTrend,
     candidate_value: float,
     candidate_origin: str,
-    penalty: float | None = None,
 ) -> dict[str, Any]:
     """Locate the first entry of the regime the failing candidate
     belongs to: append the candidate, re-run changepoint detection, and
-    take the start of the segment containing the last index.  If the
-    candidate opened the regime itself, it is its own offender — the
-    step arrived with this run's commit."""
-    values = [*trend_values, candidate_value]
-    splits = changepoint_indices(values, penalty=penalty)
-    last_start = max((i for i in splits if i <= len(values) - 1), default=0)
-    if last_start >= len(trend_values) or not splits:
-        return {
-            "index": len(trend_values),
-            "where": "candidate",
-            "origin": candidate_origin,
-            "value": candidate_value,
-        }
-    entry = history[last_start]
+    take the start of the segment containing the last index — on an
+    exact series, the first entry of the trailing run that carries the
+    candidate's value.  If the candidate opened the regime itself, it
+    is its own offender — the step arrived with this run's commit."""
+    values = [*trend.values, candidate_value]
+    splits = changepoint_indices(values, deterministic=trend.deterministic)
+    start = splits[-1] if splits else trend.n  # trend.n: the candidate
+    in_ledger = start < trend.n
     return {
-        "index": last_start,
-        "where": "ledger",
-        "origin": entry.describe_origin(),
-        "value": values[last_start],
+        "index": start,
+        "where": "ledger" if in_ledger else "candidate",
+        "origin": (
+            history[start].describe_origin() if in_ledger
+            else candidate_origin
+        ),
+        "value": values[start],
     }
 
 
 def gate_entries(
-    ledger: Ledger,
-    candidates: Sequence[LedgerEntry],
-    exact_rtol: float = EXACT_RTOL,
-    k_sigma: float = BAND_K_SIGMA,
-    noisy_rel_floor: float = NOISY_REL_FLOOR,
-    penalty: float | None = None,
+    ledger: Ledger, candidates: Sequence[LedgerEntry]
 ) -> GateReport:
-    """Gate candidate entries against ledger-derived control bands.
+    """Gate candidate entries against history-derived control bands.
 
     Candidates whose series the ledger has never seen report ``new``
-    (they pass — the next ``record`` starts their history); wall-
-    quarantined and informational candidates report ``skipped``.  A
-    regression names the first offending entry/commit via
-    :func:`_find_offender`.
+    (they pass — the next ``record`` starts their history).  Wall-
+    quarantined and informational candidates report ``skipped``, and
+    so does a candidate measured under a different benchmark config
+    (``run["config"]``) than the series' latest entry: a 48-row scene
+    is not a regression of a 384-row one.  A regression names the
+    first offending entry/commit via :func:`_find_offender`.
     """
     by_series = ledger.series()
     results: list[SeriesGate] = []
     for candidate in candidates:
-        if candidate.value is None or candidate.direction == "info":
-            results.append(
-                SeriesGate(series=candidate.series, status="skipped")
-            )
-            continue
+        name = candidate.series
         history = [
-            e for e in by_series.get(candidate.series, [])
-            if e.plot_value() is not None
+            e for e in by_series.get(name, []) if e.plot_value() is not None
         ]
-        if not history:
-            results.append(SeriesGate(series=candidate.series, status="new"))
+        config = candidate.run.get("config")
+        skip = ""
+        if candidate.value is None:
+            skip = "wall-clock: reported, not gated"
+        elif candidate.direction == "info":
+            skip = "informational"
+        elif history and history[-1].run.get("config") != config:
+            skip = (f"measured on config [{config}], the series is on "
+                    f"[{history[-1].run.get('config')}]")
+        if skip or not history:
+            results.append(SeriesGate(
+                series=name, status="skipped" if skip else "new", reason=skip
+            ))
             continue
-        trend = series_trend(candidate.series, history, penalty=penalty)
+        trend = series_trend(name, history)
         assert trend is not None
-        band = control_band(
-            trend, exact_rtol=exact_rtol, k_sigma=k_sigma,
-            noisy_rel_floor=noisy_rel_floor,
-        )
+        band = control_band(trend)
         value = float(candidate.value)
-        worse = (
-            value > band.hi if candidate.direction == "lower"
-            else value < band.lo
-        )
-        better = (
-            value < band.lo if candidate.direction == "lower"
-            else value > band.hi
-        )
+        worse, better = value > band.hi, value < band.lo
+        if candidate.direction != "lower":
+            worse, better = better, worse
+        offender = None
         if worse:
             offender = _find_offender(
-                history, trend.values, value,
-                LedgerEntry(
-                    series=candidate.series, kind=candidate.kind,
-                    unit=candidate.unit, run=candidate.run,
-                    provenance=candidate.provenance,
-                ).describe_origin(),
-                penalty=penalty,
+                history, trend, value, candidate.describe_origin()
             )
-            results.append(SeriesGate(
-                series=candidate.series, status="regression",
-                candidate=value, band=band, offender=offender,
-            ))
-        elif better:
-            results.append(SeriesGate(
-                series=candidate.series, status="improvement",
-                candidate=value, band=band,
-            ))
-        else:
-            results.append(SeriesGate(
-                series=candidate.series, status="ok",
-                candidate=value, band=band,
-            ))
+        results.append(SeriesGate(
+            series=name,
+            status=(
+                "regression" if worse else "improvement" if better else "ok"
+            ),
+            candidate=value, band=band, offender=offender,
+        ))
     return GateReport(results=tuple(results))
 
 
-def gate_last(
-    ledger: Ledger,
-    exact_rtol: float = EXACT_RTOL,
-    k_sigma: float = BAND_K_SIGMA,
-    noisy_rel_floor: float = NOISY_REL_FLOOR,
-    penalty: float | None = None,
-) -> GateReport:
+def gate_last(ledger: Ledger) -> GateReport:
     """Audit the ledger itself: treat each series' most recent entry as
     the candidate and the rest as history — how a doctored or regressed
     entry already *in* the ledger is caught and named."""
-    history_ledger_entries: list[LedgerEntry] = []
+    history: list[LedgerEntry] = []
     candidates: list[LedgerEntry] = []
     for _name, entries in sorted(ledger.series().items()):
         plottable = [e for e in entries if e.plot_value() is not None]
-        if len(plottable) < 2:
-            continue
-        last = plottable[-1]
-        keep = set(map(id, plottable[:-1]))
-        history_ledger_entries.extend(
-            e for e in entries if id(e) in keep or e.plot_value() is None
-        )
-        candidates.append(last)
-    history = Ledger(path=ledger.path, entries=tuple(history_ledger_entries))
+        if len(plottable) >= 2:
+            history.extend(plottable[:-1])
+            candidates.append(plottable[-1])
     return gate_entries(
-        history, candidates, exact_rtol=exact_rtol, k_sigma=k_sigma,
-        noisy_rel_floor=noisy_rel_floor, penalty=penalty,
+        Ledger(path=ledger.path, entries=tuple(history)), candidates
     )
 
 
@@ -1341,6 +1282,42 @@ def _load_json(path: str | Path) -> dict[str, Any]:
     return json.loads(Path(path).read_text(encoding="utf-8"))
 
 
+def record_entries(path: str | Path, entries: Sequence[LedgerEntry]) -> str:
+    """Append ``entries`` to the ledger at ``path`` and say what
+    happened, calling out series that change benchmark config — the
+    one ``record`` path (``history record``, ``bench run --record``)."""
+    out = Path(path)
+    before = read_ledger(out).series() if out.exists() else {}
+    n = append_entries(out, entries)
+    fresh = {e.series for e in entries} - set(before)
+    text = f"{n} entries ({len(fresh)} new series) -> {out}"
+    switched = sorted(
+        e.series for e in entries if e.series in before
+        and before[e.series][-1].run.get("config") != e.run.get("config")
+    )
+    if switched:
+        text += (
+            f"\nnote: {len(switched)} series recorded under a different "
+            "benchmark config than their history; the gate now bands on "
+            "this config and skips candidates of the old one: "
+            + "; ".join(switched)
+        )
+    return text
+
+
+def _label_and_backend(
+    path: str, backend: str | None
+) -> tuple[str, str | None]:
+    """``traces/atdca_sim.analysis.json`` -> ``("atdca_sim", "sim")``:
+    the backend is ``--backend``, else the one the label ends in."""
+    label = Path(path).name.removesuffix(".json").removesuffix(".analysis")
+    if backend is None:
+        backend = next(
+            (b for b in ("sim", "inproc") if label.endswith(b)), None
+        )
+    return label, backend
+
+
 def _collect_entries(args: argparse.Namespace) -> list[LedgerEntry]:
     """Entries from every artifact named on a ``record``/``gate``
     command line, in deterministic (flag, then file) order."""
@@ -1352,23 +1329,26 @@ def _collect_entries(args: argparse.Namespace) -> list[LedgerEntry]:
             entries_from_microbench(_load_json(path), date=args.date)
         )
     for path in args.calibration or ():
-        doc = _load_json(path)
-        backend = args.backend
-        if backend is None and doc.get("schema") == "repro.obs.profile/1":
-            stem = Path(path).stem
-            for candidate in ("sim", "inproc"):
-                if stem.endswith(candidate):
-                    backend = candidate
-                    break
-        entries.extend(
-            entries_from_calibration(doc, backend=backend, date=args.date)
-        )
+        entries.extend(entries_from_calibration(
+            _load_json(path), date=args.date,
+            backend=_label_and_backend(path, args.backend)[1],
+        ))
     for path in args.sweep or ():
         entries.extend(entries_from_sweep(_load_json(path), date=args.date))
     for path in args.health or ():
         entries.extend(
             entries_from_health_summary(_load_json(path), date=args.date)
         )
+    for path in args.analysis or ():
+        label, backend = _label_and_backend(path, args.backend)
+        if backend is None:
+            raise ReproError(
+                f"{path}: a trace analysis needs --backend ('sim' or "
+                "'inproc') when its filename does not end in one"
+            )
+        entries.extend(entries_from_analysis(
+            _load_json(path), label=label, backend=backend, date=args.date,
+        ))
     return entries
 
 
@@ -1378,16 +1358,17 @@ def _add_artifact_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--microbench", action="append", metavar="FILE",
                    help="a MICROBENCH_*.json artifact (repeatable)")
     p.add_argument("--calibration", action="append", metavar="FILE",
-                   help="a calibration report or thresholds file "
-                        "(repeatable)")
+                   help="a calibration report (repeatable)")
     p.add_argument("--sweep", action="append", metavar="FILE",
-                   help="a chaos-sweep result or thresholds file "
-                        "(repeatable)")
+                   help="a chaos-sweep result (repeatable)")
     p.add_argument("--health", action="append", metavar="FILE",
                    help="a live health_summary.json (repeatable)")
+    p.add_argument("--analysis", action="append", metavar="FILE",
+                   help="a traced run's <label>.analysis.json: critical "
+                        "path, makespan and blocked time (repeatable)")
     p.add_argument("--backend", default=None,
-                   help="backend name for --calibration reports (default: "
-                        "inferred from the filename stem)")
+                   help="backend name for --calibration/--analysis files "
+                        "(default: inferred from the filename stem)")
     p.add_argument("--date", default=None,
                    help="override the run date stamped into entries "
                         "(default: the artifact's own date field)")
@@ -1400,11 +1381,24 @@ def _write_json_output(doc: Mapping[str, Any], target: str) -> None:
         print(f"json -> {write_json(target, doc)}")
 
 
+def conclude_gate(report: GateReport, json_target: str | None) -> int:
+    """The shared tail of ``history gate`` and ``bench compare``: write
+    the ``--json`` document, name the failing series on stderr, return
+    the exit status."""
+    if json_target is not None:
+        _write_json_output(report.to_dict(), json_target)
+    if report.failing:
+        print("REGRESSION: "
+              + "; ".join(r.series for r in report.failing),
+              file=sys.stderr)
+    return report.exit_status
+
+
 def main(argv: Sequence[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro.obs.history",
-        description="Run ledger, trend/changepoint analysis, adaptive "
-                    "regression gates, fleet dashboard.",
+        description="Run ledger, trend/changepoint analysis, the "
+                    "regression gate, fleet dashboard.",
     )
     parser.add_argument("--ledger", default=DEFAULT_LEDGER,
                         help=f"ledger path (default {DEFAULT_LEDGER})")
@@ -1431,19 +1425,13 @@ def main(argv: Sequence[str] | None = None) -> int:
 
     p_gate = sub.add_parser(
         "gate",
-        help="adaptive regression gate: candidate vs ledger-derived "
+        help="the regression gate: candidate vs ledger-derived "
              "control bands (exit 1 on regression)",
     )
     _add_artifact_flags(p_gate)
     p_gate.add_argument("--last", action="store_true",
                         help="audit the ledger itself: gate each series' "
                              "latest entry against its own history")
-    p_gate.add_argument("--exact-rtol", type=float, default=EXACT_RTOL,
-                        help="relative band half-width for deterministic "
-                             "series (default %(default)g)")
-    p_gate.add_argument("--k-sigma", type=float, default=BAND_K_SIGMA,
-                        help="MAD-sigma multiplier for noisy series "
-                             "(default %(default)g)")
     p_gate.add_argument("--json", metavar="FILE", default=None,
                         help="write the machine-readable gate document "
                              "('-' for stdout)")
@@ -1458,22 +1446,22 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = parser.parse_args(list(argv) if argv is not None else None)
     ledger_path = Path(args.ledger)
 
-    if args.command == "record":
+    entries: list[LedgerEntry] = []
+    if args.command in ("record", "gate") and not getattr(args, "last", False):
         try:
             entries = _collect_entries(args)
         except (OSError, json.JSONDecodeError, ReproError, KeyError) as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 2
         if not entries:
-            print("error: nothing to record; pass --bench/--microbench/"
-                  "--calibration/--sweep/--health", file=sys.stderr)
+            print(f"error: nothing to {args.command}; pass artifacts "
+                  "(--bench/--microbench/--calibration/--sweep/--health/"
+                  "--analysis)"
+                  + (" or --last" if args.command == "gate" else ""),
+                  file=sys.stderr)
             return 2
-        known = set()
-        if ledger_path.exists():
-            known = set(read_ledger(ledger_path).series())
-        n = append_entries(ledger_path, entries)
-        fresh = {e.series for e in entries} - known
-        print(f"{n} entries ({len(fresh)} new series) -> {ledger_path}")
+    if args.command == "record":
+        print(record_entries(ledger_path, entries))
         return 0
 
     try:
@@ -1518,34 +1506,11 @@ def main(argv: Sequence[str] | None = None) -> int:
         return 0
 
     if args.command == "gate":
-        if args.last:
-            report = gate_last(
-                ledger, exact_rtol=args.exact_rtol, k_sigma=args.k_sigma
-            )
-        else:
-            try:
-                candidates = _collect_entries(args)
-            except (OSError, json.JSONDecodeError, ReproError,
-                    KeyError) as exc:
-                print(f"error: {exc}", file=sys.stderr)
-                return 2
-            if not candidates:
-                print("error: nothing to gate; pass --last or candidate "
-                      "artifacts (--bench/--calibration/--sweep/--health)",
-                      file=sys.stderr)
-                return 2
-            report = gate_entries(
-                ledger, candidates,
-                exact_rtol=args.exact_rtol, k_sigma=args.k_sigma,
-            )
+        report = (
+            gate_last(ledger) if args.last else gate_entries(ledger, entries)
+        )
         print(report.to_text())
-        if args.json is not None:
-            _write_json_output(report.to_dict(), args.json)
-        if report.failing:
-            print("REGRESSION: "
-                  + "; ".join(r.series for r in report.failing),
-                  file=sys.stderr)
-        return report.exit_status
+        return conclude_gate(report, args.json)
 
     # dashboard
     out = write_dashboard(ledger, args.out, title=args.title)

@@ -175,6 +175,89 @@ class TestEveryCliLeafAnswersHelp:
         assert leaves >= 1
 
 
+def _documented_commands():
+    """``(file:line, argv)`` of every ``python -m repro…`` /
+    ``repro-experiments`` command line in README.md and EXPERIMENTS.md
+    (fenced or indented; continuation lines joined, comments dropped)."""
+    import re
+    import shlex
+    from pathlib import Path
+
+    start = re.compile(
+        r"^\s*(?:\$ )?(?:PYTHONPATH=src )?"
+        r"(?:python3? -m (repro[\w.]*)|(repro-experiments))(?=\s|$)(.*)"
+    )
+    repo = Path(__file__).resolve().parents[1]
+    found = []
+    for name in ("README.md", "EXPERIMENTS.md"):
+        lines = (repo / name).read_text(encoding="utf-8").splitlines()
+        for number, line in enumerate(lines, start=1):
+            match = start.match(line)
+            if match is None:
+                continue
+            text, nxt = match.group(3), number
+            while text.rstrip().endswith("\\"):
+                text = text.rstrip()[:-1] + " " + lines[nxt]
+                nxt += 1
+            argv = shlex.split(text, comments=True)
+            for operator in ("&", "&&", "|", ";", ">"):  # shell, not argv
+                if operator in argv:
+                    argv = argv[:argv.index(operator)]
+            found.append(pytest.param(
+                match.group(1) or match.group(2), argv,
+                id=f"{name}:{number}",
+            ))
+    return found
+
+
+class TestDocumentedCommandsParse:
+    """README truth, parse-only: every documented command line is
+    handed to its tool's real parser, and nothing runs — so a flag, a
+    subcommand or a committed file a PR deletes cannot survive in the
+    docs."""
+
+    #: what ``python -m <name>`` runs, where it is not ``<name>.main``
+    #: (``repro.experiments.__main__`` executes on import).
+    MAINS = {
+        "repro.experiments": "repro.experiments.runner",
+        "repro-experiments": "repro.experiments.runner",
+        "repro.obs": "repro.obs.__main__",
+        "repro.faults": "repro.faults.__main__",
+    }
+
+    def test_there_are_commands_to_check(self):
+        assert len(_documented_commands()) >= 40
+
+    @pytest.mark.parametrize("tool, argv", _documented_commands())
+    def test_parses(self, tool, argv, monkeypatch, capsys):
+        import argparse
+        import importlib
+        from pathlib import Path
+
+        class Parsed(Exception):
+            pass
+
+        real = argparse.ArgumentParser.parse_args
+
+        def parse_only(self, args=None, namespace=None):
+            real(self, args, namespace)
+            raise Parsed
+
+        monkeypatch.setattr(argparse.ArgumentParser, "parse_args", parse_only)
+        main = importlib.import_module(self.MAINS.get(tool, tool)).main
+        try:
+            # an umbrella CLI without a tool name lists its tools
+            assert main(argv) == 0 and not argv
+        except Parsed:
+            pass
+        except SystemExit as exc:
+            pytest.fail(f"{tool} {argv}: {capsys.readouterr().err or exc}")
+        repo = Path(__file__).resolve().parents[1]
+        for word in argv:
+            if word.startswith("benchmarks/"):
+                assert (repo / word).exists(), f"{word} is not committed"
+
+
 class TestImportHygiene:
     #: ``(importing module, imported module, private name)`` violations
     #: that predate the rule.  This list may only shrink.

@@ -10,7 +10,7 @@ import pytest
 from repro.obs.bench import (
     SCHEMA,
     BenchConfig,
-    compare_artifacts,
+    compare_report,
     main,
     report_text,
     run_bench,
@@ -52,8 +52,8 @@ class TestRunBench:
         assert json.dumps(again, **kw) == json.dumps(tiny_artifact, **kw)
 
     def test_self_compare_is_clean(self, tiny_artifact):
-        diffs = compare_artifacts(tiny_artifact, tiny_artifact)
-        assert [d.status for d in diffs] == ["ok", "ok"]
+        report = compare_report(tiny_artifact, tiny_artifact)
+        assert [r.status for r in report.results] == ["ok", "ok"]
 
     def test_comm_regression_is_flagged(self, tiny_artifact):
         import dataclasses
@@ -61,13 +61,12 @@ class TestRunBench:
         slow = run_bench(
             dataclasses.replace(TINY, comm_factor=2.0), date="2026-01-01"
         )
-        diffs = compare_artifacts(tiny_artifact, slow)
-        regressed = [d for d in diffs if d.status == "regression"]
+        regressed = compare_report(tiny_artifact, slow).failing
         assert regressed, "doubling comm cost must regress at least one cell"
-        for diff in regressed:
-            assert diff.metric == "virtual.makespan"
-            assert diff.candidate > diff.baseline
-            assert diff.cell_id in diff.describe()
+        for result in regressed:
+            assert result.series.endswith("/sim/makespan")
+            assert result.candidate > result.band.center
+            assert result.series in result.describe()
 
     def test_improvement_and_missing_do_not_gate(self, tiny_artifact):
         import copy
@@ -76,9 +75,13 @@ class TestRunBench:
         cid = "atdca/hetero/fully heterogeneous/sim"
         faster["cells"][cid]["virtual"]["makespan"] *= 0.5
         del faster["cells"]["atdca/homo/fully heterogeneous/sim"]
-        diffs = {d.cell_id: d for d in compare_artifacts(tiny_artifact, faster)}
-        assert diffs[cid].status == "improvement"
-        assert diffs["atdca/homo/fully heterogeneous/sim"].status == "missing"
+        report = compare_report(tiny_artifact, faster)
+        status = {r.series: r.status for r in report.results}
+        assert status[f"bench/{cid}/makespan"] == "improvement"
+        assert status[
+            "bench/atdca/homo/fully heterogeneous/sim/makespan"
+        ] == "missing"
+        assert report.exit_status == 0
 
     def test_report_renders_every_cell(self, tiny_artifact):
         text = report_text(tiny_artifact)
@@ -226,7 +229,7 @@ class TestTraceAutoDiff:
 
 
 class TestCompareJson:
-    """The machine-readable `compare --json` document."""
+    """The machine-readable `compare --json` document: the gate's."""
 
     def _artifacts(self, tmp_path, tiny_artifact):
         import copy
@@ -241,19 +244,18 @@ class TestCompareJson:
         return base, slow
 
     def test_self_compare_document(self, tmp_path, tiny_artifact, capsys):
-        from repro.obs.bench import COMPARE_SCHEMA
+        from repro.obs.history import GATE_SCHEMA
 
         base, _ = self._artifacts(tmp_path, tiny_artifact)
         out = tmp_path / "cmp.json"
         assert main(["compare", str(base), str(base),
                      "--json", str(out)]) == 0
         doc = json.loads(out.read_text())
-        assert doc["schema"] == COMPARE_SCHEMA
+        assert doc["schema"] == GATE_SCHEMA
         assert doc["exit_status"] == 0
-        assert doc["config_match"] is True
         assert doc["failing"] == []
         assert doc["summary"]["ok"] == 2
-        assert {c["status"] for c in doc["cells"]} == {"ok"}
+        assert {r["status"] for r in doc["results"]} == {"ok"}
 
     def test_regression_document_matches_exit_status(
         self, tmp_path, tiny_artifact
@@ -266,10 +268,10 @@ class TestCompareJson:
         assert doc["exit_status"] == 1
         assert doc["summary"]["regression"] == 2
         assert len(doc["failing"]) == 2
-        for cell in doc["cells"]:
-            assert cell["failing"] is True
-            assert cell["delta_pct"] == pytest.approx(100.0)
-            assert cell["metric"] == "virtual.makespan"
+        for result in doc["results"]:
+            assert result["series"] in doc["failing"]
+            assert result["delta_pct"] == pytest.approx(100.0)
+            assert result["offender"]["where"] == "candidate"
 
     def test_json_to_stdout(self, tmp_path, tiny_artifact, capsys):
         base, _ = self._artifacts(tmp_path, tiny_artifact)
@@ -279,10 +281,16 @@ class TestCompareJson:
         assert json.loads(payload)["exit_status"] == 0
 
     def test_document_builder_counts(self, tiny_artifact):
-        from repro.obs.bench import COMPARE_SCHEMA, comparison_document
+        import copy
 
-        diffs = compare_artifacts(tiny_artifact, tiny_artifact)
-        doc = comparison_document(diffs, tiny_artifact, tiny_artifact, [])
-        assert doc["schema"] == COMPARE_SCHEMA
-        assert doc["baseline_date"] == doc["candidate_date"] == "2026-01-01"
-        assert sum(doc["summary"].values()) == len(diffs)
+        partial = copy.deepcopy(tiny_artifact)
+        del partial["cells"]["atdca/homo/fully heterogeneous/sim"]
+        doc = compare_report(
+            tiny_artifact, partial, fail_on_missing=True
+        ).to_dict()
+        assert doc["summary"]["ok"] == doc["summary"]["missing"] == 1
+        assert sum(doc["summary"].values()) == len(doc["results"]) == 2
+        assert doc["failing"] == [
+            "bench/atdca/homo/fully heterogeneous/sim/makespan"
+        ]
+        assert doc["exit_status"] == 1

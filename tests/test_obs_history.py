@@ -1,5 +1,5 @@
 """Longitudinal observability: run ledger, trends/changepoints,
-adaptive regression gates, fleet dashboard, and the OpenMetrics
+the regression gate, fleet dashboard, and the OpenMetrics
 summary export that backs the trend CLI."""
 
 from __future__ import annotations
@@ -9,7 +9,12 @@ import json
 
 import pytest
 
-from repro.obs.bench import BenchConfig, run_bench
+from repro.obs.bench import (
+    BenchConfig,
+    compare_report,
+    run_bench,
+    write_artifact,
+)
 from repro.obs.history import (
     DEFAULT_LEDGER,
     HISTORY_SCHEMA,
@@ -18,6 +23,7 @@ from repro.obs.history import (
     append_entries,
     changepoint_indices,
     control_band,
+    entries_from_analysis,
     entries_from_bench,
     entries_from_calibration,
     entries_from_health_summary,
@@ -27,6 +33,7 @@ from repro.obs.history import (
     gate_last,
     main,
     read_ledger,
+    record_entries,
     render_dashboard,
     series_trend,
 )
@@ -143,16 +150,15 @@ class TestExtractors:
         assert entry.wall["value"] == 2.5
         assert entry.direction == "higher"
 
-    def test_calibration_gate_thresholds_are_informational(self):
+    def test_calibration_thresholds_file_is_rejected(self):
+        # thresholds live in baselines/, measured values in the ledger
+        from repro.errors import ReproError
+
         doc = json.loads(
             open("benchmarks/baselines/calibration.json").read()
         )
-        entries = entries_from_calibration(doc)
-        assert {e.series for e in entries} == {
-            "calibration/sim/max_median_phase_rel_error",
-            "calibration/inproc/max_median_phase_rel_error",
-        }
-        assert all(e.direction == "info" for e in entries)
+        with pytest.raises(ReproError, match="unsupported calibration"):
+            entries_from_calibration(doc, backend="sim")
 
     def test_calibration_report_needs_backend(self):
         from repro.errors import ReproError
@@ -181,10 +187,42 @@ class TestExtractors:
         assert entries["sweep/g/max_ratio_vs_predicted"].value == 1.2
         assert entries["sweep/g/adapted_cells"].value == 2.0
 
-    def test_sweep_gate_thresholds_are_informational(self):
+    def test_sweep_thresholds_file_is_rejected(self):
+        from repro.errors import ReproError
+
         doc = json.loads(open("benchmarks/baselines/sweep_gate.json").read())
-        entries = entries_from_sweep(doc)
-        assert entries and all(e.direction == "info" for e in entries)
+        with pytest.raises(ReproError, match="unsupported sweep"):
+            entries_from_sweep(doc)
+
+    def test_bench_entries_carry_a_workload_digest(self, tiny_artifact):
+        import copy
+
+        (digest,) = {e.run["config"] for e in entries_from_bench(tiny_artifact)}
+        # cell selectors and the regression-injection knob stay comparable
+        same = copy.deepcopy(tiny_artifact)
+        same["config"].update(algorithms=["pct"], comm_factor=2.0)
+        assert entries_from_bench(same)[0].run["config"] == digest
+        other = copy.deepcopy(tiny_artifact)
+        other["config"]["rows"] = 48
+        assert entries_from_bench(other)[0].run["config"] != digest
+
+    def test_analysis_headlines(self):
+        doc = {
+            "schema": "repro.obs.analyze/1",
+            "critical_path": {"length_s": 2.0, "makespan": 2.5,
+                              "dominant_rank": 3},
+            "blocked_time": {"total_blocked_s": 0.5},
+        }
+        sim = {e.series: e for e in entries_from_analysis(doc, "run_sim")}
+        assert sim["trace/run_sim/critical_path_s"].value == 2.0
+        assert sim["trace/run_sim/makespan_s"].value == 2.5
+        assert sim["trace/run_sim/blocked_s"].value == 0.5
+        assert all(e.deterministic for e in sim.values())
+        wall = entries_from_analysis(doc, "run_inproc", backend="inproc")
+        assert all(
+            e.value is None and e.wall["value"] > 0 and not e.deterministic
+            for e in wall
+        )
 
     def test_health_summary_counts(self):
         doc = {"schema": "repro.obs.live.summary/1", "cells": {
@@ -225,6 +263,16 @@ class TestChangepoints:
         assert changepoint_indices([1.0]) == []
         assert changepoint_indices([]) == []
 
+    def test_exact_series_reports_any_step(self):
+        # zero jitter by definition: on [a, b] the difference is the
+        # step, not the noise it would be judged against
+        assert changepoint_indices([83.7, 110.7], deterministic=True) == [1]
+        assert changepoint_indices([83.7, 110.7]) == []
+        assert changepoint_indices(
+            [5.0, 5.0, 5.0 + 1e-6, 5.0 + 1e-6], deterministic=True
+        ) == [2]
+        assert changepoint_indices([5.0] * 4, deterministic=True) == []
+
 
 class TestTrend:
     def test_statistics_and_segments(self):
@@ -255,7 +303,10 @@ class TestTrend:
         assert series_trend("s", [_entry(value=None)]) is None
 
     def test_drift_pct_relative_to_current_segment(self):
-        entries = [_entry(value=v) for v in [1.0, 1.0, 1.0, 2.0, 2.2]]
+        entries = [
+            _entry(value=v, deterministic=False)
+            for v in [1.0, 1.0, 1.0, 2.0, 2.2]
+        ]
         trend = series_trend("s", entries)
         # current regime [2.0, 2.2], median 2.1; last 2.2 → ~+4.76%
         assert trend.segments[-1][2] == pytest.approx(2.1)
@@ -273,6 +324,27 @@ class TestControlBand:
         entries = [_entry(value=v) for v in [1.0] * 4 + [9.0] * 4]
         band = control_band(series_trend("s", entries))
         assert band.center == 9.0 and band.segment_start == 4
+
+    def test_deterministic_band_is_the_last_recorded_value(self):
+        trend = series_trend("s", [_entry(value=v) for v in [83.7, 110.7]])
+        band = control_band(trend)
+        assert band.center == 110.7 and band.segment_start == 1
+
+    @pytest.mark.parametrize("b", [83.74500092762888, 0.1, 3.0, 1e6 / 7])
+    def test_exact_tolerance_edges(self, b):
+        """`c > b·(1+1e-9)` regresses, `c < b·(1-1e-9)` improves: the
+        comparisons `bench compare` has always made, ulp for ulp."""
+        import math
+
+        ledger = _ledger_of(_entry(value=b))
+        hi, lo = b * (1.0 + 1e-9), b * (1.0 - 1e-9)
+        cases = [
+            (hi, "ok"), (math.nextafter(hi, math.inf), "regression"),
+            (lo, "ok"), (math.nextafter(lo, -math.inf), "improvement"),
+        ]
+        for value, status in cases:
+            (result,) = gate_entries(ledger, [_entry(value=value)]).results
+            assert result.status == status, (value, status)
 
     def test_noisy_band_has_relative_floor(self):
         entries = [
@@ -296,7 +368,7 @@ class TestGate:
             history[0],
             value=history[0].value * 1.5,
             provenance=dict(history[0].provenance, git_sha="f" * 40),
-            run={"date": "2026-02-01", "source": "test"},
+            run=dict(history[0].run, date="2026-02-01"),
         )
         report = gate_entries(
             _ledger_of(*history), [regressed, *history[1:]]
@@ -366,6 +438,58 @@ class TestGate:
         ]
         assert report.exit_status == 0
 
+    def test_recorded_step_rebaselines_an_exact_series(self, tiny_artifact):
+        """A step recorded once re-centres the band: the artifact just
+        recorded gates clean, and the old value is now the outlier."""
+        import copy
+
+        base = entries_from_bench(tiny_artifact)
+        slow_doc = copy.deepcopy(tiny_artifact)
+        for cell in slow_doc["cells"].values():
+            cell["virtual"]["makespan"] *= 1.3
+        slow = entries_from_bench(slow_doc)
+        assert gate_entries(_ledger_of(*base), slow).exit_status == 1
+        stepped = _ledger_of(*base, *slow)
+        report = gate_entries(stepped, slow)
+        assert {r.status for r in report.results} == {"ok"}
+        assert {r.status for r in gate_entries(stepped, base).results} == {
+            "improvement"
+        }
+
+    def test_other_bench_config_is_skipped_not_gated(self, tiny_artifact):
+        import copy
+
+        small = copy.deepcopy(tiny_artifact)
+        small["config"]["rows"] = 48
+        for cell in small["cells"].values():
+            cell["virtual"]["makespan"] *= 3.5
+        ledger = _ledger_of(*entries_from_bench(tiny_artifact))
+        report = gate_entries(ledger, entries_from_bench(small))
+        assert report.exit_status == 0
+        for result in report.results:
+            assert result.status == "skipped"
+            assert "rows=48" in result.reason and "rows=96" in result.reason
+            assert result.reason in result.describe()
+        # once recorded, the series' regime is the new config
+        mixed = _ledger_of(*ledger.entries, *entries_from_bench(small))
+        assert {
+            r.status for r in gate_entries(
+                mixed, entries_from_bench(tiny_artifact)
+            ).results
+        } == {"skipped"}
+        assert {
+            r.status
+            for r in gate_entries(mixed, entries_from_bench(small)).results
+        } == {"ok"}
+
+    def test_skips_carry_their_reason(self):
+        ledger = _ledger_of(_entry(series="known", value=1.0))
+        wall = _entry(series="w", value=None, wall={"value": 2.0},
+                      deterministic=False)
+        info = _entry(series="i", value=3.0, direction="info")
+        reasons = [r.reason for r in gate_entries(ledger, [wall, info]).results]
+        assert "not gated" in reasons[0] and reasons[1] == "informational"
+
     def test_report_document_shape(self):
         history = [_entry(value=1.0)] * 2
         doc = gate_entries(_ledger_of(*history), [_entry(value=1.0)]).to_dict()
@@ -375,6 +499,64 @@ class TestGate:
         assert set(doc["provenance"]) == {
             "git_sha", "numpy", "platform", "python",
         }
+
+
+class TestCompareIsTheGate:
+    """`bench compare A B` is `history gate` over a ledger holding A."""
+
+    @pytest.fixture(scope="class")
+    def candidates(self, tiny_artifact):
+        import copy
+
+        hetero = "atdca/hetero/fully heterogeneous/sim"
+        homo = "atdca/homo/fully heterogeneous/sim"
+        improved = copy.deepcopy(tiny_artifact)
+        improved["cells"][hetero]["virtual"]["makespan"] *= 0.5
+        missing = copy.deepcopy(tiny_artifact)
+        del missing["cells"][homo]
+        new = copy.deepcopy(tiny_artifact)
+        new["cells"]["atdca/dlt/fully heterogeneous/sim"] = copy.deepcopy(
+            new["cells"][hetero]
+        )
+        return {
+            "self": tiny_artifact,
+            "comm_factor_twin": run_bench(
+                dataclasses.replace(TINY, comm_factor=2.0), date="2026-01-01"
+            ),
+            "improved": improved,
+            "missing": missing,
+            "new": new,
+        }
+
+    EXPECTED = {
+        "self": {"ok"},
+        "comm_factor_twin": {"regression"},
+        "improved": {"ok", "improvement"},
+        "missing": {"ok", "missing"},
+        "new": {"ok", "new"},
+    }
+
+    @pytest.mark.parametrize("case", sorted(EXPECTED))
+    def test_same_statuses(self, case, candidates, tiny_artifact, tmp_path):
+        ledger = tmp_path / "ledger.jsonl"
+        append_entries(ledger, entries_from_bench(tiny_artifact))
+        bench = tmp_path / "cand.json"
+        write_artifact(candidates[case], bench)
+        gate_json = tmp_path / "gate.json"
+        rc = main(["--ledger", str(ledger), "gate", "--bench", str(bench),
+                   "--json", str(gate_json)])
+        gated = {
+            r["series"]: r["status"]
+            for r in json.loads(gate_json.read_text())["results"]
+        }
+        report = compare_report(tiny_artifact, candidates[case])
+        compared = {r.series: r.status for r in report.results}
+        assert set(compared.values()) == self.EXPECTED[case]
+        # `missing` needs both files; everything else is the ledger's
+        assert {
+            k: v for k, v in compared.items() if v != "missing"
+        } == gated
+        assert rc == report.exit_status
 
 
 class TestDashboard:
@@ -410,18 +592,32 @@ class TestDashboard:
 
 
 class TestCLI:
-    def test_record_list_trend_gate_dashboard(self, tmp_path, capsys):
+    def test_record_list_trend_gate_dashboard(
+        self, tmp_path, capsys, tiny_artifact
+    ):
         ledger = str(tmp_path / "ledger.jsonl")
-        base = "benchmarks/baselines"
+        bench = tmp_path / "BENCH_x.json"
+        write_artifact(tiny_artifact, bench)
+        microbench = tmp_path / "MICROBENCH_x.json"
+        microbench.write_text(json.dumps({
+            "schema": "repro.obs.microbench/1", "date": "d",
+            "kernels": {"k": {"speedup": 2.5, "verified": True}},
+        }))
+        analysis = tmp_path / "atdca_sim.analysis.json"
+        analysis.write_text(json.dumps({
+            "schema": "repro.obs.analyze/1",
+            "critical_path": {"length_s": 2.0, "makespan": 2.0},
+            "blocked_time": {"total_blocked_s": 0.5},
+        }))
         assert main(["--ledger", ledger, "record",
-                     "--bench", f"{base}/BENCH_baseline.json",
-                     "--microbench", f"{base}/MICROBENCH_baseline.json",
-                     "--calibration", f"{base}/calibration.json",
-                     "--sweep", f"{base}/sweep_gate.json"]) == 0
-        assert "17 entries" in capsys.readouterr().out
+                     "--bench", str(bench),
+                     "--microbench", str(microbench),
+                     "--analysis", str(analysis)]) == 0
+        assert "6 entries (6 new series)" in capsys.readouterr().out
 
         assert main(["--ledger", ledger, "list"]) == 0
-        assert "17 series" in capsys.readouterr().out
+        out = capsys.readouterr().out
+        assert "6 series" in out and "trace/atdca_sim/makespan_s" in out
 
         json_out = tmp_path / "trend.json"
         prom_out = tmp_path / "trend.prom"
@@ -430,13 +626,13 @@ class TestCLI:
                      str(prom_out)]) == 0
         doc = json.loads(json_out.read_text())
         assert doc["schema"] == "repro.obs.history.trend/1"
-        assert len(doc["series"]) == 8
+        assert len(doc["series"]) == 2
         assert "# TYPE history_series summary" in prom_out.read_text()
 
-        assert main(["--ledger", ledger, "gate",
-                     "--bench", f"{base}/BENCH_baseline.json"]) == 0
+        assert main(["--ledger", ledger, "gate", "--bench", str(bench),
+                     "--analysis", str(analysis)]) == 0
         out = capsys.readouterr().out
-        assert "8 series gated: 8 ok" in out
+        assert "5 series gated: 5 ok" in out
 
         dash = tmp_path / "fleet.html"
         assert main(["--ledger", ledger, "dashboard",
@@ -454,6 +650,45 @@ class TestCLI:
         assert main(["--ledger", str(ledger), "gate", "--last"]) == 1
         out = capsys.readouterr().out
         assert "regression" in out and "doctored" in out
+
+    def test_analysis_needs_a_backend(self, tmp_path, capsys):
+        path = tmp_path / "run.analysis.json"
+        path.write_text(json.dumps({"schema": "repro.obs.analyze/1"}))
+        ledger = str(tmp_path / "l.jsonl")
+        assert main(["--ledger", ledger, "record",
+                     "--analysis", str(path)]) == 2
+        assert "--backend" in capsys.readouterr().err
+
+    def test_record_says_when_a_series_changes_config(
+        self, tmp_path, tiny_artifact
+    ):
+        import copy
+
+        ledger = tmp_path / "ledger.jsonl"
+        first = record_entries(ledger, entries_from_bench(tiny_artifact))
+        assert "2 entries (2 new series)" in first and "note:" not in first
+        small = copy.deepcopy(tiny_artifact)
+        small["config"]["rows"] = 48
+        second = record_entries(ledger, entries_from_bench(small))
+        assert "2 entries (0 new series)" in second
+        assert "different benchmark config" in second
+        assert "bench/atdca/homo/fully heterogeneous/sim/makespan" in second
+
+    def test_seed_ledger_holds_measurements_only(self):
+        """Values in the ledger, thresholds in baselines/: no `info`
+        rows, every baselines/ file a thresholds file, and the seed's
+        own last entries pass its gate."""
+        from pathlib import Path
+
+        seed = read_ledger(DEFAULT_LEDGER)
+        assert all(e.direction != "info" for e in seed.entries)
+        assert sorted(
+            p.name for p in Path("benchmarks/baselines").iterdir()
+        ) == ["MICROBENCH_floors.json", "calibration.json",
+              "sweep_gate.json", "tuning.json", "whatif.json"]
+        ufcls = seed.series()["microbench/ufcls/speedup"]
+        assert len(ufcls) == 2 and ufcls[-1].plot_value() > 1.0
+        assert gate_last(seed).exit_status == 0
 
     def test_record_requires_artifacts(self, tmp_path, capsys):
         assert main(["--ledger", str(tmp_path / "l.jsonl"), "record"]) == 2
