@@ -220,7 +220,7 @@ class SimulationEngine:
         self._events: list[TraceEvent] = []
         self._transfers: list[TransferRecord] = []
         self._events_lock = threading.Lock()
-        self.router = Router(platform.size, self._on_match)
+        self.router = Router(platform.size, self._on_match, run_to_block=True)
 
     def record_event(self, event: TraceEvent) -> None:
         """Append a trace event (thread-safe; no-op semantics when the

@@ -13,16 +13,41 @@ receive pair up.  The virtual-time engine uses it to advance clocks and
 reserve serial inter-segment links; the wall-clock backend passes a
 no-op.
 
+Every parked rank sleeps on a lock of its own, and one rule
+(:meth:`Router._unblock`) decides who is woken: a state change names
+the one rank it can have unblocked — a send its destination, a match
+the sender, a failure the ranks waiting on the failed one, a timeout
+verdict its rank; only an abort or a deadlock names everybody — and
+that rank is marked *ready* if it would now leave its wait.  Nobody
+else is woken and no other predicate is looked at.
+
+What happens to a ready rank is the one thing the two backends differ
+in, and the backend picks it, never a user:
+
+* **free-running** (``Router(n)``; :mod:`repro.mpi.inproc`, and plain
+  threads driving a bare router): the rank is released at once and the
+  OS schedules it, so ranks overlap wherever the GIL lets them.
+* **run-to-block** (``run_to_block=True``; the virtual-time engine):
+  exactly one rank is runnable.  Ranks start parked, the launcher hands
+  the baton to rank 0, and the rank holding it runs until it parks or
+  retires; only then is the lowest-numbered ready rank released.
+  Threads remain only as stacks, so the wall schedule of a run, like
+  its virtual times, is a pure function of the program.  The price is
+  one rule for programs: never wait for another rank except inside
+  ``send``/``recv`` — a rank that spins on shared state holds the baton
+  forever.
+
 Liveness is computed from the router's own state, never timed: the
-run is *quiescent* when every rank is retired or parked and no parked
-waiter can proceed.  A quiescent run with a pending deadline hands the
-earliest one its :class:`~repro.errors.CommunicationTimeout`; one with
-none raises :class:`~repro.errors.DeadlockError` in every waiter.
+run is *quiescent* when every rank is retired or parked and none is
+ready.  A quiescent run with a pending deadline hands the earliest one
+its :class:`~repro.errors.CommunicationTimeout`; one with none raises
+:class:`~repro.errors.DeadlockError` in every waiter.
 """
 
 from __future__ import annotations
 
 import copy
+import heapq
 import pickle
 import threading
 from collections import deque
@@ -52,10 +77,11 @@ __all__ = [
 
 #: Wildcard tag for receives.
 ANY_TAG = -1
-#: Wildcard source for receives.  Matching order among ready senders is
-#: thread-arrival order, so virtual times of ANY_SOURCE programs are only
-#: reproducible statistically — use it for dynamic (demand-driven)
-#: scheduling baselines, not for the deterministic experiments.
+#: Wildcard source for receives.  Matching order among pending senders
+#: is the order their sends were posted.  On the virtual-time engine
+#: that is baton hand-off order, a function of the program, so an
+#: ANY_SOURCE program has one makespan; on the wall-clock backend it is
+#: thread-arrival order and reproducible only statistically.
 ANY_SOURCE = -2
 
 #: Wire-size overhead charged for envelope/bookkeeping, in values.
@@ -222,10 +248,11 @@ class _Offer:
 
 
 class _Waiter:
-    """A parked rank: what it waits for, on whom, until when, and
-    whether quiescence has handed it its timeout."""
+    """A parked rank: what it waits for, on whom, until when, whether
+    quiescence has handed it its timeout, and whether a state change
+    has marked it ready to leave its wait."""
 
-    __slots__ = ("predicate", "peer", "deadline", "timed_out")
+    __slots__ = ("predicate", "peer", "deadline", "timed_out", "ready")
 
     def __init__(
         self,
@@ -237,6 +264,7 @@ class _Waiter:
         self.peer = peer
         self.deadline = deadline
         self.timed_out = False
+        self.ready = False
 
 
 class Router:
@@ -246,30 +274,68 @@ class Router:
         n_ranks: number of participating ranks.
         match_handler: ``f(src, dst, megabits)`` invoked under the lock
             when a pair matches (use it to advance virtual clocks).
+        run_to_block: the scheduling policy (module docstring).  False:
+            a ready rank is released at once.  True: ranks start parked
+            (each thread calls :meth:`enter`, the launcher
+            :meth:`start`) and a ready rank is released only when the
+            running one parks or retires, lowest rank first.
     """
 
     def __init__(
         self,
         n_ranks: int,
         match_handler: Callable[[int, int, float], None] | None = None,
+        run_to_block: bool = False,
     ) -> None:
         if n_ranks < 1:
             raise CommunicationError(f"need >= 1 rank, got {n_ranks}")
         self._n = n_ranks
         self._handler = match_handler or (lambda src, dst, mb: None)
-        self._cond = threading.Condition()
+        self._lock = threading.Lock()
         self._offers: dict[int, deque[_Offer]] = {i: deque() for i in range(n_ranks)}
         self._waiters: dict[int, _Waiter] = {}  # parked rank -> its wait
+        # What rank r sleeps on: held while r has not been released.
+        self._wake = [threading.Lock() for _ in range(n_ranks)]
+        for wake in self._wake:
+            wake.acquire()
+        self._n_ready = 0  # waiters marked ready that have not resumed
         self._retired: set[int] = set()
         self._failed: set[int] = set()
         self._dead: str | None = None  # why every wait is over, once it is
+        # Run-to-block only: who holds the baton, and the heap of ready
+        # ranks waiting for it.
+        self._run_to_block = run_to_block
+        self._running: int | None = None
+        self._queue: list[int] = []
+        if run_to_block:
+            for rank in range(n_ranks):
+                self._waiters[rank] = _Waiter(lambda: True, None, None)
+                self._unblock(rank)
 
     # -- lifecycle -------------------------------------------------------------
+    def enter(self, rank: int) -> None:
+        """Called by a rank's thread before its program: returns when
+        the rank may run — at once on a free-running router, with the
+        baton on a run-to-block one."""
+        with self._lock:
+            waiter = self._waiters.get(rank)
+            if waiter is not None:  # parked since construction
+                self._sleep(rank, waiter)
+                del self._waiters[rank]
+
+    def start(self) -> None:
+        """Called by the launcher once the rank threads exist: on a
+        run-to-block router rank 0 gets the baton (a free-running one
+        has nothing to hand over)."""
+        with self._lock:
+            if self._running is None:
+                self._pass_baton()
+
     def retire(self, rank: int) -> None:
         """Mark a rank's program as finished (for deadlock accounting)."""
-        with self._cond:
+        with self._lock:
             self._retired.add(rank)
-            self._settle()
+            self._stop_running(rank)
 
     def fail(self, rank: int) -> None:
         """Mark a rank as crashed; peers talking to it get
@@ -280,25 +346,26 @@ class Router:
         running (and discover the failure in their own program order —
         a deterministic cascade on the virtual-time engine).
         """
-        with self._cond:
+        with self._lock:
             self._failed.add(rank)
-            self._cond.notify_all()
+            for parked, waiter in self._waiters.items():
+                if waiter.peer == rank:
+                    self._unblock(parked)
 
     def abort(self) -> None:
         """Wake all waiters with a deadlock error (used on rank crash)."""
-        with self._cond:
-            self._dead = "communication aborted (deadlock or peer failure)"
-            self._cond.notify_all()
+        with self._lock:
+            self._end_all("communication aborted (deadlock or peer failure)")
 
     # -- liveness ---------------------------------------------------------------
     def failed_ranks(self) -> frozenset[int]:
         """Snapshot of ranks marked crashed via :meth:`fail`."""
-        with self._cond:
+        with self._lock:
             return frozenset(self._failed)
 
     def retired_ranks(self) -> frozenset[int]:
         """Snapshot of ranks whose programs have finished."""
-        with self._cond:
+        with self._lock:
             return frozenset(self._retired)
 
     # -- point-to-point -----------------------------------------------------------
@@ -326,20 +393,20 @@ class Router:
         # O(1) per send regardless of payload size (see freeze_payload
         # for the aliasing contract the rendezvous semantics guarantee).
         offer = _Offer(src, dst, tag, freeze_payload(payload), megabits)
-        with self._cond:
+        with self._lock:
             self._offers[dst].append(offer)
-            self._cond.notify_all()
+            self._unblock(dst)
             try:
                 self._wait(
                     lambda: offer.done, rank=src, peer=dst, deadline=deadline
                 )
             except BaseException:
+                # Withdrawing an offer can unblock nobody.
                 if not offer.done:
                     try:
                         self._offers[dst].remove(offer)
                     except ValueError:  # pragma: no cover - already consumed
                         pass
-                    self._cond.notify_all()
                 raise
 
     def recv(
@@ -370,14 +437,14 @@ class Router:
             return None
 
         peer = src if src != ANY_SOURCE else None
-        with self._cond:
+        with self._lock:
             offer = self._wait(find, rank=dst, peer=peer, deadline=deadline)
             self._offers[dst].remove(offer)
             # Timing decision happens here, in receiver program order,
             # while the sender is still parked on ``offer.done``.
             self._handler(offer.src, dst, offer.megabits)
             offer.done = True
-            self._cond.notify_all()
+            self._unblock(offer.src)
             return offer.payload
 
     # -- internals --------------------------------------------------------------
@@ -385,37 +452,97 @@ class Router:
         if not 0 <= rank < self._n:
             raise CommunicationError(f"{role} rank {rank} outside [0, {self._n})")
 
-    def _can_proceed(self, waiter: _Waiter) -> bool:
-        """Would this parked waiter leave its wait if it ran now?"""
-        deadline = waiter.deadline
-        return bool(
-            waiter.timed_out
-            or waiter.predicate()
+    def _unblock(self, rank: int) -> None:
+        """The wake rule (lock held): a state change that can have
+        unblocked ``rank`` — and a change names the only ranks it can —
+        calls this.  If the rank is parked and would now leave its wait
+        it is marked ready: released at once on a free-running router,
+        queued for the baton on a run-to-block one.
+
+        A wall deadline is not a state change: its waiter times its own
+        sleep.
+        """
+        waiter = self._waiters.get(rank)
+        if waiter is None or waiter.ready:
+            return
+        if not (
+            self._dead is not None
+            or waiter.timed_out
             or waiter.peer in self._failed
-            or (
-                deadline is not None
-                and deadline.wall
-                and deadline.clock() >= deadline.at
-            )
-        )
+            or waiter.predicate()
+        ):
+            return
+        waiter.ready = True
+        self._n_ready += 1
+        if self._run_to_block:
+            heapq.heappush(self._queue, rank)
+        else:
+            self._wake[rank].release()
+
+    def _end_all(self, why: str) -> None:
+        """Every wait is over (lock held): the one change that can
+        unblock everybody."""
+        self._dead = why
+        for rank in self._waiters:
+            self._unblock(rank)
+
+    def _stop_running(self, rank: int) -> None:
+        """``rank`` parked or retired (lock held): the verdict first,
+        since it may have been the last rank running, then the baton if
+        it held it."""
+        self._settle()
+        if self._running == rank:
+            self._pass_baton()
+
+    def _pass_baton(self) -> None:
+        """Run-to-block (lock held): the running rank parked or
+        retired, so release the lowest ready rank — the only place a
+        run-to-block router releases anybody.  With nobody ready (the
+        last rank retired) the baton is dropped; a free-running
+        router's queue is always empty."""
+        self._running = None
+        if self._queue:
+            self._running = heapq.heappop(self._queue)
+            self._wake[self._running].release()
+
+    def _sleep(self, rank: int, waiter: _Waiter, timeout: float = -1) -> None:
+        """Give up the router lock and sleep until released, or until
+        ``timeout`` seconds have gone (-1: never; a run-to-block router
+        wakes nobody but by the baton); lock held again on return and
+        the waiter no longer marked ready.
+
+        A release that lands just after a timed sleep gave up makes the
+        rank's next sleep return at once; its wait re-reads the state
+        and sleeps again.
+        """
+        if self._run_to_block:
+            timeout = -1
+        self._lock.release()
+        try:
+            self._wake[rank].acquire(True, timeout)
+        finally:
+            self._lock.acquire()
+            if waiter.ready:
+                waiter.ready = False
+                self._n_ready -= 1
 
     def _settle(self) -> None:
         """Give the verdict if the run is quiescent (lock held).
 
-        Quiescent: every rank is retired or parked and no parked waiter
-        can proceed, so no message can ever arrive again.  Only a rank
-        parking or retiring can bring that about (any other state
-        change lets somebody proceed), so those two call this.  The
-        verdict is normally a deadlock — but when any waiter holds a
-        deadline, the one with the smallest ``(at, rank)`` is handed
-        its timeout instead, giving timeout-aware code (e.g. the
-        fault-tolerant scheduler) a chance to recover before the run is
-        declared dead.
+        Quiescent: every rank is retired or parked and none is ready,
+        so no message can ever arrive again.  Only a rank parking or
+        retiring can bring that about (any other state change makes
+        somebody ready), so those two call this.  The verdict is
+        normally a deadlock — but when any waiter holds a deadline, the
+        one with the smallest ``(at, rank)`` is handed its timeout
+        instead, giving timeout-aware code (e.g. the fault-tolerant
+        scheduler) a chance to recover before the run is declared dead.
         """
         if (
-            self._dead is not None
+            self._n_ready
+            or self._dead is not None
+            or not self._waiters
             or len(self._waiters) + len(self._retired) < self._n
-            or any(self._can_proceed(w) for w in self._waiters.values())
         ):
             return
         timed = [
@@ -424,13 +551,14 @@ class Router:
             if w.deadline is not None
         ]
         if timed:
-            self._waiters[min(timed)[1]].timed_out = True
+            rank = min(timed)[1]
+            self._waiters[rank].timed_out = True
+            self._unblock(rank)
         else:
-            self._dead = (
+            self._end_all(
                 f"all {self._n} ranks blocked with no matching messages — "
                 "communication deadlock"
             )
-        self._cond.notify_all()
 
     def _wait(
         self,
@@ -444,16 +572,18 @@ class Router:
         deadline expired (by the wall, or handed over by
         :meth:`_settle`; ``on_fire`` then runs on this thread).
 
-        Every state change notifies and each waiter re-reads the
-        router's state on wake, so only a wall deadline puts a timeout
-        on the wait.
+        The rank sleeps until :meth:`_unblock` marks it ready (and, on
+        a run-to-block router, the baton reaches it), then re-reads the
+        router's state; only a wall deadline puts a timeout on the
+        sleep, and only on a free-running router — a run-to-block one
+        looks at a wall deadline when its rank holds the baton or the
+        run is quiescent.
         """
         value = predicate()
         if value:
             return value
         waiter = self._waiters[rank] = _Waiter(predicate, peer, deadline)
         try:
-            self._settle()
             while True:
                 if self._dead is not None:
                     raise DeadlockError(f"rank {rank}: {self._dead}")
@@ -463,13 +593,13 @@ class Router:
                         f"rank {rank}: peer rank {peer} failed",
                         secondary=True,
                     )
-                remaining = None
+                remaining = -1.0
                 if deadline is not None:
+                    expired = waiter.timed_out
                     if deadline.wall:
                         remaining = deadline.at - deadline.clock()
-                    if waiter.timed_out or (
-                        remaining is not None and remaining <= 0
-                    ):
+                        expired = expired or remaining <= 0
+                    if expired:
                         if deadline.on_fire is not None:
                             deadline.on_fire()
                         raise CommunicationTimeout(
@@ -478,7 +608,8 @@ class Router:
                             rank=rank,
                             deadline_s=deadline.at,
                         )
-                self._cond.wait(timeout=remaining)
+                self._stop_running(rank)
+                self._sleep(rank, waiter, remaining)
                 value = predicate()
                 if value:
                     return value

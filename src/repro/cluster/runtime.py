@@ -254,6 +254,10 @@ def launch_ranks(
     """Run ``program(make_context(rank), **kwargs)`` on one thread per
     rank, join them, and return the per-rank return values.
 
+    When the ranks run is the router's policy: every thread waits in
+    ``router.enter`` and ``router.start`` hands rank 0 the baton of a
+    run-to-block router; on a free-running one neither waits.
+
     Raises:
         The root cause, if any rank failed: a crashing rank makes its
         peers fail with secondary RankFailedError/DeadlockError
@@ -273,6 +277,7 @@ def launch_ranks(
         if kwargs_per_rank is not None:
             kwargs.update(kwargs_per_rank[rank])
         try:
+            router.enter(rank)
             results[rank] = program(make_context(rank), **kwargs)
         except BaseException as exc:  # noqa: BLE001 - reported to caller
             with failure_lock:
@@ -300,6 +305,7 @@ def launch_ranks(
     ]
     for t in threads:
         t.start()
+    router.start()
     for t in threads:
         t.join()
     if failures:

@@ -50,6 +50,19 @@ class TargetDetectionResult:
         return int(self.flat_indices.shape[0])
 
 
+def _check_finite(pix: FloatArray) -> None:
+    """Reject an ``(n, bands)`` pixel matrix holding a NaN or an inf."""
+    finite = np.isfinite(pix)
+    if not finite.all():
+        # A NaN score never wins an argmax: the detector would return the
+        # same pixel every round and all-NaN scores instead of failing.
+        pixel, band = np.argwhere(~finite)[0]
+        raise DataError(
+            f"pixels must be finite: pixel {pixel}, band {band} is "
+            f"{pix[pixel, band]}"
+        )
+
+
 def _check_inputs(pixels: FloatArray, n_targets: int) -> FloatArray:
     pix = np.asarray(pixels, dtype=float)
     if pix.ndim != 2:
@@ -60,15 +73,7 @@ def _check_inputs(pixels: FloatArray, n_targets: int) -> FloatArray:
         raise ConfigurationError(
             f"cannot extract {n_targets} targets from {pix.shape[0]} pixels"
         )
-    finite = np.isfinite(pix)
-    if not finite.all():
-        # A NaN score never wins an argmax: the detector would return the
-        # same pixel every round and all-NaN scores instead of failing.
-        pixel, band = np.argwhere(~finite)[0]
-        raise DataError(
-            f"pixels must be finite: pixel {pixel}, band {band} is "
-            f"{pix[pixel, band]}"
-        )
+    _check_finite(pix)
     return pix
 
 

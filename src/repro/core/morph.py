@@ -18,6 +18,7 @@ import dataclasses
 
 import numpy as np
 
+from repro.core.atdca import _check_finite
 from repro.core.unique import UniqueSet, greedy_unique, merge_unique_sets
 from repro.errors import ConfigurationError, ShapeError
 from repro.hsi.cube import HyperspectralImage
@@ -296,6 +297,9 @@ def morph_classify(
 
     se = se or square(3)
     cube = image.values
+    # A NaN spreads through every erosion/dilation window it touches and
+    # its SAD never wins an argmin: the sweep would label around it.
+    _check_finite(image.flatten_pixels())
     mei = resolve("morph_mei", mei_variant).implementation()(
         cube, se, iterations
     )

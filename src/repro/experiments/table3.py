@@ -62,9 +62,8 @@ class Table3Result:
             )
         title = (
             "Table 3: SAD between detected targets and ground targets\n"
-            f"(sequential wall times: ATDCA {self.wall_seconds['ATDCA']:.1f}s, "
-            f"UFCLS {self.wall_seconds['UFCLS']:.1f}s; paper "
-            f"{self.paper['times']['ATDCA']:.0f}s / "
+            f"(paper's sequential times: ATDCA "
+            f"{self.paper['times']['ATDCA']:.0f}s, UFCLS "
             f"{self.paper['times']['UFCLS']:.0f}s on one Thunderhead node)"
         )
         return format_table(

@@ -60,9 +60,8 @@ class Table4Result:
                      morph.overall])
         title = (
             "Table 4: classification accuracy (percent)\n"
-            f"(sequential wall times: PCT {self.wall_seconds['PCT']:.1f}s, "
-            f"MORPH {self.wall_seconds['MORPH']:.1f}s; paper "
-            f"{self.paper['times']['PCT']:.0f}s / "
+            f"(paper's sequential times: PCT "
+            f"{self.paper['times']['PCT']:.0f}s, MORPH "
             f"{self.paper['times']['MORPH']:.0f}s; paper MORPH column is "
             f"corrupt — text claims >{self.paper['MORPH']['Overall']:.0f}% overall)"
         )

@@ -8,8 +8,18 @@ This module implements that baseline over the same communicator API so
 ablation benchmarks can compare static-WEA against dynamic balancing
 (dynamic pays per-chunk communication; WEA pays a single scatter).
 
-Uses ANY_SOURCE receives, so simulated times are schedule-dependent;
-results (the computed values) are exact regardless.
+Uses ANY_SOURCE receives, which match pending senders in the order
+their sends were posted.  On the wall-clock backend that is
+thread-arrival order: which worker gets which chunk varies from run to
+run, and that backend is where these loops balance load.  On the
+virtual-time engine it is baton hand-off order, lowest ready rank first
+(:mod:`repro.cluster.mailbox`), a function of the program: one
+task-to-worker map and one makespan per program — and because the
+lowest-numbered worker has its next request posted before a
+higher-numbered one has had the baton at all, it is handed every chunk,
+so a sim makespan of these loops times that one schedule, not
+demand-driven balancing.  Results (the computed values) are exact
+regardless.
 """
 
 from __future__ import annotations

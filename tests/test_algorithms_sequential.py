@@ -170,6 +170,14 @@ class TestMORPH:
         with pytest.raises(ConfigurationError):
             morph_classify(small_scene.image, 4, iterations=0)
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_cube_rejected(self, rng, value):
+        cube = rng.random((6, 5, 4))
+        cube[3, 2, 1] = value  # flat pixel 3 * 5 + 2
+        cube[4, 0, 0] = value
+        with pytest.raises(DataError, match="pixel 17, band 1"):
+            morph_classify(HyperspectralImage(cube), 2, iterations=1)
+
 
 class TestScenePaperShape:
     """The Table 3/4 qualitative claims on the default scene."""

@@ -524,32 +524,45 @@ class TestCheckpointStore:
 class TestFaultTolerantSchedulerUnderPlan:
     def test_master_detects_plan_crashed_worker(self, tiny_platform):
         """A genuine fault-plan crash kills worker 2 mid-run; the master
-        detects the silent loss via its receive deadline + the liveness
-        view and completes every task.  The run as a whole still raises
-        the injected crash as root cause (a dead rank is a failed run),
-        carrying the master's completed results in the exception test
-        below via the engine's failure ordering."""
+        detects the loss and completes every task.  The run as a whole
+        still raises the injected crash as root cause (a dead rank is a
+        failed run), carrying the master's completed results in the
+        exception test below via the engine's failure ordering.
+
+        The engine runs ranks to block, lowest ready rank first, so the
+        schedule is fixed: worker 1 and the master hand all twelve
+        chunks back and forth before worker 2 first gets the baton, and
+        worker 2 makes two operations, the send that asks for work and
+        the receive of the master's answer.  Crashed at the first it
+        dies without a word and the master finds out through its
+        receive deadline plus the liveness view; crashed at the second
+        it dies owing the master a rendezvous and the master's send
+        raises.
+        """
         tasks = list(range(24))
-        plan = FaultPlan(
-            (RankCrash(rank=2, at_op_index=6),), name="dead-worker"
-        )
-        injector = FaultInjector(plan).attach(platform=tiny_platform)
-        completed = {}
-
-        def program(ctx):
-            results = fault_tolerant_master_worker(
-                ctx, tasks if ctx.rank == 0 else None,
-                lambda _ctx, t: t * t, chunk_size=2, timeout_s=0.5,
+        for at_op_index in (1, 2):
+            plan = FaultPlan(
+                (RankCrash(rank=2, at_op_index=at_op_index),),
+                name="dead-worker",
             )
-            if ctx.rank == 0:
-                completed["results"] = results
-            return results
+            injector = FaultInjector(plan).attach(platform=tiny_platform)
+            completed = {}
 
-        with pytest.raises(RankFailedError) as info:
-            run_program(tiny_platform, program, faults=injector)
-        assert info.value.injected and info.value.rank == 2
-        # The master completed the whole task list before the abort.
-        assert completed["results"] == [t * t for t in tasks]
+            def program(ctx):
+                results = fault_tolerant_master_worker(
+                    ctx, tasks if ctx.rank == 0 else None,
+                    lambda _ctx, t: t * t, chunk_size=2, timeout_s=0.5,
+                )
+                if ctx.rank == 0:
+                    completed["results"] = results
+                return results
+
+            with pytest.raises(RankFailedError) as info:
+                run_program(tiny_platform, program, faults=injector)
+            assert info.value.injected and info.value.rank == 2
+            assert f"at op #{at_op_index} " in str(info.value)
+            # The master completed the whole task list before the abort.
+            assert completed["results"] == [t * t for t in tasks]
 
 
 # -- analysis labeling --------------------------------------------------------

@@ -263,20 +263,24 @@ class TestDeadlineEdgeCases:
                 ctx.send(0, "ok", tag=5)
                 return None
             # Master: confirm the healthy worker, then watch the dead.
+            # A rank may wait for another only inside send/recv (the
+            # engine runs one rank at a time), so the master blocks on
+            # each doomed worker in turn; the crash ends the receive.
             assert ctx.recv(1, tag=5) == "ok"
             liveness = liveness_of(ctx)
-            deadline = time.monotonic() + 5.0
-            while (
-                liveness.suspects((1, 2, 3)) != frozenset({2, 3})
-                and time.monotonic() < deadline
-            ):
-                pass
+            seen = []
+            for doomed in (2, 3):
+                with pytest.raises(RankFailedError):
+                    ctx.recv(doomed, tag=9, timeout_s=5.0)
+                seen.append(liveness.suspects((1, 2, 3)))
+            observed["seen"] = seen
             observed["suspects"] = liveness.suspects((1, 2, 3))
             observed["alive_1"] = liveness.is_alive(1)
             return None
 
         with pytest.raises(RankFailedError):
             run_program(tiny_platform, program, faults=injector)
+        assert observed["seen"] == [frozenset({2}), frozenset({2, 3})]
         assert observed["suspects"] == frozenset({2, 3})
 
 

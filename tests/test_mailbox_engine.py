@@ -1,5 +1,7 @@
 """Tests for the rendezvous router and the virtual-time engine."""
 
+import sys
+import threading
 import time
 
 import numpy as np
@@ -10,6 +12,7 @@ from repro.cluster.engine import SimulationEngine, run_program
 from repro.cluster.mailbox import (
     ANY_SOURCE,
     ANY_TAG,
+    OpDeadline,
     Router,
     copy_payload,
     payload_wire_megabits,
@@ -18,17 +21,22 @@ from repro.cluster.network import segmented_network
 from repro.cluster.platform import HeterogeneousPlatform
 from repro.cluster.processor import ProcessorSpec
 from repro.cluster.simtime import Phase, PhaseLedger, VirtualClock
+from repro.cluster.presets import fully_heterogeneous
 from repro.errors import (
     CommunicationError,
     CommunicationTimeout,
     ConfigurationError,
     DeadlockError,
+    RankFailedError,
     ReproError,
 )
+from repro.mpi import Communicator
 from repro.mpi.inproc import run_inproc
 from repro.obs import ObsSession
+from repro.scheduling.dynamic import dynamic_master_worker
 
 from conftest import make_tiny_platform
+from scheduler_storm import SWITCH_INTERVALS, run_sliced
 
 
 class TestPayloadSizing:
@@ -218,6 +226,165 @@ class TestComputedQuiescence:
     def test_inproc_platform_must_match_rank_count(self, tiny_platform):
         with pytest.raises(ConfigurationError, match="4 ranks"):
             run_inproc(3, lambda ctx: None, platform=tiny_platform)
+
+
+class TestRunToBlock:
+    """The sim engine runs one rank at a time: a rank keeps the baton
+    until it parks or retires and the lowest ready rank takes it, so
+    the wall schedule is a function of the program alone."""
+
+    def test_slice_sequence_is_the_program_s(self):
+        def program(ctx):
+            comm = Communicator(ctx)
+            value = comm.bcast(7 if comm.is_master else None)
+            gathered = comm.gather(value + ctx.rank)
+            return comm.scatter(gathered)
+
+        platform = fully_heterogeneous()
+        sequences = []
+        old = sys.getswitchinterval()
+        try:
+            for interval in SWITCH_INTERVALS:
+                sys.setswitchinterval(interval)
+                result, slices = run_sliced(platform, program)
+                assert result.return_values == [7 + r for r in range(16)]
+                sequences.append(slices)
+        finally:
+            sys.setswitchinterval(old)
+        assert sequences[0] == sequences[1] == sequences[2]
+        # The binomial bcast from rank 0 (to 8, 4, 2, 1): every rank
+        # below 8 parks on its parent before 8, the first with a
+        # message waiting, runs on; the root gets the baton back
+        # whenever it is ready, being the lowest rank; rank 1, a leaf,
+        # is the first into the gather.
+        assert sequences[0][:19] == [
+            (0, "send->8"), (1, "recv<-0"), (2, "recv<-0"), (3, "recv<-2"),
+            (4, "recv<-0"), (5, "recv<-4"), (6, "recv<-4"), (7, "recv<-6"),
+            (8, "send->12"), (0, "send->4"), (4, "send->6"), (0, "send->2"),
+            (2, "send->3"), (0, "send->1"), (1, "send->0"), (0, "recv<-2"),
+            (1, "recv<-0"), (3, "send->0"), (2, "send->0"),
+        ]
+        # Every rank ends its last slice by retiring, the master last.
+        assert [r for r, why in sequences[0] if why == "retire"] == [
+            *range(1, 16), 0
+        ]
+
+    def test_any_source_program_has_one_schedule(self):
+        """ANY_SOURCE matches in the order sends were posted, which on
+        the engine is hand-off order: one makespan, one task map."""
+        platform = fully_heterogeneous()
+        tasks = list(range(40))
+
+        def once():
+            done_by = {}
+
+            def process(ctx, task):
+                ctx.compute(1.0 + task % 3)
+                done_by[task] = ctx.rank
+                return task * task
+
+            def program(ctx):
+                return dynamic_master_worker(
+                    ctx, tasks if ctx.is_master else None, process
+                )
+
+            result = run_program(platform, program)
+            assert result.return_values[0] == [t * t for t in tasks]
+            return result.makespan, done_by
+
+        first = once()
+        # Lowest ready rank first: worker 1 has its next request in
+        # before any other worker has had the baton at all.
+        assert set(first[1].values()) == {1}
+        for _ in range(19):
+            assert once() == first
+
+
+class TestPerWaiterWake:
+    """A state change wakes the one rank it can have unblocked."""
+
+    def test_unrelated_traffic_and_failures_leave_a_waiter_alone(self):
+        router = Router(6)
+        calls = {3: 0, 4: 0}
+        ended = {}
+
+        def park(rank, peer):
+            def never():
+                calls[rank] += 1
+                return False
+
+            try:
+                with router._lock:
+                    router._wait(never, rank=rank, peer=peer)
+            except ReproError as exc:
+                ended[rank] = exc
+
+        def echo(rounds):
+            for _ in range(rounds):
+                router.send(1, 0, 0, router.recv(1, 0), 0.0)
+
+        parked = [
+            threading.Thread(target=park, args=(3, 2), daemon=True),
+            threading.Thread(target=park, args=(4, 5), daemon=True),
+        ]
+        for t in parked:
+            t.start()
+        deadline = time.monotonic() + 5.0
+        while time.monotonic() < deadline:
+            with router._lock:
+                if len(router._waiters) == 2:
+                    break
+            time.sleep(0.001)
+        assert calls == {3: 1, 4: 1}
+
+        # 50 round trips between ranks 0 and 1: 200 sends and matches.
+        peer = threading.Thread(target=echo, args=(50,), daemon=True)
+        peer.start()
+        for i in range(50):
+            router.send(0, 1, 0, i, 0.0)
+            assert router.recv(0, 1) == i
+        peer.join(timeout=5.0)
+        assert not peer.is_alive()
+        assert calls == {3: 1, 4: 1}
+
+        # fail(2) ends the wait on rank 2 and only that one.
+        router.fail(2)
+        parked[0].join(timeout=5.0)
+        assert not parked[0].is_alive()
+        assert isinstance(ended[3], RankFailedError) and ended[3].rank == 2
+        assert calls[4] == 1 and parked[1].is_alive() and 4 not in ended
+
+        router.abort()
+        parked[1].join(timeout=5.0)
+        assert not parked[1].is_alive()
+        assert isinstance(ended[4], DeadlockError)
+
+    def test_timed_sleep_parks_again_until_the_message_comes(self):
+        """A wall deadline whose clock has not reached it yet: the
+        sleep runs out, the state is re-read, the rank parks again, and
+        a later send still wakes it."""
+        router = Router(2)
+        naps = []
+
+        def clock():
+            naps.append(None)
+            return 0.0
+
+        got = []
+        receiver = threading.Thread(
+            target=lambda: got.append(
+                router.recv(1, 0, deadline=OpDeadline(0.005, clock, wall=True))
+            ),
+            daemon=True,
+        )
+        receiver.start()
+        deadline = time.monotonic() + 5.0
+        while len(naps) < 4 and time.monotonic() < deadline:
+            time.sleep(0.001)
+        assert len(naps) >= 4
+        router.send(0, 1, 0, "late", 0.0)
+        receiver.join(timeout=5.0)
+        assert not receiver.is_alive() and got == ["late"]
 
 
 class TestVirtualClock:
