@@ -77,6 +77,22 @@ def _check_inputs(pixels: FloatArray, n_targets: int) -> FloatArray:
     return pix
 
 
+def _check_new_target(index: int, chosen: list[int]) -> None:
+    """Refuse a winner that was extracted before.
+
+    Once the targets found span every spectrum of the scene, all scores
+    are round-off and the argmax lands on a pixel already chosen: the
+    detector would pad its result with repeats instead of failing.
+    Iteration ``k`` runs with ``k`` targets chosen, all distinct.
+    """
+    if index in chosen:
+        k = len(chosen)
+        raise DataError(
+            f"iteration {k} selected pixel {index} again: the scene ran "
+            f"out of distinct targets after {k}"
+        )
+
+
 def atdca_pixels(
     pixels: FloatArray,
     n_targets: int,
@@ -109,6 +125,7 @@ def atdca_pixels(
     for k in range(1, n_targets):
         energy = osp.residual_energy()
         nxt = int(np.argmax(energy))
+        _check_new_target(nxt, indices)
         indices.append(nxt)
         scores.append(float(energy[nxt]))
         if k + 1 < n_targets:

@@ -31,7 +31,7 @@ from typing import TYPE_CHECKING, Any, Callable, Mapping
 
 import numpy as np
 
-from repro.core.atdca import TargetDetectionResult
+from repro.core.atdca import TargetDetectionResult, _check_new_target
 from repro.core.parallel_common import (
     LocalBlock,
     charged_kernel,
@@ -149,6 +149,7 @@ def _round(
         with charged_kernel(ctx, *select_charge, sequential=True):
             win = _select_candidate(gathered)
         score, gidx, signature = gathered[win]
+        _check_new_target(gidx, state["indices"])
         state["indices"].append(gidx)
         state["signatures"].append(signature)
         state["scores"].append(score)

@@ -13,7 +13,11 @@ import dataclasses
 
 import numpy as np
 
-from repro.core.atdca import TargetDetectionResult, _check_inputs
+from repro.core.atdca import (
+    TargetDetectionResult,
+    _check_inputs,
+    _check_new_target,
+)
 from repro.hsi.cube import HyperspectralImage
 from repro.linalg.fcls import fcls_abundances, reconstruction_error
 from repro.linalg.osp import brightest_pixel_index
@@ -63,6 +67,7 @@ def ufcls_pixels(
     for k in range(1, n_targets):
         error = solver.error_image()
         nxt = int(np.argmax(error))
+        _check_new_target(nxt, indices)
         indices.append(nxt)
         scores.append(float(error[nxt]))
         if k + 1 < n_targets:

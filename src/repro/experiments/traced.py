@@ -282,7 +282,8 @@ def run_report(
     the deterministic analyzer JSON verbatim and, additionally, the
     cost-model calibration of the run.
     """
-    from repro.obs import profile_trace, write_report
+    from repro.obs.profile import profile_trace
+    from repro.obs.report import write_report
 
     cfg = config or ExperimentConfig()
     source = (

@@ -62,12 +62,10 @@ from repro.obs.export import (
 )
 from repro.obs.metrics import (
     DEFAULT_BUCKET_BOUNDS,
-    DEFAULT_SUMMARY_QUANTILES,
     Counter,
     Gauge,
     Histogram,
     MetricsRegistry,
-    Summary,
 )
 from repro.obs.trace import NULL_TRACER, NullTracer, Span, Tracer, tracer_of
 
@@ -112,11 +110,8 @@ _LAZY = {
     "Ledger": "repro.obs.history",
     "append_entries": "repro.obs.history",
     "read_ledger": "repro.obs.history",
-    "series_trend": "repro.obs.history",
-    "changepoint_indices": "repro.obs.history",
     "control_band": "repro.obs.history",
     "gate_entries": "repro.obs.history",
-    "render_dashboard": "repro.obs.history",
 }
 
 
@@ -138,10 +133,8 @@ __all__ = [
     "Counter",
     "Gauge",
     "Histogram",
-    "Summary",
     "MetricsRegistry",
     "DEFAULT_BUCKET_BOUNDS",
-    "DEFAULT_SUMMARY_QUANTILES",
     "BlockedTimeReport",
     "CriticalPathReport",
     "FaultWindow",
@@ -206,11 +199,8 @@ __all__ = [
     "Ledger",
     "append_entries",
     "read_ledger",
-    "series_trend",
-    "changepoint_indices",
     "control_band",
     "gate_entries",
-    "render_dashboard",
 ]
 
 

@@ -35,7 +35,7 @@ TOOLS: dict[str, tuple[str, str]] = {
     ),
     "history": (
         "repro.obs.history",
-        "run ledger, trends/changepoints, the regression gate, dashboard",
+        "run ledger and the regression gate over it (record, list, gate)",
     ),
 }
 

@@ -29,6 +29,7 @@ from repro.obs.trace import Span, Tracer
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.obs import ObsSession
+    from repro.obs.metrics import MetricsRegistry
 
 __all__ = [
     "canonical_json",
@@ -104,7 +105,9 @@ def spans_of(source: Any) -> list[Span]:
     return sorted(source, key=lambda s: (s.start, s.rank, s.seq))
 
 
-def metrics_records(source: Any) -> list[dict[str, Any]]:
+def metrics_records(
+    source: "ObsSession | MetricsRegistry | LoadedTrace",
+) -> list[dict[str, Any]]:
     """Normalize a session / registry to its deterministic record list."""
     registry = getattr(source, "metrics", source)
     return registry.records()
@@ -245,13 +248,10 @@ def openmetrics_text(source: Any) -> str:
 
     Counters become ``<name>_total`` samples, gauges plain samples,
     histograms the standard ``_bucket``/``_sum``/``_count`` triple with
-    cumulative *le*-labelled buckets, and summaries
-    (:class:`~repro.obs.metrics.Summary`, sketch-backed) one
-    ``{quantile="q"}`` sample per reported quantile plus
-    ``_sum``/``_count``.  Families are emitted sorted by name and
-    samples sorted by labels, so the exposition is deterministic and
-    diffable; the document ends with the mandated ``# EOF`` marker and
-    is scrapeable by standard Prometheus tooling.
+    cumulative *le*-labelled buckets.  Families are emitted sorted by
+    name and samples sorted by labels, so the exposition is
+    deterministic and diffable; the document ends with the mandated
+    ``# EOF`` marker and is scrapeable by standard Prometheus tooling.
     """
     records = metrics_records(source)
     by_family: dict[str, list[dict[str, Any]]] = {}
@@ -278,19 +278,6 @@ def openmetrics_text(source: Any) -> str:
             elif kind == "gauge":
                 lines.append(
                     f"{om}{_om_labels(labels)} {_om_float(record['value'])}"
-                )
-            elif kind == "summary":
-                for q, estimate in record["quantiles"]:
-                    lines.append(
-                        f"{om}{_om_labels(labels, (('quantile', _om_float(q)),))} "
-                        f"{_om_float(estimate)}"
-                    )
-                lines.append(
-                    f"{om}_sum{_om_labels(labels)} "
-                    f"{_om_float(record['total'])}"
-                )
-                lines.append(
-                    f"{om}_count{_om_labels(labels)} {record['count']}"
                 )
             else:  # histogram
                 for bound, cumulative in record["buckets"]:
@@ -358,17 +345,14 @@ def parse_openmetrics(text: str) -> list[dict[str, Any]]:
     """Parse :func:`openmetrics_text` output back into metric records.
 
     The inverse of the exporter for everything it emits — counters
-    (``_total``), gauges, histograms (cumulative *le* buckets ending at
-    the explicit ``+Inf`` bucket, plus ``_sum``/``_count``), and
-    summaries (``quantile``-labelled estimates plus
-    ``_sum``/``_count``) — shaped like
+    (``_total``), gauges and histograms (cumulative *le* buckets ending
+    at the explicit ``+Inf`` bucket, plus ``_sum``/``_count``) — shaped like
     :meth:`~repro.obs.metrics.MetricsRegistry.records` (histogram
     bucket bounds re-encoded with ``"+Inf"`` for the overflow, matching
     the snapshot convention).  Raises :class:`ValueError` on a missing
     ``# EOF`` terminator, an unknown family kind, a sample without a
-    ``# TYPE``, a histogram lacking its ``+Inf`` bucket, or a summary
-    lacking its ``_sum``/``_count`` pair — the round-trip test pins
-    exporter spec-compliance with this parser.
+    ``# TYPE`` or a histogram lacking its ``+Inf`` bucket — the
+    round-trip test pins exporter spec-compliance with this parser.
     """
     lines = text.splitlines()
     if not lines or lines[-1].strip() != "# EOF":
@@ -398,8 +382,7 @@ def parse_openmetrics(text: str) -> list[dict[str, Any]]:
         if line.startswith("#"):
             parts = line.split()
             if len(parts) >= 4 and parts[1] == "TYPE":
-                if parts[3] not in ("counter", "gauge", "histogram",
-                                    "summary"):
+                if parts[3] not in ("counter", "gauge", "histogram"):
                     raise ValueError(
                         f"line {lineno}: unsupported metric kind {parts[3]!r}"
                     )
@@ -416,14 +399,14 @@ def parse_openmetrics(text: str) -> list[dict[str, Any]]:
             labels = {}
         value = _om_parse_value(value_token.split()[0])
         _SUFFIX_KINDS = {
-            "_total": ("counter",),
-            "_bucket": ("histogram",),
-            "_sum": ("histogram", "summary"),
-            "_count": ("histogram", "summary"),
+            "_total": "counter",
+            "_bucket": "histogram",
+            "_sum": "histogram",
+            "_count": "histogram",
         }
         for suffix, expected in _SUFFIX_KINDS.items():
             base = name[: -len(suffix)]
-            if name.endswith(suffix) and kinds.get(base) in expected:
+            if name.endswith(suffix) and kinds.get(base) == expected:
                 name = base
                 break
         else:
@@ -437,20 +420,6 @@ def parse_openmetrics(text: str) -> list[dict[str, Any]]:
             sample_record(name, labels)["value"] = value
         elif kind == "gauge":
             sample_record(name, labels)["value"] = value
-        elif kind == "summary":
-            if suffix == "_sum":
-                sample_record(name, labels)["total"] = value
-            elif suffix == "_count":
-                sample_record(name, labels)["count"] = int(value)
-            elif "quantile" in labels:
-                q = _om_parse_value(labels.pop("quantile"))
-                record = sample_record(name, labels)
-                record.setdefault("quantiles", []).append([q, value])
-            else:
-                raise ValueError(
-                    f"line {lineno}: summary sample {name!r} has neither "
-                    "a quantile label nor a _sum/_count suffix"
-                )
         else:  # histogram
             if suffix == "_bucket":
                 le = labels.pop("le")
@@ -475,12 +444,6 @@ def parse_openmetrics(text: str) -> list[dict[str, Any]]:
                 raise ValueError(
                     f"histogram {family!r}{dict(key)!r} lacks the "
                     "explicit +Inf bucket"
-                )
-        elif record["kind"] == "summary":
-            if "count" not in record or "total" not in record:
-                raise ValueError(
-                    f"summary {family!r}{dict(key)!r} lacks its "
-                    "_sum/_count pair"
                 )
     return [families[family][key] for family, key in order]
 

@@ -1,30 +1,26 @@
-"""Longitudinal observability: the run ledger and its trend engine.
+"""The run ledger and the regression gate over it.
 
 Every other ``repro.obs`` tool explains *one* run; this module keeps
-the **trajectory**.  A run ledger — an append-only, schema-versioned
-JSONL file (committed seed: ``benchmarks/history/ledger.jsonl``) —
-ingests every benchmark cell, microbench kernel, calibration drift
-number, chaos-sweep gate ratio, and live health summary, each entry
-keyed by the provenance header the artifacts already carry.  On top of
-it:
+what was measured before.  A run ledger — an append-only,
+schema-versioned JSONL file (committed seed:
+``benchmarks/history/ledger.jsonl``) — ingests every benchmark cell,
+microbench kernel, calibration drift number, chaos-sweep gate ratio,
+and live health summary, each entry keyed by the provenance header the
+artifacts already carry.  It keeps a series' history for two purposes
+only, both served by one backward scan over the series' entries
+(:func:`control_band`):
 
-* **trend** — per-series robust statistics (median, MAD-sigma, EWMA
-  drift, :class:`~repro.obs.sketch.LatencySketch` quantiles) plus an
-  offline changepoint detector (binary segmentation minimising the L1
-  cost around segment medians), so step-changes in a series are located
-  and dated, not averaged away;
-* **gate** — the repo's one regression rule.  A candidate is compared
-  against a control band derived from its series' history: an exact
-  (virtual-time) series bands on its last recorded value, so every
-  recorded change re-baselines it; a noisy series bands on the MAD of
-  its last stable segment; wall-clock values are reported, never
-  gated.  A failing series names the first offending entry — and
-  therefore the commit that introduced the step.  ``bench compare A B``
-  is this gate over the one-run history ``entries_from_bench(A)``;
-* **dashboard** — a self-contained fleet HTML page (sparkline
-  timelines per series with changepoint markers and control bands,
-  calibration-drift and sweep-gate strips, light/dark) sharing the
-  run-report stylesheet; zero scripts, zero network assets.
+* to band an exact value on the **last recorded value** within
+  :data:`EXACT_RTOL`, so every recorded change re-baselines its series;
+* to name the **first entry of the trailing run** that carries a
+  failing candidate's value — and therefore the commit that introduced
+  the step.
+
+That is the repo's one regression rule (:func:`gate_entries`);
+``bench compare A B`` is it over the one-run history
+``entries_from_bench(A)``.  Noisy and wall-clock numbers are reported,
+never gated: a wall trajectory is judged by the paired runs of
+``benchmarks/wall/README.md``, not here (DESIGN decision 26).
 
 Determinism rules (the ledger is part of the regression surface):
 entry ``value`` fields hold virtual-time/deterministic quantities only;
@@ -37,19 +33,15 @@ runs append byte-identical ledgers.
 Usage (``--ledger`` defaults to the committed seed)::
 
     python -m repro.obs.history --ledger L record --bench BENCH_x.json
-    python -m repro.obs.history --ledger L list
-    python -m repro.obs.history --ledger L trend [PREFIX ...]
+    python -m repro.obs.history --ledger L list [PREFIX ...]
     python -m repro.obs.history --ledger L gate --bench BENCH_y.json
-    python -m repro.obs.history --ledger L dashboard --out fleet.html
 """
 
 from __future__ import annotations
 
 import argparse
 import dataclasses
-import html as _html
 import json
-import math
 import os
 import sys
 import warnings
@@ -59,12 +51,10 @@ from typing import Any, Iterable, Mapping, Sequence
 from repro.errors import ReproError
 from repro.obs.export import canonical_json, write_json
 from repro.obs.provenance import provenance
-from repro.obs.sketch import LatencySketch
 
 __all__ = [
     "HISTORY_SCHEMA",
     "GATE_SCHEMA",
-    "TREND_SCHEMA",
     "DEFAULT_LEDGER",
     "LedgerEntry",
     "Ledger",
@@ -76,10 +66,6 @@ __all__ = [
     "entries_from_sweep",
     "entries_from_health_summary",
     "entries_from_analysis",
-    "Changepoint",
-    "SeriesTrend",
-    "series_trend",
-    "changepoint_indices",
     "ControlBand",
     "control_band",
     "SeriesGate",
@@ -88,26 +74,18 @@ __all__ = [
     "gate_last",
     "conclude_gate",
     "record_entries",
-    "render_dashboard",
-    "write_dashboard",
     "main",
 ]
 
 HISTORY_SCHEMA = "repro.obs.history/1"
 GATE_SCHEMA = "repro.obs.history.gate/1"
-TREND_SCHEMA = "repro.obs.history.trend/1"
 
 #: The committed seed ledger every fresh checkout starts from.
 DEFAULT_LEDGER = "benchmarks/history/ledger.jsonl"
 
-#: Relative half-width of the control band for deterministic
-#: (virtual-time) series: only genuine behaviour changes exceed it.
+#: Relative half-width of the control band: only genuine behaviour
+#: changes of a deterministic (virtual-time) value exceed it.
 EXACT_RTOL = 1e-9
-#: MAD-sigma multiplier for noisy series bands.
-BAND_K_SIGMA = 4.0
-#: Relative band floor for noisy series (absorbs wall jitter even when
-#: the ledger has too few entries to estimate a spread).
-NOISY_REL_FLOOR = 0.25
 
 
 # -- ledger entries -----------------------------------------------------------
@@ -119,8 +97,8 @@ class LedgerEntry:
     ``value`` is the gated metric and must be deterministic given the
     code (virtual seconds, exact ratios, counts).  Wall-clock
     measurements are quarantined under ``wall`` (by convention
-    ``wall["value"]`` holds the series measurement) and are shown in
-    trends but never gated.  ``direction`` states which way is worse:
+    ``wall["value"]`` holds the series measurement) and are listed
+    but never gated.  ``direction`` states which way is worse:
     ``"lower"`` means lower-is-better (a rise regresses), ``"higher"``
     the opposite, ``"info"`` is never gated.
     """
@@ -137,7 +115,7 @@ class LedgerEntry:
     provenance: dict[str, str] | None = None
 
     def plot_value(self) -> float | None:
-        """The trend/display measurement: the gated ``value`` when
+        """The display measurement: the gated ``value`` when
         present, else the quarantined ``wall["value"]``."""
         if self.value is not None:
             return float(self.value)
@@ -206,25 +184,19 @@ class Ledger:
         return len(self.entries)
 
 
-def append_entries(
-    path: str | Path, entries: Iterable[LedgerEntry]
-) -> int:
+def append_entries(path: str | Path, entries: Iterable[LedgerEntry]) -> int:
     """Append entries to the ledger at ``path`` (created, with its
     schema header line, if absent).  Returns the number appended."""
     out = Path(path)
     out.parent.mkdir(parents=True, exist_ok=True)
-    lines = []
+    lines = [canonical_json(entry.to_dict()) for entry in entries]
+    n = len(lines)
     if not out.exists() or out.stat().st_size == 0:
-        lines.append(
-            canonical_json({"type": "header", "schema": HISTORY_SCHEMA})
+        lines.insert(
+            0, canonical_json({"type": "header", "schema": HISTORY_SCHEMA})
         )
-    n = 0
-    for entry in entries:
-        lines.append(canonical_json(entry.to_dict()))
-        n += 1
-    if lines:
-        with out.open("a", encoding="utf-8") as fh:
-            fh.write("".join(lines))
+    with out.open("a", encoding="utf-8") as fh:
+        fh.write("".join(lines))
     return n
 
 
@@ -287,6 +259,18 @@ def _run_meta(doc: Mapping[str, Any], source: str,
     return meta
 
 
+def _checked_run(doc: Mapping[str, Any], what: str, expected: str,
+                 date: str | None) -> dict[str, Any]:
+    """:func:`_run_meta` of a document that must carry schema
+    ``expected``; a thresholds file or a foreign artifact is refused."""
+    schema = str(doc.get("schema", ""))
+    if schema != expected:
+        raise ReproError(
+            f"unsupported {what} schema {schema!r} (expected {expected})"
+        )
+    return _run_meta(doc, schema, date)
+
+
 #: The benchmark-config fields that fix what one cell measures; runs
 #: that differ only in the others — cell selectors, wall repeats, the
 #: regression-injecting ``comm_factor`` — compare cell by cell.
@@ -346,7 +330,7 @@ def entries_from_microbench(
 ) -> list[LedgerEntry]:
     """``microbench/<kernel>/speedup`` series — wall-derived ratios,
     quarantined (the committed speedup floors gate these; the ledger
-    only trends them)."""
+    only lists them)."""
     prov = provenance()
     run = _run_meta(artifact, str(artifact.get("schema", "microbench")), date)
     out: list[LedgerEntry] = []
@@ -374,24 +358,24 @@ def entries_from_calibration(
 ) -> list[LedgerEntry]:
     """Calibration drift series: the measured
     ``median_phase_rel_error`` of a :mod:`repro.obs.profile` report
-    (``repro.obs.profile/1``)."""
-    schema = str(doc.get("schema", ""))
-    if schema != "repro.obs.profile/1":
-        raise ReproError(
-            f"unsupported calibration schema {schema!r} (expected "
-            "repro.obs.profile/1)"
-        )
+    (``repro.obs.profile/1``).  On ``sim`` it is exact and gates; on
+    ``inproc`` it derives from wall clocks and is quarantined
+    (``profile gate`` judges it against the committed bound)."""
+    run = _checked_run(doc, "calibration", "repro.obs.profile/1", date)
     if backend is None:
         raise ReproError(
             "a calibration report needs an explicit backend "
             "('sim' or 'inproc') to name its series"
         )
+    deterministic = backend == "sim"
+    error = float(doc["median_phase_rel_error"])
     return [LedgerEntry(
         series=f"calibration/{backend}/median_phase_rel_error",
         kind="calibration", unit="rel_error", direction="lower",
-        deterministic=backend == "sim",
-        value=float(doc["median_phase_rel_error"]),
-        run=_run_meta(doc, schema, date),
+        deterministic=deterministic,
+        value=error if deterministic else None,
+        wall=None if deterministic else {"value": error},
+        run=run,
         detail={
             "compute_scale": doc.get("compute_scale"),
             "transfer_scale": doc.get("transfer_scale"),
@@ -409,35 +393,26 @@ def entries_from_sweep(
     (``repro.faults.sweep/1``): the measured worst prediction error
     and adaptive/predicted ratio over the grid, and how many cells
     adapted."""
-    schema = str(doc.get("schema", ""))
+    run = _checked_run(doc, "sweep", "repro.faults.sweep/1", date)
     prov = provenance()
-    out: list[LedgerEntry] = []
-    if schema != "repro.faults.sweep/1":
-        raise ReproError(
-            f"unsupported sweep schema {schema!r} (expected "
-            "repro.faults.sweep/1)"
-        )
     name = str(doc.get("name", "sweep"))
-    run = _run_meta(doc, schema, date)
     cells = doc.get("cells", [])
     errors = [c["prediction_rel_error"] for c in cells
               if c.get("prediction_rel_error") is not None]
     ratios = [c["ratio_vs_predicted"] for c in cells
               if c.get("ratio_vs_predicted") is not None]
     summary = doc.get("summary", {})
-    out.append(LedgerEntry(
+    return [LedgerEntry(
         series=f"sweep/{name}/max_prediction_rel_error",
         kind="sweep", unit="rel_error", direction="lower",
         deterministic=True, value=float(max(errors, default=0.0)),
         run=run, detail={"n_twin_cells": len(errors)}, provenance=prov,
-    ))
-    out.append(LedgerEntry(
+    ), LedgerEntry(
         series=f"sweep/{name}/max_ratio_vs_predicted",
         kind="sweep", unit="ratio", direction="lower",
         deterministic=True, value=float(max(ratios, default=0.0)),
         run=run, detail={"n_ratio_cells": len(ratios)}, provenance=prov,
-    ))
-    out.append(LedgerEntry(
+    ), LedgerEntry(
         series=f"sweep/{name}/adapted_cells",
         kind="sweep", unit="count", direction="higher",
         deterministic=True,
@@ -446,8 +421,7 @@ def entries_from_sweep(
         detail={"n_cells": summary.get("n_cells"),
                 "n_result_equal": summary.get("n_result_equal")},
         provenance=prov,
-    ))
-    return out
+    )]
 
 
 def entries_from_health_summary(
@@ -455,14 +429,10 @@ def entries_from_health_summary(
 ) -> list[LedgerEntry]:
     """Live health summary (``repro.obs.live.summary/1``): how many
     grid cells flagged drift, and the total online event count."""
-    schema = str(doc.get("schema", ""))
-    if schema != "repro.obs.live.summary/1":
-        raise ReproError(
-            f"unsupported health summary schema {schema!r} "
-            "(expected repro.obs.live.summary/1)"
-        )
+    run = _checked_run(
+        doc, "health summary", "repro.obs.live.summary/1", date
+    )
     prov = provenance()
-    run = _run_meta(doc, schema, date)
     cells = doc.get("cells", {})
     flagged = sum(
         1 for info in cells.values()
@@ -495,14 +465,8 @@ def entries_from_analysis(
     critical-path length, makespan, and total blocked time of one
     traced run.  Virtual-time quantities gate; wall-clock backends are
     quarantined."""
-    schema = str(doc.get("schema", ""))
-    if schema != "repro.obs.analyze/1":
-        raise ReproError(
-            f"unsupported analysis schema {schema!r} "
-            "(expected repro.obs.analyze/1)"
-        )
+    run = _checked_run(doc, "analysis", "repro.obs.analyze/1", date)
     prov = provenance()
-    run = _run_meta(doc, schema, date)
     cp = doc.get("critical_path", {})
     blocked = doc.get("blocked_time", {})
     deterministic = backend == "sim"
@@ -527,254 +491,11 @@ def entries_from_analysis(
     return out
 
 
-# -- trend engine -------------------------------------------------------------
-
-def _median(values: Sequence[float]) -> float:
-    ordered = sorted(values)
-    n = len(ordered)
-    if n == 0:
-        return 0.0
-    mid = n // 2
-    if n % 2:
-        return ordered[mid]
-    return 0.5 * (ordered[mid - 1] + ordered[mid])
-
-
-def _mad_sigma(values: Sequence[float]) -> float:
-    """Robust spread: 1.4826 × median absolute deviation (consistent
-    with the standard deviation under normal noise)."""
-    if len(values) < 2:
-        return 0.0
-    center = _median(values)
-    return 1.4826 * _median([abs(v - center) for v in values])
-
-
-def _noise_sigma(values: Sequence[float]) -> float:
-    """Noise level from first differences (``1.4826 × MAD(diff) / √2``):
-    for a piecewise-constant series this estimates the *jitter*, not the
-    step sizes, so the changepoint penalty scales with noise rather
-    than with the very signal being detected."""
-    diffs = [abs(b - a) for a, b in zip(values, values[1:])]
-    if not diffs:
-        return 0.0
-    return 1.4826 * _median(diffs) / math.sqrt(2.0)
-
-
-def _l1_cost(values: Sequence[float]) -> float:
-    center = _median(values)
-    return sum(abs(v - center) for v in values)
-
-
-def changepoint_indices(
-    values: Sequence[float],
-    deterministic: bool = False,
-    min_size: int = 1,
-    max_changepoints: int = 8,
-) -> list[int]:
-    """Offline changepoint detection by binary segmentation.
-
-    Greedily splits the series at the index that most reduces the
-    summed L1 cost around segment medians, accepting a split only when
-    the reduction exceeds a penalty; recursion stops when no split
-    pays for itself or ``max_changepoints`` is reached.  Returns sorted
-    split indices ``i`` (each segment is ``values[a:i]``/``values[i:b]``).
-
-    The penalty scales with the series' robust noise level
-    (first-difference MAD × ``log(n)``) with a tiny absolute floor, so
-    a noisy wall series needs a step that clears its own jitter.  A
-    ``deterministic`` virtual-time series has zero jitter by
-    definition — on ``[a, b]`` the first difference *is* the step, not
-    noise — so only the floor applies and *any* genuine step is
-    reported.
-    """
-    n = len(values)
-    if n < 2 * min_size:
-        return []
-    sigma = 0.0 if deterministic else _noise_sigma(values)
-    penalty = max(
-        2.0 * sigma * math.log(max(n, 2)),
-        EXACT_RTOL * max(abs(_median(values)), 1.0),
-    )
-
-    segments: list[tuple[int, int]] = [(0, n)]
-    splits: list[int] = []
-    while len(splits) < max_changepoints:
-        best: tuple[float, int, int] | None = None  # (gain, index, seg_pos)
-        for pos, (a, b) in enumerate(segments):
-            if b - a < 2 * min_size:
-                continue
-            base = _l1_cost(values[a:b])
-            for i in range(a + min_size, b - min_size + 1):
-                gain = base - _l1_cost(values[a:i]) - _l1_cost(values[i:b])
-                if best is None or gain > best[0]:
-                    best = (gain, i, pos)
-        if best is None or best[0] <= penalty:
-            break
-        _, index, pos = best
-        a, b = segments[pos]
-        segments[pos:pos + 1] = [(a, index), (index, b)]
-        splits.append(index)
-    return sorted(splits)
-
-
-@dataclasses.dataclass(frozen=True)
-class Changepoint:
-    """A detected step: the series shifted at ``index`` (first entry of
-    the new regime)."""
-
-    index: int
-    before_median: float
-    after_median: float
-    origin: str  # describe_origin() of the first entry of the new segment
-
-    @property
-    def shift_pct(self) -> float:
-        if not self.before_median:
-            return 0.0 if not self.after_median else math.inf
-        return 100.0 * (self.after_median - self.before_median) / abs(
-            self.before_median
-        )
-
-    def to_dict(self) -> dict[str, Any]:
-        shift = self.shift_pct
-        return {
-            "index": self.index,
-            "before_median": self.before_median,
-            "after_median": self.after_median,
-            "shift_pct": None if math.isinf(shift) else shift,
-            "origin": self.origin,
-        }
-
-
-@dataclasses.dataclass(frozen=True)
-class SeriesTrend:
-    """Robust longitudinal statistics for one series."""
-
-    series: str
-    kind: str
-    unit: str
-    direction: str
-    deterministic: bool
-    gated: bool
-    values: tuple[float, ...]
-    median: float
-    mad_sigma: float
-    ewma: float
-    last: float
-    quantiles: dict[str, float]
-    changepoints: tuple[Changepoint, ...]
-    segments: tuple[tuple[int, int, float], ...]  # (start, end, median)
-
-    @property
-    def n(self) -> int:
-        return len(self.values)
-
-    @property
-    def drift_pct(self) -> float:
-        """Last value vs the median of the current (last) segment."""
-        center = self.segments[-1][2] if self.segments else self.median
-        if not center:
-            return 0.0
-        return 100.0 * (self.last - center) / abs(center)
-
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "series": self.series,
-            "kind": self.kind,
-            "unit": self.unit,
-            "direction": self.direction,
-            "deterministic": self.deterministic,
-            "gated": self.gated,
-            "n": self.n,
-            "last": self.last,
-            "median": self.median,
-            "mad_sigma": self.mad_sigma,
-            "ewma": self.ewma,
-            "drift_pct": self.drift_pct,
-            "quantiles": dict(self.quantiles),
-            "changepoints": [c.to_dict() for c in self.changepoints],
-            "segments": [list(s) for s in self.segments],
-        }
-
-
-def series_trend(
-    series: str,
-    entries: Sequence[LedgerEntry],
-    ewma_alpha: float = 0.3,
-) -> SeriesTrend | None:
-    """Trend statistics over a series' entries (``None`` when no entry
-    carries a plottable measurement)."""
-    points = [
-        (entry, entry.plot_value()) for entry in entries
-        if entry.plot_value() is not None
-    ]
-    if not points:
-        return None
-    values = [v for _, v in points]  # type: ignore[misc]
-    head = points[0][0]
-    sketch = LatencySketch()
-    ewma = values[0]
-    for v in values:
-        sketch.observe(max(v, 0.0))
-        ewma = ewma_alpha * v + (1.0 - ewma_alpha) * ewma
-    splits = changepoint_indices(values, deterministic=head.deterministic)
-    bounds = [0, *splits, len(values)]
-    segments = tuple(
-        (a, b, _median(values[a:b]))
-        for a, b in zip(bounds, bounds[1:])
-    )
-    changepoints = tuple(
-        Changepoint(
-            index=index,
-            before_median=segments[k][2],
-            after_median=segments[k + 1][2],
-            origin=points[index][0].describe_origin(),
-        )
-        for k, index in enumerate(splits)
-    )
-    gated = head.value is not None and head.direction != "info"
-    return SeriesTrend(
-        series=series,
-        kind=head.kind,
-        unit=head.unit,
-        direction=head.direction,
-        deterministic=head.deterministic,
-        gated=gated,
-        values=tuple(values),
-        median=_median(values),
-        mad_sigma=_mad_sigma(values),
-        ewma=ewma,
-        last=values[-1],
-        quantiles={
-            "p10": sketch.quantile(0.10),
-            "p50": sketch.quantile(0.50),
-            "p90": sketch.quantile(0.90),
-        },
-        changepoints=changepoints,
-        segments=segments,
-    )
-
-
-def ledger_trends(
-    ledger: Ledger, prefixes: Sequence[str] = ()
-) -> list[SeriesTrend]:
-    """Trends for every series (optionally filtered by name prefix),
-    sorted by series name."""
-    out: list[SeriesTrend] = []
-    for name, entries in sorted(ledger.series().items()):
-        if prefixes and not any(name.startswith(p) for p in prefixes):
-            continue
-        trend = series_trend(name, entries)
-        if trend is not None:
-            out.append(trend)
-    return out
-
-
 # -- the regression gate ------------------------------------------------------
 
 @dataclasses.dataclass(frozen=True)
 class ControlBand:
-    """The acceptance interval derived from a series' current regime."""
+    """The acceptance interval around a series' last recorded value."""
 
     center: float
     lo: float
@@ -783,35 +504,25 @@ class ControlBand:
     segment_start: int
     deterministic: bool
 
-    def to_dict(self) -> dict[str, Any]:
-        return dataclasses.asdict(self)
 
+def control_band(values: Sequence[float]) -> ControlBand:
+    """The control band of a series whose gated values, oldest first,
+    are ``values``: the *last recorded value* within :data:`EXACT_RTOL`.
 
-def control_band(trend: SeriesTrend) -> ControlBand:
-    """The history-derived control band for one series.
-
-    A deterministic series bands on its *last recorded value* within
-    :data:`EXACT_RTOL`: every change of an exact value is a regime
-    change, so recording a step once re-centres the band — what a
-    one-entry baseline file always meant.  A noisy series uses the
-    entries after its last changepoint: :data:`BAND_K_SIGMA` MAD-sigmas
-    around their median, at least :data:`NOISY_REL_FLOOR` of it.
+    Every change of an exact value is a regime change, so recording a
+    step once re-centres the band — what a one-entry baseline file
+    always meant.  ``segment_start`` is the first index of the trailing
+    run, the entries a backward scan finds inside the band before it
+    meets one outside, and ``n`` is the run's length.
     """
-    start, _end, center = trend.segments[-1]
-    seg_values = trend.values[start:]
-    if trend.deterministic:
-        center = trend.last
-        lo, hi = sorted(center * (1.0 + sign * EXACT_RTOL) for sign in (-1, 1))
-    else:
-        half = max(
-            BAND_K_SIGMA * _mad_sigma(seg_values),
-            NOISY_REL_FLOOR * abs(center),
-        )
-        lo, hi = center - half, center + half
+    center = values[-1]
+    lo, hi = sorted(center * (1.0 + sign * EXACT_RTOL) for sign in (-1, 1))
+    start = len(values) - 1
+    while start and lo <= values[start - 1] <= hi:
+        start -= 1
     return ControlBand(
         center=center, lo=lo, hi=hi,
-        n=len(seg_values), segment_start=start,
-        deterministic=trend.deterministic,
+        n=len(values) - start, segment_start=start, deterministic=True,
     )
 
 
@@ -859,7 +570,7 @@ class SeriesGate:
             "series": self.series,
             "status": self.status,
             "candidate": self.candidate,
-            "band": self.band.to_dict() if self.band else None,
+            "band": dataclasses.asdict(self.band) if self.band else None,
             "delta_pct": self.delta_pct,
             "offender": self.offender,
             "reason": self.reason,
@@ -918,20 +629,15 @@ class GateReport:
 
 def _find_offender(
     history: Sequence[LedgerEntry],
-    trend: SeriesTrend,
-    candidate_value: float,
+    values: Sequence[float],
     candidate_origin: str,
 ) -> dict[str, Any]:
-    """Locate the first entry of the regime the failing candidate
-    belongs to: append the candidate, re-run changepoint detection, and
-    take the start of the segment containing the last index — on an
-    exact series, the first entry of the trailing run that carries the
-    candidate's value.  If the candidate opened the regime itself, it
-    is its own offender — the step arrived with this run's commit."""
-    values = [*trend.values, candidate_value]
-    splits = changepoint_indices(values, deterministic=trend.deterministic)
-    start = splits[-1] if splits else trend.n  # trend.n: the candidate
-    in_ledger = start < trend.n
+    """Locate the first entry of the trailing run :func:`control_band`
+    finds in ``values``, the history's with the failing candidate's
+    appended.  If the candidate opened the run itself, it is its own
+    offender — the step arrived with this run's commit."""
+    start = control_band(values).segment_start
+    in_ledger = start < len(history)
     return {
         "index": start,
         "where": "ledger" if in_ledger else "candidate",
@@ -950,18 +656,20 @@ def gate_entries(
 
     Candidates whose series the ledger has never seen report ``new``
     (they pass — the next ``record`` starts their history).  Wall-
-    quarantined and informational candidates report ``skipped``, and
-    so does a candidate measured under a different benchmark config
-    (``run["config"]``) than the series' latest entry: a 48-row scene
-    is not a regression of a 384-row one.  A regression names the
-    first offending entry/commit via :func:`_find_offender`.
+    quarantined and informational candidates report ``skipped``; so
+    does a noisy value (``deterministic: false`` on the candidate or on
+    the series' latest entry — only a hand-made or pre-quarantine file
+    carries one), and so does a candidate measured under a different
+    benchmark config (``run["config"]``) than the series' latest entry:
+    a 48-row scene is not a regression of a 384-row one.  A regression
+    names the first offending entry/commit via :func:`_find_offender`.
     """
     by_series = ledger.series()
     results: list[SeriesGate] = []
     for candidate in candidates:
         name = candidate.series
         history = [
-            e for e in by_series.get(name, []) if e.plot_value() is not None
+            e for e in by_series.get(name, []) if e.value is not None
         ]
         config = candidate.run.get("config")
         skip = ""
@@ -969,6 +677,10 @@ def gate_entries(
             skip = "wall-clock: reported, not gated"
         elif candidate.direction == "info":
             skip = "informational"
+        elif not candidate.deterministic or (
+            history and not history[-1].deterministic
+        ):
+            skip = "noisy value: reported, not gated"
         elif history and history[-1].run.get("config") != config:
             skip = (f"measured on config [{config}], the series is on "
                     f"[{history[-1].run.get('config')}]")
@@ -977,9 +689,8 @@ def gate_entries(
                 series=name, status="skipped" if skip else "new", reason=skip
             ))
             continue
-        trend = series_trend(name, history)
-        assert trend is not None
-        band = control_band(trend)
+        values = [float(e.value) for e in history]
+        band = control_band(values)
         value = float(candidate.value)
         worse, better = value > band.hi, value < band.lo
         if candidate.direction != "lower":
@@ -987,7 +698,7 @@ def gate_entries(
         offender = None
         if worse:
             offender = _find_offender(
-                history, trend, value, candidate.describe_origin()
+                history, [*values, value], candidate.describe_origin()
             )
         results.append(SeriesGate(
             series=name,
@@ -1006,274 +717,12 @@ def gate_last(ledger: Ledger) -> GateReport:
     history: list[LedgerEntry] = []
     candidates: list[LedgerEntry] = []
     for _name, entries in sorted(ledger.series().items()):
-        plottable = [e for e in entries if e.plot_value() is not None]
-        if len(plottable) >= 2:
-            history.extend(plottable[:-1])
-            candidates.append(plottable[-1])
+        if len(entries) >= 2:
+            history.extend(entries[:-1])
+            candidates.append(entries[-1])
     return gate_entries(
         Ledger(path=ledger.path, entries=tuple(history)), candidates
     )
-
-
-# -- fleet dashboard ----------------------------------------------------------
-
-_SPARK_W = 280
-_SPARK_H = 44
-_SPARK_PAD = 4
-
-_DASH_CSS = """\
-.viz-root .series-grid {
-  display: grid; grid-template-columns: repeat(auto-fill, minmax(340px, 1fr));
-  gap: 12px;
-}
-.viz-root .series-card {
-  border: 1px solid var(--border); border-radius: 6px; padding: 10px 12px;
-}
-.viz-root .series-card .name {
-  font-size: 12px; color: var(--text-secondary);
-  word-break: break-all; margin-bottom: 4px;
-}
-.viz-root .series-card .latest {
-  font-size: 18px; font-variant-numeric: tabular-nums;
-}
-.viz-root .series-card .meta {
-  font-size: 11px; color: var(--text-muted); margin-top: 2px;
-}
-.viz-root .chip-ok, .viz-root .chip-step, .viz-root .chip-wall {
-  display: inline-block; font-size: 10px; border-radius: 8px;
-  padding: 1px 7px; margin-left: 6px; vertical-align: 2px;
-}
-.viz-root .chip-ok { background: var(--series-3); color: #fff; }
-.viz-root .chip-step { background: var(--status-critical); color: #fff; }
-.viz-root .chip-wall { background: var(--gridline); color: var(--text-secondary); }
-.viz-root svg .spark-line {
-  fill: none; stroke: var(--series-1); stroke-width: 1.5;
-}
-.viz-root svg .spark-line.nondet { stroke: var(--series-2); }
-.viz-root svg .spark-band { fill: var(--series-3); fill-opacity: 0.15; }
-.viz-root svg .spark-cp {
-  stroke: var(--status-critical); stroke-width: 1; stroke-dasharray: 3 2;
-}
-.viz-root svg .spark-dot { fill: var(--series-1); }
-.viz-root svg .spark-dot.nondet { fill: var(--series-2); }
-"""
-
-
-def _esc(text: Any) -> str:
-    return _html.escape(str(text), quote=True)
-
-
-def _fmt_value(value: float) -> str:
-    return f"{value:.6g}"
-
-
-def _sparkline_svg(trend: SeriesTrend) -> str:
-    """An inline sparkline: the series polyline, the last-segment
-    control band shaded, changepoints as dashed verticals, the latest
-    point dotted."""
-    values = trend.values
-    n = len(values)
-    lo = min(values)
-    hi = max(values)
-    band = control_band(trend)
-    lo = min(lo, band.lo)
-    hi = max(hi, band.hi)
-    if hi <= lo:
-        hi = lo + max(abs(lo), 1.0) * 1e-6
-    span_x = _SPARK_W - 2 * _SPARK_PAD
-    span_y = _SPARK_H - 2 * _SPARK_PAD
-
-    def x_of(i: int) -> float:
-        return _SPARK_PAD + (span_x * i / max(n - 1, 1))
-
-    def y_of(v: float) -> float:
-        return _SPARK_PAD + span_y * (1.0 - (v - lo) / (hi - lo))
-
-    css = "" if trend.deterministic else " nondet"
-    parts = [
-        f'<svg viewBox="0 0 {_SPARK_W} {_SPARK_H}" width="{_SPARK_W}" '
-        f'height="{_SPARK_H}" role="img" '
-        f'aria-label="trend of {_esc(trend.series)}">'
-    ]
-    band_y0 = min(y_of(band.hi), y_of(band.lo))
-    band_h = max(abs(y_of(band.lo) - y_of(band.hi)), 1.0)
-    parts.append(
-        f'<rect class="spark-band" x="{x_of(band.segment_start):.1f}" '
-        f'y="{band_y0:.1f}" '
-        f'width="{_SPARK_W - _SPARK_PAD - x_of(band.segment_start):.1f}" '
-        f'height="{band_h:.1f}"/>'
-    )
-    for cp in trend.changepoints:
-        x = x_of(cp.index)
-        parts.append(
-            f'<line class="spark-cp" x1="{x:.1f}" y1="{_SPARK_PAD}" '
-            f'x2="{x:.1f}" y2="{_SPARK_H - _SPARK_PAD}"/>'
-        )
-    points = " ".join(
-        f"{x_of(i):.1f},{y_of(v):.1f}" for i, v in enumerate(values)
-    )
-    if n == 1:
-        parts.append(
-            f'<circle class="spark-dot{css}" cx="{x_of(0):.1f}" '
-            f'cy="{y_of(values[0]):.1f}" r="2.5"/>'
-        )
-    else:
-        parts.append(f'<polyline class="spark-line{css}" points="{points}"/>')
-        parts.append(
-            f'<circle class="spark-dot{css}" cx="{x_of(n - 1):.1f}" '
-            f'cy="{y_of(values[-1]):.1f}" r="2.5"/>'
-        )
-    parts.append("</svg>")
-    return "".join(parts)
-
-
-def _series_card(trend: SeriesTrend) -> str:
-    if trend.changepoints:
-        chip = '<span class="chip-step">step ×' \
-            f"{len(trend.changepoints)}</span>"
-    elif not trend.deterministic:
-        chip = '<span class="chip-wall">wall</span>'
-    else:
-        chip = '<span class="chip-ok">stable</span>'
-    cps = "; ".join(
-        f"step at #{c.index} ({c.origin}): "
-        f"{_fmt_value(c.before_median)} → {_fmt_value(c.after_median)}"
-        for c in trend.changepoints
-    )
-    meta = (
-        f"n={trend.n} · median {_fmt_value(trend.median)} · "
-        f"ewma {_fmt_value(trend.ewma)} · drift {trend.drift_pct:+.2f}%"
-    )
-    if cps:
-        meta += f"<br>{_esc(cps)}"
-    return (
-        '<div class="series-card">'
-        f'<div class="name">{_esc(trend.series)}{chip}</div>'
-        f'<div class="latest">{_fmt_value(trend.last)} '
-        f'<span style="font-size:11px">{_esc(trend.unit)}</span></div>'
-        f"{_sparkline_svg(trend)}"
-        f'<div class="meta">{meta}</div>'
-        "</div>"
-    )
-
-
-_KIND_SECTIONS = (
-    ("bench", "Benchmark grid — per-cell makespan timelines"),
-    ("microbench", "Kernel microbenchmarks — speedup trends (wall)"),
-    ("calibration", "Calibration drift strip"),
-    ("sweep", "Chaos-sweep gate strip"),
-    ("health", "Live health summaries"),
-    ("trace", "Traced-run headlines"),
-)
-
-
-def render_dashboard(ledger: Ledger, title: str = "fleet dashboard") -> str:
-    """The longitudinal fleet dashboard as one self-contained HTML
-    document (deterministic bytes: same ledger in, same page out)."""
-    from repro.obs.report import _CSS  # shared palette + chrome
-
-    trends = ledger_trends(ledger)
-    by_kind: dict[str, list[SeriesTrend]] = {}
-    for trend in trends:
-        by_kind.setdefault(trend.kind, []).append(trend)
-    n_series = len(trends)
-    n_entries = len(ledger)
-    n_steps = sum(len(t.changepoints) for t in trends)
-    tiles = (
-        '<section><div class="tiles">'
-        f'<div class="tile"><div class="v">{n_entries}</div>'
-        '<div class="k">ledger entries</div></div>'
-        f'<div class="tile"><div class="v">{n_series}</div>'
-        '<div class="k">series tracked</div></div>'
-        f'<div class="tile"><div class="v">{n_steps}</div>'
-        '<div class="k">changepoints detected</div></div>'
-        "</div></section>"
-    )
-    sections = [tiles]
-    known = {kind for kind, _ in _KIND_SECTIONS}
-    for kind, heading in _KIND_SECTIONS:
-        group = by_kind.get(kind)
-        if not group:
-            continue
-        cards = "".join(_series_card(t) for t in group)
-        sections.append(
-            f"<section><h2>{_esc(heading)}</h2>"
-            f'<div class="series-grid">{cards}</div></section>'
-        )
-    for kind in sorted(set(by_kind) - known):
-        cards = "".join(_series_card(t) for t in by_kind[kind])
-        sections.append(
-            f"<section><h2>{_esc(kind)}</h2>"
-            f'<div class="series-grid">{cards}</div></section>'
-        )
-    source = _esc(ledger.path) if ledger.path else "in-memory ledger"
-    return (
-        "<!DOCTYPE html>\n"
-        '<html lang="en">\n<head>\n<meta charset="utf-8">\n'
-        f"<title>{_esc(title)}</title>\n"
-        f"<style>\n{_CSS}{_DASH_CSS}</style>\n"
-        "</head>\n<body>\n"
-        '<div class="viz-root">\n'
-        f"<h1>{_esc(title)}</h1>\n"
-        f'<p class="subtitle">run ledger {source} — '
-        f"{HISTORY_SCHEMA}</p>\n"
-        + "\n".join(sections)
-        + "\n</div>\n</body>\n</html>\n"
-    )
-
-
-def write_dashboard(
-    ledger: Ledger, path: str | Path, title: str = "fleet dashboard"
-) -> Path:
-    out = Path(path)
-    out.parent.mkdir(parents=True, exist_ok=True)
-    out.write_text(render_dashboard(ledger, title=title), encoding="utf-8")
-    return out
-
-
-# -- trend text / prom views --------------------------------------------------
-
-def trend_text(trends: Sequence[SeriesTrend]) -> str:
-    header = (
-        f"{'series':<58} {'n':>4} {'last':>12} {'median':>12} "
-        f"{'ewma':>12} {'drift%':>8} {'steps':>5}"
-    )
-    lines = [header, "-" * len(header)]
-    for t in trends:
-        lines.append(
-            f"{t.series[:58]:<58} {t.n:>4} {t.last:>12.6g} "
-            f"{t.median:>12.6g} {t.ewma:>12.6g} {t.drift_pct:>+8.2f} "
-            f"{len(t.changepoints):>5}"
-        )
-        for cp in t.changepoints:
-            shift = cp.shift_pct
-            shift_txt = "inf" if math.isinf(shift) else f"{shift:+.2f}%"
-            lines.append(
-                f"    step at #{cp.index} ({cp.origin}): "
-                f"{cp.before_median:.6g} -> {cp.after_median:.6g} "
-                f"({shift_txt})"
-            )
-    return "\n".join(lines)
-
-
-def trends_openmetrics(trends: Sequence[SeriesTrend]) -> str:
-    """The ledger's series as OpenMetrics ``summary`` families — each
-    series' full value history folded through a
-    :class:`~repro.obs.metrics.Summary` (sketch-backed quantile
-    lines), so external scrapers see the longitudinal distribution."""
-    from repro.obs.export import openmetrics_text
-    from repro.obs.metrics import MetricsRegistry
-
-    registry = MetricsRegistry()
-    for t in trends:
-        registry.summary(
-            "history.series", series=t.series, unit=t.unit
-        ).observe_many(max(v, 0.0) for v in t.values)
-        registry.gauge("history.series_last", series=t.series).set(t.last)
-        registry.gauge(
-            "history.series_changepoints", series=t.series
-        ).set(float(len(t.changepoints)))
-    return openmetrics_text(registry)
 
 
 # -- CLI ----------------------------------------------------------------------
@@ -1374,19 +823,14 @@ def _add_artifact_flags(p: argparse.ArgumentParser) -> None:
                         "(default: the artifact's own date field)")
 
 
-def _write_json_output(doc: Mapping[str, Any], target: str) -> None:
-    if target == "-":
-        sys.stdout.write(canonical_json(doc))
-    else:
-        print(f"json -> {write_json(target, doc)}")
-
-
 def conclude_gate(report: GateReport, json_target: str | None) -> int:
     """The shared tail of ``history gate`` and ``bench compare``: write
     the ``--json`` document, name the failing series on stderr, return
     the exit status."""
-    if json_target is not None:
-        _write_json_output(report.to_dict(), json_target)
+    if json_target == "-":
+        sys.stdout.write(canonical_json(report.to_dict()))
+    elif json_target is not None:
+        print(f"json -> {write_json(json_target, report.to_dict())}")
     if report.failing:
         print("REGRESSION: "
               + "; ".join(r.series for r in report.failing),
@@ -1394,11 +838,35 @@ def conclude_gate(report: GateReport, json_target: str | None) -> int:
     return report.exit_status
 
 
+def _list_text(series: Mapping[str, Sequence[LedgerEntry]]) -> str:
+    """One row per series: entry count and last value, plus — from the
+    second entry on — the value before it and the change in percent."""
+    width = max((len(name) for name in series), default=6)
+    lines = [f"{'series':<{width}} {'kind':<12} {'n':>4} {'last':>12} "
+             f"{'prev':>12} {'Δ%':>8}"]
+    for name in sorted(series):
+        entries = series[name]
+        last = entries[-1].plot_value()
+        prev = entries[-2].plot_value() if len(entries) >= 2 else None
+        change = (
+            f"{100.0 * (last - prev) / abs(prev):+.2f}"
+            if last is not None and prev else "-"
+        )
+        last_txt, prev_txt = (
+            "-" if v is None else f"{v:.6g}" for v in (last, prev)
+        )
+        lines.append(f"{name:<{width}} {entries[-1].kind:<12} "
+                     f"{len(entries):>4} {last_txt:>12} {prev_txt:>12} "
+                     f"{change:>8}")
+    lines.append(f"{len(series)} series, "
+                 f"{sum(map(len, series.values()))} entries")
+    return "\n".join(lines)
+
+
 def main(argv: Sequence[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro.obs.history",
-        description="Run ledger, trend/changepoint analysis, the "
-                    "regression gate, fleet dashboard.",
+        description="Run ledger and the regression gate over it.",
     )
     parser.add_argument("--ledger", default=DEFAULT_LEDGER,
                         help=f"ledger path (default {DEFAULT_LEDGER})")
@@ -1409,19 +877,13 @@ def main(argv: Sequence[str] | None = None) -> int:
     )
     _add_artifact_flags(p_rec)
 
-    sub.add_parser("list", help="list series with counts and last values")
-
-    p_trend = sub.add_parser(
-        "trend", help="robust statistics + changepoints per series"
+    p_list = sub.add_parser(
+        "list",
+        help="list series: entry count, last value, the one before it "
+             "and the change between them",
     )
-    p_trend.add_argument("prefixes", nargs="*", metavar="PREFIX",
-                         help="only series whose name starts with a prefix")
-    p_trend.add_argument("--json", metavar="FILE", default=None,
-                         help="write the machine-readable trend document "
-                              "('-' for stdout)")
-    p_trend.add_argument("--prom", metavar="FILE", default=None,
-                         help="write the series as OpenMetrics summary "
-                              "families (sketch quantiles)")
+    p_list.add_argument("prefixes", nargs="*", metavar="PREFIX",
+                        help="only series whose name starts with a prefix")
 
     p_gate = sub.add_parser(
         "gate",
@@ -1435,13 +897,6 @@ def main(argv: Sequence[str] | None = None) -> int:
     p_gate.add_argument("--json", metavar="FILE", default=None,
                         help="write the machine-readable gate document "
                              "('-' for stdout)")
-
-    p_dash = sub.add_parser(
-        "dashboard", help="render the self-contained fleet HTML dashboard"
-    )
-    p_dash.add_argument("--out", default="fleet.html",
-                        help="output HTML path (default %(default)s)")
-    p_dash.add_argument("--title", default="fleet dashboard")
 
     args = parser.parse_args(list(argv) if argv is not None else None)
     ledger_path = Path(args.ledger)
@@ -1471,58 +926,25 @@ def main(argv: Sequence[str] | None = None) -> int:
         return 2
 
     if args.command == "list":
-        series = ledger.series()
-        width = max((len(name) for name in series), default=6)
-        print(f"{'series':<{width}} {'kind':<12} {'n':>4} {'last':>12}")
-        for name in sorted(series):
-            entries = series[name]
-            last = entries[-1].plot_value()
-            last_txt = "-" if last is None else f"{last:.6g}"
-            print(f"{name:<{width}} {entries[-1].kind:<12} "
-                  f"{len(entries):>4} {last_txt:>12}")
-        print(f"{len(series)} series, {len(ledger)} entries")
-        return 0
-
-    if args.command == "trend":
-        trends = ledger_trends(ledger, prefixes=tuple(args.prefixes))
-        if not trends:
+        series = {
+            name: entries for name, entries in ledger.series().items()
+            if name.startswith(tuple(args.prefixes) or "")
+        }
+        if not series and args.prefixes:
             print("no series matched", file=sys.stderr)
             return 2
-        print(trend_text(trends))
-        if args.json is not None:
-            _write_json_output(
-                {
-                    "schema": TREND_SCHEMA,
-                    "series": [t.to_dict() for t in trends],
-                    "provenance": provenance(),
-                },
-                args.json,
-            )
-        if args.prom is not None:
-            out = Path(args.prom)
-            out.parent.mkdir(parents=True, exist_ok=True)
-            out.write_text(trends_openmetrics(trends), encoding="utf-8")
-            print(f"openmetrics -> {out}")
+        print(_list_text(series))
         return 0
 
-    if args.command == "gate":
-        report = (
-            gate_last(ledger) if args.last else gate_entries(ledger, entries)
-        )
-        print(report.to_text())
-        return conclude_gate(report, args.json)
-
-    # dashboard
-    out = write_dashboard(ledger, args.out, title=args.title)
-    trends = ledger_trends(ledger)
-    print(f"{len(trends)} series, {len(ledger)} entries -> {out}")
-    return 0
+    report = gate_last(ledger) if args.last else gate_entries(ledger, entries)
+    print(report.to_text())
+    return conclude_gate(report, args.json)
 
 
 if __name__ == "__main__":  # pragma: no cover - CLI entry
     try:
         sys.exit(main())
     except BrokenPipeError:
-        # `... trend | head` closes our stdout early; exit quietly.
+        # `... list | head` closes our stdout early; exit quietly.
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         sys.exit(0)

@@ -1,4 +1,4 @@
-"""Metrics registry: labelled counters, gauges, histograms, summaries.
+"""Metrics registry: labelled counters, gauges, histograms.
 
 The registry is the numeric side of the observability layer: the
 communicator and backends populate it with per-peer message and byte
@@ -13,12 +13,6 @@ per metric.  On the virtual-time backend every update sequence is
 deterministic (per-label-set updates happen either in one rank's
 program order or under the router lock in receiver order), so exported
 values are bit-stable across runs.
-
-:class:`Summary` wraps a mergeable
-:class:`~repro.obs.sketch.LatencySketch` behind the metric interface so
-streaming quantile estimates export as OpenMetrics ``summary`` families
-(``{quantile="..."}`` samples plus ``_sum``/``_count``) alongside the
-fixed-bound histograms.
 """
 
 from __future__ import annotations
@@ -28,16 +22,13 @@ import threading
 from typing import Any, Iterable, Sequence
 
 from repro.errors import ConfigurationError
-from repro.obs.sketch import LatencySketch
 
 __all__ = [
     "Counter",
     "Gauge",
     "Histogram",
-    "Summary",
     "MetricsRegistry",
     "DEFAULT_BUCKET_BOUNDS",
-    "DEFAULT_SUMMARY_QUANTILES",
 ]
 
 MetricKey = tuple[str, tuple[tuple[str, str], ...]]
@@ -174,82 +165,6 @@ class Histogram:
         }
 
 
-#: Default quantiles reported by :class:`Summary` snapshots.
-DEFAULT_SUMMARY_QUANTILES: tuple[float, ...] = (0.5, 0.9, 0.99)
-
-
-class Summary:
-    """Streaming quantile summary backed by a mergeable
-    :class:`~repro.obs.sketch.LatencySketch`.
-
-    Exports follow the OpenMetrics ``summary`` convention: one
-    ``{quantile="q"}`` sample per configured quantile plus the
-    ``_sum``/``_count`` pair.  Unlike :class:`Histogram` the reported
-    values are quantile *estimates* (within the sketch's hard relative
-    error bound), so two summaries over the same observation multiset
-    agree exactly — sketch bucket counts are order-independent
-    integers — and the snapshot is deterministic on the virtual-time
-    backend.
-    """
-
-    kind = "summary"
-    __slots__ = ("sketch", "quantiles", "_lock")
-
-    def __init__(
-        self,
-        quantiles: Sequence[float] | None = None,
-        sketch_config: tuple[float, float, int] = (1e-9, 1e4, 32),
-    ) -> None:
-        chosen = tuple(
-            float(q) for q in (
-                DEFAULT_SUMMARY_QUANTILES if quantiles is None else quantiles
-            )
-        )
-        if not chosen:
-            raise ConfigurationError("summary needs at least one quantile")
-        if any(not 0.0 <= q <= 1.0 for q in chosen):
-            raise ConfigurationError(
-                f"summary quantiles must be in [0, 1], got {chosen}"
-            )
-        if any(q2 <= q1 for q1, q2 in zip(chosen, chosen[1:])):
-            raise ConfigurationError(
-                f"summary quantiles must be strictly increasing, got {chosen}"
-            )
-        self.quantiles = chosen
-        self.sketch = LatencySketch(*sketch_config)
-        self._lock = threading.Lock()
-
-    def observe(self, value: float) -> None:
-        with self._lock:
-            self.sketch.observe(max(float(value), 0.0))
-
-    def observe_many(self, values: Iterable[float]) -> None:
-        for v in values:
-            self.observe(v)
-
-    @property
-    def count(self) -> int:
-        return self.sketch.count
-
-    def snapshot(self) -> dict[str, Any]:
-        with self._lock:
-            return {
-                "count": self.sketch.count,
-                "total": self.sketch.total,
-                "quantiles": [
-                    [q, self.sketch.quantile(q)] for q in self.quantiles
-                ],
-            }
-
-
-_METRIC_TYPES = {
-    "counter": Counter,
-    "gauge": Gauge,
-    "histogram": Histogram,
-    "summary": Summary,
-}
-
-
 class MetricsRegistry:
     """Get-or-create store of labelled metrics.
 
@@ -261,7 +176,7 @@ class MetricsRegistry:
 
     def __init__(self) -> None:
         self._lock = threading.Lock()
-        self._metrics: dict[MetricKey, Counter | Gauge | Histogram | Summary] = {}
+        self._metrics: dict[MetricKey, Counter | Gauge | Histogram] = {}
 
     def _get(self, cls: type, name: str, labels: dict[str, Any], **kwargs: Any):
         key = (name, _label_key(labels))
@@ -302,32 +217,13 @@ class MetricsRegistry:
             )
         return metric
 
-    def summary(
-        self,
-        name: str,
-        quantiles: Sequence[float] | None = None,
-        **labels: Any,
-    ) -> Summary:
-        """Get-or-create a quantile summary; ``quantiles`` overrides the
-        default reported quantiles at creation time (re-requesting with
-        different quantiles raises)."""
-        metric = self._get(Summary, name, labels, quantiles=quantiles)
-        if quantiles is not None and metric.quantiles != tuple(
-            float(q) for q in quantiles
-        ):
-            raise ConfigurationError(
-                f"summary {name!r} already registered with quantiles "
-                f"{metric.quantiles}, requested {tuple(quantiles)}"
-            )
-        return metric
-
     # -- reading ----------------------------------------------------------
     def value(self, name: str, **labels: Any) -> float | None:
         """A counter/gauge value by exact name + labels, else ``None``."""
         key = (name, _label_key(labels))
         with self._lock:
             metric = self._metrics.get(key)
-        if metric is None or isinstance(metric, (Histogram, Summary)):
+        if metric is None or isinstance(metric, Histogram):
             return None
         return metric.value
 

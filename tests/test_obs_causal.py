@@ -17,7 +17,9 @@ from repro.obs.causal import CAUSAL_SCHEMA, causal_profile
 from repro.obs.dag import build_dag, critical_path_nodes, node_slack
 
 _CFG = ExperimentConfig(
-    scene=SceneConfig(rows=32, cols=8, bands=16, seed=7)
+    # at least as many bands as the default 18 targets: ATDCA finds no
+    # more distinct targets than the scene has spectral dimensions
+    scene=SceneConfig(rows=32, cols=8, bands=24, seed=7)
 )
 
 

@@ -1,6 +1,6 @@
-"""Longitudinal observability: run ledger, trends/changepoints,
-the regression gate, fleet dashboard, and the OpenMetrics
-summary export that backs the trend CLI."""
+"""The run ledger and the regression gate over it: ledger I/O, the
+artifact extractors, the last-recorded-value band and its trailing
+run, the gate's statuses and pinned documents, the three-leaf CLI."""
 
 from __future__ import annotations
 
@@ -21,7 +21,6 @@ from repro.obs.history import (
     Ledger,
     LedgerEntry,
     append_entries,
-    changepoint_indices,
     control_band,
     entries_from_analysis,
     entries_from_bench,
@@ -34,8 +33,6 @@ from repro.obs.history import (
     main,
     read_ledger,
     record_entries,
-    render_dashboard,
-    series_trend,
 )
 
 TINY = BenchConfig(
@@ -169,8 +166,17 @@ class TestExtractors:
             entries_from_calibration(doc)
         (entry,) = entries_from_calibration(doc, backend="sim")
         assert entry.deterministic and entry.value == 0.01
+
+    def test_inproc_calibration_is_quarantined(self):
+        """Wall-derived: `profile gate` judges it against its committed
+        bound, the ledger only lists it."""
+        doc = {"schema": "repro.obs.profile/1",
+               "median_phase_rel_error": 0.04}
         (entry,) = entries_from_calibration(doc, backend="inproc")
-        assert not entry.deterministic
+        assert not entry.deterministic and entry.value is None
+        assert entry.wall == {"value": 0.04} and entry.plot_value() == 0.04
+        (result,) = gate_entries(_ledger_of(entry), [entry]).results
+        assert result.status == "skipped" and "wall-clock" in result.reason
 
     def test_sweep_result_max_ratios(self):
         doc = {
@@ -234,101 +240,26 @@ class TestExtractors:
         assert entries["health/events"].value == 3.0
 
 
-class TestChangepoints:
-    def test_single_step_found(self):
-        values = [1.0] * 5 + [2.0] * 5
-        assert changepoint_indices(values) == [5]
-
-    def test_flat_series_has_no_steps(self):
-        assert changepoint_indices([3.0] * 12) == []
-
-    def test_noise_alone_is_not_a_step(self):
-        values = [10.0, 10.2, 9.8, 10.1, 9.9, 10.05, 9.95, 10.1]
-        assert changepoint_indices(values) == []
-
-    def test_step_clearing_noise_is_found(self):
-        values = [10.0, 10.2, 9.8, 10.1, 20.0, 20.2, 19.8, 20.1]
-        assert changepoint_indices(values) == [4]
-
-    def test_trailing_single_entry_step_is_found(self):
-        # min segment size 1: a lone doctored trailing entry counts.
-        values = [5.0] * 6 + [6.0]
-        assert changepoint_indices(values) == [6]
-
-    def test_two_steps(self):
-        values = [1.0] * 4 + [3.0] * 4 + [9.0] * 4
-        assert changepoint_indices(values) == [4, 8]
-
-    def test_short_series(self):
-        assert changepoint_indices([1.0]) == []
-        assert changepoint_indices([]) == []
-
-    def test_exact_series_reports_any_step(self):
-        # zero jitter by definition: on [a, b] the difference is the
-        # step, not the noise it would be judged against
-        assert changepoint_indices([83.7, 110.7], deterministic=True) == [1]
-        assert changepoint_indices([83.7, 110.7]) == []
-        assert changepoint_indices(
-            [5.0, 5.0, 5.0 + 1e-6, 5.0 + 1e-6], deterministic=True
-        ) == [2]
-        assert changepoint_indices([5.0] * 4, deterministic=True) == []
-
-
-class TestTrend:
-    def test_statistics_and_segments(self):
-        entries = [
-            _entry(value=v, date=f"d{i}")
-            for i, v in enumerate([1.0] * 4 + [2.0] * 4)
-        ]
-        trend = series_trend("s", entries)
-        assert trend.n == 8
-        assert trend.last == 2.0
-        assert [s[2] for s in trend.segments] == [1.0, 2.0]
-        (cp,) = trend.changepoints
-        assert cp.index == 4
-        assert cp.before_median == 1.0 and cp.after_median == 2.0
-        assert cp.shift_pct == pytest.approx(100.0)
-        assert "d4" in cp.origin and "aaaaaaaaaaaa" in cp.origin
-
-    def test_wall_entries_trend_but_do_not_gate(self):
-        entries = [
-            _entry(value=None, wall={"value": v}, deterministic=False,
-                   date=f"d{i}")
-            for i, v in enumerate([1.0, 1.1, 0.9])
-        ]
-        trend = series_trend("s", entries)
-        assert trend.n == 3 and not trend.gated
-
-    def test_empty_series_is_none(self):
-        assert series_trend("s", [_entry(value=None)]) is None
-
-    def test_drift_pct_relative_to_current_segment(self):
-        entries = [
-            _entry(value=v, deterministic=False)
-            for v in [1.0, 1.0, 1.0, 2.0, 2.2]
-        ]
-        trend = series_trend("s", entries)
-        # current regime [2.0, 2.2], median 2.1; last 2.2 → ~+4.76%
-        assert trend.segments[-1][2] == pytest.approx(2.1)
-        assert trend.drift_pct == pytest.approx(100.0 * 0.1 / 2.1)
-
-
 class TestControlBand:
     def test_deterministic_band_is_tight(self):
-        trend = series_trend("s", [_entry(value=50.0)] * 3)
-        band = control_band(trend)
-        assert band.center == 50.0
+        band = control_band([50.0] * 3)
+        assert band.center == 50.0 and band.n == 3
         assert band.hi - band.lo == pytest.approx(2 * 1e-9 * 50.0)
 
     def test_band_recenters_after_step(self):
-        entries = [_entry(value=v) for v in [1.0] * 4 + [9.0] * 4]
-        band = control_band(series_trend("s", entries))
+        band = control_band([1.0] * 4 + [9.0] * 4)
         assert band.center == 9.0 and band.segment_start == 4
 
     def test_deterministic_band_is_the_last_recorded_value(self):
-        trend = series_trend("s", [_entry(value=v) for v in [83.7, 110.7]])
-        band = control_band(trend)
+        band = control_band([83.7, 110.7])
         assert band.center == 110.7 and band.segment_start == 1
+
+    def test_trailing_run_of_a_reverted_step(self):
+        """A pulse `[5, 5, 7, 5]` ends the first run: the trailing run
+        is the last entry alone, not the whole A-B-A series."""
+        band = control_band([5.0, 5.0, 7.0, 5.0])
+        assert band.center == 5.0
+        assert band.segment_start == 3 and band.n == 1
 
     @pytest.mark.parametrize("b", [83.74500092762888, 0.1, 3.0, 1e6 / 7])
     def test_exact_tolerance_edges(self, b):
@@ -345,14 +276,6 @@ class TestControlBand:
         for value, status in cases:
             (result,) = gate_entries(ledger, [_entry(value=value)]).results
             assert result.status == status, (value, status)
-
-    def test_noisy_band_has_relative_floor(self):
-        entries = [
-            _entry(value=None, wall={"value": v}, deterministic=False)
-            for v in [10.0, 10.0, 10.0]
-        ]
-        band = control_band(series_trend("s", entries))
-        assert band.hi >= 12.5  # 25% floor despite zero observed spread
 
 
 class TestGate:
@@ -404,6 +327,37 @@ class TestGate:
             _ledger_of(*good, *bad), [_entry(value=13.0, date="d9")]
         )
         assert ok.exit_status == 0
+
+    def test_offender_after_many_recorded_steps(self):
+        """Eleven recorded steps, then a twelfth value: the step arrived
+        with the candidate, however many steps the ledger holds."""
+        history = [
+            _entry(value=float(v), date=f"d{v}") for v in range(1, 12)
+        ]
+        candidate = _entry(value=12.0, date="d12", sha="c" * 40)
+        (fail,) = gate_entries(_ledger_of(*history), [candidate]).failing
+        assert fail.band.n == 1 and fail.band.segment_start == 10
+        assert fail.offender == {
+            "index": 11, "where": "candidate",
+            "origin": "git cccccccccccc (d12)", "value": 12.0,
+        }
+
+    def test_noisy_value_is_reported_not_gated(self):
+        """`value` holds exact quantities only; a file that says
+        `deterministic: false` beside one (hand-made, or recorded before
+        the inproc calibration number was quarantined) is not banded,
+        whichever side of the gate it arrives on."""
+        noisy = _entry(value=0.04, deterministic=False)
+        exact = _entry(value=0.04)
+        for ledger, candidate in ((_ledger_of(noisy), exact),
+                                  (_ledger_of(exact), noisy),
+                                  (_ledger_of(), noisy)):
+            (result,) = gate_entries(ledger, [candidate]).results
+            assert result.status == "skipped"
+            assert result.reason == "noisy value: reported, not gated"
+        # an exact entry recorded after the noisy one re-baselines
+        (result,) = gate_entries(_ledger_of(noisy, exact), [exact]).results
+        assert result.status == "ok" and result.band.n == 2
 
     def test_gate_last_catches_doctored_trailing_entry(self):
         good = [_entry(value=10.0, date=f"d{i}") for i in range(4)]
@@ -558,43 +512,95 @@ class TestCompareIsTheGate:
         } == gated
         assert rc == report.exit_status
 
+    # -- the gate documents, pinned ---------------------------------------
+    # `GateReport.to_dict()` less `provenance`: every number below is
+    # the output of the commit before the gate became a backward scan
+    # over the entry list, so the rewrite is held to the old documents.
 
-class TestDashboard:
-    @pytest.fixture(scope="class")
-    def seed_ledger(self):
-        return read_ledger(DEFAULT_LEDGER)
+    HET, HOMO, DLT = (
+        f"bench/atdca/{variant}/fully heterogeneous/sim/makespan"
+        for variant in ("hetero", "homo", "dlt")
+    )
+    BANDS = {
+        HET: {"center": 127.84063159034908, "lo": 127.84063146250845,
+              "hi": 127.84063171818971, "n": 1, "segment_start": 0,
+              "deterministic": True},
+        HOMO: {"center": 333.5526813005317, "lo": 333.552680966979,
+               "hi": 333.55268163408437, "n": 1, "segment_start": 0,
+               "deterministic": True},
+        "s": {"center": 2.0, "lo": 1.999999998, "hi": 2.000000002, "n": 3,
+              "segment_start": 2, "deterministic": True},
+    }
+    #: case -> rows of (series, status, candidate, delta_pct, offender index)
+    PINNED = {
+        "self": [(HET, "ok", 127.84063159034908, 0.0, None),
+                 (HOMO, "ok", 333.5526813005317, 0.0, None)],
+        "comm_factor_twin": [
+            (HET, "regression", 175.73380541409267, 37.46318617793745, 1),
+            (HOMO, "regression", 387.1484224922627, 16.06814881018484, 1),
+        ],
+        "improved": [(HET, "improvement", 63.92031579517454, -50.0, None),
+                     (HOMO, "ok", 333.5526813005317, 0.0, None)],
+        "missing": [(HET, "ok", 127.84063159034908, 0.0, None),
+                    (HOMO, "missing", None, 0.0, None)],
+        "new": [(DLT, "new", None, 0.0, None),
+                (HET, "ok", 127.84063159034908, 0.0, None),
+                (HOMO, "ok", 333.5526813005317, 0.0, None)],
+        "stepped": [("s", "regression", 2.5, 25.0, 5)],
+    }
 
-    def test_committed_seed_renders(self, seed_ledger):
-        html = render_dashboard(seed_ledger)
-        assert html.startswith("<!DOCTYPE html>")
-        assert "<svg" in html and "series-card" in html
-        assert "prefers-color-scheme: dark" in html
-        # every recorded series appears
-        for name in seed_ledger.series():
-            assert name in html
+    @classmethod
+    def pinned_document(cls, case, origin):
+        """The parent commit's gate document for ``case``; a regression
+        there always named the candidate (at ``origin``) as offender."""
+        rows = cls.PINNED[case]
+        statuses = [status for _series, status, *_rest in rows]
+        failing = [series for series, status, *_rest in rows
+                   if status == "regression"]
+        return {
+            "schema": "repro.obs.history.gate/1",
+            "results": [{
+                "series": series, "status": status, "candidate": candidate,
+                "band": None if candidate is None else cls.BANDS[series],
+                "delta_pct": delta_pct,
+                "offender": None if index is None else {
+                    "index": index, "where": "candidate", "origin": origin,
+                    "value": candidate,
+                },
+                "reason": "",
+            } for series, status, candidate, delta_pct, index in rows],
+            "summary": {
+                status: statuses.count(status)
+                for status in ("ok", "regression", "improvement", "new",
+                               "skipped", "missing")
+            },
+            "failing": failing,
+            "exit_status": 1 if failing else 0,
+        }
 
-    def test_render_is_deterministic(self, seed_ledger):
-        assert render_dashboard(seed_ledger) == render_dashboard(seed_ledger)
+    @pytest.mark.parametrize("case", sorted(EXPECTED))
+    def test_compare_documents_are_the_pinned_ones(
+        self, case, candidates, tiny_artifact
+    ):
+        doc = compare_report(tiny_artifact, candidates[case]).to_dict()
+        sha = doc.pop("provenance")["git_sha"]
+        assert doc == self.pinned_document(
+            case, f"git {sha[:12]} (2026-01-01)"
+        )
 
-    def test_zero_external_dependencies(self, seed_ledger):
-        html = render_dashboard(seed_ledger)
-        for marker in ("http://", "https://", "<script src",
-                       "@import", "url("):
-            assert marker not in html
-
-    def test_changepoint_markers_rendered(self, tmp_path):
-        entries = [
+    def test_stepped_series_document_is_the_pinned_one(self):
+        history = [
             _entry(value=v, date=f"d{i}")
-            for i, v in enumerate([1.0] * 4 + [2.0] * 4)
+            for i, v in enumerate([1.0, 1.0, 2.0, 2.0, 2.0])
         ]
-        html = render_dashboard(_ledger_of(*entries))
-        assert "spark-cp" in html and "chip-step" in html
+        candidate = _entry(value=2.5, date="d5", sha="c" * 40)
+        doc = gate_entries(_ledger_of(*history), [candidate]).to_dict()
+        del doc["provenance"]
+        assert doc == self.pinned_document("stepped", "git cccccccccccc (d5)")
 
 
 class TestCLI:
-    def test_record_list_trend_gate_dashboard(
-        self, tmp_path, capsys, tiny_artifact
-    ):
+    def test_record_list_gate(self, tmp_path, capsys, tiny_artifact):
         ledger = str(tmp_path / "ledger.jsonl")
         bench = tmp_path / "BENCH_x.json"
         write_artifact(tiny_artifact, bench)
@@ -619,25 +625,37 @@ class TestCLI:
         out = capsys.readouterr().out
         assert "6 series" in out and "trace/atdca_sim/makespan_s" in out
 
-        json_out = tmp_path / "trend.json"
-        prom_out = tmp_path / "trend.prom"
-        assert main(["--ledger", ledger, "trend", "bench/",
-                     "--json", str(json_out), "--prom",
-                     str(prom_out)]) == 0
-        doc = json.loads(json_out.read_text())
-        assert doc["schema"] == "repro.obs.history.trend/1"
-        assert len(doc["series"]) == 2
-        assert "# TYPE history_series summary" in prom_out.read_text()
+        assert main(["--ledger", ledger, "list", "bench/", "micro"]) == 0
+        out = capsys.readouterr().out
+        assert "3 series, 3 entries" in out and "trace/" not in out
+        assert main(["--ledger", ledger, "list", "nope/"]) == 2
+        assert "no series matched" in capsys.readouterr().err
 
         assert main(["--ledger", ledger, "gate", "--bench", str(bench),
                      "--analysis", str(analysis)]) == 0
         out = capsys.readouterr().out
         assert "5 series gated: 5 ok" in out
 
-        dash = tmp_path / "fleet.html"
-        assert main(["--ledger", ledger, "dashboard",
-                     "--out", str(dash)]) == 0
-        assert dash.read_text().startswith("<!DOCTYPE html>")
+    def test_list_shows_the_previous_value_and_the_change(
+        self, tmp_path, capsys
+    ):
+        ledger = tmp_path / "ledger.jsonl"
+        append_entries(ledger, [
+            _entry(series="once", value=3.0),
+            _entry(series="twice", value=80.0), _entry(series="twice", value=100.0),
+            _entry(series="wall", value=None, wall={"value": 2.0}),
+            _entry(series="wall", value=None, wall={"value": 1.5}),
+        ])
+        assert main(["--ledger", str(ledger), "list"]) == 0
+        rows = {
+            line.split()[0]: line.split()[2:]
+            for line in capsys.readouterr().out.splitlines()[1:-1]
+        }
+        assert rows == {
+            "once": ["1", "3", "-", "-"],
+            "twice": ["2", "100", "80", "+25.00"],
+            "wall": ["2", "1.5", "2", "-25.00"],
+        }
 
     def test_gate_doctored_ledger_exits_nonzero(self, tmp_path, capsys):
         ledger = tmp_path / "ledger.jsonl"
@@ -727,71 +745,3 @@ class TestBenchRecordFlag:
         (entry,) = ledger_doc.entries
         assert entry.series.endswith("/makespan")
         assert entry.deterministic and entry.value is not None
-
-
-class TestSummaryOpenMetrics:
-    """Satellite: LatencySketch quantiles export as OpenMetrics
-    summary families and parse_openmetrics round-trips them."""
-
-    def test_summary_family_round_trips(self):
-        from repro.obs.export import openmetrics_text, parse_openmetrics
-        from repro.obs.metrics import MetricsRegistry
-
-        registry = MetricsRegistry()
-        summary = registry.summary("op.latency_seconds", rank=0)
-        summary.observe_many([0.001, 0.002, 0.01, 0.05, 0.2])
-        text = openmetrics_text(registry)
-        assert "# TYPE op_latency_seconds summary" in text
-        assert 'quantile="0.5"' in text
-        parsed = parse_openmetrics(text)
-        (record,) = [r for r in parsed if r["kind"] == "summary"]
-        assert record["count"] == 5
-        assert record["total"] == pytest.approx(0.263)
-        quantiles = dict(record["quantiles"])
-        snap = dict(summary.snapshot()["quantiles"])
-        for q, estimate in snap.items():
-            assert quantiles[q] == pytest.approx(estimate)
-
-    def test_summary_estimates_within_sketch_bound(self):
-        from repro.obs.metrics import Summary
-
-        summary = Summary()
-        # stay inside the sketch's default [1e-9, 1e4] range
-        values = [0.001 * (1.1 ** i) for i in range(120)]
-        summary.observe_many(values)
-        rel_bound = summary.sketch.relative_error_bound
-        ordered = sorted(values)
-        for q, estimate in summary.snapshot()["quantiles"]:
-            exact = ordered[min(int(q * len(ordered)), len(ordered) - 1)]
-            assert abs(estimate - exact) / exact <= 2 * rel_bound + 0.02
-
-    def test_quantile_config_conflict_raises(self):
-        from repro.errors import ConfigurationError
-        from repro.obs.metrics import MetricsRegistry
-
-        registry = MetricsRegistry()
-        registry.summary("s", quantiles=(0.5, 0.9))
-        with pytest.raises(ConfigurationError, match="already registered"):
-            registry.summary("s", quantiles=(0.5, 0.99))
-
-    def test_invalid_quantiles_rejected(self):
-        from repro.errors import ConfigurationError
-        from repro.obs.metrics import Summary
-
-        with pytest.raises(ConfigurationError):
-            Summary(quantiles=())
-        with pytest.raises(ConfigurationError):
-            Summary(quantiles=(0.9, 0.5))
-        with pytest.raises(ConfigurationError):
-            Summary(quantiles=(-0.1,))
-
-    def test_trend_prom_export_parses(self):
-        from repro.obs.export import parse_openmetrics
-        from repro.obs.history import ledger_trends, trends_openmetrics
-
-        entries = [_entry(value=float(v)) for v in range(1, 6)]
-        trends = ledger_trends(_ledger_of(*entries))
-        text = trends_openmetrics(trends)
-        records = parse_openmetrics(text)
-        summaries = [r for r in records if r["kind"] == "summary"]
-        assert summaries and summaries[0]["count"] == 5

@@ -57,7 +57,9 @@ from conftest import make_tiny_platform
 REL_TOL = 1e-9
 
 _CFG = ExperimentConfig(
-    scene=SceneConfig(rows=32, cols=8, bands=16, seed=7)
+    # at least as many bands as the default 18 targets: ATDCA finds no
+    # more distinct targets than the scene has spectral dimensions
+    scene=SceneConfig(rows=32, cols=8, bands=24, seed=7)
 )
 
 
@@ -480,7 +482,7 @@ class TestPredictDocument:
 
 class TestValidationGate:
     def test_full_validation_passes(self):
-        doc = run_validation(rows=32, cols=8, bands=16, seed=7)
+        doc = run_validation(rows=32, cols=8, bands=24, seed=7)
         assert doc["pass"], doc["cases"]
         names = {c["case"] for c in doc["cases"]}
         assert {

@@ -111,6 +111,51 @@ class TestDegeneratePartitions:
             assert np.array_equal(sim.labels, inproc.labels)
 
 
+class TestDegenerateScenes:
+    """A scene with fewer distinct spectra than targets asked for: once
+    the targets found span it, every score is round-off and the argmax
+    lands on a pixel already chosen.  That is an error, the same one
+    from the sequential detectors and from the master on both backends,
+    never a result padded with repeats."""
+
+    @staticmethod
+    def scenes():
+        from repro.hsi.cube import HyperspectralImage
+
+        rng = np.random.default_rng(3)
+        spectra = rng.uniform(0.1, 1.0, (3, 8))
+        labels = rng.integers(0, 3, (16, 4))
+        return {
+            "three_spectra": (HyperspectralImage(spectra[labels]), 8),
+            "constant": (HyperspectralImage(np.full((16, 4, 8), 0.5)), 4),
+        }
+
+    @pytest.mark.parametrize("scene", ["three_spectra", "constant"])
+    @pytest.mark.parametrize("algorithm", ["atdca", "ufcls"])
+    def test_a_repeated_pixel_is_an_error_everywhere(self, algorithm, scene):
+        from repro.errors import DataError
+
+        image, n_targets = self.scenes()[scene]
+        sequential = {"atdca": atdca, "ufcls": ufcls}[algorithm]
+        with pytest.raises(
+            DataError, match=r"iteration \d+ selected pixel \d+ again"
+        ) as seq:
+            sequential(image, n_targets)
+        if scene == "constant":
+            assert str(seq.value) == (
+                "iteration 1 selected pixel 0 again: the scene ran out of "
+                "distinct targets after 1"
+            )
+        for backend in ("sim", "inproc"):
+            with pytest.raises(DataError) as par:
+                run_parallel(
+                    algorithm, image, make_tiny_platform(),
+                    params={"n_targets": n_targets}, backend=backend,
+                )
+            assert type(par.value) is type(seq.value)
+            assert str(par.value) == str(seq.value)
+
+
 class TestClassifierAgreement:
     def test_pct_high_label_agreement(self, small_scene, platform):
         seq = pct_classify(small_scene.image, 12)

@@ -52,7 +52,7 @@ def analysis_doc():
     from repro.obs import ObsSession, analyze_trace
 
     obs = ObsSession.create()
-    scene = make_wtc_scene(SceneConfig(rows=64, cols=32, bands=16, seed=7))
+    scene = make_wtc_scene(SceneConfig(rows=64, cols=32, bands=24, seed=7))
     run_parallel("atdca", scene.image, fully_heterogeneous(), obs=obs)
     return analyze_trace(obs).to_dict()
 

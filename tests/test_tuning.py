@@ -16,7 +16,7 @@ import pytest
 from repro.cluster.presets import fully_heterogeneous
 from repro.core.atdca import atdca_pixels
 from repro.core.runner import run_parallel
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, DataError
 from repro.hsi.scene import SceneConfig, make_wtc_scene
 from repro.tuning import (
     KERNEL_NAMES,
@@ -174,12 +174,14 @@ class TestPlanner:
             {"n_targets": img.bands + 2},
         )
         assert plan.kernels["osp_step"] == "reference"
-        # ... and the planned run still executes without error.
-        run = run_parallel(
-            "atdca", img, platform,
-            params={"n_targets": img.bands + 2}, plan=plan,
-        )
-        assert len(run.output.flat_indices) >= 1
+        # ... and the planned run gets through the rank-deficient rounds
+        # to the typed error: a scene has no more distinct ATDCA targets
+        # than spectral dimensions.
+        with pytest.raises(DataError, match="ran out of distinct targets"):
+            run_parallel(
+                "atdca", img, platform,
+                params={"n_targets": img.bands + 2}, plan=plan,
+            )
 
     def test_tiny_scenes_fall_back_to_reference(self, platform):
         plan = plan_run(
