@@ -11,6 +11,16 @@ serialized (Table 2 semantics).
 The engine is deterministic for receiver-ordered (master/worker)
 communication patterns: all timing decisions are taken at match time in
 receiver program order (see :mod:`repro.cluster.mailbox`).
+
+A run is its op log.  Ranks run to block (one at a time, the lowest
+ready rank next), so the order in which they call the timing core is a
+function of the program alone — *provided the program reads neither
+virtual time nor the platform*, which no algorithm here does (only the
+deadline machinery of fault-tolerant runs reads the clock).  The core
+logs every compute and transfer it executes, :class:`SimulationResult`
+carries that log as ``ops``, and :func:`reprice` runs it through a
+fresh core for another platform of the same size and master: the
+timing that platform would have given, without re-running the program.
 """
 
 from __future__ import annotations
@@ -29,10 +39,12 @@ from repro.cluster.runtime import (
 )
 from repro.cluster.simtime import (
     ComputeRecord,
+    Op,
     PhaseLedger,
     TimingCore,
     TransferRecord,
 )
+from repro.errors import ConfigurationError, PlatformError
 from repro.types import Megabits, Megaflops, Seconds
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -46,6 +58,7 @@ __all__ = [
     "SimulationResult",
     "SimulationEngine",
     "run_program",
+    "reprice",
 ]
 
 
@@ -155,6 +168,9 @@ class SimulationResult:
         transfers: matched-transfer records with link and wait
             attribution (engines built with ``trace=True`` or an
             observability session), sorted by start time.
+        ops: the timing core's op log, in call order; ``None`` for a
+            run under fault injection, whose timing a fresh core cannot
+            reproduce.
     """
 
     platform_name: str
@@ -164,6 +180,7 @@ class SimulationResult:
     master_rank: int
     events: list[TraceEvent] = dataclasses.field(default_factory=list)
     transfers: list[TransferRecord] = dataclasses.field(default_factory=list)
+    ops: list[Op] | None = None
 
     @property
     def makespan(self) -> Seconds:
@@ -307,6 +324,7 @@ class SimulationEngine:
             master_rank=self.platform.master_rank,
             events=events,
             transfers=transfers,
+            ops=self.core.ops if self.faults is None else None,
         )
 
 
@@ -330,3 +348,50 @@ def run_program(
         platform, cost_model=cost_model, obs=obs, faults=faults
     )
     return engine.run(program, kwargs_per_rank, common_kwargs)
+
+
+def reprice(
+    result: SimulationResult, platform: HeterogeneousPlatform
+) -> SimulationResult:
+    """``result``'s program timed on ``platform``, without running it.
+
+    Runs the result's op log through a fresh
+    :class:`~repro.cluster.simtime.TimingCore` for ``platform`` and
+    keeps its ``return_values``: what :func:`run_program` on
+    ``platform`` returns, to the bit, for any program that reads neither
+    virtual time nor the platform (module docstring).
+
+    Raises:
+        ConfigurationError: ``result`` carries trace events or transfer
+            records (they describe the platform it ran on), or no op log
+            (a run under fault injection).
+        PlatformError: ``platform`` differs in size or master rank.
+    """
+    if result.ops is None:
+        raise ConfigurationError(
+            f"run on {result.platform_name!r} has no op log to re-price "
+            "(it ran under fault injection)"
+        )
+    if result.events or result.transfers:
+        raise ConfigurationError(
+            f"run on {result.platform_name!r} is traced: its events and "
+            "transfer records describe that platform; run the program"
+        )
+    if (platform.size, platform.master_rank) != (
+        len(result.finish_times), result.master_rank
+    ):
+        raise PlatformError(
+            f"cannot re-price a {len(result.finish_times)}-rank run with "
+            f"master {result.master_rank} on {platform.name!r} "
+            f"({platform.size} ranks, master {platform.master_rank})"
+        )
+    core = TimingCore(platform)
+    core.run(result.ops)
+    return SimulationResult(
+        platform_name=platform.name,
+        return_values=result.return_values,
+        finish_times=core.finish_times,
+        ledgers=core.ledgers,
+        master_rank=platform.master_rank,
+        ops=core.ops,
+    )

@@ -18,9 +18,11 @@ on rank *i* costs ``mflops × w_i`` (Table 1 cycle-times); a message of
 (Table 2) and starts when sender, receiver and — for inter-segment
 traffic — the serial link between the two segments are all free.  The
 threaded engine (:mod:`repro.cluster.engine`) calls it per charge and
-per matched message; the analytic model
-(:mod:`repro.experiments.model`) and the what-if replay
-(:mod:`repro.obs.whatif`) hand it whole :class:`Op` programs.
+per matched message and the core logs each as an :class:`Op`; the
+analytic model (:mod:`repro.experiments.model`), the what-if replay
+(:mod:`repro.obs.whatif`) and :func:`repro.cluster.engine.reprice` (an
+engine run's log on another platform) hand it whole :class:`Op`
+programs.
 """
 
 from __future__ import annotations
@@ -239,6 +241,13 @@ class TimingCore:
     lock; :meth:`transfer` touches both endpoints and the link table
     and must be serialised by the caller (the engine calls it under the
     Router lock, while both endpoints are blocked in the rendezvous).
+
+    ``ops`` is the run's op log: every compute and transfer the core
+    executed, as an :class:`Op`, in call order, so
+    ``TimingCore(other_platform).run(core.ops)`` prices the same program
+    on another platform.  :meth:`run` keeps the list it is handed
+    instead of appending a copy.  A raw :meth:`charge` is not an op; it
+    comes only from fault injection, whose runs are not replayable.
     """
 
     def __init__(
@@ -259,6 +268,7 @@ class TimingCore:
         self._transfer_scale = float(scales.get("transfer", 1.0))
         self._link_free: dict[tuple[str, str], Seconds] = {}
         self._routes: dict[tuple[int, int], _Route] = {}
+        self.ops: list[Op] = []
 
     def compute(
         self,
@@ -269,6 +279,20 @@ class TimingCore:
         factor: float = 1.0,
     ) -> ComputeRecord:
         """Charge ``mflops`` at ``rank``'s cycle-time (SEQ or PAR)."""
+        record = self._compute(rank, mflops, sequential, label, factor)
+        self.ops.append(
+            Op("compute", rank, -1, mflops, 0.0, factor, sequential, label)
+        )
+        return record
+
+    def _compute(
+        self,
+        rank: int,
+        mflops: Megaflops,
+        sequential: bool,
+        label: str,
+        factor: float,
+    ) -> ComputeRecord:
         if not 0 <= rank < len(self.clocks):
             raise PlatformError(f"rank {rank} outside [0, {len(self.clocks)})")
         nominal = self._processors[rank].compute_seconds(mflops)
@@ -309,6 +333,11 @@ class TimingCore:
         inter-segment link are all free; waiting is idle time (PAR),
         the transfer itself is COM for both endpoints.
         """
+        record = self._transfer(src, dst, megabits)
+        self.ops.append(Op("transfer", src, dst, megabits=megabits))
+        return record
+
+    def _transfer(self, src: int, dst: int, megabits: Megabits) -> TransferRecord:
         link, label, pair = self._routes.get((src, dst)) or self._route(src, dst)
         clock_src, clock_dst = self.clocks[src], self.clocks[dst]
         start = max(clock_src._now, clock_dst._now)
@@ -344,15 +373,22 @@ class TimingCore:
         )
 
     def run(self, ops: Iterable[Op]) -> list[ComputeRecord | TransferRecord]:
-        """Execute an op program in order; one record per op."""
-        compute, transfer = self.compute, self.transfer
-        return [
+        """Execute an op program in order; one record per op.
+
+        The program joins the op log: a list is kept as it is (the log
+        of a fresh core *is* that list), anything else is copied once.
+        """
+        ops = ops if isinstance(ops, list) else list(ops)
+        compute, transfer = self._compute, self._transfer
+        records = [
             compute(rank, mflops, sequential, label, factor)
             if kind == "compute"
             else transfer(rank, dst, megabits)
             for kind, rank, dst, mflops, megabits, factor, sequential, label
             in ops
         ]
+        self.ops = [*self.ops, *ops] if self.ops else ops
+        return records
 
     @property
     def finish_times(self) -> list[Seconds]:

@@ -1,22 +1,36 @@
 """The network × algorithm × variant grid behind Tables 5, 6 and 7.
 
-One engine run per (algorithm, variant, network) cell; Tables 5–7 are
-three different projections of the same 32 runs, so the grid is
-computed once and shared.
+Tables 5–7 are three projections of one grid of 32 cells, computed once
+and shared.  A cell's program is fixed by its algorithm, its master
+rank and its partition (params, scene and cost model are the grid's),
+and the four networks share two processor sets, so the 32 cells hold 8
+distinct programs.  :func:`run_grid_tasks` executes each once on the
+engine and builds every other cell by re-pricing that run's op log on
+the cell's own network (:func:`repro.cluster.engine.reprice`), which is
+exact.  A cell that something observes — a trace, a live snapshot, a
+fault plan — is its own program and is executed.
 """
 
 from __future__ import annotations
 
 import dataclasses
 from pathlib import Path
-from typing import TYPE_CHECKING, Any, Mapping
+from typing import TYPE_CHECKING, Any, Callable, Hashable, Mapping, Sequence
 
+from repro.cluster.engine import reprice
 from repro.cluster.presets import all_networks
-from repro.core.runner import ALGORITHM_NAMES, ParallelRun, run_parallel
+from repro.core.runner import (
+    ALGORITHM_NAMES,
+    ParallelRun,
+    make_row_partition,
+    run_parallel,
+)
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.cluster.costs import CostModel
     from repro.faults.plan import FaultPlan
     from repro.faults.recovery import RecoveredRun
+    from repro.hsi.cube import HyperspectralImage
 from repro.errors import ConfigurationError, ExperimentError
 from repro.experiments.config import ExperimentConfig
 from repro.hsi.scene import WTCScene, make_wtc_scene
@@ -26,7 +40,13 @@ from repro.perf.fanout import ordered_map
 from repro.perf.imbalance import ImbalanceScores, imbalance_of_run
 from repro.perf.timers import PhaseBreakdown, breakdown_of_run
 
-__all__ = ["GridCell", "NetworkGrid", "run_network_grid", "variant_label"]
+__all__ = [
+    "GridCell",
+    "NetworkGrid",
+    "run_grid_tasks",
+    "run_network_grid",
+    "variant_label",
+]
 
 #: The two variants the paper compares.
 VARIANTS: tuple[str, ...] = ("hetero", "homo")
@@ -66,11 +86,13 @@ class GridCell:
 
 @dataclasses.dataclass
 class NetworkGrid:
-    """All runs keyed by ``(row_label, network_name)``."""
+    """All runs keyed by ``(row_label, network_name)``; ``programs`` of
+    them were executed on the engine, the rest re-priced."""
 
     cells: Mapping[tuple[str, str], GridCell]
     scene: WTCScene
     config: ExperimentConfig
+    programs: int
 
     @property
     def row_labels(self) -> list[str]:
@@ -103,6 +125,62 @@ def _cell_stem(algorithm: str, variant: str, network_name: str) -> str:
     )
 
 
+def run_grid_tasks(
+    execute: Callable[..., "ParallelRun | RecoveredRun"],
+    tasks: Sequence[tuple[str, str, str]],
+    image: "HyperspectralImage",
+    params_for: Callable[[str], Mapping[str, Any]],
+    cost: "CostModel",
+    observed: bool,
+    jobs: int | None,
+    shared: tuple[Any, ...],
+) -> tuple[list["ParallelRun | RecoveredRun"], int]:
+    """Every ``(network, algorithm, variant)`` task's run, each
+    distinct program executed once → ``(runs in task order, programs)``.
+
+    A task's key is ``(algorithm, master rank, partition counts)``:
+    params, image and cost model are the caller's for every task, so
+    tasks with one key run one program, and only the first of them is
+    executed, as ``execute(*shared, task)`` through
+    :func:`~repro.perf.fanout.ordered_map` (``jobs`` fans the distinct
+    programs out).  Every other task's run is the first one's
+    re-priced on its own network.  An ``observed`` task — one whose
+    run writes a trace, a live snapshot or goes through a fault plan —
+    keys on the task itself and is executed.
+    """
+    platforms = all_networks()
+    keys: list[Hashable] = []
+    for task in tasks:
+        network, algorithm, variant = task
+        platform = platforms[network]
+        if observed:
+            keys.append(task)
+            continue
+        partition = make_row_partition(
+            platform, image, algorithm, params_for(algorithm), variant, cost
+        )
+        keys.append(
+            (algorithm, platform.master_rank, tuple(partition.counts.tolist()))
+        )
+    first: dict[Hashable, int] = {}
+    for index, key in enumerate(keys):
+        first.setdefault(key, index)
+    executed = dict(zip(first, ordered_map(
+        execute, [tasks[index] for index in first.values()], jobs,
+        shared=shared,
+    )))
+    runs = []
+    for index, (task, key) in enumerate(zip(tasks, keys)):
+        run = executed[key]
+        if first[key] != index:
+            assert run.sim is not None
+            run = dataclasses.replace(
+                run, variant=task[2], sim=reprice(run.sim, platforms[task[0]])
+            )
+        runs.append(run)
+    return runs, len(first)
+
+
 def _run_grid_cell(
     cfg: ExperimentConfig,
     image: Any,
@@ -111,15 +189,14 @@ def _run_grid_cell(
     fault_plan: "FaultPlan | None",
     live_dir: Path | None,
     task: tuple[str, str, str],
-) -> tuple[tuple[str, str], GridCell]:
-    """Execute one (network, algorithm, variant) cell → (key, cell).
+) -> "ParallelRun | RecoveredRun":
+    """Execute one (network, algorithm, variant) cell on the engine.
 
     Pure function of its arguments (the virtual-time engine is
     deterministic), so cells can run serially or fanned out over a
     process pool with identical results.
     """
     network_name, algorithm, variant = task
-    label = variant_label(algorithm, variant)
     platform = all_networks()[network_name]
     live = None
     if live_dir is not None:
@@ -165,12 +242,7 @@ def _run_grid_cell(
         stem = _cell_stem(algorithm, variant, network_name)
         write_chrome_trace(traces / f"{stem}.trace.json", obs)
         write_metrics_json(traces / f"{stem}.metrics.json", obs)
-    cell = GridCell(
-        run=run,
-        breakdown=breakdown_of_run(run.sim),
-        imbalance=imbalance_of_run(run.sim),
-    )
-    return (label, network_name), cell
+    return run
 
 
 def run_network_grid(
@@ -183,7 +255,10 @@ def run_network_grid(
     jobs: int | None = None,
     live_dir: Path | str | None = None,
 ) -> NetworkGrid:
-    """Execute the full grid on the virtual-time engine.
+    """Compute the full grid on the virtual-time engine.
+
+    Each distinct program runs once; the other cells are its op log
+    re-priced on their own networks (:func:`run_grid_tasks`).
 
     Args:
         config: experiment configuration (paper-scaled cost model).
@@ -196,8 +271,8 @@ def run_network_grid(
             tolerant driver with this plan injected (fresh fault state
             per cell, so each cell sees the same fault sequence); cell
             timings then measure the *degraded* platform.
-        jobs: fan independent cells out over this many worker
-            processes.  Cells are pure functions of their inputs and
+        jobs: fan the executed programs out over this many worker
+            processes.  Runs are pure functions of their inputs and
             results are merged back in serial-loop order, so any
             ``jobs`` value produces the same grid (and the same trace
             files) as a serial run — only the wall time changes.
@@ -208,6 +283,9 @@ def run_network_grid(
             ``python -m repro.obs.live watch``), and an aggregated
             ``live_dir/health_summary.json`` records each cell's
             online drift detections.
+
+    With ``trace_dir``, ``fault_plan`` or ``live_dir`` every cell is
+    observed, so every cell is executed.
     """
     cfg = config or ExperimentConfig()
     scn = scene or make_wtc_scene(cfg.grid_scene)
@@ -224,13 +302,26 @@ def run_network_grid(
         for algorithm in algorithms
         for variant in variants
     ]
-    cells = dict(ordered_map(
-        _run_grid_cell, tasks, jobs,
+    runs, programs = run_grid_tasks(
+        _run_grid_cell, tasks, scn.image, cfg.params_for, cost,
+        observed=(
+            traces is not None or fault_plan is not None
+            or live_root is not None
+        ),
+        jobs=jobs,
         shared=(cfg, scn.image, cost, traces, fault_plan, live_root),
-    ))
+    )
+    cells = {
+        (variant_label(algorithm, variant), network_name): GridCell(
+            run=run,
+            breakdown=breakdown_of_run(run.sim),
+            imbalance=imbalance_of_run(run.sim),
+        )
+        for (network_name, algorithm, variant), run in zip(tasks, runs)
+    }
     if live_root is not None:
         _write_health_summary(live_root, tasks)
-    return NetworkGrid(cells=cells, scene=scn, config=cfg)
+    return NetworkGrid(cells=cells, scene=scn, config=cfg, programs=programs)
 
 
 def _write_health_summary(

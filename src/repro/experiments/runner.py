@@ -6,8 +6,9 @@ Usage::
     repro-experiments table3 table5 --outdir results/
     python -m repro.experiments figure2
 
-Tables 5–7 share one grid of engine runs; requesting several of them in
-the same invocation computes the grid once.
+Tables 5–7 share one grid; requesting several of them in the same
+invocation computes the grid once, and the grid executes each distinct
+program once (its other cells re-price that run on their own networks).
 """
 
 from __future__ import annotations
@@ -120,9 +121,9 @@ def main(argv: list[str] | None = None) -> int:
                              "whatif_sweep.json next to the traces and "
                              "prints the predicted makespan change")
     parser.add_argument("--jobs", type=int, default=None,
-                        help="fan the table5-7 grid cells out over N worker "
-                             "processes; results (and trace files) are "
-                             "identical to a serial run")
+                        help="fan the table5-7 grid's executed programs out "
+                             "over N worker processes; results (and trace "
+                             "files) are identical to a serial run")
     parser.add_argument("--rows", type=int, default=96, help="scene rows")
     parser.add_argument("--cols", type=int, default=64, help="scene cols")
     parser.add_argument("--bands", type=int, default=48, help="scene bands")
@@ -264,11 +265,13 @@ def main(argv: list[str] | None = None) -> int:
     scene = make_wtc_scene(config.scene)
     grid = None
     if _GRID_EXPERIMENTS & set(wanted):
-        print("building the network grid (32 simulated runs)...", flush=True)
+        print("building the network grid...", flush=True)
         grid = run_network_grid(
             config, trace_dir=trace_dir, fault_plan=fault_plan,
             jobs=args.jobs, live_dir=live_dir,
         )
+        print(f"  {len(grid.cells)} cells: {grid.programs} programs "
+              f"executed, {len(grid.cells) - grid.programs} re-priced")
         if live_dir is not None:
             print(f"live snapshots + health summary -> {live_dir}")
 

@@ -43,10 +43,10 @@ from pathlib import Path
 from typing import Any, Mapping, Sequence
 
 from repro.cluster.costs import CostModel
-from repro.core.runner import run_parallel
+from repro.core.runner import ParallelRun, run_parallel
 from repro.errors import ReproError
 from repro.experiments.config import ExperimentConfig
-from repro.experiments.grid import variant_label
+from repro.experiments.grid import run_grid_tasks, variant_label
 from repro.hsi.scene import SceneConfig, make_wtc_scene
 from repro.obs import history
 from repro.obs.export import write_json
@@ -147,9 +147,8 @@ def _run_sim_cell(
     cost: CostModel,
     traces_out: Path | None,
     task: tuple[str, str, str],
-) -> tuple[str, dict[str, Any]]:
-    """One sim ``(network, algorithm, variant)`` cell →
-    ``(cell_id, cell_doc)``.
+) -> ParallelRun:
+    """Execute one sim ``(network, algorithm, variant)`` cell.
 
     Deterministic given its inputs, so the grid can run these serially
     or on a process pool with byte-identical artifacts.
@@ -157,7 +156,6 @@ def _run_sim_cell(
     from repro.cluster.presets import all_networks
 
     network, algorithm, variant = task
-    label = variant_label(algorithm, variant)
     cid = _cell_id(algorithm, variant, network, "sim")
     obs = None
     if traces_out is not None:
@@ -169,16 +167,25 @@ def _run_sim_cell(
         params=config.params_for(algorithm), variant=variant,
         backend="sim", cost_model=cost, obs=obs,
     )
-    assert run.sim is not None
     if obs is not None and traces_out is not None:
         from repro.obs.export import write_jsonl
 
         write_jsonl(traces_out / _cell_filename(cid), obs)
+    return run
+
+
+def _sim_cell_doc(
+    task: tuple[str, str, str], run: ParallelRun
+) -> dict[str, Any]:
+    """A sim cell's artifact entry: makespan, Table 6 triple, Table 7
+    scores."""
+    network, algorithm, variant = task
+    assert run.sim is not None
     breakdown = breakdown_of_run(run.sim)
     scores = imbalance_of_run(run.sim)
-    return cid, {
+    return {
         "backend": "sim",
-        "label": label,
+        "label": variant_label(algorithm, variant),
         "network": network,
         "virtual": {
             "makespan": run.sim.makespan,
@@ -205,10 +212,14 @@ def run_bench(
     auto-diff a regressed cell down to the responsible ops.  Tracing is
     passive: virtual timings (and thus the artifact) are unchanged.
 
-    ``jobs`` fans the *sim* cells out over a process pool: virtual
-    timings are exact functions of the inputs and results merge back in
-    serial-loop order, so the artifact is byte-identical to a serial
-    run.  Inproc (wall-clock) cells always run serially — concurrent
+    Sim cells are grouped as the network grid groups them
+    (:func:`~repro.experiments.grid.run_grid_tasks`): each distinct
+    program is executed once and the other cells re-price its op log,
+    so the default 8 cells execute 4 programs; traced cells are all
+    executed.  ``jobs`` fans the executed programs out over a process
+    pool: virtual timings are exact functions of the inputs and results
+    merge back in serial-loop order, so the artifact is byte-identical
+    to a serial run.  Inproc (wall-clock) cells always run serially — concurrent
     cells would contend for cores and corrupt each other's timings.
     """
     from repro.cluster.presets import all_networks
@@ -234,10 +245,17 @@ def run_bench(
         for variant in config.variants
         if "sim" in config.backends
     ]
-    sim_cells = dict(ordered_map(
-        _run_sim_cell, sim_tasks, jobs,
+    sim_runs, _ = run_grid_tasks(
+        _run_sim_cell, sim_tasks, scene.image, config.params_for, cost,
+        observed=traces_out is not None, jobs=jobs,
         shared=(config, scene, cost, traces_out),
-    ))
+    )
+    sim_cells = {
+        _cell_id(algorithm, variant, network, "sim"): _sim_cell_doc(
+            (network, algorithm, variant), run
+        )
+        for (network, algorithm, variant), run in zip(sim_tasks, sim_runs)
+    }
 
     cells: dict[str, dict[str, Any]] = {}
     for network in config.networks:

@@ -238,3 +238,123 @@ class TestWhatIfCli:
         ]) == 0
         assert (tmp_path / "whatif_causal.json").exists()
         assert (tmp_path / "whatif_sweep.json").exists()
+
+
+class TestGridReprice:
+    """A grid executes each distinct (algorithm, master, partition)
+    program once; every other cell is that run's op log re-priced on
+    its own network, and must equal running it there."""
+
+    VARIANTS = ("hetero", "dlt", "homo")
+
+    @staticmethod
+    def _run_counted(*args, **kwargs):
+        """``run_network_grid(...)`` → (grid, platform of each engine run)."""
+        import repro.core.runner as runner
+
+        executed = []
+        real = runner.run_program
+
+        def counting(platform, *program_args, **program_kwargs):
+            executed.append(platform.name)
+            return real(platform, *program_args, **program_kwargs)
+
+        patch = pytest.MonkeyPatch()
+        patch.setattr(runner, "run_program", counting)
+        try:
+            return run_network_grid(*args, **kwargs), executed
+        finally:
+            patch.undo()
+
+    @pytest.fixture(scope="class")
+    def counted(self, fast_config):
+        return self._run_counted(fast_config, variants=self.VARIANTS)
+
+    def test_every_cell_equals_a_run_on_its_own_network(
+        self, fast_config, counted
+    ):
+        import pickle
+
+        from repro.cluster.presets import all_networks
+
+        grid, _ = counted
+        cost = fast_config.cost_model(fast_config.grid_scene)
+        networks = all_networks()
+        assert len(grid.cells) == 4 * len(self.VARIANTS) * 4
+        for (label, network), cell in grid.cells.items():
+            run = cell.run
+            direct = run_parallel(
+                run.algorithm, grid.scene.image, networks[network],
+                params=fast_config.params_for(run.algorithm),
+                variant=run.variant, cost_model=cost,
+            )
+            case = f"{label} on {network}"
+            assert variant_label(run.algorithm, run.variant) == label, case
+            assert run.variant == direct.variant, case
+            assert run.sim.platform_name == network, case
+            assert (
+                run.partition.counts.tolist()
+                == direct.partition.counts.tolist()
+            ), case
+            assert run.sim.finish_times == direct.sim.finish_times, case
+            assert [ledger.as_dict() for ledger in run.sim.ledgers] == [
+                ledger.as_dict() for ledger in direct.sim.ledgers
+            ], case
+            assert run.sim.ops == direct.sim.ops, case
+            assert pickle.dumps(run.sim.return_values) == pickle.dumps(
+                direct.sim.return_values
+            ), case
+
+    def test_engine_runs_once_per_distinct_program(self, fast_config, counted):
+        from repro.cluster.presets import all_networks
+        from repro.core.runner import make_row_partition
+
+        grid, executed = counted
+        cost = fast_config.cost_model(fast_config.grid_scene)
+        keys = set()
+        for (label, network), cell in grid.cells.items():
+            platform = all_networks()[network]
+            partition = make_row_partition(
+                platform, grid.scene.image, cell.run.algorithm,
+                fast_config.params_for(cell.run.algorithm),
+                cell.run.variant, cost,
+            )
+            keys.add((
+                cell.run.algorithm, platform.master_rank,
+                tuple(partition.counts.tolist()),
+            ))
+        # Two processor sets and the DLT shares of four networks: six
+        # partitions per algorithm on this scene, not twelve cells.
+        assert len(keys) == 6 * 4
+        assert len(executed) == len(keys)
+        assert grid.programs == len(keys)
+
+    def test_observed_cells_are_all_executed(self, fast_config, tmp_path):
+        grid, executed = self._run_counted(
+            fast_config, algorithms=("pct",), trace_dir=tmp_path,
+        )
+        assert len(executed) == grid.programs == len(grid.cells) == 8
+        assert len(list(tmp_path.glob("*.trace.json"))) == 8
+
+    def test_reprice_refuses_traced_runs_and_other_shapes(self, small_scene):
+        from repro.cluster.engine import reprice
+        from repro.errors import PlatformError
+        from repro.obs import ObsSession
+
+        params = {"n_targets": 4}
+        traced = run_parallel(
+            "atdca", small_scene.image, fully_heterogeneous(),
+            params=params, obs=ObsSession.create(),
+        )
+        with pytest.raises(ConfigurationError, match="traced"):
+            reprice(traced.sim, fully_homogeneous())
+        plain = run_parallel(
+            "atdca", small_scene.image, fully_heterogeneous(), params=params,
+        )
+        with pytest.raises(PlatformError, match="4 ranks"):
+            reprice(plain.sim, thunderhead(4))
+        repriced = reprice(plain.sim, fully_homogeneous())
+        assert repriced.platform_name == fully_homogeneous().name
+        # One log, held by both results, not a copy per cell.
+        assert repriced.ops is plain.sim.ops
+        assert repriced.return_values is plain.sim.return_values

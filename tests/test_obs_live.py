@@ -437,11 +437,12 @@ class TestGridIntegration:
         cfg = _small_config()
         scene = make_wtc_scene(cfg.grid_scene)
         cost = cfg.cost_model(cfg.grid_scene)
-        key, _cell = _run_grid_cell(
+        run = _run_grid_cell(
             cfg, scene.image, cost, None, _slowdown_plan(), tmp_path,
             ("fully heterogeneous", "atdca", "hetero"),
         )
-        assert key == ("Hetero-ATDCA", "fully heterogeneous")
+        assert (run.algorithm, run.variant) == ("atdca", "hetero")
+        assert run.sim.platform_name == "fully heterogeneous"
         stem = _cell_stem("atdca", "hetero", "fully heterogeneous")
         data = read_snapshot(tmp_path / stem)
         assert data["health"]["flagged_ranks"] == [1]
