@@ -1,10 +1,10 @@
 """Sequential UFCLS: unsupervised fully constrained least squares.
 
 Algorithm 3's computational content: seed with the brightest pixel,
-then repeatedly add the pixel whose fully constrained linear-mixture
-reconstruction from the current target set has the largest residual —
-least-squares error minimization replacing ATDCA's orthogonal
-projection.
+then repeatedly add the pixel whose non-negative, sum-to-one
+(Heinz–Chang) reconstruction from the current target set has the
+largest residual — least-squares error minimization replacing ATDCA's
+orthogonal projection.
 """
 
 from __future__ import annotations

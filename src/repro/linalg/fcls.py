@@ -1,17 +1,16 @@
 """Least-squares linear unmixing solvers.
 
-UFCLS (Algorithm 3) scores every pixel by the residual of its *fully
-constrained* linear-mixture fit against the current target set: the
-abundances must be non-negative and sum to one.  We provide the
-unconstrained (LS), sum-to-one (SCLS, closed form via a Lagrange
-multiplier) and fully constrained (FCLS, Heinz–Chang style active-set
-iteration on top of SCLS) solvers, plus the reconstruction-error map
-UFCLS consumes.
+UFCLS (Algorithm 3) scores every pixel by the residual of a linear-mixture
+fit against the current target set whose abundances are non-negative and
+sum to one.  We provide the unconstrained (LS) and sum-to-one (SCLS,
+closed form via a Lagrange multiplier) solvers, the Heinz–Chang
+active-set iteration on top of SCLS that UFCLS calls FCLS, and the
+reconstruction-error map UFCLS consumes.  That iteration drops a pixel's
+most negative abundance until none is left and never re-admits a lane,
+so its answer is feasible but not always the constrained optimum.
 
-The FCLS path is vectorized over pixels: the SCLS solve is a single
-batched linear-algebra expression, and the pixels it leaves negative (on
-the paper's scenes, most of them, round after round) enter an active-set
-refinement batched over pixels *and* over their distinct active masks.
+The SCLS solve is one batched expression; the pixels it leaves negative
+enter a refinement batched over pixels and their distinct active lane sets.
 """
 
 from __future__ import annotations
@@ -84,8 +83,8 @@ def _scls_from_cross(cross: FloatArray, ginv: FloatArray) -> FloatArray:
     return a_ls - correction[:, None] * ginv_one[None, :]
 
 
-#: Bytes one temporary of a refinement round may take: 16 rank threads hold
-#: each 16 times over, and glibc maps blocks of 128 KiB and more afresh each time.
+#: Bytes a block of ``q × q`` systems or a chunk of their pixels may take: 16 rank
+#: threads hold each 16 times over; glibc maps 128 KiB and more afresh each time.
 _ROUND_BYTES = 128 * 1024
 
 
@@ -94,43 +93,44 @@ def _active_set_refine(
 ) -> FloatArray:
     """Heinz–Chang active-set refinement on top of a full SCLS solve.
 
-    Operates purely on cross-products.  A round packs each open pixel's
-    active mask into an integer key, sorts the pixels by key, pads the
-    damped Gram system of every distinct mask to ``k × k`` with identity
-    in the inactive lanes, inverts the stack in one call, zeroes the pad
-    lanes, and applies each pixel's inverse to its ``cross`` row in one
-    batched ``matmul``, so inactive abundances come out as exact zeros.
-    Masks, then their pixels, are taken ``_ROUND_BYTES`` worth at a time;
-    each matrix is inverted and applied on its own, so a pixel's result
-    depends on that pixel and its mask, never on which pixels share the
-    call or where a block ends.  Mutates and returns ``result``, with all
-    abundances non-negative.
+    A dropped lane never comes back, so in round ``r`` every open pixel has
+    exactly ``q = k − 1 − r`` active lanes, carried as an ascending row of
+    ``lanes`` that loses one column a round.  A round keys each pixel's
+    lanes as an int64 bit set and sorts the pixels by key; it inverts the
+    damped Gram block of each distinct key at its lanes, a stack of
+    ``q × q`` systems, and applies each pixel's inverse to its ``cross``
+    row at its lanes in one batched ``matmul``.  Masks, then their pixels,
+    are taken ``_ROUND_BYTES`` worth at a time; each matrix is inverted and
+    applied on its own, so a pixel's result depends on that pixel and its
+    lanes, never on which pixels share the call or where a block ends.
+    Open rows are zeroed once and written when they become feasible.
+    Mutates and returns ``result``, with all abundances non-negative.
     """
     k = result.shape[1]
     if k > 62:
         raise DataError(f"active masks are int64 keys: at most 62 endmembers, got {k}")
     todo = np.flatnonzero((result < -1e-12).any(axis=1))
-    active = np.ones((todo.size, k), dtype=bool)
+    lanes = np.tile(np.arange(k), (todo.size, 1))
     # Round 0 already solved the all-active case; record first drops.
-    active[np.arange(todo.size), np.argmin(result[todo], axis=1)] = False
-    weights = 1 << np.arange(k)
-    damped, eye = _damped(gram, ridge), np.eye(k)
-    step = max(1, _ROUND_BYTES // (8 * k * k))
+    drop = np.argmin(result[todo], axis=1)
+    result[todo] = 0.0
+    damped = _damped(gram, ridge)
     for _ in range(rounds):
         if todo.size == 0:
             break
-        keys = active @ weights
-        order = np.argsort(keys)
-        todo, active = todo[order], active[order]
-        _, first, group = np.unique(keys[order], return_index=True, return_inverse=True)
-        masks = active[first]
-        if not masks.any(axis=1).all():
+        q = lanes.shape[1] - 1
+        if q == 0:
             raise ConvergenceError("FCLS active-set iteration emptied an active set")
-        bad = np.empty(todo.size, dtype=bool)
+        lanes = lanes[np.arange(q + 1) != drop[:, None]].reshape(todo.size, q)
+        keys = (1 << lanes).sum(axis=1)
+        order = np.argsort(keys)
+        todo, lanes = todo[order], lanes[order]
+        _, first, group = np.unique(keys[order], return_index=True, return_inverse=True)
+        step = max(1, _ROUND_BYTES // (8 * q * q))
+        bad, drop = np.empty(todo.size, dtype=bool), np.empty(todo.size, dtype=np.intp)
         for g in range(0, first.size, step):
-            pair = masks[g:g + step, :, None] & masks[g:g + step, None, :]
-            inv = np.linalg.inv(np.where(pair, damped, eye))
-            inv *= pair
+            ml = lanes[first[g:g + step]]
+            inv = np.linalg.inv(damped[ml[:, :, None], ml[:, None, :]])
             ginv_one = inv.sum(axis=2)
             denom = ginv_one.sum(axis=1)
             if (np.abs(denom) < 1e-300).any():
@@ -141,16 +141,16 @@ def _active_set_refine(
             start, stop = np.searchsorted(group, (g, g + step))
             for lo in range(start, stop, step):
                 hi = min(lo + step, stop)
-                rows, local = todo[lo:hi], group[lo:hi] - g
-                a_ls = np.matmul(cross[rows][:, None, :], inv[local])[:, 0, :]
+                rows, local, pl = todo[lo:hi], group[lo:hi] - g, lanes[lo:hi]
+                c = cross[rows[:, None], pl]
+                a_ls = np.matmul(c[:, None, :], inv[local])[:, 0, :]
                 correction = (a_ls.sum(axis=1) - 1.0) / denom[local]
                 sub = a_ls - correction[:, None] * ginv_one[local]
-                result[rows] = sub  # a pixel still open overwrites it next round
-                bad[lo:hi] = (sub < -1e-12).any(axis=1)
-                # Drop the most negative abundance: an active one, as pad lanes
-                # are exact zeros (a feasible pixel's row is discarded below).
-                active[np.arange(lo, hi), sub.argmin(axis=1)] = False
-        todo, active = todo[bad], active[bad]
+                done = ~(sub < -1e-12).any(axis=1)
+                result[rows[done, None], pl[done]] = sub[done]
+                bad[lo:hi] = ~done
+                drop[lo:hi] = sub.argmin(axis=1)
+        todo, lanes, drop = todo[bad], lanes[bad], drop[bad]
     if todo.size:
         raise ConvergenceError(
             f"FCLS failed to converge for {todo.size} pixel(s) in {rounds} rounds"
@@ -190,15 +190,15 @@ def fcls_abundances(
     ridge: float = 1e-10,
     max_iter: int | None = None,
 ) -> FloatArray:
-    """Fully constrained (non-negative, sum-to-one) abundances → ``(n, k)``.
+    """Non-negative, sum-to-one abundances by Heinz–Chang → ``(n, k)``.
 
-    Batched active-set iteration: each round solves SCLS for every
-    still-infeasible pixel over its own active-endmember mask and drops
-    the pixel's most negative abundance; with ``k`` endmembers a pixel
-    converges in at most ``k − 1`` drops.  Distinct masks are *not* few
-    (about 100 a round at 18 targets on the 6144-pixel grid scene, nearly
-    one per pixel at 30 targets over 512 pixels), so a round inverts
-    them as one stack, never one by one: :func:`_active_set_refine`.
+    Each round solves SCLS for every still-infeasible pixel over its active
+    lanes and drops its most negative abundance, so a pixel converges in at
+    most ``k − 1`` drops (:func:`_active_set_refine`).  A dropped lane is
+    never re-admitted, so this is *not* always the fully constrained
+    optimum: on the grid scene at 18 targets, 564, 698 and 1 892 of 6 144
+    pixels (seeds 7, 0, 1) end with an inactive lane whose multiplier has
+    the wrong sign.
     """
     pix, end = _validate(pixels, endmembers)
     rounds = max_iter if max_iter is not None else end.shape[0] + 1

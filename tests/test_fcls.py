@@ -154,6 +154,7 @@ def test_fcls_constraints_property(n_end, bands, n_pixels, seed):
 )
 @example(n_end=18, blocks=3, spill=2, duplicate=True, seed=0)
 @example(n_end=2, blocks=3, spill=2, duplicate=False, seed=0)
+@example(n_end=3, blocks=3, spill=2, duplicate=False, seed=1)
 def test_fcls_pixel_depends_on_nothing_but_itself(
     n_end, blocks, spill, duplicate, seed
 ):
@@ -165,7 +166,8 @@ def test_fcls_pixel_depends_on_nothing_but_itself(
     matrix-vector path in ``pixels @ endmembers.T``, before the solver
     sees anything, and rounds that product differently."""
     rng = np.random.default_rng(seed)
-    block = fcls._ROUND_BYTES // (8 * n_end * n_end)
+    # The first refinement round's systems have n_end - 1 lanes.
+    block = fcls._ROUND_BYTES // (8 * (n_end - 1) ** 2)
     n_pixels = blocks * block + spill
     endmembers = rng.random((n_end, 24)) + 0.05
     if duplicate:
@@ -253,3 +255,22 @@ class TestAgainstPerMaskLoop:
         monkeypatch.setattr(fcls, "_active_set_refine", _per_mask_loop_refine)
         oracle = fcls_abundances(pixels, endmembers)
         assert np.abs(abundances - oracle).max() < 1e-9
+
+    def test_every_round_drops_exactly_one_lane(self, monkeypatch):
+        # Given max_iter rounds, the kernel and the oracle leave the same
+        # number of pixels open, for every max_iter, on the case above.
+        rng = np.random.default_rng(30)
+        pixels = rng.random((512, 48))
+        endmembers = pixels[:30] + 0.01 * rng.random((30, 48))
+
+        def outcome(max_iter):
+            try:
+                fcls_abundances(pixels, endmembers, max_iter=max_iter)
+            except ConvergenceError as exc:
+                return str(exc)
+            return None
+
+        kernel = [outcome(r) for r in range(1, 31)]
+        monkeypatch.setattr(fcls, "_active_set_refine", _per_mask_loop_refine)
+        assert [outcome(r) for r in range(1, 31)] == kernel
+        assert kernel[0] is not None and kernel[-1] is None
