@@ -15,8 +15,7 @@ receiver program order (see :mod:`repro.cluster.mailbox`).
 A run is its op log.  Ranks run to block (one at a time, the lowest
 ready rank next), so the order in which they call the timing core is a
 function of the program alone — *provided the program reads neither
-virtual time nor the platform*, which no algorithm here does (only the
-deadline machinery of fault-tolerant runs reads the clock).  The core
+virtual time nor the platform*, which no program here does.  The core
 logs every compute and transfer it executes, :class:`SimulationResult`
 carries that log as ``ops``, and :func:`reprice` runs it through a
 fresh core for another platform of the same size and master: the
@@ -30,7 +29,7 @@ import threading
 from typing import TYPE_CHECKING, Any, Callable, Mapping, Sequence
 
 from repro.cluster.costs import DEFAULT_COST_MODEL, CostModel
-from repro.cluster.mailbox import OpDeadline, Router
+from repro.cluster.mailbox import Router
 from repro.cluster.platform import HeterogeneousPlatform
 from repro.cluster.runtime import (
     BaseRankContext,
@@ -135,19 +134,6 @@ class RankContext(BaseRankContext):
                 "compute.seconds", rank=self.rank, kind=kind
             ).inc(dt)
         return dt
-
-    def _make_deadline(self, timeout_s: Seconds) -> OpDeadline:
-        """Virtual deadline: the waiter's clock cannot advance while it
-        is blocked, so the deadline fires at quiescence and ``on_fire``
-        advances the clock to it *exactly* — timeout timing is
-        deterministic."""
-        at = self.clock.now + timeout_s
-        return OpDeadline(
-            at=at,
-            clock=lambda: self.clock.now,
-            wall=False,
-            on_fire=lambda: self.clock.advance_to(at),
-        )
 
     def _megabits(self, payload: Any) -> Megabits:
         return self.cost_model.message_megabits(payload)

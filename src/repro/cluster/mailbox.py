@@ -16,10 +16,10 @@ no-op.
 Every parked rank sleeps on a lock of its own, and one rule
 (:meth:`Router._unblock`) decides who is woken: a state change names
 the one rank it can have unblocked — a send its destination, a match
-the sender, a failure the ranks waiting on the failed one, a timeout
-verdict its rank; only an abort or a deadlock names everybody — and
-that rank is marked *ready* if it would now leave its wait.  Nobody
-else is woken and no other predicate is looked at.
+the sender, a failure the ranks waiting on the failed one; only an
+abort or a deadlock names everybody — and that rank is marked *ready*
+if it would now leave its wait.  Nobody else is woken and no other
+predicate is looked at.
 
 What happens to a ready rank is the one thing the two backends differ
 in, and the backend picks it, never a user:
@@ -39,9 +39,9 @@ in, and the backend picks it, never a user:
 
 Liveness is computed from the router's own state, never timed: the
 run is *quiescent* when every rank is retired or parked and none is
-ready.  A quiescent run with a pending deadline hands the earliest one
-its :class:`~repro.errors.CommunicationTimeout`; one with none raises
-:class:`~repro.errors.DeadlockError` in every waiter.
+ready.  No wait has a timeout, so a quiescent run can only be a
+deadlock: :class:`~repro.errors.DeadlockError` is raised in every
+waiter.
 """
 
 from __future__ import annotations
@@ -55,12 +55,7 @@ from typing import Any, Callable
 
 import numpy as np
 
-from repro.errors import (
-    CommunicationError,
-    CommunicationTimeout,
-    DeadlockError,
-    RankFailedError,
-)
+from repro.errors import CommunicationError, DeadlockError, RankFailedError
 from repro.types import Megabits
 
 __all__ = [
@@ -71,7 +66,6 @@ __all__ = [
     "copy_payload",
     "freeze_payload",
     "ensure_writable",
-    "OpDeadline",
     "Router",
 ]
 
@@ -200,39 +194,6 @@ def ensure_writable(payload: Any) -> Any:
     return payload
 
 
-class OpDeadline:
-    """An absolute per-operation deadline for a blocking send/recv.
-
-    Two firing modes share one mechanism:
-
-    * **wall deadlines** (``wall=True``, inproc backend): fire when
-      ``clock()`` — typically ``time.monotonic`` — passes ``at``;
-    * **virtual deadlines** (``wall=False``, sim engine): the waiter's
-      virtual clock never advances while blocked, so the deadline fires
-      at *quiescence* (every rank retired or parked, none able to
-      proceed) — the logical point at which the message provably
-      cannot arrive.  ``on_fire`` advances the waiter's virtual clock to
-      ``at`` exactly before :class:`~repro.errors.CommunicationTimeout`
-      is raised, making timeout timing deterministic.
-
-    A wall deadline still pending at quiescence fires then too.
-    """
-
-    __slots__ = ("at", "clock", "wall", "on_fire")
-
-    def __init__(
-        self,
-        at: float,
-        clock: Callable[[], float],
-        wall: bool = False,
-        on_fire: Callable[[], None] | None = None,
-    ) -> None:
-        self.at = float(at)
-        self.clock = clock
-        self.wall = wall
-        self.on_fire = on_fire
-
-
 class _Offer:
     """A pending send awaiting its matching receive."""
 
@@ -248,22 +209,14 @@ class _Offer:
 
 
 class _Waiter:
-    """A parked rank: what it waits for, on whom, until when, whether
-    quiescence has handed it its timeout, and whether a state change
-    has marked it ready to leave its wait."""
+    """A parked rank: what it waits for, on whom, and whether a state
+    change has marked it ready to leave its wait."""
 
-    __slots__ = ("predicate", "peer", "deadline", "timed_out", "ready")
+    __slots__ = ("predicate", "peer", "ready")
 
-    def __init__(
-        self,
-        predicate: Callable[[], Any],
-        peer: int | None,
-        deadline: OpDeadline | None,
-    ) -> None:
+    def __init__(self, predicate: Callable[[], Any], peer: int | None) -> None:
         self.predicate = predicate
         self.peer = peer
-        self.deadline = deadline
-        self.timed_out = False
         self.ready = False
 
 
@@ -309,7 +262,7 @@ class Router:
         self._queue: list[int] = []
         if run_to_block:
             for rank in range(n_ranks):
-                self._waiters[rank] = _Waiter(lambda: True, None, None)
+                self._waiters[rank] = _Waiter(lambda: True, None)
                 self._unblock(rank)
 
     # -- lifecycle -------------------------------------------------------------
@@ -357,33 +310,15 @@ class Router:
         with self._lock:
             self._end_all("communication aborted (deadlock or peer failure)")
 
-    # -- liveness ---------------------------------------------------------------
-    def failed_ranks(self) -> frozenset[int]:
-        """Snapshot of ranks marked crashed via :meth:`fail`."""
-        with self._lock:
-            return frozenset(self._failed)
-
-    def retired_ranks(self) -> frozenset[int]:
-        """Snapshot of ranks whose programs have finished."""
-        with self._lock:
-            return frozenset(self._retired)
-
     # -- point-to-point -----------------------------------------------------------
     def send(
-        self,
-        src: int,
-        dst: int,
-        tag: int,
-        payload: Any,
-        megabits: float,
-        deadline: OpDeadline | None = None,
+        self, src: int, dst: int, tag: int, payload: Any, megabits: float
     ) -> None:
         """Post a message and block until the matching receive consumes it.
 
-        A ``deadline`` bounds the wait: on expiry the undelivered offer
-        is withdrawn and :class:`~repro.errors.CommunicationTimeout` is
-        raised.  Sending to a rank marked failed raises
-        :class:`~repro.errors.RankFailedError`.
+        Sending to a rank marked failed raises
+        :class:`~repro.errors.RankFailedError`, and the undelivered offer
+        is withdrawn.
         """
         self._check_rank(src, "source")
         self._check_rank(dst, "destination")
@@ -397,9 +332,7 @@ class Router:
             self._offers[dst].append(offer)
             self._unblock(dst)
             try:
-                self._wait(
-                    lambda: offer.done, rank=src, peer=dst, deadline=deadline
-                )
+                self._wait(lambda: offer.done, rank=src, peer=dst)
             except BaseException:
                 # Withdrawing an offer can unblock nobody.
                 if not offer.done:
@@ -409,18 +342,11 @@ class Router:
                         pass
                 raise
 
-    def recv(
-        self,
-        dst: int,
-        src: int,
-        tag: int = ANY_TAG,
-        deadline: OpDeadline | None = None,
-    ) -> Any:
+    def recv(self, dst: int, src: int, tag: int = ANY_TAG) -> Any:
         """Block until a message from ``src`` (with ``tag``) arrives; return it.
 
         Matching is FIFO among ``src``'s offers to ``dst`` that satisfy
-        the tag filter.  A ``deadline`` bounds the wait; receiving from
-        a rank marked failed raises
+        the tag filter.  Receiving from a rank marked failed raises
         :class:`~repro.errors.RankFailedError` (messages it sent
         *before* failing are still delivered first).
         """
@@ -438,7 +364,7 @@ class Router:
 
         peer = src if src != ANY_SOURCE else None
         with self._lock:
-            offer = self._wait(find, rank=dst, peer=peer, deadline=deadline)
+            offer = self._wait(find, rank=dst, peer=peer)
             self._offers[dst].remove(offer)
             # Timing decision happens here, in receiver program order,
             # while the sender is still parked on ``offer.done``.
@@ -458,16 +384,12 @@ class Router:
         calls this.  If the rank is parked and would now leave its wait
         it is marked ready: released at once on a free-running router,
         queued for the baton on a run-to-block one.
-
-        A wall deadline is not a state change: its waiter times its own
-        sleep.
         """
         waiter = self._waiters.get(rank)
         if waiter is None or waiter.ready:
             return
         if not (
             self._dead is not None
-            or waiter.timed_out
             or waiter.peer in self._failed
             or waiter.predicate()
         ):
@@ -505,21 +427,12 @@ class Router:
             self._running = heapq.heappop(self._queue)
             self._wake[self._running].release()
 
-    def _sleep(self, rank: int, waiter: _Waiter, timeout: float = -1) -> None:
-        """Give up the router lock and sleep until released, or until
-        ``timeout`` seconds have gone (-1: never; a run-to-block router
-        wakes nobody but by the baton); lock held again on return and
-        the waiter no longer marked ready.
-
-        A release that lands just after a timed sleep gave up makes the
-        rank's next sleep return at once; its wait re-reads the state
-        and sleeps again.
-        """
-        if self._run_to_block:
-            timeout = -1
+    def _sleep(self, rank: int, waiter: _Waiter) -> None:
+        """Give up the router lock and sleep until released; lock held
+        again on return and the waiter no longer marked ready."""
         self._lock.release()
         try:
-            self._wake[rank].acquire(True, timeout)
+            self._wake[rank].acquire()
         finally:
             self._lock.acquire()
             if waiter.ready:
@@ -532,11 +445,8 @@ class Router:
         Quiescent: every rank is retired or parked and none is ready,
         so no message can ever arrive again.  Only a rank parking or
         retiring can bring that about (any other state change makes
-        somebody ready), so those two call this.  The verdict is
-        normally a deadlock — but when any waiter holds a deadline, the
-        one with the smallest ``(at, rank)`` is handed its timeout
-        instead, giving timeout-aware code (e.g. the fault-tolerant
-        scheduler) a chance to recover before the run is declared dead.
+        somebody ready), so those two call this.  The verdict is a
+        deadlock.
         """
         if (
             self._n_ready
@@ -545,44 +455,25 @@ class Router:
             or len(self._waiters) + len(self._retired) < self._n
         ):
             return
-        timed = [
-            (w.deadline.at, rank)
-            for rank, w in self._waiters.items()
-            if w.deadline is not None
-        ]
-        if timed:
-            rank = min(timed)[1]
-            self._waiters[rank].timed_out = True
-            self._unblock(rank)
-        else:
-            self._end_all(
-                f"all {self._n} ranks blocked with no matching messages — "
-                "communication deadlock"
-            )
+        self._end_all(
+            f"all {self._n} ranks blocked with no matching messages — "
+            "communication deadlock"
+        )
 
     def _wait(
-        self,
-        predicate: Callable[[], Any],
-        rank: int,
-        peer: int | None = None,
-        deadline: OpDeadline | None = None,
+        self, predicate: Callable[[], Any], rank: int, peer: int | None = None
     ) -> Any:
         """Block until ``predicate()`` is truthy, or the wait is over
-        for another reason: the run is dead, the peer failed, or the
-        deadline expired (by the wall, or handed over by
-        :meth:`_settle`; ``on_fire`` then runs on this thread).
+        for another reason: the run is dead or the peer failed.
 
         The rank sleeps until :meth:`_unblock` marks it ready (and, on
         a run-to-block router, the baton reaches it), then re-reads the
-        router's state; only a wall deadline puts a timeout on the
-        sleep, and only on a free-running router — a run-to-block one
-        looks at a wall deadline when its rank holds the baton or the
-        run is quiescent.
+        router's state.
         """
         value = predicate()
         if value:
             return value
-        waiter = self._waiters[rank] = _Waiter(predicate, peer, deadline)
+        waiter = self._waiters[rank] = _Waiter(predicate, peer)
         try:
             while True:
                 if self._dead is not None:
@@ -593,23 +484,8 @@ class Router:
                         f"rank {rank}: peer rank {peer} failed",
                         secondary=True,
                     )
-                remaining = -1.0
-                if deadline is not None:
-                    expired = waiter.timed_out
-                    if deadline.wall:
-                        remaining = deadline.at - deadline.clock()
-                        expired = expired or remaining <= 0
-                    if expired:
-                        if deadline.on_fire is not None:
-                            deadline.on_fire()
-                        raise CommunicationTimeout(
-                            f"rank {rank}: no matching message within the "
-                            f"deadline (t={deadline.at:.6f})",
-                            rank=rank,
-                            deadline_s=deadline.at,
-                        )
                 self._stop_running(rank)
-                self._sleep(rank, waiter, remaining)
+                self._sleep(rank, waiter)
                 value = predicate()
                 if value:
                     return value

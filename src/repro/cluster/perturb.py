@@ -32,7 +32,7 @@ import dataclasses
 import json
 import math
 from pathlib import Path
-from typing import Any, ClassVar, Iterable, Iterator, Mapping, Sequence
+from typing import Any, ClassVar, Iterable, Iterator, Mapping, Sequence, TypeVar
 
 import numpy as np
 
@@ -238,15 +238,18 @@ class PerturbationHook:
 
 # -- the plan document both plan types share ----------------------------------
 
+_Plan = TypeVar("_Plan", bound="PlanDocument")
+
+
 class PlanDocument:
-    """The item-list half of a fault plan and a what-if plan.
+    """What a fault plan and a what-if plan are: a named item list.
 
     A subclass is a frozen dataclass whose first field, named by
     :attr:`ITEMS`, is the ordered item tuple, plus a ``name``.  The
     JSON form is ``{ITEMS: [{"kind": ..., <fields>}, ...], "name":
-    ...}``; :attr:`KINDS` maps each ``kind`` spelling of *this* plan
-    type to the item class, both ways, so one class may be spelled
-    differently by two plan types.  Every failure raises :attr:`ERROR`;
+    ...}`` (other top-level keys are ignored); :attr:`KINDS` maps each
+    ``kind`` spelling of *this* plan type to the item class, both ways,
+    so one class may be spelled differently by two plan types.  Every failure raises :attr:`ERROR`;
     messages name an item by :attr:`ITEMS` less its plural ``s``.
     """
 
@@ -314,9 +317,8 @@ class PlanDocument:
         return out
 
     @classmethod
-    def items_from_dict(cls, doc: Any) -> tuple[Any, ...]:
-        """Parse the document's item list (the subclass's ``from_dict``
-        adds its own members)."""
+    def from_dict(cls: type[_Plan], doc: Any) -> _Plan:
+        """Parse and validate a plan document."""
         noun = cls.ITEMS[:-1]
         if not isinstance(doc, Mapping) or cls.ITEMS not in doc:
             raise cls.ERROR(f'plan document needs a "{cls.ITEMS}" list')
@@ -343,7 +345,7 @@ class PlanDocument:
                 items.append(item_cls(**kwargs))
             except TypeError as exc:
                 raise cls.ERROR(f"{noun} #{i} ({kind}): {exc}") from exc
-        return tuple(items)
+        return cls(tuple(items), name=str(doc.get("name", "")))
 
 
 # -- platform edits -----------------------------------------------------------

@@ -6,12 +6,12 @@ the rank threads and sorts their failures; :class:`BaseRankContext` is
 the handle each program receives, and owns the sequence every operation
 follows on either backend: the fault hooks, the nominal clock (a
 :class:`~repro.cluster.simtime.TimingCore`), the ``comm.*`` counters,
-and the router call under the backend's deadline.
+and the router call.
 
 The virtual-time engine (:mod:`repro.cluster.engine`) and the
 wall-clock backend (:mod:`repro.mpi.inproc`) subclass the context and
-keep only what defines them: what ``compute`` reports, which clock a
-deadline reads, and who emits transfer spans.
+keep only what defines them: what ``compute`` reports and who emits
+transfer spans.
 """
 
 from __future__ import annotations
@@ -19,10 +19,9 @@ from __future__ import annotations
 import threading
 from typing import TYPE_CHECKING, Any, Callable, Mapping, Sequence
 
-from repro.cluster.mailbox import OpDeadline, Router
+from repro.cluster.mailbox import Router
 from repro.cluster.simtime import ComputeRecord, Phase, TimingCore
 from repro.errors import (
-    CommunicationTimeout,
     ConfigurationError,
     RankFailedError,
     RepartitionSignal,
@@ -54,7 +53,7 @@ class BaseRankContext:
         rank: this rank's id (0-based).
         size: number of ranks.
         master_rank: which rank plays master.
-        router: the run's message router (liveness/detection queries).
+        router: the run's message router.
         core: the timing core holding this rank's nominal clock
             (``None`` on a wall-clock run without a platform).
         obs: observability session shared by all ranks (``None`` = off).
@@ -105,10 +104,6 @@ class BaseRankContext:
         """Report one compute op; returns the seconds it charged."""
         raise NotImplementedError
 
-    def _make_deadline(self, timeout_s: Seconds) -> OpDeadline:
-        """A deadline ``timeout_s`` from now on the backend's clock."""
-        raise NotImplementedError
-
     def _megabits(self, payload: Any) -> Megabits:
         """Wire size of a payload."""
         raise NotImplementedError
@@ -157,7 +152,7 @@ class BaseRankContext:
         return self._report_compute(mflops, sequential, charge)
 
     def charge_seconds(self, seconds: Seconds, phase: Phase = Phase.PAR) -> None:
-        """Charge a raw duration (I/O, retry back-off) to this rank's
+        """Charge a raw duration (I/O, an injected delay) to this rank's
         nominal clock."""
         if seconds < 0:
             raise ConfigurationError(f"cannot charge negative time {seconds}")
@@ -165,30 +160,9 @@ class BaseRankContext:
             self.core.charge(self.rank, seconds, phase)
 
     # -- messaging (raw; prefer repro.mpi communicators) ---------------------
-    def _deadline(self, timeout_s: Seconds | None) -> OpDeadline | None:
-        if timeout_s is None:
-            return None
-        if timeout_s <= 0:
-            raise ConfigurationError(f"timeout_s must be > 0, got {timeout_s}")
-        return self._make_deadline(timeout_s)
-
-    def _count_timeout(self) -> None:
-        if self.obs is not None:
-            self.obs.metrics.counter("comm.timeouts", rank=self.rank).inc()
-
-    def send(
-        self,
-        dest: int,
-        payload: Any,
-        tag: int = 0,
-        timeout_s: Seconds | None = None,
-    ) -> None:
+    def send(self, dest: int, payload: Any, tag: int = 0) -> None:
         """Synchronous send (transfer time is charged at match on the
-        engine).
-
-        ``timeout_s`` bounds the rendezvous wait on the backend's clock
-        (:class:`~repro.errors.CommunicationTimeout` on expiry).
-        """
+        engine)."""
         if self.faults is not None:
             self.faults.before_op(self.rank, "send", self.now)
             delay = self.faults.on_send(self.rank, dest, tag, self.now)
@@ -200,36 +174,16 @@ class BaseRankContext:
             m.counter("comm.messages_sent", rank=self.rank, peer=dest).inc()
             m.counter("comm.megabits_sent", rank=self.rank, peer=dest).inc(megabits)
         start = self._span_start()
-        try:
-            self.router.send(
-                self.rank, dest, tag, payload, megabits,
-                deadline=self._deadline(timeout_s),
-            )
-        except CommunicationTimeout:
-            self._count_timeout()
-            raise
+        self.router.send(self.rank, dest, tag, payload, megabits)
         if start is not None:
             self._transfer_span(start, "send", dest, megabits)
 
-    def recv(
-        self, source: int, tag: int = -1, timeout_s: Seconds | None = None
-    ) -> Any:
-        """Blocking receive from ``source`` (tag -1 = any).
-
-        ``timeout_s`` bounds the wait on the backend's clock
-        (:class:`~repro.errors.CommunicationTimeout` on expiry; on the
-        engine this rank's clock is advanced to the deadline exactly).
-        """
+    def recv(self, source: int, tag: int = -1) -> Any:
+        """Blocking receive from ``source`` (tag -1 = any)."""
         if self.faults is not None:
             self.faults.before_op(self.rank, "recv", self.now)
         start = self._span_start()
-        try:
-            payload = self.router.recv(
-                self.rank, source, tag, deadline=self._deadline(timeout_s)
-            )
-        except CommunicationTimeout:
-            self._count_timeout()
-            raise
+        payload = self.router.recv(self.rank, source, tag)
         if self.obs is not None:
             megabits = self._megabits(payload)
             m = self.obs.metrics

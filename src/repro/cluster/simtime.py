@@ -75,12 +75,6 @@ class VirtualClock:
         self._now += dt
         return self._now
 
-    def advance_to(self, t: Seconds) -> Seconds:
-        """Move forward to absolute time ``t`` (no-op if already past)."""
-        if t > self._now:
-            self._now = t
-        return self._now
-
     def __repr__(self) -> str:
         return f"VirtualClock(now={self._now:.6f})"
 
@@ -311,7 +305,7 @@ class TimingCore:
         return ComputeRecord(start, end, seconds, nominal, hook)
 
     def charge(self, rank: int, seconds: Seconds, phase: Phase = Phase.PAR) -> None:
-        """Charge a raw duration (I/O, retry back-off) to one rank."""
+        """Charge a raw duration (I/O, an injected delay) to one rank."""
         self.clocks[rank].advance(seconds)
         self.ledgers[rank].add(phase, seconds)
 

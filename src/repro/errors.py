@@ -19,8 +19,6 @@ __all__ = [
     "DeadlockError",
     "RankFailedError",
     "RepartitionSignal",
-    "CommunicationTimeout",
-    "TransientNetworkError",
     "FaultPlanError",
     "WhatIfPlanError",
     "DataError",
@@ -130,36 +128,6 @@ class RepartitionSignal(ReproError):
             f"repartition requested at step {step}: rank {rank} drifted "
             f"(estimated slowdown x{factor:.3g}, ewma={ewma:.4f})"
         )
-
-
-class CommunicationTimeout(CommunicationError):
-    """A send/recv deadline expired before the operation could match.
-
-    On the virtual-time engine the waiting rank's clock is advanced to
-    the deadline *exactly* before this is raised, so timeout behaviour
-    is deterministic and observable in traces.
-
-    Attributes:
-        rank: the rank whose operation timed out.
-        deadline_s: the absolute deadline on that rank's clock.
-    """
-
-    def __init__(
-        self, message: str, rank: int | None = None,
-        deadline_s: float | None = None,
-    ) -> None:
-        self.rank = rank
-        self.deadline_s = deadline_s
-        super().__init__(message)
-
-
-class TransientNetworkError(CommunicationError):
-    """A message was lost in transit (retriable).
-
-    Raised at the *sender* by the fault injector for ``MessageDrop``
-    faults; :func:`repro.faults.send_with_retry` resends with
-    exponential backoff.
-    """
 
 
 class FaultPlanError(ConfigurationError):

@@ -3,24 +3,19 @@
 Layers, shared by both MPI backends:
 
 1. **Plans** (:mod:`repro.faults.plan`) — declarative, seed-free fault
-   schedules (:class:`RankCrash`, :class:`MessageDelay`,
-   :class:`MessageDrop`, and the two timing faults
-   :class:`RankComputeScale` / :class:`LinkScale`, which are
+   schedules (:class:`RankCrash`, :class:`MessageDelay`, and the two
+   timing faults :class:`RankComputeScale` / :class:`LinkScale`, which are
    :mod:`repro.cluster.perturb`'s what-if perturbations, spelled
    ``rank_slowdown`` / ``link_degrade`` in a plan file) that serialize
    to JSON; the same plan file produces the same fault sequence on the
    virtual-time engine and the wall-clock backend.
-2. **Policies** (:mod:`repro.faults.policy`) — declarative
-   :class:`RetryPolicy`/:class:`DeadlinePolicy` resilience settings,
-   embeddable in a plan's ``policy`` block.
-3. **Detection** (:mod:`repro.faults.detect`) — per-operation
-   deadlines, :func:`send_with_retry` with exponential backoff for
-   transient losses, and a router-derived :class:`LivenessView`.
-4. **Recovery** (:mod:`repro.faults.recovery`) —
+2. **Recovery** (:mod:`repro.faults.recovery`) —
    :func:`run_with_recovery` re-runs WEA over the survivors after a
-   confirmed rank loss and resumes iterative algorithms from in-memory
-   master checkpoints (:class:`CheckpointStore`).
-5. **Adaptation** (:mod:`repro.faults.adaptive`) — the same
+   rank loss — detected by the :class:`~repro.errors.RankFailedError`
+   the crash raises, which ``Router.fail`` hands to every peer waiting
+   on the crashed rank — and resumes iterative algorithms from
+   in-memory master checkpoints (:class:`CheckpointStore`).
+3. **Adaptation** (:mod:`repro.faults.adaptive`) — the same
    repartition seam driven by the online straggler detector:
    slowed-but-alive ranks trigger a coordinated
    :class:`RepartitionSignal` exit and a model-platform downgrade.
@@ -39,30 +34,14 @@ from repro.faults.adaptive import (
     AdaptiveController,
     RepartitionSignal,
 )
-from repro.faults.detect import (
-    DEFAULT_RETRY_POLICY,
-    LivenessView,
-    liveness_of,
-    policy_of,
-    recv_with_timeout,
-    send_with_retry,
-)
 from repro.faults.injector import FaultInjector, injector_for
 from repro.faults.plan import (
     FaultPlan,
     LinkScale,
     MessageDelay,
-    MessageDrop,
     RankComputeScale,
     RankCrash,
     load_fault_plan,
-)
-from repro.faults.policy import (
-    DEFAULT_POLICY,
-    DeadlinePolicy,
-    ResiliencePolicy,
-    RetryPolicy,
-    load_policy,
 )
 from repro.faults.recovery import (
     CheckpointStore,
@@ -78,24 +57,10 @@ __all__ = [
     "RankComputeScale",
     "LinkScale",
     "MessageDelay",
-    "MessageDrop",
     "load_fault_plan",
     # injection
     "FaultInjector",
     "injector_for",
-    # policies
-    "RetryPolicy",
-    "DeadlinePolicy",
-    "ResiliencePolicy",
-    "DEFAULT_RETRY_POLICY",
-    "DEFAULT_POLICY",
-    "load_policy",
-    "policy_of",
-    # detection
-    "send_with_retry",
-    "recv_with_timeout",
-    "LivenessView",
-    "liveness_of",
     # recovery
     "CheckpointStore",
     "RecoveryAttempt",

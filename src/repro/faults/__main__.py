@@ -17,10 +17,6 @@ TOOLS: dict[str, tuple[str, str]] = {
         "repro.faults.plan",
         "validate and pretty-print JSON fault plans",
     ),
-    "policy": (
-        "repro.faults.policy",
-        "inspect declarative retry/deadline resilience policies",
-    ),
     "sweep": (
         "repro.faults.sweep",
         "chaos-sweep fault grids through adaptive recovery",

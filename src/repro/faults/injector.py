@@ -18,18 +18,18 @@ Fault state is keyed by **original** rank ids.  When
 checkpoint–restart recovery re-runs a program on a survivor subset,
 :meth:`FaultInjector.attach` is called again with a ``rank_map``
 translating the new (dense) rank numbering back to the original one —
-so already-fired crashes stay fired, drop/delay budgets keep their
+so already-fired crashes stay fired, delay budgets keep their
 remaining counts, and windows keep their absolute times.
 """
 
 from __future__ import annotations
 
 import threading
-from typing import TYPE_CHECKING, Any, Sequence
+from typing import TYPE_CHECKING, Sequence
 
 from repro.cluster.perturb import LinkScale, PerturbationHook, RankComputeScale
-from repro.errors import FaultPlanError, RankFailedError, TransientNetworkError
-from repro.faults.plan import FaultPlan, MessageDelay, MessageDrop
+from repro.errors import FaultPlanError, RankFailedError
+from repro.faults.plan import FaultPlan, MessageDelay
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.cluster.platform import HeterogeneousPlatform
@@ -66,10 +66,10 @@ class FaultInjector:
         # All persistent state below is keyed by ORIGINAL rank ids.
         self._op_counts: dict[int, int] = {}
         self._fired_crashes: set[int] = set()
-        # Remaining drop/delay budget per plan index (None = unlimited).
+        # Remaining delay budget per plan index (None = unlimited).
         self._remaining: dict[int, int | None] = {}
         for i, fault in enumerate(plan):
-            if isinstance(fault, (MessageDrop, MessageDelay)):
+            if isinstance(fault, MessageDelay):
                 self._remaining[i] = fault.count
         self._obs: "ObsSession | None" = None
         self._rank_map: tuple[int, ...] | None = None
@@ -172,36 +172,14 @@ class FaultInjector:
                 )
 
     def on_send(self, rank: int, dest: int, tag: int, now: float) -> float:
-        """Apply drop/delay faults to one send attempt.
-
-        Returns the injected delay in seconds (0.0 when none applies);
-        raises :class:`~repro.errors.TransientNetworkError` when a
-        :class:`MessageDrop` budget consumes this message.  Budgets are
-        consumed under the injector lock in the caller's arrival order,
-        so pin ``src`` in the plan for deterministic runs.
+        """Apply delay faults to one send; returns the injected delay in
+        seconds (0.0 when none applies).  Budgets are consumed under the
+        injector lock in the caller's arrival order, so pin ``src`` in
+        the plan for deterministic runs.
         """
         with self._lock:
             src = self._original(rank)
             dst = self._original(dest)
-            for i, fault in enumerate(self.plan):
-                if not isinstance(fault, MessageDrop):
-                    continue
-                remaining = self._remaining.get(i, 0)
-                if not remaining or not fault.matches(src, dst, tag):
-                    continue
-                self._remaining[i] = remaining - 1
-                if self._obs is not None:
-                    self._obs.metrics.counter(
-                        "fault.injected", kind="message_drop", rank=rank
-                    ).inc()
-                    self._obs.tracer.add_span(
-                        "fault.drop", rank, now, now, category="fault",
-                        peer=dest, tag=tag,
-                    )
-                raise TransientNetworkError(
-                    f"rank {rank}: message to rank {dest} (tag {tag}) lost "
-                    f"in transit (fault plan {self.plan.name!r})"
-                )
             delay = 0.0
             for i, fault in enumerate(self.plan):
                 if not isinstance(fault, MessageDelay):
@@ -227,16 +205,6 @@ class FaultInjector:
         """Original ranks whose planned crashes have fired so far."""
         with self._lock:
             return frozenset(self._fired_crashes)
-
-    @property
-    def policy(self) -> Any:
-        """The plan's embedded resilience policy (``None`` if absent).
-
-        Exposed so detection helpers can discover deadlines/retry
-        budgets from whatever context wraps this injector (see
-        :func:`repro.faults.detect.policy_of`).
-        """
-        return getattr(self.plan, "policy", None)
 
 
 def injector_for(plan: FaultPlan | FaultInjector | None) -> FaultInjector | None:

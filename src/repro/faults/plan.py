@@ -20,10 +20,7 @@ same hook sequence of the shared rank context:
   scaled by ``factor`` inside the window (message latency is
   unaffected);
 * :class:`MessageDelay` (``message_delay``) — matching sends stall
-  ``delay_s`` before entering the network;
-* :class:`MessageDrop` (``message_drop``) — the first ``count``
-  matching sends raise :class:`~repro.errors.TransientNetworkError`
-  (pair with :func:`repro.faults.send_with_retry`).
+  ``delay_s`` before entering the network.
 
 The two timing faults are the what-if vocabulary's own classes, not
 copies: a plan that holds nothing else *is* a replayable perturbation
@@ -31,11 +28,8 @@ sequence (:attr:`FaultPlan.timing_perturbations`), and a window with no
 ``end_s`` runs to the end of the run.
 
 Plans serialize to/from JSON (``{"faults": [{"kind": ...}, ...]}``)
-via :func:`load_fault_plan` / :meth:`FaultPlan.to_json`.  A plan may
-additionally embed a ``"policy"`` block — a
-:class:`~repro.faults.policy.ResiliencePolicy` configuring retry
-budgets and per-op deadlines for the detection layer — which older
-plan files simply omit (parsing is backward compatible).
+via :func:`load_fault_plan` / :meth:`FaultPlan.to_json`.  Other
+top-level keys are ignored.
 """
 
 from __future__ import annotations
@@ -44,7 +38,7 @@ import dataclasses
 import math
 import sys
 from pathlib import Path
-from typing import Any, Mapping, Sequence
+from typing import Sequence
 
 from repro.cluster.perturb import (
     LinkScale,
@@ -53,7 +47,6 @@ from repro.cluster.perturb import (
     TimingPerturbation,
 )
 from repro.errors import FaultPlanError, require
-from repro.faults.policy import ResiliencePolicy
 from repro.obs.export import read_json
 
 __all__ = [
@@ -61,7 +54,6 @@ __all__ = [
     "RankComputeScale",
     "LinkScale",
     "MessageDelay",
-    "MessageDrop",
     "FaultPlan",
     "load_fault_plan",
     "main",
@@ -144,48 +136,15 @@ class MessageDelay:
         )
 
 
-@dataclasses.dataclass(frozen=True)
-class MessageDrop:
-    """Lose the first ``count`` matching sends in transit.
-
-    The sender observes :class:`~repro.errors.TransientNetworkError`;
-    wrap sends in :func:`repro.faults.send_with_retry` to survive.
-    """
-
-    src: int | None = None
-    dst: int | None = None
-    tag: int | None = None
-    count: int = 1
-
-    def validate(self) -> None:
-        require(
-            self.count >= 1, f"count must be >= 1, got {self.count}",
-            FaultPlanError,
-        )
-
-    def matches(self, src: int, dst: int, tag: int) -> bool:
-        return (
-            (self.src is None or self.src == src)
-            and (self.dst is None or self.dst == dst)
-            and (self.tag is None or self.tag == tag)
-        )
-
-
-Fault = RankCrash | RankComputeScale | LinkScale | MessageDelay | MessageDrop
+Fault = RankCrash | RankComputeScale | LinkScale | MessageDelay
 
 
 @dataclasses.dataclass(frozen=True)
 class FaultPlan(PlanDocument):
-    """An immutable, validated, ordered set of fault specifications.
-
-    ``policy`` optionally attaches the resilience policy (retry +
-    deadline budgets) that detection helpers should apply while the
-    plan is active; ``None`` keeps the library defaults.
-    """
+    """An immutable, validated, ordered set of fault specifications."""
 
     faults: tuple[Fault, ...] = ()
     name: str = ""
-    policy: ResiliencePolicy | None = None
 
     ITEMS = "faults"
     KINDS = {
@@ -193,16 +152,15 @@ class FaultPlan(PlanDocument):
         "rank_slowdown": RankComputeScale,
         "link_degrade": LinkScale,
         "message_delay": MessageDelay,
-        "message_drop": MessageDrop,
     }
     ERROR = FaultPlanError
 
     @property
     def timing_perturbations(self) -> tuple[TimingPerturbation, ...] | None:
         """The plan as a what-if replay takes it: its faults, when every
-        one is a timing perturbation; ``None`` when it also crashes,
-        delays or drops (those re-order the program, they do not
-        re-price it, so a replay cannot model them)."""
+        one is a timing perturbation; ``None`` when it also crashes or
+        delays (those re-order the program, they do not re-price it, so
+        a replay cannot model them)."""
         if all(isinstance(f, TimingPerturbation) for f in self.faults):
             return self.faults
         return None
@@ -232,20 +190,6 @@ class FaultPlan(PlanDocument):
                     f"{master_rank} — unrecoverable by design"
                 )
 
-    def to_dict(self) -> dict[str, Any]:
-        out = super().to_dict()
-        if self.policy is not None:
-            out["policy"] = self.policy.to_dict()
-        return out
-
-    @classmethod
-    def from_dict(cls, doc: Mapping[str, Any]) -> "FaultPlan":
-        faults = cls.items_from_dict(doc)
-        policy = None
-        if doc.get("policy") is not None:
-            policy = ResiliencePolicy.from_dict(doc["policy"])
-        return cls(faults, name=str(doc.get("name", "")), policy=policy)
-
 
 def load_fault_plan(path: str | Path) -> FaultPlan:
     """Read and validate a JSON fault plan file."""
@@ -265,10 +209,6 @@ def describe_plan(plan: FaultPlan) -> str:
             if getattr(fault, f.name) is not None
         )
         lines.append(f"  {plan.kind_of(fault)}: {fields}")
-    if plan.policy is not None:
-        from repro.faults.policy import describe_policy
-
-        lines.append("  " + describe_policy(plan.policy).replace("\n", "\n  "))
     return "\n".join(lines)
 
 

@@ -52,7 +52,6 @@ from repro.faults.plan import (
     RankComputeScale,
     RankCrash,
 )
-from repro.faults.policy import ResiliencePolicy
 from repro.obs.export import read_json, write_json
 from repro.perf.fanout import ordered_map
 
@@ -123,13 +122,10 @@ def validate_grid(doc: Any) -> dict[str, Any]:
                 raise FaultPlanError(
                     f"axis {axis!r} options must be objects or null"
                 )
-    if "policy" in doc and doc["policy"] is not None:
-        # Parse for validation; plan_of_cell re-parses per cell.
-        ResiliencePolicy.from_dict(doc["policy"])
     # Exercise plan construction for every cell up front so a bad
     # option fails fast, before any engine time is spent.
     for cell in enumerate_cells(doc):
-        plan_of_cell(cell, doc)
+        plan_of_cell(cell)
     return doc
 
 
@@ -170,11 +166,8 @@ def _window(opt: Mapping[str, Any]) -> tuple[float, float]:
     return float(opt.get("start_s", 0.0)), float(opt.get("end_s", 1e9))
 
 
-def plan_of_cell(
-    cell: Mapping[str, Any], doc: Mapping[str, Any] | None = None
-) -> FaultPlan | None:
-    """The cell's fault plan (``None`` for the all-axes-inactive cell
-    with no policy block)."""
+def plan_of_cell(cell: Mapping[str, Any]) -> FaultPlan | None:
+    """The cell's fault plan (``None`` for the all-axes-inactive cell)."""
     faults: list[Any] = []
     opt = cell.get("crash")
     if opt:
@@ -204,12 +197,9 @@ def plan_of_cell(
             src=opt.get("src"), dst=opt.get("dst"), tag=opt.get("tag"),
             count=opt.get("count"),
         ))
-    policy = None
-    if doc is not None and doc.get("policy") is not None:
-        policy = ResiliencePolicy.from_dict(doc["policy"])
-    if not faults and policy is None:
+    if not faults:
         return None
-    return FaultPlan(tuple(faults), name=_cell_label(cell), policy=policy)
+    return FaultPlan(tuple(faults), name=_cell_label(cell))
 
 
 def _cell_label(cell: Mapping[str, Any]) -> str:
@@ -296,7 +286,7 @@ def run_cell(state: Mapping[str, Any], cell: Mapping[str, Any]) -> dict[str, Any
     doc = state["doc"]
     algorithm = cell["algorithm"]
     backend = cell["backend"]
-    plan = plan_of_cell(cell, doc)
+    plan = plan_of_cell(cell)
     overhead = float(doc.get("repartition_overhead_s", 0.0))
     record: dict[str, Any] = {
         "cell": {k: cell.get(k) for k in ("algorithm", "backend", *AXES)},

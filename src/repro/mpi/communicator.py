@@ -45,14 +45,9 @@ class MessageContext(Protocol):
     @property
     def is_master(self) -> bool: ...
 
-    def send(
-        self, dest: int, payload: Any, tag: int = 0,
-        timeout_s: float | None = None,
-    ) -> None: ...
+    def send(self, dest: int, payload: Any, tag: int = 0) -> None: ...
 
-    def recv(
-        self, source: int, tag: int = -1, timeout_s: float | None = None
-    ) -> Any: ...
+    def recv(self, source: int, tag: int = -1) -> Any: ...
 
     def compute(self, mflops: float, sequential: bool = False) -> float: ...
 
@@ -85,74 +80,15 @@ def concat_op(a: Any, b: Any) -> Any:
     return la + lb
 
 
-class _DeadlineContext:
-    """Context decorator applying a default per-operation deadline.
-
-    Every send/recv that does not carry its own ``timeout_s`` gets the
-    communicator's ``op_timeout_s`` — including the sends/receives
-    issued *inside* collectives, which is how collectives become
-    timeout-bounded without each algorithm plumbing deadlines through.
-    """
-
-    def __init__(self, ctx: MessageContext, op_timeout_s: float) -> None:
-        self.context = ctx
-        self.op_timeout_s = float(op_timeout_s)
-
-    @property
-    def rank(self) -> int:
-        return self.context.rank
-
-    @property
-    def size(self) -> int:
-        return self.context.size
-
-    @property
-    def master_rank(self) -> int:
-        return self.context.master_rank
-
-    def __getattr__(self, name: str) -> Any:
-        return getattr(self.context, name)
-
-    def compute(self, mflops: float, sequential: bool = False) -> float:
-        return self.context.compute(mflops, sequential=sequential)
-
-    def send(
-        self, dest: int, payload: Any, tag: int = 0,
-        timeout_s: float | None = None,
-    ) -> None:
-        self.context.send(
-            dest, payload, tag,
-            timeout_s=self.op_timeout_s if timeout_s is None else timeout_s,
-        )
-
-    def recv(
-        self, source: int, tag: int = -1, timeout_s: float | None = None
-    ) -> Any:
-        return self.context.recv(
-            source, tag,
-            timeout_s=self.op_timeout_s if timeout_s is None else timeout_s,
-        )
-
-
 class Communicator:
     """Point-to-point plus collectives over a message context.
 
     Args:
         ctx: the backend context (one per rank).
-        op_timeout_s: optional default deadline applied to every
-            point-to-point operation — including those issued inside
-            collectives — raising
-            :class:`~repro.errors.CommunicationTimeout` on expiry
-            (virtual seconds on the engine, wall seconds inproc).
     """
 
-    def __init__(
-        self, ctx: MessageContext, op_timeout_s: float | None = None
-    ) -> None:
-        self._ctx = (
-            _DeadlineContext(ctx, op_timeout_s) if op_timeout_s is not None
-            else ctx
-        )
+    def __init__(self, ctx: MessageContext) -> None:
+        self._ctx = ctx
         self._collective_seq = 0
         self._obs = getattr(ctx, "obs", None)
         self._tracer = self._obs.tracer if self._obs is not None else NULL_TRACER
@@ -179,26 +115,16 @@ class Communicator:
         return self._ctx
 
     # -- point-to-point ---------------------------------------------------------
-    def send(
-        self, dest: int, payload: Any, tag: int = 0,
-        timeout_s: float | None = None,
-    ) -> None:
+    def send(self, dest: int, payload: Any, tag: int = 0) -> None:
         """Synchronous send to ``dest``.  User tags live in [0, 2^20)."""
         self._check_user_tag(tag)
-        if timeout_s is None:
-            self._ctx.send(dest, payload, tag)
-        else:
-            self._ctx.send(dest, payload, tag, timeout_s=timeout_s)
+        self._ctx.send(dest, payload, tag)
 
-    def recv(
-        self, source: int, tag: int = -1, timeout_s: float | None = None
-    ) -> Any:
+    def recv(self, source: int, tag: int = -1) -> Any:
         """Blocking receive from ``source``; tag -1 matches any user tag."""
         if tag != -1:
             self._check_user_tag(tag)
-        if timeout_s is None:
-            return self._ctx.recv(source, tag)
-        return self._ctx.recv(source, tag, timeout_s=timeout_s)
+        return self._ctx.recv(source, tag)
 
     @staticmethod
     def _check_user_tag(tag: int) -> None:

@@ -17,7 +17,7 @@ import dataclasses
 import time
 from typing import TYPE_CHECKING, Any, Callable, Mapping, Sequence
 
-from repro.cluster.mailbox import OpDeadline, Router, payload_wire_megabits
+from repro.cluster.mailbox import Router, payload_wire_megabits
 from repro.cluster.platform import HeterogeneousPlatform
 from repro.cluster.runtime import (
     BaseRankContext,
@@ -43,9 +43,8 @@ class InprocContext(BaseRankContext):
     """Per-rank context for the wall-clock backend.
 
     Programs written for the virtual engine run unchanged: computation
-    charges no time (the actual numpy work *is* the computation), a
-    deadline reads ``time.monotonic``, and each rank emits the transfer
-    spans it timed itself.
+    charges no time (the actual numpy work *is* the computation), and
+    each rank emits the transfer spans it timed itself.
     """
 
     def _report_compute(
@@ -60,11 +59,6 @@ class InprocContext(BaseRankContext):
                 kind="seq" if sequential else "compute",
             ).inc(float(mflops))
         return 0.0
-
-    def _make_deadline(self, timeout_s: float) -> OpDeadline:
-        return OpDeadline(
-            at=time.monotonic() + timeout_s, clock=time.monotonic, wall=True
-        )
 
     def _megabits(self, payload: Any) -> float:
         return payload_wire_megabits(payload)

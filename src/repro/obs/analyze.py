@@ -63,7 +63,7 @@ def _round(value: float, digits: int = 9) -> float:
 
 #: Fault-category spans that scope to the rank they were recorded on;
 #: everything else (link degradation, recovery seams) applies globally.
-_RANK_SCOPED_FAULTS = ("slowdown", "crash", "drop", "delay")
+_RANK_SCOPED_FAULTS = ("slowdown", "crash", "delay")
 
 
 @dataclasses.dataclass(frozen=True)
@@ -71,7 +71,7 @@ class FaultWindow:
     """One injected-fault (or recovery) interval from the trace.
 
     Attributes:
-        kind: ``"slowdown"``, ``"crash"``, ``"drop"``, ``"delay"``,
+        kind: ``"slowdown"``, ``"crash"``, ``"delay"``,
             ``"link_degrade"``, or ``"repartition"``.
         rank: the affected rank, or ``None`` for whole-run faults
             (link degradation, recovery repartitions).
@@ -105,8 +105,8 @@ def fault_windows(source: Any) -> tuple[FaultWindow, ...]:
 
     Reads the ``category="fault"`` spans that the fault injector and
     the recovery driver record (``fault.slowdown``, ``fault.crash``,
-    ``fault.drop``, ``fault.delay``, ``fault.link_degrade``,
-    ``recovery.repartition``); empty for fault-free traces.
+    ``fault.delay``, ``fault.link_degrade``, ``recovery.repartition``);
+    empty for fault-free traces.
     """
     windows = []
     for span in spans_of(source):

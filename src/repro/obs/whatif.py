@@ -178,10 +178,6 @@ class WhatIfPlan(PlanDocument):
     }
     ERROR = WhatIfPlanError
 
-    @classmethod
-    def from_dict(cls, doc: Mapping[str, Any]) -> "WhatIfPlan":
-        return cls(cls.items_from_dict(doc), name=str(doc.get("name", "")))
-
     def apply_platform(
         self, platform: HeterogeneousPlatform
     ) -> HeterogeneousPlatform:

@@ -1,11 +1,6 @@
 """Heterogeneity-aware scheduling: WEA partitioning and its baselines."""
 
-from repro.scheduling.dynamic import (
-    WorkerResigned,
-    dynamic_master_worker,
-    fault_tolerant_master_worker,
-    speculative_master_worker,
-)
+from repro.scheduling.dynamic import dynamic_master_worker
 from repro.scheduling.iterative import (
     iterative_makespan,
     optimal_iterative_fractions,
@@ -29,10 +24,8 @@ __all__ = [
     "EquivalenceReport",
     "RowPartition",
     "check_equivalence",
-    "WorkerResigned",
     "dlt_fractions",
     "dynamic_master_worker",
-    "fault_tolerant_master_worker",
     "halo_compensated_rows",
     "iterative_makespan",
     "optimal_iterative_fractions",
@@ -40,6 +33,5 @@ __all__ = [
     "heterogeneous_fractions",
     "homogeneous_fractions",
     "rows_from_fractions",
-    "speculative_master_worker",
     "wea_partition",
 ]

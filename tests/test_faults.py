@@ -6,14 +6,11 @@ Covers the recovery invariants:
 * ATDCA/UFCLS survive a planned mid-run rank crash with output equal
   to the sequential reference, on both backends, while ``D_all`` /
   ``D_minus`` are re-reported for the post-recovery partition;
-* virtual per-operation deadlines fire at the configured deadline
-  *exactly*;
 
-plus the supporting pieces: plan serialization/validation, drop/retry
-with backoff charged to virtual time, slowdown and link-degrade cost
-scaling, root-cause attribution of crash cascades, the fault-tolerant
-dynamic scheduler under a genuine plan crash, and fault-window
-labeling in the trace analysis reports.
+plus the supporting pieces: plan serialization/validation, delays
+charged to virtual time, slowdown and link-degrade cost scaling,
+root-cause attribution of crash cascades, and fault-window labeling in
+the trace analysis reports.
 """
 
 from __future__ import annotations
@@ -27,30 +24,21 @@ from repro.cluster.engine import SimulationEngine, run_program
 from repro.cluster.presets import fully_heterogeneous
 from repro.core.atdca import atdca
 from repro.core.ufcls import ufcls
-from repro.errors import (
-    CommunicationTimeout,
-    DeadlockError,
-    FaultPlanError,
-    RankFailedError,
-    TransientNetworkError,
-)
+from repro.errors import DeadlockError, FaultPlanError, RankFailedError
 from repro.faults import (
     CheckpointStore,
     FaultInjector,
     FaultPlan,
     LinkScale,
     MessageDelay,
-    MessageDrop,
     RankCrash,
     RankComputeScale,
     load_fault_plan,
     run_with_recovery,
-    send_with_retry,
 )
 from repro.hsi import SceneConfig, make_wtc_scene
 from repro.mpi import Communicator, run_inproc
 from repro.obs import ObsSession, analyze_trace, fault_windows, write_jsonl
-from repro.scheduling import fault_tolerant_master_worker
 
 from conftest import make_tiny_platform
 
@@ -80,7 +68,7 @@ class TestFaultPlan:
                     start_s=0.25, end_s=0.75,
                 ),
                 MessageDelay(delay_s=0.1, src=1, dst=0, tag=7),
-                MessageDrop(src=2, dst=0, count=2),
+                MessageDelay(delay_s=0.2, src=2, dst=0, count=2),
             ),
             name="round-trip",
         )
@@ -108,11 +96,28 @@ class TestFaultPlan:
         with pytest.raises(FaultPlanError):
             FaultPlan((RankComputeScale(rank=1, factor=2.0, start_s=1, end_s=1),))
         with pytest.raises(FaultPlanError):
-            FaultPlan((MessageDrop(src=1, count=0),))
+            FaultPlan((MessageDelay(delay_s=0.1, src=1, count=0),))
 
     def test_from_dict_rejects_unknown_kind(self):
-        with pytest.raises(FaultPlanError):
+        # Any kind outside these four, a dropped-message fault included,
+        # is an "unknown kind".
+        assert sorted(FaultPlan.KINDS) == [
+            "link_degrade", "message_delay", "rank_crash", "rank_slowdown",
+        ]
+        with pytest.raises(FaultPlanError, match="unknown kind"):
             FaultPlan.from_dict({"faults": [{"kind": "meteor_strike"}]})
+
+    def test_unknown_top_level_keys_are_ignored(self, tmp_path):
+        # A plan written when plans carried a "policy" block still loads,
+        # as the plan it always described.
+        path = tmp_path / "old.json"
+        path.write_text(json.dumps({
+            "faults": [{"kind": "rank_crash", "rank": 1, "at_op_index": 3}],
+            "policy": {"retry": {"max_attempts": 4}},
+        }))
+        assert load_fault_plan(path) == FaultPlan(
+            (RankCrash(rank=1, at_op_index=3),), name="old"
+        )
 
     def test_check_platform_rejects_master_and_out_of_range(self):
         FaultPlan((RankCrash(rank=3, at_op_index=1),)).check_platform(4)
@@ -126,56 +131,6 @@ class TestFaultPlan:
             load_fault_plan(tmp_path / "absent.json")
 
 
-# -- virtual deadlines --------------------------------------------------------
-
-class TestVirtualTimeouts:
-    def test_recv_timeout_fires_at_exact_virtual_deadline(self, tiny_platform):
-        deadline = 2.5
-
-        def program(ctx):
-            if ctx.rank != 1:
-                return None
-            try:
-                ctx.recv(0, timeout_s=deadline)
-            except CommunicationTimeout as exc:
-                return ("timeout", exc.deadline_s, ctx.clock.now)
-            return ("no-timeout", None, ctx.clock.now)
-
-        result = run_program(tiny_platform, program)
-        kind, deadline_s, now = result.return_values[1]
-        assert kind == "timeout"
-        # Exact equality, not approximate: the engine advances the
-        # waiter's clock *to* the deadline before raising.
-        assert deadline_s == deadline
-        assert now == deadline
-
-    def test_timeout_after_charged_compute_is_relative(self, tiny_platform):
-        def program(ctx):
-            if ctx.rank != 1:
-                return None
-            ctx.charge_seconds(1.0)
-            try:
-                ctx.recv(0, timeout_s=0.5)
-            except CommunicationTimeout:
-                return ctx.clock.now
-            return None
-
-        result = run_program(tiny_platform, program)
-        assert result.return_values[1] == 1.5
-
-    def test_satisfied_recv_does_not_time_out(self, tiny_platform):
-        def program(ctx):
-            if ctx.rank == 0:
-                ctx.send(1, "payload", tag=3)
-                return None
-            if ctx.rank == 1:
-                return ctx.recv(0, tag=3, timeout_s=10.0)
-            return None
-
-        result = run_program(tiny_platform, program)
-        assert result.return_values[1] == "payload"
-
-
 # -- one hook sequence on both backends ---------------------------------------
 
 class _RecordingInjector:
@@ -183,8 +138,6 @@ class _RecordingInjector:
     runtime reads — ``before_op``, ``on_send`` and ``perturb``, here a
     constant-factor timing hook of its own — recording ``(op, now)``
     per rank."""
-
-    policy = None
 
     def __init__(self, factor):
         self.factor = factor
@@ -401,54 +354,45 @@ class TestRootCauseAttribution:
             for c in chain
         )
 
+    def test_peers_learn_of_each_crash_by_rank_failed_error(
+        self, tiny_platform
+    ):
+        """Two planned crashes, one after the other: no timer is
+        involved, the master's receive from each dead rank ends in the
+        secondary ``RankFailedError`` that ``Router.fail`` hands it."""
+        plan = FaultPlan(
+            (
+                RankCrash(rank=2, at_op_index=1),
+                RankCrash(rank=3, at_op_index=1),
+            ),
+            name="double-crash",
+        )
+        injector = FaultInjector(plan).attach(platform=tiny_platform)
+        seen = []
+
+        def program(ctx):
+            if ctx.rank in (2, 3):
+                ctx.send(0, f"from-{ctx.rank}", tag=9)  # crashes here
+                return "survived?"
+            if ctx.rank == 1:
+                ctx.send(0, "ok", tag=5)
+                return None
+            assert ctx.recv(1, tag=5) == "ok"
+            for doomed in (2, 3):
+                with pytest.raises(RankFailedError) as info:
+                    ctx.recv(doomed, tag=9)
+                seen.append((info.value.rank, info.value.secondary))
+            return None
+
+        with pytest.raises(RankFailedError) as info:
+            run_program(tiny_platform, program, faults=injector)
+        assert info.value.injected
+        assert seen == [(2, True), (3, True)]
+
 
 # -- transient faults ---------------------------------------------------------
 
 class TestTransientFaults:
-    def test_drop_then_retry_delivers_with_backoff(self, tiny_platform):
-        plan = FaultPlan(
-            (MessageDrop(src=1, dst=0, tag=7, count=2),), name="drops"
-        )
-        injector = FaultInjector(plan).attach(platform=tiny_platform)
-
-        def program(ctx):
-            if ctx.rank == 0:
-                return ctx.recv(1, tag=7)
-            if ctx.rank == 1:
-                attempts = send_with_retry(ctx, 0, "finally", tag=7)
-                return (attempts, ctx.clock.now)
-            return None
-
-        result = run_program(tiny_platform, program, faults=injector)
-        assert result.return_values[0] == "finally"
-        attempts, now = result.return_values[1]
-        assert attempts == 3
-        # Two backoffs (0.01, 0.02 virtual seconds) were charged.
-        assert now >= 0.03
-
-    def test_retry_budget_exhaustion_reraises(self, tiny_platform):
-        plan = FaultPlan(
-            (MessageDrop(src=1, dst=0, tag=7, count=10),), name="dead-link"
-        )
-        injector = FaultInjector(plan).attach(platform=tiny_platform)
-
-        def program(ctx):
-            if ctx.rank == 0:
-                try:
-                    return ctx.recv(1, tag=7, timeout_s=5.0)
-                except CommunicationTimeout:
-                    return "gave-up"
-            if ctx.rank == 1:
-                try:
-                    send_with_retry(ctx, 0, "never", tag=7)
-                except TransientNetworkError:
-                    return "exhausted"
-            return None
-
-        result = run_program(tiny_platform, program, faults=injector)
-        assert result.return_values[1] == "exhausted"
-        assert result.return_values[0] == "gave-up"
-
     def test_message_delay_charges_virtual_time(self, tiny_platform):
         def program(ctx):
             if ctx.rank == 0:
@@ -517,52 +461,6 @@ class TestCheckpointStore:
         assert state["u"][0, 0] == 0.0
         state["u"][0, 1] = 77.0  # loaded copy must not leak back
         assert store.load()[1]["u"][0, 1] == 1.0
-
-
-# -- fault-tolerant dynamic scheduler under a plan crash ----------------------
-
-class TestFaultTolerantSchedulerUnderPlan:
-    def test_master_detects_plan_crashed_worker(self, tiny_platform):
-        """A genuine fault-plan crash kills worker 2 mid-run; the master
-        detects the loss and completes every task.  The run as a whole
-        still raises the injected crash as root cause (a dead rank is a
-        failed run), carrying the master's completed results in the
-        exception test below via the engine's failure ordering.
-
-        The engine runs ranks to block, lowest ready rank first, so the
-        schedule is fixed: worker 1 and the master hand all twelve
-        chunks back and forth before worker 2 first gets the baton, and
-        worker 2 makes two operations, the send that asks for work and
-        the receive of the master's answer.  Crashed at the first it
-        dies without a word and the master finds out through its
-        receive deadline plus the liveness view; crashed at the second
-        it dies owing the master a rendezvous and the master's send
-        raises.
-        """
-        tasks = list(range(24))
-        for at_op_index in (1, 2):
-            plan = FaultPlan(
-                (RankCrash(rank=2, at_op_index=at_op_index),),
-                name="dead-worker",
-            )
-            injector = FaultInjector(plan).attach(platform=tiny_platform)
-            completed = {}
-
-            def program(ctx):
-                results = fault_tolerant_master_worker(
-                    ctx, tasks if ctx.rank == 0 else None,
-                    lambda _ctx, t: t * t, chunk_size=2, timeout_s=0.5,
-                )
-                if ctx.rank == 0:
-                    completed["results"] = results
-                return results
-
-            with pytest.raises(RankFailedError) as info:
-                run_program(tiny_platform, program, faults=injector)
-            assert info.value.injected and info.value.rank == 2
-            assert f"at op #{at_op_index} " in str(info.value)
-            # The master completed the whole task list before the abort.
-            assert completed["results"] == [t * t for t in tasks]
 
 
 # -- analysis labeling --------------------------------------------------------

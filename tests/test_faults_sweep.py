@@ -54,7 +54,6 @@ class TestGridValidation:
         assert doc["name"] == "sweep_smoke"
         cells = enumerate_cells(doc)
         assert len(cells) == 32  # atdca x {sim,inproc} x 2^4 axes
-        assert doc["policy"]["retry"]["max_attempts"] == 4
 
     def test_committed_gate_file_is_current_schema(self):
         thresholds = json.loads(GATE_FILE.read_text())
@@ -68,11 +67,17 @@ class TestGridValidation:
         ({"axes": {"meteor": [None]}}, "axis"),
         ({"axes": {"slowdown": "x4"}}, "list"),
         ({"axes": {"slowdown": [42]}}, "objects or null"),
-        ({"policy": {"bogus": 1}}, "policy"),
     ])
     def test_rejects_malformed_grids(self, mutation, needle):
         with pytest.raises(FaultPlanError, match=needle):
             validate_grid(tiny_grid(**mutation))
+
+    def test_unknown_top_level_keys_are_ignored(self):
+        # A grid written when grids carried a "policy" block still
+        # validates and runs the same cells.
+        doc = validate_grid(tiny_grid(policy={"bogus": 1}))
+        assert enumerate_cells(doc) == enumerate_cells(validate_grid(tiny_grid()))
+        assert plan_of_cell(enumerate_cells(doc)[0]) is None
 
     def test_rejects_non_object_document(self):
         with pytest.raises(FaultPlanError, match="object"):
@@ -105,20 +110,10 @@ class TestEnumeration:
 
 class TestPlanOfCell:
     def test_clean_cell_without_policy_is_none(self):
-        doc = validate_grid(tiny_grid())
-        assert plan_of_cell(enumerate_cells(doc)[0], doc) is None
-
-    def test_policy_rides_on_every_cell(self):
-        doc = validate_grid(tiny_grid(
-            policy={"retry": {"max_attempts": 7}},
-        ))
-        clean, slow = enumerate_cells(doc)
-        clean_plan = plan_of_cell(clean, doc)
-        assert clean_plan is not None and len(clean_plan.faults) == 0
-        assert clean_plan.policy.retry.max_attempts == 7
-        slow_plan = plan_of_cell(slow, doc)
+        clean, slow = enumerate_cells(validate_grid(tiny_grid()))
+        assert plan_of_cell(clean) is None
+        slow_plan = plan_of_cell(slow)
         assert [slow_plan.kind_of(f) for f in slow_plan] == ["rank_slowdown"]
-        assert slow_plan.policy == clean_plan.policy
 
     def test_four_axis_cell_builds_all_faults(self):
         doc = load_sweep_grid(SMOKE_GRID)
@@ -127,11 +122,10 @@ class TestPlanOfCell:
             if all(c[axis] is not None for axis in AXES)
         ]
         assert len(full) == 2  # one per backend
-        plan = plan_of_cell(full[0], doc)
+        plan = plan_of_cell(full[0])
         assert sorted(plan.kind_of(f) for f in plan) == [
             "link_degrade", "message_delay", "rank_crash", "rank_slowdown",
         ]
-        assert plan.policy is not None
 
 
 class TestReplayableCells:
@@ -143,13 +137,7 @@ class TestReplayableCells:
                 if c[axis] is not None
                 and all(c[a] is None for a in AXES if a != axis)
             )
-            assert plan_of_cell(cell, doc).timing_perturbations is None
-
-    def test_policy_only_cell_replays_unperturbed(self):
-        doc = load_sweep_grid(SMOKE_GRID)
-        clean = plan_of_cell(enumerate_cells(doc)[0], doc)
-        assert clean.policy is not None
-        assert clean.timing_perturbations == ()
+            assert plan_of_cell(cell).timing_perturbations is None
 
 
 class TestRunSweepAndGate:
@@ -237,6 +225,20 @@ class TestSweepCLI:
         not_json.write_text("not json")
         assert main(["cells", str(not_json)]) == 1
         assert "invalid sweep input" in capsys.readouterr().err
+
+    def test_umbrella_cli_lists_and_dispatches(self, capsys):
+        from repro.faults.__main__ import main as umbrella
+
+        assert umbrella([]) == 0
+        out = capsys.readouterr().out
+        for tool in ("plan", "sweep"):
+            assert f"  {tool}" in out
+        assert "  policy" not in out
+        assert umbrella(["sweep", "cells", str(SMOKE_GRID)]) == 0
+        capsys.readouterr()
+        for unknown in ("policy", "nope"):
+            assert umbrella([unknown]) == 2
+            capsys.readouterr()
 
     def test_cells_lists_labels(self, capsys):
         assert main(["cells", str(SMOKE_GRID)]) == 0

@@ -139,13 +139,15 @@ class TestWhatIfPlan:
         with pytest.raises(WhatIfPlanError):
             WhatIfPlan((pert(),))
 
-    #: sha256 of ``to_json()`` at the commit before the vocabularies
-    #: were merged (for the grid: of its cells' plans, concatenated).
+    #: sha256 of ``to_json()`` (for the grid: of its cells' plans,
+    #: concatenated): the bytes these plans have serialised to since the
+    #: vocabularies were merged, less the ``policy`` blocks they carried
+    #: until the resilience policies were deleted.
     PARENT_DIGESTS = {
-        "chaos": "80f7b5f616346937a368a9bb726e9967d2745396ef4e57915886e45266b4f9b9",
-        "slowdown": "52b719ddf1dcaa71743bd39db940c784c4465656bc6bc5e49e1b2a2d25a2badf",
+        "chaos": "14947c0be77bac6d753b5270d21b13e6f5bb2a2802bd4a3df91c3bb076383212",
+        "slowdown": "9587e054cc295e6229a252d83c0f2ff8c6ef3be3f83665e9a2cf5e4232ccdd4d",
         "whatif_demo": "e57d556202eaa553fc7d64c3b48c67fa43442a251c31fa401c1793057ebb6243",
-        "sweep_smoke": "223b4f833c770378508390369444b1b9d4ef45b308adddb55e6af6d3815a828c",
+        "sweep_smoke": "050faff138bb6aa079ad62da1f83611d47b2ff861a3d953fc65eaa3243943f92",
     }
 
     def test_committed_plans_serialise_to_the_same_bytes(self):
@@ -157,8 +159,9 @@ class TestWhatIfPlan:
             "whatif_demo":
                 load_whatif_plan("benchmarks/plans/whatif_demo.json").to_json(),
             "sweep_smoke": "".join(
-                plan_of_cell(cell, grid).to_json()
-                for cell in enumerate_cells(grid)
+                plan.to_json()
+                for plan in map(plan_of_cell, enumerate_cells(grid))
+                if plan is not None
             ),
         }
         assert sorted(texts) == sorted(

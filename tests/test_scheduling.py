@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.cluster.engine import run_program
 from repro.cluster.network import uniform_network
 from repro.cluster.platform import HeterogeneousPlatform
 from repro.cluster.processor import ProcessorSpec
@@ -205,3 +206,20 @@ class TestDynamicScheduling:
 
         with pytest.raises(Exception):
             run_inproc(2, program)
+
+    def test_engine_hands_every_task_to_rank_one(self, tiny_platform):
+        """On the engine a parked rank runs only when the baton reaches
+        it, lowest ready rank first: worker 1's next request is posted
+        before worker 2 or 3 has run at all, so the demand-driven loop
+        measures one fixed schedule there, not balancing."""
+        tasks = list(range(12))
+
+        def program(ctx):
+            return dynamic_master_worker(
+                ctx, tasks if ctx.is_master else None,
+                lambda c, t: c.rank, chunk_size=2,
+            )
+
+        result = run_program(tiny_platform, program)
+        assert tiny_platform.size == 4
+        assert result.return_values[0] == [1] * len(tasks)
