@@ -280,7 +280,7 @@ def run_network_grid(
             :class:`~repro.obs.live.LiveRuntime` writing atomic
             ``live.json``/``live.prom`` snapshots into
             ``live_dir/<label>__<network>/`` (tail any of them with
-            ``python -m repro.obs.live watch``), and an aggregated
+            ``python -m repro live watch``), and an aggregated
             ``live_dir/health_summary.json`` records each cell's
             online drift detections.
 

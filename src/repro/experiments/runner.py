@@ -2,9 +2,9 @@
 
 Usage::
 
-    repro-experiments all
-    repro-experiments table3 table5 --outdir results/
-    python -m repro.experiments figure2
+    python -m repro experiments all
+    python -m repro experiments table3 table5 --outdir results/
+    python -m repro experiments figure2
 
 Tables 5–7 share one grid; requesting several of them in the same
 invocation computes the grid once, and the grid executes each distinct
@@ -14,7 +14,6 @@ program once (its other cells re-price that run on their own networks).
 from __future__ import annotations
 
 import argparse
-import sys
 from pathlib import Path
 
 from repro.experiments.config import ExperimentConfig
@@ -44,6 +43,16 @@ EXPERIMENT_NAMES = (
     "figure1", "figure2", "whatif",
 )
 _GRID_EXPERIMENTS = {"table5", "table6", "table7"}
+#: flag -> what an empty value of it is missing.
+_REQUIRED_VALUES = {
+    "trace": "a directory name",
+    "metrics": "a directory name",
+    "report": "a file name",
+    "calibrate": "a directory name",
+    "live": "a directory name",
+    "whatif": "a plan file name",
+    "plan": "'auto', 'default', or a plan file",
+}
 
 
 def _build_config(args: argparse.Namespace) -> ExperimentConfig:
@@ -58,7 +67,7 @@ def _build_config(args: argparse.Namespace) -> ExperimentConfig:
 
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
-        prog="repro-experiments",
+        prog="python -m repro experiments",
         description="Regenerate the paper's tables and figures.",
     )
     # No argparse ``choices`` here: with ``nargs="*"`` some Python
@@ -90,14 +99,14 @@ def main(argv: list[str] | None = None) -> int:
                         help="calibrate the analytic cost model on both "
                              "backends and write calibration_{sim,inproc}"
                              ".json/.txt into DIR (gate with "
-                             "python -m repro.obs.profile gate)")
+                             "python -m repro profile gate)")
     parser.add_argument("--live", metavar="DIR", default=None,
                         help="observe runs while they execute: the traced "
                              "demo runs and every table5-7 grid cell write "
                              "atomic live.json/live.prom snapshots (flight-"
                              "recorder ring, streaming latency percentiles, "
                              "online health detections) under DIR; tail any "
-                             "of them with `python -m repro.obs.live watch`")
+                             "of them with `python -m repro live watch`")
     parser.add_argument("--plan", metavar="MODE", default=None,
                         help="configure the traced demo runs through the "
                              "autotuning planner: 'auto' plans kernel "
@@ -136,20 +145,9 @@ def main(argv: list[str] | None = None) -> int:
                 f"unknown experiment {name!r} "
                 f"(choose from {', '.join(sorted(valid))})"
             )
-    if args.trace == "":
-        parser.error("--trace requires a directory name")
-    if args.metrics == "":
-        parser.error("--metrics requires a directory name")
-    if args.report == "":
-        parser.error("--report requires a file name")
-    if args.calibrate == "":
-        parser.error("--calibrate requires a directory name")
-    if args.live == "":
-        parser.error("--live requires a directory name")
-    if args.whatif == "":
-        parser.error("--whatif requires a plan file name")
-    if args.plan == "":
-        parser.error("--plan requires 'auto', 'default', or a plan file")
+    for flag, what in _REQUIRED_VALUES.items():
+        if getattr(args, flag) == "":
+            parser.error(f"--{flag} requires {what}")
     if (args.plan is not None and args.plan not in ("auto", "default")
             and not Path(args.plan).exists()):
         parser.error(f"--plan file not found: {args.plan}")
@@ -311,7 +309,3 @@ def main(argv: list[str] | None = None) -> int:
         print(f"transcript written to {transcript}")
 
     return 0
-
-
-if __name__ == "__main__":
-    sys.exit(main())

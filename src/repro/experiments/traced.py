@@ -209,7 +209,7 @@ def run_traced(
     With ``live_dir`` the run carries a
     :class:`~repro.obs.live.LiveRuntime`: ``live_dir/<algorithm>_
     <backend>/live.json`` (+ ``.prom``) is rewritten atomically while
-    the run executes (tail it with ``python -m repro.obs.live watch``),
+    the run executes (tail it with ``python -m repro live watch``),
     and the final snapshot includes the mergeable latency sketches.
 
     With ``plan_mode`` the run is configured by the autotuning planner
@@ -337,7 +337,7 @@ def run_calibration(
     Backs the CLI's ``--calibrate DIR`` flag: one demo run per backend,
     each replayed through :func:`repro.obs.profile_trace` against the
     Table 1/2 platform, written as ``calibration_<backend>.json`` (for
-    ``python -m repro.obs.profile gate``) and a readable ``.txt``.
+    ``python -m repro profile gate``) and a readable ``.txt``.
     """
     from repro.obs import profile_trace
 

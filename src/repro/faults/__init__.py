@@ -24,8 +24,9 @@ The interpreter tying plans to execution is
 :class:`~repro.faults.injector.FaultInjector`; both backends drive its
 hooks from the one rank context in :mod:`repro.cluster.runtime` and
 price ops through its compiled ``perturb`` hook.
-The chaos-sweep harness (:mod:`repro.faults.sweep`) and the umbrella
-CLI (``python -m repro.faults``) sit on top.
+The chaos-sweep harness (:mod:`repro.faults.sweep`) sits on top; its
+CLI and the plan checker's are ``python -m repro sweep`` and
+``python -m repro plan``.
 """
 
 from repro.faults.adaptive import (

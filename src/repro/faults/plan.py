@@ -213,11 +213,11 @@ def describe_plan(plan: FaultPlan) -> str:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    """``python -m repro.faults plan <validate|show> FILE``"""
+    """``python -m repro plan <validate|show> FILE``"""
     import argparse
 
     parser = argparse.ArgumentParser(
-        prog="python -m repro.faults plan",
+        prog="python -m repro plan",
         description="Inspect and validate JSON fault plans.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
@@ -242,7 +242,3 @@ def main(argv: Sequence[str] | None = None) -> int:
     else:
         print(describe_plan(plan))
     return 0
-
-
-if __name__ == "__main__":  # pragma: no cover - exercised via CLI tests
-    raise SystemExit(main())

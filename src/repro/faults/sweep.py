@@ -486,11 +486,11 @@ def sweep_table(result: Mapping[str, Any]) -> str:
 # -- CLI ----------------------------------------------------------------------
 
 def main(argv: Sequence[str] | None = None) -> int:
-    """``python -m repro.faults sweep`` — run or gate a chaos sweep."""
+    """``python -m repro sweep`` — run or gate a chaos sweep."""
     import argparse
 
     parser = argparse.ArgumentParser(
-        prog="repro.faults sweep",
+        prog="python -m repro sweep",
         description="Chaos-sweep fault grids through adaptive recovery.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
@@ -548,7 +548,3 @@ def _dispatch(args: Any) -> int:
     if args.gate:
         return _gate(result, args.gate)
     return 0
-
-
-if __name__ == "__main__":  # pragma: no cover - CLI entry
-    raise SystemExit(main())

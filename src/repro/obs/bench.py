@@ -1,6 +1,6 @@
 """Continuous benchmarking with regression gating.
 
-``python -m repro.obs.bench`` runs a *pinned* subset of the Table 5–8
+``python -m repro bench`` runs a *pinned* subset of the Table 5–8
 experiment grid and persists the timings as a schema-versioned
 ``BENCH_<iso-date>.json`` artifact; ``compare BASE CAND`` runs the
 ledger's regression gate (:func:`repro.obs.history.gate_entries`) with
@@ -19,12 +19,12 @@ Two measurement regimes, mirroring the repo's two backends:
 
 Usage::
 
-    python -m repro.obs.bench run                      # BENCH_<date>.json
-    python -m repro.obs.bench run --out bench.json --backends sim,inproc
-    python -m repro.obs.bench compare BENCH_a.json BENCH_b.json
-    python -m repro.obs.bench report BENCH_a.json
-    python -m repro.obs.bench microbench --gate    # fast-path kernel floors
-    python -m repro.obs.bench plan --gate          # autotuning planner gate
+    python -m repro bench run                      # BENCH_<date>.json
+    python -m repro bench run --out bench.json --backends sim,inproc
+    python -m repro bench compare BENCH_a.json BENCH_b.json
+    python -m repro bench report BENCH_a.json
+    python -m repro bench microbench --gate    # fast-path kernel floors
+    python -m repro bench plan --gate          # autotuning planner gate
 
 See README "Benchmarking & the regression gate" and EXPERIMENTS.md for
 how these artifacts relate to the paper's Tables 5–8.
@@ -659,8 +659,6 @@ def _add_run_parser(sub: Any) -> None:
     p.add_argument("--cols", type=int, default=None)
     p.add_argument("--bands", type=int, default=None)
     p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--n-targets", type=int, default=None)
-    p.add_argument("--n-classes", type=int, default=None)
     p.add_argument("--comm-factor", type=float, default=None,
                    help="scale all message volumes (ablation / regression "
                         "injection; 2.0 doubles every link cost)")
@@ -675,13 +673,13 @@ def _add_run_parser(sub: Any) -> None:
                         "(inproc cells always run serially)")
     p.add_argument("--record", metavar="LEDGER", default=None,
                    help="also append the run's cells to the longitudinal "
-                        "run ledger (see `python -m repro.obs.history`); "
+                        "run ledger (see `python -m repro history`); "
                         "sim makespans land as gated virtual-time series, "
                         "wall medians are quarantined")
 
 
 def _add_microbench_parser(sub: Any) -> None:
-    from repro.obs.microbench import KERNELS, MicrobenchConfig
+    from repro.obs.microbench import MicrobenchConfig
 
     defaults = MicrobenchConfig()
     p = sub.add_parser(
@@ -693,23 +691,12 @@ def _add_microbench_parser(sub: Any) -> None:
                    help="write the microbench artifact JSON here")
     p.add_argument("--date", default=None,
                    help="ISO date stamped into the artifact")
-    p.add_argument("--kernels", type=_csv, default=None,
-                   help=f"comma-separated kernel subset of {','.join(KERNELS)}")
     p.add_argument("--repeats", type=int, default=defaults.repeats,
                    help="timing repetitions per side (best-of wins)")
     p.add_argument("--rows", type=int, default=defaults.rows)
     p.add_argument("--cols", type=int, default=defaults.cols)
     p.add_argument("--bands", type=int, default=defaults.bands)
     p.add_argument("--seed", type=int, default=defaults.seed)
-    p.add_argument("--n-targets", type=int, default=defaults.n_targets,
-                   help="detector iterations (paper: 30)")
-    p.add_argument("--iterations", type=int,
-                   default=defaults.morph_iterations,
-                   help="MORPH passes I_max (paper: 5)")
-    p.add_argument("--ufcls-pixels", type=int, default=defaults.ufcls_pixels,
-                   help="pixel subset for the ufcls kernel (both variants "
-                        "share the active-set refinement; the full 6144-pixel "
-                        "frame costs ~8 s/sample)")
     p.add_argument("--paper-scale", action="store_true",
                    help="use the paper's 614x512x224 cube (float64 cube "
                         "~563 MB, reference MEI peak ~2 GB — check memory)")
@@ -745,7 +732,6 @@ def _add_plan_parser(sub: Any) -> None:
     p.add_argument("--cols", type=int, default=None)
     p.add_argument("--bands", type=int, default=None)
     p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--n-targets", type=int, default=None)
     p.add_argument("--jobs", type=int, default=None,
                    help="fan cells out over N worker processes; the "
                         "artifact is byte-identical to a serial run")
@@ -764,7 +750,7 @@ def _run_plan_command(args: argparse.Namespace) -> int:
         name: getattr(args, name)
         for name in (
             "algorithms", "variants", "networks", "rows", "cols", "bands",
-            "seed", "n_targets",
+            "seed",
         )
         if getattr(args, name) is not None
     }
@@ -806,15 +792,7 @@ def _run_microbench_command(args: argparse.Namespace) -> int:
         from repro.obs.microbench import PAPER_SCALE
 
         scale = dict(PAPER_SCALE)
-    config = MicrobenchConfig(
-        seed=args.seed,
-        n_targets=args.n_targets,
-        morph_iterations=args.iterations,
-        repeats=args.repeats,
-        kernels=args.kernels or MicrobenchConfig().kernels,
-        ufcls_pixels=args.ufcls_pixels,
-        **scale,
-    )
+    config = MicrobenchConfig(seed=args.seed, repeats=args.repeats, **scale)
     date = args.date or datetime.date.today().isoformat()
     artifact = run_microbench(config, date=date)
     print(microbench_report(artifact))
@@ -848,8 +826,7 @@ def _build_config(args: argparse.Namespace) -> BenchConfig:
         name: getattr(args, name)
         for name in (
             "algorithms", "variants", "networks", "backends", "repeats",
-            "rows", "cols", "bands", "seed", "n_targets", "n_classes",
-            "comm_factor",
+            "rows", "cols", "bands", "seed", "comm_factor",
         )
         if getattr(args, name) is not None
     }
@@ -858,7 +835,7 @@ def _build_config(args: argparse.Namespace) -> BenchConfig:
 
 def main(argv: Sequence[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
-        prog="python -m repro.obs.bench",
+        prog="python -m repro bench",
         description="Continuous benchmarking with regression gating.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
@@ -962,7 +939,3 @@ def main(argv: Sequence[str] | None = None) -> int:
         return 2
     print(report_text(artifact))
     return 0
-
-
-if __name__ == "__main__":
-    sys.exit(main())

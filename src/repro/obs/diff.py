@@ -26,7 +26,7 @@ slowdown plan it names the injected rank.
 
 CLI (exit 1 on structural divergence)::
 
-    python -m repro.obs.diff baseline.jsonl candidate.jsonl [--json out]
+    python -m repro diff baseline.jsonl candidate.jsonl [--json out]
 """
 
 from __future__ import annotations
@@ -383,7 +383,7 @@ def diff_traces(
 # -- CLI ---------------------------------------------------------------------
 def main(argv: Sequence[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
-        prog="python -m repro.obs.diff",
+        prog="python -m repro diff",
         description=(
             "Diff two JSONL traces: exit 1 on structural divergence."
         ),
@@ -392,10 +392,6 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser.add_argument("candidate", help="JSONL trace under scrutiny")
     parser.add_argument(
         "--json", default=None, help="also write the diff JSON here"
-    )
-    parser.add_argument(
-        "--top", type=int, default=10,
-        help="timing deltas to print (default: %(default)s)",
     )
     args = parser.parse_args(argv)
     try:
@@ -409,9 +405,5 @@ def main(argv: Sequence[str] | None = None) -> int:
         return 2
     if args.json:
         write_json(args.json, diff.to_dict())
-    print(diff.to_text(top=args.top))
+    print(diff.to_text())
     return 0 if diff.equivalent else 1
-
-
-if __name__ == "__main__":  # pragma: no cover - exercised via CLI tests
-    raise SystemExit(main())

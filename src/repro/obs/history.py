@@ -32,9 +32,9 @@ runs append byte-identical ledgers.
 
 Usage (``--ledger`` defaults to the committed seed)::
 
-    python -m repro.obs.history --ledger L record --bench BENCH_x.json
-    python -m repro.obs.history --ledger L list [PREFIX ...]
-    python -m repro.obs.history --ledger L gate --bench BENCH_y.json
+    python -m repro history --ledger L record --bench BENCH_x.json
+    python -m repro history --ledger L list [PREFIX ...]
+    python -m repro history --ledger L gate --bench BENCH_y.json
 """
 
 from __future__ import annotations
@@ -42,7 +42,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
-import os
 import sys
 import warnings
 from pathlib import Path
@@ -865,7 +864,7 @@ def _list_text(series: Mapping[str, Sequence[LedgerEntry]]) -> str:
 
 def main(argv: Sequence[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
-        prog="python -m repro.obs.history",
+        prog="python -m repro history",
         description="Run ledger and the regression gate over it.",
     )
     parser.add_argument("--ledger", default=DEFAULT_LEDGER,
@@ -939,12 +938,3 @@ def main(argv: Sequence[str] | None = None) -> int:
     report = gate_last(ledger) if args.last else gate_entries(ledger, entries)
     print(report.to_text())
     return conclude_gate(report, args.json)
-
-
-if __name__ == "__main__":  # pragma: no cover - CLI entry
-    try:
-        sys.exit(main())
-    except BrokenPipeError:
-        # `... list | head` closes our stdout early; exit quietly.
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        sys.exit(0)

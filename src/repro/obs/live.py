@@ -19,8 +19,8 @@ it *while it executes*, at bounded cost, on both backends:
   fault plan.  The engine additionally reports each modelled transfer.
 * atomic snapshots — ``live.json`` (ring + aggregates + percentiles +
   health state) and ``live.prom`` (the session's OpenMetrics dump) are
-  rewritten atomically every ``snapshot_every`` spans, so ``obs watch``
-  (the CLI at the bottom: ``python -m repro.obs.live watch DIR``) can
+  rewritten atomically every ``snapshot_every`` spans, so ``live watch``
+  (the CLI at the bottom: ``python -m repro live watch DIR``) can
   tail a run without coordinating with it.
 
 On the virtual-time engine every aggregate is keyed per rank and
@@ -482,18 +482,16 @@ def _watch(args: argparse.Namespace) -> int:
             if data is not None:
                 if updates:
                     print()
-                print(render_snapshot(data, top=args.top))
+                print(render_snapshot(data))
                 updates += 1
-                if args.max_updates and updates >= args.max_updates:
-                    return 0
         if not args.follow:
             return 0 if updates else 2
-        time.sleep(args.interval)
+        time.sleep(1.0)
 
 
 def main(argv: Iterable[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
-        prog="python -m repro.obs.live",
+        prog="python -m repro live",
         description="Tail the live snapshot of a running experiment.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
@@ -502,16 +500,7 @@ def main(argv: Iterable[str] | None = None) -> int:
     )
     p_watch.add_argument("dir", help="snapshot directory (or live.json path)")
     p_watch.add_argument("--follow", action="store_true",
-                         help="keep polling and reprint on every update")
-    p_watch.add_argument("--interval", type=float, default=1.0,
-                         help="poll interval in seconds (default 1.0)")
-    p_watch.add_argument("--max-updates", type=int, default=0,
-                         help="with --follow, exit after N reprints")
-    p_watch.add_argument("--top", type=int, default=12,
-                         help="show the N busiest ops (default 12)")
+                         help="keep polling once a second and reprint on "
+                              "every update")
     args = parser.parse_args(list(argv) if argv is not None else None)
     return _watch(args)
-
-
-if __name__ == "__main__":  # pragma: no cover - CLI entry
-    sys.exit(main())

@@ -1,6 +1,6 @@
 """Per-kernel wall-time microbenchmarks for the fast-path layer.
 
-``python -m repro.obs.bench microbench`` enumerates, for every hot
+``python -m repro bench microbench`` enumerates, for every hot
 kernel, **all** variants registered in
 :mod:`repro.tuning.registry` — the scratch reference and each fast
 path — times them in the same process on the same data, and records the
@@ -36,8 +36,8 @@ registry default and keep the floor gate and trend history stable.
 The default scale fits CI; paper scale (614×512×224, the AVIRIS World
 Trade Center cube) is one flag away::
 
-    python -m repro.obs.bench microbench --gate
-    python -m repro.obs.bench microbench --paper-scale --out micro.json
+    python -m repro bench microbench --gate
+    python -m repro bench microbench --paper-scale --out micro.json
 
 Paper scale allocates the full float64 cube (~563 MB, peak ~2 GB in the
 reference MEI pass) — check available memory first.

@@ -27,9 +27,9 @@ residuals measure how well the model's *shape* matches the machine:
 
 CLI::
 
-    python -m repro.obs.profile analyze trace.jsonl \\
+    python -m repro profile analyze trace.jsonl \\
         --platform "fully heterogeneous" [--json calib.json]
-    python -m repro.obs.profile gate calib.json \\
+    python -m repro profile gate calib.json \\
         --baseline benchmarks/baselines/calibration.json --backend sim
 """
 
@@ -459,7 +459,7 @@ def _cmd_gate(args: argparse.Namespace) -> int:
 
 def main(argv: Sequence[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
-        prog="python -m repro.obs.profile",
+        prog="python -m repro profile",
         description="Calibrate the analytic cost model against a trace.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
@@ -499,7 +499,3 @@ def main(argv: Sequence[str] | None = None) -> int:
     except (ConfigurationError, OSError, KeyError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-
-
-if __name__ == "__main__":  # pragma: no cover - exercised via CLI tests
-    raise SystemExit(main())

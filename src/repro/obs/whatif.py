@@ -30,8 +30,8 @@ are the same timing-perturbation objects, so :func:`replay` takes them
 as they stand, and every perturbation that is also runnable on the
 engine (under a fault plan or an edited platform table) is
 *self-validating*: the replayed prediction must match an actual
-sim-engine run to 1e-9 relative (``python -m repro.obs.whatif
-validate`` gates exactly that in CI, with one object on both sides).
+sim-engine run to 1e-9 relative (``python -m repro whatif validate``
+gates exactly that in CI, with one object on both sides).
 """
 
 from __future__ import annotations
@@ -744,14 +744,6 @@ def _load_trace(path: str) -> Any:
     return read_jsonl(path)
 
 
-def _scales_arg(path: str | None) -> dict[str, float] | None:
-    if path is None:
-        return None
-    from repro.obs.health import scales_from_calibration
-
-    return scales_from_calibration(path)
-
-
 def _write_doc(doc: Mapping[str, Any], path: str | None) -> None:
     if path is not None:
         write_json(path, doc)
@@ -763,7 +755,6 @@ def _cmd_predict(args: argparse.Namespace) -> int:
         _load_trace(args.trace),
         platform_by_name(args.platform),
         plan=plan,
-        scales=_scales_arg(args.scales),
     )
     print(
         f"baseline {doc['baseline_makespan_s']:.6f}s -> predicted "
@@ -781,11 +772,9 @@ def _cmd_causal(args: argparse.Namespace) -> int:
     profile = causal_profile(
         _load_trace(args.trace),
         platform_by_name(args.platform),
-        speedup_pct=args.speedup,
-        scales=_scales_arg(args.scales),
         jobs=args.jobs,
     )
-    print(profile.to_text(top=args.top))
+    print(profile.to_text())
     _write_doc(profile.to_dict(), args.json)
     return 0
 
@@ -798,7 +787,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         platform_by_name(args.platform),
         sizes,
         plan=plan,
-        scales=_scales_arg(args.scales),
         jobs=args.jobs,
     )
     print(sweep_table(doc))
@@ -818,7 +806,7 @@ def _cmd_validate(args: argparse.Namespace) -> int:
 
 def main(argv: Sequence[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
-        prog="python -m repro.obs.whatif",
+        prog="python -m repro whatif",
         description="Deterministic what-if replay of recorded traces.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
@@ -831,10 +819,6 @@ def main(argv: Sequence[str] | None = None) -> int:
     pred.add_argument(
         "--platform", default="fully heterogeneous",
         help="platform preset name (default: %(default)s)",
-    )
-    pred.add_argument(
-        "--scales", default=None,
-        help="calibration JSON providing compute/transfer scales",
     )
     pred.add_argument(
         "--json", default=None, help="write the prediction document here"
@@ -850,19 +834,9 @@ def main(argv: Sequence[str] | None = None) -> int:
         help="platform preset name (default: %(default)s)",
     )
     causal.add_argument(
-        "--speedup", type=float, default=10.0,
-        help="virtual speedup percentage per subject (default: %(default)s)",
-    )
-    causal.add_argument(
-        "--top", type=int, default=12,
-        help="rows to print (default: %(default)s)",
-    )
-    causal.add_argument(
         "--jobs", type=int, default=None,
         help="replay subjects over N worker processes (same output)",
     )
-    causal.add_argument("--scales", default=None,
-                        help="calibration JSON with compute/transfer scales")
     causal.add_argument(
         "--json", default=None, help="write the causal profile JSON here"
     )
@@ -888,8 +862,6 @@ def main(argv: Sequence[str] | None = None) -> int:
         "--jobs", type=int, default=None,
         help="fan sweep points over N worker processes (same output)",
     )
-    sweep.add_argument("--scales", default=None,
-                       help="calibration JSON with compute/transfer scales")
     sweep.add_argument(
         "--json", default=None, help="write the sweep document here"
     )
@@ -918,7 +890,3 @@ def main(argv: Sequence[str] | None = None) -> int:
     except (ConfigurationError, OSError, KeyError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-
-
-if __name__ == "__main__":  # pragma: no cover - exercised via CLI tests
-    raise SystemExit(main())

@@ -227,7 +227,7 @@ class TestSweepCLI:
         assert "invalid sweep input" in capsys.readouterr().err
 
     def test_umbrella_cli_lists_and_dispatches(self, capsys):
-        from repro.faults.__main__ import main as umbrella
+        from repro.__main__ import main as umbrella
 
         assert umbrella([]) == 0
         out = capsys.readouterr().out

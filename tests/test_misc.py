@@ -131,20 +131,48 @@ class TestExperimentsCLI:
         with pytest.raises(SystemExit):
             main(["tableX"])
 
+    @pytest.mark.parametrize("flag, message", [
+        ("--trace", "--trace requires a directory name"),
+        ("--metrics", "--metrics requires a directory name"),
+        ("--report", "--report requires a file name"),
+        ("--calibrate", "--calibrate requires a directory name"),
+        ("--live", "--live requires a directory name"),
+        ("--whatif", "--whatif requires a plan file name"),
+        ("--plan", "--plan requires 'auto', 'default', or a plan file"),
+    ])
+    def test_empty_value_rejected(self, flag, message, capsys):
+        from repro.experiments.runner import main
+
+        with pytest.raises(SystemExit) as info:
+            main([flag, ""])
+        assert info.value.code == 2
+        assert capsys.readouterr().err.rstrip().endswith(f"error: {message}")
+
+
+class TestRootCli:
+    def test_broken_pipe_exits_quietly(self, tmp_path, monkeypatch, capsys):
+        """``python -m repro <tool> ... | head``: the reader went away,
+        and every tool exits 0 without a traceback."""
+        import sys
+
+        from repro.__main__ import main
+        from repro.obs import history
+
+        def closed_pipe(argv):
+            raise BrokenPipeError
+
+        monkeypatch.setattr(history, "main", closed_pipe)
+        with open(tmp_path / "stdout", "w") as stdout:
+            monkeypatch.setattr(sys, "stdout", stdout)
+            assert main(["history", "list"]) == 0
+        assert capsys.readouterr().err == ""
+
 
 def _cli_tools():
-    """``(label, module)`` of every CLI tool: both umbrella tables and
-    the experiments driver."""
-    from repro.faults.__main__ import TOOLS as FAULT_TOOLS
-    from repro.obs.__main__ import TOOLS as OBS_TOOLS
+    """``(name, module)`` of every CLI tool, from the root table."""
+    from repro.__main__ import TOOLS
 
-    tools = [("experiments", "repro.experiments.runner")]
-    for package, table in (("obs", OBS_TOOLS), ("faults", FAULT_TOOLS)):
-        tools += [
-            (f"{package} {name}", module)
-            for name, (module, _description) in sorted(table.items())
-        ]
-    return tools
+    return [(name, module) for name, (module, _description) in TOOLS.items()]
 
 
 class TestEveryCliLeafAnswersHelp:
@@ -176,16 +204,15 @@ class TestEveryCliLeafAnswersHelp:
 
 
 def _documented_commands():
-    """``(file:line, argv)`` of every ``python -m repro…`` /
-    ``repro-experiments`` command line in README.md and EXPERIMENTS.md
-    (fenced or indented; continuation lines joined, comments dropped)."""
+    """``(file:line, argv)`` of every ``python -m repro …`` / ``repro …``
+    command line in README.md and EXPERIMENTS.md (fenced or indented;
+    continuation lines joined, comments dropped)."""
     import re
     import shlex
     from pathlib import Path
 
     start = re.compile(
-        r"^\s*(?:\$ )?(?:PYTHONPATH=src )?"
-        r"(?:python3? -m (repro[\w.]*)|(repro-experiments))(?=\s|$)(.*)"
+        r"^\s*(?:\$ )?(?:PYTHONPATH=src )?(?:python3? -m )?repro(?=\s|$)(.*)"
     )
     repo = Path(__file__).resolve().parents[1]
     found = []
@@ -195,7 +222,7 @@ def _documented_commands():
             match = start.match(line)
             if match is None:
                 continue
-            text, nxt = match.group(3), number
+            text, nxt = match.group(1), number
             while text.rstrip().endswith("\\"):
                 text = text.rstrip()[:-1] + " " + lines[nxt]
                 nxt += 1
@@ -203,10 +230,7 @@ def _documented_commands():
             for operator in ("&", "&&", "|", ";", ">"):  # shell, not argv
                 if operator in argv:
                     argv = argv[:argv.index(operator)]
-            found.append(pytest.param(
-                match.group(1) or match.group(2), argv,
-                id=f"{name}:{number}",
-            ))
+            found.append(pytest.param(argv, id=f"{name}:{number}"))
     return found
 
 
@@ -216,23 +240,15 @@ class TestDocumentedCommandsParse:
     subcommand or a committed file a PR deletes cannot survive in the
     docs."""
 
-    #: what ``python -m <name>`` runs, where it is not ``<name>.main``
-    #: (``repro.experiments.__main__`` executes on import).
-    MAINS = {
-        "repro.experiments": "repro.experiments.runner",
-        "repro-experiments": "repro.experiments.runner",
-        "repro.obs": "repro.obs.__main__",
-        "repro.faults": "repro.faults.__main__",
-    }
-
     def test_there_are_commands_to_check(self):
         assert len(_documented_commands()) >= 40
 
-    @pytest.mark.parametrize("tool, argv", _documented_commands())
-    def test_parses(self, tool, argv, monkeypatch, capsys):
+    @pytest.mark.parametrize("argv", _documented_commands())
+    def test_parses(self, argv, monkeypatch, capsys):
         import argparse
-        import importlib
         from pathlib import Path
+
+        from repro.__main__ import main
 
         class Parsed(Exception):
             pass
@@ -244,14 +260,13 @@ class TestDocumentedCommandsParse:
             raise Parsed
 
         monkeypatch.setattr(argparse.ArgumentParser, "parse_args", parse_only)
-        main = importlib.import_module(self.MAINS.get(tool, tool)).main
         try:
-            # an umbrella CLI without a tool name lists its tools
+            # the root CLI without a tool name lists the tools
             assert main(argv) == 0 and not argv
         except Parsed:
             pass
         except SystemExit as exc:
-            pytest.fail(f"{tool} {argv}: {capsys.readouterr().err or exc}")
+            pytest.fail(f"repro {argv}: {capsys.readouterr().err or exc}")
         repo = Path(__file__).resolve().parents[1]
         for word in argv:
             if word.startswith("benchmarks/"):

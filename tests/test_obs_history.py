@@ -717,7 +717,7 @@ class TestCLI:
         assert "error:" in capsys.readouterr().err
 
     def test_umbrella_cli_knows_history(self):
-        from repro.obs.__main__ import TOOLS
+        from repro.__main__ import TOOLS
 
         assert TOOLS["history"][0] == "repro.obs.history"
 

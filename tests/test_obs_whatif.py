@@ -607,25 +607,30 @@ class TestWhatIfCli:
 
 class TestUmbrellaCli:
     def test_listing(self, capsys):
-        from repro.obs.__main__ import main as obs_main
+        from repro.__main__ import TOOLS
+        from repro.__main__ import main as repro_main
 
-        assert obs_main([]) == 0
+        assert repro_main([]) == 0
         out = capsys.readouterr().out
-        for tool in ("bench", "profile", "diff", "live", "whatif"):
-            assert tool in out
+        assert out.startswith("usage: python -m repro <tool>")
+        assert len(TOOLS) == 9
+        for tool in TOOLS:
+            assert f"  {tool} " in out
 
     def test_unknown_tool(self, capsys):
-        from repro.obs.__main__ import main as obs_main
+        from repro.__main__ import main as repro_main
 
-        assert obs_main(["no-such-tool"]) == 2
+        assert repro_main(["no-such-tool"]) == 2
         assert "unknown tool" in capsys.readouterr().err
 
     def test_dispatch_reaches_subtool(self, capsys):
-        from repro.obs.__main__ import main as obs_main
+        from repro.__main__ import main as repro_main
 
         with pytest.raises(SystemExit):
-            obs_main(["whatif", "--help"])
-        assert "predict" in capsys.readouterr().out
+            repro_main(["whatif", "--help"])
+        out = capsys.readouterr().out
+        assert out.startswith("usage: python -m repro whatif")
+        assert "predict" in out
 
 
 class TestReplayOpExtraction:
