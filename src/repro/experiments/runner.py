@@ -30,7 +30,6 @@ from repro.experiments.traced import (
     export_metrics,
     run_calibration,
     run_metrics,
-    run_report,
     run_traced,
 )
 from repro.experiments.whatif import run_whatif
@@ -47,7 +46,6 @@ _GRID_EXPERIMENTS = {"table5", "table6", "table7"}
 _REQUIRED_VALUES = {
     "trace": "a directory name",
     "metrics": "a directory name",
-    "report": "a file name",
     "calibrate": "a directory name",
     "live": "a directory name",
     "whatif": "a plan file name",
@@ -89,12 +87,6 @@ def main(argv: list[str] | None = None) -> int:
                         help="export the metric registry of a demo run as "
                              "JSON + OpenMetrics text into DIR (standalone; "
                              "reuses the --trace runs when both are given)")
-    parser.add_argument("--report", metavar="FILE", default=None,
-                        help="write a self-contained HTML run report (gantt "
-                             "with critical path, link/blocked/WEA tables, "
-                             "cost-model calibration) for the traced demo "
-                             "run; reuses the --trace sim run when both "
-                             "flags are given")
     parser.add_argument("--calibrate", metavar="DIR", default=None,
                         help="calibrate the analytic cost model on both "
                              "backends and write calibration_{sim,inproc}"
@@ -152,11 +144,10 @@ def main(argv: list[str] | None = None) -> int:
             and not Path(args.plan).exists()):
         parser.error(f"--plan file not found: {args.plan}")
     if (not args.experiments and args.trace is None and args.metrics is None
-            and args.report is None and args.calibrate is None
-            and args.whatif is None):
+            and args.calibrate is None and args.whatif is None):
         parser.error("nothing to do: name experiments and/or pass "
-                     "--trace DIR / --metrics DIR / --report FILE / "
-                     "--calibrate DIR / --whatif PLAN "
+                     "--trace DIR / --metrics DIR / --calibrate DIR / "
+                     "--whatif PLAN "
                      "(--live attaches to those runs)")
 
     wanted = list(EXPERIMENT_NAMES) if "all" in args.experiments else [
@@ -223,12 +214,6 @@ def main(argv: list[str] | None = None) -> int:
         files = run_metrics(config, metrics_dir, backend="sim")
         print("  metrics -> " + ", ".join(p.name for p in files))
 
-    if args.report is not None:
-        print("rendering the HTML run report (sim backend)...", flush=True)
-        report_path = run_report(
-            config, args.report, fault_plan=fault_plan, traced=sim_traced
-        )
-        print(f"  report -> {report_path}")
     if args.calibrate is not None:
         print("calibrating the cost model (sim + inproc backends)...",
               flush=True)

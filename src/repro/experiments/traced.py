@@ -54,7 +54,6 @@ __all__ = [
     "TracedRun",
     "demo_run",
     "run_traced",
-    "run_report",
     "run_calibration",
     "export_metrics",
     "run_metrics",
@@ -124,7 +123,7 @@ def demo_run(
     live_dir: Path | None = None,
     plan_mode: "str | None" = None,
 ) -> DemoRun:
-    """One traced demo run (shared by trace, report, and calibration):
+    """One traced demo run (shared by trace, calibration and what-if):
     execute on the Table 1/2 platform, cross-check the span ledger on
     fault-free sim runs, analyze the trace."""
     scene = make_wtc_scene(cfg.scene)
@@ -263,67 +262,6 @@ def run_traced(
         files=tuple(files),
         analysis=analysis,
         plan=tuning,
-    )
-
-
-def run_report(
-    config: ExperimentConfig | None = None,
-    path: Path | str = "report.html",
-    backend: str = "sim",
-    algorithm: str = "atdca",
-    fault_plan: "FaultPlan | None" = None,
-    traced: TracedRun | None = None,
-) -> Path:
-    """Write the single-file HTML report for a traced demo run.
-
-    Backs the CLI's ``--report FILE`` flag.  Pass ``traced`` to reuse
-    an existing :class:`TracedRun` (the CLI reuses the ``--trace`` sim
-    run); otherwise a fresh demo run is executed.  The report embeds
-    the deterministic analyzer JSON verbatim and, additionally, the
-    cost-model calibration of the run.
-    """
-    from repro.obs.profile import profile_trace
-    from repro.obs.report import write_report
-
-    cfg = config or ExperimentConfig()
-    source = (
-        traced if traced is not None
-        else demo_run(cfg, backend, algorithm, fault_plan)
-    )
-    run, obs, analysis = source.run, source.obs, source.analysis
-    # Calibrate against the full starting platform: profile_trace maps
-    # post-recovery dense ranks back to original ids via the seam spans.
-    platform = fully_heterogeneous()
-    calibration = profile_trace(obs, platform)
-    # Capacity-plan section: deterministic what-if replay of the same
-    # trace at several cluster sizes.  Sim-exact replays only — a
-    # wall-clock trace has no exact replay, and a recovered run's
-    # trace spans several attempts.
-    sweep = None
-    if backend == "sim" and fault_plan is None:
-        from repro.obs.whatif import capacity_sweep, run_meta_of
-
-        if run_meta_of(obs) is not None:
-            sweep = capacity_sweep(
-                obs, platform, sizes=(4, 8, 12, 16, 24)
-            )
-    subtitle = (
-        f"{cfg.scene.rows}×{cfg.scene.cols}×{cfg.scene.bands} scene — "
-        f"{platform.name} — {platform.size} ranks"
-    )
-    if getattr(run, "recovered", False):
-        subtitle += (
-            f" — recovered from rank loss {run.crashed_ranks} "
-            f"in {len(run.attempts)} attempts"
-        )
-    return write_report(
-        path,
-        obs,
-        analysis,
-        calibration,
-        title=f"{algorithm} — {backend} backend",
-        subtitle=subtitle,
-        sweep=sweep,
     )
 
 

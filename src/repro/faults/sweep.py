@@ -313,15 +313,7 @@ def run_cell(state: Mapping[str, Any], cell: Mapping[str, Any]) -> dict[str, Any
     record["crashed_ranks"] = list(adaptive.crashed_ranks)
     if backend != "sim":
         return record
-    # Crash-cell makespans are excluded from artifacts: abort-based
-    # crash *detection* observes peer clocks wherever the OS scheduler
-    # left them, so the post-crash timeline is schedule-dependent even
-    # in virtual time.  (Adaptive repartitions are coordinated exits —
-    # every rank leaves at the same virtual boundary — so slowdown
-    # cells stay fully deterministic.)
-    crashy = bool(cell.get("crash")) or bool(record["crashed_ranks"])
-    if not crashy:
-        record["makespan"] = adaptive.makespan
+    record["makespan"] = adaptive.makespan
     try:
         noadapt = run_with_recovery(
             algorithm, state["image"], state["platform"],
@@ -335,8 +327,6 @@ def run_cell(state: Mapping[str, Any], cell: Mapping[str, Any]) -> dict[str, Any
     record["result_equal"] = (
         record["result_equal"] and _outputs_equal(noadapt.output, reference)
     )
-    if crashy:
-        return record
     record["makespan_noadapt"] = noadapt.makespan
     perturbations = () if plan is None else plan.timing_perturbations
     if perturbations is not None:

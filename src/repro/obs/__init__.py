@@ -83,8 +83,6 @@ _LAZY = {
     "OpSample": "repro.obs.profile",
     "calibration_gate": "repro.obs.profile",
     "profile_trace": "repro.obs.profile",
-    "render_report": "repro.obs.report",
-    "write_report": "repro.obs.report",
     "FlightRecorder": "repro.obs.live",
     "LiveRuntime": "repro.obs.live",
     "read_snapshot": "repro.obs.live",
@@ -158,8 +156,6 @@ __all__ = [
     "OpSample",
     "calibration_gate",
     "profile_trace",
-    "render_report",
-    "write_report",
     "FlightRecorder",
     "LiveRuntime",
     "read_snapshot",

@@ -28,7 +28,7 @@ from repro.obs.dag import (
     path_increments,
     path_rank_attribution,
 )
-from repro.obs.export import canonical_json, spans_of, write_json
+from repro.obs.export import spans_of, write_json
 from repro.obs.provenance import provenance
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -760,16 +760,15 @@ class WeaAttributionReport:
 def wea_attribution(
     result: "SimulationResult",
     partition: "RowPartition",
-    platform: "HeterogeneousPlatform | None" = None,
+    platform: "HeterogeneousPlatform",
 ) -> WeaAttributionReport:
     """Explain a run's Table 7 scores rank by rank.
 
     Args:
         result: the engine run (supplies per-rank busy times).
         partition: the WEA row partition that was executed.
-        platform: optional; when given, the balanced (speed-
-            proportional) row shares use the platform speeds, else the
-            realized busy-time rates.
+        platform: the platform it ran on; the balanced row shares are
+            proportional to its processor speeds.
     """
     from repro.perf.imbalance import imbalance_of_run
 
@@ -778,22 +777,17 @@ def wea_attribution(
     n_rows = partition.n_rows
     counts = [int(c) for c in partition.counts]
     mean_busy = sum(busy) / len(busy)
-    # Balanced shares: proportional to measured per-row throughput
-    # (rows / busy), the realized analogue of WEA's 1/w_i fractions.
+    # Realized per-row throughput (rows / busy s) turns a busy-time
+    # surplus into equivalent rows.
     rates = [
         (counts[i] / busy[i]) if busy[i] > 0 else 0.0
         for i in range(len(busy))
     ]
-    if platform is not None:
-        speeds = [1.0 / platform.processor(i).cycle_time
-                  for i in range(platform.size)]
-        total_speed = sum(speeds)
-        ideal = [n_rows * s / total_speed for s in speeds]
-    else:
-        total_rate = sum(rates)
-        ideal = [
-            n_rows * r / total_rate if total_rate > 0 else 0.0 for r in rates
-        ]
+    # Balanced shares: WEA's 1/w_i fractions of the platform.
+    speeds = [1.0 / platform.processor(i).cycle_time
+              for i in range(platform.size)]
+    total_speed = sum(speeds)
+    ideal = [n_rows * s / total_speed for s in speeds]
     assignments = []
     for i, t in enumerate(busy):
         surplus = t - mean_busy
@@ -853,9 +847,6 @@ class TraceAnalysis:
         out["provenance"] = provenance()
         return out
 
-    def to_json(self) -> str:
-        return canonical_json(self.to_dict()).rstrip("\n")
-
     def to_text(self) -> str:
         parts = [
             self.critical_path.to_text(),
@@ -884,12 +875,12 @@ def analyze_trace(
 ) -> TraceAnalysis:
     """Run every analysis on a span source.
 
-    The WEA attribution additionally needs the engine result and the
-    executed partition; it is skipped when either is missing (e.g. when
-    analyzing a JSONL trace after the fact).
+    The WEA attribution additionally needs the engine result, the
+    executed partition and the platform; it is skipped when any is
+    missing (e.g. when analyzing a JSONL trace after the fact).
     """
     wea = None
-    if result is not None and partition is not None:
+    if result is not None and partition is not None and platform is not None:
         wea = wea_attribution(result, partition, platform)
     from repro.obs.whatif import run_meta_of
 

@@ -57,6 +57,8 @@ COMPARABLE_CATEGORIES = ("phase", "mpi", "kernel", "transfer")
 #: Leaf categories whose durations are ranked (wrappers would double-count).
 DELTA_CATEGORIES = ("kernel", "transfer")
 
+#: Relative tolerance on transfer volumes: covers float round-tripping;
+#: a genuinely different payload is a structural divergence.
 _MEGABITS_RTOL = 1e-6
 
 
@@ -85,10 +87,10 @@ def _structural_key(span: Span) -> tuple:
     return (span.category, span.name)
 
 
-def _megabits_match(a: Span, b: Span, rtol: float) -> bool:
+def _megabits_match(a: Span, b: Span) -> bool:
     ma = float(a.attrs.get("megabits", 0.0))
     mb = float(b.attrs.get("megabits", 0.0))
-    return abs(ma - mb) <= rtol * max(abs(ma), abs(mb), 1.0)
+    return abs(ma - mb) <= _MEGABITS_RTOL * max(abs(ma), abs(mb), 1.0)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -273,18 +275,13 @@ def _on_path(span: Span, steps: Sequence[Any]) -> bool:
     return False
 
 
-def diff_traces(
-    baseline: Any, candidate: Any, megabits_rtol: float = _MEGABITS_RTOL
-) -> TraceDiff:
+def diff_traces(baseline: Any, candidate: Any) -> TraceDiff:
     """Diff two traces: structural equivalence, then ranked deltas.
 
     Args:
         baseline: the reference run (session / tracer / loaded trace /
             span sequence — anything ``spans_of`` accepts).
         candidate: the run under scrutiny (same forms).
-        megabits_rtol: relative tolerance when comparing transfer
-            volumes (covers float round-tripping; a genuinely different
-            payload is a structural divergence).
     """
     base_spans = spans_of(baseline)
     cand_spans = spans_of(candidate)
@@ -314,7 +311,7 @@ def diff_traces(
         for i, (b, c) in enumerate(zip(b_seq, c_seq)):
             if _structural_key(b) != _structural_key(c) or (
                 b.category == "transfer"
-                and not _megabits_match(b, c, megabits_rtol)
+                and not _megabits_match(b, c)
             ):
                 structural.append(
                     StructuralDivergence(
@@ -327,7 +324,6 @@ def diff_traces(
             aligned.append((rank, i, b, c))
         if not diverged and len(b_seq) != len(c_seq):
             i = min(len(b_seq), len(c_seq))
-            longer = b_seq if len(b_seq) > len(c_seq) else c_seq
             structural.append(
                 StructuralDivergence(
                     rank=rank, index=i,
@@ -339,7 +335,6 @@ def diff_traces(
                     ),
                 )
             )
-            del longer  # lengths reported; only the first extra op named
 
     deltas: tuple[SpanDelta, ...] = ()
     dominant: int | None = None

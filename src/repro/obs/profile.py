@@ -49,6 +49,7 @@ from repro.errors import ConfigurationError
 from repro.obs.analyze import _enclosing_op, original_rank_lookup
 from repro.obs.dag import build_dag
 from repro.obs.export import canonical_json, spans_of, write_json
+from repro.obs.health import relative_error
 
 __all__ = [
     "SCHEMA",
@@ -69,18 +70,6 @@ _WORST_N = 5
 
 def _round(value: float, digits: int = 9) -> float:
     return round(float(value), digits)
-
-
-def _rel_error(predicted_s: float, observed_s: float) -> float:
-    """Bounded relative disagreement: ``|o - p| / max(|o|, |p|)``.
-
-    Symmetric in which side is wrong and defined (0.0) when both are
-    zero, so aggregates never emit non-JSON infinities.
-    """
-    denom = max(abs(observed_s), abs(predicted_s))
-    if denom <= 0.0:
-        return 0.0
-    return abs(observed_s - predicted_s) / denom
 
 
 @dataclasses.dataclass(frozen=True)
@@ -106,7 +95,7 @@ class OpSample:
     observed_s: float
 
     def scaled_rel_error(self, scale: float) -> float:
-        return _rel_error(scale * self.predicted_s, self.observed_s)
+        return relative_error(scale * self.predicted_s, self.observed_s)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -307,7 +296,7 @@ def _aggregate(
                 count=len(members),
                 predicted_s=predicted,
                 observed_s=observed,
-                rel_error=_rel_error(predicted, observed),
+                rel_error=relative_error(predicted, observed),
             )
         )
     return tuple(out)

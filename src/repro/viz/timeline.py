@@ -53,16 +53,14 @@ def ascii_gantt(
     n_ranks: int,
     makespan: float | None = None,
     width: int = 80,
-    labels: Sequence[str] | None = None,
 ) -> str:
-    """Render trace events as one lane per rank.
+    """Render trace events as one lane per rank (``r0``, ``r1``, ...).
 
     Args:
         events: the engine trace.
         n_ranks: number of lanes.
         makespan: time axis extent (defaults to the last event end).
         width: characters across the time axis.
-        labels: optional lane labels (defaults to ``r0``, ``r1``, ...).
     """
     if n_ranks < 1:
         raise ConfigurationError("need at least one rank")
@@ -71,9 +69,7 @@ def ascii_gantt(
     if not events:
         raise ConfigurationError("no events to render (trace the engine)")
     horizon = makespan if makespan is not None else max(e.end for e in events)
-    names = list(labels) if labels is not None else [f"r{i}" for i in range(n_ranks)]
-    if len(names) != n_ranks:
-        raise ConfigurationError(f"need {n_ranks} labels, got {len(names)}")
+    names = [f"r{i}" for i in range(n_ranks)]
     pad = max(len(n) for n in names)
 
     lanes = [[" "] * width for _ in range(n_ranks)]
@@ -131,12 +127,7 @@ class _SpanEvent:
     end: float
 
 
-def gantt_of_trace(
-    source: Any,
-    n_ranks: int | None = None,
-    width: int = 80,
-    labels: Sequence[str] | None = None,
-) -> str:
+def gantt_of_trace(source: Any, width: int = 80) -> str:
     """Gantt chart from tracer spans — works for wall-clock runs too.
 
     The engine only records :class:`TraceEvent` streams under the sim
@@ -153,17 +144,20 @@ def gantt_of_trace(
     glyph) instead of being overdrawn by the rank that inherited its
     dense id.
 
+    The time axis spans the executed work only: an injected fault's
+    window can outlast the run, so fault spans are clamped to the work
+    and one that starts after it is not drawn.
+
     Args:
         source: session / tracer / span sequence (see ``spans_of``).
-        n_ranks: lane count (default: highest *original* span rank + 1).
         width: characters across the time axis.
-        labels: optional lane labels.
     """
     from repro.obs.analyze import original_rank_lookup
     from repro.obs.export import spans_of
 
     spans = spans_of(source)
-    if not spans:
+    work = [s for s in spans if s.category != "fault"]
+    if not work:
         raise ConfigurationError("no spans to render (trace a run first)")
     original_rank = original_rank_lookup(spans)
 
@@ -172,22 +166,21 @@ def gantt_of_trace(
             return "seq"
         return _SPAN_KINDS.get(span.category, "phase")
 
-    lanes = [original_rank(s.rank, s.start) for s in spans]
-    ranks = n_ranks if n_ranks is not None else max(lanes) + 1
-    t0 = min(s.start for s in spans)
+    t0 = min(s.start for s in work)
+    horizon = max(s.end for s in work) - t0
     events = [
         _SpanEvent(
             kind=kind_of(s),
-            rank=lane,
-            start=s.start - t0,
-            end=s.end - t0,
+            rank=original_rank(s.rank, s.start),
+            start=max(s.start - t0, 0.0),
+            end=min(s.end - t0, horizon),
         )
-        for s, lane in zip(spans, lanes)
+        for s in spans
+        if s.end >= t0 and s.start - t0 <= horizon
     ]
     return ascii_gantt(
         events,
-        n_ranks=ranks,
-        makespan=max(e.end for e in events),
+        n_ranks=1 + max(e.rank for e in events),
+        makespan=horizon,
         width=width,
-        labels=labels,
     )

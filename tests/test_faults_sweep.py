@@ -11,10 +11,12 @@ from repro.faults.sweep import (
     AXES,
     GATE_SCHEMA,
     SWEEP_SCHEMA,
+    _prepare_state,
     enumerate_cells,
     load_sweep_grid,
     main,
     plan_of_cell,
+    run_cell,
     run_sweep,
     sweep_gate,
     sweep_table,
@@ -193,6 +195,23 @@ class TestRunSweepAndGate:
         table = sweep_table(tiny_result)
         assert table.count("\n") == len(tiny_result["cells"]) + 1
         assert "slowdown=on" in table
+
+
+class TestCrashCells:
+    def test_sim_crash_cell_records_both_makespans(self):
+        """Under run-to-block a crash and its recovery are a fixed
+        sequence of virtual times, so a crash cell's makespans are as
+        reproducible as any other sim cell's and are recorded."""
+        doc = validate_grid(tiny_grid(
+            axes={"crash": [{"rank": 3, "at_op_index": 20}]}
+        ))
+        state = _prepare_state(doc)
+        (cell,) = enumerate_cells(doc)
+        first, second = run_cell(state, cell), run_cell(state, cell)
+        assert first["ok"] and first["result_equal"]
+        assert first["crashed_ranks"] == [3]
+        assert first["makespan"] > 0 and first["makespan_noadapt"] > 0
+        assert first == second
 
 
 class TestSweepCLI:

@@ -134,7 +134,6 @@ class TestExperimentsCLI:
     @pytest.mark.parametrize("flag, message", [
         ("--trace", "--trace requires a directory name"),
         ("--metrics", "--metrics requires a directory name"),
-        ("--report", "--report requires a file name"),
         ("--calibrate", "--calibrate requires a directory name"),
         ("--live", "--live requires a directory name"),
         ("--whatif", "--whatif requires a plan file name"),

@@ -4,14 +4,18 @@ into both backends (virtual-time engine and wall-clock threads)."""
 from __future__ import annotations
 
 import json
+from pathlib import Path
 
 import pytest
 
 from repro.cluster.engine import TraceEvent, run_program
+from repro.cluster.presets import fully_heterogeneous
 from repro.core.runner import run_parallel
 from repro.errors import ConfigurationError
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.traced import run_traced
+from repro.faults.plan import FaultPlan, RankCrash, load_fault_plan
+from repro.faults.recovery import run_with_recovery
 from repro.hsi import SceneConfig, make_wtc_scene
 from repro.mpi.communicator import Communicator
 from repro.mpi.inproc import run_inproc
@@ -39,6 +43,7 @@ from repro.viz.timeline import ascii_gantt, gantt_of_trace
 
 from conftest import make_tiny_platform
 
+REPO = Path(__file__).resolve().parents[1]
 
 def _manual_tracer():
     """A tracer whose clock is advanced by hand (deterministic tests)."""
@@ -428,6 +433,67 @@ class TestGanttEdgeCases:
         lane = chart.splitlines()[0]
         assert "." in lane
         assert "=" in lane  # transfer overpaints the enclosing phase
+
+
+@pytest.fixture(scope="module")
+def crash_run():
+    """A sim run whose rank 3 crashes and recovers onto the survivors."""
+    scene = make_wtc_scene(SceneConfig(rows=32, cols=8, bands=16, seed=7))
+    obs = ObsSession.create()
+    plan = FaultPlan((RankCrash(rank=3, at_op_index=7),), name="crash-r3")
+    run = run_with_recovery(
+        "atdca", scene.image, make_tiny_platform(),
+        params={"n_targets": 4}, backend="sim", plan=plan, obs=obs,
+    )
+    assert run.recovered
+    return obs
+
+
+class TestPostRecoveryGantt:
+    def test_survivor_lanes_follow_the_seam_mapping(self, crash_run):
+        """After rank 3 crashes, the dense post-recovery ranks 0..2 map
+        back to original lanes via the repartition seam: the crashed
+        lane carries no work past the seam."""
+        obs = crash_run
+        spans = obs.tracer.spans()
+        seams = [
+            s for s in spans
+            if s.category == "fault" and s.name == "recovery.repartition"
+        ]
+        assert seams, "recovery must record a repartition seam"
+        seam = seams[-1]
+        survivors = tuple(seam.attrs["ranks"])
+        assert 3 not in survivors
+        chart = gantt_of_trace(obs, width=72)
+        # The crashed rank keeps its own lane (four lanes, not three
+        # dense ones) and the chart renders a fault glyph for it.
+        assert "r  3" in chart or "r 3" in chart or "r3" in chart
+        assert "!" in chart
+        # Post-seam spans carry dense ranks that all resolve through the
+        # seam mapping to survivors — never to the crashed rank's lane.
+        for span in spans:
+            if span.category == "fault":
+                continue
+            if span.start >= seam.end:
+                assert span.rank < len(survivors)
+                assert survivors[span.rank] != 3
+
+    def test_fault_windows_do_not_stretch_the_axis(self, obs_scene):
+        """The chaos plan's slowdown and link windows last 5 s, far past
+        the run: the axis reads the extent of the work, not of them."""
+        obs = ObsSession.create()
+        run_with_recovery(
+            "atdca", obs_scene.image, fully_heterogeneous(),
+            params={"n_targets": 5}, backend="sim",
+            plan=load_fault_plan(REPO / "benchmarks/plans/chaos.json"),
+            obs=obs,
+        )
+        spans = obs.tracer.spans()
+        work = [s for s in spans if s.category != "fault"]
+        extent = max(s.end for s in work) - min(s.start for s in work)
+        assert max(s.end for s in spans) > 2 * extent
+        scale = gantt_of_trace(obs, width=60).splitlines()[-2]
+        assert scale.endswith(f" {extent:.2f} s")
 
 
 class TestTracedRunsAndCLI:

@@ -268,7 +268,7 @@ class TestLinkUtilization:
 class TestWeaAttribution:
     def test_rows_and_scores_consistent(self, traced_run):
         run, _ = traced_run
-        report = wea_attribution(run.sim, run.partition)
+        report = wea_attribution(run.sim, run.partition, make_tiny_platform())
         assert sum(a.rows for a in report.assignments) == run.partition.n_rows
         assert sum(a.ideal_rows for a in report.assignments) == pytest.approx(
             run.partition.n_rows, rel=1e-6
@@ -293,7 +293,8 @@ class TestAnalyzeTrace:
     def test_bundle_and_jsonl_round_trip(self, traced_run, tmp_path):
         run, obs = traced_run
         analysis = analyze_trace(
-            obs, result=run.sim, partition=run.partition
+            obs, result=run.sim, partition=run.partition,
+            platform=make_tiny_platform(),
         )
         doc = analysis.to_dict()
         assert doc["schema"] == "repro.obs.analyze/1"
@@ -312,7 +313,8 @@ class TestAnalyzeTrace:
     def test_text_report_renders(self, traced_run):
         run, obs = traced_run
         text = analyze_trace(
-            obs, result=run.sim, partition=run.partition
+            obs, result=run.sim, partition=run.partition,
+            platform=make_tiny_platform(),
         ).to_text()
         for fragment in ("critical path", "blocked time",
                          "link utilization", "WEA imbalance"):
