@@ -38,10 +38,6 @@ TOOLS: dict[str, tuple[str, str]] = {
         "repro.obs.diff",
         "structural + timing diff of two recorded traces",
     ),
-    "live": (
-        "repro.obs.live",
-        "inspect live.json snapshots from streaming runs",
-    ),
     "whatif": (
         "repro.obs.whatif",
         "what-if replay, causal profiles, capacity sweeps",

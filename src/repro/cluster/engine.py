@@ -31,11 +31,7 @@ from typing import TYPE_CHECKING, Any, Callable, Mapping, Sequence
 from repro.cluster.costs import DEFAULT_COST_MODEL, CostModel
 from repro.cluster.mailbox import Router
 from repro.cluster.platform import HeterogeneousPlatform
-from repro.cluster.runtime import (
-    BaseRankContext,
-    attach_live,
-    launch_ranks,
-)
+from repro.cluster.runtime import BaseRankContext, launch_ranks
 from repro.cluster.simtime import (
     ComputeRecord,
     Op,
@@ -205,9 +201,6 @@ class SimulationEngine:
         #: Fault injector for this run (already attached to ``platform``
         #: by the caller); duck-typed to avoid importing repro.faults.
         self.faults = faults
-        #: Live observability runtime (flight recorder + health
-        #: detector), wired exactly like the fault injector.
-        self.live = attach_live(obs)
         if obs is not None:
             # Dual-clock design: spans read this engine's per-rank
             # virtual clocks, so exports are deterministic.
@@ -235,10 +228,6 @@ class SimulationEngine:
         """Time one matched transfer and report it (Router lock held)."""
         record = self.core.transfer(src, dst, megabits)
         start, end, duration = record.start, record.end, record.duration
-        if self.live is not None:
-            self.live.observe_transfer(
-                record.link, record.nominal, duration, start
-            )
         if self.trace or self.obs is not None:
             with self._events_lock:
                 self._transfers.append(record)

@@ -32,18 +32,8 @@ from repro.types import Megabits, Megaflops, Seconds
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.faults.injector import FaultInjector
     from repro.obs import ObsSession
-    from repro.obs.live import LiveRuntime
 
-__all__ = ["BaseRankContext", "attach_live", "launch_ranks"]
-
-
-def attach_live(obs: "ObsSession | None") -> "LiveRuntime | None":
-    """The session's live runtime, registered on its tracer (idempotent,
-    so manually-built sessions still get wired); ``None`` when off."""
-    live = getattr(obs, "live", None)
-    if live is not None:
-        live.attach(obs)
-    return live
+__all__ = ["BaseRankContext", "launch_ranks"]
 
 
 class BaseRankContext:
@@ -82,7 +72,7 @@ class BaseRankContext:
         self.core = core
         self.obs = obs
         self.faults = faults
-        self._live = getattr(obs, "live", None)
+        self._health = getattr(obs, "health", None)
 
     @property
     def is_master(self) -> bool:
@@ -141,13 +131,14 @@ class BaseRankContext:
         charge = None
         if self.core is not None:
             charge = self.core.compute(self.rank, mflops, sequential)
-            if self._live is not None and mflops > 0:
-                # The online health detector compares the cost model's
+            if self._health is not None and mflops > 0:
+                # The drift detector compares the cost model's
                 # prediction against the charged (possibly
                 # fault-dilated) duration — the same pair on both
                 # backends, so it fires at the same op on either.
-                self._live.observe_compute(
-                    self.rank, charge.nominal, charge.seconds, charge.start
+                self._health.observe_compute(
+                    self.rank, charge.nominal, charge.seconds, charge.start,
+                    self.obs,
                 )
         return self._report_compute(mflops, sequential, charge)
 

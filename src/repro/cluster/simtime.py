@@ -190,7 +190,7 @@ class TransferRecord(NamedTuple):
             receiver waiting on a slow sender, or either side waiting
             on a busy serial link).
         duration: the charged seconds (``end - start`` only up to
-            rounding); ``nominal`` is the same before perturbation.
+            rounding).
     """
 
     src: int
@@ -202,7 +202,6 @@ class TransferRecord(NamedTuple):
     src_wait: Seconds
     dst_wait: Seconds
     duration: Seconds
-    nominal: Seconds
 
 
 #: What a (src, dst) pair crosses: the serial-link key (``None`` inside
@@ -363,7 +362,7 @@ class TimingCore:
             self._link_free[link] = end
         return TransferRecord(
             src, dst, start, end, float(megabits), label,
-            src_wait, dst_wait, duration, nominal,
+            src_wait, dst_wait, duration,
         )
 
     def run(self, ops: Iterable[Op]) -> list[ComputeRecord | TransferRecord]:

@@ -7,8 +7,8 @@ and the four networks share two processor sets, so the 32 cells hold 8
 distinct programs.  :func:`run_grid_tasks` executes each once on the
 engine and builds every other cell by re-pricing that run's op log on
 the cell's own network (:func:`repro.cluster.engine.reprice`), which is
-exact.  A cell that something observes — a trace, a live snapshot, a
-fault plan — is its own program and is executed.
+exact.  A cell that something observes — a trace or a fault plan — is
+its own program and is executed.
 """
 
 from __future__ import annotations
@@ -35,7 +35,6 @@ from repro.errors import ConfigurationError, ExperimentError
 from repro.experiments.config import ExperimentConfig
 from repro.hsi.scene import WTCScene, make_wtc_scene
 from repro.obs import ObsSession, write_chrome_trace, write_metrics_json
-from repro.obs.export import write_json
 from repro.perf.fanout import ordered_map
 from repro.perf.imbalance import ImbalanceScores, imbalance_of_run
 from repro.perf.timers import PhaseBreakdown, breakdown_of_run
@@ -145,8 +144,8 @@ def run_grid_tasks(
     :func:`~repro.perf.fanout.ordered_map` (``jobs`` fans the distinct
     programs out).  Every other task's run is the first one's
     re-priced on its own network.  An ``observed`` task — one whose
-    run writes a trace, a live snapshot or goes through a fault plan —
-    keys on the task itself and is executed.
+    run writes a trace or goes through a fault plan — keys on the task
+    itself and is executed.
     """
     platforms = all_networks()
     keys: list[Hashable] = []
@@ -187,7 +186,6 @@ def _run_grid_cell(
     cost: Any,
     traces: Path | None,
     fault_plan: "FaultPlan | None",
-    live_dir: Path | None,
     task: tuple[str, str, str],
 ) -> "ParallelRun | RecoveredRun":
     """Execute one (network, algorithm, variant) cell on the engine.
@@ -198,18 +196,7 @@ def _run_grid_cell(
     """
     network_name, algorithm, variant = task
     platform = all_networks()[network_name]
-    live = None
-    if live_dir is not None:
-        from repro.obs.live import LiveRuntime
-
-        live = LiveRuntime(
-            out_dir=live_dir / _cell_stem(algorithm, variant, network_name)
-        )
-    obs = (
-        ObsSession.create(live=live)
-        if traces is not None or live is not None
-        else None
-    )
+    obs = ObsSession.create() if traces is not None else None
     if fault_plan is not None:
         from repro.faults.recovery import run_with_recovery
 
@@ -234,10 +221,6 @@ def _run_grid_cell(
             obs=obs,
         )
     assert run.sim is not None
-    if live is not None:
-        # Final snapshot carries the mergeable sketches so percentiles
-        # can be combined across grid cells.
-        live.write_snapshot(include_sketches=True)
     if traces is not None and obs is not None:
         stem = _cell_stem(algorithm, variant, network_name)
         write_chrome_trace(traces / f"{stem}.trace.json", obs)
@@ -253,7 +236,6 @@ def run_network_grid(
     trace_dir: Path | str | None = None,
     fault_plan: "FaultPlan | None" = None,
     jobs: int | None = None,
-    live_dir: Path | str | None = None,
 ) -> NetworkGrid:
     """Compute the full grid on the virtual-time engine.
 
@@ -276,16 +258,9 @@ def run_network_grid(
             results are merged back in serial-loop order, so any
             ``jobs`` value produces the same grid (and the same trace
             files) as a serial run — only the wall time changes.
-        live_dir: when given, every cell runs with a
-            :class:`~repro.obs.live.LiveRuntime` writing atomic
-            ``live.json``/``live.prom`` snapshots into
-            ``live_dir/<label>__<network>/`` (tail any of them with
-            ``python -m repro live watch``), and an aggregated
-            ``live_dir/health_summary.json`` records each cell's
-            online drift detections.
 
-    With ``trace_dir``, ``fault_plan`` or ``live_dir`` every cell is
-    observed, so every cell is executed.
+    With ``trace_dir`` or ``fault_plan`` every cell is observed, so
+    every cell is executed.
     """
     cfg = config or ExperimentConfig()
     scn = scene or make_wtc_scene(cfg.grid_scene)
@@ -293,9 +268,6 @@ def run_network_grid(
     traces = Path(trace_dir) if trace_dir is not None else None
     if traces is not None:
         traces.mkdir(parents=True, exist_ok=True)
-    live_root = Path(live_dir) if live_dir is not None else None
-    if live_root is not None:
-        live_root.mkdir(parents=True, exist_ok=True)
     tasks = [
         (network_name, algorithm, variant)
         for network_name in all_networks()
@@ -304,12 +276,9 @@ def run_network_grid(
     ]
     runs, programs = run_grid_tasks(
         _run_grid_cell, tasks, scn.image, cfg.params_for, cost,
-        observed=(
-            traces is not None or fault_plan is not None
-            or live_root is not None
-        ),
+        observed=traces is not None or fault_plan is not None,
         jobs=jobs,
-        shared=(cfg, scn.image, cost, traces, fault_plan, live_root),
+        shared=(cfg, scn.image, cost, traces, fault_plan),
     )
     cells = {
         (variant_label(algorithm, variant), network_name): GridCell(
@@ -319,39 +288,5 @@ def run_network_grid(
         )
         for (network_name, algorithm, variant), run in zip(tasks, runs)
     }
-    if live_root is not None:
-        _write_health_summary(live_root, tasks)
     return NetworkGrid(cells=cells, scene=scn, config=cfg, programs=programs)
 
-
-def _write_health_summary(
-    live_root: Path, tasks: list[tuple[str, str, str]]
-) -> Path:
-    """Aggregate every cell's final ``live.json`` health state into one
-    ``health_summary.json`` (deterministic: cells in task order)."""
-    import json
-
-    summary: dict[str, Any] = {}
-    for network_name, algorithm, variant in tasks:
-        stem = _cell_stem(algorithm, variant, network_name)
-        snapshot_path = live_root / stem / "live.json"
-        try:
-            health = json.loads(
-                snapshot_path.read_text(encoding="utf-8")
-            ).get("health", {})
-        except (OSError, json.JSONDecodeError):
-            continue
-        drift_events = [
-            e for e in health.get("events", [])
-            if e.get("kind", "").endswith("_drift")
-        ]
-        summary[stem] = {
-            "flagged_ranks": health.get("flagged_ranks", []),
-            "flagged_links": health.get("flagged_links", []),
-            "n_events": len(health.get("events", [])),
-            "first_drift": drift_events[0] if drift_events else None,
-        }
-    return write_json(
-        live_root / "health_summary.json",
-        {"schema": "repro.obs.live.summary/1", "cells": summary},
-    )

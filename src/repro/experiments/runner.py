@@ -47,7 +47,6 @@ _REQUIRED_VALUES = {
     "trace": "a directory name",
     "metrics": "a directory name",
     "calibrate": "a directory name",
-    "live": "a directory name",
     "whatif": "a plan file name",
     "plan": "'auto', 'default', or a plan file",
 }
@@ -92,13 +91,6 @@ def main(argv: list[str] | None = None) -> int:
                              "backends and write calibration_{sim,inproc}"
                              ".json/.txt into DIR (gate with "
                              "python -m repro profile gate)")
-    parser.add_argument("--live", metavar="DIR", default=None,
-                        help="observe runs while they execute: the traced "
-                             "demo runs and every table5-7 grid cell write "
-                             "atomic live.json/live.prom snapshots (flight-"
-                             "recorder ring, streaming latency percentiles, "
-                             "online health detections) under DIR; tail any "
-                             "of them with `python -m repro live watch`")
     parser.add_argument("--plan", metavar="MODE", default=None,
                         help="configure the traced demo runs through the "
                              "autotuning planner: 'auto' plans kernel "
@@ -147,8 +139,7 @@ def main(argv: list[str] | None = None) -> int:
             and args.calibrate is None and args.whatif is None):
         parser.error("nothing to do: name experiments and/or pass "
                      "--trace DIR / --metrics DIR / --calibrate DIR / "
-                     "--whatif PLAN "
-                     "(--live attaches to those runs)")
+                     "--whatif PLAN")
 
     wanted = list(EXPERIMENT_NAMES) if "all" in args.experiments else [
         name for name in EXPERIMENT_NAMES if name in args.experiments
@@ -163,10 +154,6 @@ def main(argv: list[str] | None = None) -> int:
               f"{len(fault_plan)} faults loaded", flush=True)
     outdir = Path(args.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
-    live_dir = None
-    if args.live is not None:
-        live_dir = Path(args.live)
-        live_dir.mkdir(parents=True, exist_ok=True)
     trace_dir = None
     sim_traced = None
     metrics_dir = Path(args.metrics) if args.metrics is not None else None
@@ -178,7 +165,7 @@ def main(argv: list[str] | None = None) -> int:
                   flush=True)
             traced = run_traced(
                 config, trace_dir, backend=backend, fault_plan=fault_plan,
-                live_dir=live_dir, plan_mode=args.plan,
+                plan_mode=args.plan,
             )
             if backend == "sim":
                 sim_traced = traced
@@ -251,12 +238,10 @@ def main(argv: list[str] | None = None) -> int:
         print("building the network grid...", flush=True)
         grid = run_network_grid(
             config, trace_dir=trace_dir, fault_plan=fault_plan,
-            jobs=args.jobs, live_dir=live_dir,
+            jobs=args.jobs,
         )
         print(f"  {len(grid.cells)} cells: {grid.programs} programs "
               f"executed, {len(grid.cells) - grid.programs} re-priced")
-        if live_dir is not None:
-            print(f"live snapshots + health summary -> {live_dir}")
 
     sections: list[str] = []
     for name in wanted:

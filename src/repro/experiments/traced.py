@@ -120,7 +120,6 @@ def demo_run(
     backend: str,
     algorithm: str,
     fault_plan: "FaultPlan | None",
-    live_dir: Path | None = None,
     plan_mode: "str | None" = None,
 ) -> DemoRun:
     """One traced demo run (shared by trace, calibration and what-if):
@@ -129,12 +128,7 @@ def demo_run(
     scene = make_wtc_scene(cfg.scene)
     platform = fully_heterogeneous()
     tuning = _resolve_plan(plan_mode, cfg, algorithm, backend, platform)
-    live = None
-    if live_dir is not None:
-        from repro.obs.live import LiveRuntime
-
-        live = LiveRuntime(out_dir=live_dir)
-    obs = ObsSession.create(live=live)
+    obs = ObsSession.create()
     run: ParallelRun | RecoveredRun
     if fault_plan is not None:
         from repro.faults.recovery import run_with_recovery
@@ -188,7 +182,6 @@ def run_traced(
     backend: str = "sim",
     algorithm: str = "atdca",
     fault_plan: "FaultPlan | None" = None,
-    live_dir: Path | str | None = None,
     plan_mode: "str | None" = None,
 ) -> TracedRun:
     """Run ``algorithm`` traced on ``backend`` and export everything.
@@ -205,12 +198,6 @@ def run_traced(
     cover every attempt while the engine ledger covers only the final
     one, so they legitimately disagree.
 
-    With ``live_dir`` the run carries a
-    :class:`~repro.obs.live.LiveRuntime`: ``live_dir/<algorithm>_
-    <backend>/live.json`` (+ ``.prom``) is rewritten atomically while
-    the run executes (tail it with ``python -m repro live watch``),
-    and the final snapshot includes the mergeable latency sketches.
-
     With ``plan_mode`` the run is configured by the autotuning planner
     (``"auto"``), a serialized plan document (a path), or the static
     defaults (``"default"``/``None``).  Planned runs additionally
@@ -221,14 +208,8 @@ def run_traced(
     out = Path(outdir)
     out.mkdir(parents=True, exist_ok=True)
     stem = f"{algorithm}_{backend}"
-    cell_live_dir = Path(live_dir) / stem if live_dir is not None else None
-    demo = demo_run(
-        cfg, backend, algorithm, fault_plan,
-        live_dir=cell_live_dir, plan_mode=plan_mode,
-    )
+    demo = demo_run(cfg, backend, algorithm, fault_plan, plan_mode=plan_mode)
     run, obs, analysis, tuning = demo.run, demo.obs, demo.analysis, demo.tuning
-    if obs.live is not None:
-        obs.live.write_snapshot(include_sketches=True)
     trace_path = out / f"{stem}.trace.json"
     metrics_path = out / f"{stem}.metrics.json"
     jsonl_path = out / f"{stem}.jsonl"

@@ -294,17 +294,16 @@ def run_with_recovery(
                 "adaptive repartitioning needs a checkpointed detector "
                 f"(atdca or ufcls), not {algorithm!r}"
             )
-        # The controller reads the live health monitor; make sure one
+        # The controller reads the rank drift detector; make sure one
         # is observing the run.
-        if obs is None or obs.live is None:
+        if obs is None or obs.health is None:
             from repro.obs import ObsSession
-            from repro.obs.live import LiveRuntime
+            from repro.obs.health import HealthMonitor
 
             if obs is None:
-                obs = ObsSession.create(live=LiveRuntime())
+                obs = ObsSession.create(health=HealthMonitor())
             else:
-                obs.live = LiveRuntime()
-                obs.live.attach(obs)
+                obs.health = HealthMonitor()
 
     master_orig = platform.master_rank
     survivors = set(range(platform.size))
@@ -375,7 +374,7 @@ def run_with_recovery(
             )
         if controller is not None:
             controller.attach(
-                monitor=obs.live.health,
+                monitor=obs.health,
                 rank_map=None if ordered == identity else ordered,
             )
         launch = prepare_launch(

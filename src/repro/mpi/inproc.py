@@ -19,11 +19,7 @@ from typing import TYPE_CHECKING, Any, Callable, Mapping, Sequence
 
 from repro.cluster.mailbox import Router, payload_wire_megabits
 from repro.cluster.platform import HeterogeneousPlatform
-from repro.cluster.runtime import (
-    BaseRankContext,
-    attach_live,
-    launch_ranks,
-)
+from repro.cluster.runtime import BaseRankContext, launch_ranks
 from repro.cluster.simtime import ComputeRecord, TimingCore
 from repro.errors import ConfigurationError
 
@@ -134,7 +130,6 @@ def run_inproc(
             platform,
             perturb=faults.perturb if faults is not None else None,
         )
-    attach_live(obs)
     router = Router(n_ranks)
     start = time.perf_counter()
     results = launch_ranks(

@@ -28,7 +28,7 @@ check.
 from __future__ import annotations
 
 import dataclasses
-from typing import Any
+from typing import TYPE_CHECKING, Any
 
 from repro.obs.analyze import (
     BlockedTimeReport,
@@ -69,7 +69,10 @@ from repro.obs.metrics import (
 )
 from repro.obs.trace import NULL_TRACER, NullTracer, Span, Tracer, tracer_of
 
-#: Members imported on first use.  Their nine modules serve single tools
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.obs.health import HealthMonitor
+
+#: Members imported on first use.  Their seven modules serve single tools
 #: and runs that ask for them; importing them here would add 0.05-0.06 s
 #: to the 0.22-0.31 s that importing ``repro`` and its packages takes
 #: (about +20 %) and 2.7 MiB resident, measured on 2 x86-64 vCPUs.
@@ -83,16 +86,9 @@ _LAZY = {
     "OpSample": "repro.obs.profile",
     "calibration_gate": "repro.obs.profile",
     "profile_trace": "repro.obs.profile",
-    "FlightRecorder": "repro.obs.live",
-    "LiveRuntime": "repro.obs.live",
-    "read_snapshot": "repro.obs.live",
-    "render_snapshot": "repro.obs.live",
-    "HealthConfig": "repro.obs.health",
     "HealthEvent": "repro.obs.health",
     "HealthMonitor": "repro.obs.health",
     "scales_from_calibration": "repro.obs.health",
-    "LatencySketch": "repro.obs.sketch",
-    "merge_sketches": "repro.obs.sketch",
     "WhatIfPlan": "repro.obs.whatif",
     "ReplayOp": "repro.obs.whatif",
     "ReplayResult": "repro.obs.whatif",
@@ -156,16 +152,9 @@ __all__ = [
     "OpSample",
     "calibration_gate",
     "profile_trace",
-    "FlightRecorder",
-    "LiveRuntime",
-    "read_snapshot",
-    "render_snapshot",
-    "HealthConfig",
     "HealthEvent",
     "HealthMonitor",
     "scales_from_calibration",
-    "LatencySketch",
-    "merge_sketches",
     "LoadedTrace",
     "breakdown_from_spans",
     "chrome_trace",
@@ -209,22 +198,18 @@ class ObsSession:
     Attributes:
         tracer: span collector (clock rebound by the chosen backend).
         metrics: labelled counter/gauge/histogram registry.
-        live: optional :class:`~repro.obs.live.LiveRuntime` (flight
-            recorder + online health detector); both backends attach
-            and feed it when present.
+        health: optional :class:`~repro.obs.health.HealthMonitor` (the
+            rank drift detector); both backends feed it when present.
     """
 
     tracer: Tracer
     metrics: MetricsRegistry
-    live: Any = None
+    health: "HealthMonitor | None" = None
 
     @classmethod
-    def create(cls, live: Any = None) -> "ObsSession":
+    def create(cls, health: "HealthMonitor | None" = None) -> "ObsSession":
         """A fresh session with a wall-clock tracer (the virtual-time
         engine rebinds the clock when the session is attached); pass a
-        :class:`~repro.obs.live.LiveRuntime` to observe the run while
-        it executes."""
-        session = cls(tracer=Tracer(), metrics=MetricsRegistry(), live=live)
-        if live is not None:
-            live.attach(session)
-        return session
+        :class:`~repro.obs.health.HealthMonitor` to detect drifting
+        ranks while the run executes."""
+        return cls(tracer=Tracer(), metrics=MetricsRegistry(), health=health)

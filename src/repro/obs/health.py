@@ -1,27 +1,27 @@
-"""Online health detection: straggler and link-drift monitoring.
+"""Online straggler detection: the rank drift detector.
 
-The :class:`HealthMonitor` consumes ``(predicted, observed)`` duration
-pairs for every charged compute op and every modelled transfer, scales
-the prediction by the calibrated cost-model scale (the committed
-``benchmarks/baselines/calibration.json`` may carry a ``"scales"``
-block from :mod:`repro.obs.profile` fits), and maintains one EWMA of
-the bounded relative error ``|obs - pred| / max(obs, pred)`` per
-subject (``rank:<r>`` for compute, ``link:<label>`` for transfers).
-When a subject's EWMA crosses the drift threshold the monitor emits a
-structured :class:`HealthEvent` — surfaced as a ``"health"``-category
-span in the trace and a ``health.events`` counter — and flags the
-subject until the EWMA decays back below the clear level (hysteresis,
-so one noisy op cannot flap the flag).
+The :class:`HealthMonitor` consumes one ``(predicted, observed)``
+duration pair per charged compute op — the cost model's nominal
+duration and the duration the rank's timing core charged, possibly
+dilated by an injected fault — and maintains one EWMA of the bounded
+relative error ``|obs - pred| / max(obs, pred)`` per ``rank:<r>``
+subject.  When a rank's EWMA crosses :data:`THRESHOLD` the monitor
+records a :class:`HealthEvent` — surfaced as a ``"health"``-category
+span in the trace and a ``health.events`` counter when the run has an
+observability session — and flags the rank until the EWMA decays back
+below ``THRESHOLD * CLEAR_RATIO`` (hysteresis, so one noisy op cannot
+flap the flag).  Its one consumer is
+:class:`repro.faults.adaptive.AdaptiveController`, which reads each
+rank's own subject at iteration boundaries.
 
 Determinism across backends: the error of an op slowed by factor ``f``
 is ``(f - 1) / f`` regardless of the op's absolute duration, so the
 EWMA trajectory — and hence the op index at which a rank is flagged —
-is a pure function of the per-op factor sequence.  The virtual-time
-engine feeds real charged durations and the wall-clock backend feeds
-nominal (analytic) durations through the same code path, so an injected
-``rank_slowdown`` plan flags the same rank at the same op index on both
-backends.  This is the detection half of the ROADMAP's
-performance-adaptive repartitioning seam.
+is a pure function of the per-op factor sequence.  Both backends feed
+the pair from the same :class:`~repro.cluster.simtime.TimingCore`
+(virtual seconds on the engine, nominal seconds on the wall-clock
+backend), so an injected ``rank_slowdown`` plan flags the same rank at
+the same op index on both.
 """
 
 from __future__ import annotations
@@ -30,65 +30,31 @@ import dataclasses
 import json
 import threading
 from pathlib import Path
-from typing import Any, Callable, Mapping
+from typing import TYPE_CHECKING, Any, Mapping
 
 from repro.errors import ConfigurationError
 
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.obs import ObsSession
+
 __all__ = [
-    "HealthConfig",
     "HealthEvent",
     "HealthMonitor",
     "scales_from_calibration",
 ]
 
-
-@dataclasses.dataclass(frozen=True)
-class HealthConfig:
-    """Detector tuning.
-
-    Attributes:
-        alpha: EWMA smoothing factor (weight of the newest error).
-        threshold: EWMA relative error above which a subject drifts.
-            A rank slowed by factor ``f`` settles at error
-            ``(f - 1)/f`` — the default 0.25 catches ``f >= ~1.4``.
-        clear_ratio: a flagged subject recovers when its EWMA falls
-            below ``threshold * clear_ratio`` (hysteresis).
-        min_ops: observations required before a subject may be flagged
-            (the EWMA needs a few samples to mean anything).
-        compute_scale: calibrated multiplier applied to compute
-            predictions before comparison.
-        transfer_scale: likewise for transfer predictions.
-    """
-
-    alpha: float = 0.25
-    threshold: float = 0.25
-    clear_ratio: float = 0.5
-    min_ops: int = 3
-    compute_scale: float = 1.0
-    transfer_scale: float = 1.0
-
-    def __post_init__(self) -> None:
-        if not 0.0 < self.alpha <= 1.0:
-            raise ConfigurationError(
-                f"alpha must be in (0, 1], got {self.alpha}"
-            )
-        if self.threshold <= 0.0:
-            raise ConfigurationError(
-                f"threshold must be > 0, got {self.threshold}"
-            )
-        if not 0.0 <= self.clear_ratio < 1.0:
-            raise ConfigurationError(
-                f"clear_ratio must be in [0, 1), got {self.clear_ratio}"
-            )
-        if self.min_ops < 1:
-            raise ConfigurationError(
-                f"min_ops must be >= 1, got {self.min_ops}"
-            )
-        for name in ("compute_scale", "transfer_scale"):
-            if getattr(self, name) <= 0.0:
-                raise ConfigurationError(
-                    f"{name} must be > 0, got {getattr(self, name)}"
-                )
+#: EWMA smoothing factor (weight of the newest error).
+ALPHA = 0.25
+#: EWMA relative error above which a rank drifts.  A rank slowed by
+#: factor ``f`` settles at error ``(f - 1)/f``, so 0.25 catches
+#: ``f >= ~1.4``.
+THRESHOLD = 0.25
+#: A flagged rank recovers when its EWMA falls below
+#: ``THRESHOLD * CLEAR_RATIO``.
+CLEAR_RATIO = 0.5
+#: Observations a rank needs before it may be flagged (the EWMA needs a
+#: few samples to mean anything).
+MIN_OPS = 3
 
 
 @dataclasses.dataclass(frozen=True)
@@ -96,32 +62,24 @@ class HealthEvent:
     """One detector state change.
 
     Attributes:
-        kind: ``"rank_drift"``, ``"rank_recovered"``, ``"link_drift"``,
-            or ``"link_recovered"``.
-        subject: ``"rank:<r>"`` or ``"link:<label>"``.
-        rank: the drifting rank for rank events, else ``None``.
+        kind: ``"rank_drift"`` or ``"rank_recovered"``.
+        subject: ``"rank:<r>"``.
+        rank: the rank.
         op_index: 1-based observation index of the subject at firing —
             the cross-backend-comparable coordinate.
         ewma: the EWMA relative error at firing.
         threshold: the level that was crossed.
-        at: subject clock time at firing (virtual seconds on the
-            engine, nominal seconds on the wall-clock backend).
+        at: rank clock time at firing (virtual seconds on the engine,
+            nominal seconds on the wall-clock backend).
     """
 
     kind: str
     subject: str
-    rank: int | None
+    rank: int
     op_index: int
     ewma: float
     threshold: float
     at: float
-
-    def describe(self) -> str:
-        return (
-            f"{self.kind} {self.subject} at op {self.op_index}: "
-            f"ewma_rel_error={self.ewma:.4f} "
-            f"(threshold {self.threshold:.4f}, t={self.at:.6f}s)"
-        )
 
 
 class _SubjectState:
@@ -150,63 +108,32 @@ def relative_error(predicted: float, observed: float) -> float:
 
 
 class HealthMonitor:
-    """Per-subject EWMA drift detector over (predicted, observed) pairs.
+    """Per-rank EWMA drift detector over (predicted, observed) pairs.
 
-    Thread-safe: compute observations arrive from per-rank threads and
-    transfer observations from the router's match path.  ``emit`` (set
-    by the :class:`~repro.obs.live.LiveRuntime`) is called with each
-    :class:`HealthEvent` after the state update, outside the monitor
-    lock (the callback feeds the tracer, whose listeners may snapshot
-    this monitor).
+    Thread-safe: observations arrive from the per-rank threads.  Attach
+    one to a run with ``ObsSession.create(health=HealthMonitor())``;
+    both backends then feed it from
+    :meth:`repro.cluster.runtime.BaseRankContext.compute`.
     """
 
-    def __init__(
-        self,
-        config: HealthConfig | None = None,
-        emit: Callable[[HealthEvent], None] | None = None,
-    ) -> None:
-        self.config = config or HealthConfig()
-        self.emit = emit
+    def __init__(self) -> None:
         self._lock = threading.Lock()
         self._subjects: dict[str, _SubjectState] = {}
         self._events: list[HealthEvent] = []
 
-    # -- observing --------------------------------------------------------
     def observe_compute(
-        self, rank: int, predicted_s: float, observed_s: float, at: float
-    ) -> None:
-        self._observe(
-            subject=f"rank:{rank}",
-            rank=rank,
-            predicted=predicted_s * self.config.compute_scale,
-            observed=observed_s,
-            at=at,
-            kinds=("rank_drift", "rank_recovered"),
-        )
-
-    def observe_transfer(
-        self, link: str, predicted_s: float, observed_s: float, at: float
-    ) -> None:
-        self._observe(
-            subject=f"link:{link}",
-            rank=None,
-            predicted=predicted_s * self.config.transfer_scale,
-            observed=observed_s,
-            at=at,
-            kinds=("link_drift", "link_recovered"),
-        )
-
-    def _observe(
         self,
-        subject: str,
-        rank: int | None,
-        predicted: float,
-        observed: float,
+        rank: int,
+        predicted_s: float,
+        observed_s: float,
         at: float,
-        kinds: tuple[str, str],
+        obs: "ObsSession | None" = None,
     ) -> None:
-        error = relative_error(predicted, observed)
-        cfg = self.config
+        """One compute op charged on ``rank``'s timing core, with the
+        analytic duration before and after fault dilation.  An event
+        it fires is recorded on ``obs`` (span + counter) when given."""
+        subject = f"rank:{rank}"
+        error = relative_error(predicted_s, observed_s)
         with self._lock:
             state = self._subjects.get(subject)
             if state is None:
@@ -216,41 +143,40 @@ class HealthMonitor:
             if state.ops == 1:
                 state.ewma = error
             else:
-                state.ewma = cfg.alpha * error + (1.0 - cfg.alpha) * state.ewma
+                state.ewma = ALPHA * error + (1.0 - ALPHA) * state.ewma
             event: HealthEvent | None = None
-            if state.ops >= cfg.min_ops:
-                if not state.flagged and state.ewma > cfg.threshold:
+            if state.ops >= MIN_OPS:
+                if not state.flagged and state.ewma > THRESHOLD:
                     state.flagged = True
                     event = HealthEvent(
-                        kind=kinds[0], subject=subject, rank=rank,
+                        kind="rank_drift", subject=subject, rank=rank,
                         op_index=state.ops, ewma=state.ewma,
-                        threshold=cfg.threshold, at=at,
+                        threshold=THRESHOLD, at=at,
                     )
-                elif (
-                    state.flagged
-                    and state.ewma < cfg.threshold * cfg.clear_ratio
-                ):
+                elif state.flagged and state.ewma < THRESHOLD * CLEAR_RATIO:
                     state.flagged = False
                     event = HealthEvent(
-                        kind=kinds[1], subject=subject, rank=rank,
+                        kind="rank_recovered", subject=subject, rank=rank,
                         op_index=state.ops, ewma=state.ewma,
-                        threshold=cfg.threshold * cfg.clear_ratio, at=at,
+                        threshold=THRESHOLD * CLEAR_RATIO, at=at,
                     )
             if event is not None:
                 self._events.append(event)
-        # Emit outside the lock: the callback feeds the tracer, whose
-        # listeners may snapshot this monitor's state.
-        if event is not None and self.emit is not None:
-            self.emit(event)
+        if event is not None and obs is not None:
+            obs.tracer.add_span(
+                f"health.{event.kind}", rank, at, at,
+                category="health", subject=subject,
+                op_index=event.op_index, ewma_rel_error=event.ewma,
+                threshold=event.threshold,
+            )
+            obs.metrics.counter(
+                "health.events", kind=event.kind, subject=subject
+            ).inc()
 
-    # -- reading ----------------------------------------------------------
     @property
     def events(self) -> list[HealthEvent]:
         with self._lock:
             return list(self._events)
-
-    def drift_events(self) -> list[HealthEvent]:
-        return [e for e in self.events if e.kind.endswith("_drift")]
 
     def flagged_ranks(self) -> list[int]:
         """Currently-flagged ranks, sorted."""
@@ -258,21 +184,8 @@ class HealthMonitor:
             return sorted(
                 int(subject.split(":", 1)[1])
                 for subject, state in self._subjects.items()
-                if state.flagged and subject.startswith("rank:")
+                if state.flagged
             )
-
-    def flagged_links(self) -> list[str]:
-        with self._lock:
-            return sorted(
-                subject.split(":", 1)[1]
-                for subject, state in self._subjects.items()
-                if state.flagged and subject.startswith("link:")
-            )
-
-    def ewma_of(self, subject: str) -> float | None:
-        with self._lock:
-            state = self._subjects.get(subject)
-            return state.ewma if state is not None else None
 
     def subject_snapshot(self, subject: str) -> dict[str, Any] | None:
         """One subject's current detector state (``None`` if unseen).
@@ -293,38 +206,6 @@ class HealthMonitor:
                 "last_rel_error": state.last,
                 "flagged": state.flagged,
             }
-
-    def state(self) -> dict[str, Any]:
-        """JSON-safe snapshot of all subjects and events."""
-        with self._lock:
-            subjects = [
-                {
-                    "subject": subject,
-                    "ops": state.ops,
-                    "ewma_rel_error": state.ewma,
-                    "last_rel_error": state.last,
-                    "flagged": state.flagged,
-                }
-                for subject, state in sorted(self._subjects.items())
-            ]
-            events = [dataclasses.asdict(e) for e in self._events]
-            flagged_ranks = sorted(
-                int(subject.split(":", 1)[1])
-                for subject, state in self._subjects.items()
-                if state.flagged and subject.startswith("rank:")
-            )
-            flagged_links = sorted(
-                subject.split(":", 1)[1]
-                for subject, state in self._subjects.items()
-                if state.flagged and subject.startswith("link:")
-            )
-        return {
-            "config": dataclasses.asdict(self.config),
-            "subjects": subjects,
-            "events": events,
-            "flagged_ranks": flagged_ranks,
-            "flagged_links": flagged_links,
-        }
 
 
 _IDENTITY_SCALES = {"compute": 1.0, "transfer": 1.0}

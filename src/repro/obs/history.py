@@ -4,8 +4,8 @@ Every other ``repro.obs`` tool explains *one* run; this module keeps
 what was measured before.  A run ledger — an append-only,
 schema-versioned JSONL file (committed seed:
 ``benchmarks/history/ledger.jsonl``) — ingests every benchmark cell,
-microbench kernel, calibration drift number, chaos-sweep gate ratio,
-and live health summary, each entry keyed by the provenance header the
+microbench kernel, calibration drift number, chaos-sweep gate ratio
+and traced-run headline, each entry keyed by the provenance header the
 artifacts already carry.  It keeps a series' history for two purposes
 only, both served by one backward scan over the series' entries
 (:func:`control_band`):
@@ -63,7 +63,6 @@ __all__ = [
     "entries_from_microbench",
     "entries_from_calibration",
     "entries_from_sweep",
-    "entries_from_health_summary",
     "entries_from_analysis",
     "ControlBand",
     "control_band",
@@ -103,7 +102,7 @@ class LedgerEntry:
     """
 
     series: str
-    kind: str  # bench | microbench | calibration | sweep | health | trace
+    kind: str  # bench | microbench | calibration | sweep | trace
     unit: str  # virtual_s | wall_s | ratio | rel_error | count
     direction: str = "lower"
     deterministic: bool = True
@@ -421,37 +420,6 @@ def entries_from_sweep(
                 "n_result_equal": summary.get("n_result_equal")},
         provenance=prov,
     )]
-
-
-def entries_from_health_summary(
-    doc: Mapping[str, Any], date: str | None = None
-) -> list[LedgerEntry]:
-    """Live health summary (``repro.obs.live.summary/1``): how many
-    grid cells flagged drift, and the total online event count."""
-    run = _checked_run(
-        doc, "health summary", "repro.obs.live.summary/1", date
-    )
-    prov = provenance()
-    cells = doc.get("cells", {})
-    flagged = sum(
-        1 for info in cells.values()
-        if info.get("flagged_ranks") or info.get("flagged_links")
-    )
-    events = sum(int(info.get("n_events", 0)) for info in cells.values())
-    return [
-        LedgerEntry(
-            series="health/flagged_cells",
-            kind="health", unit="count", direction="lower",
-            deterministic=True, value=float(flagged),
-            run=run, detail={"n_cells": len(cells)}, provenance=prov,
-        ),
-        LedgerEntry(
-            series="health/events",
-            kind="health", unit="count", direction="lower",
-            deterministic=True, value=float(events),
-            run=run, detail={"n_cells": len(cells)}, provenance=prov,
-        ),
-    ]
 
 
 def entries_from_analysis(
@@ -783,10 +751,6 @@ def _collect_entries(args: argparse.Namespace) -> list[LedgerEntry]:
         ))
     for path in args.sweep or ():
         entries.extend(entries_from_sweep(_load_json(path), date=args.date))
-    for path in args.health or ():
-        entries.extend(
-            entries_from_health_summary(_load_json(path), date=args.date)
-        )
     for path in args.analysis or ():
         label, backend = _label_and_backend(path, args.backend)
         if backend is None:
@@ -809,8 +773,6 @@ def _add_artifact_flags(p: argparse.ArgumentParser) -> None:
                    help="a calibration report (repeatable)")
     p.add_argument("--sweep", action="append", metavar="FILE",
                    help="a chaos-sweep result (repeatable)")
-    p.add_argument("--health", action="append", metavar="FILE",
-                   help="a live health_summary.json (repeatable)")
     p.add_argument("--analysis", action="append", metavar="FILE",
                    help="a traced run's <label>.analysis.json: critical "
                         "path, makespan and blocked time (repeatable)")
@@ -909,7 +871,7 @@ def main(argv: Sequence[str] | None = None) -> int:
             return 2
         if not entries:
             print(f"error: nothing to {args.command}; pass artifacts "
-                  "(--bench/--microbench/--calibration/--sweep/--health/"
+                  "(--bench/--microbench/--calibration/--sweep/"
                   "--analysis)"
                   + (" or --last" if args.command == "gate" else ""),
                   file=sys.stderr)

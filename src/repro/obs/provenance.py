@@ -1,7 +1,7 @@
 """Provenance stamping for exported artifacts.
 
 Every machine-readable artifact the observability layer writes
-(``BENCH_*.json``, ``live.json``, ``analysis.json``, what-if
+(``BENCH_*.json``, ledger entries, ``analysis.json``, what-if
 predictions) carries a small provenance header — git commit, python and
 numpy versions, platform string — so regressions can be traced to the
 environment that produced the numbers and ``bench compare`` can warn

@@ -22,12 +22,6 @@ cross-check:
 * ``"health"`` — online drift detections from :mod:`repro.obs.health`
   (zero-duration point events, like ``"fault"`` markers).
 
-Streaming consumers (the :class:`~repro.obs.live.FlightRecorder`)
-register via :meth:`Tracer.add_listener` and see every span as it
-finishes, in per-rank program order.  For long/serving runs a tracer
-built with ``retain_spans=False`` keeps firing listeners but stores
-nothing, so trace state stays O(ring size) instead of O(run length).
-
 The disabled path is a single attribute check: code holds a
 :data:`NULL_TRACER` whose :meth:`~NullTracer.span` returns a shared
 no-op context manager, so uninstrumented runs pay near-zero overhead.
@@ -92,25 +86,15 @@ class Tracer:
         clock: ``clock(rank) -> seconds``.  Defaults to a wall clock
             zeroed at construction (the rank argument is ignored);
             the virtual-time engine rebinds it to its per-rank clocks.
-        retain_spans: when ``False`` finished spans are delivered to
-            listeners but never stored — :meth:`spans` stays empty and
-            memory stays bounded regardless of run length (the flight-
-            recorder mode for long/serving runs).
     """
 
     enabled = True
 
-    def __init__(
-        self,
-        clock: Callable[[int], float] | None = None,
-        retain_spans: bool = True,
-    ) -> None:
+    def __init__(self, clock: Callable[[int], float] | None = None) -> None:
         self._lock = threading.Lock()
         self._spans: list[Span] = []
         self._seq: dict[int, int] = {}
         self._local = threading.local()
-        self._listeners: list[Callable[[Span], None]] = []
-        self.retain_spans = retain_spans
         if clock is None:
             self.bind_wall_clock()
         else:
@@ -130,26 +114,9 @@ class Tracer:
         """Current time on ``rank``'s clock."""
         return self._clock(rank)
 
-    # -- listeners --------------------------------------------------------
-    def add_listener(self, listener: Callable[[Span], None]) -> None:
-        """Register a callback fired with every finished span, on the
-        recording thread (per-rank program order).  Idempotent."""
-        with self._lock:
-            if listener not in self._listeners:
-                self._listeners.append(listener)
-
-    def remove_listener(self, listener: Callable[[Span], None]) -> None:
-        with self._lock:
-            if listener in self._listeners:
-                self._listeners.remove(listener)
-
     def _record(self, finished: Span) -> None:
         with self._lock:
-            if self.retain_spans:
-                self._spans.append(finished)
-            listeners = tuple(self._listeners)
-        for listener in listeners:
-            listener(finished)
+            self._spans.append(finished)
 
     # -- recording --------------------------------------------------------
     def _next_seq(self, rank: int) -> int:
@@ -259,12 +226,6 @@ class NullTracer:
 
     def spans(self) -> list[Span]:
         return []
-
-    def add_listener(self, listener: Callable[[Span], None]) -> None:
-        return None
-
-    def remove_listener(self, listener: Callable[[Span], None]) -> None:
-        return None
 
     def now(self, rank: int = 0) -> float:
         return 0.0

@@ -17,7 +17,7 @@ from repro.faults import (
 )
 from repro.hsi import SceneConfig, make_wtc_scene
 from repro.obs import ObsSession
-from repro.obs.live import LiveRuntime
+from repro.obs.health import HealthMonitor
 
 from conftest import make_tiny_platform
 
@@ -119,7 +119,7 @@ class TestAdaptiveEndToEnd:
         fraction of the injected imbalance (measured ratio 0.731)."""
         platform = make_tiny_platform()
         params = {"n_targets": 18}
-        obs = ObsSession.create(live=LiveRuntime())
+        obs = ObsSession.create(health=HealthMonitor())
         adaptive = run_with_recovery(
             "atdca", gate_scene.image, platform, params=params,
             plan=_slowdown_plan(), adaptive=True, obs=obs,

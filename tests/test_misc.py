@@ -135,7 +135,6 @@ class TestExperimentsCLI:
         ("--trace", "--trace requires a directory name"),
         ("--metrics", "--metrics requires a directory name"),
         ("--calibrate", "--calibrate requires a directory name"),
-        ("--live", "--live requires a directory name"),
         ("--whatif", "--whatif requires a plan file name"),
         ("--plan", "--plan requires 'auto', 'default', or a plan file"),
     ])

@@ -25,7 +25,6 @@ from repro.obs.history import (
     entries_from_analysis,
     entries_from_bench,
     entries_from_calibration,
-    entries_from_health_summary,
     entries_from_microbench,
     entries_from_sweep,
     gate_entries,
@@ -229,15 +228,6 @@ class TestExtractors:
             e.value is None and e.wall["value"] > 0 and not e.deterministic
             for e in wall
         )
-
-    def test_health_summary_counts(self):
-        doc = {"schema": "repro.obs.live.summary/1", "cells": {
-            "a": {"flagged_ranks": [1], "flagged_links": [], "n_events": 3},
-            "b": {"flagged_ranks": [], "flagged_links": [], "n_events": 0},
-        }}
-        entries = {e.series: e for e in entries_from_health_summary(doc)}
-        assert entries["health/flagged_cells"].value == 1.0
-        assert entries["health/events"].value == 3.0
 
 
 class TestControlBand:

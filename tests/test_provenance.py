@@ -5,7 +5,6 @@ missing block with a warning instead of a crash."""
 from __future__ import annotations
 
 import dataclasses
-import json
 
 import pytest
 
@@ -30,20 +29,6 @@ def bench_artifact():
     return run_bench(config, date="2026-01-01")
 
 
-def _live_snapshot_doc(tmp_path):
-    from repro.obs import ObsSession
-    from repro.obs.live import LiveRuntime
-
-    live = LiveRuntime(tmp_path / "live", snapshot_every=0)
-    obs = ObsSession.create(live=live)
-    with obs.tracer.span("warm", rank=0, category="compute"):
-        pass
-    live.write_snapshot()
-    return json.loads(
-        (tmp_path / "live" / "live.json").read_text(encoding="utf-8")
-    )
-
-
 @pytest.fixture(scope="module")
 def analysis_doc():
     from repro.cluster.presets import fully_heterogeneous
@@ -62,17 +47,14 @@ class TestWritersStampProvenance:
 
     @pytest.mark.parametrize("writer", [
         pytest.param("bench", id="BENCH_artifact"),
-        pytest.param("live", id="live.json"),
         pytest.param("analysis", id="analysis.json"),
         pytest.param("ledger", id="history_ledger_entries"),
     ])
     def test_same_schema_versioned_block(
-        self, writer, bench_artifact, analysis_doc, tmp_path
+        self, writer, bench_artifact, analysis_doc
     ):
         if writer == "bench":
             docs = [bench_artifact]
-        elif writer == "live":
-            docs = [_live_snapshot_doc(tmp_path)]
         elif writer == "analysis":
             docs = [analysis_doc]
         else:
@@ -101,17 +83,6 @@ class TestReadersTolerateMissingBlock:
             loaded = load_artifact(path)
         assert "provenance" not in loaded
         assert loaded["cells"]
-
-    def test_live_read_warns_not_crashes(self, tmp_path):
-        from repro.obs.live import read_snapshot
-
-        doc = _live_snapshot_doc(tmp_path)
-        doc.pop("provenance")
-        target = tmp_path / "live" / "live.json"
-        target.write_text(json.dumps(doc), encoding="utf-8")
-        with pytest.warns(UserWarning, match="no provenance block"):
-            loaded = read_snapshot(target)
-        assert loaded["schema"] == "repro.obs.live/1"
 
     def test_ledger_read_warns_not_crashes(self, bench_artifact, tmp_path):
         from repro.obs.history import (
