@@ -34,10 +34,6 @@ TOOLS: dict[str, tuple[str, str]] = {
         "repro.obs.profile",
         "per-op cost-model profiles and calibration gates",
     ),
-    "diff": (
-        "repro.obs.diff",
-        "structural + timing diff of two recorded traces",
-    ),
     "whatif": (
         "repro.obs.whatif",
         "what-if replay, causal profiles, capacity sweeps",

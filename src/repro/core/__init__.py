@@ -7,7 +7,6 @@ from repro.core.morph import (
     morph_classify,
     select_endmembers,
 )
-from repro.core.nfindr import NFindrResult, nfindr, nfindr_pixels, simplex_volume
 from repro.core.parallel_detect import (
     parallel_atdca_program,
     parallel_ufcls_program,
@@ -40,7 +39,6 @@ from repro.core.unique import (
 __all__ = [
     "ALGORITHM_NAMES",
     "MorphClassification",
-    "NFindrResult",
     "PCTClassification",
     "ParallelRun",
     "SceneAnalysis",
@@ -59,9 +57,6 @@ __all__ = [
     "merge_unique_sets",
     "morph_classify",
     "morph_halo_depth",
-    "nfindr",
-    "nfindr_pixels",
-    "simplex_volume",
     "parallel_atdca_program",
     "parallel_morph_exchange_program",
     "parallel_morph_program",

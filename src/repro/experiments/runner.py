@@ -244,6 +244,7 @@ def main(argv: list[str] | None = None) -> int:
               f"executed, {len(grid.cells) - grid.programs} re-priced")
 
     sections: list[str] = []
+    table8 = None  # wanted runs table8 before figure2, which plots it
     for name in wanted:
         print(f"running {name}...", flush=True)
         if name == "table3":
@@ -257,7 +258,8 @@ def main(argv: list[str] | None = None) -> int:
         elif name == "table7":
             text = run_table7(config, grid=grid).to_text()
         elif name == "table8":
-            text = run_table8(config).to_text()
+            table8 = run_table8(config)
+            text = table8.to_text()
         elif name == "figure1":
             text = run_figure1(config, scene=scene, output_dir=outdir).to_text()
         elif name == "whatif":
@@ -268,7 +270,7 @@ def main(argv: list[str] | None = None) -> int:
                 jobs=args.jobs,
             ).to_text()
         else:  # figure2
-            text = run_figure2(config).to_text()
+            text = run_figure2(config, table8).to_text()
         sections.append(text)
         print(text)
         print()

@@ -51,7 +51,6 @@ from repro.obs.export import (
     jsonl_lines,
     metrics_records,
     openmetrics_text,
-    parse_openmetrics,
     read_jsonl,
     spans_of,
     summary_table,
@@ -72,15 +71,11 @@ from repro.obs.trace import NULL_TRACER, NullTracer, Span, Tracer, tracer_of
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.obs.health import HealthMonitor
 
-#: Members imported on first use.  Their seven modules serve single tools
-#: and runs that ask for them; importing them here would add 0.05-0.06 s
-#: to the 0.22-0.31 s that importing ``repro`` and its packages takes
-#: (about +20 %) and 2.7 MiB resident, measured on 2 x86-64 vCPUs.
+#: Members imported on first use.  Their six modules serve single tools
+#: and runs that ask for them; importing them here would add 0.07-0.10 s
+#: to the 0.33-0.37 s that importing ``repro`` and its packages takes
+#: (about +25 %) and 2.1 MiB resident, measured on 2 x86-64 vCPUs.
 _LAZY = {
-    "SpanDelta": "repro.obs.diff",
-    "StructuralDivergence": "repro.obs.diff",
-    "TraceDiff": "repro.obs.diff",
-    "diff_traces": "repro.obs.diff",
     "CalibrationReport": "repro.obs.profile",
     "GateResult": "repro.obs.profile",
     "OpSample": "repro.obs.profile",
@@ -143,10 +138,6 @@ __all__ = [
     "fault_windows",
     "link_utilization",
     "wea_attribution",
-    "SpanDelta",
-    "StructuralDivergence",
-    "TraceDiff",
-    "diff_traces",
     "CalibrationReport",
     "GateResult",
     "OpSample",
@@ -161,7 +152,6 @@ __all__ = [
     "jsonl_lines",
     "metrics_records",
     "openmetrics_text",
-    "parse_openmetrics",
     "read_jsonl",
     "spans_of",
     "summary_table",

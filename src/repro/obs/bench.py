@@ -37,7 +37,6 @@ import dataclasses
 import datetime
 import json
 import sys
-import textwrap
 import time
 from pathlib import Path
 from typing import Any, Mapping, Sequence
@@ -208,9 +207,9 @@ def run_bench(
 
     With ``trace_dir``, every sim cell additionally runs under an
     :class:`~repro.obs.ObsSession` and its spans+metrics are written as
-    ``<trace_dir>/<cell>.jsonl`` — the inputs ``compare`` needs to
-    auto-diff a regressed cell down to the responsible ops.  Tracing is
-    passive: virtual timings (and thus the artifact) are unchanged.
+    ``<trace_dir>/<cell>.jsonl``, ready for ``profile``, ``whatif`` or
+    :func:`~repro.obs.analyze.analyze_trace`.  Tracing is passive:
+    virtual timings (and thus the artifact) are unchanged.
 
     Sim cells are grouped as the network grid groups them
     (:func:`~repro.experiments.grid.run_grid_tasks`): each distinct
@@ -570,39 +569,6 @@ def compare_report(
     )
 
 
-def _regression_diff(
-    series: str,
-    baseline_dir: str | Path,
-    candidate_dir: str | Path,
-    top: int = 5,
-) -> str | None:
-    """Trace-level explanation of one regressed sim cell's
-    ``bench/<cell>/makespan`` series, if possible.
-
-    Loads the cell's JSONL trace from both directories (written by
-    ``run --trace-dir``) and returns the ranked per-op delta text of
-    :func:`repro.obs.diff.diff_traces` — which ops slowed down, whether
-    they sit on the critical path, and the dominant rank.  Returns
-    ``None`` when either trace is absent or unreadable; the timing
-    regression still gates, it just goes unexplained.
-    """
-    from repro.obs.diff import diff_traces
-    from repro.obs.export import read_jsonl
-
-    name = _cell_filename(
-        series.removeprefix("bench/").removesuffix("/makespan")
-    )
-    base_path = Path(baseline_dir) / name
-    cand_path = Path(candidate_dir) / name
-    if not (base_path.is_file() and cand_path.is_file()):
-        return None
-    try:
-        diff = diff_traces(read_jsonl(base_path), read_jsonl(cand_path))
-    except (OSError, json.JSONDecodeError, ReproError):
-        return None
-    return diff.to_text(top=top)
-
-
 def report_text(artifact: Mapping[str, Any]) -> str:
     """Render one artifact as a monospace table."""
     rows = []
@@ -664,9 +630,8 @@ def _add_run_parser(sub: Any) -> None:
                         "injection; 2.0 doubles every link cost)")
     p.add_argument("--trace-dir", metavar="DIR", default=None,
                    help="also write each sim cell's spans+metrics as "
-                        "<DIR>/<cell>.jsonl; feed the directories of two "
-                        "runs to `compare --baseline-traces/--candidate-"
-                        "traces` to auto-diff regressed cells")
+                        "<DIR>/<cell>.jsonl; every traced cell is "
+                        "executed, none re-priced")
     p.add_argument("--jobs", type=int, default=None,
                    help="fan sim cells out over N worker processes; the "
                         "artifact is byte-identical to a serial run "
@@ -854,14 +819,6 @@ def main(argv: Sequence[str] | None = None) -> int:
                             "gate document (per-series bands + exit "
                             "status) to FILE ('-' for stdout), so CI gates "
                             "can consume it without text parsing")
-    p_cmp.add_argument("--baseline-traces", metavar="DIR", default=None,
-                       help="per-cell JSONL traces of the baseline run "
-                            "(from `run --trace-dir`)")
-    p_cmp.add_argument("--candidate-traces", metavar="DIR", default=None,
-                       help="per-cell JSONL traces of the candidate run; "
-                            "with both trace directories given, each "
-                            "regressed sim cell is auto-diffed down to "
-                            "the responsible ops and dominant rank")
     p_rep = sub.add_parser("report", help="print one artifact as a table")
     p_rep.add_argument("artifact")
     args = parser.parse_args(argv)
@@ -920,15 +877,6 @@ def main(argv: Sequence[str] | None = None) -> int:
             baseline, candidate, fail_on_missing=args.fail_on_missing
         )
         print(report.to_text())
-        if args.baseline_traces and args.candidate_traces:
-            for result in report.failing:
-                explained = _regression_diff(
-                    result.series, args.baseline_traces,
-                    args.candidate_traces,
-                )
-                if explained is not None:
-                    print(f"{result.series}:")
-                    print(textwrap.indent(explained, "    "))
         return history.conclude_gate(report, args.json)
 
     # report

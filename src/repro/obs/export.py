@@ -44,7 +44,6 @@ __all__ = [
     "write_metrics_json",
     "openmetrics_text",
     "write_openmetrics",
-    "parse_openmetrics",
     "LoadedTrace",
     "read_jsonl",
     "breakdown_from_spans",
@@ -303,149 +302,6 @@ def write_openmetrics(path: str | Path, source: Any) -> Path:
     out.parent.mkdir(parents=True, exist_ok=True)
     out.write_text(openmetrics_text(source), encoding="utf-8")
     return out
-
-
-def _om_parse_labels(body: str) -> dict[str, str]:
-    """Parse an OpenMetrics label body ``a="x",b="y"`` (escapes as
-    written by :func:`_om_label_value`)."""
-    labels: dict[str, str] = {}
-    i = 0
-    while i < len(body):
-        eq = body.index("=", i)
-        name = body[i:eq].lstrip(",").strip()
-        if body[eq + 1] != '"':
-            raise ValueError(f"label {name!r} value is not quoted")
-        j = eq + 2
-        out: list[str] = []
-        while True:
-            ch = body[j]
-            if ch == "\\":
-                nxt = body[j + 1]
-                out.append({"\\": "\\", '"': '"', "n": "\n"}.get(nxt, nxt))
-                j += 2
-            elif ch == '"':
-                break
-            else:
-                out.append(ch)
-                j += 1
-        labels[name] = "".join(out)
-        i = j + 1
-    return labels
-
-
-def _om_parse_value(token: str) -> float:
-    if token == "+Inf":
-        return float("inf")
-    if token == "-Inf":
-        return float("-inf")
-    return float(token)
-
-
-def parse_openmetrics(text: str) -> list[dict[str, Any]]:
-    """Parse :func:`openmetrics_text` output back into metric records.
-
-    The inverse of the exporter for everything it emits — counters
-    (``_total``), gauges and histograms (cumulative *le* buckets ending
-    at the explicit ``+Inf`` bucket, plus ``_sum``/``_count``) — shaped like
-    :meth:`~repro.obs.metrics.MetricsRegistry.records` (histogram
-    bucket bounds re-encoded with ``"+Inf"`` for the overflow, matching
-    the snapshot convention).  Raises :class:`ValueError` on a missing
-    ``# EOF`` terminator, an unknown family kind, a sample without a
-    ``# TYPE`` or a histogram lacking its ``+Inf`` bucket — the
-    round-trip test pins exporter spec-compliance with this parser.
-    """
-    lines = text.splitlines()
-    if not lines or lines[-1].strip() != "# EOF":
-        raise ValueError("OpenMetrics document missing the '# EOF' terminator")
-    kinds: dict[str, str] = {}
-    # family name -> labels-key -> accumulating record
-    families: dict[str, dict[tuple[tuple[str, str], ...], dict[str, Any]]] = {}
-    order: list[tuple[str, tuple[tuple[str, str], ...]]] = []
-
-    def sample_record(family: str, labels: dict[str, str]) -> dict[str, Any]:
-        key = tuple(sorted(labels.items()))
-        bucket = families.setdefault(family, {})
-        record = bucket.get(key)
-        if record is None:
-            record = bucket[key] = {
-                "name": family,
-                "labels": dict(sorted(labels.items())),
-                "kind": kinds[family],
-            }
-            order.append((family, key))
-        return record
-
-    for lineno, raw in enumerate(lines[:-1], start=1):
-        line = raw.strip()
-        if not line:
-            continue
-        if line.startswith("#"):
-            parts = line.split()
-            if len(parts) >= 4 and parts[1] == "TYPE":
-                if parts[3] not in ("counter", "gauge", "histogram"):
-                    raise ValueError(
-                        f"line {lineno}: unsupported metric kind {parts[3]!r}"
-                    )
-                kinds[parts[2]] = parts[3]
-            continue
-        brace = line.find("{")
-        if brace >= 0:
-            name = line[:brace]
-            close = line.rindex("}")
-            labels = _om_parse_labels(line[brace + 1:close])
-            value_token = line[close + 1:].strip()
-        else:
-            name, _, value_token = line.partition(" ")
-            labels = {}
-        value = _om_parse_value(value_token.split()[0])
-        _SUFFIX_KINDS = {
-            "_total": "counter",
-            "_bucket": "histogram",
-            "_sum": "histogram",
-            "_count": "histogram",
-        }
-        for suffix, expected in _SUFFIX_KINDS.items():
-            base = name[: -len(suffix)]
-            if name.endswith(suffix) and kinds.get(base) == expected:
-                name = base
-                break
-        else:
-            suffix = ""
-        if name not in kinds:
-            raise ValueError(
-                f"line {lineno}: sample {name!r} has no # TYPE metadata"
-            )
-        kind = kinds[name]
-        if kind == "counter":
-            sample_record(name, labels)["value"] = value
-        elif kind == "gauge":
-            sample_record(name, labels)["value"] = value
-        else:  # histogram
-            if suffix == "_bucket":
-                le = labels.pop("le")
-                record = sample_record(name, labels)
-                bound: Any = "+Inf" if le == "+Inf" else float(le)
-                record.setdefault("buckets", []).append(
-                    [bound, int(value)]
-                )
-            elif suffix == "_sum":
-                sample_record(name, labels)["total"] = value
-            elif suffix == "_count":
-                sample_record(name, labels)["count"] = int(value)
-            else:
-                raise ValueError(
-                    f"line {lineno}: unexpected histogram sample {name!r}"
-                )
-    for family, key in order:
-        record = families[family][key]
-        if record["kind"] == "histogram":
-            buckets = record.get("buckets", [])
-            if not buckets or buckets[-1][0] != "+Inf":
-                raise ValueError(
-                    f"histogram {family!r}{dict(key)!r} lacks the "
-                    "explicit +Inf bucket"
-                )
-    return [families[family][key] for family, key in order]
 
 
 # -- reading traces back ------------------------------------------------------

@@ -16,8 +16,6 @@ Kernels measured (registry kernel → driving loop):
 * ``ufcls`` — ``fcls_solve`` variants driven through the UFCLS loop
   (:func:`~repro.core.ufcls.ufcls_pixels`).
 * ``mei_map`` — ``morph_mei`` variants on a raw cube.
-* ``nfindr`` — ``nfindr_screen`` variants driven through the full
-  N-FINDR replacement loop (:func:`~repro.core.nfindr.nfindr_pixels`).
 * ``unique`` — ``unique_filter`` variants on a flat candidate pool.
 * ``mailbox`` — bespoke (not registry-dispatched): deep
   :func:`~repro.cluster.mailbox.copy_payload` vs the zero-copy
@@ -69,7 +67,7 @@ MICRO_SCHEMA = "repro.obs.microbench/1"
 FLOORS_SCHEMA = "repro.obs.microbench-floors/1"
 
 KERNELS: tuple[str, ...] = (
-    "atdca", "ufcls", "mei_map", "nfindr", "unique", "mailbox"
+    "atdca", "ufcls", "mei_map", "unique", "mailbox"
 )
 
 #: microbench kernel name → registry kernel it enumerates (the mailbox
@@ -78,7 +76,6 @@ REGISTRY_KERNELS: Mapping[str, str] = {
     "atdca": "osp_step",
     "ufcls": "fcls_solve",
     "mei_map": "morph_mei",
-    "nfindr": "nfindr_screen",
     "unique": "unique_filter",
 }
 
@@ -106,7 +103,6 @@ class MicrobenchConfig:
     #: Five samples feed three sliding 3-medians per timing (the floor
     #: gate's jitter guard); below 3 the estimator is a plain minimum.
     repeats: int = 5
-    kernels: tuple[str, ...] = KERNELS
     #: Pixel subset for the ufcls kernel only.  Both variants spend
     #: nearly all their time in the one active-set refinement they share
     #: (``linalg.fcls._active_set_refine``; the fast path saves only the
@@ -116,11 +112,6 @@ class MicrobenchConfig:
     #: targets a sample costs ~1.5 s on 512 pixels and ~8 s on the full
     #: 6144-pixel frame.
     ufcls_pixels: int = 512
-    #: Pixel subset and simplex size for the nfindr kernel (the scalar
-    #: reference sweep is O(n·k) determinants per pass — the full frame
-    #: would dominate the whole suite).
-    nfindr_pixels: int = 768
-    nfindr_endmembers: int = 6
     #: Candidate pool and SAD threshold for the unique kernel.
     unique_pixels: int = 4096
     unique_threshold: float = 0.05
@@ -255,23 +246,6 @@ def _bench_mei_map(config: MicrobenchConfig, cube: FloatArray) -> dict[str, Any]
     )
 
 
-def _bench_nfindr(config: MicrobenchConfig, pix: FloatArray) -> dict[str, Any]:
-    from repro.core.nfindr import nfindr_pixels
-
-    k = config.nfindr_endmembers
-    return _registry_cell(
-        "nfindr_screen",
-        lambda name: nfindr_pixels(pix, k, screen_variant=name),
-        lambda ref, out: bool(
-            np.array_equal(ref.flat_indices, out.flat_indices)
-            and ref.volume == out.volume
-            and ref.sweeps == out.sweeps
-        ),
-        f"k={k} endmembers, {pix.shape[0]} pixels × {pix.shape[1]} bands",
-        config.repeats,
-    )
-
-
 def _bench_unique(config: MicrobenchConfig, pix: FloatArray) -> dict[str, Any]:
     from repro.tuning.registry import resolve
 
@@ -324,12 +298,8 @@ def _bench_mailbox(config: MicrobenchConfig, cube: FloatArray) -> dict[str, Any]
 
 
 def run_microbench(config: MicrobenchConfig, date: str) -> dict[str, Any]:
-    """Run the selected kernels and return the artifact document."""
-    unknown = set(config.kernels) - set(KERNELS)
-    if unknown:
-        raise ReproError(
-            f"unknown kernel(s) {sorted(unknown)}; choose from {list(KERNELS)}"
-        )
+    """Run every kernel in :data:`KERNELS` and return the artifact
+    document."""
     scene = make_wtc_scene(config.scene_config())
     cube = np.asarray(scene.image.values, dtype=float)
     pix = scene.image.flatten_pixels()
@@ -339,10 +309,6 @@ def run_microbench(config: MicrobenchConfig, date: str) -> dict[str, Any]:
             config, pix[: max(config.ufcls_pixels, config.n_targets + 1)]
         ),
         "mei_map": lambda: _bench_mei_map(config, cube),
-        "nfindr": lambda: _bench_nfindr(
-            config,
-            pix[: max(config.nfindr_pixels, config.nfindr_endmembers)],
-        ),
         "unique": lambda: _bench_unique(
             config, pix[: max(config.unique_pixels, 1)]
         ),
@@ -350,8 +316,6 @@ def run_microbench(config: MicrobenchConfig, date: str) -> dict[str, Any]:
     }
     kernels: dict[str, dict[str, Any]] = {}
     for name in KERNELS:
-        if name not in config.kernels:
-            continue
         cell = runners[name]()
         cell["speedup"] = (
             cell["reference_s"] / cell["fast_s"] if cell["fast_s"] > 0

@@ -3,9 +3,9 @@
 Two layers with a deliberate split (DESIGN decision 19):
 
 * :mod:`repro.tuning.registry` — *what can run*: every hot kernel
-  (OSP step, FCLS solve, MORPH MEI map, N-FINDR screen, unique-survivor
-  filter) registers its implementation variants with capability
-  metadata (exactness class, memory footprint, preconditions such as
+  (OSP step, FCLS solve, MORPH MEI map, unique-survivor filter)
+  registers its implementation variants with capability metadata
+  (exactness class, memory footprint, preconditions such as
   rank-deficiency tolerance).  The registry holds no policy — it only
   answers "which variants exist and what do they guarantee".
 * :mod:`repro.tuning.planner` — *what should run*: consumes the

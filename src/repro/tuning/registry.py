@@ -1,16 +1,15 @@
 """The kernel-variant registry: one dispatch seam for every hot kernel.
 
 PR 5 introduced fast paths (incremental OSP/FCLS state, the
-pair-compressed MEI map, the batched N-FINDR cofactor screen, the
-vectorized unique-survivor filter) but wired each one ad hoc: every
-algorithm hand-picked its implementation at the call site.  This module
-replaces those hard-wired choices with a registry: each kernel's
-variants are registered with **capability metadata** — exactness class,
-memory footprint, and preconditions such as rank-deficiency tolerance —
-and callers resolve a variant *by name*, with the planner
-(:mod:`repro.tuning.planner`) choosing the name from the metadata and
-the microbench (:mod:`repro.obs.microbench`) enumerating all of them
-against the reference.
+pair-compressed MEI map, the vectorized unique-survivor filter) but
+wired each one ad hoc: every algorithm hand-picked its implementation
+at the call site.  This module replaces those hard-wired choices with
+a registry: each kernel's variants are registered with **capability
+metadata** — exactness class, memory footprint, and preconditions such
+as rank-deficiency tolerance — and callers resolve a variant *by
+name*, with the planner (:mod:`repro.tuning.planner`) choosing the
+name from the metadata and the microbench (:mod:`repro.obs.microbench`)
+enumerating all of them against the reference.
 
 Implementation protocols (what ``KernelVariant.implementation()``
 returns) per kernel:
@@ -21,8 +20,6 @@ returns) per kernel:
 ``fcls_solve``      a class ``C(pixels)`` with ``add_target(sig)`` and
                     ``error_image(max_iter=None) -> (n,)``
 ``morph_mei``       ``f(cube, se, iterations) -> (rows, cols)``
-``nfindr_screen``   ``f(reduced, aug, current, volume, k)
-                    -> (current, volume, improved)``
 ``unique_filter``   ``f(pixels, threshold, max_keep=None) -> UniqueSet``
 ==================  ========================================================
 
@@ -54,7 +51,6 @@ KERNEL_NAMES: tuple[str, ...] = (
     "osp_step",
     "fcls_solve",
     "morph_mei",
-    "nfindr_screen",
     "unique_filter",
 )
 
@@ -194,22 +190,6 @@ def _mei_paired() -> Any:
     return mei_map
 
 
-def _nfindr_reference() -> Any:
-    from repro.core.nfindr import _sweep_scalar
-
-    def screen_reference(reduced, aug, current, volume, k):
-        # The scalar sweep never needs the precomputed augmented matrix.
-        return _sweep_scalar(reduced, current, volume, k)
-
-    return screen_reference
-
-
-def _nfindr_batched() -> Any:
-    from repro.core.nfindr import _replacement_sweep
-
-    return _replacement_sweep
-
-
 def _unique_reference() -> Any:
     from repro.core.unique import greedy_unique_reference
 
@@ -252,16 +232,6 @@ def _register_defaults() -> None:
         kernel="morph_mei", name="paired", exactness="bit_identical",
         memory="O(n·|B|)", rank_tolerant=True, min_pixels=64,
         speed_hint=2.0, factory=_mei_paired,
-    ))
-    register(KernelVariant(
-        kernel="nfindr_screen", name="reference", exactness="bit_identical",
-        memory="O(k²)", rank_tolerant=True, min_pixels=0,
-        speed_hint=1.0, factory=_nfindr_reference,
-    ))
-    register(KernelVariant(
-        kernel="nfindr_screen", name="batched", exactness="bit_identical",
-        memory="O(n·k)", rank_tolerant=False, min_pixels=64,
-        speed_hint=20.0, factory=_nfindr_batched,
     ))
     register(KernelVariant(
         kernel="unique_filter", name="reference", exactness="bit_identical",

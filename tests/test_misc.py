@@ -275,8 +275,6 @@ class TestImportHygiene:
     #: ``(importing module, imported module, private name)`` violations
     #: that predate the rule.  This list may only shrink.
     ALLOWED = {
-        ("repro.tuning.registry", "repro.core.nfindr", "_sweep_scalar"),
-        ("repro.tuning.registry", "repro.core.nfindr", "_replacement_sweep"),
         ("repro.core.morph", "repro.morphology.ops", "_EPS"),
     }
 

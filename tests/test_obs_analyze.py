@@ -142,8 +142,10 @@ class TestOpenMetrics:
     def test_label_escaping(self):
         registry = MetricsRegistry()
         registry.counter("c", tag='quo"te\n').inc()
+        registry.counter("c", tag="back\\slash").inc()
         text = openmetrics_text(registry)
         assert 'tag="quo\\"te\\n"' in text
+        assert 'tag="back\\\\slash"' in text
 
     def test_deterministic(self):
         def build():

@@ -1,5 +1,5 @@
-"""Tests for the iterative-mapping LP, engine tracing, the Gantt
-renderer, and N-FINDR."""
+"""Tests for the iterative-mapping LP, engine tracing and the Gantt
+renderer."""
 
 import numpy as np
 import pytest
@@ -113,65 +113,3 @@ class TestEngineTrace:
     def test_gantt_validates_input(self):
         with pytest.raises(ConfigurationError):
             ascii_gantt([], n_ranks=2)
-
-
-class TestNFindrAndSAM:
-    def test_nfindr_finds_simplex_vertices(self, rng):
-        from repro.core import nfindr_pixels
-
-        # 3 extreme vertices + interior mixtures: N-FINDR must return
-        # the vertices.
-        vertices = np.array(
-            [[5.0, 0.1, 0.1, 0.1], [0.1, 5.0, 0.1, 0.1], [0.1, 0.1, 5.0, 0.1]]
-        )
-        weights = rng.dirichlet(np.ones(3), size=150)
-        interior = weights @ vertices
-        pixels = np.vstack([interior, vertices])
-        result = nfindr_pixels(pixels, 3)
-        assert set(result.flat_indices) == {150, 151, 152}
-        assert result.volume > 0
-
-    def test_nfindr_batched_sweep_matches_scalar_scan(self, rng):
-        # The batched cofactor screen must reproduce the scalar
-        # first-accept replacement scan exactly: same endmembers, same
-        # volume, same sweep count.
-        from repro.core import nfindr_pixels
-        from repro.core.atdca import atdca_pixels
-        from repro.core.nfindr import _sweep_scalar, simplex_volume
-        from repro.linalg.pca import (
-            apply_pct, covariance_matrix, mean_vector, pct_transform,
-        )
-
-        k = 4
-        vertices = rng.random((k, 8)) * 4.0 + 0.5
-        weights = rng.dirichlet(np.ones(k), size=300)
-        pixels = weights @ vertices + rng.normal(0, 0.01, size=(300, 8))
-
-        mean = mean_vector(pixels)
-        transform, _ = pct_transform(
-            covariance_matrix(pixels, mean), n_components=k - 1
-        )
-        reduced = apply_pct(pixels, mean, transform)
-        current = atdca_pixels(pixels, k).flat_indices.astype(np.int64)
-        volume = simplex_volume(reduced[current])
-        sweeps = 0
-        improved = True
-        while improved and sweeps < 10:
-            sweeps += 1
-            current, volume, improved = _sweep_scalar(
-                reduced, current, volume, k
-            )
-
-        result = nfindr_pixels(pixels, k)
-        assert np.array_equal(result.flat_indices, current)
-        assert result.volume == volume
-        assert result.sweeps == sweeps
-
-    def test_nfindr_validation(self, rng):
-        from repro.core import nfindr_pixels
-
-        with pytest.raises(ConfigurationError):
-            nfindr_pixels(rng.random((10, 4)), 1)
-        with pytest.raises(ConfigurationError):
-            nfindr_pixels(rng.random((10, 2)), 5)
-
