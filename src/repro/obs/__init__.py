@@ -96,7 +96,6 @@ _LAZY = {
     "CausalProfile": "repro.obs.causal",
     "causal_profile": "repro.obs.causal",
     "provenance": "repro.obs.provenance",
-    "provenance_matches": "repro.obs.provenance",
     "LedgerEntry": "repro.obs.history",
     "Ledger": "repro.obs.history",
     "append_entries": "repro.obs.history",
@@ -171,7 +170,6 @@ __all__ = [
     "CausalProfile",
     "causal_profile",
     "provenance",
-    "provenance_matches",
     "LedgerEntry",
     "Ledger",
     "append_entries",

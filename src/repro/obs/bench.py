@@ -1,27 +1,19 @@
-"""Continuous benchmarking with regression gating.
+"""Continuous benchmarking: the pinned grid and its artifacts.
 
 ``python -m repro bench`` runs a *pinned* subset of the Table 5–8
-experiment grid and persists the timings as a schema-versioned
-``BENCH_<iso-date>.json`` artifact; ``compare BASE CAND`` runs the
-ledger's regression gate (:func:`repro.obs.history.gate_entries`) with
-``BASE`` as a one-run history and exits nonzero on regression.
-
-Two measurement regimes, mirroring the repo's two backends:
-
-* **sim** — virtual-time makespans plus the Table 6 COM/SEQ/PAR triple
-  and the Table 7 ``D_all``/``D_minus`` scores.  Virtual seconds are
-  *exact*: two runs of the same code produce byte-identical artifacts,
-  so the gate's tolerance is float round-off and any drift is a
-  genuine behaviour change.
-* **inproc** — wall-clock seconds of the thread backend, the median of
-  ``--repeats`` repetitions: reported and trended, never gated (wall
-  claims are judged by the paired runs of ``benchmarks/wall``).
+experiment grid on the virtual-time backend and persists, per cell,
+the makespan plus the Table 6 COM/SEQ/PAR triple and the Table 7
+``D_all``/``D_minus`` scores as a schema-versioned
+``BENCH_<iso-date>.json`` artifact.  Virtual seconds are *exact*: two
+runs of the same code produce byte-identical artifacts.  This module
+produces artifacts only; ``python -m repro history record``/``gate``
+(:mod:`repro.obs.history`) decide what is gated.  Wall-clock claims are
+judged by the paired runs of ``benchmarks/wall``.
 
 Usage::
 
     python -m repro bench run                      # BENCH_<date>.json
-    python -m repro bench run --out bench.json --backends sim,inproc
-    python -m repro bench compare BENCH_a.json BENCH_b.json
+    python -m repro bench run --out bench.json --jobs 2
     python -m repro bench report BENCH_a.json
     python -m repro bench microbench --gate    # fast-path kernel floors
     python -m repro bench plan --gate          # autotuning planner gate
@@ -37,7 +29,6 @@ import dataclasses
 import datetime
 import json
 import sys
-import time
 from pathlib import Path
 from typing import Any, Mapping, Sequence
 
@@ -47,14 +38,8 @@ from repro.errors import ReproError
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.grid import run_grid_tasks, variant_label
 from repro.hsi.scene import SceneConfig, make_wtc_scene
-from repro.obs import history
 from repro.obs.export import write_json
-from repro.obs.provenance import (
-    describe_mismatch,
-    provenance,
-    provenance_matches,
-    warn_if_unstamped,
-)
+from repro.obs.provenance import provenance, warn_if_unstamped
 from repro.perf.fanout import ordered_map
 from repro.perf.imbalance import imbalance_of_run
 from repro.perf.report import format_table
@@ -68,7 +53,6 @@ __all__ = [
     "run_plan_bench",
     "gate_plan",
     "plan_report",
-    "compare_report",
     "report_text",
     "main",
 ]
@@ -95,14 +79,12 @@ class BenchConfig:
     networks: tuple[str, ...] = (
         "fully heterogeneous", "partially homogeneous",
     )
-    backends: tuple[str, ...] = ("sim",)
     rows: int = 384
     cols: int = 8
     bands: int = 32
     seed: int = 7
     n_targets: int = 18
     n_classes: int = 24
-    repeats: int = 3
     comm_factor: float = 1.0
 
     def scene_config(self) -> SceneConfig:
@@ -119,8 +101,8 @@ class BenchConfig:
         return dataclasses.asdict(self)
 
 
-def _cell_id(algorithm: str, variant: str, network: str, backend: str) -> str:
-    return f"{algorithm}/{variant}/{network}/{backend}"
+def _cell_id(algorithm: str, variant: str, network: str) -> str:
+    return f"{algorithm}/{variant}/{network}/sim"
 
 
 def _cell_filename(cell_id: str) -> str:
@@ -155,7 +137,7 @@ def _run_sim_cell(
     from repro.cluster.presets import all_networks
 
     network, algorithm, variant = task
-    cid = _cell_id(algorithm, variant, network, "sim")
+    cid = _cell_id(algorithm, variant, network)
     obs = None
     if traces_out is not None:
         from repro.obs import ObsSession
@@ -218,8 +200,7 @@ def run_bench(
     executed.  ``jobs`` fans the executed programs out over a process
     pool: virtual timings are exact functions of the inputs and results
     merge back in serial-loop order, so the artifact is byte-identical
-    to a serial run.  Inproc (wall-clock) cells always run serially — concurrent
-    cells would contend for cores and corrupt each other's timings.
+    to a serial run.
     """
     from repro.cluster.presets import all_networks
 
@@ -237,56 +218,23 @@ def run_bench(
     if traces_out is not None:
         traces_out.mkdir(parents=True, exist_ok=True)
 
-    sim_tasks = [
+    tasks = [
         (network, algorithm, variant)
         for network in config.networks
         for algorithm in config.algorithms
         for variant in config.variants
-        if "sim" in config.backends
     ]
-    sim_runs, _ = run_grid_tasks(
-        _run_sim_cell, sim_tasks, scene.image, config.params_for, cost,
+    runs, _ = run_grid_tasks(
+        _run_sim_cell, tasks, scene.image, config.params_for, cost,
         observed=traces_out is not None, jobs=jobs,
         shared=(config, scene, cost, traces_out),
     )
-    sim_cells = {
-        _cell_id(algorithm, variant, network, "sim"): _sim_cell_doc(
+    cells = {
+        _cell_id(algorithm, variant, network): _sim_cell_doc(
             (network, algorithm, variant), run
         )
-        for (network, algorithm, variant), run in zip(sim_tasks, sim_runs)
+        for (network, algorithm, variant), run in zip(tasks, runs)
     }
-
-    cells: dict[str, dict[str, Any]] = {}
-    for network in config.networks:
-        platform = platforms[network]
-        for algorithm in config.algorithms:
-            for variant in config.variants:
-                params = config.params_for(algorithm)
-                for backend in config.backends:
-                    cid = _cell_id(algorithm, variant, network, backend)
-                    if backend == "sim":
-                        cells[cid] = sim_cells[cid]
-                    else:  # inproc: wall time, repeat + median
-                        samples = []
-                        for _ in range(config.repeats):
-                            t0 = time.perf_counter()
-                            run_parallel(
-                                algorithm, scene.image, platform,
-                                params=params, variant=variant,
-                                backend="inproc",
-                            )
-                            samples.append(time.perf_counter() - t0)
-                        samples.sort()
-                        cells[cid] = {
-                            "backend": "inproc",
-                            "label": variant_label(algorithm, variant),
-                            "network": network,
-                            "wall": {
-                                "median": samples[len(samples) // 2],
-                                "repeats": config.repeats,
-                                "samples": samples,
-                            },
-                        }
     return {
         "schema": SCHEMA,
         "date": date,
@@ -340,7 +288,7 @@ def _plan_cell(
     from repro.tuning.planner import plan_run
 
     network, algorithm, variant = task
-    cid = _cell_id(algorithm, variant, network, "sim")
+    cid = _cell_id(algorithm, variant, network)
     platform = all_networks()[network]
     params = config.params_for(algorithm)
     plan = plan_run(
@@ -462,7 +410,7 @@ def gate_plan(
             f"unsupported plan-bench schema {artifact.get('schema')!r} "
             f"(expected {PLAN_BENCH_SCHEMA!r})"
         )
-    max_rel = float(gate.get("max_prediction_rel_error", history.EXACT_RTOL))
+    max_rel = float(gate.get("max_prediction_rel_error", 1e-9))
     min_best = float(gate.get("min_best_improvement", 1.0))
     failures: list[str] = []
     best = 0.0
@@ -544,47 +492,15 @@ def load_artifact(path: str | Path) -> dict[str, Any]:
     return doc
 
 
-def compare_report(
-    baseline: Mapping[str, Any],
-    candidate: Mapping[str, Any],
-    fail_on_missing: bool = False,
-) -> history.GateReport:
-    """Gate ``candidate`` against the one-run history ``baseline``: the
-    rule, bands and statuses of ``history gate`` over a ledger holding
-    only ``baseline``.  What needs both files is added here — cells the
-    candidate lacks report ``missing`` (failing under
-    ``fail_on_missing``)."""
-    base = history.entries_from_bench(baseline)
-    report = history.gate_entries(
-        history.Ledger(path=None, entries=tuple(base)),
-        history.entries_from_bench(candidate),
-    )
-    present = {result.series for result in report.results}
-    missing = tuple(
-        history.SeriesGate(series=entry.series, status="missing")
-        for entry in base if entry.series not in present
-    )
-    return history.GateReport(
-        results=report.results + missing, fail_on_missing=fail_on_missing
-    )
-
-
 def report_text(artifact: Mapping[str, Any]) -> str:
     """Render one artifact as a monospace table."""
     rows = []
     for cid in sorted(artifact.get("cells", {})):
-        cell = artifact["cells"][cid]
-        if cell["backend"] == "sim":
-            v = cell["virtual"]
-            rows.append([
-                cid, v["makespan"], v["com"], v["seq"], v["par"],
-                v["d_all"], v["d_minus"],
-            ])
-        else:
-            w = cell["wall"]
-            rows.append([
-                cid, w["median"], None, None, None, None, None,
-            ])
+        v = artifact["cells"][cid]["virtual"]
+        rows.append([
+            cid, v["makespan"], v["com"], v["seq"], v["par"],
+            v["d_all"], v["d_minus"],
+        ])
     headers = ["cell", "time (s)", "COM", "SEQ", "PAR", "D_all", "D_minus"]
     return format_table(
         headers, rows,
@@ -617,10 +533,6 @@ def _add_run_parser(sub: Any) -> None:
                    help="comma-separated variant subset")
     p.add_argument("--networks", type=_csv, default=None,
                    help="comma-separated network subset")
-    p.add_argument("--backends", type=_csv, default=None,
-                   help="comma-separated backends: sim,inproc")
-    p.add_argument("--repeats", type=int, default=None,
-                   help="wall-clock repetitions per inproc cell")
     p.add_argument("--rows", type=int, default=None)
     p.add_argument("--cols", type=int, default=None)
     p.add_argument("--bands", type=int, default=None)
@@ -634,13 +546,7 @@ def _add_run_parser(sub: Any) -> None:
                         "executed, none re-priced")
     p.add_argument("--jobs", type=int, default=None,
                    help="fan sim cells out over N worker processes; the "
-                        "artifact is byte-identical to a serial run "
-                        "(inproc cells always run serially)")
-    p.add_argument("--record", metavar="LEDGER", default=None,
-                   help="also append the run's cells to the longitudinal "
-                        "run ledger (see `python -m repro history`); "
-                        "sim makespans land as gated virtual-time series, "
-                        "wall medians are quarantined")
+                        "artifact is byte-identical to a serial run")
 
 
 def _add_microbench_parser(sub: Any) -> None:
@@ -670,10 +576,6 @@ def _add_microbench_parser(sub: Any) -> None:
                    default=None,
                    help="fail (exit 1) when any measured speedup is below "
                         "the committed floors file (default: %(const)s)")
-    p.add_argument("--record", metavar="LEDGER", default=None,
-                   help="also append kernel speedups to the longitudinal "
-                        "run ledger (wall-derived, quarantined: trended "
-                        "but never gated by `history gate`)")
 
 
 def _add_plan_parser(sub: Any) -> None:
@@ -764,10 +666,6 @@ def _run_microbench_command(args: argparse.Namespace) -> int:
     if args.out is not None:
         out = write_json(args.out, artifact)
         print(f"{len(artifact['kernels'])} kernels -> {out}")
-    if args.record is not None:
-        print(history.record_entries(
-            args.record, history.entries_from_microbench(artifact)
-        ))
     if args.gate is not None:
         try:
             floors = json.loads(Path(args.gate).read_text(encoding="utf-8"))
@@ -790,8 +688,8 @@ def _build_config(args: argparse.Namespace) -> BenchConfig:
     overrides = {
         name: getattr(args, name)
         for name in (
-            "algorithms", "variants", "networks", "backends", "repeats",
-            "rows", "cols", "bands", "seed", "comm_factor",
+            "algorithms", "variants", "networks", "rows", "cols", "bands",
+            "seed", "comm_factor",
         )
         if getattr(args, name) is not None
     }
@@ -801,24 +699,13 @@ def _build_config(args: argparse.Namespace) -> BenchConfig:
 def main(argv: Sequence[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro bench",
-        description="Continuous benchmarking with regression gating.",
+        description="Continuous benchmarking: the pinned grid and its "
+                    "artifacts.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
     _add_run_parser(sub)
     _add_microbench_parser(sub)
     _add_plan_parser(sub)
-    p_cmp = sub.add_parser("compare", help="gate one artifact against "
-                                           "another, exit 1 on regression")
-    p_cmp.add_argument("baseline")
-    p_cmp.add_argument("candidate")
-    p_cmp.add_argument("--fail-on-missing", action="store_true",
-                       help="treat cells missing from the candidate as "
-                            "regressions")
-    p_cmp.add_argument("--json", metavar="FILE", default=None,
-                       help="additionally write the machine-readable "
-                            "gate document (per-series bands + exit "
-                            "status) to FILE ('-' for stdout), so CI gates "
-                            "can consume it without text parsing")
     p_rep = sub.add_parser("report", help="print one artifact as a table")
     p_rep.add_argument("artifact")
     args = parser.parse_args(argv)
@@ -835,16 +722,9 @@ def main(argv: Sequence[str] | None = None) -> int:
         )
         write_artifact(artifact, out)
         print(f"{len(artifact['cells'])} cells -> {out}")
-        if args.record is not None:
-            print(history.record_entries(
-                args.record, history.entries_from_bench(artifact)
-            ))
         if args.trace_dir is not None:
-            n_traced = sum(
-                1 for cell in artifact["cells"].values()
-                if cell["backend"] == "sim"
-            )
-            print(f"{n_traced} sim cell traces -> {args.trace_dir}")
+            print(f"{len(artifact['cells'])} sim cell traces -> "
+                  f"{args.trace_dir}")
         return 0
 
     if args.command == "microbench":
@@ -852,32 +732,6 @@ def main(argv: Sequence[str] | None = None) -> int:
 
     if args.command == "plan":
         return _run_plan_command(args)
-
-    if args.command == "compare":
-        try:
-            baseline = load_artifact(args.baseline)
-            candidate = load_artifact(args.candidate)
-        except (OSError, json.JSONDecodeError, ReproError) as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-        if baseline.get("config") != candidate.get("config"):
-            print("warning: artifacts were produced with different "
-                  "benchmark configs; cell-by-cell comparison may not be "
-                  "meaningful", file=sys.stderr)
-        if provenance_matches(
-            baseline.get("provenance"), candidate.get("provenance")
-        ) is False:
-            print("warning: artifacts were produced in different "
-                  "environments:", file=sys.stderr)
-            for line in describe_mismatch(
-                baseline["provenance"], candidate["provenance"]
-            ):
-                print(f"  {line}", file=sys.stderr)
-        report = compare_report(
-            baseline, candidate, fail_on_missing=args.fail_on_missing
-        )
-        print(report.to_text())
-        return history.conclude_gate(report, args.json)
 
     # report
     try:

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import bisect
 import threading
-from typing import Any, Iterable, Sequence
+from typing import Any, Sequence
 
 from repro.errors import ConfigurationError
 
@@ -264,8 +264,3 @@ class MetricsRegistry:
 
     def __repr__(self) -> str:
         return f"MetricsRegistry(metrics={len(self)})"
-
-
-def sum_counters(records: Iterable[dict[str, Any]], name: str) -> float:
-    """Sum ``value`` across all records of a given metric name."""
-    return sum(r.get("value", 0.0) for r in records if r["name"] == name)

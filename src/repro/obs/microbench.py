@@ -29,7 +29,7 @@ a speedup that changes answers is a bug, not a win.  Each cell's
 choice (:func:`repro.tuning.planner.choose_kernel_variants`) can be
 checked against the measured winner; the top-level
 ``reference_s``/``fast_s``/``speedup`` keys summarize reference vs the
-registry default and keep the floor gate and trend history stable.
+registry default and keep the floor gate stable.
 
 The default scale fits CI; paper scale (614×512×224, the AVIRIS World
 Trade Center cube) is one flag away::
@@ -69,15 +69,6 @@ FLOORS_SCHEMA = "repro.obs.microbench-floors/1"
 KERNELS: tuple[str, ...] = (
     "atdca", "ufcls", "mei_map", "unique", "mailbox"
 )
-
-#: microbench kernel name → registry kernel it enumerates (the mailbox
-#: kernel is bespoke and has no registry entry).
-REGISTRY_KERNELS: Mapping[str, str] = {
-    "atdca": "osp_step",
-    "ufcls": "fcls_solve",
-    "mei_map": "morph_mei",
-    "unique": "unique_filter",
-}
 
 #: Payload copies per timing sample for the mailbox kernel (a single
 #: freeze is sub-microsecond; batching makes the clock resolution moot).
@@ -165,8 +156,8 @@ def _registry_cell(
     ``run(variant_name)`` drives the kernel end to end; ``agree``
     compares a variant's output to the reference's.  The returned cell
     keeps the historical ``reference_s``/``fast_s``/``verified`` keys
-    (fast = the registry default, so the floor gate and trend history
-    stay comparable across the registry refactor) and adds a
+    (fast = the registry default, so the floor gate stays comparable
+    across the registry refactor) and adds a
     ``variants`` sub-dict with every variant's time, agreement, and
     registered exactness class.
     """

@@ -4,13 +4,13 @@ Every machine-readable artifact the observability layer writes
 (``BENCH_*.json``, ledger entries, ``analysis.json``, what-if
 predictions) carries a small provenance header — git commit, python and
 numpy versions, platform string — so regressions can be traced to the
-environment that produced the numbers and ``bench compare`` can warn
-when a baseline and a candidate came from different worlds.
+environment that produced the numbers: a gate failure names the
+commit of its first offending ledger entry.
 
 The header is intentionally *additive*: schemas are unchanged, readers
 that ignore unknown keys keep working, and artifacts produced before
-this header simply have no ``"provenance"`` key (comparisons treat
-that as "unknown", not a mismatch).
+this header simply have no ``"provenance"`` key (readers warn, see
+:func:`warn_if_unstamped`).
 """
 
 from __future__ import annotations
@@ -26,8 +26,6 @@ import numpy as np
 
 __all__ = [
     "provenance",
-    "provenance_matches",
-    "describe_mismatch",
     "warn_if_unstamped",
 ]
 
@@ -62,16 +60,6 @@ def provenance() -> dict[str, str]:
     return dict(_cached())
 
 
-def provenance_matches(
-    a: Mapping[str, Any] | None, b: Mapping[str, Any] | None
-) -> bool | None:
-    """Compare two provenance headers; ``None`` when either is absent."""
-    if not a or not b:
-        return None
-    keys = set(a) | set(b)
-    return all(a.get(k) == b.get(k) for k in keys)
-
-
 def warn_if_unstamped(
     doc: Mapping[str, Any], source: Any = "artifact"
 ) -> bool:
@@ -93,15 +81,3 @@ def warn_if_unstamped(
         stacklevel=2,
     )
     return False
-
-
-def describe_mismatch(
-    a: Mapping[str, Any], b: Mapping[str, Any]
-) -> list[str]:
-    """Human-readable ``key: a != b`` lines for differing fields."""
-    lines = []
-    for key in sorted(set(a) | set(b)):
-        va, vb = a.get(key, "<absent>"), b.get(key, "<absent>")
-        if va != vb:
-            lines.append(f"{key}: {va!r} != {vb!r}")
-    return lines

@@ -26,7 +26,6 @@ from repro.tuning.registry import (
     KERNEL_NAMES,
     KernelVariant,
     default_variant,
-    reference_variant,
     register,
     resolve,
     variants_of,
@@ -36,7 +35,6 @@ __all__ = [
     "KERNEL_NAMES",
     "KernelVariant",
     "default_variant",
-    "reference_variant",
     "register",
     "resolve",
     "variants_of",

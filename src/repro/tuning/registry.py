@@ -42,7 +42,6 @@ __all__ = [
     "register",
     "variants_of",
     "resolve",
-    "reference_variant",
     "default_variant",
 ]
 
@@ -131,11 +130,6 @@ def resolve(kernel: str, name: str) -> KernelVariant:
             f"registered: {sorted(table)}"
         )
     return variant
-
-
-def reference_variant(kernel: str) -> KernelVariant:
-    """The kernel's scratch baseline (always registered first)."""
-    return resolve(kernel, "reference")
 
 
 def default_variant(kernel: str) -> KernelVariant:

@@ -522,7 +522,7 @@ class TestFaultMetrics:
             params={"n_targets": 5}, plan=_crash_plan(), obs=obs,
             repartition_overhead_s=0.1,
         )
-        from repro.obs.metrics import sum_counters
+        from test_obs import sum_counters
 
         records = obs.metrics.records()
         assert sum_counters(records, "fault.injected") == 1.0

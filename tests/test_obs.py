@@ -36,7 +36,6 @@ from repro.obs import (
     write_metrics_json,
 )
 from repro.obs.export import JSONL_SCHEMA
-from repro.obs.metrics import sum_counters
 from repro.obs.trace import SPAN_CATEGORIES
 from repro.perf.timers import breakdown_of_run
 from repro.viz.timeline import ascii_gantt, gantt_of_trace
@@ -44,6 +43,11 @@ from repro.viz.timeline import ascii_gantt, gantt_of_trace
 from conftest import make_tiny_platform
 
 REPO = Path(__file__).resolve().parents[1]
+
+
+def sum_counters(records, name):
+    """Sum ``value`` across all metrics records named ``name``."""
+    return sum(r.get("value", 0.0) for r in records if r["name"] == name)
 
 #: Small parameter sets so the wall-clock backend stays fast.
 _STRUCTURE_PARAMS = {

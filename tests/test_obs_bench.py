@@ -1,5 +1,6 @@
 """The continuous-benchmarking CLI: pinned-grid runs, artifact
-determinism, and regression gating."""
+determinism, and gating one artifact against another through a
+one-run ledger (`history record` A, then `history gate` B)."""
 
 from __future__ import annotations
 
@@ -7,10 +8,10 @@ import json
 
 import pytest
 
+from repro.obs import history
 from repro.obs.bench import (
     SCHEMA,
     BenchConfig,
-    compare_report,
     main,
     report_text,
     run_bench,
@@ -30,6 +31,26 @@ TINY = BenchConfig(
 @pytest.fixture(scope="module")
 def tiny_artifact():
     return run_bench(TINY, date="2026-01-01")
+
+
+def gate_pair(base, candidate, *extra):
+    """`history gate --bench candidate` against a fresh ledger holding
+    only ``base`` (both artifact paths); returns the exit status."""
+    ledger = str(base.parent / f"one_run_{base.stem}.jsonl")
+    assert history.main(["--ledger", ledger, "record",
+                         "--bench", str(base)]) == 0
+    return history.main(["--ledger", ledger, "gate",
+                         "--bench", str(candidate), *extra])
+
+
+def one_run_report(base, candidate):
+    """The gate report of ``candidate`` over the one-run history
+    ``base`` (both artifact documents)."""
+    return history.gate_entries(
+        history.Ledger(path=None,
+                       entries=tuple(history.entries_from_bench(base))),
+        history.entries_from_bench(candidate),
+    )
 
 
 class TestRunBench:
@@ -52,7 +73,7 @@ class TestRunBench:
         assert json.dumps(again, **kw) == json.dumps(tiny_artifact, **kw)
 
     def test_self_compare_is_clean(self, tiny_artifact):
-        report = compare_report(tiny_artifact, tiny_artifact)
+        report = one_run_report(tiny_artifact, tiny_artifact)
         assert [r.status for r in report.results] == ["ok", "ok"]
 
     def test_comm_regression_is_flagged(self, tiny_artifact):
@@ -61,26 +82,25 @@ class TestRunBench:
         slow = run_bench(
             dataclasses.replace(TINY, comm_factor=2.0), date="2026-01-01"
         )
-        regressed = compare_report(tiny_artifact, slow).failing
+        regressed = one_run_report(tiny_artifact, slow).failing
         assert regressed, "doubling comm cost must regress at least one cell"
         for result in regressed:
             assert result.series.endswith("/sim/makespan")
             assert result.candidate > result.band.center
             assert result.series in result.describe()
 
-    def test_improvement_and_missing_do_not_gate(self, tiny_artifact):
+    def test_improvement_does_not_gate(self, tiny_artifact):
         import copy
 
         faster = copy.deepcopy(tiny_artifact)
         cid = "atdca/hetero/fully heterogeneous/sim"
         faster["cells"][cid]["virtual"]["makespan"] *= 0.5
-        del faster["cells"]["atdca/homo/fully heterogeneous/sim"]
-        report = compare_report(tiny_artifact, faster)
+        report = one_run_report(tiny_artifact, faster)
         status = {r.series: r.status for r in report.results}
-        assert status[f"bench/{cid}/makespan"] == "improvement"
-        assert status[
-            "bench/atdca/homo/fully heterogeneous/sim/makespan"
-        ] == "missing"
+        assert status == {
+            f"bench/{cid}/makespan": "improvement",
+            "bench/atdca/homo/fully heterogeneous/sim/makespan": "ok",
+        }
         assert report.exit_status == 0
 
     def test_report_renders_every_cell(self, tiny_artifact):
@@ -104,8 +124,8 @@ class TestCli:
         assert self._run(out) == 0
         doc = json.loads(out.read_text())
         assert doc["schema"] == SCHEMA
-        assert main(["compare", str(out), str(out)]) == 0
-        assert "1 ok" in capsys.readouterr().out
+        assert gate_pair(out, out) == 0
+        assert "1 series gated: 1 ok" in capsys.readouterr().out
 
     def test_injected_slowdown_exits_nonzero_and_names_cell(
         self, tmp_path, capsys
@@ -114,9 +134,10 @@ class TestCli:
         slow = tmp_path / "slow.json"
         assert self._run(base) == 0
         assert self._run(slow, extra=("--comm-factor", "2.0")) == 0
-        assert main(["compare", str(base), str(slow)]) == 1
+        assert gate_pair(base, slow) == 1
         captured = capsys.readouterr()
         assert "atdca/hetero/fully heterogeneous/sim" in captured.out
+        assert "first offending entry" in captured.out
         assert "REGRESSION" in captured.err
 
     def test_default_artifact_name_uses_date(self, tmp_path):
@@ -136,8 +157,14 @@ class TestCli:
     def test_bad_schema_exits_two(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps({"schema": "nope/9", "cells": {}}))
-        assert main(["compare", str(bad), str(bad)]) == 2
+        assert main(["report", str(bad)]) == 2
         assert "unsupported benchmark schema" in capsys.readouterr().err
+        ledger = str(tmp_path / "l.jsonl")
+        for command in ("record", "gate"):
+            assert history.main(["--ledger", ledger, command,
+                                 "--bench", str(bad)]) == 2
+            assert "unsupported benchmark schema" in capsys.readouterr().err
+        assert not (tmp_path / "l.jsonl").exists()
 
     def test_unknown_network_is_an_error(self, tmp_path):
         from repro.errors import ReproError
@@ -146,20 +173,6 @@ class TestCli:
             run_bench(
                 BenchConfig(networks=("no such network",)), date="2026-01-01"
             )
-
-    def test_fail_on_missing(self, tmp_path, tiny_artifact):
-        import copy
-
-        full = tmp_path / "full.json"
-        partial_doc = copy.deepcopy(tiny_artifact)
-        del partial_doc["cells"]["atdca/homo/fully heterogeneous/sim"]
-        partial = tmp_path / "partial.json"
-        write_artifact(tiny_artifact, full)
-        write_artifact(partial_doc, partial)
-        assert main(["compare", str(full), str(partial)]) == 0
-        assert main([
-            "compare", str(full), str(partial), "--fail-on-missing"
-        ]) == 1
 
 
 class TestTraceAutoDiff:
@@ -191,7 +204,8 @@ class TestTraceAutoDiff:
 
 
 class TestCompareJson:
-    """The machine-readable `compare --json` document: the gate's."""
+    """The machine-readable `history gate --json` document of one
+    artifact gated against another."""
 
     def _artifacts(self, tmp_path, tiny_artifact):
         import copy
@@ -210,8 +224,7 @@ class TestCompareJson:
 
         base, _ = self._artifacts(tmp_path, tiny_artifact)
         out = tmp_path / "cmp.json"
-        assert main(["compare", str(base), str(base),
-                     "--json", str(out)]) == 0
+        assert gate_pair(base, base, "--json", str(out)) == 0
         doc = json.loads(out.read_text())
         assert doc["schema"] == GATE_SCHEMA
         assert doc["exit_status"] == 0
@@ -224,8 +237,7 @@ class TestCompareJson:
     ):
         base, slow = self._artifacts(tmp_path, tiny_artifact)
         out = tmp_path / "cmp.json"
-        assert main(["compare", str(base), str(slow),
-                     "--json", str(out)]) == 1
+        assert gate_pair(base, slow, "--json", str(out)) == 1
         doc = json.loads(out.read_text())
         assert doc["exit_status"] == 1
         assert doc["summary"]["regression"] == 2
@@ -237,7 +249,7 @@ class TestCompareJson:
 
     def test_json_to_stdout(self, tmp_path, tiny_artifact, capsys):
         base, _ = self._artifacts(tmp_path, tiny_artifact)
-        assert main(["compare", str(base), str(base), "--json", "-"]) == 0
+        assert gate_pair(base, base, "--json", "-") == 0
         out = capsys.readouterr().out
         payload = out[out.index('{"'):]
         assert json.loads(payload)["exit_status"] == 0
@@ -246,11 +258,10 @@ class TestCompareJson:
         import copy
 
         partial = copy.deepcopy(tiny_artifact)
-        del partial["cells"]["atdca/homo/fully heterogeneous/sim"]
-        doc = compare_report(
-            tiny_artifact, partial, fail_on_missing=True
-        ).to_dict()
-        assert doc["summary"]["ok"] == doc["summary"]["missing"] == 1
+        partial["cells"]["atdca/homo/fully heterogeneous/sim"][
+            "virtual"]["makespan"] *= 1.5
+        doc = one_run_report(tiny_artifact, partial).to_dict()
+        assert doc["summary"]["ok"] == doc["summary"]["regression"] == 1
         assert sum(doc["summary"].values()) == len(doc["results"]) == 2
         assert doc["failing"] == [
             "bench/atdca/homo/fully heterogeneous/sim/makespan"

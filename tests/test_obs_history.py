@@ -1,6 +1,6 @@
 """The run ledger and the regression gate over it: ledger I/O, the
-artifact extractors, the last-recorded-value band and its trailing
-run, the gate's statuses and pinned documents, the three-leaf CLI."""
+bench extractor, the last-recorded-value band and its trailing run,
+the gate's statuses and pinned documents, the three-leaf CLI."""
 
 from __future__ import annotations
 
@@ -9,12 +9,7 @@ import json
 
 import pytest
 
-from repro.obs.bench import (
-    BenchConfig,
-    compare_report,
-    run_bench,
-    write_artifact,
-)
+from repro.obs.bench import BenchConfig, run_bench, write_artifact
 from repro.obs.history import (
     DEFAULT_LEDGER,
     HISTORY_SCHEMA,
@@ -22,11 +17,7 @@ from repro.obs.history import (
     LedgerEntry,
     append_entries,
     control_band,
-    entries_from_analysis,
     entries_from_bench,
-    entries_from_calibration,
-    entries_from_microbench,
-    entries_from_sweep,
     gate_entries,
     gate_last,
     main,
@@ -49,8 +40,7 @@ def tiny_artifact():
 
 def _entry(series="s", value=1.0, date="d0", sha="a" * 40, **kw):
     defaults = dict(
-        series=series, kind="bench", unit="virtual_s",
-        value=value, run={"date": date, "source": "test"},
+        series=series, value=value, run={"date": date, "source": "test"},
         provenance={"git_sha": sha, "numpy": "0", "platform": "t",
                     "python": "0"},
     )
@@ -84,14 +74,15 @@ class TestLedgerIO:
         assert sum(1 for l in lines if json.loads(l)["type"] == "header") == 1
         assert len(read_ledger(path)) == 2
 
-    def test_entry_dict_roundtrip_preserves_wall_and_detail(self):
-        entry = _entry(
-            value=None, wall={"value": 3.5, "repeats": 5},
-            detail={"label": "x"}, deterministic=False,
-        )
-        back = LedgerEntry.from_dict(entry.to_dict())
-        assert back == entry
-        assert back.plot_value() == 3.5
+    def test_entry_dict_roundtrip_preserves_detail(self):
+        entry = _entry(value=3.5, detail={"label": "x"})
+        doc = entry.to_dict()
+        assert LedgerEntry.from_dict(doc) == entry
+        # the repro.obs.history/1 keys that no longer vary, as constants
+        assert {k: doc[k] for k in (
+            "kind", "unit", "direction", "deterministic"
+        )} == {"kind": "bench", "unit": "virtual_s", "direction": "lower",
+               "deterministic": True}
 
     def test_recording_is_byte_stable(self, tmp_path, tiny_artifact):
         a, b = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
@@ -115,6 +106,22 @@ class TestLedgerIO:
         with pytest.raises(ReproError, match="unsupported ledger schema"):
             read_ledger(path)
 
+    @pytest.mark.parametrize("value", ["null", '"3.5"', "NaN", "Infinity",
+                                       "true"])
+    def test_non_finite_value_rejected(self, tmp_path, value):
+        """The one check on outside input: a value that is not a finite
+        number is refused and named by `file:line`."""
+        from repro.errors import ReproError
+
+        path = tmp_path / "ledger.jsonl"
+        append_entries(path, [_entry()])
+        good = path.read_text().splitlines()[1]
+        bad = good.replace('"value":1.0', f'"value":{value}')
+        assert bad != good
+        path.write_text(path.read_text() + bad + "\n")
+        with pytest.raises(ReproError, match=f"{path}:3: entry value"):
+            read_ledger(path)
+
     def test_headerless_file_warns_but_loads(self, tmp_path):
         path = tmp_path / "ledger.jsonl"
         line = json.dumps(_entry().to_dict())
@@ -131,73 +138,27 @@ class TestExtractors:
         for entry in entries:
             assert entry.series.startswith("bench/atdca/")
             assert entry.series.endswith("/makespan")
-            assert entry.deterministic and entry.value is not None
-            assert entry.unit == "virtual_s" and entry.direction == "lower"
+            assert entry.value > 0
             assert entry.run["date"] == "2026-01-01"
             assert set(entry.detail) >= {"com", "seq", "par", "d_all"}
 
-    def test_microbench_speedups_are_quarantined(self):
-        doc = {"schema": "x", "date": "d", "kernels": {
-            "k": {"speedup": 2.5, "fast_s": 0.1, "reference_s": 0.25,
-                  "verified": True},
-        }}
-        (entry,) = entries_from_microbench(doc)
-        assert entry.value is None  # wall-derived: never gated
-        assert entry.wall["value"] == 2.5
-        assert entry.direction == "higher"
+    @staticmethod
+    def refuses_thresholds_file(name, tmp_path, capsys):
+        """Thresholds live in baselines/, measured values in the
+        ledger: a thresholds file is not a bench artifact, and neither
+        `record` nor `gate` takes it."""
+        ledger = tmp_path / "l.jsonl"
+        for command in ("record", "gate"):
+            assert main(["--ledger", str(ledger), command, "--bench",
+                         f"benchmarks/baselines/{name}"]) == 2
+            assert "unsupported benchmark schema" in capsys.readouterr().err
+        assert not ledger.exists()
 
-    def test_calibration_thresholds_file_is_rejected(self):
-        # thresholds live in baselines/, measured values in the ledger
-        from repro.errors import ReproError
+    def test_calibration_thresholds_file_is_rejected(self, tmp_path, capsys):
+        self.refuses_thresholds_file("calibration.json", tmp_path, capsys)
 
-        doc = json.loads(
-            open("benchmarks/baselines/calibration.json").read()
-        )
-        with pytest.raises(ReproError, match="unsupported calibration"):
-            entries_from_calibration(doc, backend="sim")
-
-    def test_calibration_report_needs_backend(self):
-        from repro.errors import ReproError
-
-        doc = {"schema": "repro.obs.profile/1",
-               "median_phase_rel_error": 0.01}
-        with pytest.raises(ReproError, match="explicit backend"):
-            entries_from_calibration(doc)
-        (entry,) = entries_from_calibration(doc, backend="sim")
-        assert entry.deterministic and entry.value == 0.01
-
-    def test_inproc_calibration_is_quarantined(self):
-        """Wall-derived: `profile gate` judges it against its committed
-        bound, the ledger only lists it."""
-        doc = {"schema": "repro.obs.profile/1",
-               "median_phase_rel_error": 0.04}
-        (entry,) = entries_from_calibration(doc, backend="inproc")
-        assert not entry.deterministic and entry.value is None
-        assert entry.wall == {"value": 0.04} and entry.plot_value() == 0.04
-        (result,) = gate_entries(_ledger_of(entry), [entry]).results
-        assert result.status == "skipped" and "wall-clock" in result.reason
-
-    def test_sweep_result_max_ratios(self):
-        doc = {
-            "schema": "repro.faults.sweep/1", "name": "g",
-            "cells": [
-                {"prediction_rel_error": 0.1, "ratio_vs_predicted": 1.2},
-                {"prediction_rel_error": 0.3, "ratio_vs_predicted": 0.8},
-                {"prediction_rel_error": None, "ratio_vs_predicted": None},
-            ],
-            "summary": {"n_cells": 3, "n_adapted": 2, "n_result_equal": 3},
-        }
-        entries = {e.series: e for e in entries_from_sweep(doc)}
-        assert entries["sweep/g/max_prediction_rel_error"].value == 0.3
-        assert entries["sweep/g/max_ratio_vs_predicted"].value == 1.2
-        assert entries["sweep/g/adapted_cells"].value == 2.0
-
-    def test_sweep_thresholds_file_is_rejected(self):
-        from repro.errors import ReproError
-
-        doc = json.loads(open("benchmarks/baselines/sweep_gate.json").read())
-        with pytest.raises(ReproError, match="unsupported sweep"):
-            entries_from_sweep(doc)
+    def test_sweep_thresholds_file_is_rejected(self, tmp_path, capsys):
+        self.refuses_thresholds_file("sweep_gate.json", tmp_path, capsys)
 
     def test_bench_entries_carry_a_workload_digest(self, tiny_artifact):
         import copy
@@ -210,24 +171,6 @@ class TestExtractors:
         other = copy.deepcopy(tiny_artifact)
         other["config"]["rows"] = 48
         assert entries_from_bench(other)[0].run["config"] != digest
-
-    def test_analysis_headlines(self):
-        doc = {
-            "schema": "repro.obs.analyze/1",
-            "critical_path": {"length_s": 2.0, "makespan": 2.5,
-                              "dominant_rank": 3},
-            "blocked_time": {"total_blocked_s": 0.5},
-        }
-        sim = {e.series: e for e in entries_from_analysis(doc, "run_sim")}
-        assert sim["trace/run_sim/critical_path_s"].value == 2.0
-        assert sim["trace/run_sim/makespan_s"].value == 2.5
-        assert sim["trace/run_sim/blocked_s"].value == 0.5
-        assert all(e.deterministic for e in sim.values())
-        wall = entries_from_analysis(doc, "run_inproc", backend="inproc")
-        assert all(
-            e.value is None and e.wall["value"] > 0 and not e.deterministic
-            for e in wall
-        )
 
 
 class TestControlBand:
@@ -254,7 +197,7 @@ class TestControlBand:
     @pytest.mark.parametrize("b", [83.74500092762888, 0.1, 3.0, 1e6 / 7])
     def test_exact_tolerance_edges(self, b):
         """`c > b·(1+1e-9)` regresses, `c < b·(1-1e-9)` improves: the
-        comparisons `bench compare` has always made, ulp for ulp."""
+        comparisons the gate has always made, ulp for ulp."""
         import math
 
         ledger = _ledger_of(_entry(value=b))
@@ -332,23 +275,6 @@ class TestGate:
             "origin": "git cccccccccccc (d12)", "value": 12.0,
         }
 
-    def test_noisy_value_is_reported_not_gated(self):
-        """`value` holds exact quantities only; a file that says
-        `deterministic: false` beside one (hand-made, or recorded before
-        the inproc calibration number was quarantined) is not banded,
-        whichever side of the gate it arrives on."""
-        noisy = _entry(value=0.04, deterministic=False)
-        exact = _entry(value=0.04)
-        for ledger, candidate in ((_ledger_of(noisy), exact),
-                                  (_ledger_of(exact), noisy),
-                                  (_ledger_of(), noisy)):
-            (result,) = gate_entries(ledger, [candidate]).results
-            assert result.status == "skipped"
-            assert result.reason == "noisy value: reported, not gated"
-        # an exact entry recorded after the noisy one re-baselines
-        (result,) = gate_entries(_ledger_of(noisy, exact), [exact]).results
-        assert result.status == "ok" and result.band.n == 2
-
     def test_gate_last_catches_doctored_trailing_entry(self):
         good = [_entry(value=10.0, date=f"d{i}") for i in range(4)]
         doctored = _entry(value=12.5, date="doctored", sha="d" * 40)
@@ -360,27 +286,6 @@ class TestGate:
     def test_gate_last_clean_ledger_passes(self):
         entries = [_entry(value=10.0, date=f"d{i}") for i in range(4)]
         assert gate_last(_ledger_of(*entries)).exit_status == 0
-
-    def test_higher_is_better_direction(self):
-        history = [_entry(value=5.0, direction="higher")] * 3
-        low = _entry(value=2.0, direction="higher")
-        high = _entry(value=8.0, direction="higher")
-        report = gate_entries(_ledger_of(*history), [low, high])
-        assert [r.status for r in report.results] == [
-            "regression", "improvement",
-        ]
-
-    def test_new_and_skipped(self):
-        ledger = _ledger_of(_entry(series="known", value=1.0))
-        wall = _entry(series="w", value=None, wall={"value": 2.0},
-                      deterministic=False)
-        info = _entry(series="i", value=3.0, direction="info")
-        fresh = _entry(series="fresh", value=4.0)
-        report = gate_entries(ledger, [wall, info, fresh])
-        assert [r.status for r in report.results] == [
-            "skipped", "skipped", "new",
-        ]
-        assert report.exit_status == 0
 
     def test_recorded_step_rebaselines_an_exact_series(self, tiny_artifact):
         """A step recorded once re-centres the band: the artifact just
@@ -426,13 +331,35 @@ class TestGate:
             for r in gate_entries(mixed, entries_from_bench(small)).results
         } == {"ok"}
 
-    def test_skips_carry_their_reason(self):
-        ledger = _ledger_of(_entry(series="known", value=1.0))
-        wall = _entry(series="w", value=None, wall={"value": 2.0},
-                      deterministic=False)
-        info = _entry(series="i", value=3.0, direction="info")
-        reasons = [r.reason for r in gate_entries(ledger, [wall, info]).results]
-        assert "not gated" in reasons[0] and reasons[1] == "informational"
+    def test_new_and_skipped(self, tiny_artifact):
+        """A series the ledger has never seen is `new`, one measured on
+        another workload is `skipped`; neither fails the gate."""
+        import copy
+
+        small = copy.deepcopy(tiny_artifact)
+        small["config"]["rows"] = 48
+        known = entries_from_bench(tiny_artifact)[0]
+        (other_config,) = [
+            e for e in entries_from_bench(small) if e.series == known.series
+        ]
+        fresh = dataclasses.replace(known, series="fresh")
+        report = gate_entries(_ledger_of(known), [other_config, fresh])
+        assert [r.status for r in report.results] == ["skipped", "new"]
+        assert report.exit_status == 0
+
+    def test_skips_carry_their_reason(self, tiny_artifact):
+        import copy
+
+        small = copy.deepcopy(tiny_artifact)
+        small["config"]["rows"] = 48
+        ledger = _ledger_of(*entries_from_bench(tiny_artifact))
+        for result in gate_entries(ledger, entries_from_bench(small)).results:
+            assert result.reason == (
+                "measured on config [rows=48 cols=8 bands=32 seed=7 "
+                "n_targets=18 n_classes=24], the series is on [rows=96 "
+                "cols=8 bands=32 seed=7 n_targets=18 n_classes=24]"
+            )
+            assert result.describe().endswith(f"({result.reason})")
 
     def test_report_document_shape(self):
         history = [_entry(value=1.0)] * 2
@@ -445,19 +372,17 @@ class TestGate:
         }
 
 
-class TestCompareIsTheGate:
-    """`bench compare A B` is `history gate` over a ledger holding A."""
+class TestOneRunHistory:
+    """Comparing two artifacts: record A into an empty ledger, then
+    `history --ledger <A> gate --bench <B> --json`."""
 
     @pytest.fixture(scope="class")
     def candidates(self, tiny_artifact):
         import copy
 
         hetero = "atdca/hetero/fully heterogeneous/sim"
-        homo = "atdca/homo/fully heterogeneous/sim"
         improved = copy.deepcopy(tiny_artifact)
         improved["cells"][hetero]["virtual"]["makespan"] *= 0.5
-        missing = copy.deepcopy(tiny_artifact)
-        del missing["cells"][homo]
         new = copy.deepcopy(tiny_artifact)
         new["cells"]["atdca/dlt/fully heterogeneous/sim"] = copy.deepcopy(
             new["cells"][hetero]
@@ -468,7 +393,6 @@ class TestCompareIsTheGate:
                 dataclasses.replace(TINY, comm_factor=2.0), date="2026-01-01"
             ),
             "improved": improved,
-            "missing": missing,
             "new": new,
         }
 
@@ -476,36 +400,37 @@ class TestCompareIsTheGate:
         "self": {"ok"},
         "comm_factor_twin": {"regression"},
         "improved": {"ok", "improvement"},
-        "missing": {"ok", "missing"},
         "new": {"ok", "new"},
     }
 
-    @pytest.mark.parametrize("case", sorted(EXPECTED))
-    def test_same_statuses(self, case, candidates, tiny_artifact, tmp_path):
-        ledger = tmp_path / "ledger.jsonl"
-        append_entries(ledger, entries_from_bench(tiny_artifact))
-        bench = tmp_path / "cand.json"
-        write_artifact(candidates[case], bench)
-        gate_json = tmp_path / "gate.json"
-        rc = main(["--ledger", str(ledger), "gate", "--bench", str(bench),
+    @staticmethod
+    def gate_document(tiny_artifact, candidate, tmp_path):
+        """`(exit status, gate document)` of the candidate gated against
+        a ledger holding only ``tiny_artifact``."""
+        base, cand = tmp_path / "base.json", tmp_path / "cand.json"
+        write_artifact(tiny_artifact, base)
+        write_artifact(candidate, cand)
+        ledger, gate_json = tmp_path / "one_run.jsonl", tmp_path / "gate.json"
+        assert main(["--ledger", str(ledger), "record",
+                     "--bench", str(base)]) == 0
+        rc = main(["--ledger", str(ledger), "gate", "--bench", str(cand),
                    "--json", str(gate_json)])
-        gated = {
-            r["series"]: r["status"]
-            for r in json.loads(gate_json.read_text())["results"]
-        }
-        report = compare_report(tiny_artifact, candidates[case])
-        compared = {r.series: r.status for r in report.results}
-        assert set(compared.values()) == self.EXPECTED[case]
-        # `missing` needs both files; everything else is the ledger's
-        assert {
-            k: v for k, v in compared.items() if v != "missing"
-        } == gated
-        assert rc == report.exit_status
+        return rc, json.loads(gate_json.read_text())
+
+    @pytest.mark.parametrize("case", sorted(EXPECTED))
+    def test_statuses(self, case, candidates, tiny_artifact, tmp_path):
+        rc, doc = self.gate_document(
+            tiny_artifact, candidates[case], tmp_path
+        )
+        assert {r["status"] for r in doc["results"]} == self.EXPECTED[case]
+        assert rc == doc["exit_status"] == (case == "comm_factor_twin")
 
     # -- the gate documents, pinned ---------------------------------------
     # `GateReport.to_dict()` less `provenance`: every number below is
     # the output of the commit before the gate became a backward scan
-    # over the entry list, so the rewrite is held to the old documents.
+    # over the entry list, so the rewrite is held to the old documents
+    # (less `band.deterministic` and `summary.missing`, which went with
+    # the wall quarantine and the two-file front end).
 
     HET, HOMO, DLT = (
         f"bench/atdca/{variant}/fully heterogeneous/sim/makespan"
@@ -513,13 +438,11 @@ class TestCompareIsTheGate:
     )
     BANDS = {
         HET: {"center": 127.84063159034908, "lo": 127.84063146250845,
-              "hi": 127.84063171818971, "n": 1, "segment_start": 0,
-              "deterministic": True},
+              "hi": 127.84063171818971, "n": 1, "segment_start": 0},
         HOMO: {"center": 333.5526813005317, "lo": 333.552680966979,
-               "hi": 333.55268163408437, "n": 1, "segment_start": 0,
-               "deterministic": True},
+               "hi": 333.55268163408437, "n": 1, "segment_start": 0},
         "s": {"center": 2.0, "lo": 1.999999998, "hi": 2.000000002, "n": 3,
-              "segment_start": 2, "deterministic": True},
+              "segment_start": 2},
     }
     #: case -> rows of (series, status, candidate, delta_pct, offender index)
     PINNED = {
@@ -531,8 +454,6 @@ class TestCompareIsTheGate:
         ],
         "improved": [(HET, "improvement", 63.92031579517454, -50.0, None),
                      (HOMO, "ok", 333.5526813005317, 0.0, None)],
-        "missing": [(HET, "ok", 127.84063159034908, 0.0, None),
-                    (HOMO, "missing", None, 0.0, None)],
         "new": [(DLT, "new", None, 0.0, None),
                 (HET, "ok", 127.84063159034908, 0.0, None),
                 (HOMO, "ok", 333.5526813005317, 0.0, None)],
@@ -562,17 +483,19 @@ class TestCompareIsTheGate:
             "summary": {
                 status: statuses.count(status)
                 for status in ("ok", "regression", "improvement", "new",
-                               "skipped", "missing")
+                               "skipped")
             },
             "failing": failing,
             "exit_status": 1 if failing else 0,
         }
 
     @pytest.mark.parametrize("case", sorted(EXPECTED))
-    def test_compare_documents_are_the_pinned_ones(
-        self, case, candidates, tiny_artifact
+    def test_documents_are_the_pinned_ones(
+        self, case, candidates, tiny_artifact, tmp_path
     ):
-        doc = compare_report(tiny_artifact, candidates[case]).to_dict()
+        _rc, doc = self.gate_document(
+            tiny_artifact, candidates[case], tmp_path
+        )
         sha = doc.pop("provenance")["git_sha"]
         assert doc == self.pinned_document(
             case, f"git {sha[:12]} (2026-01-01)"
@@ -594,37 +517,25 @@ class TestCLI:
         ledger = str(tmp_path / "ledger.jsonl")
         bench = tmp_path / "BENCH_x.json"
         write_artifact(tiny_artifact, bench)
-        microbench = tmp_path / "MICROBENCH_x.json"
-        microbench.write_text(json.dumps({
-            "schema": "repro.obs.microbench/1", "date": "d",
-            "kernels": {"k": {"speedup": 2.5, "verified": True}},
-        }))
-        analysis = tmp_path / "atdca_sim.analysis.json"
-        analysis.write_text(json.dumps({
-            "schema": "repro.obs.analyze/1",
-            "critical_path": {"length_s": 2.0, "makespan": 2.0},
-            "blocked_time": {"total_blocked_s": 0.5},
-        }))
         assert main(["--ledger", ledger, "record",
-                     "--bench", str(bench),
-                     "--microbench", str(microbench),
-                     "--analysis", str(analysis)]) == 0
-        assert "6 entries (6 new series)" in capsys.readouterr().out
+                     "--bench", str(bench), "--bench", str(bench)]) == 0
+        assert "4 entries (2 new series)" in capsys.readouterr().out
 
         assert main(["--ledger", ledger, "list"]) == 0
         out = capsys.readouterr().out
-        assert "6 series" in out and "trace/atdca_sim/makespan_s" in out
+        assert "2 series, 4 entries" in out
+        assert "bench/atdca/homo/fully heterogeneous/sim/makespan" in out
 
-        assert main(["--ledger", ledger, "list", "bench/", "micro"]) == 0
+        assert main(["--ledger", ledger, "list", "bench/atdca/hetero",
+                     "nope"]) == 0
         out = capsys.readouterr().out
-        assert "3 series, 3 entries" in out and "trace/" not in out
+        assert "1 series, 2 entries" in out and "/homo/" not in out
         assert main(["--ledger", ledger, "list", "nope/"]) == 2
         assert "no series matched" in capsys.readouterr().err
 
-        assert main(["--ledger", ledger, "gate", "--bench", str(bench),
-                     "--analysis", str(analysis)]) == 0
+        assert main(["--ledger", ledger, "gate", "--bench", str(bench)]) == 0
         out = capsys.readouterr().out
-        assert "5 series gated: 5 ok" in out
+        assert "2 series gated: 2 ok" in out
 
     def test_list_shows_the_previous_value_and_the_change(
         self, tmp_path, capsys
@@ -633,18 +544,16 @@ class TestCLI:
         append_entries(ledger, [
             _entry(series="once", value=3.0),
             _entry(series="twice", value=80.0), _entry(series="twice", value=100.0),
-            _entry(series="wall", value=None, wall={"value": 2.0}),
-            _entry(series="wall", value=None, wall={"value": 1.5}),
+            _entry(series="down", value=2.0), _entry(series="down", value=1.5),
         ])
         assert main(["--ledger", str(ledger), "list"]) == 0
-        rows = {
-            line.split()[0]: line.split()[2:]
-            for line in capsys.readouterr().out.splitlines()[1:-1]
-        }
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0].split() == ["series", "n", "last", "prev", "Δ%"]
+        rows = {line.split()[0]: line.split()[1:] for line in lines[1:-1]}
         assert rows == {
             "once": ["1", "3", "-", "-"],
             "twice": ["2", "100", "80", "+25.00"],
-            "wall": ["2", "1.5", "2", "-25.00"],
+            "down": ["2", "1.5", "2", "-25.00"],
         }
 
     def test_gate_doctored_ledger_exits_nonzero(self, tmp_path, capsys):
@@ -658,14 +567,6 @@ class TestCLI:
         assert main(["--ledger", str(ledger), "gate", "--last"]) == 1
         out = capsys.readouterr().out
         assert "regression" in out and "doctored" in out
-
-    def test_analysis_needs_a_backend(self, tmp_path, capsys):
-        path = tmp_path / "run.analysis.json"
-        path.write_text(json.dumps({"schema": "repro.obs.analyze/1"}))
-        ledger = str(tmp_path / "l.jsonl")
-        assert main(["--ledger", ledger, "record",
-                     "--analysis", str(path)]) == 2
-        assert "--backend" in capsys.readouterr().err
 
     def test_record_says_when_a_series_changes_config(
         self, tmp_path, tiny_artifact
@@ -683,19 +584,23 @@ class TestCLI:
         assert "bench/atdca/homo/fully heterogeneous/sim/makespan" in second
 
     def test_seed_ledger_holds_measurements_only(self):
-        """Values in the ledger, thresholds in baselines/: no `info`
-        rows, every baselines/ file a thresholds file, and the seed's
-        own last entries pass its gate."""
+        """Values in the ledger, thresholds in baselines/: every seed
+        entry a `bench/*/makespan` with a finite value, every
+        baselines/ file a thresholds file, and the seed's own last
+        entries pass its gate."""
+        import math
         from pathlib import Path
 
         seed = read_ledger(DEFAULT_LEDGER)
-        assert all(e.direction != "info" for e in seed.entries)
+        assert len(seed) == 8
+        for entry in seed.entries:
+            assert entry.series.startswith("bench/")
+            assert entry.series.endswith("/makespan")
+            assert math.isfinite(entry.value) and entry.value > 0
         assert sorted(
             p.name for p in Path("benchmarks/baselines").iterdir()
         ) == ["MICROBENCH_floors.json", "calibration.json",
               "sweep_gate.json", "tuning.json", "whatif.json"]
-        ufcls = seed.series()["microbench/ufcls/speedup"]
-        assert len(ufcls) == 2 and ufcls[-1].plot_value() > 1.0
         assert gate_last(seed).exit_status == 0
 
     def test_record_requires_artifacts(self, tmp_path, capsys):
@@ -720,6 +625,8 @@ class TestCLI:
 
 class TestBenchRecordFlag:
     def test_run_record_appends_gated_series(self, tmp_path):
+        """`bench run` writes the artifact, `history record --bench`
+        is the one way into the ledger."""
         from repro.obs.bench import main as bench_main
 
         ledger = tmp_path / "ledger.jsonl"
@@ -728,10 +635,15 @@ class TestBenchRecordFlag:
             "run", "--out", str(out), "--date", "2026-01-01",
             "--algorithms", "atdca", "--variants", "hetero",
             "--networks", "fully heterogeneous", "--rows", "96",
-            "--record", str(ledger),
         ]) == 0
+        assert main(["--ledger", str(ledger), "record",
+                     "--bench", str(out)]) == 0
         ledger_doc = read_ledger(ledger)
         assert len(ledger_doc) == 1
         (entry,) = ledger_doc.entries
         assert entry.series.endswith("/makespan")
-        assert entry.deterministic and entry.value is not None
+        assert entry.run == {
+            "config": "rows=96 cols=8 bands=32 seed=7 n_targets=18 "
+                      "n_classes=24",
+            "date": "2026-01-01", "source": "repro.obs.bench/1",
+        }

@@ -27,11 +27,7 @@ from repro.faults.recovery import run_with_recovery
 from repro.faults.sweep import enumerate_cells, load_sweep_grid, plan_of_cell
 from repro.hsi import SceneConfig, make_wtc_scene
 from repro.obs import ObsSession, write_jsonl
-from repro.obs.provenance import (
-    describe_mismatch,
-    provenance,
-    provenance_matches,
-)
+from repro.obs.provenance import provenance
 from repro.obs.whatif import (
     LatencyScale,
     LinkScale,
@@ -532,19 +528,6 @@ class TestProvenance:
         a, b = provenance(), provenance()
         assert a == b and a is not b
         assert set(a) == {"git_sha", "numpy", "platform", "python"}
-
-    def test_matching_semantics(self):
-        a = {"git_sha": "x", "numpy": "1"}
-        assert provenance_matches(a, dict(a)) is True
-        assert provenance_matches(a, {"git_sha": "y", "numpy": "1"}) is False
-        assert provenance_matches(a, None) is None
-        assert provenance_matches({}, a) is None
-
-    def test_describe_mismatch_lists_only_differences(self):
-        lines = describe_mismatch(
-            {"git_sha": "x", "numpy": "1"}, {"git_sha": "y", "numpy": "1"}
-        )
-        assert lines == ["git_sha: 'x' != 'y'"]
 
 
 class TestWhatIfCli:

@@ -8,12 +8,7 @@ import dataclasses
 
 import pytest
 
-from repro.obs.provenance import (
-    describe_mismatch,
-    provenance,
-    provenance_matches,
-    warn_if_unstamped,
-)
+from repro.obs.provenance import provenance, warn_if_unstamped
 
 PROVENANCE_KEYS = {"git_sha", "numpy", "platform", "python"}
 
@@ -68,7 +63,6 @@ class TestWritersStampProvenance:
             assert block is not None, f"{writer} artifact lacks provenance"
             assert set(block) == PROVENANCE_KEYS
             assert block == expected
-            assert provenance_matches(block, expected) is True
 
 
 class TestReadersTolerateMissingBlock:
@@ -101,17 +95,7 @@ class TestReadersTolerateMissingBlock:
             ledger = read_ledger(path)
         assert len(ledger) == len(entries)
 
-    def test_matches_is_none_when_absent(self):
-        assert provenance_matches(None, provenance()) is None
-        assert provenance_matches(provenance(), {}) is None
-
     def test_warn_helper_contract(self):
         assert warn_if_unstamped({"provenance": provenance()}) is True
         with pytest.warns(UserWarning, match="no provenance block"):
             assert warn_if_unstamped({}, "x.json") is False
-
-    def test_describe_mismatch_names_fields(self):
-        a = provenance()
-        b = dict(a, git_sha="0" * 40)
-        lines = describe_mismatch(a, b)
-        assert len(lines) == 1 and lines[0].startswith("git_sha:")

@@ -21,7 +21,6 @@ from repro.hsi.scene import SceneConfig, make_wtc_scene
 from repro.tuning import (
     KERNEL_NAMES,
     default_variant,
-    reference_variant,
     resolve,
     variants_of,
 )
@@ -67,9 +66,9 @@ class TestRegistry:
             best = max(variants_of(kernel), key=lambda v: v.speed_hint)
             assert default_variant(kernel).speed_hint == best.speed_hint
 
-    def test_reference_variant_is_rank_tolerant_and_unconditional(self):
+    def test_reference_is_rank_tolerant_and_unconditional(self):
         for kernel in KERNEL_NAMES:
-            ref = reference_variant(kernel)
+            ref = resolve(kernel, "reference")
             assert ref.name == "reference"
             assert ref.min_pixels == 0
 
