@@ -5,6 +5,12 @@ Usage::
     python -m repro experiments all
     python -m repro experiments table3 table5 --outdir results/
     python -m repro experiments figure2
+    python -m repro experiments --trace traces/
+
+``--trace DIR`` is the one way to the traced demo run: it writes every
+export and ``<stem>.prom``; ``profile analyze`` and ``whatif predict``
+compute the calibration and the what-if prediction from its
+``<stem>.jsonl``, and the ``whatif`` experiment reuses its sim run.
 
 Tables 5–7 share one grid; requesting several of them in the same
 invocation computes the grid once, and the grid executes each distinct
@@ -26,14 +32,10 @@ from repro.experiments.table5 import run_table5
 from repro.experiments.table6 import run_table6
 from repro.experiments.table7 import run_table7
 from repro.experiments.table8 import run_table8
-from repro.experiments.traced import (
-    export_metrics,
-    run_calibration,
-    run_metrics,
-    run_traced,
-)
+from repro.experiments.traced import run_traced
 from repro.experiments.whatif import run_whatif
 from repro.hsi.scene import SceneConfig, make_wtc_scene
+from repro.obs import write_openmetrics
 
 __all__ = ["main", "EXPERIMENT_NAMES"]
 
@@ -45,9 +47,6 @@ _GRID_EXPERIMENTS = {"table5", "table6", "table7"}
 #: flag -> what an empty value of it is missing.
 _REQUIRED_VALUES = {
     "trace": "a directory name",
-    "metrics": "a directory name",
-    "calibrate": "a directory name",
-    "whatif": "a plan file name",
     "plan": "'auto', 'default', or a plan file",
 }
 
@@ -79,18 +78,11 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--outdir", default="experiments_output",
                         help="directory for rendered files and transcripts")
     parser.add_argument("--trace", metavar="DIR", default=None,
-                        help="write Chrome traces + metrics + trace analysis "
+                        help="write Chrome traces, metrics (JSON + "
+                             "OpenMetrics text), JSONL and trace analysis "
                              "for a demo run on both backends (and per-cell "
-                             "grid traces) into DIR")
-    parser.add_argument("--metrics", metavar="DIR", default=None,
-                        help="export the metric registry of a demo run as "
-                             "JSON + OpenMetrics text into DIR (standalone; "
-                             "reuses the --trace runs when both are given)")
-    parser.add_argument("--calibrate", metavar="DIR", default=None,
-                        help="calibrate the analytic cost model on both "
-                             "backends and write calibration_{sim,inproc}"
-                             ".json/.txt into DIR (gate with "
-                             "python -m repro profile gate)")
+                             "grid traces) into DIR; profile analyze and "
+                             "whatif predict read its <stem>.jsonl")
     parser.add_argument("--plan", metavar="MODE", default=None,
                         help="configure the traced demo runs through the "
                              "autotuning planner: 'auto' plans kernel "
@@ -106,13 +98,6 @@ def main(argv: list[str] | None = None) -> int:
                              "demo runs and the table5-7 grid cells; runs "
                              "go through the fault-tolerant driver, so "
                              "planned crashes recover onto the survivors")
-    parser.add_argument("--whatif", metavar="PLAN", default=None,
-                        help="replay the traced sim demo run under the JSON "
-                             "what-if plan (rank/op/link scaling, tier "
-                             "upgrades, cluster resizing): writes "
-                             "whatif_predict.json + whatif_causal.json + "
-                             "whatif_sweep.json next to the traces and "
-                             "prints the predicted makespan change")
     parser.add_argument("--jobs", type=int, default=None,
                         help="fan the table5-7 grid's executed programs out "
                              "over N worker processes; results (and trace "
@@ -135,11 +120,8 @@ def main(argv: list[str] | None = None) -> int:
     if (args.plan is not None and args.plan not in ("auto", "default")
             and not Path(args.plan).exists()):
         parser.error(f"--plan file not found: {args.plan}")
-    if (not args.experiments and args.trace is None and args.metrics is None
-            and args.calibrate is None and args.whatif is None):
-        parser.error("nothing to do: name experiments and/or pass "
-                     "--trace DIR / --metrics DIR / --calibrate DIR / "
-                     "--whatif PLAN")
+    if not args.experiments and args.trace is None:
+        parser.error("nothing to do: name experiments and/or pass --trace DIR")
 
     wanted = list(EXPERIMENT_NAMES) if "all" in args.experiments else [
         name for name in EXPERIMENT_NAMES if name in args.experiments
@@ -156,7 +138,6 @@ def main(argv: list[str] | None = None) -> int:
     outdir.mkdir(parents=True, exist_ok=True)
     trace_dir = None
     sim_traced = None
-    metrics_dir = Path(args.metrics) if args.metrics is not None else None
     if args.trace is not None:
         trace_dir = Path(args.trace)
         trace_dir.mkdir(parents=True, exist_ok=True)
@@ -169,8 +150,12 @@ def main(argv: list[str] | None = None) -> int:
             )
             if backend == "sim":
                 sim_traced = traced
+            # The registry's OpenMetrics text is written here, not in
+            # run_traced, so the benchmark's traced runs do no extra work.
+            prom_path = trace_dir / f"atdca_{backend}.prom"
+            write_openmetrics(prom_path, traced.obs)
             print(f"  {traced.n_spans} spans -> "
-                  + ", ".join(p.name for p in traced.files))
+                  + ", ".join(p.name for p in (*traced.files, prom_path)))
             if traced.plan is not None:
                 tp = traced.plan
                 print(f"  plan: {tp.partition_variant} partition, "
@@ -190,48 +175,6 @@ def main(argv: list[str] | None = None) -> int:
             blocked = traced.analysis.blocked
             print(f"  blocked time: {blocked.total_blocked_s:.3f}s total "
                   f"across {len(blocked.ranks)} ranks")
-            if metrics_dir is not None:
-                files = export_metrics(
-                    traced.obs, metrics_dir, f"atdca_{backend}"
-                )
-                print("  metrics -> " + ", ".join(p.name for p in files))
-    elif metrics_dir is not None:
-        print("exporting metrics for a demo atdca run (sim backend)...",
-              flush=True)
-        files = run_metrics(config, metrics_dir, backend="sim")
-        print("  metrics -> " + ", ".join(p.name for p in files))
-
-    if args.calibrate is not None:
-        print("calibrating the cost model (sim + inproc backends)...",
-              flush=True)
-        calib_files = run_calibration(config, args.calibrate)
-        print("  calibration -> "
-              + ", ".join(p.name for p in calib_files))
-    if args.whatif is not None:
-        from repro.obs.whatif import load_whatif_plan
-
-        whatif_plan = load_whatif_plan(args.whatif)
-        print(f"what-if plan {whatif_plan.name!r}: "
-              f"{len(whatif_plan)} perturbations loaded", flush=True)
-        print("replaying the traced sim demo run under the plan...",
-              flush=True)
-        # A fault-injected trace may span several recovery attempts, so
-        # the replay baseline reuses the --trace run only when it was
-        # fault-free; otherwise a clean demo run is traced here.
-        whatif_result = run_whatif(
-            config,
-            plan=whatif_plan,
-            traced=sim_traced if fault_plan is None else None,
-            outdir=trace_dir if trace_dir is not None else outdir,
-            jobs=args.jobs,
-        )
-        doc = whatif_result.prediction
-        assert doc is not None
-        print(f"  baseline {doc['baseline_makespan_s']:.6f}s -> "
-              f"predicted {doc['predicted_makespan_s']:.6f}s "
-              f"({doc['delta_pct']:+.2f}%, speedup {doc['speedup']:.3f}x)")
-        print("  whatif json -> "
-              + ", ".join(p.name for p in whatif_result.files))
     scene = make_wtc_scene(config.scene)
     grid = None
     if _GRID_EXPERIMENTS & set(wanted):

@@ -14,6 +14,11 @@ requested backend and dumps every export format next to each other:
   attribution, link utilization, and — on the sim backend — WEA
   imbalance attribution).
 
+The CLI writes ``<algorithm>_<backend>.prom`` (the registry as
+OpenMetrics text) beside them; every other view of the run is
+computed from its ``.jsonl`` (``python -m repro profile analyze``,
+``python -m repro whatif predict|causal|sweep``).
+
 On the sim backend the span triple is additionally cross-checked
 against the engine's phase ledger (:func:`breakdown_of_run`) — the two
 are computed from independent code paths, so agreement is a strong
@@ -45,19 +50,10 @@ from repro.obs import (
     write_chrome_trace,
     write_jsonl,
     write_metrics_json,
-    write_openmetrics,
 )
 from repro.perf.timers import breakdown_of_run
 
-__all__ = [
-    "DemoRun",
-    "TracedRun",
-    "demo_run",
-    "run_traced",
-    "run_calibration",
-    "export_metrics",
-    "run_metrics",
-]
+__all__ = ["TracedRun", "demo_run", "run_traced"]
 
 #: Tolerance for the span-ledger COM/SEQ/PAR cross-check.
 CROSSCHECK_TOL = 1e-9
@@ -92,7 +88,7 @@ def _resolve_plan(
 
 @dataclasses.dataclass(frozen=True)
 class TracedRun:
-    """Outcome of one traced demo run."""
+    """Outcome of one traced demo run (``files`` is empty until exported)."""
 
     run: Union[ParallelRun, "RecoveredRun"]
     obs: ObsSession
@@ -105,26 +101,16 @@ class TracedRun:
         return len(self.obs.tracer)
 
 
-@dataclasses.dataclass(frozen=True)
-class DemoRun:
-    """One traced demo run before anything is exported."""
-
-    run: Union[ParallelRun, "RecoveredRun"]
-    obs: ObsSession
-    analysis: TraceAnalysis
-    tuning: "TuningPlan | None"
-
-
 def demo_run(
     cfg: ExperimentConfig,
     backend: str,
     algorithm: str,
     fault_plan: "FaultPlan | None",
     plan_mode: "str | None" = None,
-) -> DemoRun:
-    """One traced demo run (shared by trace, calibration and what-if):
-    execute on the Table 1/2 platform, cross-check the span ledger on
-    fault-free sim runs, analyze the trace."""
+) -> TracedRun:
+    """One traced demo run, nothing exported yet: execute on the
+    Table 1/2 platform, cross-check the span ledger on fault-free sim
+    runs, analyze the trace."""
     scene = make_wtc_scene(cfg.scene)
     platform = fully_heterogeneous()
     tuning = _resolve_plan(plan_mode, cfg, algorithm, backend, platform)
@@ -173,7 +159,9 @@ def demo_run(
         partition=run.partition if run.sim is not None else None,
         platform=getattr(run, "platform", platform),
     )
-    return DemoRun(run=run, obs=obs, analysis=analysis, tuning=tuning)
+    return TracedRun(
+        run=run, obs=obs, files=(), analysis=analysis, plan=tuning
+    )
 
 
 def run_traced(
@@ -209,7 +197,7 @@ def run_traced(
     out.mkdir(parents=True, exist_ok=True)
     stem = f"{algorithm}_{backend}"
     demo = demo_run(cfg, backend, algorithm, fault_plan, plan_mode=plan_mode)
-    run, obs, analysis, tuning = demo.run, demo.obs, demo.analysis, demo.tuning
+    obs, analysis, tuning = demo.obs, demo.analysis, demo.plan
     trace_path = out / f"{stem}.trace.json"
     metrics_path = out / f"{stem}.metrics.json"
     jsonl_path = out / f"{stem}.jsonl"
@@ -237,84 +225,5 @@ def run_traced(
         )
         files.append(plan_path)
 
-    return TracedRun(
-        run=run,
-        obs=obs,
-        files=tuple(files),
-        analysis=analysis,
-        plan=tuning,
-    )
+    return dataclasses.replace(demo, files=tuple(files))
 
-
-def run_calibration(
-    config: ExperimentConfig | None = None,
-    outdir: Path | str = "experiments_output",
-    algorithm: str = "atdca",
-) -> tuple[Path, ...]:
-    """Calibrate the cost model on both backends; write JSON + text.
-
-    Backs the CLI's ``--calibrate DIR`` flag: one demo run per backend,
-    each replayed through :func:`repro.obs.profile_trace` against the
-    Table 1/2 platform, written as ``calibration_<backend>.json`` (for
-    ``python -m repro profile gate``) and a readable ``.txt``.
-    """
-    from repro.obs import profile_trace
-
-    cfg = config or ExperimentConfig()
-    out = Path(outdir)
-    out.mkdir(parents=True, exist_ok=True)
-    platform = fully_heterogeneous()
-    paths: list[Path] = []
-    for backend in ("sim", "inproc"):
-        obs = demo_run(cfg, backend, algorithm, None).obs
-        report = profile_trace(obs, platform)
-        json_path = out / f"calibration_{backend}.json"
-        json_path.write_text(report.to_json() + "\n", encoding="utf-8")
-        txt_path = out / f"calibration_{backend}.txt"
-        txt_path.write_text(report.to_text() + "\n", encoding="utf-8")
-        paths += [json_path, txt_path]
-    return tuple(paths)
-
-
-def export_metrics(
-    obs: ObsSession, outdir: Path | str, stem: str
-) -> tuple[Path, Path]:
-    """Dump a session's metric registry as JSON + OpenMetrics text.
-
-    Returns the ``(json_path, prom_path)`` pair; the ``.prom`` file is
-    the Prometheus text exposition of the same registry, ready for a
-    node-exporter textfile collector or ``promtool check metrics``.
-    """
-    out = Path(outdir)
-    out.mkdir(parents=True, exist_ok=True)
-    json_path = out / f"{stem}.metrics.json"
-    prom_path = out / f"{stem}.prom"
-    write_metrics_json(json_path, obs)
-    write_openmetrics(prom_path, obs)
-    return json_path, prom_path
-
-
-def run_metrics(
-    config: ExperimentConfig | None = None,
-    outdir: Path | str = "experiments_output",
-    backend: str = "sim",
-    algorithm: str = "atdca",
-) -> tuple[Path, Path]:
-    """Standalone metrics export: one demo run, registry files only.
-
-    Backs the CLI's ``--metrics DIR`` flag when ``--trace`` is absent —
-    the run is identical to :func:`run_traced` but skips the span
-    exports and analysis.
-    """
-    cfg = config or ExperimentConfig()
-    scene = make_wtc_scene(cfg.scene)
-    obs = ObsSession.create()
-    run_parallel(
-        algorithm,
-        scene.image,
-        fully_heterogeneous(),
-        params=cfg.params_for(algorithm),
-        backend=backend,
-        obs=obs,
-    )
-    return export_metrics(obs, outdir, f"{algorithm}_{backend}")

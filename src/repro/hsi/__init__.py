@@ -1,11 +1,10 @@
 """Hyperspectral imaging substrate: cubes, spectra, scenes, metrics."""
 
-from repro.hsi.cube import HyperspectralImage, row_slab, stack_rows
+from repro.hsi.cube import HyperspectralImage
 from repro.hsi.dimensionality import (
     VirtualDimensionalityResult,
     estimate_noise_covariance,
     hfc_virtual_dimensionality,
-    nwhfc_virtual_dimensionality,
 )
 from repro.hsi.evaluation import (
     ClassificationScore,
@@ -18,11 +17,9 @@ from repro.hsi.metrics import (
     match_targets,
     overall_accuracy,
     per_class_accuracy,
-    rmse,
     sad,
     sad_pairwise,
     sad_to_references,
-    spectral_information_divergence,
 )
 from repro.hsi.noise import NoiseModel, add_sensor_noise, aviris_snr_profile
 from repro.hsi.scene import (
@@ -72,16 +69,11 @@ __all__ = [
     "fahrenheit_to_kelvin",
     "hfc_virtual_dimensionality",
     "make_wtc_scene",
-    "nwhfc_virtual_dimensionality",
     "match_targets",
     "overall_accuracy",
     "per_class_accuracy",
-    "rmse",
-    "row_slab",
     "sad",
     "sad_pairwise",
     "sad_to_references",
-    "spectral_information_divergence",
-    "stack_rows",
     "thermal_signature",
 ]

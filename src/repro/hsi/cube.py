@@ -18,7 +18,7 @@ import numpy as np
 from repro.errors import DataError, ShapeError
 from repro.types import FloatArray, Interleave, PixelIndex
 
-__all__ = ["HyperspectralImage", "row_slab", "stack_rows"]
+__all__ = ["HyperspectralImage"]
 
 
 class HyperspectralImage:
@@ -184,26 +184,3 @@ class HyperspectralImage:
 
     def copy(self) -> "HyperspectralImage":
         return HyperspectralImage(self._data.copy(), wavelengths=self._wavelengths)
-
-
-def row_slab(image: HyperspectralImage, start: int, stop: int) -> HyperspectralImage:
-    """Free-function alias of :meth:`HyperspectralImage.row_block`."""
-    return image.row_block(start, stop)
-
-
-def stack_rows(blocks: Sequence[HyperspectralImage]) -> HyperspectralImage:
-    """Reassemble row blocks (in order) into one cube.
-
-    The inverse of partition-by-rows: all blocks must agree on cols/bands.
-    """
-    if not blocks:
-        raise DataError("cannot stack zero blocks")
-    cols, bands = blocks[0].cols, blocks[0].bands
-    for blk in blocks[1:]:
-        if (blk.cols, blk.bands) != (cols, bands):
-            raise ShapeError(
-                f"block shape ({blk.cols}, {blk.bands}) does not match "
-                f"({cols}, {bands})"
-            )
-    data = np.concatenate([blk.values for blk in blocks], axis=0)
-    return HyperspectralImage(data, wavelengths=blocks[0].wavelengths)

@@ -12,11 +12,9 @@ than noise; the count of such dimensions is the virtual dimensionality
 probability ``p_fa``, with the variance of the eigenvalue difference
 estimated as ``2(λ_cor² + λ_cov²)/n``.
 
-The noise-whitened variant (NWHFC) first whitens by an estimate of the
-noise covariance (we use the residual of a diagonal regression — the
-classic "intra/inter band" estimator simplified to a shift-difference
-residual), which makes the test robust when noise variance varies
-strongly across bands, as AVIRIS's does.
+:func:`estimate_noise_covariance` estimates the noise covariance from a
+shift-difference residual (the classic "intra/inter band" estimator,
+simplified).
 """
 
 from __future__ import annotations
@@ -34,7 +32,6 @@ __all__ = [
     "VirtualDimensionalityResult",
     "hfc_virtual_dimensionality",
     "estimate_noise_covariance",
-    "nwhfc_virtual_dimensionality",
 ]
 
 
@@ -139,24 +136,3 @@ def estimate_noise_covariance(
     if diff.shape[0] < cube.shape[2]:
         raise DataError("scene too small for noise estimation")
     return diff.T @ diff / (2.0 * diff.shape[0])
-
-
-def nwhfc_virtual_dimensionality(
-    data: FloatArray | HyperspectralImage,
-    p_fa: float = 1e-3,
-    ridge: float = 1e-12,
-) -> VirtualDimensionalityResult:
-    """Noise-whitened HFC: whiten by the estimated noise covariance,
-    then run the HFC test — robust to band-dependent noise levels."""
-    pixels = _pixel_matrix(data)
-    noise_cov = (
-        estimate_noise_covariance(data)
-        if isinstance(data, HyperspectralImage)
-        else estimate_noise_covariance(pixels)
-    )
-    bands = pixels.shape[1]
-    noise_cov = noise_cov + ridge * np.trace(noise_cov) / bands * np.eye(bands)
-    eigvals, eigvecs = np.linalg.eigh(noise_cov)
-    eigvals = np.maximum(eigvals, ridge * max(float(eigvals.max()), 1e-30))
-    whitener = eigvecs @ np.diag(eigvals**-0.5) @ eigvecs.T
-    return hfc_virtual_dimensionality(pixels @ whitener, p_fa=p_fa)

@@ -19,8 +19,6 @@ __all__ = [
     "sad",
     "sad_pairwise",
     "sad_to_references",
-    "spectral_information_divergence",
-    "rmse",
     "confusion_matrix",
     "per_class_accuracy",
     "overall_accuracy",
@@ -95,31 +93,6 @@ def sad_to_references(pixels: FloatArray, references: FloatArray) -> FloatArray:
     cos[pnorm < _EPS, :] = 0.0
     np.clip(cos, -1.0, 1.0, out=cos)
     return np.arccos(cos)
-
-
-def spectral_information_divergence(x: FloatArray, y: FloatArray) -> float:
-    """SID: symmetric KL divergence between signatures viewed as
-    probability distributions.  A secondary metric offered alongside SAD."""
-    xv = np.asarray(x, dtype=float).ravel()
-    yv = np.asarray(y, dtype=float).ravel()
-    if xv.shape != yv.shape:
-        raise ShapeError(f"signature shapes differ: {xv.shape} vs {yv.shape}")
-    if np.any(xv < 0) or np.any(yv < 0):
-        raise DataError("SID requires non-negative signatures")
-    p = xv + _EPS
-    q = yv + _EPS
-    p = p / p.sum()
-    q = q / q.sum()
-    return float(np.sum(p * np.log(p / q)) + np.sum(q * np.log(q / p)))
-
-
-def rmse(x: FloatArray, y: FloatArray) -> float:
-    """Root-mean-square error between two equally shaped arrays."""
-    xv = np.asarray(x, dtype=float)
-    yv = np.asarray(y, dtype=float)
-    if xv.shape != yv.shape:
-        raise ShapeError(f"shapes differ: {xv.shape} vs {yv.shape}")
-    return float(np.sqrt(np.mean((xv - yv) ** 2)))
 
 
 def confusion_matrix(

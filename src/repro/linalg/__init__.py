@@ -1,11 +1,6 @@
 """Numerical kernels: OSP projection, constrained unmixing, PCT."""
 
-from repro.linalg.fcls import (
-    fcls_abundances,
-    ls_abundances,
-    reconstruction_error,
-    scls_abundances,
-)
+from repro.linalg.fcls import fcls_abundances, reconstruction_error
 from repro.linalg.osp import (
     brightest_pixel_index,
     orthonormal_basis,
@@ -17,7 +12,6 @@ from repro.linalg.pca import (
     apply_pct,
     combine_covariance_sums,
     covariance_matrix,
-    explained_variance_ratio,
     mean_vector,
     partial_covariance_sums,
     pct_transform,
@@ -28,9 +22,7 @@ __all__ = [
     "brightest_pixel_index",
     "combine_covariance_sums",
     "covariance_matrix",
-    "explained_variance_ratio",
     "fcls_abundances",
-    "ls_abundances",
     "mean_vector",
     "orthonormal_basis",
     "osp_projector",
@@ -39,5 +31,4 @@ __all__ = [
     "projected_energy",
     "reconstruction_error",
     "residual_energy",
-    "scls_abundances",
 ]

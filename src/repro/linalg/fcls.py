@@ -2,12 +2,12 @@
 
 UFCLS (Algorithm 3) scores every pixel by the residual of a linear-mixture
 fit against the current target set whose abundances are non-negative and
-sum to one.  We provide the unconstrained (LS) and sum-to-one (SCLS,
-closed form via a Lagrange multiplier) solvers, the Heinz–Chang
-active-set iteration on top of SCLS that UFCLS calls FCLS, and the
-reconstruction-error map UFCLS consumes.  That iteration drops a pixel's
-most negative abundance until none is left and never re-admits a lane,
-so its answer is feasible but not always the constrained optimum.
+sum to one.  We provide the Heinz–Chang active-set iteration on top of
+the sum-to-one solve (SCLS, closed form via a Lagrange multiplier) that
+UFCLS calls FCLS, and the reconstruction-error map UFCLS consumes.  That
+iteration drops a pixel's most negative abundance until none is left and
+never re-admits a lane, so its answer is feasible but not always the
+constrained optimum.
 
 The SCLS solve is one batched expression; the pixels it leaves negative
 enter a refinement batched over pixels and their distinct active lane sets.
@@ -21,8 +21,6 @@ from repro.errors import ConvergenceError, DataError, ShapeError
 from repro.types import FloatArray
 
 __all__ = [
-    "ls_abundances",
-    "scls_abundances",
     "fcls_abundances",
     "reconstruction_error",
     "IncrementalFCLS",
@@ -157,31 +155,6 @@ def _active_set_refine(
         )
     np.maximum(result, 0.0, out=result)
     return result
-
-
-def ls_abundances(
-    pixels: FloatArray, endmembers: FloatArray, ridge: float = 1e-10
-) -> FloatArray:
-    """Unconstrained least-squares abundances → ``(n, k)``.
-
-    Solves ``min_a ‖x − aᵀE‖²`` per pixel for endmember matrix ``E``
-    (rows are signatures).
-    """
-    pix, end = _validate(pixels, endmembers)
-    return pix @ end.T @ _reg_inverse(end @ end.T, ridge)
-
-
-def scls_abundances(
-    pixels: FloatArray, endmembers: FloatArray, ridge: float = 1e-10
-) -> FloatArray:
-    """Sum-to-one constrained least squares (closed form) → ``(n, k)``.
-
-    Lagrange solution:
-    ``a = a_ls − G⁻¹1 (1ᵀa_ls − 1) / (1ᵀG⁻¹1)`` with ``G = EEᵀ``.
-    Abundances may still be negative; FCLS fixes that.
-    """
-    pix, end = _validate(pixels, endmembers)
-    return _scls_from_cross(pix @ end.T, _reg_inverse(end @ end.T, ridge))
 
 
 def fcls_abundances(

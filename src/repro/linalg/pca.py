@@ -23,7 +23,6 @@ __all__ = [
     "combine_covariance_sums",
     "pct_transform",
     "apply_pct",
-    "explained_variance_ratio",
 ]
 
 
@@ -131,13 +130,3 @@ def apply_pct(
             f"transform {t.shape}"
         )
     return (pix - mu) @ t.T
-
-
-def explained_variance_ratio(eigenvalues: FloatArray) -> FloatArray:
-    """Fraction of total variance per (sorted) component."""
-    vals = np.asarray(eigenvalues, dtype=float)
-    vals = np.maximum(vals, 0.0)
-    total = vals.sum()
-    if total <= 0:
-        raise DataError("all eigenvalues are zero")
-    return vals / total

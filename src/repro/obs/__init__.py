@@ -91,7 +91,6 @@ _LAZY = {
     "replay": "repro.obs.whatif",
     "replay_ops_from_trace": "repro.obs.whatif",
     "capacity_sweep": "repro.obs.whatif",
-    "whatif_predict": "repro.obs.whatif",
     "CausalEntry": "repro.obs.causal",
     "CausalProfile": "repro.obs.causal",
     "causal_profile": "repro.obs.causal",
@@ -165,7 +164,6 @@ __all__ = [
     "replay",
     "replay_ops_from_trace",
     "capacity_sweep",
-    "whatif_predict",
     "CausalEntry",
     "CausalProfile",
     "causal_profile",

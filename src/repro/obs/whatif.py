@@ -80,7 +80,6 @@ __all__ = [
     "replay_ops_from_trace",
     "run_meta_of",
     "predict",
-    "whatif_predict",
     "capacity_sweep",
     "run_validation",
     "main",
@@ -440,11 +439,6 @@ def predict(
         "provenance": provenance(),
     }
     return doc
-
-
-#: Package-level alias (:mod:`repro.obs` re-exports it under this name;
-#: bare ``predict`` is too generic at package scope).
-whatif_predict = predict
 
 
 # -- capacity sweeps ----------------------------------------------------------

@@ -8,7 +8,6 @@ from repro.scheduling.iterative import (
 from repro.scheduling.heho import (
     EquivalenceReport,
     check_equivalence,
-    heterogeneous_efficiency,
 )
 from repro.scheduling.static_part import (
     RowPartition,
@@ -29,7 +28,6 @@ __all__ = [
     "halo_compensated_rows",
     "iterative_makespan",
     "optimal_iterative_fractions",
-    "heterogeneous_efficiency",
     "heterogeneous_fractions",
     "homogeneous_fractions",
     "rows_from_fractions",

@@ -7,8 +7,7 @@ network".  The equivalent homogeneous environment must have (1) the
 same processor count, (2) per-processor speed equal to the average
 heterogeneous speed, and (3) the same aggregate communication
 characteristics.  This module checks platform equivalence under those
-three principles and scores heterogeneous algorithms against the
-resulting optimality bound.
+three principles.
 """
 
 from __future__ import annotations
@@ -20,7 +19,7 @@ import numpy as np
 from repro.cluster.platform import HeterogeneousPlatform
 from repro.errors import ConfigurationError
 
-__all__ = ["EquivalenceReport", "check_equivalence", "heterogeneous_efficiency"]
+__all__ = ["EquivalenceReport", "check_equivalence"]
 
 
 @dataclasses.dataclass(frozen=True)
@@ -73,20 +72,3 @@ def check_equivalence(
         capacity_ratio=capacity_ratio,
         tolerance=tolerance,
     )
-
-
-def heterogeneous_efficiency(
-    hetero_time_on_hetero: float, homo_time_on_homo: float
-) -> float:
-    """Optimality score of a heterogeneous algorithm.
-
-    The ratio of the homogeneous version's time on the equivalent
-    homogeneous network to the heterogeneous algorithm's time on the
-    heterogeneous network.  1.0 means the heterogeneous algorithm is the
-    optimal modification of the homogeneous one; values slightly below
-    1.0 are expected (the bound says it cannot exceed 1.0 by much —
-    Table 5 shows e.g. 81/84 ≈ 0.96 for ATDCA).
-    """
-    if hetero_time_on_hetero <= 0 or homo_time_on_homo <= 0:
-        raise ConfigurationError("execution times must be positive")
-    return homo_time_on_homo / hetero_time_on_hetero

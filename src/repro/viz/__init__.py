@@ -9,7 +9,7 @@ from repro.viz.composite import (
     mark_targets,
     stretch,
 )
-from repro.viz.ppm import write_pgm, write_ppm
+from repro.viz.ppm import write_ppm
 from repro.viz.timeline import ascii_gantt, gantt_of_run, gantt_of_trace
 
 __all__ = [
@@ -23,6 +23,5 @@ __all__ = [
     "line_chart",
     "mark_targets",
     "stretch",
-    "write_pgm",
     "write_ppm",
 ]

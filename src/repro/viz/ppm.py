@@ -1,4 +1,4 @@
-"""Minimal binary PPM/PGM image writers (no external imaging deps)."""
+"""Minimal binary PPM image writer (no external imaging deps)."""
 
 from __future__ import annotations
 
@@ -9,7 +9,7 @@ import numpy as np
 from repro.errors import DataError, ShapeError
 from repro.types import IntArray
 
-__all__ = ["write_ppm", "write_pgm"]
+__all__ = ["write_ppm"]
 
 
 def _as_uint8(arr: np.ndarray, name: str) -> np.ndarray:
@@ -41,15 +41,4 @@ def write_ppm(path: str | os.PathLike, rgb: IntArray) -> None:
     rows, cols, _ = img.shape
     with open(path, "wb") as fh:
         fh.write(f"P6\n{cols} {rows}\n255\n".encode("ascii"))
-        fh.write(np.ascontiguousarray(img).tobytes())
-
-
-def write_pgm(path: str | os.PathLike, gray: IntArray) -> None:
-    """Write an ``(rows, cols)`` image as binary PGM (P5)."""
-    img = _as_uint8(gray, "gray")
-    if img.ndim != 2:
-        raise ShapeError(f"expected (rows, cols), got {img.shape}")
-    rows, cols = img.shape
-    with open(path, "wb") as fh:
-        fh.write(f"P5\n{cols} {rows}\n255\n".encode("ascii"))
         fh.write(np.ascontiguousarray(img).tobytes())

@@ -23,7 +23,7 @@ from repro.cluster.presets import (
 )
 from repro.cluster.processor import ProcessorSpec
 from repro.errors import ConfigurationError, PlatformError
-from repro.scheduling.heho import check_equivalence, heterogeneous_efficiency
+from repro.scheduling.heho import check_equivalence
 
 
 class TestProcessorSpec:
@@ -200,12 +200,3 @@ class TestPresets:
         assert th.is_fully_homogeneous()
         with pytest.raises(ConfigurationError):
             thunderhead(0)
-
-
-class TestHeHo:
-    def test_efficiency_ratio(self):
-        assert heterogeneous_efficiency(84.0, 81.0) == pytest.approx(81 / 84)
-
-    def test_invalid_times_rejected(self):
-        with pytest.raises(ConfigurationError):
-            heterogeneous_efficiency(0.0, 1.0)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.errors import DataError, ShapeError
-from repro.hsi.cube import HyperspectralImage, row_slab, stack_rows
+from repro.hsi.cube import HyperspectralImage
 from repro.types import Interleave
 
 
@@ -127,27 +127,6 @@ class TestRowBlocks:
             img.row_block(3, 3)
         with pytest.raises(ShapeError):
             img.row_block(0, 7)
-
-    def test_row_slab_alias(self, cube_array):
-        img = HyperspectralImage(cube_array)
-        assert np.array_equal(
-            row_slab(img, 0, 2).values, img.row_block(0, 2).values
-        )
-
-    def test_stack_rows_roundtrip(self, cube_array):
-        img = HyperspectralImage(cube_array)
-        blocks = [img.row_block(0, 2), img.row_block(2, 5), img.row_block(5, 6)]
-        assert stack_rows(blocks) == img
-
-    def test_stack_rows_rejects_mismatched(self, cube_array, rng):
-        img = HyperspectralImage(cube_array)
-        other = HyperspectralImage(rng.random((2, 5, 3)))
-        with pytest.raises(ShapeError):
-            stack_rows([img.row_block(0, 2), other])
-
-    def test_stack_rows_rejects_empty(self):
-        with pytest.raises(DataError):
-            stack_rows([])
 
     def test_copy_is_independent(self, cube_array):
         img = HyperspectralImage(cube_array)

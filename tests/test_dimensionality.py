@@ -7,7 +7,6 @@ from repro.errors import ConfigurationError, DataError
 from repro.hsi.dimensionality import (
     estimate_noise_covariance,
     hfc_virtual_dimensionality,
-    nwhfc_virtual_dimensionality,
 )
 
 
@@ -81,30 +80,3 @@ class TestNoiseEstimate:
         cube = gradient + rng.normal(0, 0.01, (100, 50, 2))
         est = estimate_noise_covariance(cube)
         assert np.sqrt(est[0, 0]) < 0.1  # nowhere near the signal range
-
-
-class TestNWHFC:
-    def test_handles_band_dependent_noise(self, rng):
-        # The shift-difference noise estimator needs spatial smoothness:
-        # build a blocky abundance *image* (constant 4x4 tiles) so
-        # neighbour differences cancel the signal.
-        k = 4
-        bands = 20
-        rows, cols = 40, 48
-        endmembers = rng.random((k, bands)) + 0.2
-        coarse = rng.dirichlet(np.ones(k), size=(rows // 4) * (cols // 4))
-        tiles = coarse.reshape(rows // 4, cols // 4, k)
-        abundances = np.repeat(np.repeat(tiles, 4, axis=0), 4, axis=1)
-        sigma = np.full(bands, 0.002)
-        sigma[-5:] = 0.3  # five catastrophically noisy bands
-        cube = abundances.reshape(-1, k) @ endmembers
-        cube = cube.reshape(rows, cols, bands)
-        cube = cube + rng.normal(0, 1, cube.shape) * sigma
-        from repro.hsi import HyperspectralImage
-
-        vd = nwhfc_virtual_dimensionality(HyperspectralImage(cube)).vd
-        assert abs(vd - k) <= 2
-
-    def test_runs_on_scene(self, small_scene):
-        result = nwhfc_virtual_dimensionality(small_scene.image)
-        assert result.vd > 3

@@ -13,44 +13,13 @@ from repro.errors import ConvergenceError, DataError, ShapeError
 from repro.experiments.config import ExperimentConfig
 from repro.hsi import make_wtc_scene
 from repro.linalg import fcls
-from repro.linalg.fcls import (
-    fcls_abundances,
-    ls_abundances,
-    reconstruction_error,
-    scls_abundances,
-)
+from repro.linalg.fcls import fcls_abundances, reconstruction_error
 
 
 @pytest.fixture()
 def endmembers(rng):
     # Well-separated random endmembers.
     return rng.random((4, 16)) + np.eye(4, 16) * 2.0
-
-
-class TestLS:
-    def test_recovers_exact_mixture(self, rng, endmembers):
-        truth = rng.random((10, 4))
-        pixels = truth @ endmembers
-        est = ls_abundances(pixels, endmembers)
-        assert np.allclose(est, truth, atol=1e-8)
-
-    def test_band_mismatch_rejected(self, rng):
-        with pytest.raises(ShapeError):
-            ls_abundances(rng.random((2, 8)), rng.random((3, 9)))
-
-
-class TestSCLS:
-    def test_sum_to_one(self, rng, endmembers):
-        pixels = rng.random((25, 16))
-        est = scls_abundances(pixels, endmembers)
-        assert np.allclose(est.sum(axis=1), 1.0, atol=1e-9)
-
-    def test_recovers_simplex_mixture(self, rng, endmembers):
-        truth = rng.random((10, 4))
-        truth /= truth.sum(axis=1, keepdims=True)
-        pixels = truth @ endmembers
-        est = scls_abundances(pixels, endmembers)
-        assert np.allclose(est, truth, atol=1e-7)
 
 
 class TestFCLS:

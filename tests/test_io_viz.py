@@ -13,7 +13,7 @@ from repro.viz.composite import (
     mark_targets,
     stretch,
 )
-from repro.viz.ppm import write_pgm, write_ppm
+from repro.viz.ppm import write_ppm
 
 
 @pytest.fixture()
@@ -85,11 +85,6 @@ class TestPPM:
     def test_ppm_rejects_out_of_range_floats(self, tmp_path):
         with pytest.raises(DataError):
             write_ppm(tmp_path / "z.ppm", np.ones((2, 2, 3)) * 2.0)
-
-    def test_pgm(self, tmp_path):
-        path = tmp_path / "g.pgm"
-        write_pgm(path, np.zeros((3, 2), dtype=np.uint8))
-        assert path.read_bytes().startswith(b"P5\n2 3\n255\n")
 
     def test_ppm_shape_checked(self, tmp_path):
         with pytest.raises(ShapeError):

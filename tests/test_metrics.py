@@ -12,11 +12,9 @@ from repro.hsi.metrics import (
     match_targets,
     overall_accuracy,
     per_class_accuracy,
-    rmse,
     sad,
     sad_pairwise,
     sad_to_references,
-    spectral_information_divergence,
 )
 
 _spectra = hnp.arrays(
@@ -96,31 +94,6 @@ class TestSADBatched:
     def test_band_mismatch_rejected(self, rng):
         with pytest.raises(ShapeError):
             sad_to_references(rng.random((3, 5)), rng.random((2, 6)))
-
-
-class TestSID:
-    def test_self_zero(self, rng):
-        x = rng.random(16) + 0.1
-        assert spectral_information_divergence(x, x) == pytest.approx(0.0)
-
-    def test_symmetric(self, rng):
-        x, y = rng.random(16) + 0.1, rng.random(16) + 0.1
-        assert spectral_information_divergence(x, y) == pytest.approx(
-            spectral_information_divergence(y, x)
-        )
-
-    def test_negative_rejected(self):
-        with pytest.raises(DataError):
-            spectral_information_divergence([-1.0, 1.0], [1.0, 1.0])
-
-
-class TestRMSE:
-    def test_zero_for_equal(self, rng):
-        x = rng.random(10)
-        assert rmse(x, x) == 0.0
-
-    def test_known_value(self):
-        assert rmse([0.0, 0.0], [3.0, 4.0]) == pytest.approx(np.sqrt(12.5))
 
 
 class TestAccuracy:

@@ -133,9 +133,6 @@ class TestExperimentsCLI:
 
     @pytest.mark.parametrize("flag, message", [
         ("--trace", "--trace requires a directory name"),
-        ("--metrics", "--metrics requires a directory name"),
-        ("--calibrate", "--calibrate requires a directory name"),
-        ("--whatif", "--whatif requires a plan file name"),
         ("--plan", "--plan requires 'auto', 'default', or a plan file"),
     ])
     def test_empty_value_rejected(self, flag, message, capsys):

@@ -578,6 +578,20 @@ class TestTracedRunsAndCLI:
         assert json.loads(trace.read_text())["traceEvents"]
         assert (tmp_path / "traces" / "atdca_inproc.trace.json").exists()
 
+    def test_cli_trace_writes_openmetrics(self, tmp_path):
+        from repro.experiments.runner import main
+
+        traces = tmp_path / "traces"
+        rc = main([
+            "--trace", str(traces), "--outdir", str(tmp_path / "out"),
+            "--rows", "48", "--cols", "16", "--bands", "24",
+        ])
+        assert rc == 0
+        for backend in ("sim", "inproc"):
+            assert (traces / f"atdca_{backend}.metrics.json").exists()
+            prom = (traces / f"atdca_{backend}.prom").read_text()
+            assert prom.endswith("# EOF\n")
+
     def test_cli_requires_work(self):
         from repro.experiments.runner import main
 

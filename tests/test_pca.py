@@ -8,7 +8,6 @@ from repro.linalg.pca import (
     apply_pct,
     combine_covariance_sums,
     covariance_matrix,
-    explained_variance_ratio,
     mean_vector,
     partial_covariance_sums,
     pct_transform,
@@ -128,13 +127,3 @@ class TestApply:
         cov_red = covariance_matrix(reduced)
         off_diag = cov_red[~np.eye(6, dtype=bool)]
         assert np.allclose(off_diag, 0.0, atol=1e-8)
-
-
-class TestExplainedVariance:
-    def test_sums_to_one(self):
-        ratio = explained_variance_ratio(np.array([4.0, 3.0, 1.0]))
-        assert ratio.sum() == pytest.approx(1.0)
-
-    def test_all_zero_rejected(self):
-        with pytest.raises(DataError):
-            explained_variance_ratio(np.zeros(3))
