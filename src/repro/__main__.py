@@ -24,7 +24,7 @@ TOOLS: dict[str, tuple[str, str]] = {
     ),
     "bench": (
         "repro.obs.bench",
-        "run/compare benchmark suites and gate regressions",
+        "benchmark artifacts: run, report, plan, microbench",
     ),
     "history": (
         "repro.obs.history",

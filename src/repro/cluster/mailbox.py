@@ -63,6 +63,7 @@ __all__ = [
     "ANY_SOURCE",
     "ENVELOPE_VALUES",
     "payload_wire_megabits",
+    "values_wire_megabits",
     "copy_payload",
     "freeze_payload",
     "ensure_writable",
@@ -114,10 +115,15 @@ def payload_wire_megabits(payload: Any, bytes_per_value: int = 4) -> Megabits:
     """
     values = _count_values(payload)
     if values is not None:
-        nbytes = (values + ENVELOPE_VALUES) * bytes_per_value
-    else:
-        nbytes = len(pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL))
+        return values_wire_megabits(values, bytes_per_value)
+    nbytes = len(pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL))
     return nbytes * 8.0 / 1e6
+
+
+def values_wire_megabits(values: int, bytes_per_value: int = 4) -> Megabits:
+    """Wire size of an array-structured payload of ``values`` numbers,
+    envelope included, in megabits."""
+    return (values + ENVELOPE_VALUES) * bytes_per_value * 8.0 / 1e6
 
 
 def copy_payload(payload: Any) -> Any:

@@ -113,7 +113,9 @@ class BaseRankContext:
         self.charge_seconds(delay)
 
     # -- time charging -------------------------------------------------------
-    def compute(self, mflops: Megaflops, sequential: bool = False) -> Seconds:
+    def compute(
+        self, mflops: Megaflops, sequential: bool = False, label: str = ""
+    ) -> Seconds:
         """Charge ``mflops`` of computation at this rank's cycle-time.
 
         Args:
@@ -121,6 +123,8 @@ class BaseRankContext:
             sequential: True for master-only steps executed while no
                 parallel work is outstanding — they land in the SEQ
                 bucket of Table 6 instead of PAR.
+            label: the charged kernel's name, recorded as the op's
+                ``label`` (what the analytic model writes there).
 
         Returns:
             The charged duration in virtual seconds (0.0 on the
@@ -130,7 +134,7 @@ class BaseRankContext:
             self.faults.before_op(self.rank, "compute", self.now)
         charge = None
         if self.core is not None:
-            charge = self.core.compute(self.rank, mflops, sequential)
+            charge = self.core.compute(self.rank, mflops, sequential, label)
             if self._health is not None and mflops > 0:
                 # The drift detector compares the cost model's
                 # prediction against the charged (possibly

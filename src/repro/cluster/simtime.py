@@ -11,9 +11,10 @@ into the paper's Table 6 categories:
   paper's note that PAR "includes the times in which the workers
   remain idle".
 
-:class:`TimingCore` is the only place that advances them.  It states
-the one-port master-worker rule once: a compute charge of ``mflops``
-on rank *i* costs ``mflops × w_i`` (Table 1 cycle-times); a message of
+:class:`TimingCore` is the only place that advances them, and holds
+the only copy of the per-op arithmetic.  It states the one-port
+master-worker rule once: a compute charge of ``mflops`` on rank *i*
+costs ``mflops × w_i`` (Table 1 cycle-times); a message of
 ``megabits`` from *i* to *j* costs ``latency + megabits × c_ij``
 (Table 2) and starts when sender, receiver and — for inter-segment
 traffic — the serial link between the two segments are all free.  The
@@ -23,6 +24,16 @@ analytic model (:mod:`repro.experiments.model`), the what-if replay
 (:mod:`repro.obs.whatif`) and :func:`repro.cluster.engine.reprice` (an
 engine run's log on another platform) hand it whole :class:`Op`
 programs.
+
+What a program's clocks and ledgers depend on is less than its global
+op order.  A compute op reads and writes only its rank's clock and
+ledger; a transfer reads and writes its two endpoints' and its serial
+link's free time.  So two op programs with equal per-rank op
+subsequences and equal transfer order on each serial link give
+bit-equal clocks, ledgers and per-op records, however they interleave
+across ranks.  That is why the model's program — each collective's
+sends emitted in one go — times a detector exactly as the engine's
+run-to-block log does.
 """
 
 from __future__ import annotations
@@ -115,13 +126,6 @@ class PhaseLedger:
     #: Idle wait time folded into PAR (tracked for busy-time computation).
     idle: Seconds = 0.0
 
-    def add_idle(self, dt: Seconds) -> None:
-        """Record idle waiting: counts toward PAR and toward idle."""
-        if dt < 0:
-            raise ConfigurationError(f"cannot record negative idle {dt}")
-        self.par += dt
-        self.idle += dt
-
     def as_dict(self) -> dict[str, float]:
         return {
             "com": self.com,
@@ -205,8 +209,9 @@ class TransferRecord(NamedTuple):
 
 
 #: What a (src, dst) pair crosses: the serial-link key (``None`` inside
-#: a segment), the link label, and the sorted segment-name pair.
-_Route = tuple[tuple[str, str] | None, str, tuple[str, str]]
+#: a segment), the link label, the sorted segment-name pair, and what a
+#: message costs there: latency and seconds per megabit.
+_Route = tuple[tuple[str, str] | None, str, tuple[str, str], float, float]
 
 
 class TimingCore:
@@ -254,7 +259,9 @@ class TimingCore:
         self.clocks = [VirtualClock(clock_start) for _ in range(n)]
         self.ledgers = [PhaseLedger() for _ in range(n)]
         self._network = platform.network
-        self._processors = [platform.processor(rank) for rank in range(n)]
+        self._compute_seconds = [
+            platform.processor(rank).compute_seconds for rank in range(n)
+        ]
         self._perturb = perturb
         scales = scales or {}
         self._compute_scale = float(scales.get("compute", 1.0))
@@ -272,52 +279,15 @@ class TimingCore:
         factor: float = 1.0,
     ) -> ComputeRecord:
         """Charge ``mflops`` at ``rank``'s cycle-time (SEQ or PAR)."""
-        record = self._compute(rank, mflops, sequential, label, factor)
-        self.ops.append(
-            Op("compute", rank, -1, mflops, 0.0, factor, sequential, label)
-        )
-        return record
-
-    def _compute(
-        self,
-        rank: int,
-        mflops: Megaflops,
-        sequential: bool,
-        label: str,
-        factor: float,
-    ) -> ComputeRecord:
-        if not 0 <= rank < len(self.clocks):
-            raise PlatformError(f"rank {rank} outside [0, {len(self.clocks)})")
-        nominal = self._processors[rank].compute_seconds(mflops)
-        clock = self.clocks[rank]
-        start = clock._now
-        hook = (
-            1.0 if self._perturb is None
-            else self._perturb.compute_factor(rank, label, start)
-        )
-        seconds = nominal * factor * hook * self._compute_scale
-        end = clock._now = start + seconds
-        if sequential:
-            self.ledgers[rank].seq += seconds
-        else:
-            self.ledgers[rank].par += seconds
-        return ComputeRecord(start, end, seconds, nominal, hook)
+        op = Op("compute", rank, -1, mflops, 0.0, factor, sequential, label)
+        (record,) = self._execute((op,))
+        self.ops.append(op)
+        return record  # type: ignore[return-value]
 
     def charge(self, rank: int, seconds: Seconds, phase: Phase = Phase.PAR) -> None:
         """Charge a raw duration (I/O, an injected delay) to one rank."""
         self.clocks[rank].advance(seconds)
         self.ledgers[rank].add(phase, seconds)
-
-    def _route(self, src: int, dst: int) -> _Route:
-        # The network rejects ranks outside the platform (PlatformError).
-        link = self._network.link_resource(src, dst)
-        if link is not None:
-            route = (link, "|".join(link), link)
-        else:
-            segment = self._network.segment_of(src)
-            route = (None, f"intra:{segment}", (segment, segment))
-        self._routes[src, dst] = route
-        return route
 
     def transfer(self, src: int, dst: int, megabits: Megabits) -> TransferRecord:
         """Move ``megabits`` from ``src`` to ``dst``.
@@ -326,44 +296,10 @@ class TimingCore:
         inter-segment link are all free; waiting is idle time (PAR),
         the transfer itself is COM for both endpoints.
         """
-        record = self._transfer(src, dst, megabits)
-        self.ops.append(Op("transfer", src, dst, megabits=megabits))
-        return record
-
-    def _transfer(self, src: int, dst: int, megabits: Megabits) -> TransferRecord:
-        link, label, pair = self._routes.get((src, dst)) or self._route(src, dst)
-        clock_src, clock_dst = self.clocks[src], self.clocks[dst]
-        start = max(clock_src._now, clock_dst._now)
-        if link is not None:
-            start = max(start, self._link_free.get(link, 0.0))
-        network = self._network
-        nominal = duration = network.transfer_seconds(src, dst, megabits)
-        if self._perturb is not None:
-            capacity, latency = self._perturb.transfer_factors(
-                src, dst, pair, start
-            )
-            if capacity != 1.0 or latency != 1.0:
-                duration = latency * network.latency_s + capacity * (
-                    nominal - network.latency_s
-                )
-        duration *= self._transfer_scale
-        end = start + duration
-        src_wait = start - clock_src._now
-        dst_wait = start - clock_dst._now
-        ledger_src, ledger_dst = self.ledgers[src], self.ledgers[dst]
-        if src_wait > 0:
-            ledger_src.add_idle(src_wait)
-        if dst_wait > 0:
-            ledger_dst.add_idle(dst_wait)
-        ledger_src.com += duration
-        ledger_dst.com += duration
-        clock_src._now = clock_dst._now = end
-        if link is not None:
-            self._link_free[link] = end
-        return TransferRecord(
-            src, dst, start, end, float(megabits), label,
-            src_wait, dst_wait, duration,
-        )
+        op = Op("transfer", src, dst, 0.0, megabits)
+        (record,) = self._execute((op,))
+        self.ops.append(op)
+        return record  # type: ignore[return-value]
 
     def run(self, ops: Iterable[Op]) -> list[ComputeRecord | TransferRecord]:
         """Execute an op program in order; one record per op.
@@ -372,15 +308,111 @@ class TimingCore:
         of a fresh core *is* that list), anything else is copied once.
         """
         ops = ops if isinstance(ops, list) else list(ops)
-        compute, transfer = self._compute, self._transfer
-        records = [
-            compute(rank, mflops, sequential, label, factor)
-            if kind == "compute"
-            else transfer(rank, dst, megabits)
-            for kind, rank, dst, mflops, megabits, factor, sequential, label
-            in ops
-        ]
+        records = self._execute(ops)
         self.ops = [*self.ops, *ops] if self.ops else ops
+        return records
+
+    def _route(self, src: int, dst: int) -> _Route:
+        # The network rejects ranks outside the platform (PlatformError).
+        network = self._network
+        link = network.link_resource(src, dst)
+        if link is not None:
+            label, pair = "|".join(link), link
+        else:
+            segment = network.segment_of(src)
+            label, pair = f"intra:{segment}", (segment, segment)
+        # latency + per_mb × megabits is network.transfer_seconds's
+        # float, term for term; a self-send costs nothing.
+        if src == dst:
+            latency = per_mb = 0.0
+        else:
+            latency, per_mb = network.latency_s, network.capacity(src, dst) * 1e-3
+        route = self._routes[src, dst] = (link, label, pair, latency, per_mb)
+        return route
+
+    def _execute(
+        self, ops: Iterable[Op]
+    ) -> list[ComputeRecord | TransferRecord]:
+        """The per-op arithmetic, the only copy: :meth:`run` hands it a
+        program, :meth:`compute` and :meth:`transfer` one op.
+
+        A compute op touches only its own rank's clock and ledger, so
+        concurrent one-op calls for different ranks need no lock.
+        """
+        clocks, ledgers = self.clocks, self.ledgers
+        n = len(clocks)
+        compute_seconds = self._compute_seconds
+        perturb = self._perturb
+        compute_scale = self._compute_scale
+        transfer_scale = self._transfer_scale
+        link_free = self._link_free
+        routes = self._routes
+        latency_s = self._network.latency_s
+        records: list[ComputeRecord | TransferRecord] = []
+        append = records.append
+        for kind, rank, dst, mflops, megabits, factor, sequential, label in ops:
+            if kind == "compute":
+                if not 0 <= rank < n:
+                    raise PlatformError(f"rank {rank} outside [0, {n})")
+                nominal = compute_seconds[rank](mflops)
+                clock = clocks[rank]
+                start = clock._now
+                hook = (
+                    1.0 if perturb is None
+                    else perturb.compute_factor(rank, label, start)
+                )
+                seconds = nominal * factor * hook * compute_scale
+                end = clock._now = start + seconds
+                if sequential:
+                    ledgers[rank].seq += seconds
+                else:
+                    ledgers[rank].par += seconds
+                append(ComputeRecord(start, end, seconds, nominal, hook))
+                continue
+            if megabits < 0:
+                raise ConfigurationError(
+                    f"message size must be >= 0, got {megabits}"
+                )
+            link, link_label, pair, latency, per_mb = (
+                routes.get((rank, dst)) or self._route(rank, dst)
+            )
+            clock_src, clock_dst = clocks[rank], clocks[dst]
+            ready_src, ready_dst = clock_src._now, clock_dst._now
+            start = ready_src if ready_src > ready_dst else ready_dst
+            if link is not None:
+                free = link_free.get(link, 0.0)
+                if free > start:
+                    start = free
+            nominal = duration = latency + per_mb * megabits
+            if perturb is not None:
+                capacity, latency_factor = perturb.transfer_factors(
+                    rank, dst, pair, start
+                )
+                if capacity != 1.0 or latency_factor != 1.0:
+                    duration = latency_factor * latency_s + capacity * (
+                        nominal - latency_s
+                    )
+            duration *= transfer_scale
+            end = start + duration
+            src_wait = start - ready_src
+            dst_wait = start - ready_dst
+            ledger_src, ledger_dst = ledgers[rank], ledgers[dst]
+            # Idle waiting counts toward PAR and toward idle.
+            if src_wait > 0:
+                ledger_src.par += src_wait
+                ledger_src.idle += src_wait
+            if dst_wait > 0:
+                ledger_dst.par += dst_wait
+                ledger_dst.idle += dst_wait
+            ledger_src.com += duration
+            ledger_dst.com += duration
+            clock_src._now = clock_dst._now = end
+            if link is not None:
+                link_free[link] = end
+            append(TransferRecord(
+                rank, dst, start, end, float(megabits), link_label,
+                src_wait, dst_wait, duration,
+            ))
         return records
 
     @property

@@ -76,7 +76,7 @@ def charged_kernel(
         mflops=float(mflops),
         sequential=sequential,
     ):
-        ctx.compute(mflops, sequential=sequential)
+        ctx.compute(mflops, sequential=sequential, label=name)
         yield
 
 

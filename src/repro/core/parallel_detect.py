@@ -31,7 +31,7 @@ from typing import TYPE_CHECKING, Any, Callable, Mapping
 
 import numpy as np
 
-from repro.core.atdca import TargetDetectionResult, _check_new_target
+from repro.core.atdca import TargetDetectionResult, _check_new_target, atdca
 from repro.core.parallel_common import (
     LocalBlock,
     charged_kernel,
@@ -39,6 +39,7 @@ from repro.core.parallel_common import (
     distribute_row_blocks,
     master_only,
 )
+from repro.core.ufcls import ufcls
 from repro.errors import ConfigurationError
 from repro.hsi.cube import HyperspectralImage
 from repro.mpi.communicator import Communicator, MessageContext
@@ -75,6 +76,8 @@ class DetectorSpec:
             variants implement the per-rank scoring state.
         scorer_method: the method of that state returning the per-pixel
             scores against the targets added so far.
+        sequential: the sequential detector ``(image, n_targets)`` whose
+            targets the program reproduces.
     """
 
     name: str
@@ -82,17 +85,18 @@ class DetectorSpec:
     select_kernel: str
     registry_kernel: str
     scorer_method: str
+    sequential: Callable[[HyperspectralImage, int], TargetDetectionResult]
 
 
 #: The paper's two target detectors, by algorithm name.
 DETECTORS: Mapping[str, DetectorSpec] = {
     "atdca": DetectorSpec(
         "atdca", "osp_scores", "master_osp_selection",
-        "osp_step", "residual_energy",
+        "osp_step", "residual_energy", atdca,
     ),
     "ufcls": DetectorSpec(
         "ufcls", "fcls_scores", "master_scls_selection",
-        "fcls_solve", "error_image",
+        "fcls_solve", "error_image", ufcls,
     ),
 }
 

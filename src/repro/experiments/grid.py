@@ -4,11 +4,16 @@ Tables 5–7 are three projections of one grid of 32 cells, computed once
 and shared.  A cell's program is fixed by its algorithm, its master
 rank and its partition (params, scene and cost model are the grid's),
 and the four networks share two processor sets, so the 32 cells hold 8
-distinct programs.  :func:`run_grid_tasks` executes each once on the
-engine and builds every other cell by re-pricing that run's op log on
-the cell's own network (:func:`repro.cluster.engine.reprice`), which is
-exact.  A cell that something observes — a trace or a fault plan — is
-its own program and is executed.
+distinct programs.  :func:`run_grid_tasks` obtains each once and builds
+every other cell by re-pricing that program's op log on the cell's own
+network (:func:`repro.cluster.engine.reprice`), which is exact.
+
+A classifier program is executed on the engine.  A detector program is
+not: its schedule is data-independent, so the analytic model's op
+program (:func:`repro.experiments.model.emit_op_program`) times it to
+the bit, and its targets are the sequential detector's, computed once
+per algorithm.  A cell that something observes — a trace or a fault
+plan — is its own program and is executed.
 """
 
 from __future__ import annotations
@@ -17,8 +22,10 @@ import dataclasses
 from pathlib import Path
 from typing import TYPE_CHECKING, Any, Callable, Hashable, Mapping, Sequence
 
-from repro.cluster.engine import reprice
+from repro.cluster.engine import SimulationResult, reprice
 from repro.cluster.presets import all_networks
+from repro.cluster.simtime import TimingCore
+from repro.core.parallel_detect import DETECTORS
 from repro.core.runner import (
     ALGORITHM_NAMES,
     ParallelRun,
@@ -28,11 +35,14 @@ from repro.core.runner import (
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.cluster.costs import CostModel
+    from repro.cluster.platform import HeterogeneousPlatform
     from repro.faults.plan import FaultPlan
     from repro.faults.recovery import RecoveredRun
     from repro.hsi.cube import HyperspectralImage
+    from repro.scheduling.static_part import RowPartition
 from repro.errors import ConfigurationError, ExperimentError
 from repro.experiments.config import ExperimentConfig
+from repro.experiments.model import emit_op_program
 from repro.hsi.scene import WTCScene, make_wtc_scene
 from repro.obs import ObsSession, write_chrome_trace, write_metrics_json
 from repro.perf.fanout import ordered_map
@@ -86,7 +96,7 @@ class GridCell:
 @dataclasses.dataclass
 class NetworkGrid:
     """All runs keyed by ``(row_label, network_name)``; ``programs`` of
-    them were executed on the engine, the rest re-priced."""
+    them were executed on the engine, the rest priced."""
 
     cells: Mapping[tuple[str, str], GridCell]
     scene: WTCScene
@@ -135,25 +145,29 @@ def run_grid_tasks(
     shared: tuple[Any, ...],
 ) -> tuple[list["ParallelRun | RecoveredRun"], int]:
     """Every ``(network, algorithm, variant)`` task's run, each
-    distinct program executed once → ``(runs in task order, programs)``.
+    distinct program obtained once → ``(runs in task order, programs
+    executed)``.
 
     A task's key is ``(algorithm, master rank, partition counts)``:
     params, image and cost model are the caller's for every task, so
-    tasks with one key run one program, and only the first of them is
-    executed, as ``execute(*shared, task)`` through
-    :func:`~repro.perf.fanout.ordered_map` (``jobs`` fans the distinct
-    programs out).  Every other task's run is the first one's
-    re-priced on its own network.  An ``observed`` task — one whose
-    run writes a trace or goes through a fault plan — keys on the task
-    itself and is executed.
+    tasks with one key run one program.  For the first task of a key,
+    a classifier's program is executed, as ``execute(*shared, task)``
+    through :func:`~repro.perf.fanout.ordered_map` (``jobs`` fans the
+    executed programs out); a detector's is priced (:func:`_priced_run`).
+    Every other task's run is the first one's re-priced on its own
+    network.  An ``observed`` task — one whose run writes a trace or
+    goes through a fault plan — keys on the task itself and is
+    executed.
     """
     platforms = all_networks()
     keys: list[Hashable] = []
+    partitions: list["RowPartition | None"] = []
     for task in tasks:
         network, algorithm, variant = task
         platform = platforms[network]
         if observed:
             keys.append(task)
+            partitions.append(None)
             continue
         partition = make_row_partition(
             platform, image, algorithm, params_for(algorithm), variant, cost
@@ -161,23 +175,89 @@ def run_grid_tasks(
         keys.append(
             (algorithm, platform.master_rank, tuple(partition.counts.tolist()))
         )
+        partitions.append(partition)
     first: dict[Hashable, int] = {}
     for index, key in enumerate(keys):
         first.setdefault(key, index)
-    executed = dict(zip(first, ordered_map(
-        execute, [tasks[index] for index in first.values()], jobs,
-        shared=shared,
-    )))
+    run_first = [
+        index for index in first.values()
+        if observed or tasks[index][1] not in DETECTORS
+    ]
+    programs: dict[Hashable, "ParallelRun | RecoveredRun"] = dict(zip(
+        (keys[index] for index in run_first),
+        ordered_map(
+            execute, [tasks[index] for index in run_first], jobs,
+            shared=shared,
+        ),
+    ))
+    sequential: dict[str, Any] = {}
+    for key, index in first.items():
+        if key in programs:
+            continue
+        network, algorithm, variant = tasks[index]
+        params = params_for(algorithm)
+        if algorithm not in sequential:
+            sequential[algorithm] = DETECTORS[algorithm].sequential(
+                image, int(params.get("n_targets", 18))
+            )
+        programs[key] = _priced_run(
+            algorithm, variant, sequential[algorithm], platforms[network],
+            partitions[index], image, params, cost,
+        )
     runs = []
     for index, (task, key) in enumerate(zip(tasks, keys)):
-        run = executed[key]
+        run = programs[key]
         if first[key] != index:
             assert run.sim is not None
             run = dataclasses.replace(
                 run, variant=task[2], sim=reprice(run.sim, platforms[task[0]])
             )
         runs.append(run)
-    return runs, len(first)
+    return runs, len(run_first)
+
+
+def _priced_run(
+    algorithm: str,
+    variant: str,
+    output: Any,
+    platform: "HeterogeneousPlatform",
+    partition: "RowPartition",
+    image: "HyperspectralImage",
+    params: Mapping[str, Any],
+    cost: "CostModel",
+) -> ParallelRun:
+    """A detector run without running it: ``output`` (the sequential
+    detector's, which the parallel program reproduces) at the master,
+    and the model's op program timed on ``platform``.
+
+    Equal per-rank op sequences and equal transfer order on every
+    serial link give the engine's clocks and ledgers to the bit
+    (:mod:`repro.cluster.simtime`), so the result is the one
+    :func:`~repro.core.runner.run_parallel` returns.
+    """
+    core = TimingCore(platform)
+    core.run(emit_op_program(
+        algorithm, platform, partition, image.rows, image.cols, image.bands,
+        params=params, cost_model=cost,
+    ))
+    master = platform.master_rank
+    return ParallelRun(
+        algorithm=algorithm,
+        variant=variant,
+        output=output,
+        partition=partition,
+        sim=SimulationResult(
+            platform_name=platform.name,
+            return_values=[
+                output if rank == master else None
+                for rank in range(platform.size)
+            ],
+            finish_times=core.finish_times,
+            ledgers=core.ledgers,
+            master_rank=master,
+            ops=core.ops,
+        ),
+    )
 
 
 def _run_grid_cell(
@@ -239,7 +319,8 @@ def run_network_grid(
 ) -> NetworkGrid:
     """Compute the full grid on the virtual-time engine.
 
-    Each distinct program runs once; the other cells are its op log
+    Each distinct classifier program runs once and each detector
+    program is priced by the model; the other cells are its op log
     re-priced on their own networks (:func:`run_grid_tasks`).
 
     Args:

@@ -11,24 +11,28 @@ estimates instead of data — and hands it to the
 with.  No timing arithmetic lives here.
 
 For ATDCA and UFCLS every charge is data-independent, so the emitted
-program is the engine's and the times are *equal*; for PCT and MORPH
-the candidate-set message sizes are data-dependent and the model uses
-their upper bounds (a sub-percent effect).  The test-suite pins both
-claims.
+program has the engine's schedule — each rank's op sequence, kernel
+labels included, and each serial link's transfer order — and the times
+are *equal* (:mod:`repro.cluster.simtime` says why the global
+interleaving does not matter); for PCT and MORPH the candidate-set
+message sizes are data-dependent and the model uses their upper bounds
+(a sub-percent effect).  The test-suite pins both claims.
 
-Used for the Thunderhead sweeps (Table 8, Figure 2) where the engine
-would need 256 threads per point.
+Used for the Thunderhead sweeps (Table 8, Figure 2), where the engine
+would need 256 threads per point, and to price the detector cells of
+the Tables 5–7 grid (:mod:`repro.experiments.grid`) instead of running
+them.
 """
 
 from __future__ import annotations
 
 import dataclasses
-from typing import Mapping
+from typing import Callable, Mapping
 
 import numpy as np
 
 from repro.cluster.costs import DEFAULT_COST_MODEL, CostModel
-from repro.cluster.mailbox import ENVELOPE_VALUES
+from repro.cluster.mailbox import values_wire_megabits
 from repro.cluster.platform import HeterogeneousPlatform
 from repro.cluster.simtime import Op, TimingCore
 from repro.core.parallel_detect import DETECTORS
@@ -62,77 +66,122 @@ class ModelResult:
 class _OpEmitter:
     """Flattens an algorithm's schedule into a linear op program.
 
-    Ops are appended in the order the engine would execute them;
-    collectives are expanded with the same scatter/gather order and
-    binomial trees as ``repro.mpi.collectives``.  Message sizes are
-    given in spectral values and priced like the mailbox prices an
-    array payload: values plus the envelope, at the cost model's width.
+    Ops are appended in each rank's program order; collectives are
+    expanded with the same scatter/gather order and binomial trees as
+    ``repro.mpi.collectives``, every one rooted at the master.  Message
+    sizes are given in spectral values and priced as the mailbox prices
+    an array payload: values plus the envelope, at the cost model's
+    width.
+
+    Everything an emitter caches — each collective's (src, dst) order,
+    the megabits of each message size — is a pure function of its
+    arguments and lives only as long as one :func:`emit_op_program`
+    call.
     """
 
-    def __init__(self, size: int, cost: CostModel) -> None:
+    def __init__(self, size: int, root: int, cost: CostModel) -> None:
         self.size = size
+        self.root = root
         self.cost = cost
         self.ops: list[Op] = []
+        self._megabits: dict[int, float] = {}
+        self._scatter = [(root, dst) for dst in range(size) if dst != root]
+        self._gather = [(src, root) for src in range(size) if src != root]
+        self._tree = _binomial_tree(size, root)
+
+    def megabits(self, values: float) -> float:
+        count = int(values)
+        megabits = self._megabits.get(count)
+        if megabits is None:
+            megabits = self._megabits[count] = values_wire_megabits(
+                count, self.cost.bytes_per_value
+            ) * self.cost.comm_scale
+        return megabits
 
     def compute(
         self, rank: int, mflops: float, sequential: bool = False,
         label: str = "",
     ) -> None:
-        self.ops.append(Op(
-            "compute", rank, mflops=float(mflops), sequential=sequential,
-            label=label,
-        ))
+        self.ops.append(
+            Op("compute", rank, -1, float(mflops), 0.0, 1.0, sequential, label)
+        )
 
-    def transfer(self, src: int, dst: int, values: float) -> None:
-        megabits = self.cost.values_megabits(int(values) + ENVELOPE_VALUES)
-        self.ops.append(Op("transfer", src, dst, megabits=megabits))
+    def compute_each(
+        self, n_local: list[int], charge: Callable[[int], float], label: str
+    ) -> None:
+        """One parallel charge per rank, ``charge(pixels)``, priced once
+        per distinct share size."""
+        priced = {n: float(charge(n)) for n in set(n_local)}
+        self.ops.extend(
+            Op("compute", rank, -1, priced[n], 0.0, 1.0, False, label)
+            for rank, n in enumerate(n_local)
+        )
+
+    def _send(
+        self, pairs: list[tuple[int, int]], values: float | list[float]
+    ) -> None:
+        """One message per (src, dst) pair, in order, of ``values[i]``
+        spectral values — or of ``values`` each, given one size."""
+        if isinstance(values, list):
+            megabits = [self.megabits(v) for v in values]
+        else:
+            megabits = [self.megabits(values)] * len(pairs)
+        self.ops.extend(
+            Op("transfer", src, dst, 0.0, size)
+            for (src, dst), size in zip(pairs, megabits)
+        )
 
     # -- collective schedules (mirroring repro.mpi.collectives) ---------------------
-    def scatter(self, root: int, values_per_rank: FloatArray) -> None:
-        for dst in range(self.size):
-            if dst != root:
-                self.transfer(root, dst, float(values_per_rank[dst]))
+    def scatter(self, values_per_rank: FloatArray) -> None:
+        self._send(
+            self._scatter, [values_per_rank[dst] for _, dst in self._scatter]
+        )
 
-    def gather(self, root: int, values_per_rank: FloatArray) -> None:
-        for src in range(self.size):
-            if src != root:
-                self.transfer(src, root, float(values_per_rank[src]))
+    def gather(self, values: float | FloatArray) -> None:
+        """Every rank but the root sends ``values`` (one size, or an
+        array of one per rank) to the root."""
+        if np.ndim(values):
+            values = [values[src] for src, _ in self._gather]
+        self._send(self._gather, values)
 
-    def bcast(self, root: int, values: float) -> None:
-        size = self.size
-        if size == 1:
-            return
-        # Binomial tree, depth-first: processing a child's forwards
-        # before the parent's next send preserves every rank's program
-        # order, which is all the clock arithmetic depends on.
-        def schedule(relative: int, mask: int) -> None:
-            mask >>= 1
-            while mask > 0:
-                child = relative + mask
-                if child < size:
-                    self.transfer(
-                        (relative + root) % size, (child + root) % size, values
-                    )
-                    schedule(child, mask)
-                mask >>= 1
+    def bcast(self, values: float) -> None:
+        self._send(self._tree, values)
 
-        schedule(0, 1 << (size - 1).bit_length())
-
-    def allreduce(self, root: int, values: float) -> None:
+    def allreduce(self, values: float) -> None:
         # Mirror of binomial_reduce: each non-root relative rank sends
         # once to its parent, at the level of its lowest set bit.
-        size = self.size
-        if size == 1:
-            return
+        size, root = self.size, self.root
+        pairs = []
         mask = 1
         while mask < size:
             for relative in range(size):
                 if relative & mask and not relative & (mask - 1):
                     src = (relative + root) % size
                     dst = ((relative ^ mask) + root) % size
-                    self.transfer(src, dst, values)
+                    pairs.append((src, dst))
             mask <<= 1
-        self.bcast(root, values)
+        self._send(pairs, values)
+        self.bcast(values)
+
+
+def _binomial_tree(size: int, root: int) -> list[tuple[int, int]]:
+    """A binomial broadcast's (src, dst) sends, depth-first: processing
+    a child's forwards before the parent's next send preserves every
+    rank's program order, which is all the clock arithmetic depends on."""
+    pairs: list[tuple[int, int]] = []
+
+    def schedule(relative: int, mask: int) -> None:
+        mask >>= 1
+        while mask > 0:
+            child = relative + mask
+            if child < size:
+                pairs.append(((relative + root) % size, (child + root) % size))
+                schedule(child, mask)
+            mask >>= 1
+
+    if size > 1:
+        schedule(0, 1 << (size - 1).bit_length())
+    return pairs
 
 
 def _block_values(partition: RowPartition, cols: int, bands: int, halo: int) -> FloatArray:
@@ -172,9 +221,10 @@ def emit_op_program(
     cost = cost_model or DEFAULT_COST_MODEL
     master = platform.master_rank
     p = platform.size
-    eng = _OpEmitter(p, cost)
+    eng = _OpEmitter(p, master, cost)
     counts = partition.counts
     n_local = counts * cols  # pixels per rank
+    pixels = n_local.tolist()
 
     if algorithm in DETECTORS:
         spec = DETECTORS[algorithm]
@@ -183,63 +233,65 @@ def emit_op_program(
         t = int(params.get("n_targets", 18))
         eng.compute(master, cost.scatter_pack(rows * cols * bands),
                     sequential=True, label="scatter_pack")
-        eng.scatter(master, _block_values(partition, cols, bands, 0))
-        for rank in range(p):
-            eng.compute(rank, cost.brightest_search(int(n_local[rank]), bands),
-                        label="brightest_search")
-        eng.gather(master, np.full(p, bands + 2.0))
+        eng.scatter(_block_values(partition, cols, bands, 0))
+        eng.compute_each(
+            pixels, lambda n: cost.brightest_search(n, bands),
+            "brightest_search",
+        )
+        eng.gather(bands + 2.0)
         eng.compute(master, cost.brightest_search(p, bands),
                     sequential=True, label="brightest_search")
-        eng.bcast(master, 1.0 * bands)
+        eng.bcast(1.0 * bands)
         for k in range(1, t):
-            for rank in range(p):
-                eng.compute(rank, score(int(n_local[rank]), bands, k),
-                            label=spec.score_kernel)
-            eng.gather(master, np.full(p, bands + 2.0))
+            eng.compute_each(
+                pixels, lambda n: score(n, bands, k), spec.score_kernel
+            )
+            eng.gather(bands + 2.0)
             eng.compute(master, select(bands, k, p),
                         sequential=True, label=spec.select_kernel)
-            eng.bcast(master, float((k + 1) * bands))
+            eng.bcast(float((k + 1) * bands))
         return eng.ops
 
     if algorithm == "pct":
         c = int(params.get("n_classes", 24))
         eng.compute(master, cost.scatter_pack(rows * cols * bands),
                     sequential=True, label="scatter_pack")
-        eng.scatter(master, _block_values(partition, cols, bands, 0))
-        for rank in range(p):
-            eng.compute(rank, cost.unique_set_scan(int(n_local[rank]), bands, c),
-                        label="unique_set_scan")
+        eng.scatter(_block_values(partition, cols, bands, 0))
+        eng.compute_each(
+            pixels, lambda n: cost.unique_set_scan(n, bands, c),
+            "unique_set_scan",
+        )
         # Typical per-worker unique-set size: the greedy scan saturates
         # near the number of distinct scene signatures, ≈ c (the 4c cap
         # is rarely approached).  Data-dependent, hence "model" not
         # "mirror" for PCT — the validation test allows a few percent.
         local_k = float(params.get("model_local_unique", c))
-        eng.gather(master, np.full(p, local_k * bands + local_k))
+        eng.gather(local_k * bands + local_k)
         eng.compute(
             master,
             cost.dedup_unique_set(int(local_k * p), bands, kept=c),
             sequential=True, label="dedup_unique_set",
         )
-        eng.bcast(master, float(c * bands + c))
-        for rank in range(p):
-            eng.compute(rank, cost.covariance_accumulate(int(n_local[rank]), bands),
-                        label="covariance_accumulate")
-        eng.gather(master, np.full(p, bands + bands * bands + 1.0))
+        eng.bcast(float(c * bands + c))
+        eng.compute_each(
+            pixels, lambda n: cost.covariance_accumulate(n, bands),
+            "covariance_accumulate",
+        )
+        eng.gather(bands + bands * bands + 1.0)
         eng.compute(
             master,
             cost.covariance_accumulate(p, bands) + cost.eigendecomposition(bands),
             sequential=True, label="eigendecomposition",
         )
-        eng.bcast(master, float(bands + c * bands + bands))
-        for rank in range(p):
-            eng.compute(
-                rank,
-                cost.pct_projection(int(n_local[rank]), bands, c)
-                + cost.classify_by_sad(int(n_local[rank]), c, c),
-                label="pct_projection",
-            )
-        eng.allreduce(master, float(c))  # global reduced-space minimum
-        eng.gather(master, n_local.astype(float))  # label blocks
+        eng.bcast(float(bands + c * bands + bands))
+        eng.compute_each(
+            pixels,
+            lambda n: cost.pct_projection(n, bands, c)
+            + cost.classify_by_sad(n, c, c),
+            "pct_projection",
+        )
+        eng.allreduce(float(c))  # global reduced-space minimum
+        eng.gather(n_local.astype(float))  # label blocks
         return eng.ops
 
     if algorithm == "morph":
@@ -251,7 +303,7 @@ def emit_op_program(
         )
         eng.compute(master, cost.scatter_pack(rows * cols * bands),
                     sequential=True, label="scatter_pack")
-        eng.scatter(master, _block_values(partition, cols, bands, halo))
+        eng.scatter(_block_values(partition, cols, bands, halo))
         offsets = partition.offsets
         for rank in range(p):
             start = int(offsets[rank])
@@ -267,18 +319,17 @@ def emit_op_program(
                 + cost.sad_pairs(pool * min(c, pool), bands),
                 label="morph_iteration",
             )
-        eng.gather(master, np.full(p, c * bands + 2.0 * c))
+        eng.gather(c * bands + 2.0 * c)
         eng.compute(
             master, cost.dedup_unique_set(c * p, bands, kept=c),
             sequential=True, label="dedup_unique_set",
         )
-        eng.bcast(master, float(c * bands + 2 * c))
-        for rank in range(p):
-            eng.compute(
-                rank, cost.classify_by_sad(int(n_local[rank]), bands, c),
-                label="classify_by_sad",
-            )
-        eng.gather(master, 2.0 * n_local.astype(float))  # labels + MEI map
+        eng.bcast(float(c * bands + 2 * c))
+        eng.compute_each(
+            pixels, lambda n: cost.classify_by_sad(n, bands, c),
+            "classify_by_sad",
+        )
+        eng.gather(2.0 * n_local.astype(float))  # labels + MEI map
         return eng.ops
 
     raise ConfigurationError(f"unknown algorithm {algorithm!r}")

@@ -183,8 +183,8 @@ def main(argv: list[str] | None = None) -> int:
             config, trace_dir=trace_dir, fault_plan=fault_plan,
             jobs=args.jobs,
         )
-        print(f"  {len(grid.cells)} cells: {grid.programs} programs "
-              f"executed, {len(grid.cells) - grid.programs} re-priced")
+        print(f"  {len(grid.cells)} cells: {grid.programs} executed, "
+              f"{len(grid.cells) - grid.programs} priced")
 
     sections: list[str] = []
     table8 = None  # wanted runs table8 before figure2, which plots it

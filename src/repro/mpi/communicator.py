@@ -49,7 +49,9 @@ class MessageContext(Protocol):
 
     def recv(self, source: int, tag: int = -1) -> Any: ...
 
-    def compute(self, mflops: float, sequential: bool = False) -> float: ...
+    def compute(
+        self, mflops: float, sequential: bool = False, label: str = ""
+    ) -> float: ...
 
     def charge_seconds(self, seconds: float) -> None: ...
 

@@ -195,9 +195,10 @@ def run_bench(
 
     Sim cells are grouped as the network grid groups them
     (:func:`~repro.experiments.grid.run_grid_tasks`): each distinct
-    program is executed once and the other cells re-price its op log,
-    so the default 8 cells execute 4 programs; traced cells are all
-    executed.  ``jobs`` fans the executed programs out over a process
+    program is obtained once — a classifier's executed, a detector's
+    priced by the model — and the other cells re-price its op log, so
+    the default 8 cells execute 2 programs (PCT) and price 2 (ATDCA);
+    traced cells are all executed.  ``jobs`` fans the executed programs out over a process
     pool: virtual timings are exact functions of the inputs and results
     merge back in serial-loop order, so the artifact is byte-identical
     to a serial run.
@@ -543,7 +544,7 @@ def _add_run_parser(sub: Any) -> None:
     p.add_argument("--trace-dir", metavar="DIR", default=None,
                    help="also write each sim cell's spans+metrics as "
                         "<DIR>/<cell>.jsonl; every traced cell is "
-                        "executed, none re-priced")
+                        "executed, none priced")
     p.add_argument("--jobs", type=int, default=None,
                    help="fan sim cells out over N worker processes; the "
                         "artifact is byte-identical to a serial run")

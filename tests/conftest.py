@@ -57,3 +57,19 @@ def make_tiny_platform(
 @pytest.fixture()
 def tiny_platform():
     return make_tiny_platform()
+
+
+def op_schedule(ops, network):
+    """What a timing core's clocks and ledgers depend on: each rank's
+    op subsequence and each serial link's transfer order."""
+    per_rank: dict = {}
+    per_link: dict = {}
+    for op in ops:
+        per_rank.setdefault(op.rank, []).append(op)
+        if op.kind == "transfer":
+            if op.dst != op.rank:
+                per_rank.setdefault(op.dst, []).append(op)
+            link = network.link_resource(op.rank, op.dst)
+            if link is not None:
+                per_link.setdefault(link, []).append(op)
+    return per_rank, per_link

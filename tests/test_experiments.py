@@ -6,15 +6,20 @@ small sub-grids); the full paper-scale sweeps live in benchmarks/.
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from conftest import op_schedule
 from repro.cluster import fully_heterogeneous, fully_homogeneous, thunderhead
+from repro.cluster.costs import DEFAULT_COST_MODEL
+from repro.cluster.presets import all_networks
 from repro.core import run_parallel
 from repro.errors import ConfigurationError
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.figure1 import run_figure1
 from repro.experiments.figure2 import run_figure2
 from repro.experiments.grid import run_network_grid, variant_label
-from repro.experiments.model import model_run
+from repro.experiments.model import emit_op_program, model_run
 from repro.experiments.table3 import run_table3
 from repro.experiments.table4 import run_table4
 from repro.experiments.table5 import run_table5
@@ -23,6 +28,8 @@ from repro.experiments.table7 import run_table7
 from repro.experiments.table8 import run_table8
 from repro.hsi import SceneConfig
 from repro.scheduling import RowPartition
+
+from conftest import op_schedule
 
 
 @pytest.fixture(scope="module")
@@ -61,15 +68,18 @@ class TestModelValidation:
 
     @pytest.mark.parametrize("algorithm", ["atdca", "ufcls"])
     def test_detectors_exact(self, small_scene, algorithm):
-        # Engine and model time through the same TimingCore, so only
-        # the emitted schedule can differ: equality is to the bit, per
-        # rank.  (Looped, not parametrised, to keep the test ids.)
+        # The model's op program has the engine's op log's schedule:
+        # each rank's op subsequence, kernel labels included, and each
+        # serial link's transfer order.  Only the global interleaving
+        # differs, which the timing core's clocks do not depend on, so
+        # times and ledgers are equal to the bit.  (Looped, not
+        # parametrised, to keep the test ids.)
         image = small_scene.image
         params = {"n_targets": 5}
         cases = [
             (plat, variant, None)
-            for plat in (fully_heterogeneous(), thunderhead(4))
-            for variant in ("hetero", "homo")
+            for plat in all_networks().values()
+            for variant in ("hetero", "dlt", "homo")
         ]
         # A partition WEA never emits: seven ranks own no rows.
         zero_share = RowPartition([image.rows - 8] + [0] * 7 + [1] * 8)
@@ -79,11 +89,19 @@ class TestModelValidation:
                 algorithm, image, plat, params=params, variant=variant,
                 partition=partition,
             )
-            predicted = model_run(
+            ops = emit_op_program(
                 algorithm, plat, run.partition,
                 image.rows, image.cols, image.bands, params,
             )
             case = f"{plat.name}/{variant}/{run.partition.counts.tolist()}"
+            assert op_schedule(ops, plat.network) == op_schedule(
+                run.sim.ops, plat.network
+            ), case
+            assert all(op.label for op in ops if op.kind == "compute"), case
+            predicted = model_run(
+                algorithm, plat, run.partition,
+                image.rows, image.cols, image.bands, params,
+            )
             assert predicted.total == run.makespan, case
             assert (
                 predicted.breakdown.com
@@ -241,9 +259,10 @@ class TestWhatIfCli:
 
 
 class TestGridReprice:
-    """A grid executes each distinct (algorithm, master, partition)
-    program once; every other cell is that run's op log re-priced on
-    its own network, and must equal running it there."""
+    """A grid obtains each distinct (algorithm, master, partition)
+    program once — a classifier's executed, a detector's priced by the
+    model — and every other cell is that program's op log re-priced on
+    its own network; every cell must equal running it there."""
 
     VARIANTS = ("hetero", "dlt", "homo")
 
@@ -274,8 +293,9 @@ class TestGridReprice:
         self, fast_config, counted
     ):
         import pickle
+        from collections import Counter
 
-        from repro.cluster.presets import all_networks
+        from repro.core.parallel_detect import DETECTORS
 
         grid, _ = counted
         cost = fast_config.cost_model(fast_config.grid_scene)
@@ -300,13 +320,38 @@ class TestGridReprice:
             assert [ledger.as_dict() for ledger in run.sim.ledgers] == [
                 ledger.as_dict() for ledger in direct.sim.ledgers
             ], case
-            assert run.sim.ops == direct.sim.ops, case
-            assert pickle.dumps(run.sim.return_values) == pickle.dumps(
-                direct.sim.return_values
+            if run.algorithm not in DETECTORS:
+                assert run.sim.ops == direct.sim.ops, case
+                assert pickle.dumps(run.sim.return_values) == pickle.dumps(
+                    direct.sim.return_values
+                ), case
+                continue
+            # A priced detector cell: the model's program, with the
+            # engine's schedule, and the sequential detector's targets.
+            network_of = networks[network].network
+            assert op_schedule(run.sim.ops, network_of) == op_schedule(
+                direct.sim.ops, network_of
+            ), case
+            assert Counter(run.sim.ops) == Counter(direct.sim.ops), case
+            master = run.sim.master_rank
+            assert all(
+                value is None
+                for rank, value in enumerate(run.sim.return_values)
+                if rank != master
+            ), case
+            assert run.sim.return_values[master] is run.output, case
+            assert np.array_equal(
+                run.output.flat_indices, direct.output.flat_indices
+            ), case
+            assert np.array_equal(
+                run.output.signatures, direct.output.signatures
+            ), case
+            assert np.array_equal(
+                run.output.positions, direct.output.positions
             ), case
 
     def test_engine_runs_once_per_distinct_program(self, fast_config, counted):
-        from repro.cluster.presets import all_networks
+        from repro.core.parallel_detect import DETECTORS
         from repro.core.runner import make_row_partition
 
         grid, executed = counted
@@ -326,12 +371,15 @@ class TestGridReprice:
         # Two processor sets and the DLT shares of four networks: six
         # partitions per algorithm on this scene, not twelve cells.
         assert len(keys) == 6 * 4
-        assert len(executed) == len(keys)
-        assert grid.programs == len(keys)
+        # Only the classifiers' programs run; the detectors' are priced.
+        run_keys = {key for key in keys if key[0] not in DETECTORS}
+        assert len(run_keys) == 6 * 2
+        assert len(executed) == len(run_keys)
+        assert grid.programs == len(run_keys)
 
     def test_observed_cells_are_all_executed(self, fast_config, tmp_path):
         grid, executed = self._run_counted(
-            fast_config, algorithms=("pct",), trace_dir=tmp_path,
+            fast_config, algorithms=("atdca",), trace_dir=tmp_path,
         )
         assert len(executed) == grid.programs == len(grid.cells) == 8
         assert len(list(tmp_path.glob("*.trace.json"))) == 8
@@ -358,3 +406,78 @@ class TestGridReprice:
         # One log, held by both results, not a copy per cell.
         assert repriced.ops is plain.sim.ops
         assert repriced.return_values is plain.sim.return_values
+
+
+class TestPricedDetectorProperty:
+    """For any platform and WEA partition, zero-share ranks included,
+    the model's detector program has the engine's schedule, and a
+    priced grid cell equals the executed one."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        cycle_times=st.lists(
+            st.floats(min_value=0.001, max_value=0.1), min_size=3, max_size=7,
+        ),
+        inner=st.integers(min_value=1, max_value=6),
+        rows=st.integers(min_value=3, max_value=24),
+        seed=st.integers(min_value=0, max_value=2**16),
+    )
+    @example(cycle_times=[0.001, 0.1, 0.1, 0.1, 0.002], inner=3, rows=4,
+             seed=0)
+    def test_engine_and_model_agree(self, cycle_times, inner, rows, seed):
+        from collections import Counter
+
+        from repro.cluster import (
+            HeterogeneousPlatform,
+            ProcessorSpec,
+            segmented_network,
+        )
+        from repro.core.parallel_detect import DETECTORS
+        from repro.experiments.grid import _priced_run
+        from repro.hsi.cube import HyperspectralImage
+        from repro.scheduling.static_part import wea_partition
+
+        n = len(cycle_times)
+        inner = min(inner, n - 1)
+        platform = HeterogeneousPlatform(
+            "generated",
+            [ProcessorSpec(f"g{i}", w, memory_mb=4096, cache_kb=512)
+             for i, w in enumerate(cycle_times)],
+            # Two segments joined by one serial link.
+            segmented_network(
+                {"a": inner, "b": n - inner},
+                {("a", "a"): 5.0, ("b", "b"): 8.0, ("a", "b"): 30.0},
+            ),
+        )
+        image = HyperspectralImage(
+            np.random.default_rng(seed).random((rows, 3, 6))
+        )
+        partition = wea_partition(platform, rows, 3, 6, min_rows=0)
+        params = {"n_targets": 3}
+        for algorithm, spec in DETECTORS.items():
+            run = run_parallel(
+                algorithm, image, platform, params=params,
+                partition=partition,
+            )
+            ops = emit_op_program(
+                algorithm, platform, partition, rows, 3, 6, params
+            )
+            assert op_schedule(ops, platform.network) == op_schedule(
+                run.sim.ops, platform.network
+            )
+            priced = _priced_run(
+                algorithm, "hetero", spec.sequential(image, 3), platform,
+                partition, image, params, DEFAULT_COST_MODEL,
+            )
+            assert priced.sim.finish_times == run.sim.finish_times
+            assert [ledger.as_dict() for ledger in priced.sim.ledgers] == [
+                ledger.as_dict() for ledger in run.sim.ledgers
+            ]
+            transfers = [
+                Counter(op for op in sim.ops if op.kind == "transfer")
+                for sim in (priced.sim, run.sim)
+            ]
+            assert transfers[0] == transfers[1]
+            assert np.array_equal(
+                priced.output.flat_indices, run.output.flat_indices
+            )

@@ -330,8 +330,9 @@ class TestPhaseLedger:
         ledger = PhaseLedger()
         ledger.add(Phase.COM, 1.0)
         ledger.add(Phase.SEQ, 2.0)
-        ledger.add(Phase.PAR, 3.0)
-        ledger.add_idle(0.5)
+        # Idle waiting is PAR time that is also counted as idle.
+        ledger.add(Phase.PAR, 3.5)
+        ledger.idle += 0.5
         assert ledger.total == pytest.approx(6.5)
         assert ledger.compute_busy == pytest.approx(5.0)
         assert ledger.busy == pytest.approx(6.0)

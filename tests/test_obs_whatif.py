@@ -600,6 +600,20 @@ class TestUmbrellaCli:
         for tool in TOOLS:
             assert f"  {tool} " in out
 
+    def test_bench_line_names_its_verbs(self, capsys):
+        import re
+
+        from repro.__main__ import TOOLS
+        from repro.__main__ import main as repro_main
+
+        with pytest.raises(SystemExit):
+            repro_main(["bench", "--help"])
+        verbs = re.search(r"\{([^}]+)\}", capsys.readouterr().out).group(1)
+        description = TOOLS["bench"][1]
+        assert sorted(verbs.split(",")) == sorted(
+            re.findall(r"[a-z]+", description.partition(":")[2])
+        )
+
     def test_unknown_tool(self, capsys):
         from repro.__main__ import main as repro_main
 
