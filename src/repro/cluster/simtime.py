@@ -280,9 +280,10 @@ class TimingCore:
     ) -> ComputeRecord:
         """Charge ``mflops`` at ``rank``'s cycle-time (SEQ or PAR)."""
         op = Op("compute", rank, -1, mflops, 0.0, factor, sequential, label)
-        (record,) = self._execute((op,))
+        records: list[ComputeRecord | TransferRecord] = []
+        self._execute((op,), records)
         self.ops.append(op)
-        return record  # type: ignore[return-value]
+        return records[0]  # type: ignore[return-value]
 
     def charge(self, rank: int, seconds: Seconds, phase: Phase = Phase.PAR) -> None:
         """Charge a raw duration (I/O, an injected delay) to one rank."""
@@ -297,20 +298,27 @@ class TimingCore:
         the transfer itself is COM for both endpoints.
         """
         op = Op("transfer", src, dst, 0.0, megabits)
-        (record,) = self._execute((op,))
+        records: list[ComputeRecord | TransferRecord] = []
+        self._execute((op,), records)
         self.ops.append(op)
-        return record  # type: ignore[return-value]
+        return records[0]  # type: ignore[return-value]
 
-    def run(self, ops: Iterable[Op]) -> list[ComputeRecord | TransferRecord]:
-        """Execute an op program in order; one record per op.
+    def run(
+        self,
+        ops: Iterable[Op],
+        records: list[ComputeRecord | TransferRecord] | None = None,
+    ) -> None:
+        """Execute an op program in order.
 
-        The program joins the op log: a list is kept as it is (the log
-        of a fresh core *is* that list), anything else is copied once.
+        Pricing reads only the clocks and ledgers, so no per-op record
+        is built unless ``records`` is given: then one record per op is
+        appended to it, in program order.  The program joins the op
+        log: a list is kept as it is (the log of a fresh core *is* that
+        list), anything else is copied once.
         """
         ops = ops if isinstance(ops, list) else list(ops)
-        records = self._execute(ops)
+        self._execute(ops, records)
         self.ops = [*self.ops, *ops] if self.ops else ops
-        return records
 
     def _route(self, src: int, dst: int) -> _Route:
         # The network rejects ranks outside the platform (PlatformError).
@@ -331,10 +339,13 @@ class TimingCore:
         return route
 
     def _execute(
-        self, ops: Iterable[Op]
-    ) -> list[ComputeRecord | TransferRecord]:
+        self,
+        ops: Iterable[Op],
+        records: list[ComputeRecord | TransferRecord] | None,
+    ) -> None:
         """The per-op arithmetic, the only copy: :meth:`run` hands it a
-        program, :meth:`compute` and :meth:`transfer` one op.
+        program, :meth:`compute` and :meth:`transfer` one op.  Each
+        op's record is appended to ``records`` unless it is ``None``.
 
         A compute op touches only its own rank's clock and ledger, so
         concurrent one-op calls for different ranks need no lock.
@@ -348,8 +359,7 @@ class TimingCore:
         link_free = self._link_free
         routes = self._routes
         latency_s = self._network.latency_s
-        records: list[ComputeRecord | TransferRecord] = []
-        append = records.append
+        append = None if records is None else records.append
         for kind, rank, dst, mflops, megabits, factor, sequential, label in ops:
             if kind == "compute":
                 if not 0 <= rank < n:
@@ -367,7 +377,8 @@ class TimingCore:
                     ledgers[rank].seq += seconds
                 else:
                     ledgers[rank].par += seconds
-                append(ComputeRecord(start, end, seconds, nominal, hook))
+                if append is not None:
+                    append(ComputeRecord(start, end, seconds, nominal, hook))
                 continue
             if megabits < 0:
                 raise ConfigurationError(
@@ -409,11 +420,11 @@ class TimingCore:
             clock_src._now = clock_dst._now = end
             if link is not None:
                 link_free[link] = end
-            append(TransferRecord(
-                rank, dst, start, end, float(megabits), link_label,
-                src_wait, dst_wait, duration,
-            ))
-        return records
+            if append is not None:
+                append(TransferRecord(
+                    rank, dst, start, end, float(megabits), link_label,
+                    src_wait, dst_wait, duration,
+                ))
 
     @property
     def finish_times(self) -> list[Seconds]:

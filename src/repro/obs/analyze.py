@@ -19,10 +19,11 @@ from __future__ import annotations
 
 import dataclasses
 from pathlib import Path
-from typing import TYPE_CHECKING, Any, Callable, Mapping, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Iterable, Mapping, Sequence
 
 from repro.obs.dag import (
     ACTIVITY_CATEGORIES,
+    HappensBeforeDag,
     build_dag,
     critical_path_nodes,
     path_increments,
@@ -30,6 +31,7 @@ from repro.obs.dag import (
 )
 from repro.obs.export import spans_of, write_json
 from repro.obs.provenance import provenance
+from repro.obs.trace import Span
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.cluster.engine import SimulationResult
@@ -42,6 +44,7 @@ __all__ = [
     "LinkUtilizationReport",
     "WeaAttributionReport",
     "FaultWindow",
+    "EnclosingOps",
     "TraceAnalysis",
     "critical_path",
     "blocked_time",
@@ -108,8 +111,12 @@ def fault_windows(source: Any) -> tuple[FaultWindow, ...]:
     ``fault.delay``, ``fault.link_degrade``, ``recovery.repartition``);
     empty for fault-free traces.
     """
+    return _fault_windows(spans_of(source))
+
+
+def _fault_windows(spans: Sequence[Span]) -> tuple[FaultWindow, ...]:
     windows = []
-    for span in spans_of(source):
+    for span in spans:
         if span.category != "fault":
             continue
         kind = span.name.split(".", 1)[-1]
@@ -304,8 +311,13 @@ def critical_path(source: Any) -> CriticalPathReport:
     so the report shows which part of the binding chain ran under
     degraded conditions.
     """
-    dag = build_dag(source)
-    windows = fault_windows(source)
+    spans = spans_of(source)
+    return _critical_path(build_dag(spans), _fault_windows(spans))
+
+
+def _critical_path(
+    dag: HappensBeforeDag, windows: tuple[FaultWindow, ...]
+) -> CriticalPathReport:
     path, untracked = critical_path_nodes(dag)
     increments = path_increments(path)
     compute_s = sum(
@@ -458,21 +470,43 @@ class BlockedTimeReport:
         return "\n".join(lines)
 
 
-def _enclosing_op(
-    wrappers: Sequence[Any], rank: int, t: float
-) -> str:
-    """Deepest phase/mpi span on ``rank`` covering time ``t``."""
-    best_name = "<unattributed>"
-    best_span = None
-    for span in wrappers:
-        if span.rank != rank or not (span.start <= t < span.end or
-                                     (span.start == t == span.end)):
-            continue
-        if best_span is None or span.start > best_span.start or (
-            span.start == best_span.start and span.duration < best_span.duration
-        ):
-            best_span, best_name = span, span.name
-    return best_name
+class EnclosingOps:
+    """A trace's wrapper spans grouped by rank, naming the operation
+    that encloses a moment on a rank.
+
+    ``spans`` must be in :func:`~repro.obs.export.spans_of` order;
+    only those of ``categories`` are kept.
+    """
+
+    def __init__(
+        self,
+        spans: Iterable[Span],
+        categories: tuple[str, ...] = ("phase", "mpi"),
+    ) -> None:
+        self._by_rank: dict[int, list[Span]] = {}
+        for span in spans:
+            if span.category in categories:
+                self._by_rank.setdefault(span.rank, []).append(span)
+
+    def at(self, rank: int, t: float) -> str:
+        """The name of the deepest wrapper on ``rank`` covering time
+        ``t`` (a zero-length one covers its own instant), else
+        ``"<unattributed>"``.  Deepest is the latest start, then the
+        shortest, then the first in span order."""
+        best_name = "<unattributed>"
+        best_span = None
+        for span in self._by_rank.get(rank, ()):
+            if span.start > t:  # in start order: no later span covers t
+                break
+            # From here on span.start <= t.
+            if not (t < span.end or span.start == t == span.end):
+                continue
+            if best_span is None or span.start > best_span.start or (
+                span.start == best_span.start
+                and span.duration < best_span.duration
+            ):
+                best_span, best_name = span, span.name
+        return best_name
 
 
 def blocked_time(source: Any) -> BlockedTimeReport:
@@ -487,17 +521,24 @@ def blocked_time(source: Any) -> BlockedTimeReport:
     ``mpi.bcast``".
     """
     spans = spans_of(source)
-    windows = fault_windows(spans)
-    activities = [s for s in spans if s.category in ACTIVITY_CATEGORIES]
-    wrappers = [s for s in spans if s.category in ("phase", "mpi")]
+    return _blocked_time(spans, _fault_windows(spans))
+
+
+def _blocked_time(
+    spans: Sequence[Span], windows: tuple[FaultWindow, ...]
+) -> BlockedTimeReport:
+    activities: dict[int, list[Span]] = {}
+    for span in spans:
+        if span.category in ACTIVITY_CATEGORIES:
+            activities.setdefault(span.rank, []).append(span)
+    wrappers = EnclosingOps(spans)
     timed = [s for s in spans if s.category != "fault"]
     makespan = max((s.end for s in timed), default=0.0)
     all_ranks = sorted({s.rank for s in timed})
     entries: list[RankBlockedTime] = []
     for rank in all_ranks:
         mine = sorted(
-            (s for s in activities if s.rank == rank),
-            key=lambda s: (s.start, s.end, s.seq),
+            activities.get(rank, ()), key=lambda s: (s.start, s.end, s.seq)
         )
         cursor = 0.0
         blocked = 0.0
@@ -515,7 +556,7 @@ def blocked_time(source: Any) -> BlockedTimeReport:
                 if span.category == "transfer":
                     peer = int(span.attrs.get("peer", -1))
                     by_peer[peer] = by_peer.get(peer, 0.0) + gap
-                    op = _enclosing_op(wrappers, rank, span.start)
+                    op = wrappers.at(rank, span.start)
                 else:
                     op = "<scheduling>"
                 by_op[op] = by_op.get(op, 0.0) + gap
@@ -636,7 +677,10 @@ def _merge_intervals(
 
 def link_utilization(source: Any) -> LinkUtilizationReport:
     """Per-link busy time, utilization, and saturation intervals."""
-    dag = build_dag(source)
+    return _link_utilization(build_dag(source))
+
+
+def _link_utilization(dag: HappensBeforeDag) -> LinkUtilizationReport:
     makespan = dag.makespan
     by_link: dict[str, list[Any]] = {}
     for node in dag.transfers():
@@ -884,7 +928,10 @@ def analyze_trace(
         wea = wea_attribution(result, partition, platform)
     from repro.obs.whatif import run_meta_of
 
-    meta = run_meta_of(source)
+    spans = spans_of(source)
+    dag = build_dag(spans)
+    windows = _fault_windows(spans)
+    meta = run_meta_of(spans)
     tuning = None
     if meta is not None:
         plan_attrs = {
@@ -893,9 +940,9 @@ def analyze_trace(
         if plan_attrs:
             tuning = plan_attrs
     return TraceAnalysis(
-        critical_path=critical_path(source),
-        blocked=blocked_time(source),
-        links=link_utilization(source),
+        critical_path=_critical_path(dag, windows),
+        blocked=_blocked_time(spans, windows),
+        links=_link_utilization(dag),
         wea=wea,
         tuning=tuning,
     )

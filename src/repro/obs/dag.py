@@ -186,9 +186,10 @@ def build_dag(source: Any) -> HappensBeforeDag:
     for node in _unify_transfers([s for s in spans if s.category == "transfer"]):
         nodes[node.key] = node
 
+    order = sorted(nodes.values(), key=lambda n: (n.start, n.end, n.key))
     # Program-order edges: chain each rank's activities.
     rank_chains: dict[int, list[str]] = {}
-    for node in sorted(nodes.values(), key=lambda n: (n.start, n.end, n.key)):
+    for node in order:
         for rank in node.ranks:
             chain = rank_chains.setdefault(rank, [])
             if chain:
@@ -197,7 +198,7 @@ def build_dag(source: Any) -> HappensBeforeDag:
 
     # Serial-link edges: transfers sharing an inter-segment link queue up.
     link_last: dict[str, str] = {}
-    for node in sorted(nodes.values(), key=lambda n: (n.start, n.end, n.key)):
+    for node in order:
         if not node.is_transfer or node.link is None:
             continue
         if "|" not in node.link:  # switched medium: no shared bottleneck

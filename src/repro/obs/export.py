@@ -25,7 +25,7 @@ import json
 from pathlib import Path
 from typing import TYPE_CHECKING, Any, Iterable
 
-from repro.obs.trace import Span, Tracer
+from repro.obs.trace import SPAN_ORDER, Span, Tracer
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.obs import ObsSession
@@ -101,7 +101,7 @@ def spans_of(source: Any) -> list[Span]:
         return list(tracer.spans())
     if spans is not None:  # LoadedTrace: spans is a stored sequence
         source = spans
-    return sorted(source, key=lambda s: (s.start, s.rank, s.seq))
+    return sorted(source, key=SPAN_ORDER)
 
 
 def metrics_records(
@@ -175,24 +175,26 @@ def _jsonable(value: Any) -> Any:
 def jsonl_lines(source: Any) -> Iterable[str]:
     """A schema header, then one JSON object per span, then one per
     metric record."""
-    yield json.dumps({"type": "schema", "version": JSONL_SCHEMA}, **_JSON_KW)
+    # One encoder for every line; a span object is built with its keys
+    # already in sorted order, so sorting them costs one pass.
+    encode = json.JSONEncoder(**_JSON_KW).encode
+    yield encode({"type": "schema", "version": JSONL_SCHEMA})
     for span in spans_of(source):
-        yield json.dumps(
-            {
-                "type": "span",
-                "name": span.name,
-                "category": span.category,
-                "rank": span.rank,
-                "seq": span.seq,
-                "parent": list(span.parent) if span.parent else None,
-                "start": span.start,
-                "end": span.end,
-                "attrs": {str(k): _jsonable(v) for k, v in sorted(span.attrs.items())},
+        yield encode({
+            "attrs": {
+                str(k): _jsonable(v) for k, v in sorted(span.attrs.items())
             },
-            **_JSON_KW,
-        )
+            "category": span.category,
+            "end": span.end,
+            "name": span.name,
+            "parent": list(span.parent) if span.parent else None,
+            "rank": span.rank,
+            "seq": span.seq,
+            "start": span.start,
+            "type": "span",
+        })
     for record in metrics_records(source):
-        yield json.dumps({"type": "metric", **record}, **_JSON_KW)
+        yield encode({"type": "metric", **record})
 
 
 def write_jsonl(path: str | Path, source: Any) -> Path:
@@ -372,7 +374,7 @@ def read_jsonl(path: str | Path) -> LoadedTrace:
             raise ValueError(
                 f"{path}:{lineno}: unknown record type {kind!r}"
             )
-    spans.sort(key=lambda s: (s.start, s.rank, s.seq))
+    spans.sort(key=SPAN_ORDER)
     return LoadedTrace(spans=tuple(spans), metric_records=tuple(records))
 
 
@@ -410,12 +412,14 @@ def breakdown_from_spans(
 def summary_table(source: Any, master_rank: int = 0) -> str:
     """Human-readable per-rank summary plus the span-derived triple."""
     spans = spans_of(source)
-    ranks = sorted({s.rank for s in spans})
+    by_rank: dict[int, list[Span]] = {}
+    for span in spans:
+        by_rank.setdefault(span.rank, []).append(span)
     categories = ("phase", "compute", "seq", "kernel", "transfer", "mpi")
     header = f"{'rank':>5} " + " ".join(f"{c:>12}" for c in categories) + f" {'spans':>7}"
     lines = ["span time by category (s)", header, "-" * len(header)]
-    for rank in ranks:
-        mine = [s for s in spans if s.rank == rank]
+    for rank in sorted(by_rank):
+        mine = by_rank[rank]
         cells = []
         for cat in categories:
             cells.append(f"{sum(s.duration for s in mine if s.category == cat):12.6f}")

@@ -38,6 +38,12 @@ def _label_key(labels: dict[str, Any]) -> tuple[tuple[str, str], ...]:
     return tuple(sorted((k, str(v)) for k, v in labels.items()))
 
 
+#: Label value types whose equal values of one type have equal ``str``
+#: (unlike ``0.0`` and ``-0.0``, or ``(1,)`` and ``(True,)``): only
+#: requests made of these are memoised by their labels as passed.
+_MEMO_TYPES = frozenset((str, int, bool))
+
+
 class Counter:
     """A monotonically increasing sum."""
 
@@ -177,8 +183,20 @@ class MetricsRegistry:
     def __init__(self) -> None:
         self._lock = threading.Lock()
         self._metrics: dict[MetricKey, Counter | Gauge | Histogram] = {}
+        #: Each handle already handed out, keyed by the request as
+        #: passed (kind, name, label items and their types), so a
+        #: repeated request skips building the sorted key.
+        self._memo: dict[tuple[Any, ...], Counter | Gauge | Histogram] = {}
 
     def _get(self, cls: type, name: str, labels: dict[str, Any], **kwargs: Any):
+        types = tuple(map(type, labels.values()))
+        request = (cls, name, tuple(labels.items()), types)
+        try:
+            metric = self._memo.get(request)
+        except TypeError:  # an unhashable label value
+            metric = None
+        if metric is not None:
+            return metric
         key = (name, _label_key(labels))
         with self._lock:
             metric = self._metrics.get(key)
@@ -190,6 +208,8 @@ class MetricsRegistry:
                     f"metric {name!r} already registered as {metric.kind}, "
                     f"requested {cls.__name__.lower()}"
                 )
+            if _MEMO_TYPES.issuperset(types):
+                self._memo[request] = metric
             return metric
 
     def counter(self, name: str, **labels: Any) -> Counter:

@@ -46,7 +46,7 @@ from typing import Any, Mapping, Sequence
 from repro.cluster.platform import HeterogeneousPlatform
 from repro.cluster.presets import platform_by_name
 from repro.errors import ConfigurationError
-from repro.obs.analyze import _enclosing_op, original_rank_lookup
+from repro.obs.analyze import EnclosingOps, original_rank_lookup
 from repro.obs.dag import build_dag
 from repro.obs.export import canonical_json, spans_of, write_json
 from repro.obs.health import relative_error
@@ -317,7 +317,7 @@ def profile_trace(
             transfers — nothing to calibrate against.
     """
     spans = spans_of(source)
-    wrappers = [s for s in spans if s.category == "phase"]
+    enclosing = EnclosingOps(spans, ("phase",))
     network = platform.network
     original_rank = original_rank_lookup(spans)
 
@@ -332,7 +332,7 @@ def profile_trace(
                 kind="compute",
                 name=str(span.attrs.get("kernel", span.name)),
                 rank=orig,
-                phase=_enclosing_op(wrappers, span.rank, span.start),
+                phase=enclosing.at(span.rank, span.start),
                 predicted_s=platform.processor(orig).compute_seconds(mflops),
                 observed_s=span.duration,
             )
@@ -345,7 +345,7 @@ def profile_trace(
                 kind="transfer",
                 name=node.link or f"pair:{src}~{dst}",
                 rank=dst,
-                phase=_enclosing_op(wrappers, node.dst, node.start),
+                phase=enclosing.at(node.dst, node.start),
                 predicted_s=network.transfer_seconds(src, dst, node.megabits),
                 observed_s=node.duration,
             )

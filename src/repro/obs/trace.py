@@ -29,11 +29,11 @@ no-op context manager, so uninstrumented runs pay near-zero overhead.
 
 from __future__ import annotations
 
-import contextlib
 import dataclasses
+import operator
 import threading
 import time
-from typing import Any, Callable, Iterator, Mapping
+from typing import Any, Callable, Mapping
 
 __all__ = ["Span", "Tracer", "NullTracer", "NULL_TRACER", "tracer_of"]
 
@@ -44,6 +44,11 @@ SPAN_CATEGORIES = (
     "phase", "compute", "seq", "kernel", "transfer", "mpi", "fault",
     "health", "meta",
 )
+
+
+#: The sort key of the deterministic span order every export and
+#: analysis uses: ``(start, rank, seq)``.
+SPAN_ORDER = operator.attrgetter("start", "rank", "seq")
 
 
 @dataclasses.dataclass(frozen=True)
@@ -93,6 +98,9 @@ class Tracer:
     def __init__(self, clock: Callable[[int], float] | None = None) -> None:
         self._lock = threading.Lock()
         self._spans: list[Span] = []
+        #: ``_spans`` in ``(start, rank, seq)`` order, until the next
+        #: span is recorded.
+        self._sorted: list[Span] | None = None
         self._seq: dict[int, int] = {}
         self._local = threading.local()
         if clock is None:
@@ -114,47 +122,24 @@ class Tracer:
         """Current time on ``rank``'s clock."""
         return self._clock(rank)
 
-    def _record(self, finished: Span) -> None:
-        with self._lock:
-            self._spans.append(finished)
-
     # -- recording --------------------------------------------------------
-    def _next_seq(self, rank: int) -> int:
-        with self._lock:
-            seq = self._seq.get(rank, 0)
-            self._seq[rank] = seq + 1
-            return seq
-
-    @contextlib.contextmanager
     def span(
         self,
         name: str,
         rank: int = 0,
         category: str = "phase",
         **attrs: Any,
-    ) -> Iterator[None]:
-        """Record the enclosed block as a span on ``rank``'s clock.
+    ) -> "_SpanBlock":
+        """A context manager recording the enclosed block as a span on
+        ``rank``'s clock.
 
-        Nesting is tracked per thread (each rank runs on one thread in
-        both backends), so the enclosing span becomes the parent.
+        The span takes its per-rank ``seq`` and start time on entry
+        and is recorded on exit, also when the block raises (the
+        exception propagates).  Nesting is tracked per thread (each
+        rank runs on one thread in both backends), so the enclosing
+        span becomes the parent.
         """
-        stack: list[tuple[int, int]] | None = getattr(self._local, "stack", None)
-        if stack is None:
-            stack = self._local.stack = []
-        seq = self._next_seq(rank)
-        parent = stack[-1] if stack else None
-        stack.append((rank, seq))
-        start = self._clock(rank)
-        try:
-            yield
-        finally:
-            end = self._clock(rank)
-            stack.pop()
-            finished = Span(
-                name=name, rank=rank, start=start, end=end,
-                category=category, seq=seq, parent=parent, attrs=attrs,
-            )
-            self._record(finished)
+        return _SpanBlock(self, name, rank, category, attrs)
 
     def add_span(
         self,
@@ -167,21 +152,29 @@ class Tracer:
     ) -> Span:
         """Record an already-timed interval (engine transfer/compute
         events, whose times are decided at message-match time)."""
-        seq = self._next_seq(rank)
-        finished = Span(
-            name=name, rank=rank, start=start, end=end,
-            category=category, seq=seq, parent=None, attrs=attrs,
-        )
-        self._record(finished)
+        with self._lock:
+            seq = self._seq.get(rank, 0)
+            self._seq[rank] = seq + 1
+            finished = Span(
+                name=name, rank=rank, start=start, end=end,
+                category=category, seq=seq, parent=None, attrs=attrs,
+            )
+            self._spans.append(finished)
+            self._sorted = None
         return finished
 
     # -- reading ----------------------------------------------------------
     def spans(self) -> list[Span]:
         """All finished spans, deterministically ordered by
-        ``(start, rank, seq)``."""
+        ``(start, rank, seq)``, as a new list the caller may change.
+
+        The sort is kept until the next span is recorded, so the
+        exporters and analyses of one finished run sort it once.
+        """
         with self._lock:
-            snapshot = list(self._spans)
-        return sorted(snapshot, key=lambda s: (s.start, s.rank, s.seq))
+            if self._sorted is None:
+                self._sorted = sorted(self._spans, key=SPAN_ORDER)
+            return list(self._sorted)
 
     def __len__(self) -> int:
         with self._lock:
@@ -189,6 +182,54 @@ class Tracer:
 
     def __repr__(self) -> str:
         return f"Tracer(spans={len(self)})"
+
+
+class _SpanBlock:
+    """One :meth:`Tracer.span` block (a class, not a generator-based
+    context manager: a traced sim run enters about a thousand)."""
+
+    __slots__ = (
+        "_tracer", "_name", "_rank", "_category", "_attrs",
+        "_stack", "_seq", "_parent", "_start",
+    )
+
+    def __init__(
+        self, tracer: Tracer, name: str, rank: int, category: str,
+        attrs: dict[str, Any],
+    ) -> None:
+        self._tracer = tracer
+        self._name = name
+        self._rank = rank
+        self._category = category
+        self._attrs = attrs
+
+    def __enter__(self) -> None:
+        tracer, rank = self._tracer, self._rank
+        local = tracer._local
+        stack: list[tuple[int, int]] | None = getattr(local, "stack", None)
+        if stack is None:
+            stack = local.stack = []
+        with tracer._lock:
+            seq = tracer._seq.get(rank, 0)
+            tracer._seq[rank] = seq + 1
+        self._stack, self._seq = stack, seq
+        self._parent = stack[-1] if stack else None
+        stack.append((rank, seq))
+        self._start = tracer._clock(rank)
+
+    def __exit__(self, *exc: Any) -> bool:
+        tracer, rank = self._tracer, self._rank
+        end = tracer._clock(rank)
+        self._stack.pop()
+        finished = Span(
+            name=self._name, rank=rank, start=self._start, end=end,
+            category=self._category, seq=self._seq, parent=self._parent,
+            attrs=self._attrs,
+        )
+        with tracer._lock:
+            tracer._spans.append(finished)
+            tracer._sorted = None
+        return False
 
 
 class _NullSpan:

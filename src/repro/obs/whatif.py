@@ -320,7 +320,9 @@ def replay(
     rank_compute: dict[int, float] = {}
     op_compute: dict[str, float] = {}
     link_busy: dict[str, float] = {}
-    for op, record in zip(ops, core.run(ops)):
+    records: list[Any] = []
+    core.run(ops, records)
+    for op, record in zip(ops, records):
         if op.kind == "compute":
             rank_compute[op.rank] = (
                 rank_compute.get(op.rank, 0.0) + record.seconds

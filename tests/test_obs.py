@@ -3,7 +3,10 @@ into both backends (virtual-time engine and wall-clock threads)."""
 
 from __future__ import annotations
 
+import hashlib
 import json
+import sys
+import threading
 from pathlib import Path
 
 import pytest
@@ -35,7 +38,7 @@ from repro.obs import (
     write_jsonl,
     write_metrics_json,
 )
-from repro.obs.export import JSONL_SCHEMA
+from repro.obs.export import JSONL_SCHEMA, canonical_json
 from repro.obs.trace import SPAN_CATEGORIES
 from repro.perf.timers import breakdown_of_run
 from repro.viz.timeline import ascii_gantt, gantt_of_trace
@@ -129,6 +132,90 @@ class TestTracer:
         tracer.add_span("c", 0, 2.0, 3.0)
         assert [s.name for s in tracer.spans()] == ["a", "b", "c"]
 
+    def test_spans_shows_spans_recorded_after_an_earlier_call(self):
+        tracer = _manual_tracer()
+        tracer.add_span("a", 0, 1.0, 2.0)
+        assert [s.name for s in tracer.spans()] == ["a"]
+        tracer.add_span("b", 1, 0.0, 1.0)
+        assert [s.name for s in tracer.spans()] == ["b", "a"]
+        with tracer.span("c", rank=2):
+            pass
+        assert [s.name for s in tracer.spans()] == ["b", "c", "a"]
+
+    def test_spans_returns_a_list_the_caller_owns(self):
+        tracer = _manual_tracer()
+        tracer.add_span("a", 0, 0.0, 1.0)
+        tracer.add_span("b", 0, 1.0, 2.0)
+        first = tracer.spans()
+        first.reverse()
+        first.append(first[0])
+        assert [s.name for s in tracer.spans()] == ["a", "b"]
+
+    def test_nested_spans_keep_parents_and_seqs(self):
+        tracer = _manual_tracer()
+        with tracer.span("outer", rank=1):
+            tracer.add_span("sent", 1, 0.0, 0.0, category="transfer")
+            with tracer.span("mid", rank=1):
+                with tracer.span("inner", rank=1):
+                    pass
+                with tracer.span("other", rank=0):
+                    pass
+            with tracer.span("after", rank=1):
+                pass
+        with pytest.raises(RuntimeError):
+            with tracer.span("failed", rank=1):
+                raise RuntimeError("boom")
+        with tracer.span("last", rank=1):
+            pass
+        assert sorted(
+            (s.name, s.rank, s.seq, s.parent) for s in tracer.spans()
+        ) == [
+            ("after", 1, 4, (1, 0)),
+            ("failed", 1, 5, None),
+            ("inner", 1, 3, (1, 2)),
+            ("last", 1, 6, None),
+            ("mid", 1, 2, (1, 0)),
+            ("other", 0, 0, (1, 2)),
+            ("outer", 1, 0, None),
+            ("sent", 1, 1, None),
+        ]
+
+    def test_concurrent_recording_loses_nothing(self):
+        tracer, registry = Tracer(), MetricsRegistry()
+        ranks, rounds = 16, 200
+
+        def rank_program(rank):
+            for i in range(rounds):
+                with tracer.span("block", rank=rank):
+                    tracer.add_span("event", rank, 0.0, 0.0)
+                registry.counter("n", rank=rank % 4).inc()
+                registry.histogram("h", rank=rank % 4).observe(1.0)
+                if i % 50 == 0:
+                    tracer.spans()  # sorts and caches mid-run
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [
+                threading.Thread(target=rank_program, args=(rank,))
+                for rank in range(ranks)
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        spans = tracer.spans()
+        assert len(spans) == len(tracer) == ranks * rounds * 2
+        for rank in range(ranks):
+            seqs = sorted(s.seq for s in spans if s.rank == rank)
+            assert seqs == list(range(2 * rounds))
+        assert registry.total("n") == ranks * rounds
+        assert registry.total("h") == ranks * rounds
+        assert len(registry) == 8
+
     def test_null_tracer_is_inert(self):
         assert tracer_of(object()) is NULL_TRACER
         with NULL_TRACER.span("anything", rank=3, k=1):
@@ -183,6 +270,44 @@ class TestMetrics:
         reg.counter("x", rank=0)
         with pytest.raises(ConfigurationError):
             reg.gauge("x", rank=0)
+
+    def test_label_order_gives_one_metric(self):
+        reg = MetricsRegistry()
+        first = reg.counter("m", a=1, b=2)
+        first.inc()
+        assert reg.counter("m", b=2, a=1) is first
+        assert reg.counter("m", a=1, b=2) is first
+        assert reg.counter("m", a="1", b="2") is first
+        assert [r["labels"] for r in reg.records()] == [
+            {"a": "1", "b": "2"}
+        ]
+
+    def test_equal_label_values_with_other_text_stay_apart(self):
+        reg = MetricsRegistry()
+        reg.counter("m", flag=1).inc()
+        reg.counter("m", flag=True).inc(2.0)
+        reg.counter("m", flag=0.0).inc(3.0)
+        reg.counter("m", flag=-0.0).inc(4.0)
+        reg.counter("m", flag=[1]).inc(5.0)  # unhashable: no memo
+        reg.counter("m", flag=[1]).inc(5.0)
+        assert {r["labels"]["flag"]: r["value"] for r in reg.records()} == {
+            "1": 1.0, "True": 2.0, "0.0": 3.0, "-0.0": 4.0, "[1]": 10.0,
+        }
+
+    def test_kind_conflict_raises_after_a_memo_hit(self):
+        reg = MetricsRegistry()
+        counter = reg.counter("c")
+        assert reg.counter("c") is counter
+        hist = reg.histogram("h", buckets=(1.0, 2.0))
+        assert reg.histogram("h") is hist
+        assert reg.histogram("h", buckets=(1.0, 2.0)) is hist
+        for _ in range(2):
+            with pytest.raises(ConfigurationError):
+                reg.histogram("c")
+            with pytest.raises(ConfigurationError):
+                reg.counter("h")
+            with pytest.raises(ConfigurationError):
+                reg.histogram("h", buckets=(1.0, 3.0))
 
     def test_records_are_sorted(self):
         reg = MetricsRegistry()
@@ -564,6 +689,41 @@ class TestTracedRunsAndCLI:
             metrics = json.loads((tmp_path / f"atdca_{backend}.metrics.json")
                                  .read_text())["metrics"]
             assert any(r["name"] == "comm.megabits_sent" for r in metrics)
+
+    #: sha256 of each sim export of :meth:`test_sim_exports_are_golden`'s
+    #: run (of the analysis JSON: its ``canonical_json`` less
+    #: ``provenance``).  Sim exports are compared byte for byte across
+    #: commits, so a digest changes only with a deliberate format change.
+    SIM_EXPORT_DIGESTS = {
+        ".trace.json":
+            "5572083127f6b1c091d1189d4138af1dcfae4d89b111f62376b0eca94afa52e4",
+        ".jsonl":
+            "9ebc13639609c10df38a997ef11e72dad1f56b7a51d254e9529131487aaf008d",
+        ".metrics.json":
+            "94863b2c28a72e5776d58c9c0a0ad7a32cc02f91e3fa26a7ec183dcd27b331cc",
+        ".summary.txt":
+            "e197b4847a8ff08bc7d3f1ebee380658f535062f3696e7bf7bd9a906f712a38f",
+        ".analysis.txt":
+            "36acbf27783272bf78c5a204f81f4468c23326412538f128d32db4b5325763e8",
+        ".analysis.json":
+            "4ca1ddd3a53da8d5130e70f55a06edc95e6bd01471c3320ffebe05a23535b1c5",
+    }
+
+    def test_sim_exports_are_golden(self, tmp_path):
+        config = ExperimentConfig(
+            scene=SceneConfig(rows=48, cols=8, bands=16, seed=7),
+            n_targets=6,
+        )
+        run_traced(config, tmp_path, backend="sim", algorithm="atdca")
+        digests = {}
+        for suffix in self.SIM_EXPORT_DIGESTS:
+            data = (tmp_path / f"atdca_sim{suffix}").read_bytes()
+            if suffix == ".analysis.json":
+                doc = json.loads(data)
+                del doc["provenance"]
+                data = canonical_json(doc).encode()
+            digests[suffix] = hashlib.sha256(data).hexdigest()
+        assert digests == self.SIM_EXPORT_DIGESTS
 
     def test_cli_trace_flag(self, tmp_path):
         from repro.experiments.runner import main

@@ -29,6 +29,8 @@ from repro.obs import (
     write_jsonl,
 )
 from repro.obs.dag import build_dag, critical_path_nodes, path_increments
+from repro.obs.export import spans_of
+from repro.obs.trace import Span
 
 from conftest import make_tiny_platform
 
@@ -239,6 +241,95 @@ class TestBlockedTime:
         text = blocked_time(obs).to_text()
         assert "blocked" in text
         assert "mostly on rank" in text
+
+    @staticmethod
+    def _hand_built_spans():
+        """Four ranks, listed out of order: nested phase/mpi wrappers,
+        a zero-length wrapper at a transfer's start, wrappers of equal
+        start (and one pair of equal length too), transfers at the
+        instant a wrapper ends, and a rank with no wrappers."""
+        layout = [
+            # rank, name, category, start, end, attrs
+            (0, "atdca.iteration", "phase", 0.0, 10.0, {}),
+            (0, "mpi.bcast", "mpi", 1.0, 4.0, {}),
+            (0, "phase.twin", "phase", 1.0, 4.0, {}),
+            (0, "mpi.zero", "mpi", 2.0, 2.0, {}),
+            (0, "c", "compute", 0.0, 1.0, {}),
+            (0, "x", "transfer", 2.0, 3.0, {"peer": 1}),
+            (0, "x", "transfer", 3.5, 4.0, {"peer": 2}),
+            (0, "x", "transfer", 4.0, 4.5, {"peer": 2}),
+            (0, "x", "transfer", 5.0, 6.0, {"peer": 1}),
+            (1, "mpi.gather", "mpi", 0.0, 6.0, {}),
+            (1, "p1", "phase", 3.0, 6.0, {}),
+            (1, "x", "transfer", 2.0, 3.0, {"peer": 0}),
+            (1, "c", "compute", 4.0, 5.0, {}),
+            (1, "x", "transfer", 6.0, 7.0, {"peer": 0}),
+            (2, "long", "phase", 1.0, 5.0, {}),
+            (2, "short", "phase", 1.0, 3.0, {}),
+            (2, "x", "transfer", 2.0, 3.0, {"peer": 0}),
+            (2, "x", "transfer", 3.5, 4.0, {"peer": 0}),
+            (2, "x", "transfer", 5.0, 5.5, {"peer": 1}),
+            (3, "x", "transfer", 1.0, 2.0, {"peer": 0}),
+        ]
+        seqs: dict[int, int] = {}
+        spans = []
+        for rank, name, category, start, end, attrs in layout:
+            seq = seqs[rank] = seqs.get(rank, -1) + 1
+            spans.append(Span(name, rank, start, end, category, seq,
+                              attrs=attrs))
+        return spans[::-1]
+
+    @staticmethod
+    def _reference_by_op(spans):
+        """Every rank's blocked seconds by operation, naming each
+        transfer gap by a scan of every rank's wrappers."""
+        spans = spans_of(spans)
+        wrappers = [s for s in spans if s.category in ("phase", "mpi")]
+
+        def enclosing(rank, t):
+            best_name, best = "<unattributed>", None
+            for span in wrappers:
+                if span.rank != rank or not (
+                    span.start <= t < span.end or span.start == t == span.end
+                ):
+                    continue
+                if best is None or span.start > best.start or (
+                    span.start == best.start and span.duration < best.duration
+                ):
+                    best, best_name = span, span.name
+            return best_name
+
+        out = {}
+        for rank in sorted({s.rank for s in spans}):
+            mine = sorted(
+                (s for s in spans if s.rank == rank
+                 and s.category in ("compute", "seq", "transfer")),
+                key=lambda s: (s.start, s.end, s.seq),
+            )
+            cursor, by_op = 0.0, {}
+            for span in mine:
+                gap = span.start - cursor
+                if gap > 0:
+                    op = (enclosing(rank, span.start)
+                          if span.category == "transfer" else "<scheduling>")
+                    by_op[op] = by_op.get(op, 0.0) + gap
+                cursor = max(cursor, span.end)
+            out[rank] = by_op
+        return out
+
+    def test_attribution_equals_a_scan_of_every_wrapper(self):
+        spans = self._hand_built_spans()
+        report = blocked_time(spans)
+        assert {
+            entry.rank: entry.by_op_s for entry in report.ranks
+        } == self._reference_by_op(spans) == {
+            0: {"mpi.zero": 1.0, "mpi.bcast": 0.5, "atdca.iteration": 0.5},
+            1: {"mpi.gather": 2.0, "<scheduling>": 1.0,
+                "<unattributed>": 1.0},
+            2: {"short": 2.0, "long": 0.5, "<unattributed>": 1.0},
+            3: {"<unattributed>": 1.0},
+        }
+        assert report.of_rank(0).by_peer_s == {1: 1.5, 2: 0.5}
 
 
 class TestLinkUtilization:

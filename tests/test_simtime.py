@@ -83,7 +83,8 @@ class TestOneArithmetic:
             return TimingCore(platform, perturb=hook, scales=scales)
 
         whole = core()
-        records = whole.run(list(ops))
+        records = []
+        whole.run(list(ops), records)
         single = core()
         one_by_one = [
             single.compute(op.rank, op.mflops, op.sequential, op.label,
@@ -100,6 +101,16 @@ class TestOneArithmetic:
         if not perturbed:
             self_send = ops.index(Op("transfer", 0, 0, megabits=4.0))
             assert records[self_send].duration == 0.0
+
+    def test_run_without_records_prices_the_same(self):
+        platform = fully_heterogeneous()
+        ops = _program(platform)
+        silent, recorded = TimingCore(platform), TimingCore(platform)
+        assert silent.run(list(ops)) is None
+        records = []
+        recorded.run(list(ops), records)
+        assert len(records) == len(ops)
+        assert _state(silent) == _state(recorded)
 
     def test_transfer_cost_is_the_networks_to_the_bit(self):
         platform = fully_heterogeneous()
