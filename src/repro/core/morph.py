@@ -25,14 +25,14 @@ from repro.hsi.cube import HyperspectralImage
 from repro.hsi.metrics import sad_to_references
 from repro.morphology.ops import (
     _EPS,
-    clamped_neighbor_indices,
     edge_pad_into,
-    extrema_positions,
     mei_scores,
     morph_extrema,
     offset_angle_maps,
     unique_pair_angles,
     unique_pair_mei,
+    window_extrema,
+    window_indices,
 )
 from repro.morphology.structuring import StructuringElement, square
 from repro.types import FloatArray, IntArray
@@ -125,7 +125,10 @@ def mei_map(
     full-frame dot-product sweeps.  Later passes gather heavily (the
     dilated frame repeats its window maxima), so their window angles are
     deduplicated to distinct pixel-index pairs before the O(bands) dot
-    products run; MEI angles are pair-deduplicated on every pass.
+    products run; MEI angles are pair-deduplicated on every pass.  One
+    clamped window-index map (:func:`~repro.morphology.ops.window_indices`),
+    built once per call, gives those neighbour pairs and every pass's
+    erosion/dilation positions, which stay flat indices throughout.
     Per-pass D_B accumulation keeps the structuring element's offset
     order, so the sums see the same floats in the same order as the
     direct evaluation.
@@ -141,14 +144,14 @@ def mei_map(
     norms = np.linalg.norm(flat, axis=1)
     unit = flat / np.maximum(norms, _EPS)[:, None]
     pr, pc = se.shape[0] // 2, se.shape[1] // 2
-    offsets = [
-        (dr, dc) for dr, dc in se.offsets() if not (dr == 0 and dc == 0)
-    ]
-    neighbors = clamped_neighbor_indices(rows, cols, se)
+    off_centre = [off != (0, 0) for off in se.offsets()]  # SAD(x, x) = 0
+    offsets = [off for off, keep in zip(se.offsets(), off_centre) if keep]
+    window = window_indices(rows, cols, se)  # one row per offset
+    neighbors = window[off_centre]
 
     prov = np.arange(n)  # current frame pixel → original flat index
-    mei = np.zeros((rows, cols))
-    dmap = np.empty((rows, cols))
+    mei = np.zeros(n)
+    dmap = np.empty(n)
     scratch: dict[str, FloatArray] = {}  # reused pair-gather buffers
     for step in range(iterations):
         # D_B (eq. 2): accumulated per offset in se.offsets() order.
@@ -160,28 +163,26 @@ def mei_map(
                 np.empty((rows + 2 * pr, cols + 2 * pc, bands)), gu, pr, pc
             )
             for ang in offset_angle_maps(gu, padded, offsets, pr, pc, cosbuf):
-                dmap += ang
+                dmap += ang.ravel()
             del padded, cosbuf
         else:
-            lefts = np.concatenate([prov] * len(neighbors))
-            rights = np.concatenate([prov[nb] for nb in neighbors])
-            angles = unique_pair_angles(lefts, rights, unit, scratch)
-            for k in range(len(neighbors)):
-                dmap += angles[k * n : (k + 1) * n].reshape(rows, cols)
+            angles = unique_pair_angles(
+                np.tile(prov, len(neighbors)), prov[neighbors].ravel(),
+                unit, scratch,
+            )
+            for ang in angles.reshape(len(neighbors), n):
+                dmap += ang
 
-        er_r, er_c, di_r, di_c = extrema_positions(dmap, se)
-        di_flat = (di_r * cols + di_c).ravel()
-        e_idx = prov[(er_r * cols + er_c).ravel()]
-        d_idx = prov[di_flat]
+        er_flat, di_flat = window_extrema(dmap, window)
         scores = unique_pair_mei(
-            e_idx, d_idx, flat, norms, scratch
-        ).reshape(rows, cols)
+            prov[er_flat], prov[di_flat], flat, norms, scratch
+        )
         # MEI credit goes to the *lattice position* the dilation chose
         # in the current frame, not the provenance pixel.
-        np.maximum.at(mei, (di_r, di_c), scores)
+        np.maximum.at(mei, di_flat, scores)
         if step + 1 < iterations:
             prov = prov[di_flat]
-    return mei
+    return mei.reshape(rows, cols)
 
 
 def local_endmember_candidates(

@@ -30,6 +30,7 @@ from typing import TYPE_CHECKING, Any, Callable, Mapping
 from repro.cluster.costs import DEFAULT_COST_MODEL, CostModel
 from repro.cluster.engine import SimulationResult, run_program
 from repro.cluster.platform import HeterogeneousPlatform
+from repro.core.atdca import _check_finite
 from repro.core.parallel_detect import (
     DETECTORS,
     parallel_atdca_program,
@@ -448,6 +449,9 @@ def run_parallel(
     params = dict(params or {})
     if backend not in ("sim", "inproc"):
         raise ConfigurationError(f"unknown backend {backend!r}")
+    # The sequential functions' check, once, on the master's cube: no
+    # rank program scans its block.
+    _check_finite(image.flatten_pixels())
     if plan is not None:
         plan.check_matches(
             algorithm, image.rows, image.cols, image.bands, platform.size

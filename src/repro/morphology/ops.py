@@ -13,8 +13,9 @@ Implements the paper's eqs. (2)–(5):
 
 Everything is vectorized: the D_B map is a sum of shifted-dot-product
 arccosines (one pass per structuring-element offset), and the
-erosion/dilation argmin/argmax scan the (small) window offset set once,
-maintaining running best values — no per-pixel Python loops.
+erosion/dilation are one argmin/argmax over ``D_B`` gathered through a
+clamped window-index map (:func:`window_indices`) — no per-pixel
+Python loops.
 
 Border handling uses edge replication, matching the paper's use of
 redundant overlap borders "to avoid accesses outside the local image
@@ -40,10 +41,11 @@ __all__ = [
     "mei_scores",
     "edge_pad_into",
     "offset_angle_maps",
-    "clamped_neighbor_indices",
     "unique_pair_angles",
     "unique_pair_mei",
     "extrema_positions",
+    "window_extrema",
+    "window_indices",
 ]
 
 _EPS = 1e-12
@@ -118,45 +120,56 @@ class MorphExtrema:
     dmap: FloatArray
 
 
+def window_indices(rows: int, cols: int, se: StructuringElement) -> IntArray:
+    """Flat index of every pixel's clamped neighbour, one row per offset.
+
+    Row ``k`` of the ``(m, rows*cols)`` result maps flat pixel ``p`` to
+    the flat index of its neighbour under ``se.offsets()[k]`` (the
+    centre too, if the element has it), out-of-image coordinates
+    clipped — exactly the pixel the edge-replicated padding of
+    :func:`cumulative_sad_map` reads.
+    """
+    dr, dc = np.array(se.offsets(), dtype=np.intp).T
+    r = np.clip(np.arange(rows)[None, :, None] + dr[:, None, None], 0, rows - 1)
+    c = np.clip(np.arange(cols)[None, None, :] + dc[:, None, None], 0, cols - 1)
+    return (r * cols + c).reshape(len(dr), rows * cols)
+
+
+def window_extrema(
+    dmap_flat: FloatArray, window: IntArray
+) -> tuple[IntArray, IntArray]:
+    """Flat indices of each pixel's window D_B minimizer and maximizer.
+
+    ``window`` is :func:`window_indices`, ``dmap_flat`` the raveled
+    ``D_B`` map; the contract is :func:`extrema_positions`'s.
+    """
+    values = dmap_flat[window]
+    pixels = np.arange(window.shape[1])
+    return (
+        window[values.argmin(axis=0), pixels],
+        window[values.argmax(axis=0), pixels],
+    )
+
+
 def extrema_positions(
     dmap: FloatArray, se: StructuringElement
 ) -> tuple[IntArray, IntArray, IntArray, IntArray]:
     """The per-pixel D_B-extremal window positions → (er_r, er_c, di_r, di_c).
 
-    The scan keeps, per pixel, the running min/max of the (edge-padded)
-    ``D_B`` values over window offsets and the offset that achieved it
-    (strict comparisons: ties resolve to the first offset in
-    ``se.offsets()`` order); coordinates outside the image clip to the
-    nearest valid pixel, consistent with the edge-replicated padding.
+    Per pixel, the window position (clipped to the image domain,
+    consistent with the edge-replicated padding) holding the minimum /
+    maximum ``D_B`` over the offsets; ties resolve to the first offset
+    in ``se.offsets()`` order, as strict running comparisons would.
+    ``dmap`` must be finite, as ``cumulative_sad_map`` of a finite cube
+    is: a NaN would win the arg-reduction where a running scan skips it
+    (``morph_classify`` and ``run_parallel`` reject non-finite cubes).
     """
     rows, cols = dmap.shape
-    pr, pc = se.shape[0] // 2, se.shape[1] // 2
-    dpad = np.pad(dmap, ((pr, pr), (pc, pc)), mode="edge")
-
-    best_min = np.full((rows, cols), np.inf)
-    best_max = np.full((rows, cols), -np.inf)
-    min_dr = np.zeros((rows, cols), dtype=np.int64)
-    min_dc = np.zeros((rows, cols), dtype=np.int64)
-    max_dr = np.zeros((rows, cols), dtype=np.int64)
-    max_dc = np.zeros((rows, cols), dtype=np.int64)
-
-    for dr, dc in se.offsets():
-        window = dpad[pr + dr : pr + dr + rows, pc + dc : pc + dc + cols]
-        lower = window < best_min
-        best_min = np.where(lower, window, best_min)
-        min_dr = np.where(lower, dr, min_dr)
-        min_dc = np.where(lower, dc, min_dc)
-        higher = window > best_max
-        best_max = np.where(higher, window, best_max)
-        max_dr = np.where(higher, dr, max_dr)
-        max_dc = np.where(higher, dc, max_dc)
-
-    base_r = np.arange(rows)[:, None]
-    base_c = np.arange(cols)[None, :]
-    er_r = np.clip(base_r + min_dr, 0, rows - 1)
-    er_c = np.clip(base_c + min_dc, 0, cols - 1)
-    di_r = np.clip(base_r + max_dr, 0, rows - 1)
-    di_c = np.clip(base_c + max_dc, 0, cols - 1)
+    eroded, dilated = window_extrema(
+        np.ravel(dmap), window_indices(rows, cols, se)
+    )
+    er_r, er_c = np.divmod(eroded.reshape(rows, cols), cols)
+    di_r, di_c = np.divmod(dilated.reshape(rows, cols), cols)
     return er_r, er_c, di_r, di_c
 
 
@@ -322,28 +335,6 @@ def offset_angle_maps(
 # not depend on which (row, col) asked for it, and ``a·b`` / ``b·a``
 # are the same float sequence.
 # --------------------------------------------------------------------------
-
-
-def clamped_neighbor_indices(
-    rows: int, cols: int, se: StructuringElement
-) -> list[IntArray]:
-    """Flat neighbour index maps, one per non-center SE offset.
-
-    Entry ``k`` maps flat pixel ``p`` to the flat index of its
-    neighbour under offset ``k``, with out-of-image coordinates clipped
-    — exactly the pixel the edge-replicated padding of
-    :func:`cumulative_sad_map` reads.
-    """
-    maps: list[IntArray] = []
-    base_r = np.arange(rows)[:, None]
-    base_c = np.arange(cols)[None, :]
-    for dr, dc in se.offsets():
-        if dr == 0 and dc == 0:
-            continue
-        r = np.clip(base_r + dr, 0, rows - 1)
-        c = np.clip(base_c + dc, 0, cols - 1)
-        maps.append((r * cols + c).ravel())
-    return maps
 
 
 def _gathered_rows(

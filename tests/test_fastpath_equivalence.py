@@ -20,7 +20,12 @@ from repro.linalg.osp import (
     orthonormal_basis,
     residual_energy,
 )
-from repro.morphology.structuring import cross, disk, square
+from repro.morphology.structuring import (
+    StructuringElement,
+    cross,
+    disk,
+    square,
+)
 from repro.mpi.inproc import run_inproc
 
 
@@ -134,6 +139,9 @@ class TestMeiMapFastPath:
             ((10, 11, 4), disk(1), 2),
             ((5, 5, 4), square(3), 1),
             ((30, 20, 8), square(3), 6),
+            ((6, 7, 4), square(1), 3),
+            # No centre cell: the first offset seeds every running extremum.
+            ((9, 8, 5), StructuringElement(~np.eye(3, dtype=bool)), 3),
         ],
     )
     def test_bit_identical_to_reference(self, rng, shape, se, iterations):

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import ConfigurationError, ShapeError
 from repro.morphology.halo import (
@@ -14,8 +16,10 @@ from repro.morphology.ops import (
     cumulative_sad_map,
     dilation,
     erosion,
+    extrema_positions,
     mei_scores,
     morph_extrema,
+    window_indices,
 )
 from repro.morphology.structuring import StructuringElement, cross, disk, square
 
@@ -124,6 +128,92 @@ class TestExtrema:
     def test_dilation_output_shape(self, rng):
         cube = rng.random((4, 5, 6))
         assert dilation(cube, square(3)).shape == cube.shape
+
+
+def _running_extrema(dmap, se):
+    """The strict running-comparison scan ``extrema_positions`` replaced,
+    kept verbatim as its oracle."""
+    rows, cols = dmap.shape
+    pr, pc = se.shape[0] // 2, se.shape[1] // 2
+    dpad = np.pad(dmap, ((pr, pr), (pc, pc)), mode="edge")
+
+    best_min = np.full((rows, cols), np.inf)
+    best_max = np.full((rows, cols), -np.inf)
+    min_dr = np.zeros((rows, cols), dtype=np.int64)
+    min_dc = np.zeros((rows, cols), dtype=np.int64)
+    max_dr = np.zeros((rows, cols), dtype=np.int64)
+    max_dc = np.zeros((rows, cols), dtype=np.int64)
+
+    for dr, dc in se.offsets():
+        window = dpad[pr + dr : pr + dr + rows, pc + dc : pc + dc + cols]
+        lower = window < best_min
+        best_min = np.where(lower, window, best_min)
+        min_dr = np.where(lower, dr, min_dr)
+        min_dc = np.where(lower, dc, min_dc)
+        higher = window > best_max
+        best_max = np.where(higher, window, best_max)
+        max_dr = np.where(higher, dr, max_dr)
+        max_dc = np.where(higher, dc, max_dc)
+
+    base_r = np.arange(rows)[:, None]
+    base_c = np.arange(cols)[None, :]
+    er_r = np.clip(base_r + min_dr, 0, rows - 1)
+    er_c = np.clip(base_c + min_dc, 0, cols - 1)
+    di_r = np.clip(base_r + max_dr, 0, rows - 1)
+    di_c = np.clip(base_c + max_dc, 0, cols - 1)
+    return er_r, er_c, di_r, di_c
+
+
+ORACLE_SES = {
+    "square1": square(1),
+    "square3": square(3),
+    "square5": square(5),
+    "cross3": cross(3),
+    "disk2": disk(2),
+}
+
+
+class TestExtremaOracle:
+    @settings(max_examples=30, deadline=None)
+    @given(
+        se_name=st.sampled_from(sorted(ORACLE_SES)),
+        layout=st.sampled_from(["1x1", "1xn", "nx1", "nxm"]),
+        n=st.integers(min_value=2, max_value=9),
+        m=st.integers(min_value=2, max_value=9),
+        levels=st.integers(min_value=1, max_value=4),
+        seed=st.integers(min_value=0, max_value=10_000),
+    )
+    def test_equals_running_scan(self, se_name, layout, n, m, levels, seed):
+        """Integer-valued D_B maps with few levels: ties everywhere, and
+        the first offset in ``se.offsets()`` order must win each one."""
+        shape = {"1x1": (1, 1), "1xn": (1, n), "nx1": (n, 1), "nxm": (n, m)}
+        dmap = np.random.default_rng(seed).integers(
+            0, levels, size=shape[layout]
+        ).astype(float)
+        se = ORACLE_SES[se_name]
+        got = extrema_positions(dmap, se)
+        want = _running_extrema(dmap, se)
+        for g, w in zip(got, want):
+            assert g.dtype == w.dtype
+            assert np.array_equal(g, w)
+
+    @pytest.mark.parametrize("shape", [(1, 1), (1, 6), (5, 1), (4, 7)])
+    @pytest.mark.parametrize(
+        "se",
+        [square(3), square(5), cross(3), disk(2),
+         StructuringElement(np.ones((1, 5), dtype=bool))],
+    )
+    def test_window_indices_match_edge_padding(self, shape, se):
+        rows, cols = shape
+        pr, pc = se.shape[0] // 2, se.shape[1] // 2
+        flat = np.arange(rows * cols).reshape(rows, cols)
+        padded = np.pad(flat, ((pr, pr), (pc, pc)), mode="edge")
+        window = window_indices(rows, cols, se)
+        assert window.shape == (se.size, rows * cols)
+        assert window.dtype == np.intp
+        for k, (dr, dc) in enumerate(se.offsets()):
+            read = padded[pr + dr : pr + dr + rows, pc + dc : pc + dc + cols]
+            assert np.array_equal(window[k], read.ravel())
 
 
 class TestHalo:

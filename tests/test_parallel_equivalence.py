@@ -156,6 +156,39 @@ class TestDegenerateScenes:
             assert str(par.value) == str(seq.value)
 
 
+class TestNonFiniteInput:
+    """A NaN or an inf in the cube is the sequential functions' error,
+    raised from ``run_parallel`` before any rank launches."""
+
+    PARAMS = {
+        "atdca": {"n_targets": 4},
+        "ufcls": {"n_targets": 4},
+        "pct": {"n_classes": 2},
+        "morph": {"n_classes": 2, "iterations": 1},
+    }
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    @pytest.mark.parametrize("backend", ["sim", "inproc"])
+    @pytest.mark.parametrize("algorithm", ALGORITHM_NAMES)
+    def test_run_parallel_rejects_non_finite_cube(
+        self, algorithm, backend, value
+    ):
+        from repro.errors import DataError
+        from repro.hsi.cube import HyperspectralImage
+
+        cube = np.random.default_rng(5).uniform(0.1, 1.0, (16, 4, 8))
+        cube[3, 2, 1] = value  # flat pixel 3 * 4 + 2
+        cube[9, 0, 0] = value
+        with pytest.raises(
+            DataError,
+            match=rf"^pixels must be finite: pixel 14, band 1 is {value}$",
+        ):
+            run_parallel(
+                algorithm, HyperspectralImage(cube), make_tiny_platform(),
+                params=self.PARAMS[algorithm], backend=backend,
+            )
+
+
 class TestClassifierAgreement:
     def test_pct_high_label_agreement(self, small_scene, platform):
         seq = pct_classify(small_scene.image, 12)

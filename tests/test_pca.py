@@ -91,7 +91,10 @@ class TestTransform:
         values = np.array(scene.image.values, copy=True)
         values[5, 3, 2] = np.nan
         image = HyperspectralImage(values)
-        with pytest.raises(DataError, match="non-finite"):
+        # Sequential PCT meets the NaN in its covariance; run_parallel
+        # names the pixel (flat 5 * 8 + 3) before any rank launches.
+        cause = "pixel 43, band 2 is nan" if parallel else "non-finite"
+        with pytest.raises(DataError, match=cause):
             if parallel:
                 run_parallel("pct", image, tiny_platform)
             else:
