@@ -13,9 +13,10 @@ communication patterns: all timing decisions are taken at match time in
 receiver program order (see :mod:`repro.cluster.mailbox`).
 
 A run is its op log.  Ranks run to block (one at a time, the lowest
-ready rank next), so the order in which they call the timing core is a
-function of the program alone — *provided the program reads neither
-virtual time nor the platform*, which no program here does.  The core
+ready rank next, all on the launcher's CPU: a hand-off never changes
+cores), so the order in which they call the timing core is a function
+of the program alone — *provided the program reads neither virtual
+time nor the platform*, which no program here does.  The core
 logs every compute and transfer it executes, :class:`SimulationResult`
 carries that log as ``ops``, and :func:`reprice` runs it through a
 fresh core for another platform of the same size and master: the

@@ -32,7 +32,9 @@ in, and the backend picks it, never a user:
   the baton to rank 0, and the rank holding it runs until it parks or
   retires; only then is the lowest-numbered ready rank released.
   Threads remain only as stacks, so the wall schedule of a run, like
-  its virtual times, is a pure function of the program.  The price is
+  its virtual times, is a pure function of the program, and the
+  launcher keeps them all on its one CPU, so a hand-off never changes
+  cores (:func:`~repro.cluster.runtime.launch_ranks`).  The price is
   one rule for programs: never wait for another rank except inside
   ``send``/``recv`` — a rank that spins on shared state holds the baton
   forever.
@@ -271,6 +273,11 @@ class Router:
                 self._waiters[rank] = _Waiter(lambda: True, None)
                 self._unblock(rank)
 
+    @property
+    def run_to_block(self) -> bool:
+        """The policy the backend picked (module docstring); read-only."""
+        return self._run_to_block
+
     # -- lifecycle -------------------------------------------------------------
     def enter(self, rank: int) -> None:
         """Called by a rank's thread before its program: returns when
@@ -429,9 +436,11 @@ class Router:
         last rank retired) the baton is dropped; a free-running
         router's queue is always empty."""
         self._running = None
-        if self._queue:
-            self._running = heapq.heappop(self._queue)
-            self._wake[self._running].release()
+        while self._queue and self._running is None:
+            rank = heapq.heappop(self._queue)
+            if rank not in self._retired:  # retired: its thread never started
+                self._running = rank
+                self._wake[rank].release()
 
     def _sleep(self, rank: int, waiter: _Waiter) -> None:
         """Give up the router lock and sleep until released; lock held

@@ -16,6 +16,7 @@ transfer spans.
 
 from __future__ import annotations
 
+import os
 import threading
 from typing import TYPE_CHECKING, Any, Callable, Mapping, Sequence
 
@@ -205,12 +206,16 @@ def launch_ranks(
 
     When the ranks run is the router's policy: every thread waits in
     ``router.enter`` and ``router.start`` hands rank 0 the baton of a
-    run-to-block router; on a free-running one neither waits.
+    run-to-block router; on a free-running one neither waits.  A
+    run-to-block run also lives on one core: the launcher narrows its
+    mask to its current CPU before the threads (which inherit it) exist
+    and restores it after the joins, so no hand-off changes cores.
 
     Raises:
         The root cause, if any rank failed: a crashing rank makes its
         peers fail with secondary RankFailedError/DeadlockError
-        fallout, which is chained onto it as ``__context__``.
+        fallout, which is chained onto it as ``__context__``.  Or a
+        thread's start error, once the ranks already started retired.
     """
     if kwargs_per_rank is not None and len(kwargs_per_rank) != n_ranks:
         raise ConfigurationError(
@@ -252,11 +257,36 @@ def launch_ranks(
         )
         for rank in range(n_ranks)
     ]
-    for t in threads:
-        t.start()
-    router.start()
-    for t in threads:
-        t.join()
+    mask = _pin_to_current_cpu() if router.run_to_block else None
+    started = 0
+    try:
+        for t in threads:
+            t.start()
+            started += 1
+    finally:
+        if started < n_ranks:  # a start failed: abort; unstarted never run
+            router.abort()
+            for rank in range(started, n_ranks):
+                router.retire(rank)
+        router.start()
+        for t in threads[:started]:
+            t.join()
+        if mask is not None:
+            os.sched_setaffinity(0, mask)
     if failures:
         raise_root_cause(failures)
     return results
+
+
+def _pin_to_current_cpu() -> set[int] | None:
+    """Pin the calling thread to its current CPU; its old mask, or None."""
+    try:
+        mask = os.sched_getaffinity(0)
+        with open("/proc/thread-self/stat", "rb") as stat:
+            cpu = int(stat.read().rpartition(b")")[2].split()[36])  # field 39
+        if len(mask) < 2 or cpu not in mask:
+            return None
+        os.sched_setaffinity(0, {cpu})
+        return mask
+    except (AttributeError, OSError, ValueError, IndexError):
+        return None

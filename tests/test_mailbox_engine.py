@@ -1,5 +1,6 @@
 """Tests for the rendezvous router and the virtual-time engine."""
 
+import os
 import sys
 import threading
 import time
@@ -313,6 +314,103 @@ class TestPerWaiterWake:
         parked[1].join(timeout=5.0)
         assert not parked[1].is_alive()
         assert isinstance(ended[4], DeadlockError)
+
+def _collective(ctx):
+    comm = Communicator(ctx)
+    value = comm.bcast(7 if comm.is_master else None)
+    ctx.compute(1.0 + ctx.rank)
+    return comm.gather(value + ctx.rank)
+
+
+def _run(backend, program):
+    if backend == "sim":
+        return run_program(fully_heterogeneous(), program)
+    return run_inproc(16, program)
+
+
+class TestThreadStartFailure:
+    """A rank thread that cannot start ends the run: the error
+    propagates and the ranks already started retire."""
+
+    @pytest.mark.parametrize("backend", ["sim", "inproc"])
+    def test_started_ranks_are_joined(self, backend, monkeypatch):
+        start = threading.Thread.start
+        calls = []
+
+        def failing_start(thread):
+            calls.append(thread.name)
+            if len(calls) == 5:
+                raise RuntimeError("can't start new thread")
+            start(thread)
+
+        before = threading.active_count()
+        monkeypatch.setattr(threading.Thread, "start", failing_start)
+        with pytest.raises(RuntimeError, match="can't start new thread"):
+            _run(backend, _collective)
+        monkeypatch.undo()
+        assert len(calls) == 5
+        assert threading.active_count() == before
+        # The router is left in no state a later run can see.
+        assert _run(backend, _collective).return_values[0] == [
+            7 + r for r in range(16)
+        ]
+
+
+@pytest.mark.skipif(
+    not hasattr(os, "sched_setaffinity") or len(os.sched_getaffinity(0)) < 2,
+    reason="needs sched_setaffinity and more than one usable CPU",
+)
+class TestOneCore:
+    """A run-to-block run lives on the launcher's current CPU and gives
+    the launcher its mask back; a free-running run is not confined."""
+
+    @staticmethod
+    def _masks(backend, fail_rank=None):
+        masks = [None] * 16
+
+        def program(ctx):
+            masks[ctx.rank] = os.sched_getaffinity(0)
+            if ctx.rank == fail_rank:
+                raise ValueError("boom")
+            return _collective(ctx)
+
+        return _run(backend, program), masks
+
+    def test_sim_ranks_share_one_cpu(self):
+        before = os.sched_getaffinity(0)
+        _, masks = self._masks("sim")
+        assert len(masks[0]) == 1 and masks[0] <= before
+        assert all(mask == masks[0] for mask in masks)
+        assert os.sched_getaffinity(0) == before
+
+    def test_launcher_mask_restored_when_a_rank_raises(self):
+        before = os.sched_getaffinity(0)
+        with pytest.raises(ReproError, match="boom"):
+            self._masks("sim", fail_rank=3)
+        assert os.sched_getaffinity(0) == before
+
+    def test_inproc_ranks_keep_the_launcher_mask(self):
+        before = os.sched_getaffinity(0)
+        _, masks = self._masks("inproc")
+        assert all(mask == before for mask in masks)
+        assert os.sched_getaffinity(0) == before
+
+    @pytest.mark.parametrize("backend", ["sim", "inproc"])
+    def test_confined_launcher_gets_the_same_values(self, backend):
+        free, _ = self._masks(backend)
+        before = os.sched_getaffinity(0)
+        os.sched_setaffinity(0, {max(before)})
+        try:
+            confined, masks = self._masks(backend)
+            assert all(mask == {max(before)} for mask in masks)
+            assert os.sched_getaffinity(0) == {max(before)}
+        finally:
+            os.sched_setaffinity(0, before)
+        assert confined.return_values == free.return_values
+        if backend == "sim":
+            assert confined.finish_times == free.finish_times
+            assert confined.ops == free.ops
+
 
 class TestVirtualClock:
     def test_advance(self):
