@@ -24,11 +24,7 @@ TOOLS: dict[str, tuple[str, str]] = {
     ),
     "bench": (
         "repro.obs.bench",
-        "benchmark artifacts: run, report, plan, microbench",
-    ),
-    "history": (
-        "repro.obs.history",
-        "run ledger and the regression gate over it (record, list, gate)",
+        "benchmark artifacts: plan, microbench",
     ),
     "profile": (
         "repro.obs.profile",

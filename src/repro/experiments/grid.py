@@ -4,7 +4,7 @@ Tables 5–7 are three projections of one grid of 32 cells, computed once
 and shared.  A cell's program is fixed by its algorithm, its master
 rank and its partition (params, scene and cost model are the grid's),
 and the four networks share two processor sets, so the 32 cells hold 8
-distinct programs.  :func:`run_grid_tasks` obtains each once and builds
+distinct programs.  :func:`_run_grid_tasks` obtains each once and builds
 every other cell by re-pricing that program's op log on the cell's own
 network (:func:`repro.cluster.engine.reprice`), which is exact.
 
@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import dataclasses
 from pathlib import Path
-from typing import TYPE_CHECKING, Any, Callable, Hashable, Mapping, Sequence
+from typing import TYPE_CHECKING, Any, Hashable, Mapping, Sequence
 
 from repro.cluster.engine import SimulationResult, reprice
 from repro.cluster.presets import all_networks
@@ -52,7 +52,6 @@ from repro.perf.timers import PhaseBreakdown, breakdown_of_run
 __all__ = [
     "GridCell",
     "NetworkGrid",
-    "run_grid_tasks",
     "run_network_grid",
     "variant_label",
 ]
@@ -134,31 +133,30 @@ def _cell_stem(algorithm: str, variant: str, network_name: str) -> str:
     )
 
 
-def run_grid_tasks(
-    execute: Callable[..., "ParallelRun | RecoveredRun"],
+def _run_grid_tasks(
+    cfg: ExperimentConfig,
     tasks: Sequence[tuple[str, str, str]],
     image: "HyperspectralImage",
-    params_for: Callable[[str], Mapping[str, Any]],
     cost: "CostModel",
-    observed: bool,
+    traces: Path | None,
+    fault_plan: "FaultPlan | None",
     jobs: int | None,
-    shared: tuple[Any, ...],
 ) -> tuple[list["ParallelRun | RecoveredRun"], int]:
     """Every ``(network, algorithm, variant)`` task's run, each
     distinct program obtained once → ``(runs in task order, programs
     executed)``.
 
     A task's key is ``(algorithm, master rank, partition counts)``:
-    params, image and cost model are the caller's for every task, so
+    params, image and cost model are the grid's for every task, so
     tasks with one key run one program.  For the first task of a key,
-    a classifier's program is executed, as ``execute(*shared, task)``
-    through :func:`~repro.perf.fanout.ordered_map` (``jobs`` fans the
-    executed programs out); a detector's is priced (:func:`_priced_run`).
-    Every other task's run is the first one's re-priced on its own
-    network.  An ``observed`` task — one whose run writes a trace or
-    goes through a fault plan — keys on the task itself and is
-    executed.
+    a classifier's program is executed (:func:`_run_grid_cell`, through
+    :func:`~repro.perf.fanout.ordered_map`; ``jobs`` fans the executed
+    programs out); a detector's is priced (:func:`_priced_run`).  Every
+    other task's run is the first one's re-priced on its own network.
+    An observed task — one whose run writes a trace or goes through a
+    fault plan — keys on the task itself and is executed.
     """
+    observed = traces is not None or fault_plan is not None
     platforms = all_networks()
     keys: list[Hashable] = []
     partitions: list["RowPartition | None"] = []
@@ -170,7 +168,8 @@ def run_grid_tasks(
             partitions.append(None)
             continue
         partition = make_row_partition(
-            platform, image, algorithm, params_for(algorithm), variant, cost
+            platform, image, algorithm, cfg.params_for(algorithm), variant,
+            cost,
         )
         keys.append(
             (algorithm, platform.master_rank, tuple(partition.counts.tolist()))
@@ -186,8 +185,8 @@ def run_grid_tasks(
     programs: dict[Hashable, "ParallelRun | RecoveredRun"] = dict(zip(
         (keys[index] for index in run_first),
         ordered_map(
-            execute, [tasks[index] for index in run_first], jobs,
-            shared=shared,
+            _run_grid_cell, [tasks[index] for index in run_first], jobs,
+            shared=(cfg, image, cost, traces, fault_plan),
         ),
     ))
     sequential: dict[str, Any] = {}
@@ -195,7 +194,7 @@ def run_grid_tasks(
         if key in programs:
             continue
         network, algorithm, variant = tasks[index]
-        params = params_for(algorithm)
+        params = cfg.params_for(algorithm)
         if algorithm not in sequential:
             sequential[algorithm] = DETECTORS[algorithm].sequential(
                 image, int(params.get("n_targets", 18))
@@ -321,7 +320,7 @@ def run_network_grid(
 
     Each distinct classifier program runs once and each detector
     program is priced by the model; the other cells are its op log
-    re-priced on their own networks (:func:`run_grid_tasks`).
+    re-priced on their own networks (:func:`_run_grid_tasks`).
 
     Args:
         config: experiment configuration (paper-scaled cost model).
@@ -355,11 +354,8 @@ def run_network_grid(
         for algorithm in algorithms
         for variant in variants
     ]
-    runs, programs = run_grid_tasks(
-        _run_grid_cell, tasks, scn.image, cfg.params_for, cost,
-        observed=traces is not None or fault_plan is not None,
-        jobs=jobs,
-        shared=(cfg, scn.image, cost, traces, fault_plan),
+    runs, programs = _run_grid_tasks(
+        cfg, tasks, scn.image, cost, traces, fault_plan, jobs
     )
     cells = {
         (variant_label(algorithm, variant), network_name): GridCell(

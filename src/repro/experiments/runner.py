@@ -15,12 +15,18 @@ compute the calibration and the what-if prediction from its
 Tables 5–7 share one grid; requesting several of them in the same
 invocation computes the grid once, and the grid executes each distinct
 program once (its other cells re-price that run on their own networks).
+
+``experiments.txt`` prints the timing tables to a decimal or two;
+``grid.json`` (:func:`grid_document`) holds every Table 5–8 value that
+ran at full float ``repr``, so a diff of the committed file names the
+table, row and column of any virtual-time change.
 """
 
 from __future__ import annotations
 
 import argparse
 from pathlib import Path
+from typing import Any, Mapping
 
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.figure1 import run_figure1
@@ -36,8 +42,9 @@ from repro.experiments.traced import run_traced
 from repro.experiments.whatif import run_whatif
 from repro.hsi.scene import SceneConfig, make_wtc_scene
 from repro.obs import write_openmetrics
+from repro.obs.export import write_json
 
-__all__ = ["main", "EXPERIMENT_NAMES"]
+__all__ = ["main", "EXPERIMENT_NAMES", "grid_document"]
 
 EXPERIMENT_NAMES = (
     "table3", "table4", "table5", "table6", "table7", "table8",
@@ -49,6 +56,33 @@ _REQUIRED_VALUES = {
     "trace": "a directory name",
     "plan": "'auto', 'default', or a plan file",
 }
+
+
+def grid_document(results: Mapping[str, Any]) -> dict[str, Any]:
+    """The exact values of the Table 5–8 results among ``results``
+    (experiment name → result), keyed ``table<N>/<row>/<column>``:
+    makespans, the COM/SEQ/PAR triples and the ``D_all``/``D_minus``
+    scores per row label and network, and Table 8's seconds per
+    algorithm and CPU count."""
+    document: dict[str, Any] = {}
+    if "table5" in results:
+        document["table5"] = results["table5"].times
+    if "table6" in results:
+        document["table6"] = {
+            label: {
+                network: {"com": b.com, "seq": b.seq, "par": b.par}
+                for network, b in row.items()
+            }
+            for label, row in results["table6"].breakdowns.items()
+        }
+    if "table7" in results:
+        document["table7"] = {
+            label: {network: s.as_dict() for network, s in row.items()}
+            for label, row in results["table7"].scores.items()
+        }
+    if "table8" in results:
+        document["table8"] = results["table8"].times
+    return document
 
 
 def _build_config(args: argparse.Namespace) -> ExperimentConfig:
@@ -187,33 +221,34 @@ def main(argv: list[str] | None = None) -> int:
               f"{len(grid.cells) - grid.programs} priced")
 
     sections: list[str] = []
-    table8 = None  # wanted runs table8 before figure2, which plots it
+    results: dict[str, Any] = {}
     for name in wanted:
         print(f"running {name}...", flush=True)
         if name == "table3":
-            text = run_table3(config, scene=scene).to_text()
+            result = run_table3(config, scene=scene)
         elif name == "table4":
-            text = run_table4(config, scene=scene).to_text()
+            result = run_table4(config, scene=scene)
         elif name == "table5":
-            text = run_table5(config, grid=grid).to_text()
+            result = run_table5(config, grid=grid)
         elif name == "table6":
-            text = run_table6(config, grid=grid).to_text()
+            result = run_table6(config, grid=grid)
         elif name == "table7":
-            text = run_table7(config, grid=grid).to_text()
+            result = run_table7(config, grid=grid)
         elif name == "table8":
-            table8 = run_table8(config)
-            text = table8.to_text()
+            result = run_table8(config)
         elif name == "figure1":
-            text = run_figure1(config, scene=scene, output_dir=outdir).to_text()
+            result = run_figure1(config, scene=scene, output_dir=outdir)
         elif name == "whatif":
-            text = run_whatif(
+            result = run_whatif(
                 config,
                 traced=sim_traced if fault_plan is None else None,
                 outdir=outdir,
                 jobs=args.jobs,
-            ).to_text()
-        else:  # figure2
-            text = run_figure2(config, table8).to_text()
+            )
+        else:  # figure2; wanted runs table8 before it
+            result = run_figure2(config, results.get("table8"))
+        results[name] = result
+        text = result.to_text()
         sections.append(text)
         print(text)
         print()
@@ -222,5 +257,9 @@ def main(argv: list[str] | None = None) -> int:
         transcript = outdir / "experiments.txt"
         transcript.write_text("\n\n".join(sections) + "\n", encoding="utf-8")
         print(f"transcript written to {transcript}")
+    document = grid_document(results)
+    if document:
+        path = write_json(outdir / "grid.json", document)
+        print(f"exact values written to {path}")
 
     return 0

@@ -3,7 +3,6 @@
 from repro.hsi.cube import HyperspectralImage
 from repro.hsi.dimensionality import (
     VirtualDimensionalityResult,
-    estimate_noise_covariance,
     hfc_virtual_dimensionality,
 )
 from repro.hsi.evaluation import (
@@ -65,7 +64,6 @@ __all__ = [
     "blackbody_radiance",
     "build_wtc_library",
     "confusion_matrix",
-    "estimate_noise_covariance",
     "fahrenheit_to_kelvin",
     "hfc_virtual_dimensionality",
     "make_wtc_scene",

@@ -11,10 +11,6 @@ than noise; the count of such dimensions is the virtual dimensionality
 (VD).  The comparison is a Neyman–Pearson test at false-alarm
 probability ``p_fa``, with the variance of the eigenvalue difference
 estimated as ``2(λ_cor² + λ_cov²)/n``.
-
-:func:`estimate_noise_covariance` estimates the noise covariance from a
-shift-difference residual (the classic "intra/inter band" estimator,
-simplified).
 """
 
 from __future__ import annotations
@@ -111,28 +107,3 @@ def hfc_virtual_dimensionality(
         p_fa=p_fa,
     )
 
-
-def estimate_noise_covariance(
-    data: FloatArray | HyperspectralImage,
-) -> FloatArray:
-    """Shift-difference estimate of the per-band noise covariance.
-
-    Differencing spatially adjacent pixels cancels the (locally smooth)
-    signal and doubles the noise, so ``cov(diff)/2`` estimates the noise
-    covariance.  Returned as a full ``(bands, bands)`` matrix (nearly
-    diagonal for independent sensor noise).
-    """
-    if isinstance(data, HyperspectralImage):
-        cube = data.values
-    else:
-        cube = np.asarray(data, dtype=float)
-        if cube.ndim == 2:
-            # Flat pixel list: difference consecutive pixels.
-            diff = np.diff(cube, axis=0)
-            return diff.T @ diff / (2.0 * max(diff.shape[0], 1))
-    if cube.ndim != 3:
-        raise ShapeError(f"expected a cube, got shape {cube.shape}")
-    diff = (cube[1:, :, :] - cube[:-1, :, :]).reshape(-1, cube.shape[2])
-    if diff.shape[0] < cube.shape[2]:
-        raise DataError("scene too small for noise estimation")
-    return diff.T @ diff / (2.0 * diff.shape[0])

@@ -71,7 +71,7 @@ from repro.obs.trace import NULL_TRACER, NullTracer, Span, Tracer, tracer_of
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.obs.health import HealthMonitor
 
-#: Members imported on first use.  Their six modules serve single tools
+#: Members imported on first use.  Their modules serve single tools
 #: and runs that ask for them; importing them here would add 0.07-0.10 s
 #: to the 0.33-0.37 s that importing ``repro`` and its packages takes
 #: (about +25 %) and 2.1 MiB resident, measured on 2 x86-64 vCPUs.
@@ -95,12 +95,6 @@ _LAZY = {
     "CausalProfile": "repro.obs.causal",
     "causal_profile": "repro.obs.causal",
     "provenance": "repro.obs.provenance",
-    "LedgerEntry": "repro.obs.history",
-    "Ledger": "repro.obs.history",
-    "append_entries": "repro.obs.history",
-    "read_ledger": "repro.obs.history",
-    "control_band": "repro.obs.history",
-    "gate_entries": "repro.obs.history",
 }
 
 
@@ -168,12 +162,6 @@ __all__ = [
     "CausalProfile",
     "causal_profile",
     "provenance",
-    "LedgerEntry",
-    "Ledger",
-    "append_entries",
-    "read_ledger",
-    "control_band",
-    "gate_entries",
 ]
 
 

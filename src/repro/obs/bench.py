@@ -1,25 +1,21 @@
-"""Continuous benchmarking: the pinned grid and its artifacts.
+"""Benchmark artifacts: the autotuning planner grid and the kernel
+microbenchmarks.
 
-``python -m repro bench`` runs a *pinned* subset of the Table 5–8
-experiment grid on the virtual-time backend and persists, per cell,
-the makespan plus the Table 6 COM/SEQ/PAR triple and the Table 7
-``D_all``/``D_minus`` scores as a schema-versioned
-``BENCH_<iso-date>.json`` artifact.  Virtual seconds are *exact*: two
-runs of the same code produce byte-identical artifacts.  This module
-produces artifacts only; ``python -m repro history record``/``gate``
-(:mod:`repro.obs.history`) decide what is gated.  Wall-clock claims are
-judged by the paired runs of ``benchmarks/wall``.
+``python -m repro bench plan`` runs the planner against the static
+default on a pinned grid of virtual-time cells and gates its
+predictions; ``python -m repro bench microbench`` times each fast-path
+kernel against its scratch reference and gates the speedups.  Both
+write schema-versioned JSON artifacts.  The paper's Tables 5–8 are
+gated exactly by ``experiments_output/grid.json``, which
+``python -m repro experiments`` writes; wall-clock claims are judged by
+the paired runs of ``benchmarks/wall``.
 
 Usage::
 
-    python -m repro bench run                      # BENCH_<date>.json
-    python -m repro bench run --out bench.json --jobs 2
-    python -m repro bench report BENCH_a.json
-    python -m repro bench microbench --gate    # fast-path kernel floors
     python -m repro bench plan --gate          # autotuning planner gate
+    python -m repro bench microbench --gate    # fast-path kernel floors
 
-See README "Benchmarking & the regression gate" and EXPERIMENTS.md for
-how these artifacts relate to the paper's Tables 5–8.
+See README "Benchmarking & the regression gate" and EXPERIMENTS.md.
 """
 
 from __future__ import annotations
@@ -33,48 +29,47 @@ from pathlib import Path
 from typing import Any, Mapping, Sequence
 
 from repro.cluster.costs import CostModel
-from repro.core.runner import ParallelRun, run_parallel
+from repro.core.runner import run_parallel
 from repro.errors import ReproError
 from repro.experiments.config import ExperimentConfig
-from repro.experiments.grid import run_grid_tasks, variant_label
 from repro.hsi.scene import SceneConfig, make_wtc_scene
 from repro.obs.export import write_json
-from repro.obs.provenance import provenance, warn_if_unstamped
+from repro.obs.provenance import provenance
 from repro.perf.fanout import ordered_map
-from repro.perf.imbalance import imbalance_of_run
 from repro.perf.report import format_table
-from repro.perf.timers import breakdown_of_run
 
 __all__ = [
-    "SCHEMA",
     "PLAN_BENCH_SCHEMA",
     "BenchConfig",
-    "run_bench",
     "run_plan_bench",
     "gate_plan",
     "plan_report",
-    "report_text",
     "main",
 ]
-
-SCHEMA = "repro.obs.bench/1"
 
 #: Schema stamp of the ``plan`` subcommand's artifact.
 PLAN_BENCH_SCHEMA = "repro.obs.bench.plan/1"
 
 
+#: Default grid for the ``plan`` subcommand: the two iterative
+#: detectors only — their analytic models mirror the engine exactly
+#: (data-independent charges), which is what makes the ≤1e-9 prediction
+#: gate meaningful.  pct/morph predictions are upper bounds and are
+#: validated by the what-if engine's looser crosscheck instead.
+PLAN_ALGORITHMS: tuple[str, ...] = ("atdca", "ufcls")
+
+
 @dataclasses.dataclass(frozen=True)
 class BenchConfig:
-    """The pinned benchmark grid.
+    """The pinned grid of the planner benchmark.
 
-    Defaults pin a representative 8-cell subset of the paper's grid —
-    one detector (ATDCA) and one classifier (PCT), both variants, on
-    the most and least favourable 16-node networks — small enough for
-    CI, sensitive enough that compute, per-link communication, and
-    partitioning regressions all move at least one cell.
+    Defaults pin 8 cells: the two detectors whose analytic models are
+    exact (:data:`PLAN_ALGORITHMS`), each planned against the hetero
+    and the homo static default, on the most and least favourable
+    16-node networks.
     """
 
-    algorithms: tuple[str, ...] = ("atdca", "pct")
+    algorithms: tuple[str, ...] = PLAN_ALGORITHMS
     variants: tuple[str, ...] = ("hetero", "homo")
     networks: tuple[str, ...] = (
         "fully heterogeneous", "partially homogeneous",
@@ -85,7 +80,6 @@ class BenchConfig:
     seed: int = 7
     n_targets: int = 18
     n_classes: int = 24
-    comm_factor: float = 1.0
 
     def scene_config(self) -> SceneConfig:
         return SceneConfig(
@@ -103,156 +97,6 @@ class BenchConfig:
 
 def _cell_id(algorithm: str, variant: str, network: str) -> str:
     return f"{algorithm}/{variant}/{network}/sim"
-
-
-def _cell_filename(cell_id: str) -> str:
-    """Cell id → filesystem-safe trace name (slashes/spaces collapsed)."""
-    import re
-
-    return re.sub(r"[^A-Za-z0-9._-]+", "_", cell_id) + ".jsonl"
-
-
-def _bench_cost(config: BenchConfig) -> CostModel:
-    base_cost = ExperimentConfig().cost_model(config.scene_config())
-    return CostModel(
-        compute_scale=base_cost.compute_scale,
-        comm_scale=base_cost.comm_scale * config.comm_factor,
-        efficiency=base_cost.efficiency,
-        bytes_per_value=base_cost.bytes_per_value,
-    )
-
-
-def _run_sim_cell(
-    config: BenchConfig,
-    scene: Any,
-    cost: CostModel,
-    traces_out: Path | None,
-    task: tuple[str, str, str],
-) -> ParallelRun:
-    """Execute one sim ``(network, algorithm, variant)`` cell.
-
-    Deterministic given its inputs, so the grid can run these serially
-    or on a process pool with byte-identical artifacts.
-    """
-    from repro.cluster.presets import all_networks
-
-    network, algorithm, variant = task
-    cid = _cell_id(algorithm, variant, network)
-    obs = None
-    if traces_out is not None:
-        from repro.obs import ObsSession
-
-        obs = ObsSession.create()
-    run = run_parallel(
-        algorithm, scene.image, all_networks()[network],
-        params=config.params_for(algorithm), variant=variant,
-        backend="sim", cost_model=cost, obs=obs,
-    )
-    if obs is not None and traces_out is not None:
-        from repro.obs.export import write_jsonl
-
-        write_jsonl(traces_out / _cell_filename(cid), obs)
-    return run
-
-
-def _sim_cell_doc(
-    task: tuple[str, str, str], run: ParallelRun
-) -> dict[str, Any]:
-    """A sim cell's artifact entry: makespan, Table 6 triple, Table 7
-    scores."""
-    network, algorithm, variant = task
-    assert run.sim is not None
-    breakdown = breakdown_of_run(run.sim)
-    scores = imbalance_of_run(run.sim)
-    return {
-        "backend": "sim",
-        "label": variant_label(algorithm, variant),
-        "network": network,
-        "virtual": {
-            "makespan": run.sim.makespan,
-            "com": breakdown.com,
-            "seq": breakdown.seq,
-            "par": breakdown.par,
-            "d_all": scores.d_all,
-            "d_minus": scores.d_minus,
-        },
-    }
-
-
-def run_bench(
-    config: BenchConfig,
-    date: str,
-    trace_dir: Path | str | None = None,
-    jobs: int | None = None,
-) -> dict[str, Any]:
-    """Execute the pinned grid and return the artifact document.
-
-    With ``trace_dir``, every sim cell additionally runs under an
-    :class:`~repro.obs.ObsSession` and its spans+metrics are written as
-    ``<trace_dir>/<cell>.jsonl``, ready for ``profile``, ``whatif`` or
-    :func:`~repro.obs.analyze.analyze_trace`.  Tracing is passive:
-    virtual timings (and thus the artifact) are unchanged.
-
-    Sim cells are grouped as the network grid groups them
-    (:func:`~repro.experiments.grid.run_grid_tasks`): each distinct
-    program is obtained once — a classifier's executed, a detector's
-    priced by the model — and the other cells re-price its op log, so
-    the default 8 cells execute 2 programs (PCT) and price 2 (ATDCA);
-    traced cells are all executed.  ``jobs`` fans the executed programs out over a process
-    pool: virtual timings are exact functions of the inputs and results
-    merge back in serial-loop order, so the artifact is byte-identical
-    to a serial run.
-    """
-    from repro.cluster.presets import all_networks
-
-    scene_cfg = config.scene_config()
-    scene = make_wtc_scene(scene_cfg)
-    cost = _bench_cost(config)
-    platforms = all_networks()
-    unknown = set(config.networks) - set(platforms)
-    if unknown:
-        raise ReproError(
-            f"unknown network(s) {sorted(unknown)}; "
-            f"choose from {sorted(platforms)}"
-        )
-    traces_out = Path(trace_dir) if trace_dir is not None else None
-    if traces_out is not None:
-        traces_out.mkdir(parents=True, exist_ok=True)
-
-    tasks = [
-        (network, algorithm, variant)
-        for network in config.networks
-        for algorithm in config.algorithms
-        for variant in config.variants
-    ]
-    runs, _ = run_grid_tasks(
-        _run_sim_cell, tasks, scene.image, config.params_for, cost,
-        observed=traces_out is not None, jobs=jobs,
-        shared=(config, scene, cost, traces_out),
-    )
-    cells = {
-        _cell_id(algorithm, variant, network): _sim_cell_doc(
-            (network, algorithm, variant), run
-        )
-        for (network, algorithm, variant), run in zip(tasks, runs)
-    }
-    return {
-        "schema": SCHEMA,
-        "date": date,
-        "config": config.to_dict(),
-        "cells": cells,
-        "provenance": provenance(),
-    }
-
-
-# -- autotuning planner benchmark ---------------------------------------------
-
-#: Default grid for the ``plan`` subcommand: the two iterative
-#: detectors only — their analytic models mirror the engine exactly
-#: (data-independent charges), which is what makes the ≤1e-9 prediction
-#: gate meaningful.  pct/morph predictions are upper bounds and are
-#: validated by the what-if engine's looser crosscheck instead.
-PLAN_ALGORITHMS: tuple[str, ...] = ("atdca", "ufcls")
 
 
 def _sequential_reference_indices(
@@ -346,6 +190,29 @@ def _plan_cell(
     }
 
 
+def _check_plan_config(config: BenchConfig) -> None:
+    """Raise :class:`~repro.errors.ReproError` naming the first unknown
+    network, variant or algorithm of ``config``."""
+    from repro.cluster.presets import all_networks
+    from repro.tuning.planner import PARTITION_VARIANTS
+
+    for what, values, known in (
+        ("network", config.networks, tuple(all_networks())),
+        ("variant", config.variants, PARTITION_VARIANTS),
+    ):
+        unknown = sorted(set(values) - set(known))
+        if unknown:
+            raise ReproError(
+                f"unknown {what}(s) {unknown}; choose from {sorted(known)}"
+            )
+    for algorithm in config.algorithms:
+        if algorithm not in PLAN_ALGORITHMS:
+            raise ReproError(
+                f"plan bench supports {list(PLAN_ALGORITHMS)} (exact "
+                f"analytic models); got {algorithm!r}"
+            )
+
+
 def run_plan_bench(
     config: BenchConfig,
     date: str,
@@ -354,25 +221,14 @@ def run_plan_bench(
     """Execute the planner-vs-default grid and return the artifact.
 
     Every cell runs on the virtual-time backend only (predictions are
-    checkable there), and — like ``run`` — the grid fans out over a
-    process pool byte-identically when ``jobs`` is given.
+    checkable there), and the grid fans out over a process pool
+    byte-identically when ``jobs`` is given.  Every algorithm, variant
+    and network is checked (:func:`_check_plan_config`) before the
+    first cell runs.
     """
-    from repro.cluster.presets import all_networks
-
+    _check_plan_config(config)
     scene = make_wtc_scene(config.scene_config())
-    cost = _bench_cost(config)
-    unknown = set(config.networks) - set(all_networks())
-    if unknown:
-        raise ReproError(
-            f"unknown network(s) {sorted(unknown)}; "
-            f"choose from {sorted(all_networks())}"
-        )
-    for algorithm in config.algorithms:
-        if algorithm not in PLAN_ALGORITHMS:
-            raise ReproError(
-                f"plan bench supports {list(PLAN_ALGORITHMS)} (exact "
-                f"analytic models); got {algorithm!r}"
-            )
+    cost = ExperimentConfig().cost_model(config.scene_config())
     tasks = [
         (network, algorithm, variant)
         for network in config.networks
@@ -477,77 +333,10 @@ def plan_report(artifact: Mapping[str, Any]) -> str:
     )
 
 
-def write_artifact(artifact: Mapping[str, Any], path: Path) -> Path:
-    return write_json(path, artifact)
-
-
-def load_artifact(path: str | Path) -> dict[str, Any]:
-    doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    schema = doc.get("schema")
-    if schema != SCHEMA:
-        raise ReproError(
-            f"{path}: unsupported benchmark schema {schema!r} "
-            f"(expected {SCHEMA!r})"
-        )
-    warn_if_unstamped(doc, path)
-    return doc
-
-
-def report_text(artifact: Mapping[str, Any]) -> str:
-    """Render one artifact as a monospace table."""
-    rows = []
-    for cid in sorted(artifact.get("cells", {})):
-        v = artifact["cells"][cid]["virtual"]
-        rows.append([
-            cid, v["makespan"], v["com"], v["seq"], v["par"],
-            v["d_all"], v["d_minus"],
-        ])
-    headers = ["cell", "time (s)", "COM", "SEQ", "PAR", "D_all", "D_minus"]
-    return format_table(
-        headers, rows,
-        title=(
-            f"benchmark artifact {artifact.get('date', '?')} "
-            f"({artifact.get('schema')})"
-        ),
-        precision=3,
-    )
-
-
 # -- CLI ----------------------------------------------------------------------
 
 def _csv(text: str) -> tuple[str, ...]:
     return tuple(part.strip() for part in text.split(",") if part.strip())
-
-
-def _add_run_parser(sub: Any) -> None:
-    p = sub.add_parser("run", help="execute the pinned grid, write BENCH_*.json")
-    p.add_argument("--out", default=None,
-                   help="artifact path (default <outdir>/BENCH_<date>.json)")
-    p.add_argument("--outdir", default=".",
-                   help="directory for the default artifact name")
-    p.add_argument("--date", default=None,
-                   help="ISO date stamped into the artifact "
-                        "(default: today; pin for reproducible names)")
-    p.add_argument("--algorithms", type=_csv, default=None,
-                   help="comma-separated algorithm subset")
-    p.add_argument("--variants", type=_csv, default=None,
-                   help="comma-separated variant subset")
-    p.add_argument("--networks", type=_csv, default=None,
-                   help="comma-separated network subset")
-    p.add_argument("--rows", type=int, default=None)
-    p.add_argument("--cols", type=int, default=None)
-    p.add_argument("--bands", type=int, default=None)
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--comm-factor", type=float, default=None,
-                   help="scale all message volumes (ablation / regression "
-                        "injection; 2.0 doubles every link cost)")
-    p.add_argument("--trace-dir", metavar="DIR", default=None,
-                   help="also write each sim cell's spans+metrics as "
-                        "<DIR>/<cell>.jsonl; every traced cell is "
-                        "executed, none priced")
-    p.add_argument("--jobs", type=int, default=None,
-                   help="fan sim cells out over N worker processes; the "
-                        "artifact is byte-identical to a serial run")
 
 
 def _add_microbench_parser(sub: Any) -> None:
@@ -622,13 +411,17 @@ def _run_plan_command(args: argparse.Namespace) -> int:
         )
         if getattr(args, name) is not None
     }
-    overrides.setdefault("algorithms", PLAN_ALGORITHMS)
     config = dataclasses.replace(BenchConfig(), **overrides)
     date = args.date or datetime.date.today().isoformat()
+    try:
+        _check_plan_config(config)
+    except ReproError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     artifact = run_plan_bench(config, date=date, jobs=args.jobs)
     print(plan_report(artifact))
     if args.out is not None:
-        write_artifact(artifact, Path(args.out))
+        write_json(args.out, artifact)
         print(f"{len(artifact['cells'])} cells -> {args.out}")
     if args.gate is not None:
         try:
@@ -685,60 +478,16 @@ def _run_microbench_command(args: argparse.Namespace) -> int:
     return 0
 
 
-def _build_config(args: argparse.Namespace) -> BenchConfig:
-    overrides = {
-        name: getattr(args, name)
-        for name in (
-            "algorithms", "variants", "networks", "rows", "cols", "bands",
-            "seed", "comm_factor",
-        )
-        if getattr(args, name) is not None
-    }
-    return dataclasses.replace(BenchConfig(), **overrides)
-
-
 def main(argv: Sequence[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro bench",
-        description="Continuous benchmarking: the pinned grid and its "
-                    "artifacts.",
+        description="Benchmark artifacts: the autotuning planner grid and "
+                    "the kernel microbenchmarks.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    _add_run_parser(sub)
     _add_microbench_parser(sub)
     _add_plan_parser(sub)
-    p_rep = sub.add_parser("report", help="print one artifact as a table")
-    p_rep.add_argument("artifact")
     args = parser.parse_args(argv)
-
-    if args.command == "run":
-        config = _build_config(args)
-        date = args.date or datetime.date.today().isoformat()
-        artifact = run_bench(
-            config, date=date, trace_dir=args.trace_dir, jobs=args.jobs
-        )
-        out = (
-            Path(args.out) if args.out
-            else Path(args.outdir) / f"BENCH_{date}.json"
-        )
-        write_artifact(artifact, out)
-        print(f"{len(artifact['cells'])} cells -> {out}")
-        if args.trace_dir is not None:
-            print(f"{len(artifact['cells'])} sim cell traces -> "
-                  f"{args.trace_dir}")
-        return 0
-
     if args.command == "microbench":
         return _run_microbench_command(args)
-
-    if args.command == "plan":
-        return _run_plan_command(args)
-
-    # report
-    try:
-        artifact = load_artifact(args.artifact)
-    except (OSError, json.JSONDecodeError, ReproError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    print(report_text(artifact))
-    return 0
+    return _run_plan_command(args)

@@ -218,8 +218,8 @@ def scale_provenance_from_calibration(
     """The ``scales_provenance`` entry for one backend, or ``None``.
 
     The committed calibration baseline records, per backend, *where*
-    its fitted scales came from — the ledger commit, the run date, and
-    the source artifact — so planner decisions built on those scales
+    its fitted scales came from — the commit, the run date, and the
+    source file — so planner decisions built on those scales
     are auditable end to end (the planner stamps this block into every
     plan document and ``run.meta``, and it surfaces in
     ``analysis.json``).  Absent or malformed blocks return ``None``:
@@ -265,8 +265,8 @@ def scales_from_calibration(
 
     With ``with_provenance=True`` returns ``(scales, provenance)``,
     where ``provenance`` is the baseline's per-backend
-    ``scales_provenance`` entry (commit + date + source artifact from
-    the run ledger) or ``None`` when the document does not carry one —
+    ``scales_provenance`` entry (commit + date + source file) or
+    ``None`` when the document does not carry one —
     degraded neutral scales always pair with ``None`` provenance.
     """
     import warnings

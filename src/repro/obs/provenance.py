@@ -1,16 +1,13 @@
 """Provenance stamping for exported artifacts.
 
-Every machine-readable artifact the observability layer writes
-(``BENCH_*.json``, ledger entries, ``analysis.json``, what-if
-predictions) carries a small provenance header — git commit, python and
-numpy versions, platform string — so regressions can be traced to the
-environment that produced the numbers: a gate failure names the
-commit of its first offending ledger entry.
+The machine-readable artifacts the observability layer writes
+(``analysis.json``, what-if predictions, plan and microbench
+artifacts) carry a small provenance header — git commit, python and
+numpy versions, platform string — so their numbers can be traced to
+the environment that produced them.
 
-The header is intentionally *additive*: schemas are unchanged, readers
-that ignore unknown keys keep working, and artifacts produced before
-this header simply have no ``"provenance"`` key (readers warn, see
-:func:`warn_if_unstamped`).
+The header is intentionally *additive*: schemas are unchanged, and
+readers that ignore unknown keys keep working.
 """
 
 from __future__ import annotations
@@ -18,16 +15,11 @@ from __future__ import annotations
 import functools
 import platform as _platform
 import subprocess
-import warnings
 from pathlib import Path
-from typing import Any, Mapping
 
 import numpy as np
 
-__all__ = [
-    "provenance",
-    "warn_if_unstamped",
-]
+__all__ = ["provenance"]
 
 
 @functools.lru_cache(maxsize=1)
@@ -59,25 +51,3 @@ def provenance() -> dict[str, str]:
     """The current environment's provenance header (fresh dict)."""
     return dict(_cached())
 
-
-def warn_if_unstamped(
-    doc: Mapping[str, Any], source: Any = "artifact"
-) -> bool:
-    """Warn (once per call site semantics aside, a plain
-    :class:`UserWarning`) when a loaded artifact carries no provenance
-    block; returns True when the block is present.
-
-    Readers call this instead of hard-failing: artifacts written before
-    the header existed — or hand-stripped ones — stay loadable, but the
-    gap is surfaced because a gate failure on such an artifact cannot
-    name the commit that produced the numbers.
-    """
-    if doc.get("provenance"):
-        return True
-    warnings.warn(
-        f"{source}: no provenance block "
-        "(pre-provenance artifact or stripped header); regressions in it "
-        "cannot be traced to a commit",
-        stacklevel=2,
-    )
-    return False

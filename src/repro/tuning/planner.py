@@ -21,7 +21,7 @@ run, the configuration minimizing predicted makespan:
 Every plan ships with its prediction (*and* the default variant's
 prediction, so improvement claims are checkable), plus the scale
 provenance from the calibration baseline — commit, date, and source
-ledger — making each planner decision auditable in ``analysis.json``.
+file — making each planner decision auditable in ``analysis.json``.
 
 Because the default partition variant is always in the candidate set and
 ties break toward it in candidate order, the chosen plan's predicted

@@ -4,10 +4,7 @@ import numpy as np
 import pytest
 
 from repro.errors import ConfigurationError, DataError
-from repro.hsi.dimensionality import (
-    estimate_noise_covariance,
-    hfc_virtual_dimensionality,
-)
+from repro.hsi.dimensionality import hfc_virtual_dimensionality
 
 
 def mixture_data(rng, n_sources, n_pixels=6000, bands=24, noise=0.005):
@@ -66,17 +63,3 @@ class TestHFC:
         with pytest.raises(DataError):
             hfc_virtual_dimensionality(rng.random((10, 20)))
 
-
-class TestNoiseEstimate:
-    def test_recovers_diagonal_noise(self, rng):
-        sigma = np.array([0.01, 0.05, 0.02])
-        cube = np.ones((80, 80, 3)) + rng.normal(0, 1, (80, 80, 3)) * sigma
-        est = estimate_noise_covariance(cube)
-        assert np.allclose(np.sqrt(np.diag(est)), sigma, rtol=0.15)
-
-    def test_smooth_signal_cancelled(self, rng):
-        # Strong smooth gradient + small noise: estimate sees the noise.
-        gradient = np.linspace(0, 10, 100)[:, None, None] * np.ones((1, 50, 2))
-        cube = gradient + rng.normal(0, 0.01, (100, 50, 2))
-        est = estimate_noise_covariance(cube)
-        assert np.sqrt(est[0, 0]) < 0.1  # nowhere near the signal range

@@ -481,3 +481,87 @@ class TestPricedDetectorProperty:
             assert np.array_equal(
                 priced.output.flat_indices, run.output.flat_indices
             )
+
+
+def _first_difference(a, b, path=()):
+    """``table/row/column`` path of the first leaf, in key order, at
+    which two parsed documents differ (None when they are equal)."""
+    if isinstance(a, dict) and isinstance(b, dict):
+        for key in sorted(set(a) | set(b)):
+            found = _first_difference(a.get(key), b.get(key), (*path, key))
+            if found is not None:
+                return found
+        return None
+    return None if a == b else "/".join(path)
+
+
+class TestGridDocument:
+    """``grid.json`` holds every Table 5–8 value exactly, so a
+    virtual-time regression changes the committed file and its first
+    differing key names the table, the row and the network."""
+
+    @staticmethod
+    def _document(config):
+        import json
+
+        from repro.experiments.runner import grid_document
+        from repro.obs.export import canonical_json
+
+        grid = run_network_grid(config)
+        text = canonical_json(grid_document({
+            "table5": run_table5(config, grid=grid),
+            "table6": run_table6(config, grid=grid),
+            "table7": run_table7(config, grid=grid),
+            "table8": run_table8(config),
+        }))
+        return text, json.loads(text)
+
+    def test_injected_comm_regression_is_caught_and_named(
+        self, fast_config, monkeypatch
+    ):
+        import dataclasses
+        import re
+
+        text, doc = self._document(fast_config)
+        assert set(doc) == {"table5", "table6", "table7", "table8"}
+        real = ExperimentConfig.cost_model
+
+        def doubled_comm(self, scene=None):
+            cost = real(self, scene)
+            return dataclasses.replace(cost, comm_scale=2 * cost.comm_scale)
+
+        monkeypatch.setattr(ExperimentConfig, "cost_model", doubled_comm)
+        slow_text, slow = self._document(fast_config)
+        assert slow_text != text
+        first = _first_difference(doc, slow)
+        networks = "|".join(map(re.escape, all_networks()))
+        assert re.fullmatch(
+            rf"table[5-7]/(Hetero|DLT|Homo)-[A-Z]+/({networks})", first
+        ), first
+
+    def test_cli_writes_the_grid_makespans(self, tmp_path, monkeypatch):
+        import json
+
+        import repro.experiments.runner as runner
+
+        grids = []
+
+        def keep(*args, **kwargs):
+            grids.append(run_network_grid(*args, **kwargs))
+            return grids[-1]
+
+        monkeypatch.setattr(runner, "run_network_grid", keep)
+        assert runner.main([
+            "table5", "--outdir", str(tmp_path),
+            "--rows", "48", "--cols", "16", "--bands", "24",
+        ]) == 0
+        doc = json.loads((tmp_path / "grid.json").read_text())
+        (grid,) = grids
+        assert set(doc) == {"table5"}
+        assert doc["table5"] == {
+            label: {
+                network: grid.cell(label, network).total
+                for network in grid.network_names
+            }
+            for label in grid.row_labels
+        }

@@ -151,15 +151,14 @@ class TestRootCli:
         import sys
 
         from repro.__main__ import main
-        from repro.obs import history
 
         def closed_pipe(argv):
             raise BrokenPipeError
 
-        monkeypatch.setattr(history, "main", closed_pipe)
+        monkeypatch.setattr("repro.faults.plan.main", closed_pipe)
         with open(tmp_path / "stdout", "w") as stdout:
             monkeypatch.setattr(sys, "stdout", stdout)
-            assert main(["history", "list"]) == 0
+            assert main(["plan", "benchmarks/plans/chaos.json"]) == 0
         assert capsys.readouterr().err == ""
 
 

@@ -596,7 +596,7 @@ class TestUmbrellaCli:
         assert repro_main([]) == 0
         out = capsys.readouterr().out
         assert out.startswith("usage: python -m repro <tool>")
-        assert len(TOOLS) == 7
+        assert len(TOOLS) == 6
         for tool in TOOLS:
             assert f"  {tool} " in out
 

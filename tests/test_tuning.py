@@ -353,6 +353,25 @@ class TestPlanBenchGate:
         )
         assert any("below" in f for f in failures)
 
+    @pytest.mark.parametrize("flag, value", [
+        ("--variants", "nope"),
+        ("--networks", "nope"),
+        ("--algorithms", "pct"),
+    ])
+    def test_cli_rejects_a_bad_value_before_any_cell_runs(
+        self, flag, value, capsys, monkeypatch
+    ):
+        import repro.obs.bench as bench
+
+        def no_cells(*args, **kwargs):
+            raise AssertionError("a cell ran")
+
+        monkeypatch.setattr(bench, "_plan_cell", no_cells)
+        assert bench.main(["plan", flag, value]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and value in err
+        assert "Traceback" not in err
+
     def test_non_exact_algorithms_are_rejected(self):
         from repro.errors import ReproError
         from repro.obs.bench import BenchConfig, run_plan_bench
