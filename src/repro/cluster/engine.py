@@ -285,7 +285,7 @@ class SimulationEngine:
         """
         results = launch_ranks(
             self.router, self.platform.size, lambda rank: RankContext(rank, self),
-            program, kwargs_per_rank, common_kwargs, "sim-rank",
+            program, kwargs_per_rank, common_kwargs,
         )
         with self._events_lock:
             events = sorted(self._events, key=lambda e: (e.start, e.rank))

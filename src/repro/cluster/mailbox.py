@@ -32,8 +32,8 @@ in, and the backend picks it, never a user:
   the baton to rank 0, and the rank holding it runs until it parks or
   retires; only then is the lowest-numbered ready rank released.
   Threads remain only as stacks, so the wall schedule of a run, like
-  its virtual times, is a pure function of the program, and the
-  launcher keeps them all on its one CPU, so a hand-off never changes
+  its virtual times, is a pure function of the program, and they all
+  run on the launcher's current CPU, so a hand-off never changes
   cores (:func:`~repro.cluster.runtime.launch_ranks`).  The price is
   one rule for programs: never wait for another rank except inside
   ``send``/``recv`` — a rank that spins on shared state holds the baton

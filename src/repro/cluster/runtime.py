@@ -1,8 +1,9 @@
 """The rank runtime both backends share: one launcher, one context base.
 
 A *program* is a Python callable ``program(ctx, **kwargs)`` executed
-once per rank on its own thread.  :func:`launch_ranks` starts and joins
-the rank threads and sorts their failures; :class:`BaseRankContext` is
+once per rank on its own thread.  :func:`launch_ranks` hands the ranks
+to a per-process pool of parked rank threads, waits for them and sorts
+their failures; :class:`BaseRankContext` is
 the handle each program receives, and owns the sequence every operation
 follows on either backend: the fault hooks, the nominal clock (a
 :class:`~repro.cluster.simtime.TimingCore`), the ``comm.*`` counters,
@@ -199,23 +200,27 @@ def launch_ranks(
     program: Callable[..., Any],
     kwargs_per_rank: Sequence[Mapping[str, Any]] | None,
     common_kwargs: Mapping[str, Any] | None,
-    thread_prefix: str,
 ) -> list[Any]:
     """Run ``program(make_context(rank), **kwargs)`` on one thread per
-    rank, join them, and return the per-rank return values.
+    rank, wait for them all, and return the per-rank return values.
 
-    When the ranks run is the router's policy: every thread waits in
-    ``router.enter`` and ``router.start`` hands rank 0 the baton of a
-    run-to-block router; on a free-running one neither waits.  A
-    run-to-block run also lives on one core: the launcher narrows its
-    mask to its current CPU before the threads (which inherit it) exist
-    and restores it after the joins, so no hand-off changes cores.
+    Rank ``r`` runs on the pool's thread ``r`` whenever that thread is
+    idle, so a rank's buffers come from the same malloc arena run after
+    run; a launch that finds thread ``r`` busy (a concurrent launch, or
+    one from inside a rank program) runs rank ``r`` on a thread of its
+    own that exits afterwards.  When the ranks run is the router's
+    policy: every rank waits in ``router.enter`` and ``router.start``
+    hands rank 0 the baton of a run-to-block router; on a free-running
+    one neither waits.  A run-to-block run also lives on one core: each
+    of its threads sets its own CPU mask to the launcher's current CPU
+    before running its rank, so no hand-off changes cores; a
+    free-running run's threads take the launcher's mask.
 
     Raises:
         The root cause, if any rank failed: a crashing rank makes its
         peers fail with secondary RankFailedError/DeadlockError
         fallout, which is chained onto it as ``__context__``.  Or a
-        thread's start error, once the ranks already started retired.
+        thread's start error, once the ranks that had a thread retired.
     """
     if kwargs_per_rank is not None and len(kwargs_per_rank) != n_ranks:
         raise ConfigurationError(
@@ -227,10 +232,10 @@ def launch_ranks(
     failure_lock = threading.Lock()
 
     def body(rank: int) -> None:
-        kwargs = dict(common_kwargs or {})
-        if kwargs_per_rank is not None:
-            kwargs.update(kwargs_per_rank[rank])
         try:
+            kwargs = dict(common_kwargs or {})
+            if kwargs_per_rank is not None:
+                kwargs.update(kwargs_per_rank[rank])
             router.enter(rank)
             results[rank] = program(make_context(rank), **kwargs)
         except BaseException as exc:  # noqa: BLE001 - reported to caller
@@ -251,42 +256,193 @@ def launch_ranks(
         finally:
             router.retire(rank)
 
-    threads = [
-        threading.Thread(
-            target=body, args=(rank,), name=f"{thread_prefix}-{rank}", daemon=True
-        )
-        for rank in range(n_ranks)
-    ]
-    mask = _pin_to_current_cpu() if router.run_to_block else None
+    own_mask, mask = _launch_masks(router.run_to_block)
+    threads, fresh = _POOL.take(n_ranks, own_mask)
     started = 0
     try:
-        for t in threads:
-            t.start()
+        for thread in fresh:
+            thread.thread.start()
             started += 1
     finally:
-        if started < n_ranks:  # a start failed: abort; unstarted never run
+        if started < len(fresh):  # a start failed: threadless ranks never run
             router.abort()
-            for rank in range(started, n_ranks):
-                router.retire(rank)
+            _POOL.disown(fresh)
+            for thread in fresh[started:]:
+                router.retire(thread.rank)
+            threads = [t for t in threads if t not in fresh[started:]]
+        latch = _Latch(len(threads))
+        for thread in threads:
+            thread.hand((mask, body, latch))
         router.start()
-        for t in threads[:started]:
-            t.join()
-        if mask is not None:
-            os.sched_setaffinity(0, mask)
+        latch.wait()
+        for thread in threads:
+            if not thread.pooled:
+                thread.thread.join()
     if failures:
         raise_root_cause(failures)
     return results
 
 
-def _pin_to_current_cpu() -> set[int] | None:
-    """Pin the calling thread to its current CPU; its old mask, or None."""
+class _Latch:
+    """Opens once ``count`` ranks have finished."""
+
+    def __init__(self, count: int) -> None:
+        self._count = count
+        self._lock = threading.Lock()
+        self._open = threading.Lock()
+        if count:
+            self._open.acquire()
+
+    def count_down(self) -> None:
+        with self._lock:
+            self._count -= 1
+            last = not self._count
+        if last:
+            self._open.release()
+
+    def wait(self) -> None:
+        self._open.acquire()
+
+
+#: What a rank thread is handed: the CPU mask to run under (``None`` =
+#: leave it), the rank body, and the launch's latch.
+_Job = tuple[set[int] | None, Callable[[int], None], _Latch]
+
+
+class _RankThread:
+    """A rank thread: parks on its own lock until it is handed a job,
+    and knows the CPU mask it runs under, so it sets one only when a
+    launch's mask differs.  A pooled thread parks again after its rank;
+    any other exits."""
+
+    def __init__(self, rank: int, mask: set[int] | None, pooled: bool) -> None:
+        self.rank = rank
+        self.mask = mask  # its creator's, which a new thread inherits
+        self.pooled = pooled
+        self.idle = False
+        self._job: _Job | None = None
+        self._wake = threading.Lock()
+        self._wake.acquire()
+        self.thread = threading.Thread(
+            target=self._serve, name=f"rank-{rank}", daemon=True
+        )
+
+    def hand(self, job: _Job | None) -> None:
+        """Run ``job`` next; ``None`` makes the thread exit."""
+        self._job = job
+        self._wake.release()
+
+    def _serve(self) -> None:
+        while self._run_next():
+            pass
+
+    def _run_next(self) -> bool:
+        # One job per call, so nothing of a finished run (its body,
+        # results, engine) stays referenced while the thread is parked.
+        self._wake.acquire()
+        job, self._job = self._job, None
+        if job is None:
+            return False
+        mask, body, latch = job
+        if mask is not None and mask != self.mask:
+            try:
+                os.sched_setaffinity(0, mask)
+                self.mask = mask
+            except OSError:
+                self.mask = None
+        pooled = False
+        try:
+            body(self.rank)
+            # Idle before the latch opens: a launch that follows this
+            # one finds its threads free.
+            pooled = self.pooled
+            if pooled:
+                _POOL.park(self)
+        finally:
+            latch.count_down()
+        return pooled
+
+
+class _Pool:
+    """The process's parked rank threads: slot ``r`` is the thread that
+    runs rank ``r``.  It grows to the largest rank count launched."""
+
+    def __init__(self) -> None:
+        self.reset()
+
+    def reset(self) -> None:
+        """Forget every thread: after a fork only the forking thread
+        exists in the child, so the pool's others must not be handed
+        jobs there."""
+        self._lock = threading.Lock()
+        self._slots: dict[int, _RankThread] = {}
+
+    def take(
+        self, n_ranks: int, mask: set[int] | None
+    ) -> tuple[list[_RankThread], list[_RankThread]]:
+        """Rank ``r``'s thread for every rank, and the ones that are new
+        (not started yet): slot ``r``'s if it is idle, a new pooled one
+        if the slot is empty, else a new one that exits after its rank."""
+        threads, fresh = [], []
+        with self._lock:
+            for rank in range(n_ranks):
+                thread = self._slots.get(rank)
+                if thread is not None and thread.idle:
+                    thread.idle = False
+                else:
+                    pooled = thread is None
+                    thread = _RankThread(rank, mask, pooled)
+                    if pooled:
+                        self._slots[rank] = thread
+                    fresh.append(thread)
+                threads.append(thread)
+        return threads, fresh
+
+    def park(self, thread: _RankThread) -> None:
+        with self._lock:
+            thread.idle = True
+
+    def disown(self, threads: list[_RankThread]) -> None:
+        """Take ``threads`` out of the pool: each exits after its rank."""
+        with self._lock:
+            for thread in threads:
+                thread.pooled = False
+                if self._slots.get(thread.rank) is thread:
+                    del self._slots[thread.rank]
+
+    def empty(self) -> None:
+        """Stop and join every idle thread, so that the next launch
+        starts its threads anew."""
+        with self._lock:
+            idle = [t for t in self._slots.values() if t.idle]
+            for thread in idle:
+                del self._slots[thread.rank]
+        for thread in idle:
+            thread.hand(None)
+            thread.thread.join()
+
+
+_POOL = _Pool()
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_POOL.reset)
+
+
+def _launch_masks(
+    run_to_block: bool,
+) -> tuple[set[int] | None, set[int] | None]:
+    """The launcher's CPU mask, and the one its ranks run under: the
+    launcher's current CPU for a run-to-block router whose launcher may
+    use several, else the launcher's mask.  ``None`` where the mask
+    cannot be read."""
     try:
-        mask = os.sched_getaffinity(0)
+        own = os.sched_getaffinity(0)
+    except (AttributeError, OSError):
+        return None, None
+    if not run_to_block or len(own) < 2:
+        return own, own
+    try:
         with open("/proc/thread-self/stat", "rb") as stat:
             cpu = int(stat.read().rpartition(b")")[2].split()[36])  # field 39
-        if len(mask) < 2 or cpu not in mask:
-            return None
-        os.sched_setaffinity(0, {cpu})
-        return mask
-    except (AttributeError, OSError, ValueError, IndexError):
-        return None
+    except (OSError, ValueError, IndexError):
+        return own, own
+    return own, ({cpu} if cpu in own else own)

@@ -40,6 +40,7 @@ from __future__ import annotations
 
 import dataclasses
 import enum
+import weakref
 from typing import Any, Iterable, Mapping, NamedTuple
 
 from repro.cluster.platform import HeterogeneousPlatform
@@ -213,6 +214,12 @@ class TransferRecord(NamedTuple):
 #: message costs there: latency and seconds per megabit.
 _Route = tuple[tuple[str, str] | None, str, tuple[str, str], float, float]
 
+#: Each network's route table, shared by every core on it: a route is a
+#: function of the network alone, and networks are never mutated.
+_ROUTES: "weakref.WeakKeyDictionary[Any, dict[tuple[int, int], _Route]]" = (
+    weakref.WeakKeyDictionary()
+)
+
 
 class TimingCore:
     """Per-rank clocks and ledgers plus the serial-link schedule.
@@ -267,7 +274,7 @@ class TimingCore:
         self._compute_scale = float(scales.get("compute", 1.0))
         self._transfer_scale = float(scales.get("transfer", 1.0))
         self._link_free: dict[tuple[str, str], Seconds] = {}
-        self._routes: dict[tuple[int, int], _Route] = {}
+        self._routes = _ROUTES.setdefault(platform.network, {})
         self.ops: list[Op] = []
 
     def compute(

@@ -74,9 +74,11 @@ class _OpEmitter:
     width.
 
     Everything an emitter caches — each collective's (src, dst) order,
-    the megabits of each message size — is a pure function of its
-    arguments and lives only as long as one :func:`emit_op_program`
-    call.
+    the megabits of each message size, the ops of a collective whose
+    messages have one size (every round's gather and broadcast) — is a
+    pure function of its arguments and lives only as long as one
+    :func:`emit_op_program` call.  Ops are immutable, so a cached list
+    is appended again rather than rebuilt.
     """
 
     def __init__(self, size: int, root: int, cost: CostModel) -> None:
@@ -85,9 +87,12 @@ class _OpEmitter:
         self.cost = cost
         self.ops: list[Op] = []
         self._megabits: dict[int, float] = {}
-        self._scatter = [(root, dst) for dst in range(size) if dst != root]
-        self._gather = [(src, root) for src in range(size) if src != root]
-        self._tree = _binomial_tree(size, root)
+        self._pairs = {
+            "scatter": [(root, dst) for dst in range(size) if dst != root],
+            "gather": [(src, root) for src in range(size) if src != root],
+            "bcast": _binomial_tree(size, root),
+        }
+        self._uniform: dict[tuple[str, int], list[Op]] = {}
 
     def megabits(self, values: float) -> float:
         count = int(values)
@@ -113,55 +118,63 @@ class _OpEmitter:
         per distinct share size."""
         priced = {n: float(charge(n)) for n in set(n_local)}
         self.ops.extend(
-            Op("compute", rank, -1, priced[n], 0.0, 1.0, False, label)
+            _tuple_new(
+                Op, ("compute", rank, -1, priced[n], 0.0, 1.0, False, label)
+            )
             for rank, n in enumerate(n_local)
         )
 
-    def _send(
-        self, pairs: list[tuple[int, int]], values: float | list[float]
-    ) -> None:
-        """One message per (src, dst) pair, in order, of ``values[i]``
-        spectral values — or of ``values`` each, given one size."""
+    def _send(self, route: str, values: float | list[float]) -> None:
+        """One message per (src, dst) pair of ``route``, in order, of
+        ``values[i]`` spectral values — or of ``values`` each, given one
+        size."""
+        pairs = self._pairs[route]
         if isinstance(values, list):
-            megabits = [self.megabits(v) for v in values]
-        else:
-            megabits = [self.megabits(values)] * len(pairs)
-        self.ops.extend(
-            Op("transfer", src, dst, 0.0, size)
-            for (src, dst), size in zip(pairs, megabits)
-        )
+            self.ops.extend(
+                Op("transfer", src, dst, 0.0, self.megabits(v))
+                for (src, dst), v in zip(pairs, values)
+            )
+            return
+        key = (route, int(values))
+        ops = self._uniform.get(key)
+        if ops is None:
+            size = self.megabits(values)
+            ops = self._uniform[key] = [
+                _tuple_new(
+                    Op, ("transfer", src, dst, 0.0, size, 1.0, False, "")
+                )
+                for src, dst in pairs
+            ]
+        self.ops.extend(ops)
 
     # -- collective schedules (mirroring repro.mpi.collectives) ---------------------
     def scatter(self, values_per_rank: FloatArray) -> None:
         self._send(
-            self._scatter, [values_per_rank[dst] for _, dst in self._scatter]
+            "scatter",
+            [values_per_rank[dst] for _, dst in self._pairs["scatter"]],
         )
 
     def gather(self, values: float | FloatArray) -> None:
         """Every rank but the root sends ``values`` (one size, or an
         array of one per rank) to the root."""
         if np.ndim(values):
-            values = [values[src] for src, _ in self._gather]
-        self._send(self._gather, values)
+            values = [values[src] for src, _ in self._pairs["gather"]]
+        self._send("gather", values)
 
     def bcast(self, values: float) -> None:
-        self._send(self._tree, values)
+        self._send("bcast", values)
 
     def allreduce(self, values: float) -> None:
-        # Mirror of binomial_reduce: each non-root relative rank sends
-        # once to its parent, at the level of its lowest set bit.
-        size, root = self.size, self.root
-        pairs = []
-        mask = 1
-        while mask < size:
-            for relative in range(size):
-                if relative & mask and not relative & (mask - 1):
-                    src = (relative + root) % size
-                    dst = ((relative ^ mask) + root) % size
-                    pairs.append((src, dst))
-            mask <<= 1
-        self._send(pairs, values)
+        if "reduce" not in self._pairs:
+            self._pairs["reduce"] = _binomial_reduce(self.size, self.root)
+        self._send("reduce", values)
         self.bcast(values)
+
+
+#: Builds an :class:`Op` from all eight fields without the named
+#: tuple's Python-level ``__new__``: half the cost per op, and a
+#: Thunderhead program runs to 10^4 ops.
+_tuple_new = tuple.__new__
 
 
 def _binomial_tree(size: int, root: int) -> list[tuple[int, int]]:
@@ -181,6 +194,21 @@ def _binomial_tree(size: int, root: int) -> list[tuple[int, int]]:
 
     if size > 1:
         schedule(0, 1 << (size - 1).bit_length())
+    return pairs
+
+
+def _binomial_reduce(size: int, root: int) -> list[tuple[int, int]]:
+    """Mirror of binomial_reduce: each non-root relative rank sends once
+    to its parent, at the level of its lowest set bit."""
+    pairs = []
+    mask = 1
+    while mask < size:
+        for relative in range(size):
+            if relative & mask and not relative & (mask - 1):
+                src = (relative + root) % size
+                dst = ((relative ^ mask) + root) % size
+                pairs.append((src, dst))
+        mask <<= 1
     return pairs
 
 

@@ -138,7 +138,7 @@ def run_inproc(
         lambda rank: InprocContext(
             rank, n_ranks, master_rank, router, core=core, obs=obs, faults=faults
         ),
-        program, kwargs_per_rank, common_kwargs, "inproc-rank",
+        program, kwargs_per_rank, common_kwargs,
     )
     return InprocResult(
         return_values=results, wall_seconds=time.perf_counter() - start

@@ -8,7 +8,9 @@ processes so the rank threads never have the two cores to themselves.
 It fails on any ``DeadlockError`` (no run gets a second attempt) and,
 on the sim engine, on any run whose slice sequence differs from the
 first one's: the engine runs ranks to block, so its wall schedule is a
-function of the program, not of the switch interval or the load.
+function of the program, not of the switch interval or the load.  Last,
+it fails if more threads are alive than the main one and one pooled
+rank thread per rank.
 
     PYTHONPATH=src python tests/scheduler_storm.py [runs]
 """
@@ -17,6 +19,7 @@ from __future__ import annotations
 
 import subprocess
 import sys
+import threading
 import time
 from typing import Any
 
@@ -116,6 +119,11 @@ def main(argv: list[str]) -> int:
         for hog in hogs:
             hog.kill()
             hog.wait()
+    # Rank threads are pooled: however many runs it made, the process
+    # holds the main thread and at most one parked thread per rank.
+    threads = threading.active_count()
+    print(f"{threads} threads alive after the storm (bound {1 + n})")
+    failures += threads > 1 + n
     return 1 if failures else 0
 
 

@@ -8,6 +8,7 @@ import time
 import numpy as np
 import pytest
 
+from repro.cluster import runtime
 from repro.cluster.costs import CostModel
 from repro.cluster.engine import SimulationEngine, run_program
 from repro.cluster.mailbox import (
@@ -334,6 +335,9 @@ class TestThreadStartFailure:
 
     @pytest.mark.parametrize("backend", ["sim", "inproc"])
     def test_started_ranks_are_joined(self, backend, monkeypatch):
+        # Idle pool threads would run the ranks without a start: stop
+        # them, so this launch starts its threads and the fifth fails.
+        runtime._POOL.empty()
         start = threading.Thread.start
         calls = []
 
@@ -354,6 +358,112 @@ class TestThreadStartFailure:
         assert _run(backend, _collective).return_values[0] == [
             7 + r for r in range(16)
         ]
+
+
+_FORKED_RUNS = """
+from repro.cluster import fully_heterogeneous
+from repro.cluster.engine import run_program
+from repro.mpi import Communicator
+from repro.perf.fanout import ordered_map
+
+
+def program(ctx, base):
+    comm = Communicator(ctx)
+    value = comm.bcast(base if comm.is_master else None)
+    ctx.compute(1.0 + ctx.rank)
+    return comm.gather(value + ctx.rank)
+
+
+def run(base):
+    result = run_program(fully_heterogeneous(), program, base=base)
+    return result.return_values[0], result.finish_times
+
+
+if __name__ == "__main__":
+    # The serial runs fill this process's pool before its workers fork.
+    serial = [run(base) for base in (1, 2)]
+    assert ordered_map(run, [1, 2], jobs=2) == serial
+    print("ok")
+"""
+
+
+class TestRankThreadPool:
+    """Rank ``r`` runs on the pool's thread ``r`` run after run; a
+    forked child, a nested launch and two concurrent launches still
+    get their own threads."""
+
+    @pytest.mark.parametrize("backend", ["sim", "inproc"])
+    def test_second_run_reuses_every_thread(self, backend, monkeypatch):
+        def program(ctx):
+            return threading.get_native_id(), _collective(ctx)
+
+        first = _run(backend, program).return_values
+        starts = []
+        start = threading.Thread.start
+
+        def counting_start(thread):
+            starts.append(thread.name)
+            start(thread)
+
+        monkeypatch.setattr(threading.Thread, "start", counting_start)
+        second = _run(backend, program).return_values
+        assert starts == []
+        assert [tid for tid, _ in second] == [tid for tid, _ in first]
+        assert len({tid for tid, _ in first}) == 16
+        assert [value for _, value in second] == [value for _, value in first]
+
+    def test_forked_workers_launch_their_own_threads(self, tmp_path):
+        import subprocess
+        from pathlib import Path
+
+        import repro
+
+        script = tmp_path / "forked_runs.py"
+        script.write_text(_FORKED_RUNS)
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [
+            str(Path(repro.__file__).parents[1]), env.get("PYTHONPATH"),
+        ]))
+        done = subprocess.run(
+            [sys.executable, str(script)], cwd=tmp_path, env=env,
+            capture_output=True, text=True, timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.strip() == "ok"
+
+    @pytest.mark.parametrize("backend", ["sim", "inproc"])
+    def test_launch_from_inside_a_rank(self, backend):
+        serial = _run(backend, _collective)
+
+        def program(ctx):
+            if ctx.rank == 1:
+                return _run(backend, _collective).return_values
+            return None
+
+        nested = run_program(make_tiny_platform(), program).return_values[1]
+        assert nested == serial.return_values
+
+    @pytest.mark.parametrize("backend", ["sim", "inproc"])
+    def test_two_concurrent_launches(self, backend):
+        def outcome():
+            result = _run(backend, _collective)
+            return result.return_values, getattr(result, "finish_times", None)
+
+        serial = outcome()
+        barrier = threading.Barrier(2)
+        values = [None, None]
+
+        def launch(i):
+            barrier.wait()
+            values[i] = outcome()
+
+        launchers = [threading.Thread(target=launch, args=(i,)) for i in (0, 1)]
+        for launcher in launchers:
+            launcher.start()
+        for launcher in launchers:
+            launcher.join(timeout=60.0)
+            assert not launcher.is_alive()
+        assert values == [serial, serial]
 
 
 @pytest.mark.skipif(
