@@ -45,7 +45,6 @@ from repro.experiments.config import ExperimentConfig
 from repro.experiments.model import emit_op_program
 from repro.hsi.scene import WTCScene, make_wtc_scene
 from repro.obs import ObsSession, write_chrome_trace, write_metrics_json
-from repro.perf.fanout import ordered_map
 from repro.perf.imbalance import ImbalanceScores, imbalance_of_run
 from repro.perf.timers import PhaseBreakdown, breakdown_of_run
 
@@ -140,7 +139,6 @@ def _run_grid_tasks(
     cost: "CostModel",
     traces: Path | None,
     fault_plan: "FaultPlan | None",
-    jobs: int | None,
 ) -> tuple[list["ParallelRun | RecoveredRun"], int]:
     """Every ``(network, algorithm, variant)`` task's run, each
     distinct program obtained once → ``(runs in task order, programs
@@ -149,10 +147,9 @@ def _run_grid_tasks(
     A task's key is ``(algorithm, master rank, partition counts)``:
     params, image and cost model are the grid's for every task, so
     tasks with one key run one program.  For the first task of a key,
-    a classifier's program is executed (:func:`_run_grid_cell`, through
-    :func:`~repro.perf.fanout.ordered_map`; ``jobs`` fans the executed
-    programs out); a detector's is priced (:func:`_priced_run`).  Every
-    other task's run is the first one's re-priced on its own network.
+    a classifier's program is executed (:func:`_run_grid_cell`); a
+    detector's is priced (:func:`_priced_run`).  Every other task's
+    run is the first one's re-priced on its own network.
     An observed task — one whose run writes a trace or goes through a
     fault plan — keys on the task itself and is executed.
     """
@@ -182,13 +179,12 @@ def _run_grid_tasks(
         index for index in first.values()
         if observed or tasks[index][1] not in DETECTORS
     ]
-    programs: dict[Hashable, "ParallelRun | RecoveredRun"] = dict(zip(
-        (keys[index] for index in run_first),
-        ordered_map(
-            _run_grid_cell, [tasks[index] for index in run_first], jobs,
-            shared=(cfg, image, cost, traces, fault_plan),
-        ),
-    ))
+    programs: dict[Hashable, "ParallelRun | RecoveredRun"] = {
+        keys[index]: _run_grid_cell(
+            cfg, image, cost, traces, fault_plan, tasks[index]
+        )
+        for index in run_first
+    }
     sequential: dict[str, Any] = {}
     for key, index in first.items():
         if key in programs:
@@ -267,12 +263,7 @@ def _run_grid_cell(
     fault_plan: "FaultPlan | None",
     task: tuple[str, str, str],
 ) -> "ParallelRun | RecoveredRun":
-    """Execute one (network, algorithm, variant) cell on the engine.
-
-    Pure function of its arguments (the virtual-time engine is
-    deterministic), so cells can run serially or fanned out over a
-    process pool with identical results.
-    """
+    """Execute one (network, algorithm, variant) cell on the engine."""
     network_name, algorithm, variant = task
     platform = all_networks()[network_name]
     obs = ObsSession.create() if traces is not None else None
@@ -314,7 +305,6 @@ def run_network_grid(
     scene: WTCScene | None = None,
     trace_dir: Path | str | None = None,
     fault_plan: "FaultPlan | None" = None,
-    jobs: int | None = None,
 ) -> NetworkGrid:
     """Compute the full grid on the virtual-time engine.
 
@@ -333,11 +323,6 @@ def run_network_grid(
             tolerant driver with this plan injected (fresh fault state
             per cell, so each cell sees the same fault sequence); cell
             timings then measure the *degraded* platform.
-        jobs: fan the executed programs out over this many worker
-            processes.  Runs are pure functions of their inputs and
-            results are merged back in serial-loop order, so any
-            ``jobs`` value produces the same grid (and the same trace
-            files) as a serial run — only the wall time changes.
 
     With ``trace_dir`` or ``fault_plan`` every cell is observed, so
     every cell is executed.
@@ -355,7 +340,7 @@ def run_network_grid(
         for variant in variants
     ]
     runs, programs = _run_grid_tasks(
-        cfg, tasks, scn.image, cost, traces, fault_plan, jobs
+        cfg, tasks, scn.image, cost, traces, fault_plan
     )
     cells = {
         (variant_label(algorithm, variant), network_name): GridCell(

@@ -28,6 +28,7 @@ import argparse
 from pathlib import Path
 from typing import Any, Mapping
 
+from repro.errors import ConfigurationError
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.figure1 import run_figure1
 from repro.experiments.figure2 import run_figure2
@@ -132,10 +133,6 @@ def main(argv: list[str] | None = None) -> int:
                              "demo runs and the table5-7 grid cells; runs "
                              "go through the fault-tolerant driver, so "
                              "planned crashes recover onto the survivors")
-    parser.add_argument("--jobs", type=int, default=None,
-                        help="fan the table5-7 grid's executed programs out "
-                             "over N worker processes; results (and trace "
-                             "files) are identical to a serial run")
     parser.add_argument("--rows", type=int, default=96, help="scene rows")
     parser.add_argument("--cols", type=int, default=64, help="scene cols")
     parser.add_argument("--bands", type=int, default=48, help="scene bands")
@@ -160,7 +157,10 @@ def main(argv: list[str] | None = None) -> int:
     wanted = list(EXPERIMENT_NAMES) if "all" in args.experiments else [
         name for name in EXPERIMENT_NAMES if name in args.experiments
     ]
-    config = _build_config(args)
+    try:
+        config = _build_config(args)
+    except ConfigurationError as exc:
+        parser.error(str(exc))
     fault_plan = None
     if args.fault_plan is not None:
         from repro.faults.plan import load_fault_plan
@@ -214,8 +214,7 @@ def main(argv: list[str] | None = None) -> int:
     if _GRID_EXPERIMENTS & set(wanted):
         print("building the network grid...", flush=True)
         grid = run_network_grid(
-            config, trace_dir=trace_dir, fault_plan=fault_plan,
-            jobs=args.jobs,
+            config, trace_dir=trace_dir, fault_plan=fault_plan
         )
         print(f"  {len(grid.cells)} cells: {grid.programs} executed, "
               f"{len(grid.cells) - grid.programs} priced")
@@ -243,7 +242,6 @@ def main(argv: list[str] | None = None) -> int:
                 config,
                 traced=sim_traced if fault_plan is None else None,
                 outdir=outdir,
-                jobs=args.jobs,
             )
         else:  # figure2; wanted runs table8 before it
             result = run_figure2(config, results.get("table8"))

@@ -50,7 +50,6 @@ def run_whatif(
     outdir: Path | str | None = None,
     sizes: tuple[int, ...] = DEFAULT_SWEEP_SIZES,
     speedup_pct: float = 10.0,
-    jobs: int | None = None,
 ) -> WhatIfResult:
     """Causal-profile and capacity-plan one traced demo run.
 
@@ -66,10 +65,8 @@ def run_whatif(
         else demo_run(cfg, "sim", "atdca", None)
     )
     obs = source.obs
-    causal = causal_profile(
-        obs, platform, speedup_pct=speedup_pct, jobs=jobs
-    )
-    sweep = capacity_sweep(obs, platform, sizes, jobs=jobs)
+    causal = causal_profile(obs, platform, speedup_pct=speedup_pct)
+    sweep = capacity_sweep(obs, platform, sizes)
     files: list[Path] = []
     if outdir is not None:
         out = Path(outdir)

@@ -53,7 +53,7 @@ from repro.faults.plan import (
     RankCrash,
 )
 from repro.obs.export import read_json, write_json
-from repro.perf.fanout import ordered_map
+from repro.perf.fanout import job_count, ordered_map
 
 __all__ = [
     "AXES",
@@ -487,7 +487,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     run_p = sub.add_parser("run", help="execute a sweep grid")
     run_p.add_argument("grid", help="sweep grid JSON file")
     run_p.add_argument("--out", default=None, help="result JSON path")
-    run_p.add_argument("--jobs", type=int, default=None,
+    run_p.add_argument("--jobs", type=job_count, default=None,
                        help="fan cells over N worker processes")
     run_p.add_argument("--gate", default=None,
                        help="also gate against this thresholds JSON")

@@ -35,7 +35,7 @@ from repro.experiments.config import ExperimentConfig
 from repro.hsi.scene import SceneConfig, make_wtc_scene
 from repro.obs.export import write_json
 from repro.obs.provenance import provenance
-from repro.perf.fanout import ordered_map
+from repro.perf.fanout import job_count, ordered_map
 from repro.perf.report import format_table
 
 __all__ = [
@@ -191,11 +191,12 @@ def _plan_cell(
 
 
 def _check_plan_config(config: BenchConfig) -> None:
-    """Raise :class:`~repro.errors.ReproError` naming the first unknown
-    network, variant or algorithm of ``config``."""
+    """Raise :class:`~repro.errors.ReproError` naming ``config``'s
+    invalid scene or its first unknown network, variant or algorithm."""
     from repro.cluster.presets import all_networks
     from repro.tuning.planner import PARTITION_VARIANTS
 
+    config.scene_config()
     for what, values, known in (
         ("network", config.networks, tuple(all_networks())),
         ("variant", config.variants, PARTITION_VARIANTS),
@@ -389,7 +390,7 @@ def _add_plan_parser(sub: Any) -> None:
     p.add_argument("--cols", type=int, default=None)
     p.add_argument("--bands", type=int, default=None)
     p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--jobs", type=int, default=None,
+    p.add_argument("--jobs", type=job_count, default=None,
                    help="fan cells out over N worker processes; the "
                         "artifact is byte-identical to a serial run")
     p.add_argument("--gate", nargs="?", metavar="GATE",

@@ -20,7 +20,7 @@ zero gain is the classic off-critical-path signature.
 from __future__ import annotations
 
 import dataclasses
-from typing import Any, Mapping, Sequence
+from typing import Any, Mapping
 
 from repro.cluster.platform import HeterogeneousPlatform
 from repro.errors import ConfigurationError
@@ -34,8 +34,7 @@ from repro.cluster.perturb import (
     RankComputeScale,
     TimingPerturbation,
 )
-from repro.obs.whatif import ReplayOp, replay, replay_ops_from_trace
-from repro.perf.fanout import ordered_map
+from repro.obs.whatif import replay, replay_ops_from_trace
 
 __all__ = [
     "CausalEntry",
@@ -93,21 +92,6 @@ def _subject_perturbation(subject: str, factor: float) -> TimingPerturbation:
     raise ConfigurationError(f"unknown causal subject {subject!r}")
 
 
-def _subject_gain(
-    ops: Sequence[ReplayOp],
-    platform: HeterogeneousPlatform,
-    scales: Mapping[str, float] | None,
-    baseline_makespan: float,
-    factor: float,
-    subject: str,
-) -> float:
-    plan = (_subject_perturbation(subject, factor),)
-    makespan = replay(ops, platform, plan=plan, scales=scales).makespan
-    if baseline_makespan <= 0:
-        return 0.0
-    return 100.0 * (baseline_makespan - makespan) / baseline_makespan
-
-
 @dataclasses.dataclass(frozen=True)
 class CausalProfile:
     """A ranked virtual-speedup profile plus the DAG slack summary."""
@@ -163,7 +147,6 @@ def causal_profile(
     platform: HeterogeneousPlatform,
     speedup_pct: float = 10.0,
     scales: Mapping[str, float] | None = None,
-    jobs: int | None = None,
 ) -> CausalProfile:
     """Virtual-speedup profile of a recorded trace.
 
@@ -171,9 +154,7 @@ def causal_profile(
     class, every link with transfer time, and the global message
     latency.  Each is replayed once at ``factor = 1 - speedup_pct/100``
     and ranked by predicted makespan gain (ties broken by subject name
-    for deterministic output).  ``jobs`` fans the independent replays
-    over processes in task order (:func:`~repro.perf.fanout.ordered_map`),
-    so serial and pooled runs are byte-identical.
+    for deterministic output).
     """
     if not 0 < speedup_pct < 100:
         raise ConfigurationError(
@@ -197,24 +178,19 @@ def causal_profile(
             ("latency", sum(baseline.link_busy_s.values()))
         )
 
-    names = [name for name, _ in subjects]
-    gains = ordered_map(
-        _subject_gain, names, jobs,
-        shared=(ops, platform, scales, base, factor),
-    )
-
-    entries = tuple(sorted(
-        (
-            CausalEntry(
-                subject=name,
-                gain_pct=gain,
-                self_s=self_s,
-                self_pct=(100.0 * self_s / base) if base else 0.0,
-            )
-            for (name, self_s), gain in zip(subjects, gains)
-        ),
-        key=lambda e: (-e.gain_pct, e.subject),
-    ))
+    entries: list[CausalEntry] = []
+    for name, self_s in subjects:
+        plan = (_subject_perturbation(name, factor),)
+        makespan = replay(ops, platform, plan=plan, scales=scales).makespan
+        entries.append(CausalEntry(
+            subject=name,
+            gain_pct=(
+                100.0 * (base - makespan) / base if base > 0 else 0.0
+            ),
+            self_s=self_s,
+            self_pct=(100.0 * self_s / base) if base else 0.0,
+        ))
+    entries.sort(key=lambda e: (-e.gain_pct, e.subject))
 
     # DAG slack summary from the *recorded* timeline (exact on sim).
     dag = build_dag(source)
@@ -234,7 +210,7 @@ def causal_profile(
     return CausalProfile(
         speedup_pct=float(speedup_pct),
         baseline_makespan_s=base,
-        entries=entries,
+        entries=tuple(entries),
         rank_slack_s=rank_slack,
         critical_fraction=(critical_s / total_s) if total_s else 0.0,
     )

@@ -63,7 +63,6 @@ from repro.cluster.simtime import Op as ReplayOp, TimingCore
 from repro.errors import ConfigurationError, WhatIfPlanError, require
 from repro.obs.export import read_json, spans_of, write_json
 from repro.obs.provenance import provenance
-from repro.perf.fanout import ordered_map
 
 __all__ = [
     "RankComputeScale",
@@ -445,54 +444,46 @@ def predict(
 
 # -- capacity sweeps ----------------------------------------------------------
 
-def _sweep_point(
-    meta: Mapping[str, Any],
-    platform: HeterogeneousPlatform,
-    plan: WhatIfPlan | None,
-    scales: Mapping[str, float] | None,
-    n: int,
-) -> dict[str, Any]:
-    target = extend_platform(
-        (plan or WhatIfPlan()).apply_platform(platform), n
-    )
-    ops = _model_ops_for_platform(meta, target)
-    result = replay(ops, target, plan=plan, scales=scales)
-    pixels = int(meta["rows"]) * int(meta["cols"])
-    makespan = result.makespan
-    return {
-        "n_ranks": n,
-        "makespan_s": makespan,
-        "throughput_pixels_per_s": (pixels / makespan) if makespan else 0.0,
-        "n_ops": len(ops),
-    }
-
-
 def capacity_sweep(
     source: Any,
     platform: HeterogeneousPlatform,
     sizes: Sequence[int],
     plan: WhatIfPlan | None = None,
     scales: Mapping[str, float] | None = None,
-    jobs: int | None = None,
 ) -> dict[str, Any]:
     """Predicted makespan/throughput vs cluster size.
 
     Each point regenerates the analytic op program with a fresh WEA
     partition on the resized platform (clone-extended above the
     recorded size) and replays it under the optional timing plan.
-    Points are pure functions of their inputs, so ``jobs`` fans them
-    out with byte-identical results
-    (:func:`~repro.perf.fanout.ordered_map` keeps order).
     """
     ops, meta = replay_ops_from_trace(source)
     meta = _meta_required(meta, "capacity_sweep")
     sizes = [int(n) for n in sizes]
     if not sizes:
         raise ConfigurationError("capacity sweep needs at least one size")
+    if min(sizes) < 1:
+        raise ConfigurationError(
+            f"capacity sweep sizes must be >= 1, got {min(sizes)}"
+        )
     baseline = replay(ops, platform, scales=scales)
-    points = ordered_map(
-        _sweep_point, sizes, jobs, shared=(meta, platform, plan, scales)
-    )
+    planned = (plan or WhatIfPlan()).apply_platform(platform)
+    pixels = int(meta["rows"]) * int(meta["cols"])
+    points = []
+    for n in sizes:
+        target = extend_platform(planned, n)
+        point_ops = _model_ops_for_platform(meta, target)
+        makespan = replay(
+            point_ops, target, plan=plan, scales=scales
+        ).makespan
+        points.append({
+            "n_ranks": n,
+            "makespan_s": makespan,
+            "throughput_pixels_per_s": (
+                (pixels / makespan) if makespan else 0.0
+            ),
+            "n_ops": len(point_ops),
+        })
     return {
         "schema": SWEEP_SCHEMA,
         "algorithm": str(meta["algorithm"]),
@@ -768,7 +759,6 @@ def _cmd_causal(args: argparse.Namespace) -> int:
     profile = causal_profile(
         _load_trace(args.trace),
         platform_by_name(args.platform),
-        jobs=args.jobs,
     )
     print(profile.to_text())
     _write_doc(profile.to_dict(), args.json)
@@ -783,7 +773,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         platform_by_name(args.platform),
         sizes,
         plan=plan,
-        jobs=args.jobs,
     )
     print(sweep_table(doc))
     _write_doc(doc, args.json)
@@ -830,10 +819,6 @@ def main(argv: Sequence[str] | None = None) -> int:
         help="platform preset name (default: %(default)s)",
     )
     causal.add_argument(
-        "--jobs", type=int, default=None,
-        help="replay subjects over N worker processes (same output)",
-    )
-    causal.add_argument(
         "--json", default=None, help="write the causal profile JSON here"
     )
     causal.set_defaults(func=_cmd_causal)
@@ -853,10 +838,6 @@ def main(argv: Sequence[str] | None = None) -> int:
     sweep.add_argument(
         "--plan", default=None,
         help="optional what-if plan applied at every size",
-    )
-    sweep.add_argument(
-        "--jobs", type=int, default=None,
-        help="fan sweep points over N worker processes (same output)",
     )
     sweep.add_argument(
         "--json", default=None, help="write the sweep document here"

@@ -1,18 +1,22 @@
 """Ordered fan-out of independent tasks over a process pool.
 
-Every grid in the repo (Tables 5–7, the bench and plan grids, the fault
-sweep, the causal profile, the capacity sweep) is a list of cells that
-are pure functions of their inputs, and every one promises the same
-thing: any ``jobs`` value yields the results, in the order, of a serial
-loop.  This module is that promise, stated once.
+Two grids fan out: the chaos sweep (``sweep run``) and the planner
+bench (``bench plan``).  Their cells are pure functions of their inputs
+and each costs far more than starting a worker process, so ``--jobs``
+pays for itself there; both promise that any ``jobs`` value yields the
+results, in the order, of a serial loop.  This module is that promise,
+stated once.  The other grids (Tables 5–7, the causal profile, the
+capacity sweep) run in plain loops: most of their cells are priced or
+replayed in less time than a worker takes to start.
 """
 
 from __future__ import annotations
 
+import argparse
 from concurrent.futures import ProcessPoolExecutor
 from typing import Any, Callable, Sequence, TypeVar
 
-__all__ = ["ordered_map"]
+__all__ = ["job_count", "ordered_map"]
 
 R = TypeVar("R")
 
@@ -57,3 +61,11 @@ def ordered_map(
         ) as pool:
             return list(pool.map(_pool_call, tasks))
     return [fn(*shared, task) for task in tasks]
+
+
+def job_count(text: str) -> int:
+    """The argparse ``type`` of a ``--jobs`` option: a count >= 1."""
+    jobs = int(text)
+    if jobs < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {jobs}")
+    return jobs

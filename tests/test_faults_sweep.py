@@ -245,6 +245,17 @@ class TestSweepCLI:
         assert main(["cells", str(not_json)]) == 1
         assert "invalid sweep input" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("jobs", ["0", "-2"])
+    def test_jobs_below_one_rejected(self, jobs, capsys, monkeypatch):
+        def no_sweep(*args, **kwargs):
+            raise AssertionError("the sweep ran")
+
+        monkeypatch.setattr("repro.faults.sweep.run_sweep", no_sweep)
+        with pytest.raises(SystemExit) as info:
+            main(["run", str(SMOKE_GRID), "--jobs", jobs])
+        assert info.value.code == 2
+        assert f"--jobs: must be >= 1, got {jobs}" in capsys.readouterr().err
+
     def test_umbrella_cli_lists_and_dispatches(self, capsys):
         from repro.__main__ import main as umbrella
 

@@ -143,6 +143,18 @@ class TestExperimentsCLI:
         assert info.value.code == 2
         assert capsys.readouterr().err.rstrip().endswith(f"error: {message}")
 
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--rows", "8", "scene must be at least 32x8, got 8x64"),
+        ("--bands", "0", "need >= 8 bands, got 0"),
+    ])
+    def test_bad_scene_rejected(self, flag, value, message, capsys):
+        from repro.experiments.runner import main
+
+        with pytest.raises(SystemExit) as info:
+            main([flag, value, "table3"])
+        assert info.value.code == 2
+        assert capsys.readouterr().err.rstrip().endswith(f"error: {message}")
+
 
 class TestRootCli:
     def test_broken_pipe_exits_quietly(self, tmp_path, monkeypatch, capsys):

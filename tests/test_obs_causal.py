@@ -93,13 +93,6 @@ class TestCausalProfile:
         assert off_path, "expected other ranks with self-time"
         assert all(e.gain_pct < 1.0 for e in off_path)
 
-    def test_serial_and_pooled_profiles_byte_identical(
-        self, clean_obs, het_platform
-    ):
-        serial = causal_profile(clean_obs, het_platform).to_json()
-        pooled = causal_profile(clean_obs, het_platform, jobs=2).to_json()
-        assert serial == pooled
-
     def test_repeated_profiles_byte_identical(
         self, clean_obs, het_platform
     ):

@@ -357,6 +357,7 @@ class TestPlanBenchGate:
         ("--variants", "nope"),
         ("--networks", "nope"),
         ("--algorithms", "pct"),
+        ("--rows", "8"),
     ])
     def test_cli_rejects_a_bad_value_before_any_cell_runs(
         self, flag, value, capsys, monkeypatch
@@ -371,6 +372,20 @@ class TestPlanBenchGate:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and value in err
         assert "Traceback" not in err
+
+    def test_cli_rejects_jobs_below_one(self, capsys, monkeypatch):
+        import repro.obs.bench as bench
+
+        def no_cells(*args, **kwargs):
+            raise AssertionError("a cell ran")
+
+        monkeypatch.setattr(bench, "_plan_cell", no_cells)
+        with pytest.raises(SystemExit) as info:
+            bench.main(["plan", "--jobs", "0"])
+        assert info.value.code == 2
+        assert capsys.readouterr().err.rstrip().endswith(
+            "error: argument --jobs: must be >= 1, got 0"
+        )
 
     def test_non_exact_algorithms_are_rejected(self):
         from repro.errors import ReproError
