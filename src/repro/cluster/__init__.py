@@ -6,7 +6,6 @@ from repro.cluster.engine import (
     RankContext,
     SimulationEngine,
     SimulationResult,
-    TraceEvent,
     run_program,
 )
 from repro.cluster.mailbox import ANY_TAG, Router, payload_wire_megabits
@@ -62,7 +61,6 @@ __all__ = [
     "SimulationEngine",
     "SimulationResult",
     "TimingCore",
-    "TraceEvent",
     "VirtualClock",
     "all_networks",
     "extend_platform",

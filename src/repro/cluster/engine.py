@@ -26,7 +26,6 @@ timing that platform would have given, without re-running the program.
 from __future__ import annotations
 
 import dataclasses
-import threading
 from typing import TYPE_CHECKING, Any, Callable, Mapping, Sequence
 
 from repro.cluster.costs import DEFAULT_COST_MODEL, CostModel
@@ -41,6 +40,7 @@ from repro.cluster.simtime import (
     TransferRecord,
 )
 from repro.errors import ConfigurationError, PlatformError
+from repro.obs.trace import Span
 from repro.types import Megabits, Megaflops, Seconds
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -49,7 +49,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 __all__ = [
     "RankContext",
-    "TraceEvent",
     "TransferRecord",
     "SimulationResult",
     "SimulationEngine",
@@ -58,23 +57,31 @@ __all__ = [
 ]
 
 
-@dataclasses.dataclass(frozen=True)
-class TraceEvent:
-    """One simulated activity interval (engine built with ``trace=True``).
+def _compute_span(
+    mflops: Megaflops, sequential: bool, record: ComputeRecord
+) -> tuple[str, dict[str, float]]:
+    """Name (also the category) and attributes of the span a compute
+    charge reports."""
+    kind = "seq" if sequential else "compute"
+    attrs = {"mflops": float(mflops)}
+    if record.factor != 1.0:
+        # Degraded intervals carry the slowdown factor so the trace
+        # diff / report can label them.
+        attrs["factor"] = float(record.factor)
+    return kind, attrs
 
-    Attributes:
-        kind: ``"compute"``, ``"seq"`` (sequential compute), or
-            ``"transfer"``.
-        rank: the acting rank (for transfers, recorded once per endpoint).
-        start, end: virtual-time interval.
-        detail: free-form annotation (mflops, peer rank, megabits).
-    """
 
-    kind: str
-    rank: int
-    start: Seconds
-    end: Seconds
-    detail: str = ""
+def _transfer_spans(record: TransferRecord) -> list[tuple[int, dict]]:
+    """Rank and attributes of the two ``transfer`` spans a matched
+    transfer reports, the sender's first."""
+    return [
+        (rank, {"peer": peer, "megabits": record.megabits,
+                "direction": direction, "link": record.link, "wait": wait})
+        for rank, peer, direction, wait in (
+            (record.src, record.dst, "send", record.src_wait),
+            (record.dst, record.src, "recv", record.dst_wait),
+        )
+    ]
 
 
 class RankContext(BaseRankContext):
@@ -102,26 +109,13 @@ class RankContext(BaseRankContext):
     def _report_compute(
         self, mflops: Megaflops, sequential: bool, charge: ComputeRecord
     ) -> Seconds:
-        start, dt, slow_factor = charge.start, charge.seconds, charge.factor
-        if self._engine.trace and dt > 0:
-            self._engine.record_event(
-                TraceEvent(
-                    kind="seq" if sequential else "compute",
-                    rank=self.rank,
-                    start=start,
-                    end=charge.end,
-                    detail=f"{mflops:.1f} Mflop",
-                )
-            )
+        engine, dt = self._engine, charge.seconds
+        if engine._records is not None:
+            engine._records.append(charge)
         if self.obs is not None and dt > 0:
-            kind = "seq" if sequential else "compute"
-            # Degraded intervals carry the slowdown factor so the trace
-            # diff / report can label them (conditional key, PR-3 style).
-            attrs = {"mflops": float(mflops)}
-            if slow_factor != 1.0:
-                attrs["factor"] = float(slow_factor)
+            kind, attrs = _compute_span(mflops, sequential, charge)
             self.obs.tracer.add_span(
-                kind, self.rank, start, charge.end,
+                kind, self.rank, charge.start, charge.end,
                 category=kind, **attrs,
             )
             self.obs.metrics.counter(
@@ -146,8 +140,10 @@ class SimulationResult:
         finish_times: per-rank final virtual clocks.
         ledgers: per-rank COM/SEQ/PAR accounting.
         master_rank: which rank was master.
-        events: activity trace (engines built with ``trace=True``),
-            sorted by start time.
+        events: the run's compute, ``seq`` and ``transfer`` spans
+            (engines built with ``trace=True``), sorted by start time
+            and rank: what an attached tracer records for the same ops,
+            less ``seq``.
         transfers: matched-transfer records with link and wait
             attribution (engines built with ``trace=True`` or an
             observability session), sorted by start time.
@@ -161,7 +157,7 @@ class SimulationResult:
     finish_times: list[Seconds]
     ledgers: list[PhaseLedger]
     master_rank: int
-    events: list[TraceEvent] = dataclasses.field(default_factory=list)
+    events: list[Span] = dataclasses.field(default_factory=list)
     transfers: list[TransferRecord] = dataclasses.field(default_factory=list)
     ops: list[Op] | None = None
 
@@ -214,31 +210,22 @@ class SimulationEngine:
         )
         self.clocks = self.core.clocks
         self.ledgers = self.core.ledgers
-        self._events: list[TraceEvent] = []
-        self._transfers: list[TransferRecord] = []
-        self._events_lock = threading.Lock()
+        #: ``_records[i]`` is what ``core.ops[i]`` cost; kept only when
+        #: the run reports events or transfers.
+        self._records: list[ComputeRecord | TransferRecord] | None = (
+            [] if trace or obs is not None else None
+        )
         self.router = Router(platform.size, self._on_match, run_to_block=True)
-
-    def record_event(self, event: TraceEvent) -> None:
-        """Append a trace event (thread-safe; no-op semantics when the
-        engine was built without tracing are the caller's concern)."""
-        with self._events_lock:
-            self._events.append(event)
 
     def _on_match(self, src: int, dst: int, megabits: float) -> None:
         """Time one matched transfer and report it (Router lock held)."""
         record = self.core.transfer(src, dst, megabits)
-        start, end, duration = record.start, record.end, record.duration
-        if self.trace or self.obs is not None:
-            with self._events_lock:
-                self._transfers.append(record)
+        if self._records is not None:
+            self._records.append(record)
         if self.obs is not None:
+            duration = record.duration
             metrics = self.obs.metrics
-            ends = (
-                (src, dst, "send", record.src_wait),
-                (dst, src, "recv", record.dst_wait),
-            )
-            for rank, _, _, wait in ends:
+            for rank, wait in ((src, record.src_wait), (dst, record.dst_wait)):
                 if wait > 0:
                     metrics.counter("sim.idle_seconds", rank=rank).inc(wait)
                 metrics.counter("sim.com_seconds", rank=rank).inc(duration)
@@ -248,23 +235,10 @@ class SimulationEngine:
             metrics.histogram(
                 "sim.transfer_seconds", src=src, dst=dst
             ).observe(duration)
-            for rank, peer, direction, wait in ends:
+            for rank, attrs in _transfer_spans(record):
                 self.obs.tracer.add_span(
-                    "transfer", rank, start, end, category="transfer",
-                    peer=peer, megabits=record.megabits,
-                    direction=direction, link=record.link, wait=wait,
-                )
-        if self.trace:
-            for rank, peer in ((src, dst), (dst, src)):
-                self.record_event(
-                    TraceEvent(
-                        kind="transfer",
-                        rank=rank,
-                        start=start,
-                        end=end,
-                        detail=f"{'->' if rank == src else '<-'}{peer} "
-                               f"{megabits:.3f} Mbit",
-                    )
+                    "transfer", rank, record.start, record.end,
+                    category="transfer", **attrs,
                 )
 
     def run(
@@ -287,11 +261,23 @@ class SimulationEngine:
             self.router, self.platform.size, lambda rank: RankContext(rank, self),
             program, kwargs_per_rank, common_kwargs,
         )
-        with self._events_lock:
-            events = sorted(self._events, key=lambda e: (e.start, e.rank))
-            transfers = sorted(
-                self._transfers, key=lambda t: (t.start, t.src, t.dst)
-            )
+        events: list[Span] = []
+        transfers: list[TransferRecord] = []
+        for op, record in zip(self.core.ops, self._records or ()):
+            if op.kind == "transfer":
+                transfers.append(record)
+                if self.trace:
+                    events.extend(
+                        Span("transfer", rank, record.start, record.end,
+                             "transfer", attrs=attrs)
+                        for rank, attrs in _transfer_spans(record)
+                    )
+            elif self.trace and record.seconds > 0:
+                kind, attrs = _compute_span(op.mflops, op.sequential, record)
+                events.append(Span(kind, op.rank, record.start, record.end,
+                                   kind, attrs=attrs))
+        events.sort(key=lambda e: (e.start, e.rank))
+        transfers.sort(key=lambda t: (t.start, t.src, t.dst))
         return SimulationResult(
             platform_name=self.platform.name,
             return_values=results,
@@ -338,7 +324,7 @@ def reprice(
     virtual time nor the platform (module docstring).
 
     Raises:
-        ConfigurationError: ``result`` carries trace events or transfer
+        ConfigurationError: ``result`` carries events or transfer
             records (they describe the platform it ran on), or no op log
             (a run under fault injection).
         PlatformError: ``platform`` differs in size or master rank.

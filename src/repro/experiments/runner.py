@@ -52,6 +52,8 @@ EXPERIMENT_NAMES = (
     "figure1", "figure2", "whatif",
 )
 _GRID_EXPERIMENTS = {"table5", "table6", "table7"}
+#: Stages that run ATDCA or UFCLS (the ``--trace`` demo run does too).
+_DETECTOR_EXPERIMENTS = {"table3", *_GRID_EXPERIMENTS, "whatif"}
 #: flag -> what an empty value of it is missing.
 _REQUIRED_VALUES = {
     "trace": "a directory name",
@@ -161,6 +163,15 @@ def main(argv: list[str] | None = None) -> int:
         config = _build_config(args)
     except ConfigurationError as exc:
         parser.error(str(exc))
+    detecting = [n for n in wanted if n in _DETECTOR_EXPERIMENTS]
+    if args.trace is not None:
+        detecting.append("--trace")
+    if detecting and args.bands < config.n_targets:
+        # ATDCA finds at most one target per spectral dimension.
+        parser.error(
+            f"need --bands >= {config.n_targets} (the targets ATDCA and "
+            f"UFCLS detect) for {', '.join(detecting)}, got {args.bands}"
+        )
     fault_plan = None
     if args.fault_plan is not None:
         from repro.faults.plan import load_fault_plan

@@ -54,7 +54,8 @@ class SceneConfig:
     Attributes:
         rows, cols: spatial dimensions (paper: 2133 × 512).
         bands: spectral channels (paper/AVIRIS: 224).
-        seed: RNG seed controlling layout noise and sensor noise.
+        seed: RNG seed controlling layout noise and sensor noise
+            (non-negative, as numpy requires).
         noise_snr_scale: multiply the AVIRIS SNR profile (≥1 → cleaner).
         hotspot_brightness: radiometric scale of the *hottest* fire
             pixel relative to reflective materials; >1 makes it the
@@ -84,6 +85,8 @@ class SceneConfig:
             )
         if self.bands < 8:
             raise ConfigurationError(f"need >= 8 bands, got {self.bands}")
+        if self.seed < 0:
+            raise ConfigurationError(f"seed must be >= 0, got {self.seed}")
         if self.noise_snr_scale <= 0 or self.hotspot_brightness <= 0:
             raise ConfigurationError("scale factors must be positive")
         if not 0 < self.label_threshold < 1:

@@ -454,7 +454,13 @@ def _run_microbench_command(args: argparse.Namespace) -> int:
         from repro.obs.microbench import PAPER_SCALE
 
         scale = dict(PAPER_SCALE)
-    config = MicrobenchConfig(seed=args.seed, repeats=args.repeats, **scale)
+    try:
+        config = MicrobenchConfig(
+            seed=args.seed, repeats=args.repeats, **scale
+        )
+    except ReproError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     date = args.date or datetime.date.today().isoformat()
     artifact = run_microbench(config, date=date)
     print(microbench_report(artifact))

@@ -49,7 +49,7 @@ from typing import Any, Callable, Mapping
 
 import numpy as np
 
-from repro.errors import ReproError
+from repro.errors import ConfigurationError, ReproError
 from repro.hsi.scene import SceneConfig, make_wtc_scene
 from repro.types import FloatArray, IntArray
 
@@ -106,6 +106,19 @@ class MicrobenchConfig:
     #: Candidate pool and SAD threshold for the unique kernel.
     unique_pixels: int = 4096
     unique_threshold: float = 0.05
+
+    def __post_init__(self) -> None:
+        if self.repeats < 1:
+            raise ConfigurationError(
+                f"repeats must be >= 1, got {self.repeats}"
+            )
+        if self.bands < self.n_targets:
+            # ATDCA finds at most one target per spectral dimension.
+            raise ConfigurationError(
+                f"need bands >= {self.n_targets} (the detector kernels' "
+                f"targets), got {self.bands}"
+            )
+        self.scene_config()  # raises on an invalid scene
 
     def scene_config(self) -> SceneConfig:
         return SceneConfig(

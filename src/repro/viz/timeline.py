@@ -14,81 +14,69 @@ from __future__ import annotations
 import dataclasses
 from typing import Any, Sequence
 
-from repro.cluster.engine import SimulationResult, TraceEvent
+from repro.cluster.engine import SimulationResult
 from repro.errors import ConfigurationError
+from repro.obs.trace import Span
 
 __all__ = ["ascii_gantt", "gantt_of_run", "gantt_of_trace"]
 
+#: Span category → glyph; any other category paints as phase (``.``).
+#: Kernel spans bracket the same interval the engine charges, so they
+#: paint as compute (``S`` when ``sequential``) — on the wall-clock
+#: backend they are the only record of compute time; mpi waits paint
+#: as transfers.
 _GLYPHS = {
-    "compute": "#", "seq": "S", "transfer": "=", "phase": ".", "fault": "!",
+    "compute": "#", "seq": "S", "kernel": "#",
+    "transfer": "=", "mpi": "=", "fault": "!",
 }
 #: Painting priority: faults over compute over transfer over phase
 #: background (overlaps happen when a transfer interval abuts a compute
 #: interval at cell resolution, and phase spans enclose their children).
-_PRIORITY = {
-    "phase": -1, ".": -1,
-    "transfer": 0, "=": 0,
-    "compute": 1, "#": 1,
-    "seq": 2, "S": 2,
-    "fault": 3, "!": 3,
-}
-
-#: Span category → gantt event kind (mpi waits render as transfers;
-#: kernel spans bracket the same interval the engine charges, so they
-#: paint as compute — on the wall-clock backend they are the only
-#: record of compute time).
-_SPAN_KINDS = {
-    "compute": "compute",
-    "seq": "seq",
-    "kernel": "compute",
-    "transfer": "transfer",
-    "mpi": "transfer",
-    "phase": "phase",
-    "fault": "fault",
-}
+_PRIORITY = {".": -1, "=": 0, "#": 1, "S": 2, "!": 3}
 
 
 def ascii_gantt(
-    events: Sequence[TraceEvent],
+    spans: Sequence[Span],
     n_ranks: int,
     makespan: float | None = None,
     width: int = 80,
 ) -> str:
-    """Render trace events as one lane per rank (``r0``, ``r1``, ...).
+    """Render spans as one lane per rank (``r0``, ``r1``, ...).
 
     Args:
-        events: the engine trace.
+        spans: the intervals to paint, glyph by category.
         n_ranks: number of lanes.
-        makespan: time axis extent (defaults to the last event end).
+        makespan: time axis extent (defaults to the last span end).
         width: characters across the time axis.
     """
     if n_ranks < 1:
         raise ConfigurationError("need at least one rank")
     if width < 10:
         raise ConfigurationError("width must be >= 10")
-    if not events:
+    if not spans:
         raise ConfigurationError("no events to render (trace the engine)")
-    horizon = makespan if makespan is not None else max(e.end for e in events)
+    horizon = makespan if makespan is not None else max(s.end for s in spans)
     names = [f"r{i}" for i in range(n_ranks)]
     pad = max(len(n) for n in names)
 
     lanes = [[" "] * width for _ in range(n_ranks)]
-    for event in events:
-        if not 0 <= event.rank < n_ranks:
+    for span in spans:
+        if not 0 <= span.rank < n_ranks:
             raise ConfigurationError(
-                f"event rank {event.rank} outside [0, {n_ranks})"
+                f"event rank {span.rank} outside [0, {n_ranks})"
             )
-        glyph = _GLYPHS.get(event.kind)
-        if glyph is None or horizon <= 0:
-            # A zero-extent trace (every event instantaneous) still
+        if horizon <= 0:
+            # A zero-extent trace (every span instantaneous) still
             # renders — as an empty axis — rather than dividing by it.
             continue
-        first = int(event.start / horizon * (width - 1))
-        last = max(first, int(min(event.end, horizon) / horizon * (width - 1)))
+        sequential = span.category == "kernel" and span.attrs.get("sequential")
+        glyph = "S" if sequential else _GLYPHS.get(span.category, ".")
+        first = int(span.start / horizon * (width - 1))
+        last = max(first, int(min(span.end, horizon) / horizon * (width - 1)))
         for col in range(first, last + 1):
-            cell = lanes[event.rank][col]
-            if cell == " " or _PRIORITY[glyph] >= _PRIORITY.get(cell, -2):
-                lanes[event.rank][col] = glyph
+            cell = lanes[span.rank][col]
+            if cell == " " or _PRIORITY[glyph] >= _PRIORITY[cell]:
+                lanes[span.rank][col] = glyph
 
     lines = [
         f"{names[i].rjust(pad)} |{''.join(lanes[i])}|" for i in range(n_ranks)
@@ -117,24 +105,14 @@ def gantt_of_run(result: SimulationResult, width: int = 80) -> str:
     )
 
 
-@dataclasses.dataclass(frozen=True)
-class _SpanEvent:
-    """Adapter: a tracer span viewed through the TraceEvent interface."""
-
-    kind: str
-    rank: int
-    start: float
-    end: float
-
-
 def gantt_of_trace(source: Any, width: int = 80) -> str:
     """Gantt chart from tracer spans — works for wall-clock runs too.
 
-    The engine only records :class:`TraceEvent` streams under the sim
-    backend; this renders the same picture from an
-    :class:`~repro.obs.ObsSession` (or tracer, or span sequence), which
-    both backends populate.  Wall-clock spans are shifted so the chart
-    starts at the earliest span.
+    The engine reports ``events`` only under the sim backend; this
+    renders the same picture from an :class:`~repro.obs.ObsSession` (or
+    tracer, or span sequence), which both backends populate.
+    Wall-clock spans are shifted so the chart starts at the earliest
+    span.
 
     Fault-tolerant traces are handled: after a ``recovery.repartition``
     seam the survivors run with renumbered dense ranks, and the seam
@@ -161,16 +139,11 @@ def gantt_of_trace(source: Any, width: int = 80) -> str:
         raise ConfigurationError("no spans to render (trace a run first)")
     original_rank = original_rank_lookup(spans)
 
-    def kind_of(span: Any) -> str:
-        if span.category == "kernel" and span.attrs.get("sequential"):
-            return "seq"
-        return _SPAN_KINDS.get(span.category, "phase")
-
     t0 = min(s.start for s in work)
     horizon = max(s.end for s in work) - t0
-    events = [
-        _SpanEvent(
-            kind=kind_of(s),
+    shifted = [
+        dataclasses.replace(
+            s,
             rank=original_rank(s.rank, s.start),
             start=max(s.start - t0, 0.0),
             end=min(s.end - t0, horizon),
@@ -179,8 +152,8 @@ def gantt_of_trace(source: Any, width: int = 80) -> str:
         if s.end >= t0 and s.start - t0 <= horizon
     ]
     return ascii_gantt(
-        events,
-        n_ranks=1 + max(e.rank for e in events),
+        shifted,
+        n_ranks=1 + max(s.rank for s in shifted),
         makespan=horizon,
         width=width,
     )

@@ -146,6 +146,9 @@ class TestExperimentsCLI:
     @pytest.mark.parametrize("flag, value, message", [
         ("--rows", "8", "scene must be at least 32x8, got 8x64"),
         ("--bands", "0", "need >= 8 bands, got 0"),
+        ("--bands", "10", "need --bands >= 18 (the targets ATDCA and UFCLS "
+                          "detect) for table3, got 10"),
+        ("--seed", "-1", "seed must be >= 0, got -1"),
     ])
     def test_bad_scene_rejected(self, flag, value, message, capsys):
         from repro.experiments.runner import main

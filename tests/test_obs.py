@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.cluster.engine import TraceEvent, run_program
+from repro.cluster.engine import run_program
 from repro.cluster.presets import fully_heterogeneous
 from repro.core.runner import ALGORITHM_NAMES, run_parallel
 from repro.errors import ConfigurationError
@@ -39,7 +39,7 @@ from repro.obs import (
     write_metrics_json,
 )
 from repro.obs.export import JSONL_SCHEMA, canonical_json
-from repro.obs.trace import SPAN_CATEGORIES
+from repro.obs.trace import SPAN_CATEGORIES, Span
 from repro.perf.timers import breakdown_of_run
 from repro.viz.timeline import ascii_gantt, gantt_of_trace
 
@@ -585,8 +585,7 @@ class TestExports:
 
 class TestGanttEdgeCases:
     def test_zero_makespan_renders_empty_axis(self):
-        events = [TraceEvent(kind="compute", rank=0, start=0.0, end=0.0,
-                             detail="")]
+        events = [Span("compute", 0, 0.0, 0.0, category="compute")]
         chart = ascii_gantt(events, n_ranks=1, width=40)
         lines = chart.splitlines()
         assert len(lines) == 1 + 3
@@ -626,6 +625,24 @@ def crash_run():
 
 
 class TestPostRecoveryGantt:
+    def test_chart_text(self, crash_run):
+        assert gantt_of_trace(crash_run, width=72) == (
+            "r0 |S============#======S====#====!==========#====S====#====S"
+            "====#====S=====|\n"
+            "r1 |=============#===========#=== ===========#=========#====="
+            "====#==========|\n"
+            "r2 |=============#===========#=============#========##======="
+            "=#==========   |\n"
+            "r3 |=============#===========!                              "
+            "                |\n"
+            "   +-----------------------------------------------------------"
+            "-------------+\n"
+            "    0                                                         "
+            "     0.03 s\n"
+            "    #=parallel compute  S=sequential  ==transfer  .=phase  "
+            "!=fault"
+        )
+
     def test_survivor_lanes_follow_the_seam_mapping(self, crash_run):
         """After rank 3 crashes, the dense post-recovery ranks 0..2 map
         back to original lanes via the repartition seam: the crashed

@@ -1,11 +1,15 @@
 """Tests for the iterative-mapping LP, engine tracing and the Gantt
 renderer."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from repro.cluster import SimulationEngine, fully_heterogeneous
 from repro.errors import ConfigurationError
+from repro.faults import FaultInjector, FaultPlan, RankComputeScale
+from repro.obs import ObsSession
 from repro.scheduling import (
     dlt_fractions,
     heterogeneous_fractions,
@@ -66,9 +70,9 @@ class TestIterativeLP:
 
 
 class TestEngineTrace:
-    def _traced_run(self):
-        platform = make_tiny_platform()
-        engine = SimulationEngine(platform, trace=True)
+    def _traced_run(self, platform=None, **engine_kwargs):
+        platform = platform or make_tiny_platform()
+        engine = SimulationEngine(platform, trace=True, **engine_kwargs)
 
         def program(ctx):
             if ctx.is_master:
@@ -83,11 +87,41 @@ class TestEngineTrace:
 
     def test_events_recorded(self):
         result = self._traced_run()
-        kinds = {e.kind for e in result.events}
+        kinds = {e.category for e in result.events}
         assert kinds == {"seq", "compute", "transfer"}
         # Every transfer recorded once per endpoint.
-        transfers = [e for e in result.events if e.kind == "transfer"]
+        transfers = [e for e in result.events if e.category == "transfer"]
         assert len(transfers) == 2 * 3
+
+    def test_events_are_the_spans_a_session_records(self):
+        """One record per op: a run traced both ways reports as
+        ``events`` exactly the compute, seq and transfer spans the
+        attached session records, ``seq`` aside — a slowed rank's
+        ``factor`` included."""
+        platform = make_tiny_platform()
+        obs = ObsSession.create()
+        plan = FaultPlan(
+            (RankComputeScale(rank=2, factor=3.0, start_s=0.0, end_s=1e9),),
+            name="slow-r2",
+        )
+        result = self._traced_run(
+            platform, obs=obs,
+            faults=FaultInjector(plan).attach(platform=platform),
+        )
+        recorded = [
+            s for s in obs.tracer.spans()
+            if s.category in ("compute", "seq", "transfer")
+        ]
+
+        def unnumbered(spans):
+            return [dataclasses.replace(s, seq=0) for s in spans]
+
+        assert unnumbered(result.events) == unnumbered(recorded)
+        assert {
+            (e.rank, e.attrs.get("factor"))
+            for e in result.events if e.category == "compute"
+        } == {(1, None), (2, 3.0), (3, None)}
+        assert len(result.events) == 1 + 3 + 2 * 3
 
     def test_events_sorted_and_bounded(self):
         result = self._traced_run()
@@ -109,6 +143,17 @@ class TestEngineTrace:
         assert "S" in lines[0]  # master's sequential work
         assert "#" in lines[1]  # a worker's parallel compute
         assert "=" in chart
+
+    def test_gantt_chart_text(self):
+        assert gantt_of_run(self._traced_run(), width=60) == (
+            "r0 |SSSSSSS                                                     |\n"
+            "r1 |      ###########################                           |\n"
+            "r2 |      ##################################################### |\n"
+            "r3 |      ######################################################|\n"
+            "   +------------------------------------------------------------+\n"
+            "    0                                                  0.90 s\n"
+            "    #=parallel compute  S=sequential  ==transfer  .=phase  !=fault"
+        )
 
     def test_gantt_validates_input(self):
         with pytest.raises(ConfigurationError):

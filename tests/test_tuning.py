@@ -358,6 +358,7 @@ class TestPlanBenchGate:
         ("--networks", "nope"),
         ("--algorithms", "pct"),
         ("--rows", "8"),
+        ("--seed", "-1"),
     ])
     def test_cli_rejects_a_bad_value_before_any_cell_runs(
         self, flag, value, capsys, monkeypatch
@@ -395,6 +396,29 @@ class TestPlanBenchGate:
             run_plan_bench(
                 BenchConfig(algorithms=("pct",)), date="2026-01-01"
             )
+
+
+class TestMicrobenchCli:
+    @pytest.mark.parametrize("flag, value", [
+        ("--repeats", "0"),
+        ("--rows", "8"),
+        ("--seed", "-1"),
+        ("--bands", "16"),
+    ])
+    def test_cli_rejects_a_bad_value_before_any_kernel_runs(
+        self, flag, value, capsys, monkeypatch
+    ):
+        import repro.obs.bench as bench
+        import repro.obs.microbench as microbench
+
+        def no_kernels(*args, **kwargs):
+            raise AssertionError("a kernel ran")
+
+        monkeypatch.setattr(microbench, "run_microbench", no_kernels)
+        assert bench.main(["microbench", flag, value]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and value in err
+        assert "Traceback" not in err
 
 
 class TestScaleProvenance:
