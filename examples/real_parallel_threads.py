@@ -1,15 +1,15 @@
-"""Actually-parallel execution on your machine's threads.
+"""Distributed control flow on your machine's threads.
 
 The same SPMD programs that run under the virtual-time engine also run
 on the wall-clock in-process backend: one real thread per rank, real
 rendezvous message passing, real data movement.  This example runs
 Hetero-UFCLS on 1, 2 and 4 ranks and verifies the targets are identical
 to the sequential reference every time — the backend's job is to prove
-the distributed control flow correct under genuine concurrency.
-(Wall-clock *speedups* from threads depend on how BLAS-bound the kernel
-is — CPython's GIL serializes the pure-Python portions, which is
-exactly why the paper used MPI processes; treat timings as
-informational.)
+the distributed control flow correct under real thread interleaving.
+(The ranks share CPython's GIL and run on the launcher's current CPU,
+so they take turns on one processor, as MPI ranks that outnumber their
+cores do; real parallelism is why the paper used MPI processes.  Treat
+the timings as informational, not as speedups of more cores.)
 
 Run:  python examples/real_parallel_threads.py
 """

@@ -22,19 +22,20 @@ if it would now leave its wait.  Nobody else is woken and no other
 predicate is looked at.
 
 What happens to a ready rank is the one thing the two backends differ
-in, and the backend picks it, never a user:
+in, and the backend picks it, never a user.  Under both policies the
+ranks of a launch run on the launcher's current CPU, so a hand-off
+never changes cores (:func:`~repro.cluster.runtime.launch_ranks`):
 
 * **free-running** (``Router(n)``; :mod:`repro.mpi.inproc`, and plain
   threads driving a bare router): the rank is released at once and the
-  OS schedules it, so ranks overlap wherever the GIL lets them.
+  OS schedules it, so ranks take turns wherever the GIL lets them, in
+  the order the OS wakes them.
 * **run-to-block** (``run_to_block=True``; the virtual-time engine):
   exactly one rank is runnable.  Ranks start parked, the launcher hands
   the baton to rank 0, and the rank holding it runs until it parks or
   retires; only then is the lowest-numbered ready rank released.
   Threads remain only as stacks, so the wall schedule of a run, like
-  its virtual times, is a pure function of the program, and they all
-  run on the launcher's current CPU, so a hand-off never changes
-  cores (:func:`~repro.cluster.runtime.launch_ranks`).  The price is
+  its virtual times, is a pure function of the program.  The price is
   one rule for programs: never wait for another rank except inside
   ``send``/``recv`` — a rank that spins on shared state holds the baton
   forever.
@@ -272,11 +273,6 @@ class Router:
             for rank in range(n_ranks):
                 self._waiters[rank] = _Waiter(lambda: True, None)
                 self._unblock(rank)
-
-    @property
-    def run_to_block(self) -> bool:
-        """The policy the backend picked (module docstring); read-only."""
-        return self._run_to_block
 
     # -- lifecycle -------------------------------------------------------------
     def enter(self, rank: int) -> None:

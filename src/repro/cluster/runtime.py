@@ -211,10 +211,11 @@ def launch_ranks(
     own that exits afterwards.  When the ranks run is the router's
     policy: every rank waits in ``router.enter`` and ``router.start``
     hands rank 0 the baton of a run-to-block router; on a free-running
-    one neither waits.  A run-to-block run also lives on one core: each
-    of its threads sets its own CPU mask to the launcher's current CPU
-    before running its rank, so no hand-off changes cores; a
-    free-running run's threads take the launcher's mask.
+    one neither waits.  Where the ranks run is the same for both: every
+    run lives on one core, each of its threads setting its own CPU mask
+    to the launcher's current CPU before running its rank, so no
+    hand-off changes cores.  Ranks that share one GIL gain little from
+    a second core and pay for every hand-off across cores.
 
     Raises:
         The root cause, if any rank failed: a crashing rank makes its
@@ -256,7 +257,7 @@ def launch_ranks(
         finally:
             router.retire(rank)
 
-    own_mask, mask = _launch_masks(router.run_to_block)
+    own_mask, mask = _launch_masks()
     threads, fresh = _POOL.take(n_ranks, own_mask)
     started = 0
     try:
@@ -427,18 +428,15 @@ if hasattr(os, "register_at_fork"):
     os.register_at_fork(after_in_child=_POOL.reset)
 
 
-def _launch_masks(
-    run_to_block: bool,
-) -> tuple[set[int] | None, set[int] | None]:
+def _launch_masks() -> tuple[set[int] | None, set[int] | None]:
     """The launcher's CPU mask, and the one its ranks run under: the
-    launcher's current CPU for a run-to-block router whose launcher may
-    use several, else the launcher's mask.  ``None`` where the mask
-    cannot be read."""
+    launcher's current CPU when the launcher may use several, else the
+    launcher's mask.  ``None`` where the mask cannot be read."""
     try:
         own = os.sched_getaffinity(0)
     except (AttributeError, OSError):
         return None, None
-    if not run_to_block or len(own) < 2:
+    if len(own) < 2:
         return own, own
     try:
         with open("/proc/thread-self/stat", "rb") as stat:

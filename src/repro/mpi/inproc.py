@@ -5,10 +5,11 @@ threads with real time: :meth:`InprocContext.compute` charges nothing
 (the actual numpy work *is* the computation) and message transfers cost
 whatever the memory copy costs.  The rank launcher, the per-op hook
 sequence and the nominal clock are :mod:`repro.cluster.runtime`'s, the
-same code the engine runs.  NumPy's BLAS kernels release the GIL,
-so genuinely parallel speedups are possible for the dense-linear-algebra
-phases; regardless, this backend is the reference for *correctness* —
-algorithm outputs must be identical on both backends.
+same code the engine runs.  Its ranks share one GIL and run on the
+launcher's current CPU, as the engine's do, so they time-share one
+processor rather than run in parallel; this backend is the reference
+for *correctness* — algorithm outputs must be identical on both
+backends.
 """
 
 from __future__ import annotations

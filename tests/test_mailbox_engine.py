@@ -471,8 +471,8 @@ class TestRankThreadPool:
     reason="needs sched_setaffinity and more than one usable CPU",
 )
 class TestOneCore:
-    """A run-to-block run lives on the launcher's current CPU and gives
-    the launcher its mask back; a free-running run is not confined."""
+    """A run on either backend lives on the launcher's current CPU and
+    gives the launcher its mask back."""
 
     @staticmethod
     def _masks(backend, fail_rank=None):
@@ -499,10 +499,17 @@ class TestOneCore:
             self._masks("sim", fail_rank=3)
         assert os.sched_getaffinity(0) == before
 
-    def test_inproc_ranks_keep_the_launcher_mask(self):
+    def test_inproc_ranks_share_one_cpu(self):
         before = os.sched_getaffinity(0)
         _, masks = self._masks("inproc")
-        assert all(mask == before for mask in masks)
+        assert len(masks[0]) == 1 and masks[0] <= before
+        assert all(mask == masks[0] for mask in masks)
+        assert os.sched_getaffinity(0) == before
+
+    def test_inproc_launcher_mask_restored_when_a_rank_raises(self):
+        before = os.sched_getaffinity(0)
+        with pytest.raises(ReproError, match="boom"):
+            self._masks("inproc", fail_rank=3)
         assert os.sched_getaffinity(0) == before
 
     @pytest.mark.parametrize("backend", ["sim", "inproc"])

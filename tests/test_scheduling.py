@@ -1,5 +1,7 @@
 """Tests for WEA partitioning, DLT fractions and dynamic scheduling."""
 
+import time
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -206,6 +208,25 @@ class TestDynamicScheduling:
 
         with pytest.raises(Exception):
             run_inproc(2, program)
+
+    def test_inproc_spreads_chunks(self):
+        """On the wall-clock backend a ready rank is released at once:
+        while one worker sleeps in its task (the GIL released), the
+        others post their requests, so chunks reach more than one
+        worker."""
+        tasks = list(range(24))
+
+        def task(ctx, t):
+            time.sleep(0.002)
+            return ctx.rank
+
+        def program(ctx):
+            return dynamic_master_worker(
+                ctx, tasks if ctx.is_master else None, task, chunk_size=1,
+            )
+
+        result = run_inproc(4, program)
+        assert len(set(result.return_values[0])) >= 2
 
     def test_engine_hands_every_task_to_rank_one(self, tiny_platform):
         """On the engine a parked rank runs only when the baton reaches
