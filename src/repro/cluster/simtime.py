@@ -40,6 +40,7 @@ from __future__ import annotations
 
 import dataclasses
 import enum
+import functools
 import weakref
 from typing import Any, Iterable, Mapping, NamedTuple
 
@@ -221,6 +222,18 @@ _ROUTES: "weakref.WeakKeyDictionary[Any, dict[tuple[int, int], _Route]]" = (
 )
 
 
+@functools.lru_cache(maxsize=None)
+def _route_names(
+    where: str | tuple[str, str],
+) -> tuple[tuple[str, str] | None, str, tuple[str, str]]:
+    """A route's link key, label and segment pair, one copy per segment
+    (``where`` its name) and per serial link (``where`` its key), shared
+    by every route that stays in that segment or crosses that link."""
+    if isinstance(where, str):
+        return None, f"intra:{where}", (where, where)
+    return where, "|".join(where), where
+
+
 class TimingCore:
     """Per-rank clocks and ledgers plus the serial-link schedule.
 
@@ -331,11 +344,9 @@ class TimingCore:
         # The network rejects ranks outside the platform (PlatformError).
         network = self._network
         link = network.link_resource(src, dst)
-        if link is not None:
-            label, pair = "|".join(link), link
-        else:
-            segment = network.segment_of(src)
-            label, pair = f"intra:{segment}", (segment, segment)
+        link, label, pair = _route_names(
+            network.segment_of(src) if link is None else link
+        )
         # latency + per_mb × megabits is network.transfer_seconds's
         # float, term for term; a self-send costs nothing.
         if src == dst:

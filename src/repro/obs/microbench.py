@@ -96,12 +96,13 @@ class MicrobenchConfig:
     repeats: int = 5
     #: Pixel subset for the ufcls kernel only.  Both variants spend
     #: nearly all their time in the one active-set refinement they share
-    #: (``linalg.fcls._active_set_refine``; the fast path saves only the
-    #: Gram inverse and the cross-products), so the ratio sits near 1 at
-    #: any size and cannot see a change to that kernel — the number that
-    #: does is ``linalg.fcls_px_per_s`` in ``benchmarks/wall``.  At 30
-    #: targets a sample costs ~1.5 s on 512 pixels and ~8 s on the full
-    #: 6144-pixel frame.
+    #: (``linalg.fcls._active_set_refine``), so a change to its rounds
+    #: moves both sides alike; the ratio sees what the fast path skips:
+    #: the design matrix, and the refinement of each pixel that keeps
+    #: its previous answer (``IncrementalFCLS``).  The number that times
+    #: the kernel itself is ``linalg.fcls_px_per_s`` in
+    #: ``benchmarks/wall``.  At 30 targets a sample costs ~1.5 s on 512
+    #: pixels and ~8 s on the full 6144-pixel frame.
     ufcls_pixels: int = 512
     #: Candidate pool and SAD threshold for the unique kernel.
     unique_pixels: int = 4096

@@ -1,6 +1,8 @@
 """Tests for the constrained unmixing solvers."""
 
+import copy
 import dataclasses
+import functools
 
 import numpy as np
 import pytest
@@ -11,7 +13,7 @@ from hypothesis import strategies as st
 from repro.core.ufcls import ufcls_pixels
 from repro.errors import ConvergenceError, DataError, ShapeError
 from repro.experiments.config import ExperimentConfig
-from repro.hsi import make_wtc_scene
+from repro.hsi import SceneConfig, make_wtc_scene
 from repro.linalg import fcls
 from repro.linalg.fcls import fcls_abundances, reconstruction_error
 
@@ -147,9 +149,10 @@ def test_fcls_pixel_depends_on_nothing_but_itself(
     assert np.array_equal(full[idx], fcls_abundances(pixels[idx], endmembers))
 
 
-def _per_mask_loop_refine(result, cross, gram, ridge, rounds):
+def _per_mask_loop_refine(result, cross, gram, ridge, rounds, open_after=None):
     """The kernel ``_active_set_refine`` replaced, verbatim: one SCLS per
-    distinct active mask per round, in a Python loop.  The oracle."""
+    distinct active mask per round, in a Python loop.  The oracle.
+    ``open_after``, when given, gets the open-pixel count of each round."""
     n, k = result.shape
     bad = np.flatnonzero((result < -1e-12).any(axis=1))
     if bad.size == 0:
@@ -193,6 +196,8 @@ def _per_mask_loop_refine(result, cross, gram, ridge, rounds):
         todo = (
             np.concatenate(next_todo) if next_todo else np.empty(0, dtype=np.int64)
         )
+        if open_after is not None:
+            open_after.append(todo.size)
     if todo.size:
         raise ConvergenceError(
             f"FCLS failed to converge for {todo.size} pixel(s) in "
@@ -210,7 +215,10 @@ class TestAgainstPerMaskLoop:
         picks = ufcls_pixels(pixels, 18).flat_indices
         abundances = fcls_abundances(pixels, pixels[picks[:-1]])
         monkeypatch.setattr(fcls, "_active_set_refine", _per_mask_loop_refine)
-        assert np.array_equal(ufcls_pixels(pixels, 18).flat_indices, picks)
+        # The stateless variant: every iteration's picks come from the
+        # per-mask loop run from round 0, never from a kept answer.
+        reference = ufcls_pixels(pixels, 18, fcls_variant="reference")
+        assert np.array_equal(reference.flat_indices, picks)
         oracle = fcls_abundances(pixels, pixels[picks[:-1]])
         assert np.abs(abundances - oracle).max() < 1e-9
 
@@ -240,6 +248,134 @@ class TestAgainstPerMaskLoop:
             return None
 
         kernel = [outcome(r) for r in range(1, 31)]
-        monkeypatch.setattr(fcls, "_active_set_refine", _per_mask_loop_refine)
-        assert [outcome(r) for r in range(1, 31)] == kernel
+        # One oracle run: the error after r rounds names the pixels still
+        # open after round r, so its per-round counts give all 30 outcomes.
+        counts = []
+        monkeypatch.setattr(
+            fcls, "_active_set_refine",
+            functools.partial(_per_mask_loop_refine, open_after=counts),
+        )
+        fcls_abundances(pixels, endmembers, max_iter=30)
+        counts += [0] * (30 - len(counts))
+        oracle = [
+            f"FCLS failed to converge for {n} pixel(s) in {r} rounds" if n else None
+            for r, n in enumerate(counts, start=1)
+        ]
+        assert oracle == kernel
         assert kernel[0] is not None and kernel[-1] is None
+
+
+@pytest.fixture(scope="module")
+def grid_share():
+    """768 pixels of a small grid scene and its 12 UFCLS targets, in order."""
+    pixels = make_wtc_scene(
+        SceneConfig(rows=48, cols=16, bands=24, seed=7)
+    ).image.flatten_pixels()
+    return pixels, pixels[ufcls_pixels(pixels, 12).flat_indices]
+
+
+def _solved_every_step(pixels, targets):
+    state = fcls.IncrementalFCLS(pixels)
+    for signature in targets:
+        state.add_target(signature)
+        state.error_image()
+    return state
+
+
+class TestKeptAnswers:
+    def test_replayed_targets_solve_the_counts_they_skipped(self, grid_share):
+        # A checkpoint resume or a repartition adds targets without asking
+        # for answers; the state must still answer as one that asked at
+        # every count, since its answer at t is built on the one at t - 1.
+        pixels, targets = grid_share
+        live = _solved_every_step(pixels, targets)
+        for asked_at in (None, 4):
+            replayed = fcls.IncrementalFCLS(pixels)
+            for count, signature in enumerate(targets, start=1):
+                replayed.add_target(signature)
+                if count == asked_at:
+                    replayed.error_image()
+            assert np.array_equal(replayed.abundances(), live.abundances())
+            assert np.array_equal(replayed.error_image(), live.error_image())
+
+    def test_round_limit_fails_the_pixels_the_reference_fails(self, grid_share):
+        # A kept answer costs its pixel 1 + the rounds it took before, so
+        # every max_iter fails on as many pixels as a from-scratch solve.
+        pixels, targets = grid_share
+        state = _solved_every_step(pixels, targets[:-1])
+        state.add_target(targets[-1])
+        reference = fcls.ScratchFCLS(pixels)
+        for signature in targets:
+            reference.add_target(signature)
+
+        def outcome(solver, max_iter):
+            try:
+                solver.abundances(max_iter)
+            except ConvergenceError as exc:
+                return str(exc)
+            return None
+
+        limits = range(1, len(targets) + 1)
+        expected = [outcome(reference, r) for r in limits]
+        assert [outcome(copy.deepcopy(state), r) for r in limits] == expected
+        # Asked again at the same count: the kept answer, the same limits.
+        state.abundances()
+        assert [outcome(state, r) for r in limits] == expected
+        assert expected[0] is not None and expected[-1] is None
+
+    def test_pixels_that_drop_the_newest_target_first_skip_refinement(
+        self, grid_share, monkeypatch
+    ):
+        pixels, targets = grid_share
+        solve, refine = fcls._scls_from_cross, fcls._active_set_refine
+        open_after_round_0, refined = [], []
+
+        def counting_solve(cross, ginv):
+            result = solve(cross, ginv)
+            open_after_round_0.append(int((result < -1e-12).any(axis=1).sum()))
+            return result
+
+        def counting_refine(result, *args):
+            refined.append(int((result < -1e-12).any(axis=1).sum()))
+            return refine(result, *args)
+
+        monkeypatch.setattr(fcls, "_scls_from_cross", counting_solve)
+        monkeypatch.setattr(fcls, "_active_set_refine", counting_refine)
+        _solved_every_step(pixels, targets)
+        assert sum(refined) < sum(open_after_round_0)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    n_end=st.integers(min_value=2, max_value=18),
+    n_pixels=st.integers(min_value=4, max_value=200),
+    duplicate=st.booleans(),
+    seed=st.integers(min_value=0, max_value=10_000),
+)
+@example(n_end=18, n_pixels=200, duplicate=True, seed=0)
+# One ``gemm`` over the 16 rows of this case rounds a row of ``a @ G``
+# differently from one over its share.
+@example(n_end=18, n_pixels=16, duplicate=False, seed=1)
+def test_incremental_rows_depend_on_nothing_but_themselves(
+    n_end, n_pixels, duplicate, seed
+):
+    """States over row slices give the full-frame state's error-image rows,
+    to the bit, at every count: kept answers are per pixel, and every
+    product a row enters is taken row by row, so how the frame is cut into
+    shares leaves them alone.  Slices hold two rows or more, as in the
+    batch property above."""
+    rng = np.random.default_rng(seed)
+    endmembers = rng.random((n_end, 24)) + 0.05
+    if duplicate:
+        endmembers[-1] = endmembers[0]
+    pixels = rng.random((n_pixels, 24)) * rng.uniform(0.1, 5.0)
+    cut = int(rng.integers(2, n_pixels - 1))
+    bounds = [(0, cut), (cut, n_pixels)]
+    full = fcls.IncrementalFCLS(pixels)
+    shares = [fcls.IncrementalFCLS(pixels[lo:hi]) for lo, hi in bounds]
+    for signature in endmembers:
+        full.add_target(signature)
+        error = full.error_image()
+        for (lo, hi), share in zip(bounds, shares):
+            share.add_target(signature)
+            assert np.array_equal(share.error_image(), error[lo:hi])
