@@ -25,7 +25,6 @@ from repro.hsi.cube import HyperspectralImage
 from repro.hsi.metrics import sad_to_references
 from repro.morphology.ops import (
     _EPS,
-    edge_pad_into,
     mei_scores,
     morph_extrema,
     offset_angle_maps,
@@ -120,14 +119,18 @@ def mei_map(
     computed once.  The first pass (frame = original cube, every pixel
     distinct) computes the per-offset D_B sweeps with the
     (dr,dc)/(−dr,−dc) mirror symmetry — each mirrored angle field is the
-    lead field shifted, with only the clamped border strips recomputed
+    lead field shifted, with only the clamped border recomputed
     (:func:`~repro.morphology.ops.offset_angle_maps`), halving the
     full-frame dot-product sweeps.  Later passes gather heavily (the
     dilated frame repeats its window maxima), so their window angles are
     deduplicated to distinct pixel-index pairs before the O(bands) dot
-    products run; MEI angles are pair-deduplicated on every pass.  One
-    clamped window-index map (:func:`~repro.morphology.ops.window_indices`),
-    built once per call, gives those neighbour pairs and every pass's
+    products run, and they keep the unit spectra of only the pixels the
+    first dilation kept; MEI angles are pair-deduplicated on every pass.
+    The pair dots gather at most :data:`~repro.types.BLOCK_BYTES` of
+    rows a side at a time, so no gather buffer grows with a pass's pair
+    count.  One clamped window-index
+    map (:func:`~repro.morphology.ops.window_indices`), built once per
+    call, gives those neighbour pairs and every pass's
     erosion/dilation positions, which stay flat indices throughout.
     Per-pass D_B accumulation keeps the structuring element's offset
     order, so the sums see the same floats in the same order as the
@@ -143,7 +146,6 @@ def mei_map(
     flat = arr.reshape(n, bands)
     norms = np.linalg.norm(flat, axis=1)
     unit = flat / np.maximum(norms, _EPS)[:, None]
-    pr, pc = se.shape[0] // 2, se.shape[1] // 2
     off_centre = [off != (0, 0) for off in se.offsets()]  # SAD(x, x) = 0
     offsets = [off for off, keep in zip(se.offsets(), off_centre) if keep]
     window = window_indices(rows, cols, se)  # one row per offset
@@ -152,36 +154,35 @@ def mei_map(
     prov = np.arange(n)  # current frame pixel → original flat index
     mei = np.zeros(n)
     dmap = np.empty(n)
-    scratch: dict[str, FloatArray] = {}  # reused pair-gather buffers
     for step in range(iterations):
         # D_B (eq. 2): accumulated per offset in se.offsets() order.
         dmap[:] = 0.0
         if step == 0:
-            gu = unit.reshape(rows, cols, bands)
-            cosbuf = np.empty((rows, cols))
-            padded = edge_pad_into(
-                np.empty((rows + 2 * pr, cols + 2 * pc, bands)), gu, pr, pc
-            )
-            for ang in offset_angle_maps(gu, padded, offsets, pr, pc, cosbuf):
+            frame = unit.reshape(rows, cols, bands)
+            for ang in offset_angle_maps(frame, offsets):
                 dmap += ang.ravel()
-            del padded, cosbuf
+            del frame  # a view: it would keep the whole unit copy alive
         else:
+            local = slot[prov]  # each frame pixel's row of ``unit``
             angles = unique_pair_angles(
-                np.tile(prov, len(neighbors)), prov[neighbors].ravel(),
-                unit, scratch,
+                np.tile(local, len(neighbors)), local[neighbors].ravel(), unit
             )
             for ang in angles.reshape(len(neighbors), n):
                 dmap += ang
 
         er_flat, di_flat = window_extrema(dmap, window)
-        scores = unique_pair_mei(
-            prov[er_flat], prov[di_flat], flat, norms, scratch
-        )
+        scores = unique_pair_mei(prov[er_flat], prov[di_flat], flat, norms)
         # MEI credit goes to the *lattice position* the dilation chose
         # in the current frame, not the provenance pixel.
         np.maximum.at(mei, di_flat, scores)
         if step + 1 < iterations:
             prov = prov[di_flat]
+            if step == 0:
+                # Later frames only repeat pixels this dilation kept
+                # (41 % of the grid scene): keep their unit rows alone.
+                held = np.zeros(n, dtype=bool)
+                held[prov] = True
+                unit, slot = unit[held], np.cumsum(held) - 1
     return mei.reshape(rows, cols)
 
 

@@ -183,6 +183,7 @@ def main(argv: list[str] | None = None) -> int:
     outdir.mkdir(parents=True, exist_ok=True)
     trace_dir = None
     sim_traced = None
+    scene = make_wtc_scene(config.scene)
     if args.trace is not None:
         trace_dir = Path(args.trace)
         trace_dir.mkdir(parents=True, exist_ok=True)
@@ -191,7 +192,7 @@ def main(argv: list[str] | None = None) -> int:
                   flush=True)
             traced = run_traced(
                 config, trace_dir, backend=backend, fault_plan=fault_plan,
-                plan_mode=args.plan,
+                plan_mode=args.plan, scene=scene,
             )
             if backend == "sim":
                 sim_traced = traced
@@ -220,7 +221,6 @@ def main(argv: list[str] | None = None) -> int:
             blocked = traced.analysis.blocked
             print(f"  blocked time: {blocked.total_blocked_s:.3f}s total "
                   f"across {len(blocked.ranks)} ranks")
-    scene = make_wtc_scene(config.scene)
     grid = None
     if _GRID_EXPERIMENTS & set(wanted):
         print("building the network grid...", flush=True)
@@ -253,6 +253,7 @@ def main(argv: list[str] | None = None) -> int:
                 config,
                 traced=sim_traced if fault_plan is None else None,
                 outdir=outdir,
+                scene=scene,
             )
         else:  # figure2; wanted runs table8 before it
             result = run_figure2(config, results.get("table8"))

@@ -35,7 +35,7 @@ from repro.cluster.presets import fully_heterogeneous
 from repro.core.runner import ParallelRun, run_parallel
 from repro.errors import ExperimentError
 from repro.experiments.config import ExperimentConfig
-from repro.hsi.scene import make_wtc_scene
+from repro.hsi.scene import WTCScene, make_wtc_scene
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.faults.plan import FaultPlan
@@ -107,11 +107,13 @@ def demo_run(
     algorithm: str,
     fault_plan: "FaultPlan | None",
     plan_mode: "str | None" = None,
+    scene: WTCScene | None = None,
 ) -> TracedRun:
     """One traced demo run, nothing exported yet: execute on the
     Table 1/2 platform, cross-check the span ledger on fault-free sim
-    runs, analyze the trace."""
-    scene = make_wtc_scene(cfg.scene)
+    runs, analyze the trace.  ``scene`` reuses an existing accuracy
+    scene (else built from the config)."""
+    scene = scene or make_wtc_scene(cfg.scene)
     platform = fully_heterogeneous()
     tuning = _resolve_plan(plan_mode, cfg, algorithm, backend, platform)
     obs = ObsSession.create()
@@ -171,6 +173,7 @@ def run_traced(
     algorithm: str = "atdca",
     fault_plan: "FaultPlan | None" = None,
     plan_mode: "str | None" = None,
+    scene: WTCScene | None = None,
 ) -> TracedRun:
     """Run ``algorithm`` traced on ``backend`` and export everything.
 
@@ -190,13 +193,15 @@ def run_traced(
     (``"auto"``), a serialized plan document (a path), or the static
     defaults (``"default"``/``None``).  Planned runs additionally
     export ``<stem>.plan.json`` — the plan document with its checkable
-    makespan prediction.
+    makespan prediction.  ``scene`` reuses an existing accuracy scene.
     """
     cfg = config or ExperimentConfig()
     out = Path(outdir)
     out.mkdir(parents=True, exist_ok=True)
     stem = f"{algorithm}_{backend}"
-    demo = demo_run(cfg, backend, algorithm, fault_plan, plan_mode=plan_mode)
+    demo = demo_run(
+        cfg, backend, algorithm, fault_plan, plan_mode=plan_mode, scene=scene
+    )
     obs, analysis, tuning = demo.obs, demo.analysis, demo.plan
     trace_path = out / f"{stem}.trace.json"
     metrics_path = out / f"{stem}.metrics.json"

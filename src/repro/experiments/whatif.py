@@ -20,6 +20,7 @@ from typing import Any
 from repro.cluster.presets import fully_heterogeneous
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.traced import TracedRun, demo_run
+from repro.hsi.scene import WTCScene
 from repro.obs.causal import CausalProfile, causal_profile
 from repro.obs.export import write_json
 from repro.obs.whatif import capacity_sweep, sweep_table
@@ -50,19 +51,21 @@ def run_whatif(
     outdir: Path | str | None = None,
     sizes: tuple[int, ...] = DEFAULT_SWEEP_SIZES,
     speedup_pct: float = 10.0,
+    scene: WTCScene | None = None,
 ) -> WhatIfResult:
     """Causal-profile and capacity-plan one traced demo run.
 
     Pass ``traced`` to reuse an existing sim :class:`TracedRun` (the
     CLI reuses the ``--trace`` run); otherwise a fresh demo run
-    executes.  With ``outdir`` the JSON artifacts are written as
-    ``whatif_causal.json`` / ``whatif_sweep.json``.
+    executes, on ``scene`` when given.  With ``outdir`` the JSON
+    artifacts are written as ``whatif_causal.json`` /
+    ``whatif_sweep.json``.
     """
     cfg = config or ExperimentConfig()
     platform = fully_heterogeneous()
     source = (
         traced if traced is not None
-        else demo_run(cfg, "sim", "atdca", None)
+        else demo_run(cfg, "sim", "atdca", None, scene=scene)
     )
     obs = source.obs
     causal = causal_profile(obs, platform, speedup_pct=speedup_pct)

@@ -21,7 +21,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.errors import ConvergenceError, DataError, ShapeError
-from repro.types import FloatArray, IntArray
+from repro.types import BLOCK_BYTES, FloatArray, IntArray
 
 __all__ = [
     "fcls_abundances",
@@ -104,11 +104,6 @@ def _scls_from_cross(cross: FloatArray, ginv: FloatArray) -> FloatArray:
     return result
 
 
-#: Bytes a block of ``q × q`` systems or a chunk of their pixels may take: 16 rank
-#: threads hold each 16 times over; glibc maps 128 KiB and more afresh each time.
-_ROUND_BYTES = 128 * 1024
-
-
 def _not_converged(open_rows: int, rounds: int) -> ConvergenceError:
     """The error for ``open_rows`` pixels still infeasible after ``rounds``."""
     return ConvergenceError(
@@ -136,7 +131,7 @@ def _active_set_refine(
     folds the sum-to-one correction into one affine map per mask,
     ``P = G⁻¹ − g·gᵀ/Σg`` and ``o = g/Σg`` with ``g = G⁻¹·1``, so a pixel's
     SCLS answer is ``c·P + o``: one gather, one batched matvec, one add.
-    Masks, then their pixels, are taken ``_ROUND_BYTES`` worth at a time;
+    Masks, then their pixels, are taken ``BLOCK_BYTES`` worth at a time;
     each matrix is inverted and applied on its own, so a pixel's result
     depends on that pixel and its lanes, never on which pixels share the
     call or where a block ends.  Open rows are zeroed once and written, by
@@ -178,7 +173,7 @@ def _active_set_refine(
         opens = np.concatenate(([True], keys[1:] != keys[:-1]))
         first, group = np.flatnonzero(opens), np.cumsum(opens) - 1
         lanes = np.nonzero(keys[first, None] & bit)[1].reshape(first.size, q)
-        step = max(1, _ROUND_BYTES // (8 * q * q))
+        step = max(1, BLOCK_BYTES // (8 * q * q))
         sub = np.empty((m, q))
         for g in range(0, first.size, step):
             ml = lanes[g:g + step]

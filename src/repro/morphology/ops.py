@@ -30,7 +30,7 @@ import numpy as np
 
 from repro.errors import ShapeError
 from repro.morphology.structuring import StructuringElement
-from repro.types import FloatArray, IntArray
+from repro.types import BLOCK_BYTES, FloatArray, IntArray
 
 __all__ = [
     "cumulative_sad_map",
@@ -39,7 +39,6 @@ __all__ = [
     "erosion",
     "dilation",
     "mei_scores",
-    "edge_pad_into",
     "offset_angle_maps",
     "unique_pair_angles",
     "unique_pair_mei",
@@ -218,111 +217,67 @@ def mei_scores(extrema: MorphExtrema) -> FloatArray:
 # ``(dr,dc)`` shifted by ``(dr,dc)``, because both read the same
 # unordered pixel pair and ``a·b`` / ``b·a`` are the same float sequence
 # (elementwise products commute, reduction order is fixed by the band
-# axis).  Only the clamped border strips pair different pixels; those
-# are recomputed directly.  A symmetric structuring element therefore
-# needs half the full-frame dot-product sweeps, bit-identical to the
-# direct evaluation.  ``edge_pad_into`` supports reusing one padded
-# buffer across passes instead of reallocating per pass.
+# axis).  Only the clamped border pairs different pixels; it is
+# recomputed directly.  A symmetric structuring element therefore needs
+# half the full-frame dot-product sweeps, bit-identical to the direct
+# evaluation.
 # --------------------------------------------------------------------------
-
-
-def edge_pad_into(
-    out: FloatArray, cube: FloatArray, pr: int, pc: int
-) -> FloatArray:
-    """Edge-replicated pad of ``cube`` written into a preallocated buffer.
-
-    Produces exactly :func:`numpy.pad`'s ``mode="edge"`` values (corners
-    replicate corner pixels) without allocating a fresh padded array per
-    call — ``out`` must be ``(rows+2·pr, cols+2·pc, bands)``.
-    """
-    rows, cols = cube.shape[:2]
-    out[pr : pr + rows, pc : pc + cols] = cube
-    if pr:
-        out[:pr, pc : pc + cols] = cube[:1]
-        out[pr + rows :, pc : pc + cols] = cube[-1:]
-    if pc:
-        out[:, :pc] = out[:, pc : pc + 1]
-        out[:, pc + cols :] = out[:, pc + cols - 1 : pc + cols]
-    return out
-
-
-def _clamped_strip_angles(
-    ang: FloatArray,
-    gu: FloatArray,
-    dr: int,
-    dc: int,
-    row_idx: IntArray,
-    col_idx: IntArray,
-) -> None:
-    """Direct angles for the border strip ``row_idx × col_idx`` of ``ang``.
-
-    Pairs each strip pixel with its clip-clamped ``(dr, dc)`` neighbour
-    — the pixel edge-replicated padding would read — via the same
-    cos/clip/arccos float sequence as the full-frame sweep.
-    """
-    rows, cols = ang.shape
-    src_r = np.clip(row_idx + dr, 0, rows - 1)
-    src_c = np.clip(col_idx + dc, 0, cols - 1)
-    a = gu[row_idx[:, None], col_idx[None, :]]
-    b = gu[src_r[:, None], src_c[None, :]]
-    cos = np.einsum("ijk,ijk->ij", a, b)
-    np.clip(cos, -1.0, 1.0, out=cos)
-    ang[row_idx[:, None], col_idx[None, :]] = np.arccos(cos)
 
 
 def offset_angle_maps(
     gu: FloatArray,
-    padded: FloatArray,
     offsets: list[tuple[int, int]],
-    pr: int,
-    pc: int,
-    cosbuf: FloatArray,
 ) -> list[FloatArray]:
     """Per-offset SAD angle maps of a unit-spectra frame, mirrors shared.
 
-    ``gu`` is the ``(rows, cols, bands)`` unit frame, ``padded`` its
-    edge-replicated pad (see :func:`edge_pad_into`), ``cosbuf`` a
-    reusable ``(rows, cols)`` scratch.  For each offset the map holds
-    ``arccos(clip(u(x) · u(x ⊕ offset)))``; when an offset's mirror was
-    already computed, its map is the mirror's map shifted by the offset
-    (interior — the identical unordered pair) with only the clamped
-    border strips evaluated directly.  Bit-identical to computing every
-    offset with a full-frame sweep.
+    ``gu`` is the ``(rows, cols, bands)`` unit frame.  For each offset
+    the map holds ``arccos(clip(u(x) · u(x ⊕ offset)))``, the neighbour
+    clamped into the frame — the pixel edge-replicated padding would
+    read.  Where ``x ⊕ offset`` needs no clamping (the interior) the map
+    is the dot of two shifted views of ``gu`` or, when the offset's
+    mirror was already computed, the mirror's map shifted by the offset
+    (the identical unordered pair).  The clamped borders of all offsets
+    are evaluated directly, in one gather of bounded blocks; no padded
+    copy of the frame is made.  Bit-identical to a full-frame sweep over
+    an edge-padded frame.
     """
     rows, cols = gu.shape[:2]
+    maps = np.empty((len(offsets), rows, cols))
     computed: dict[tuple[int, int], FloatArray] = {}
-    maps: list[FloatArray] = []
-    for dr, dc in offsets:
+    for ang, (dr, dc) in zip(maps, offsets):
+        r0, r1 = max(0, -dr), rows - max(0, dr)
+        c0, c1 = max(0, -dc), cols - max(0, dc)
+        inner = ang[r0:r1, c0:c1]
         lead = computed.get((-dr, -dc))
-        ang = np.empty((rows, cols))
         if lead is not None:
-            # ang[r, c] = lead[r+dr, c+dc] wherever the source index is
-            # in bounds: both read the unordered pair {(r,c), (r+dr,c+dc)}.
-            r0, r1 = max(0, -dr), rows + min(0, -dr)
-            c0, c1 = max(0, -dc), cols + min(0, -dc)
-            ang[r0:r1, c0:c1] = lead[r0 + dr : r1 + dr, c0 + dc : c1 + dc]
-            all_cols = np.arange(cols)
-            all_rows = np.arange(rows)
-            if r0 > 0:
-                _clamped_strip_angles(ang, gu, dr, dc, np.arange(r0), all_cols)
-            if r1 < rows:
-                _clamped_strip_angles(
-                    ang, gu, dr, dc, np.arange(r1, rows), all_cols
-                )
-            if c0 > 0:
-                _clamped_strip_angles(ang, gu, dr, dc, all_rows, np.arange(c0))
-            if c1 < cols:
-                _clamped_strip_angles(
-                    ang, gu, dr, dc, all_rows, np.arange(c1, cols)
-                )
+            # ang[r, c] = lead[r+dr, c+dc]: both read the unordered pair
+            # {(r,c), (r+dr,c+dc)}, and the source is the lead's interior.
+            inner[...] = lead[r0 + dr : r1 + dr, c0 + dc : c1 + dc]
         else:
-            shifted = padded[pr + dr : pr + dr + rows, pc + dc : pc + dc + cols]
-            np.einsum("ijk,ijk->ij", gu, shifted, out=cosbuf)
-            np.clip(cosbuf, -1.0, 1.0, out=cosbuf)
-            np.arccos(cosbuf, out=ang)
+            np.einsum(
+                "ijk,ijk->ij",
+                gu[r0:r1, c0:c1],
+                gu[r0 + dr : r1 + dr, c0 + dc : c1 + dc],
+                out=inner,
+            )
+            np.clip(inner, -1.0, 1.0, out=inner)
+            np.arccos(inner, out=inner)
             computed[(dr, dc)] = ang
-        maps.append(ang)
-    return maps
+    # Every offset's clamped border: (i, j) pairs with its clipped
+    # neighbour, all in one gather.
+    dr, dc = np.array(offsets, dtype=np.intp).reshape(-1, 2).T
+    r = np.arange(rows)[None, :, None] + dr[:, None, None]
+    c = np.arange(cols)[None, None, :] + dc[:, None, None]
+    k, i, j = np.nonzero((r < 0) | (r >= rows) | (c < 0) | (c >= cols))
+    cos = _pair_dots(
+        gu.reshape(rows * cols, -1),
+        i * cols + j,
+        np.clip(r[k, i, 0], 0, rows - 1) * cols
+        + np.clip(c[k, 0, j], 0, cols - 1),
+    )
+    np.clip(cos, -1.0, 1.0, out=cos)
+    maps[k, i, j] = np.arccos(cos)
+    return list(maps)
 
 
 # --------------------------------------------------------------------------
@@ -337,55 +292,48 @@ def offset_angle_maps(
 # --------------------------------------------------------------------------
 
 
-def _gathered_rows(
-    src: FloatArray,
-    idx: IntArray,
-    scratch: dict[str, FloatArray] | None,
-    key: str,
-) -> FloatArray:
-    """``src[idx]`` routed through a caller-owned growable scratch buffer.
+def _pair_dots(src: FloatArray, ul: IntArray, ur: IntArray) -> FloatArray:
+    """``src[ul[i]] · src[ur[i]]`` per pair, gathered a block at a time.
 
-    Large varying-size fancy-index gathers allocate (and first-touch)
-    fresh pages on every call; ``np.take(..., out=)`` into a reused
-    buffer pays that cost once.  ``scratch`` maps ``key`` to the buffer,
-    grown when too small; ``None`` falls back to plain indexing.
+    Each side's block holds at most :data:`~repro.types.BLOCK_BYTES`, in
+    two buffers made once per call, and the dots land in one output of
+    the pair count.  A row's dot reads only its own two rows, so it does
+    not depend on the block it falls in.
     """
-    if scratch is None:
-        return src[idx]
-    buf = scratch.get(key)
-    if buf is None or buf.shape[0] < idx.shape[0] or buf.shape[1] != src.shape[1]:
-        buf = np.empty((idx.shape[0], src.shape[1]))
-        scratch[key] = buf
-    view = buf[: idx.shape[0]]
-    # mode="clip" writes straight into ``out`` (the default "raise" mode
-    # stages through a temporary); indices here are always in range.
-    np.take(src, idx, axis=0, out=view, mode="clip")
-    return view
+    n = ul.shape[0]
+    step = max(1, BLOCK_BYTES // (8 * src.shape[1]))
+    left = np.empty((min(step, n), src.shape[1]))
+    right = np.empty_like(left)
+    out = np.empty(n)
+    for lo in range(0, n, step):
+        hi = min(lo + step, n)
+        a, b = left[: hi - lo], right[: hi - lo]
+        # mode="clip" writes straight into ``out`` (the default "raise"
+        # mode stages through a temporary); indices here are in range.
+        np.take(src, ul[lo:hi], axis=0, out=a, mode="clip")
+        np.take(src, ur[lo:hi], axis=0, out=b, mode="clip")
+        np.einsum("ij,ij->i", a, b, out=out[lo:hi])
+    return out
 
 
 def unique_pair_angles(
     left: IntArray,
     right: IntArray,
     unit_flat: FloatArray,
-    scratch: dict[str, FloatArray] | None = None,
 ) -> FloatArray:
     """``arccos(clip(u_left · u_right))`` per pair, each distinct pair once.
 
     ``left``/``right`` index rows of ``unit_flat`` (unit spectra); pairs
     are deduplicated on unordered keys before the O(bands) dot products,
-    then scattered back to per-pair order.  Pass a ``scratch`` dict to
-    reuse the gather buffers across calls (see :func:`_gathered_rows`).
+    which gather their rows a bounded block at a time, then scattered
+    back to per-pair order.
     """
     n_ref = unit_flat.shape[0]
     lo = np.minimum(left, right)
     hi = np.maximum(left, right)
     uniq, inverse = np.unique(lo * n_ref + hi, return_inverse=True)
     ul, ur = np.divmod(uniq, n_ref)
-    cos = np.einsum(
-        "ij,ij->i",
-        _gathered_rows(unit_flat, ul, scratch, "pair_left"),
-        _gathered_rows(unit_flat, ur, scratch, "pair_right"),
-    )
+    cos = _pair_dots(unit_flat, ul, ur)
     np.clip(cos, -1.0, 1.0, out=cos)
     return np.arccos(cos)[inverse]
 
@@ -395,25 +343,20 @@ def unique_pair_mei(
     right: IntArray,
     pixels_flat: FloatArray,
     norms_flat: FloatArray,
-    scratch: dict[str, FloatArray] | None = None,
 ) -> FloatArray:
     """Eq. 5 SAD between raw-spectra pairs, each distinct pair once.
 
     Matches :func:`mei_scores` float-for-float: the cosine is the raw
-    dot over ``max(‖e‖·‖d‖, eps)`` with precomputed norms.  ``scratch``
-    reuses gather buffers across calls (shared with
-    :func:`unique_pair_angles` — the buffers grow to the larger need).
+    dot over ``max(‖e‖·‖d‖, eps)`` with precomputed norms.  The dots
+    gather their rows a bounded block at a time, as in
+    :func:`unique_pair_angles`.
     """
     n_ref = pixels_flat.shape[0]
     lo = np.minimum(left, right)
     hi = np.maximum(left, right)
     uniq, inverse = np.unique(lo * n_ref + hi, return_inverse=True)
     ul, ur = np.divmod(uniq, n_ref)
-    denom = np.maximum(norms_flat[ul] * norms_flat[ur], _EPS)
-    cos = np.einsum(
-        "ij,ij->i",
-        _gathered_rows(pixels_flat, ul, scratch, "pair_left"),
-        _gathered_rows(pixels_flat, ur, scratch, "pair_right"),
-    ) / denom
+    cos = _pair_dots(pixels_flat, ul, ur)
+    cos /= np.maximum(norms_flat[ul] * norms_flat[ur], _EPS)
     np.clip(cos, -1.0, 1.0, out=cos)
     return np.arccos(cos)[inverse]

@@ -18,6 +18,7 @@ __all__ = [
     "Megabits",
     "Interleave",
     "PixelIndex",
+    "BLOCK_BYTES",
 ]
 
 #: A floating point ndarray (any shape).
@@ -38,6 +39,13 @@ Megabits = float
 
 #: A (row, col) pixel coordinate in a hyperspectral scene.
 PixelIndex = tuple[int, int]
+
+#: Bytes a kernel's temporary block may take (FCLS refinement rounds,
+#: MORPH pair gathers): glibc's default mmap threshold.  A temporary
+#: under it never moves the threshold; a freed chunk over it raises the
+#: threshold, and the trim threshold to twice that, for every thread, so
+#: each rank thread's malloc arena then keeps what it frees up to there.
+BLOCK_BYTES = 128 * 1024
 
 
 class Interleave(enum.Enum):

@@ -16,6 +16,7 @@ from repro.experiments.config import ExperimentConfig
 from repro.hsi import SceneConfig, make_wtc_scene
 from repro.linalg import fcls
 from repro.linalg.fcls import fcls_abundances, reconstruction_error
+from repro.types import BLOCK_BYTES
 
 
 @pytest.fixture()
@@ -138,7 +139,7 @@ def test_fcls_pixel_depends_on_nothing_but_itself(
     sees anything, and rounds that product differently."""
     rng = np.random.default_rng(seed)
     # The first refinement round's systems have n_end - 1 lanes.
-    block = fcls._ROUND_BYTES // (8 * (n_end - 1) ** 2)
+    block = BLOCK_BYTES // (8 * (n_end - 1) ** 2)
     n_pixels = blocks * block + spill
     endmembers = rng.random((n_end, 24)) + 0.05
     if duplicate:

@@ -1,11 +1,18 @@
 """Tests for structuring elements, vector morphology, and halos."""
 
+import tracemalloc
+from unittest import mock
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from repro.core.morph import mei_map, mei_map_reference
 from repro.errors import ConfigurationError, ShapeError
+from repro.experiments.config import ExperimentConfig
+from repro.hsi import make_wtc_scene
+from repro.morphology import ops
 from repro.morphology.halo import (
     HaloBlock,
     extract_halo_block,
@@ -214,6 +221,65 @@ class TestExtremaOracle:
         for k, (dr, dc) in enumerate(se.offsets()):
             read = padded[pr + dr : pr + dr + rows, pc + dc : pc + dc + cols]
             assert np.array_equal(window[k], read.ravel())
+
+
+class TestMeiBlocks:
+    """MORPH's pair dots gather their rows under one byte budget."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        se_name=st.sampled_from(sorted(ORACLE_SES) + ["no_centre"]),
+        rows=st.integers(min_value=1, max_value=12),
+        cols=st.integers(min_value=1, max_value=9),
+        bands=st.integers(min_value=1, max_value=24),
+        palette=st.integers(min_value=1, max_value=12),
+        iterations=st.integers(min_value=1, max_value=4),
+        block=st.sampled_from(["one row", "odd rows", "default"]),
+        odd=st.integers(min_value=0, max_value=10),
+        seed=st.integers(min_value=0, max_value=10_000),
+    )
+    # An element reaching past the frame: every pixel is border.
+    @example(
+        se_name="square5", rows=1, cols=1, bands=1, palette=1,
+        iterations=1, block="one row", odd=0, seed=0,
+    )
+    def test_equals_reference_wherever_a_block_ends(
+        self, se_name, rows, cols, bands, palette, iterations, block, odd, seed
+    ):
+        """Bit-identical to the direct evaluation with blocks of one row,
+        of an odd row count and of the default budget: no result depends
+        on where a block ends.  Pixels drawn from a small palette repeat,
+        as dilated frames do."""
+        rng = np.random.default_rng(seed)
+        spectra = np.abs(rng.normal(size=(palette, bands))) + 0.05
+        cube = spectra[rng.integers(0, palette, size=(rows, cols))]
+        se = ORACLE_SES.get(se_name) or StructuringElement(
+            ~np.eye(3, dtype=bool)
+        )
+        budget = {
+            "one row": 8 * bands,
+            "odd rows": 8 * bands * (2 * odd + 1),
+            "default": ops.BLOCK_BYTES,
+        }[block]
+        want = mei_map_reference(cube, se, iterations)
+        with mock.patch.object(ops, "BLOCK_BYTES", budget):
+            got = mei_map(cube, se, iterations)
+        assert np.array_equal(got, want)
+
+    def test_peak_traced_allocation_on_the_grid_scene(self):
+        """No whole-pass gather buffer, padded frame or whole-cube unit
+        copy past the first pass: the peak traced allocation of the
+        768×8×48 grid scene's MEI map reads 6.4 MiB; with the two
+        whole-pass gather buffers it read 14.5 MiB."""
+        cube = make_wtc_scene(ExperimentConfig().grid_scene).image.values
+        assert cube.shape == (768, 8, 48)
+        tracemalloc.start()
+        try:
+            mei_map(cube, square(3), 5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8.5 * 2**20
 
 
 class TestHalo:
