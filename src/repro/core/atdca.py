@@ -19,8 +19,7 @@ import numpy as np
 
 from repro.errors import ConfigurationError, DataError, ShapeError
 from repro.hsi.cube import HyperspectralImage
-from repro.linalg.osp import brightest_pixel_index
-from repro.tuning.registry import resolve
+from repro.linalg.osp import IncrementalOSP, brightest_pixel_index
 from repro.types import FloatArray, IntArray
 
 __all__ = ["TargetDetectionResult", "atdca_pixels", "atdca"]
@@ -93,24 +92,22 @@ def _check_new_target(index: int, chosen: list[int]) -> None:
         )
 
 
-def atdca_pixels(
-    pixels: FloatArray,
-    n_targets: int,
-    osp_variant: str = "incremental",
-) -> TargetDetectionResult:
+def atdca_pixels(pixels: FloatArray, n_targets: int) -> TargetDetectionResult:
     """Run ATDCA on a flat ``(n, bands)`` pixel matrix.
 
     Returns targets in extraction order; ties in the argmax resolve to
     the lowest pixel index (numpy convention), making results
     deterministic.
 
-    ``osp_variant`` names the ``osp_step`` registry variant to dispatch
-    through: ``"incremental"`` (default) carries the orthonormal basis
-    of span(U) across iterations — one Gram–Schmidt step per new target
-    instead of a full QR per iteration, O(n·bands) amortized per target
-    — while ``"reference"`` recomputes from scratch each query (the
-    rank-tolerant baseline the planner routes degenerate inputs to).
-    Both variants pick identical targets.
+    The residual energies come from :class:`IncrementalOSP`, which
+    carries the orthonormal basis of span(U) across iterations — one
+    Gram–Schmidt step per new target instead of a full QR per
+    iteration, O(n·bands) amortized per target.  Up to the spectral
+    rank (``n_targets <= bands``) its picks equal a from-scratch
+    recompute's (:class:`~repro.linalg.osp.ScratchOSP`); beyond it every
+    residual is round-off, so which pixel wins — or whether the argmax
+    repeats a target and raises :class:`DataError` — is decided by
+    round-off.
     """
     pix = _check_inputs(pixels, n_targets)
     indices: list[int] = []
@@ -120,7 +117,7 @@ def atdca_pixels(
     indices.append(first)
     scores.append(float(pix[first] @ pix[first]))
 
-    osp = resolve("osp_step", osp_variant).implementation()(pix)
+    osp = IncrementalOSP(pix)
     osp.add_target(pix[first])
     for k in range(1, n_targets):
         energy = osp.residual_energy()
@@ -139,13 +136,9 @@ def atdca_pixels(
     )
 
 
-def atdca(
-    image: HyperspectralImage,
-    n_targets: int,
-    osp_variant: str = "incremental",
-) -> TargetDetectionResult:
+def atdca(image: HyperspectralImage, n_targets: int) -> TargetDetectionResult:
     """Run ATDCA on an image cube; adds (row, col) positions."""
-    result = atdca_pixels(image.flatten_pixels(), n_targets, osp_variant)
+    result = atdca_pixels(image.flatten_pixels(), n_targets)
     rows, cols = np.divmod(result.flat_indices, image.cols)
     return dataclasses.replace(
         result, positions=np.stack([rows, cols], axis=1)

@@ -281,7 +281,6 @@ def morph_classify(
     se: StructuringElement | None = None,
     iterations: int = 5,
     dedup_threshold: float = DEFAULT_DEDUP_THRESHOLD,
-    mei_variant: str = "paired",
 ) -> MorphClassification:
     """Run the full MORPH classifier on a cube.
 
@@ -291,20 +290,13 @@ def morph_classify(
         se: structuring element ``B`` (default 3×3 square).
         iterations: ``I_max`` (paper: 5).
         dedup_threshold: SAD distinctness for the endmember set.
-        mei_variant: ``morph_mei`` registry variant for the MEI map —
-            ``"paired"`` (default, the pair-compressed fast path) or
-            ``"reference"``; the two are bit-identical.
     """
-    from repro.tuning.registry import resolve
-
     se = se or square(3)
     cube = image.values
     # A NaN spreads through every erosion/dilation window it touches and
     # its SAD never wins an argmin: the sweep would label around it.
     _check_finite(image.flatten_pixels())
-    mei = resolve("morph_mei", mei_variant).implementation()(
-        cube, se, iterations
-    )
+    mei = mei_map(cube, se, iterations)
     endmembers = select_endmembers(cube, mei, n_classes, dedup_threshold)
     angles = sad_to_references(image.flatten_pixels(), endmembers.signatures)
     labels = np.argmin(angles, axis=1).astype(np.int64)

@@ -42,10 +42,11 @@ from repro.core.parallel_common import (
 from repro.core.ufcls import ufcls
 from repro.errors import ConfigurationError
 from repro.hsi.cube import HyperspectralImage
+from repro.linalg.fcls import IncrementalFCLS
+from repro.linalg.osp import IncrementalOSP
 from repro.mpi.communicator import Communicator, MessageContext
 from repro.obs.trace import tracer_of
 from repro.scheduling.static_part import RowPartition
-from repro.tuning.registry import resolve
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.faults.adaptive import AdaptiveController
@@ -72,8 +73,8 @@ class DetectorSpec:
             ``(n_pixels, bands, k)`` that prices it.
         select_kernel: the master's sequential selection charge, named
             and priced the same way by ``(bands, k, size)``.
-        registry_kernel: the :mod:`repro.tuning.registry` kernel whose
-            variants implement the per-rank scoring state.
+        scorer: the per-rank scoring state, built from the rank's
+            pixels and grown by ``add_target`` once per round.
         scorer_method: the method of that state returning the per-pixel
             scores against the targets added so far.
         sequential: the sequential detector ``(image, n_targets)`` whose
@@ -83,7 +84,7 @@ class DetectorSpec:
     name: str
     score_kernel: str
     select_kernel: str
-    registry_kernel: str
+    scorer: Callable[[np.ndarray], Any]
     scorer_method: str
     sequential: Callable[[HyperspectralImage, int], TargetDetectionResult]
 
@@ -92,11 +93,11 @@ class DetectorSpec:
 DETECTORS: Mapping[str, DetectorSpec] = {
     "atdca": DetectorSpec(
         "atdca", "osp_scores", "master_osp_selection",
-        "osp_step", "residual_energy", atdca,
+        IncrementalOSP, "residual_energy", atdca,
     ),
     "ufcls": DetectorSpec(
         "ufcls", "fcls_scores", "master_scls_selection",
-        "fcls_solve", "error_image", ufcls,
+        IncrementalFCLS, "error_image", ufcls,
     ),
 }
 
@@ -170,8 +171,6 @@ def detector_program(
     image: HyperspectralImage | None = None,
     checkpoint: "CheckpointStore | None" = None,
     adaptive: "AdaptiveController | None" = None,
-    kernel_variant: str = "incremental",
-    checkpoint_every: int = 1,
 ) -> TargetDetectionResult | None:
     """SPMD body of a target detector; returns the result at the master.
 
@@ -183,30 +182,17 @@ def detector_program(
         image: the scene — master rank only.
         checkpoint: optional in-memory master checkpoint store
             (fault-tolerant runs).  The master saves its selection
-            state after completed rounds; on restart the saved step is
-            broadcast and extraction resumes mid-loop instead of from
+            state after every completed round; on restart the saved step
+            is broadcast and extraction resumes mid-loop instead of from
             scratch.
         adaptive: optional straggler controller; when set, every rank
             runs one extra collective round after each round but the
             last (nothing left to rebalance) and a positive decision
             raises :class:`~repro.errors.RepartitionSignal` on all
             ranks.
-        kernel_variant: variant of ``spec.registry_kernel`` for the
-            per-rank scoring state (``"incremental"`` default;
-            ``"reference"`` is the rank-tolerant scratch baseline).
-            Every variant picks identical targets, and the choice is
-            uniform across ranks.
-        checkpoint_every: save the master checkpoint every this many
-            completed rounds (the final round always saves).  The
-            predicate is a function of the step number only, so every
-            rank agrees on the collective schedule.
     """
     if n_targets < 1:
         raise ConfigurationError(f"n_targets must be >= 1, got {n_targets}")
-    if checkpoint_every < 1:
-        raise ConfigurationError(
-            f"checkpoint_every must be >= 1, got {checkpoint_every}"
-        )
     comm = Communicator(ctx)
     cost = cost_model_of(ctx)
     tracer = tracer_of(ctx)
@@ -234,16 +220,14 @@ def detector_program(
         if resume is not None:
             start_k, state["u"] = resume
 
-    # Per-rank scoring state (registry-dispatched): each broadcast
-    # appends exactly one row to the target matrix, and the incremental
-    # variants carry their factorization across rounds, folding in only
-    # the newest row.  A checkpoint resume replays the saved rows in
-    # order — the same arithmetic as a live run.
+    # Per-rank scoring state: each broadcast appends exactly one row to
+    # the target matrix, and the state carries its factorization across
+    # rounds, folding in only the newest row.  A checkpoint resume
+    # replays the saved rows in order — the same arithmetic as a live
+    # run.
     scorer = None
     if n_local:
-        scorer = resolve(
-            spec.registry_kernel, kernel_variant
-        ).implementation()(local)
+        scorer = spec.scorer(local)
         if state["u"] is not None:
             for row in state["u"]:
                 scorer.add_target(row)
@@ -283,9 +267,7 @@ def detector_program(
                 scorer.add_target(state["u"][-1])
         # Saved only after the round's closing broadcast completed, so a
         # restart from step ``k + 1`` is consistent on all ranks.
-        if checkpoint is not None and comm.is_master and (
-            (k + 1) % checkpoint_every == 0 or k + 1 == n_targets
-        ):
+        if checkpoint is not None and comm.is_master:
             checkpoint.save(k + 1, state)
         if adaptive is not None and k + 1 < n_targets:
             adaptive.sync(ctx, comm, step=k + 1)

@@ -217,26 +217,17 @@ def build_program_kwargs(
     algorithm: str,
     params: Mapping[str, Any],
     partition: RowPartition,
-    kernels: Mapping[str, str] | None = None,
 ) -> dict[str, Any]:
     """Translate user ``params`` into the program's keyword arguments.
 
     Shared by :func:`run_parallel` and the fault-tolerant driver
     (:func:`repro.faults.recovery.run_with_recovery`), which re-invokes
     programs on survivor subsets with a fresh partition.
-
-    ``kernels`` (kernel name → registry variant name, as a
-    :class:`repro.tuning.planner.TuningPlan` carries) adds the kernel
-    dispatch argument the iterative detectors accept; classifier
-    programs dispatch through the registry defaults and ignore it.
     """
     _check_algorithm(algorithm)
     program_kwargs: dict[str, Any] = {"partition": partition}
     if algorithm in DETECTORS:
         program_kwargs["n_targets"] = int(params.get("n_targets", 18))
-        registry_kernel = DETECTORS[algorithm].registry_kernel
-        if kernels and registry_kernel in kernels:
-            program_kwargs["kernel_variant"] = kernels[registry_kernel]
     else:
         program_kwargs["n_classes"] = int(params.get("n_classes", 24))
         if algorithm == "morph":
@@ -273,7 +264,6 @@ def prepare_launch(
     partition: RowPartition,
     image: HyperspectralImage,
     platform: HeterogeneousPlatform,
-    plan: "TuningPlan | None" = None,
     checkpoint: "CheckpointStore | None" = None,
     adaptive: "AdaptiveController | None" = None,
 ) -> ProgramLaunch:
@@ -283,18 +273,12 @@ def prepare_launch(
     arguments — :func:`run_parallel` launches once through it, and
     :func:`repro.faults.recovery.run_with_recovery` once per attempt,
     on whatever survivor platform and fresh partition that attempt has.
-    ``plan`` contributes its kernel variants and checkpoint cadence;
     ``checkpoint`` and ``adaptive`` reach only the iterative detectors.
     """
-    program_kwargs = build_program_kwargs(
-        algorithm, params, partition,
-        kernels=plan.kernels if plan is not None else None,
-    )
+    program_kwargs = build_program_kwargs(algorithm, params, partition)
     if algorithm in DETECTORS:
         if checkpoint is not None:
             program_kwargs["checkpoint"] = checkpoint
-            if plan is not None:
-                program_kwargs["checkpoint_every"] = int(plan.checkpoint_every)
         if adaptive is not None:
             program_kwargs["adaptive"] = adaptive
     master = platform.master_rank
@@ -329,8 +313,8 @@ def _stamp_run_meta(
     categories, so analyzers, the DAG, and the gantt ignore it.
 
     Auto-planned runs additionally carry scalar ``plan_*`` attributes
-    (chosen variant, prediction, kernel choices, calibration-scale
-    provenance) so every planner decision is auditable from the trace —
+    (chosen variant, prediction, calibration-scale provenance) so every
+    planner decision is auditable from the trace —
     :func:`repro.obs.analyze.analyze_trace` surfaces them in
     ``analysis.json``.
     """
@@ -346,10 +330,6 @@ def _stamp_run_meta(
             "plan_predicted_s": float(plan.predicted_makespan_s),
             "plan_default_variant": plan.default_variant,
             "plan_default_predicted_s": float(plan.default_predicted_s),
-            "plan_kernels": ",".join(
-                f"{k}={v}" for k, v in sorted(plan.kernels.items())
-            ),
-            "plan_checkpoint_every": int(plan.checkpoint_every),
             "plan_scales_compute": float(plan.scales["compute"]),
             "plan_scales_transfer": float(plan.scales["transfer"]),
         }
@@ -437,10 +417,10 @@ def run_parallel(
         checkpoint: master checkpoint store for the iterative target
             detectors (ignored by pct/morph).
         plan: a :class:`repro.tuning.planner.TuningPlan` to dispatch
-            through — sets the partition variant/counts, the kernel
-            variants, and the checkpoint cadence the planner chose.
-            Explicit ``partition`` overrides still win.  The plan must
-            match this run's algorithm, scene dimensions, and platform.
+            through — sets the partition variant and counts the planner
+            chose.  Explicit ``partition`` overrides still win.  The
+            plan must match this run's algorithm, scene dimensions, and
+            platform.
 
     Returns:
         A :class:`ParallelRun` with the master's output and timing.
@@ -468,8 +448,7 @@ def run_parallel(
             cost_model, plan=plan,
         )
     launch = prepare_launch(
-        algorithm, params, part, image, platform,
-        plan=plan, checkpoint=checkpoint,
+        algorithm, params, part, image, platform, checkpoint=checkpoint,
     )
     master = platform.master_rank
 

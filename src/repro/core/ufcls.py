@@ -19,9 +19,12 @@ from repro.core.atdca import (
     _check_new_target,
 )
 from repro.hsi.cube import HyperspectralImage
-from repro.linalg.fcls import fcls_abundances, reconstruction_error
+from repro.linalg.fcls import (
+    IncrementalFCLS,
+    fcls_abundances,
+    reconstruction_error,
+)
 from repro.linalg.osp import brightest_pixel_index
-from repro.tuning.registry import resolve
 from repro.types import FloatArray
 
 __all__ = ["ufcls_pixels", "ufcls", "fcls_error_image"]
@@ -38,21 +41,19 @@ def fcls_error_image(pixels: FloatArray, targets: FloatArray) -> FloatArray:
     return reconstruction_error(pixels, targets, abundances)
 
 
-def ufcls_pixels(
-    pixels: FloatArray,
-    n_targets: int,
-    fcls_variant: str = "incremental",
-) -> TargetDetectionResult:
+def ufcls_pixels(pixels: FloatArray, n_targets: int) -> TargetDetectionResult:
     """Run UFCLS on a flat ``(n, bands)`` pixel matrix.
 
-    ``fcls_variant`` names the ``fcls_solve`` registry variant:
-    ``"incremental"`` (default) carries cross-products and the
-    regularized Gram inverse across iterations (one gemv + a rank-1
-    bordering update per new target — see
-    :class:`repro.linalg.fcls.IncrementalFCLS`), while ``"reference"``
-    rebuilds the design matrix each round (the rank-tolerant baseline
-    the planner routes degenerate inputs to).  Both variants pick
-    identical targets.
+    The error image comes from :class:`IncrementalFCLS`, which carries
+    cross-products and the regularized Gram inverse across iterations
+    (one gemv + a rank-1 bordering update per new target) and keeps
+    each pixel's last answer.  Up to the spectral rank
+    (``n_targets <= bands``) its picks equal a rebuild of the design
+    matrix each round (:class:`~repro.linalg.fcls.ScratchFCLS`); beyond
+    it the targets' Gram matrix is singular, so the abundances — and
+    with them which pixel wins, or whether the argmax repeats a target
+    and raises :class:`~repro.errors.DataError` — are decided by
+    round-off.
     """
     pix = _check_inputs(pixels, n_targets)
     indices: list[int] = []
@@ -62,7 +63,7 @@ def ufcls_pixels(
     indices.append(first)
     scores.append(float(pix[first] @ pix[first]))
 
-    solver = resolve("fcls_solve", fcls_variant).implementation()(pix)
+    solver = IncrementalFCLS(pix)
     solver.add_target(pix[first])
     for k in range(1, n_targets):
         error = solver.error_image()
@@ -81,13 +82,9 @@ def ufcls_pixels(
     )
 
 
-def ufcls(
-    image: HyperspectralImage,
-    n_targets: int,
-    fcls_variant: str = "incremental",
-) -> TargetDetectionResult:
+def ufcls(image: HyperspectralImage, n_targets: int) -> TargetDetectionResult:
     """Run UFCLS on an image cube; adds (row, col) positions."""
-    result = ufcls_pixels(image.flatten_pixels(), n_targets, fcls_variant)
+    result = ufcls_pixels(image.flatten_pixels(), n_targets)
     rows, cols = np.divmod(result.flat_indices, image.cols)
     return dataclasses.replace(
         result, positions=np.stack([rows, cols], axis=1)

@@ -126,10 +126,10 @@ def greedy_unique_reference(
     Walks the pool in pixel order and keeps candidate ``i`` iff its SAD
     to *every* kept signature exceeds ``threshold`` — the literal
     reading of the paper's step.  O(k·n·bands) like the vectorized
-    filter but with a Python-level loop over candidates; registered as
-    the ``unique_filter`` reference the microbench verifies the
-    vectorized survivor filtering against (the per-pair angle test is
-    identical, so the kept sets match bit for bit).
+    filter but with a Python-level loop over candidates; the oracle the
+    tests and the microbench check the vectorized survivor filtering
+    against (the per-pair angle test is identical, so the kept sets
+    match bit for bit).
     """
     pix = np.asarray(pixels, dtype=float)
     if pix.ndim != 2 or pix.shape[0] == 0:

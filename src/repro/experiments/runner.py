@@ -204,8 +204,7 @@ def main(argv: list[str] | None = None) -> int:
                   + ", ".join(p.name for p in (*traced.files, prom_path)))
             if traced.plan is not None:
                 tp = traced.plan
-                print(f"  plan: {tp.partition_variant} partition, "
-                      f"kernels {tp.kernels}, predicted "
+                print(f"  plan: {tp.partition_variant} partition, predicted "
                       f"{tp.predicted_makespan_s:.3f}s vs default "
                       f"{tp.default_predicted_s:.3f}s "
                       f"({tp.improvement:.2f}x)")

@@ -235,7 +235,7 @@ def run_with_recovery(
             (every attempt is planned fresh).  After a rank loss or a
             committed adaptation the planner re-runs on the survivor
             (or speed-downgraded model) platform, so the recovered
-            attempt gets re-optimized kernel variants and partition —
+            attempt gets a re-optimized partition —
             ``variant`` is ignored while a plan is active, and each
             :class:`RecoveryAttempt` records its ``tuned_variant``.
 
@@ -379,7 +379,7 @@ def run_with_recovery(
             )
         launch = prepare_launch(
             algorithm, params, partition, image, run_platform,
-            plan=attempt_plan, checkpoint=checkpoint, adaptive=controller,
+            checkpoint=checkpoint, adaptive=controller,
         )
         resumed_step = (checkpoint.step or 0) if checkpoint is not None else 0
         tuned_variant = (

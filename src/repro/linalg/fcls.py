@@ -253,15 +253,15 @@ class ScratchFCLS:
     """Reference UFCLS state: a from-scratch FCLS solve per error query.
 
     Presents the same ``add_target``/``error_image`` surface as
-    :class:`IncrementalFCLS` (the ``fcls_solve`` registry protocol) but
-    carries no cross-products or Gram inverse — every
-    :meth:`error_image` call rebuilds the design matrix, solves
-    :func:`fcls_abundances`, and forms the residual
-    :func:`reconstruction_error` directly.  This is the rank-tolerant
-    baseline: near-collinear target sets go through the one fully
-    regularized solve instead of a bordering update plus guard, and the
-    microbench verifies the incremental variant against the picks this
-    one makes.  Batch-size independent, like the incremental state.
+    :class:`IncrementalFCLS` but carries no cross-products or Gram
+    inverse — every :meth:`error_image` call rebuilds the design matrix,
+    solves :func:`fcls_abundances`, and forms the residual
+    :func:`reconstruction_error` directly.  It is the oracle the
+    incremental state is checked against, never run by a detector:
+    near-collinear target sets go through the one fully regularized
+    solve instead of a bordering update plus guard, and the microbench
+    verifies the incremental state's picks against the picks this one
+    makes.  Batch-size independent, like the incremental state.
     """
 
     def __init__(self, pixels: FloatArray, ridge: float = 1e-10) -> None:

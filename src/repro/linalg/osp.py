@@ -204,14 +204,14 @@ class ScratchOSP:
     """Reference OSP state: a full QR sweep per residual query.
 
     Presents the same ``add_target``/``residual_energy`` surface as
-    :class:`IncrementalOSP` (the ``osp_step`` registry protocol) but
-    keeps no basis across iterations — every :meth:`residual_energy`
-    call evaluates :func:`residual_energy` against the accumulated
-    target matrix from scratch.  This is the rank-tolerant baseline the
-    planner routes degenerate inputs to: rank-deficient target sets go
-    through :func:`orthonormal_basis`'s SVD cut every query instead of
-    an incremental bypass, and the microbench verifies every fast
-    variant against the picks this one makes.
+    :class:`IncrementalOSP` but keeps no basis across iterations —
+    every :meth:`residual_energy` call evaluates :func:`residual_energy`
+    against the accumulated target matrix from scratch.  It is the
+    oracle the incremental state is checked against, never run by a
+    detector: rank-deficient target sets go through
+    :func:`orthonormal_basis`'s SVD cut every query instead of an
+    incremental bypass, and the microbench verifies the incremental
+    state's picks against the picks this one makes.
 
     Like the incremental state, the arithmetic is batch-size
     independent, so partitioned ranks reproduce a sequential pass.

@@ -81,9 +81,9 @@ _LAZY = {
     "OpSample": "repro.obs.profile",
     "calibration_gate": "repro.obs.profile",
     "profile_trace": "repro.obs.profile",
+    "scales_from_calibration": "repro.obs.profile",
     "HealthEvent": "repro.obs.health",
     "HealthMonitor": "repro.obs.health",
-    "scales_from_calibration": "repro.obs.health",
     "WhatIfPlan": "repro.obs.whatif",
     "ReplayOp": "repro.obs.whatif",
     "ReplayResult": "repro.obs.whatif",
@@ -135,9 +135,9 @@ __all__ = [
     "OpSample",
     "calibration_gate",
     "profile_trace",
+    "scales_from_calibration",
     "HealthEvent",
     "HealthMonitor",
-    "scales_from_calibration",
     "LoadedTrace",
     "breakdown_from_spans",
     "chrome_trace",

@@ -1,35 +1,38 @@
 """Per-kernel wall-time microbenchmarks for the fast-path layer.
 
-``python -m repro bench microbench`` enumerates, for every hot
-kernel, **all** variants registered in
-:mod:`repro.tuning.registry` — the scratch reference and each fast
-path — times them in the same process on the same data, and records the
-measured **speedup ratio** — fast-path gains expressed
-machine-portably, so the committed floor file gates on "is the
-incremental update still ≥3× the scratch rebuild" rather than on
-absolute seconds that vary per runner.
+``python -m repro bench microbench`` times, for every hot kernel, the
+scratch reference and the production fast path in the same process on
+the same data, and records the measured **speedup ratio** — fast-path
+gains expressed machine-portably, so the committed floor file gates on
+"is the incremental update still ≥3× the scratch rebuild" rather than
+on absolute seconds that vary per runner.
 
-Kernels measured (registry kernel → driving loop):
+Kernels measured (reference → fast path, each imported by name):
 
-* ``atdca`` — ``osp_step`` variants driven through the full ATDCA
-  target loop (:func:`~repro.core.atdca.atdca_pixels`).
-* ``ufcls`` — ``fcls_solve`` variants driven through the UFCLS loop
-  (:func:`~repro.core.ufcls.ufcls_pixels`).
-* ``mei_map`` — ``morph_mei`` variants on a raw cube.
-* ``unique`` — ``unique_filter`` variants on a flat candidate pool.
-* ``mailbox`` — bespoke (not registry-dispatched): deep
-  :func:`~repro.cluster.mailbox.copy_payload` vs the zero-copy
-  read-only views of :func:`~repro.cluster.mailbox.freeze_payload`.
+* ``atdca`` — :class:`~repro.linalg.osp.ScratchOSP` →
+  :class:`~repro.linalg.osp.IncrementalOSP`, both driven over the one
+  target sequence :func:`~repro.core.atdca.atdca_pixels` picks.
+* ``ufcls`` — :class:`~repro.linalg.fcls.ScratchFCLS` →
+  :class:`~repro.linalg.fcls.IncrementalFCLS`, driven over the target
+  sequence :func:`~repro.core.ufcls.ufcls_pixels` picks.
+* ``mei_map`` — :func:`~repro.core.morph.mei_map_reference` →
+  :func:`~repro.core.morph.mei_map` on a raw cube.
+* ``unique`` — :func:`~repro.core.unique.greedy_unique_reference` →
+  :func:`~repro.core.unique.greedy_unique` on a flat candidate pool.
+* ``mailbox`` — deep :func:`~repro.cluster.mailbox.copy_payload` → the
+  zero-copy read-only views of
+  :func:`~repro.cluster.mailbox.freeze_payload`.
 
-Every registry variant is cross-checked against the reference per its
-registered exactness class (identical target picks / bit-identical
-arrays); a disagreement marks the cell unverified and fails the gate —
-a speedup that changes answers is a bug, not a win.  Each cell's
-``variants`` sub-dict carries every variant's time, so the planner's
-choice (:func:`repro.tuning.planner.choose_kernel_variants`) can be
-checked against the measured winner; the top-level
-``reference_s``/``fast_s``/``speedup`` keys summarize reference vs the
-registry default and keep the floor gate stable.
+Every fast path is cross-checked against its reference — the detector
+states by each step's argmax, the MEI map and the unique set bit for
+bit; a disagreement marks the cell unverified and fails the gate — a
+speedup that changes answers is a bug, not a win.
+
+Reference and fast samples are taken in interleaved pairs, alternating
+which side runs first, and a cell's ``speedup`` is the median of the
+per-pair ratios: a stretch of host CPU steal slows both halves of a
+pair, so it moves a pair's ratio far less than it moves either side's
+own time.
 
 The default scale fits CI; paper scale (614×512×224, the AVIRIS World
 Trade Center cube) is one flag away::
@@ -44,6 +47,7 @@ reference MEI pass) — check available memory first.
 from __future__ import annotations
 
 import dataclasses
+import statistics
 import time
 from typing import Any, Callable, Mapping
 
@@ -91,10 +95,10 @@ class MicrobenchConfig:
     seed: int = 7
     n_targets: int = 30
     morph_iterations: int = 5
-    #: Five samples feed three sliding 3-medians per timing (the floor
-    #: gate's jitter guard); below 3 the estimator is a plain minimum.
+    #: Interleaved (reference, fast) pairs per cell; the gate reads the
+    #: median of the per-pair ratios.
     repeats: int = 5
-    #: Pixel subset for the ufcls kernel only.  Both variants spend
+    #: Pixel subset for the ufcls kernel only.  Both states spend
     #: nearly all their time in the one active-set refinement they share
     #: (``linalg.fcls._active_set_refine``), so a change to its rounds
     #: moves both sides alike; the ratio sees what the fast path skips:
@@ -134,116 +138,120 @@ class MicrobenchConfig:
 PAPER_SCALE = {"rows": 614, "cols": 512, "bands": 224}
 
 
-def _time_best(fn: Callable[[], Any], repeats: int) -> float:
-    """Jitter-guarded wall-time estimator: best of sliding 3-medians.
+def _time_pairs(
+    reference: Callable[[], Any], fast: Callable[[], Any], repeats: int
+) -> dict[str, float]:
+    """Time ``repeats`` interleaved (reference, fast) pairs.
 
-    Collects ``repeats`` samples, takes the median of each run of three
-    consecutive samples, and returns the smallest median.  A median
-    discards one outlier (GC pause, CPU-frequency ramp, noisy
-    neighbour) inside its window, and the min across windows picks the
-    least-contaminated stretch — so a single wild sample can no longer
-    move the value compared against the committed floors, unlike the
-    plain best-of-N both sides used before.  With fewer than three
-    samples the estimator degrades to the plain minimum.
+    Pair ``i`` runs the reference first when ``i`` is even and the fast
+    path first when it is odd, so neither side always inherits the
+    other's cache or frequency state.  Returns each side's median time
+    and the median of the per-pair ``reference / fast`` ratios — the
+    number the floor gate reads.
     """
-    samples: list[float] = []
-    for _ in range(repeats):
-        t0 = time.perf_counter()
-        fn()
-        samples.append(time.perf_counter() - t0)
-    if len(samples) < 3:
-        return min(samples)
-    return min(
-        sorted(samples[i:i + 3])[1] for i in range(len(samples) - 2)
-    )
+    ref_samples: list[float] = []
+    fast_samples: list[float] = []
+    sides = [(reference, ref_samples), (fast, fast_samples)]
+    for i in range(repeats):
+        for fn, samples in sides if i % 2 == 0 else sides[::-1]:
+            t0 = time.perf_counter()
+            fn()
+            samples.append(time.perf_counter() - t0)
+    ratios = [
+        r / f if f > 0 else float("inf")
+        for r, f in zip(ref_samples, fast_samples)
+    ]
+    return {
+        "reference_s": statistics.median(ref_samples),
+        "fast_s": statistics.median(fast_samples),
+        "speedup": statistics.median(ratios),
+    }
 
 
-def _registry_cell(
-    kernel: str,
-    run: Callable[[str], Any],
+def _cell(
+    reference: Callable[[], Any],
+    fast: Callable[[], Any],
     agree: Callable[[Any, Any], bool],
     detail: str,
     repeats: int,
 ) -> dict[str, Any]:
-    """Time every registered variant of ``kernel`` through ``run``.
-
-    ``run(variant_name)`` drives the kernel end to end; ``agree``
-    compares a variant's output to the reference's.  The returned cell
-    keeps the historical ``reference_s``/``fast_s``/``verified`` keys
-    (fast = the registry default, so the floor gate stays comparable
-    across the registry refactor) and adds a
-    ``variants`` sub-dict with every variant's time, agreement, and
-    registered exactness class.
-    """
-    from repro.tuning.registry import default_variant, variants_of
-
-    ref_out = run("reference")
-    variants: dict[str, dict[str, Any]] = {}
-    for variant in variants_of(kernel):
-        out = run(variant.name)
-        verified = (
-            variant.name == "reference" or bool(agree(ref_out, out))
-        )
-        variants[variant.name] = {
-            "time_s": _time_best(
-                lambda name=variant.name: run(name), repeats
-            ),
-            "verified": verified,
-            "exactness": variant.exactness,
-        }
-    fast_name = default_variant(kernel).name
+    """Verify ``fast`` against ``reference`` once, then time the pair."""
+    verified = bool(agree(reference(), fast()))
     return {
-        "reference_s": variants["reference"]["time_s"],
-        "fast_s": variants[fast_name]["time_s"],
-        "verified": all(v["verified"] for v in variants.values()),
+        **_time_pairs(reference, fast, repeats),
+        "verified": verified,
         "detail": detail,
-        "registry_kernel": kernel,
-        "fast_variant": fast_name,
-        "variants": variants,
     }
 
 
-def _picks_equal(ref: IntArray, out: IntArray) -> bool:
-    return bool(np.array_equal(ref, out))
+def _step_picks(
+    state: Any, method: str, targets: FloatArray
+) -> list[int]:
+    """Each step's argmax as a detector state grows by ``targets``.
+
+    Step ``k`` adds target ``k`` and takes the argmax of ``method``'s
+    scores against the ``k + 1`` targets so far — the per-round work of
+    the sequential detectors, without their bookkeeping.
+    """
+    picks = []
+    for signature in targets:
+        state.add_target(signature)
+        picks.append(int(np.argmax(getattr(state, method)())))
+    return picks
+
+
+def _detector_cell(
+    reference: Callable[[FloatArray], Any],
+    fast: Callable[[FloatArray], Any],
+    method: str,
+    pix: FloatArray,
+    picks: IntArray,
+    repeats: int,
+) -> dict[str, Any]:
+    """Drive both states over one target sequence (all picks but the
+    last, whose scores no detector round computes)."""
+    targets = pix[picks[:-1]]
+    return _cell(
+        lambda: _step_picks(reference(pix), method, targets),
+        lambda: _step_picks(fast(pix), method, targets),
+        lambda ref, out: ref == out,
+        f"t={len(picks)} targets, {pix.shape[0]} pixels × "
+        f"{pix.shape[1]} bands",
+        repeats,
+    )
 
 
 def _bench_atdca(config: MicrobenchConfig, pix: FloatArray) -> dict[str, Any]:
     from repro.core.atdca import atdca_pixels
+    from repro.linalg.osp import IncrementalOSP, ScratchOSP
 
-    t = config.n_targets
-    return _registry_cell(
-        "osp_step",
-        lambda name: atdca_pixels(pix, t, osp_variant=name).flat_indices,
-        _picks_equal,
-        f"t={t} targets, {pix.shape[0]} pixels × {pix.shape[1]} bands",
+    picks = atdca_pixels(pix, config.n_targets).flat_indices
+    return _detector_cell(
+        ScratchOSP, IncrementalOSP, "residual_energy", pix, picks,
         config.repeats,
     )
 
 
 def _bench_ufcls(config: MicrobenchConfig, pix: FloatArray) -> dict[str, Any]:
     from repro.core.ufcls import ufcls_pixels
+    from repro.linalg.fcls import IncrementalFCLS, ScratchFCLS
 
-    t = config.n_targets
-    return _registry_cell(
-        "fcls_solve",
-        lambda name: ufcls_pixels(pix, t, fcls_variant=name).flat_indices,
-        _picks_equal,
-        f"t={t} targets, {pix.shape[0]} pixels × {pix.shape[1]} bands",
+    picks = ufcls_pixels(pix, config.n_targets).flat_indices
+    return _detector_cell(
+        ScratchFCLS, IncrementalFCLS, "error_image", pix, picks,
         config.repeats,
     )
 
 
 def _bench_mei_map(config: MicrobenchConfig, cube: FloatArray) -> dict[str, Any]:
+    from repro.core.morph import mei_map, mei_map_reference
     from repro.morphology.structuring import square
-    from repro.tuning.registry import resolve
 
     se = square(3)
     it = config.morph_iterations
-    return _registry_cell(
-        "morph_mei",
-        lambda name: resolve("morph_mei", name).implementation()(
-            cube, se, it
-        ),
+    return _cell(
+        lambda: mei_map_reference(cube, se, it),
+        lambda: mei_map(cube, se, it),
         lambda ref, out: bool(np.array_equal(ref, out)),
         f"I_max={it}, 3×3 SE, "
         f"{cube.shape[0]}×{cube.shape[1]}×{cube.shape[2]} cube",
@@ -252,14 +260,12 @@ def _bench_mei_map(config: MicrobenchConfig, cube: FloatArray) -> dict[str, Any]
 
 
 def _bench_unique(config: MicrobenchConfig, pix: FloatArray) -> dict[str, Any]:
-    from repro.tuning.registry import resolve
+    from repro.core.unique import greedy_unique, greedy_unique_reference
 
     thr = config.unique_threshold
-    return _registry_cell(
-        "unique_filter",
-        lambda name: resolve("unique_filter", name).implementation()(
-            pix, thr
-        ),
+    return _cell(
+        lambda: greedy_unique_reference(pix, thr),
+        lambda: greedy_unique(pix, thr),
         lambda ref, out: bool(
             np.array_equal(ref.indices, out.indices)
             and np.array_equal(ref.signatures, out.signatures)
@@ -295,8 +301,7 @@ def _bench_mailbox(config: MicrobenchConfig, cube: FloatArray) -> dict[str, Any]
     )
     mbytes = payload["targets"].nbytes / 1e6
     return {
-        "reference_s": _time_best(_ref, config.repeats),
-        "fast_s": _time_best(_fast, config.repeats),
+        **_time_pairs(_ref, _fast, config.repeats),
         "verified": bool(verified),
         "detail": f"{_MAILBOX_BATCH}× transfer of a {mbytes:.1f} MB payload",
     }
@@ -319,19 +324,11 @@ def run_microbench(config: MicrobenchConfig, date: str) -> dict[str, Any]:
         ),
         "mailbox": lambda: _bench_mailbox(config, cube),
     }
-    kernels: dict[str, dict[str, Any]] = {}
-    for name in KERNELS:
-        cell = runners[name]()
-        cell["speedup"] = (
-            cell["reference_s"] / cell["fast_s"] if cell["fast_s"] > 0
-            else float("inf")
-        )
-        kernels[name] = cell
     return {
         "schema": MICRO_SCHEMA,
         "date": date,
         "config": config.to_dict(),
-        "kernels": kernels,
+        "kernels": {name: runners[name]() for name in KERNELS},
     }
 
 

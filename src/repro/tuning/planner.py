@@ -4,19 +4,11 @@ Consumes the calibrated compute/transfer scales from the committed
 calibration baseline (``benchmarks/baselines/calibration.json``) plus
 the analytic platform model (:func:`repro.experiments.model.model_run`,
 the same op-program engine the what-if replay executes) and picks, per
-run, the configuration minimizing predicted makespan:
-
-* the **WEA partition variant** (``hetero``/``dlt``/``homo``) — each
-  candidate is partitioned via
-  :func:`repro.core.runner.make_row_partition_for_dims` and priced by
-  ``model_run`` under the calibration-scaled cost model;
-* the **kernel variants** — resolved from the registry's capability
-  metadata: preconditions first (rank-deficient target sets and tiny
-  scenes fall back to the rank-tolerant reference paths), then the
-  fastest eligible variant;
-* the **checkpoint cadence** — in-memory detection checkpoints charge
-  zero model cost, so the densest cadence (every iteration) dominates:
-  it minimizes recovery replay without any predicted makespan penalty.
+run, the **WEA partition variant** (``hetero``/``dlt``/``homo``)
+minimizing predicted makespan: each candidate is partitioned via
+:func:`repro.core.runner.make_row_partition_for_dims` and priced by
+``model_run`` under the calibration-scaled cost model.  The plan
+chooses nothing it does not price.
 
 Every plan ships with its prediction (*and* the default variant's
 prediction, so improvement claims are checkable), plus the scale
@@ -31,8 +23,8 @@ executed run (≤ 1e-9 relative error on the virtual-time backend) and the
 measured improvement against the committed floor.
 
 This module is deliberately *not* re-exported from
-:mod:`repro.tuning` — it imports the runner layer, which dispatches
-through the registry, and an eager import would complete that cycle.
+:mod:`repro.tuning`: it imports the runner and experiments layers,
+which ``import repro.tuning`` need not load.
 """
 
 from __future__ import annotations
@@ -44,20 +36,15 @@ from typing import Any, Mapping
 
 from repro.cluster.costs import DEFAULT_COST_MODEL, CostModel
 from repro.cluster.platform import HeterogeneousPlatform
-from repro.core.parallel_detect import DETECTORS
 from repro.core.runner import ALGORITHM_NAMES, make_row_partition_for_dims
 from repro.errors import ConfigurationError
 from repro.experiments.model import model_run
-from repro.obs.health import scales_from_calibration
 from repro.scheduling.static_part import RowPartition
-from repro.tuning.registry import KernelVariant, default_variant, variants_of
 
 __all__ = [
     "PLAN_SCHEMA",
     "PARTITION_VARIANTS",
     "DEFAULT_CALIBRATION",
-    "ALGORITHM_KERNELS",
-    "choose_kernel_variants",
     "TuningPlan",
     "plan_run",
 ]
@@ -71,63 +58,6 @@ PARTITION_VARIANTS: tuple[str, ...] = ("hetero", "dlt", "homo")
 #: The committed calibration baseline (repo-relative).
 DEFAULT_CALIBRATION = "benchmarks/baselines/calibration.json"
 
-#: Which registered kernels each algorithm dispatches through.
-ALGORITHM_KERNELS: Mapping[str, tuple[str, ...]] = {
-    "atdca": ("osp_step",),
-    "ufcls": ("fcls_solve",),
-    "pct": ("unique_filter",),
-    "morph": ("morph_mei", "unique_filter"),
-}
-
-
-def _eligible(
-    variant: KernelVariant, n_pixels: int, rank_deficient: bool
-) -> bool:
-    if n_pixels < variant.min_pixels:
-        return False
-    if rank_deficient and not variant.rank_tolerant:
-        return False
-    return True
-
-
-def choose_kernel_variants(
-    algorithm: str,
-    n_pixels: int,
-    bands: int,
-    params: Mapping[str, Any],
-) -> dict[str, str]:
-    """Pick one registry variant per kernel the algorithm uses.
-
-    Preconditions filter first: variants whose ``min_pixels`` exceeds the
-    scene (tiny inputs), and — for the target detectors — variants not
-    ``rank_tolerant`` when the requested target count exceeds the band
-    count (the target matrix is then certainly rank-deficient, so the
-    degenerate-input paths must be primary).  Among eligible variants the
-    highest ``speed_hint`` wins.  The rank-tolerant reference always
-    passes both filters, so the choice never comes up empty.
-    """
-    kernels = ALGORITHM_KERNELS.get(algorithm)
-    if kernels is None:
-        raise ConfigurationError(
-            f"unknown algorithm {algorithm!r}; expected one of "
-            f"{ALGORITHM_NAMES}"
-        )
-    rank_deficient = False
-    if algorithm in DETECTORS:
-        rank_deficient = int(params.get("n_targets", 18)) > int(bands)
-    chosen: dict[str, str] = {}
-    for kernel in kernels:
-        best: KernelVariant | None = None
-        for variant in variants_of(kernel):
-            if not _eligible(variant, n_pixels, rank_deficient):
-                continue
-            if best is None or variant.speed_hint > best.speed_hint:
-                best = variant
-        assert best is not None  # the reference is always eligible
-        chosen[kernel] = best.name
-    return chosen
-
-
 @dataclasses.dataclass(frozen=True)
 class TuningPlan:
     """One planner decision, with its checkable prediction.
@@ -138,8 +68,6 @@ class TuningPlan:
             (plans are validated against the run's platform at dispatch).
         partition_variant: the chosen WEA variant.
         partition_counts: the chosen partition's per-rank row counts.
-        kernels: kernel name → chosen registry variant name.
-        checkpoint_every: checkpoint cadence for the iterative detectors.
         predicted_makespan_s: ``model_run`` total under the calibrated
             cost model for the chosen configuration.
         candidates: partition variant → predicted makespan, for every
@@ -163,8 +91,6 @@ class TuningPlan:
     platform_size: int
     partition_variant: str
     partition_counts: tuple[int, ...]
-    kernels: Mapping[str, str]
-    checkpoint_every: int
     predicted_makespan_s: float
     candidates: Mapping[str, float]
     default_variant: str
@@ -225,8 +151,6 @@ class TuningPlan:
             },
             "partition_variant": self.partition_variant,
             "partition_counts": [int(c) for c in self.partition_counts],
-            "kernels": dict(self.kernels),
-            "checkpoint_every": int(self.checkpoint_every),
             "predicted_makespan_s": float(self.predicted_makespan_s),
             "candidates": {
                 name: float(value)
@@ -246,7 +170,12 @@ class TuningPlan:
 
     @classmethod
     def from_document(cls, doc: Mapping[str, Any]) -> "TuningPlan":
-        """Rehydrate a plan from :meth:`to_document` output."""
+        """Rehydrate a plan from :meth:`to_document` output.
+
+        Keys the plan does not read are ignored, so a document written
+        when plans also named kernel variants and a checkpoint cadence
+        still loads.
+        """
         schema = doc.get("schema")
         if schema != PLAN_SCHEMA:
             raise ConfigurationError(
@@ -267,8 +196,6 @@ class TuningPlan:
             partition_counts=tuple(
                 int(c) for c in doc["partition_counts"]
             ),
-            kernels=dict(doc["kernels"]),
-            checkpoint_every=int(doc["checkpoint_every"]),
             predicted_makespan_s=float(doc["predicted_makespan_s"]),
             candidates={
                 str(k): float(v) for k, v in doc["candidates"].items()
@@ -301,6 +228,10 @@ def _load_scales(
             # package outside the repo): neutral scales, silently.
             return {"compute": 1.0, "transfer": 1.0}, None
         calibration = committed
+    # Imported here, not at module level: ``obs.profile`` also holds the
+    # ``profile`` CLI, and importing the planner need not load argparse.
+    from repro.obs.profile import scales_from_calibration
+
     scales, provenance = scales_from_calibration(
         calibration, backend=backend, with_provenance=True
     )
@@ -320,7 +251,7 @@ def plan_run(
     calibration: str | Path | Mapping[str, Any] | None = None,
     default_variant: str = "hetero",
 ) -> TuningPlan:
-    """Plan one run: partition variant, kernel variants, cadence.
+    """Plan one run: the WEA partition variant it predicts fastest.
 
     Args:
         algorithm: one of :data:`repro.core.runner.ALGORITHM_NAMES`.
@@ -399,10 +330,6 @@ def plan_run(
         partition_counts=tuple(
             int(c) for c in partitions[best].counts
         ),
-        kernels=choose_kernel_variants(
-            algorithm, rows * cols, bands, params
-        ),
-        checkpoint_every=1,
         predicted_makespan_s=candidates[best],
         candidates=candidates,
         default_variant=default_variant,

@@ -3,6 +3,7 @@
 import copy
 import dataclasses
 import functools
+import sys
 
 import numpy as np
 import pytest
@@ -216,9 +217,13 @@ class TestAgainstPerMaskLoop:
         picks = ufcls_pixels(pixels, 18).flat_indices
         abundances = fcls_abundances(pixels, pixels[picks[:-1]])
         monkeypatch.setattr(fcls, "_active_set_refine", _per_mask_loop_refine)
-        # The stateless variant: every iteration's picks come from the
+        # The stateless state: every iteration's picks come from the
         # per-mask loop run from round 0, never from a kept answer.
-        reference = ufcls_pixels(pixels, 18, fcls_variant="reference")
+        monkeypatch.setattr(
+            sys.modules[ufcls_pixels.__module__], "IncrementalFCLS",
+            fcls.ScratchFCLS,
+        )
+        reference = ufcls_pixels(pixels, 18)
         assert np.array_equal(reference.flat_indices, picks)
         oracle = fcls_abundances(pixels, pixels[picks[:-1]])
         assert np.abs(abundances - oracle).max() < 1e-9

@@ -66,6 +66,7 @@ class TestSADBatched:
     def test_pairwise_matches_scalar(self, rng):
         mat = rng.random((5, 12)) + 0.1
         angles = sad_pairwise(mat)
+        assert angles.shape == (5, 5)
         for i in range(5):
             for j in range(5):
                 # arccos near 1.0 is only accurate to ~1e-8 — fine for

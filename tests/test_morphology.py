@@ -136,6 +136,10 @@ class TestExtrema:
         cube = rng.random((4, 5, 6))
         assert dilation(cube, square(3)).shape == cube.shape
 
+    def test_erosion_output_shape(self, rng):
+        cube = rng.random((4, 5, 6))
+        assert erosion(cube, square(3)).shape == cube.shape
+
 
 def _running_extrema(dmap, se):
     """The strict running-comparison scan ``extrema_positions`` replaced,

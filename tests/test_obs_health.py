@@ -13,12 +13,8 @@ from repro.faults.injector import FaultInjector
 from repro.faults.plan import FaultPlan, RankComputeScale
 from repro.hsi import SceneConfig, make_wtc_scene
 from repro.obs import ObsSession
-from repro.obs.health import (
-    MIN_OPS,
-    HealthMonitor,
-    relative_error,
-    scales_from_calibration,
-)
+from repro.obs.health import MIN_OPS, HealthMonitor, relative_error
+from repro.obs.profile import scales_from_calibration
 
 
 def _slowdown_plan(rank: int = 1, factor: float = 3.0) -> FaultPlan:

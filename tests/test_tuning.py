@@ -1,9 +1,8 @@
-"""Kernel registry + autotuning planner (``repro.tuning``).
+"""Autotuning planner (``repro.tuning.planner``).
 
-Covers the registry's resolution semantics, the planner's
-auto-≤-default guarantee and degenerate-input fallbacks, plan
-round-tripping, dispatch through ``run_parallel``/``run_with_recovery``,
-and the ``bench plan`` gate.
+Covers the planner's auto-≤-default guarantee, plan round-tripping,
+dispatch through ``run_parallel``/``run_with_recovery``, and the
+``bench plan`` gate.
 """
 
 from __future__ import annotations
@@ -18,17 +17,10 @@ from repro.core.atdca import atdca_pixels
 from repro.core.runner import run_parallel
 from repro.errors import ConfigurationError, DataError
 from repro.hsi.scene import SceneConfig, make_wtc_scene
-from repro.tuning import (
-    KERNEL_NAMES,
-    default_variant,
-    resolve,
-    variants_of,
-)
 from repro.tuning.planner import (
     PARTITION_VARIANTS,
     PLAN_SCHEMA,
     TuningPlan,
-    choose_kernel_variants,
     plan_run,
 )
 
@@ -52,38 +44,6 @@ def auto_plan(platform, scene):
         scene.image.rows, scene.image.cols, scene.image.bands,
         {"n_targets": N_TARGETS},
     )
-
-
-class TestRegistry:
-    def test_every_kernel_has_a_reference_and_a_fast_variant(self):
-        for kernel in KERNEL_NAMES:
-            names = [v.name for v in variants_of(kernel)]
-            assert "reference" in names
-            assert len(names) >= 2
-
-    def test_default_is_the_fastest_registered_variant(self):
-        for kernel in KERNEL_NAMES:
-            best = max(variants_of(kernel), key=lambda v: v.speed_hint)
-            assert default_variant(kernel).speed_hint == best.speed_hint
-
-    def test_reference_is_rank_tolerant_and_unconditional(self):
-        for kernel in KERNEL_NAMES:
-            ref = resolve(kernel, "reference")
-            assert ref.name == "reference"
-            assert ref.min_pixels == 0
-
-    def test_resolve_unknown_kernel_raises(self):
-        with pytest.raises(ConfigurationError):
-            resolve("no_such_kernel", "reference")
-
-    def test_resolve_unknown_variant_raises(self):
-        with pytest.raises(ConfigurationError):
-            resolve("osp_step", "no_such_variant")
-
-    def test_implementations_are_callable(self):
-        for kernel in KERNEL_NAMES:
-            for variant in variants_of(kernel):
-                assert callable(variant.implementation())
 
 
 class TestPlanner:
@@ -164,7 +124,7 @@ class TestPlanner:
             np.asarray(seq.flat_indices),
         )
 
-    def test_rank_deficient_targets_fall_back_to_reference(
+    def test_targets_beyond_the_spectral_rank_raise_a_typed_error(
         self, platform, scene
     ):
         img = scene.image
@@ -172,29 +132,14 @@ class TestPlanner:
             "atdca", platform, img.rows, img.cols, img.bands,
             {"n_targets": img.bands + 2},
         )
-        assert plan.kernels["osp_step"] == "reference"
-        # ... and the planned run gets through the rank-deficient rounds
-        # to the typed error: a scene has no more distinct ATDCA targets
-        # than spectral dimensions.
+        # The planned run gets through the rank-deficient rounds to the
+        # typed error: a scene has no more distinct ATDCA targets than
+        # spectral dimensions.
         with pytest.raises(DataError, match="ran out of distinct targets"):
             run_parallel(
                 "atdca", img, platform,
                 params={"n_targets": img.bands + 2}, plan=plan,
             )
-
-    def test_tiny_scenes_fall_back_to_reference(self, platform):
-        plan = plan_run(
-            "ufcls", platform, 16, 2, 8, {"n_targets": 3}
-        )
-        assert plan.kernels["fcls_solve"] == "reference"
-
-    def test_degenerate_kernel_choice_never_errors(self):
-        for algorithm in ("atdca", "ufcls", "pct", "morph"):
-            chosen = choose_kernel_variants(
-                algorithm, n_pixels=1, bands=2,
-                params={"n_targets": 99, "n_classes": 4},
-            )
-            assert chosen  # never empty; reference always eligible
 
     def test_unknown_algorithm_and_variant_raise(self, platform):
         with pytest.raises(ConfigurationError):
@@ -212,6 +157,10 @@ class TestPlanDocument:
         assert doc["schema"] == PLAN_SCHEMA
         again = TuningPlan.from_document(doc)
         assert again == auto_plan
+        # Plans once also named kernel variants and a checkpoint
+        # cadence; a document that still carries such keys loads.
+        doc["kernels"] = {"osp_step": "incremental"}
+        assert TuningPlan.from_document(doc) == auto_plan
 
     def test_serialization_is_deterministic(self, auto_plan, tmp_path):
         blob = json.dumps(auto_plan.to_document(), sort_keys=True)
@@ -423,7 +372,7 @@ class TestMicrobenchCli:
 
 class TestScaleProvenance:
     def test_committed_baseline_carries_provenance(self):
-        from repro.obs.health import scales_from_calibration
+        from repro.obs.profile import scales_from_calibration
 
         scales, provenance = scales_from_calibration(
             "benchmarks/baselines/calibration.json",

@@ -10,6 +10,7 @@ from repro.core.unique import (
     UniqueSet,
     diversity_select,
     greedy_unique,
+    greedy_unique_reference,
     merge_unique_sets,
     reduce_to_count,
 )
@@ -134,18 +135,41 @@ class TestUniqueSetValidation:
             UniqueSet(np.ones((2, 3)), np.arange(2), scores=np.ones(3))
 
 
+@st.composite
+def _pools(draw):
+    """A candidate pool, a threshold and a keep limit.  Some pools
+    repeat earlier rows, so a candidate can sit at angle 0 from a kept
+    one."""
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=500)))
+    n = draw(st.integers(min_value=1, max_value=40))
+    pixels = rng.random((n, draw(st.integers(2, 8)))) + 0.05
+    copies = draw(st.integers(min_value=0, max_value=n // 2))
+    pixels[n - copies:] = pixels[rng.integers(0, n, size=copies)]
+    threshold = draw(st.floats(min_value=0.01, max_value=0.5))
+    max_keep = draw(st.none() | st.integers(min_value=1, max_value=n))
+    return pixels, threshold, max_keep
+
+
 @settings(max_examples=25, deadline=None)
-@given(
-    threshold=st.floats(min_value=0.01, max_value=0.5),
-    seed=st.integers(min_value=0, max_value=500),
-)
-def test_greedy_unique_mutual_distance_property(threshold, seed):
+@given(pool=_pools())
+def test_greedy_unique_mutual_distance_property(pool):
     """Every pair of kept signatures is separated by more than the
     threshold — the defining invariant of the unique set."""
-    rng = np.random.default_rng(seed)
-    pixels = rng.random((40, 6)) + 0.05
-    unique = greedy_unique(pixels, threshold)
+    pixels, threshold, max_keep = pool
+    unique = greedy_unique(pixels, threshold, max_keep)
     if unique.count > 1:
         angles = sad_pairwise(unique.signatures)
         off = angles[~np.eye(unique.count, dtype=bool)]
         assert off.min() > threshold
+
+
+@settings(max_examples=50, deadline=None)
+@given(pool=_pools())
+def test_greedy_unique_equals_the_reference_property(pool):
+    """The vectorized filter keeps what the one-candidate-at-a-time
+    scan keeps, to the bit: same indices, same signatures."""
+    pixels, threshold, max_keep = pool
+    fast = greedy_unique(pixels, threshold, max_keep)
+    reference = greedy_unique_reference(pixels, threshold, max_keep)
+    assert np.array_equal(fast.indices, reference.indices)
+    assert np.array_equal(fast.signatures, reference.signatures)
