@@ -42,7 +42,7 @@ import dataclasses
 import enum
 import functools
 import weakref
-from typing import Any, Iterable, Mapping, NamedTuple
+from typing import Any, Iterable, NamedTuple
 
 from repro.cluster.platform import HeterogeneousPlatform
 from repro.errors import ConfigurationError, PlatformError
@@ -246,13 +246,11 @@ class TimingCore:
       scale a message's volume and latency terms separately (``pair``
       is the sorted segment-name pair of the endpoints).
 
-    ``scales`` are calibration multipliers (``"compute"``,
-    ``"transfer"``) applied last.  The floating-point order is fixed,
-    because committed artefacts are compared byte for byte: a compute
-    charge is ``cycle-time cost × recorded factor × hook factor ×
-    compute scale``; a transfer is re-priced as ``latency factor ×
-    latency + capacity factor × (cost − latency)`` only when a factor
-    is not 1.0, then ``× transfer scale``.
+    The floating-point order is fixed, because committed artefacts are
+    compared byte for byte: a compute charge is ``cycle-time cost ×
+    recorded factor × hook factor``; a transfer is re-priced as
+    ``latency factor × latency + capacity factor × (cost − latency)``
+    only when a factor is not 1.0.
 
     :meth:`compute` and :meth:`charge` touch one rank's clock and
     ledger, so rank threads may call them for their own rank without a
@@ -273,7 +271,6 @@ class TimingCore:
         platform: HeterogeneousPlatform,
         clock_start: Seconds = 0.0,
         perturb: Any = None,
-        scales: Mapping[str, float] | None = None,
     ) -> None:
         n = platform.size
         self.clocks = [VirtualClock(clock_start) for _ in range(n)]
@@ -283,9 +280,6 @@ class TimingCore:
             platform.processor(rank).compute_seconds for rank in range(n)
         ]
         self._perturb = perturb
-        scales = scales or {}
-        self._compute_scale = float(scales.get("compute", 1.0))
-        self._transfer_scale = float(scales.get("transfer", 1.0))
         self._link_free: dict[tuple[str, str], Seconds] = {}
         self._routes = _ROUTES.setdefault(platform.network, {})
         self.ops: list[Op] = []
@@ -372,8 +366,6 @@ class TimingCore:
         n = len(clocks)
         compute_seconds = self._compute_seconds
         perturb = self._perturb
-        compute_scale = self._compute_scale
-        transfer_scale = self._transfer_scale
         link_free = self._link_free
         routes = self._routes
         latency_s = self._network.latency_s
@@ -389,7 +381,7 @@ class TimingCore:
                     1.0 if perturb is None
                     else perturb.compute_factor(rank, label, start)
                 )
-                seconds = nominal * factor * hook * compute_scale
+                seconds = nominal * factor * hook
                 end = clock._now = start + seconds
                 if sequential:
                     ledgers[rank].seq += seconds
@@ -421,7 +413,6 @@ class TimingCore:
                     duration = latency_factor * latency_s + capacity * (
                         nominal - latency_s
                     )
-            duration *= transfer_scale
             end = start + duration
             src_wait = start - ready_src
             dst_wait = start - ready_dst

@@ -274,7 +274,12 @@ def prepare_launch(
     :func:`repro.faults.recovery.run_with_recovery` once per attempt,
     on whatever survivor platform and fresh partition that attempt has.
     ``checkpoint`` and ``adaptive`` reach only the iterative detectors.
+
+    The sequential functions' finite check runs here, on the master's
+    cube, so both drivers raise the same ``DataError`` and no rank
+    program scans its block.
     """
+    _check_finite(image.flatten_pixels())
     program_kwargs = build_program_kwargs(algorithm, params, partition)
     if algorithm in DETECTORS:
         if checkpoint is not None:
@@ -313,7 +318,7 @@ def _stamp_run_meta(
     categories, so analyzers, the DAG, and the gantt ignore it.
 
     Auto-planned runs additionally carry scalar ``plan_*`` attributes
-    (chosen variant, prediction, calibration-scale provenance) so every
+    (chosen variant, its prediction and the default's) so every
     planner decision is auditable from the trace —
     :func:`repro.obs.analyze.analyze_trace` surfaces them in
     ``analysis.json``.
@@ -330,14 +335,7 @@ def _stamp_run_meta(
             "plan_predicted_s": float(plan.predicted_makespan_s),
             "plan_default_variant": plan.default_variant,
             "plan_default_predicted_s": float(plan.default_predicted_s),
-            "plan_scales_compute": float(plan.scales["compute"]),
-            "plan_scales_transfer": float(plan.scales["transfer"]),
         }
-        if plan.scale_provenance is not None:
-            for key in ("git_sha", "date", "source"):
-                value = plan.scale_provenance.get(key)
-                if value is not None:
-                    plan_attrs[f"plan_scales_{key}"] = str(value)
     obs.tracer.add_span(
         "run.meta", platform.master_rank, 0.0, 0.0, category="meta",
         algorithm=algorithm, variant=variant,
@@ -429,9 +427,6 @@ def run_parallel(
     params = dict(params or {})
     if backend not in ("sim", "inproc"):
         raise ConfigurationError(f"unknown backend {backend!r}")
-    # The sequential functions' check, once, on the master's cube: no
-    # rank program scans its block.
-    _check_finite(image.flatten_pixels())
     if plan is not None:
         plan.check_matches(
             algorithm, image.rows, image.cols, image.bands, platform.size
@@ -442,14 +437,14 @@ def run_parallel(
     part = partition or make_row_partition(
         platform, image, algorithm, params, variant, cost_model
     )
+    launch = prepare_launch(
+        algorithm, params, part, image, platform, checkpoint=checkpoint,
+    )
     if obs is not None:
         _stamp_run_meta(
             obs, algorithm, variant, image, platform, part, params,
             cost_model, plan=plan,
         )
-    launch = prepare_launch(
-        algorithm, params, part, image, platform, checkpoint=checkpoint,
-    )
     master = platform.master_rank
 
     if backend == "sim":

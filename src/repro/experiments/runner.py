@@ -122,10 +122,9 @@ def main(argv: list[str] | None = None) -> int:
                              "whatif predict read its <stem>.jsonl")
     parser.add_argument("--plan", metavar="MODE", default=None,
                         help="configure the traced demo runs through the "
-                             "autotuning planner: 'auto' plans kernel "
-                             "variants, WEA partition, and checkpoint "
-                             "cadence from the calibrated cost model; "
-                             "'default' keeps the static configuration; "
+                             "autotuning planner: 'auto' picks the WEA "
+                             "partition variant the cost model prices "
+                             "fastest; 'default' keeps the static configuration; "
                              "any other value is read as a serialized "
                              "plan JSON file; planned runs export "
                              "<stem>.plan.json with the makespan "

@@ -81,7 +81,6 @@ _LAZY = {
     "OpSample": "repro.obs.profile",
     "calibration_gate": "repro.obs.profile",
     "profile_trace": "repro.obs.profile",
-    "scales_from_calibration": "repro.obs.profile",
     "HealthEvent": "repro.obs.health",
     "HealthMonitor": "repro.obs.health",
     "WhatIfPlan": "repro.obs.whatif",
@@ -135,7 +134,6 @@ __all__ = [
     "OpSample",
     "calibration_gate",
     "profile_trace",
-    "scales_from_calibration",
     "HealthEvent",
     "HealthMonitor",
     "LoadedTrace",

@@ -866,8 +866,8 @@ class TraceAnalysis:
 
     ``tuning`` carries the autotuning planner's decision record (the
     scalar ``plan_*`` attributes of the ``run.meta`` span — chosen
-    partition variant, makespan prediction, and calibration-scale
-    provenance) when the traced run was planned; ``None`` otherwise.
+    partition variant, its makespan prediction and the default's) when
+    the traced run was planned; ``None`` otherwise.
     """
 
     critical_path: CriticalPathReport

@@ -8,7 +8,7 @@ only grows its slack.
 
 Following the Coz idea, each candidate *subject* — a rank, a charged
 kernel class, or a network link — gets a counterfactual: replay the
-trace's happens-before DAG through the calibrated cost model with that
+trace's happens-before DAG through the platform cost model with that
 subject sped up by ``k%`` (:mod:`repro.obs.whatif` replay, engine-exact
 on sim traces) and record the end-to-end makespan change.  The profile
 ranks subjects by that *predicted gain*, alongside their flat self-time
@@ -146,7 +146,6 @@ def causal_profile(
     source: Any,
     platform: HeterogeneousPlatform,
     speedup_pct: float = 10.0,
-    scales: Mapping[str, float] | None = None,
 ) -> CausalProfile:
     """Virtual-speedup profile of a recorded trace.
 
@@ -161,7 +160,7 @@ def causal_profile(
             f"speedup_pct must be in (0, 100), got {speedup_pct}"
         )
     ops, _meta = replay_ops_from_trace(source)
-    baseline = replay(ops, platform, scales=scales)
+    baseline = replay(ops, platform)
     base = baseline.makespan
     factor = 1.0 - speedup_pct / 100.0
 
@@ -181,7 +180,7 @@ def causal_profile(
     entries: list[CausalEntry] = []
     for name, self_s in subjects:
         plan = (_subject_perturbation(name, factor),)
-        makespan = replay(ops, platform, plan=plan, scales=scales).makespan
+        makespan = replay(ops, platform, plan=plan).makespan
         entries.append(CausalEntry(
             subject=name,
             gain_pct=(

@@ -26,10 +26,8 @@ residuals measure how well the model's *shape* matches the machine:
 ``median_phase_rel_error`` is the single gateable drift number.
 
 This module owns the committed baseline
-``benchmarks/baselines/calibration.json``: :func:`calibration_gate`
-checks a calibration against its thresholds, and
-:func:`scales_from_calibration` reads its fitted scales (and their
-provenance) for the autotuning planner.
+``benchmarks/baselines/calibration.json``, which holds only the gate
+thresholds: :func:`calibration_gate` checks a calibration against them.
 
 CLI::
 
@@ -66,8 +64,6 @@ __all__ = [
     "GateResult",
     "profile_trace",
     "calibration_gate",
-    "scale_provenance_from_calibration",
-    "scales_from_calibration",
 ]
 
 SCHEMA = "repro.obs.profile/1"
@@ -428,118 +424,6 @@ def calibration_gate(
 
 
 # -- CLI ---------------------------------------------------------------------
-_IDENTITY_SCALES = {"compute": 1.0, "transfer": 1.0}
-
-
-def scale_provenance_from_calibration(
-    source: str | Path | Mapping[str, Any],
-    backend: str = "sim",
-) -> dict[str, Any] | None:
-    """The ``scales_provenance`` entry for one backend, or ``None``.
-
-    The committed calibration baseline records, per backend, *where*
-    its fitted scales came from — the commit, the run date, and the
-    source file — so planner decisions built on those scales
-    are auditable end to end (the planner stamps this block into every
-    plan document and ``run.meta``, and it surfaces in
-    ``analysis.json``).  Absent or malformed blocks return ``None``:
-    provenance is advisory, never load-bearing.
-    """
-    if isinstance(source, (str, Path)):
-        try:
-            data: Mapping[str, Any] = json.loads(
-                Path(source).read_text(encoding="utf-8")
-            )
-        except (OSError, json.JSONDecodeError):
-            return None
-    else:
-        data = source
-    block = data.get("scales_provenance")
-    if not isinstance(block, Mapping):
-        return None
-    entry = block.get(backend)
-    if not isinstance(entry, Mapping):
-        return None
-    out = {
-        key: entry[key]
-        for key in ("git_sha", "date", "source")
-        if isinstance(entry.get(key), str)
-    }
-    return out or None
-
-
-def scales_from_calibration(
-    source: str | Path | Mapping[str, Any],
-    backend: str = "sim",
-    with_provenance: bool = False,
-) -> dict[str, float] | tuple[dict[str, float], dict[str, Any] | None]:
-    """Calibrated ``{"compute": ..., "transfer": ...}`` scales for one
-    backend from the committed calibration baseline.
-
-    Degrades gracefully: a calibration document without a ``"scales"``
-    block (older exports), or with a malformed/non-numeric block, warns
-    via :mod:`warnings` and returns neutral 1.0 scales instead of
-    raising — planning should never be disabled by a stale baseline.
-    Only a *present and numeric but non-positive* scale raises, since
-    that indicates a corrupted fit rather than a missing one.
-
-    With ``with_provenance=True`` returns ``(scales, provenance)``,
-    where ``provenance`` is the baseline's per-backend
-    ``scales_provenance`` entry (commit + date + source file) or
-    ``None`` when the document does not carry one —
-    degraded neutral scales always pair with ``None`` provenance.
-    """
-    import warnings
-
-    if isinstance(source, (str, Path)):
-        data: Mapping[str, Any] = json.loads(
-            Path(source).read_text(encoding="utf-8")
-        )
-    else:
-        data = source
-
-    def _finish(
-        scales: dict[str, float], provenance: dict[str, Any] | None
-    ) -> dict[str, float] | tuple[dict[str, float], dict[str, Any] | None]:
-        if with_provenance:
-            return scales, provenance
-        return scales
-
-    def _degraded(
-        reason: str,
-    ) -> dict[str, float] | tuple[dict[str, float], dict[str, Any] | None]:
-        warnings.warn(
-            f"calibration has no usable scales for backend {backend!r} "
-            f"({reason}); using neutral 1.0 scales",
-            stacklevel=2,
-        )
-        return _finish(dict(_IDENTITY_SCALES), None)
-
-    block = data.get("scales")
-    if block is None:
-        return _degraded('missing "scales" block')
-    if not isinstance(block, Mapping):
-        return _degraded(
-            f'"scales" is {type(block).__name__}, expected a mapping'
-        )
-    scales = block.get(backend, {})
-    if not isinstance(scales, Mapping):
-        return _degraded(
-            f'"scales.{backend}" is {type(scales).__name__}, '
-            "expected a mapping"
-        )
-    out = {}
-    for name in ("compute", "transfer"):
-        try:
-            out[name] = float(scales.get(name, 1.0))
-        except (TypeError, ValueError):
-            return _degraded(f'"scales.{backend}.{name}" is not a number')
-    for name, value in out.items():
-        if value <= 0:
-            raise ConfigurationError(
-                f"calibrated {name} scale must be > 0, got {value}"
-            )
-    return _finish(out, scale_provenance_from_calibration(data, backend))
 
 
 def _cmd_analyze(args: argparse.Namespace) -> int:

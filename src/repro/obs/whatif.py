@@ -294,13 +294,12 @@ def replay(
     ops: Sequence[ReplayOp],
     platform: HeterogeneousPlatform,
     plan: WhatIfPlan | Sequence[TimingPerturbation] | None = None,
-    scales: Mapping[str, float] | None = None,
 ) -> ReplayResult:
     """Re-execute an op program on a fresh timing core under a plan.
 
     The durations are the engine's because the executor is the
-    engine's: the recorded fault factor, the plan's factors (evaluated
-    at each op's replayed start) and the calibration ``scales`` enter
+    engine's: the recorded fault factor and the plan's factors
+    (evaluated at each op's replayed start) enter
     :class:`~repro.cluster.simtime.TimingCore` in its fixed order, and
     neutral factors change nothing, so an unperturbed replay of a sim
     trace reproduces its makespan *byte-identically*.
@@ -313,9 +312,7 @@ def replay(
     are resolved by :func:`predict` before replay.
     """
     hook = PerturbationHook(plan or ())
-    core = TimingCore(
-        platform, perturb=None if hook.trivial else hook, scales=scales,
-    )
+    core = TimingCore(platform, perturb=None if hook.trivial else hook)
     rank_compute: dict[int, float] = {}
     op_compute: dict[str, float] = {}
     link_busy: dict[str, float] = {}
@@ -404,18 +401,16 @@ def predict(
     source: Any,
     platform: HeterogeneousPlatform,
     plan: WhatIfPlan | None = None,
-    scales: Mapping[str, float] | None = None,
 ) -> dict[str, Any]:
     """Replay a trace under a plan → the prediction document.
 
     The baseline is an *unperturbed* replay of the same ops on the
     original platform (byte-identical to the recorded makespan for sim
-    traces), so predicted deltas are self-consistent even when
-    calibration scales are applied to both sides.
+    traces), so predicted deltas are self-consistent.
     """
     ops, meta = replay_ops_from_trace(source)
     plan = plan or WhatIfPlan()
-    baseline = replay(ops, platform, scales=scales)
+    baseline = replay(ops, platform)
     target = plan.apply_platform(platform)
     resizes = plan.of_kind("resize_cluster")
     if resizes:
@@ -425,7 +420,7 @@ def predict(
         )
     else:
         replay_ops = ops
-    predicted = replay(replay_ops, target, plan=plan, scales=scales)
+    predicted = replay(replay_ops, target, plan=plan)
     base, pred = baseline.makespan, predicted.makespan
     doc = {
         "schema": PREDICT_SCHEMA,
@@ -449,7 +444,6 @@ def capacity_sweep(
     platform: HeterogeneousPlatform,
     sizes: Sequence[int],
     plan: WhatIfPlan | None = None,
-    scales: Mapping[str, float] | None = None,
 ) -> dict[str, Any]:
     """Predicted makespan/throughput vs cluster size.
 
@@ -466,16 +460,14 @@ def capacity_sweep(
         raise ConfigurationError(
             f"capacity sweep sizes must be >= 1, got {min(sizes)}"
         )
-    baseline = replay(ops, platform, scales=scales)
+    baseline = replay(ops, platform)
     planned = (plan or WhatIfPlan()).apply_platform(platform)
     pixels = int(meta["rows"]) * int(meta["cols"])
     points = []
     for n in sizes:
         target = extend_platform(planned, n)
         point_ops = _model_ops_for_platform(meta, target)
-        makespan = replay(
-            point_ops, target, plan=plan, scales=scales
-        ).makespan
+        makespan = replay(point_ops, target, plan=plan).makespan
         points.append({
             "n_ranks": n,
             "makespan_s": makespan,

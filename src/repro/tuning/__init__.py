@@ -1,9 +1,8 @@
 """Cost-model-driven autotuning (DESIGN decision 19).
 
-:mod:`repro.tuning.planner` consumes the calibrated compute/transfer
-scales from ``benchmarks/baselines/calibration.json`` plus the analytic
-platform model and picks, per run, the WEA partition variant minimizing
-predicted makespan.  Every plan ships with its prediction so the
+:mod:`repro.tuning.planner` prices each WEA partition variant of a run
+with the analytic platform model and picks the one minimizing predicted
+makespan.  Every plan ships with its prediction so the
 ``bench plan`` gate can check it against the executed run.
 
 Import ``repro.tuning.planner`` explicitly: it pulls in the runner and

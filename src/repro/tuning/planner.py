@@ -1,19 +1,17 @@
 """Cost-model-driven autotuning planner.
 
-Consumes the calibrated compute/transfer scales from the committed
-calibration baseline (``benchmarks/baselines/calibration.json``) plus
-the analytic platform model (:func:`repro.experiments.model.model_run`,
-the same op-program engine the what-if replay executes) and picks, per
-run, the **WEA partition variant** (``hetero``/``dlt``/``homo``)
-minimizing predicted makespan: each candidate is partitioned via
+Prices each **WEA partition variant** (``hetero``/``dlt``/``homo``) of
+one run with the analytic platform model
+(:func:`repro.experiments.model.model_run`, the same op-program engine
+the what-if replay executes) and picks the one minimizing predicted
+makespan: each candidate is partitioned via
 :func:`repro.core.runner.make_row_partition_for_dims` and priced by
-``model_run`` under the calibration-scaled cost model.  The plan
-chooses nothing it does not price.
+``model_run`` under the run's cost model.  The plan chooses nothing it
+does not price, and depends on nothing but its arguments.
 
 Every plan ships with its prediction (*and* the default variant's
-prediction, so improvement claims are checkable), plus the scale
-provenance from the calibration baseline — commit, date, and source
-file — making each planner decision auditable in ``analysis.json``.
+prediction, so improvement claims are checkable), making each planner
+decision auditable in ``analysis.json``.
 
 Because the default partition variant is always in the candidate set and
 ties break toward it in candidate order, the chosen plan's predicted
@@ -44,7 +42,6 @@ from repro.scheduling.static_part import RowPartition
 __all__ = [
     "PLAN_SCHEMA",
     "PARTITION_VARIANTS",
-    "DEFAULT_CALIBRATION",
     "TuningPlan",
     "plan_run",
 ]
@@ -55,8 +52,6 @@ PLAN_SCHEMA = "repro.tuning.plan/1"
 #: Candidate WEA partition variants, in tie-break order.
 PARTITION_VARIANTS: tuple[str, ...] = ("hetero", "dlt", "homo")
 
-#: The committed calibration baseline (repo-relative).
-DEFAULT_CALIBRATION = "benchmarks/baselines/calibration.json"
 
 @dataclasses.dataclass(frozen=True)
 class TuningPlan:
@@ -68,17 +63,12 @@ class TuningPlan:
             (plans are validated against the run's platform at dispatch).
         partition_variant: the chosen WEA variant.
         partition_counts: the chosen partition's per-rank row counts.
-        predicted_makespan_s: ``model_run`` total under the calibrated
-            cost model for the chosen configuration.
+        predicted_makespan_s: ``model_run`` total under the run's cost
+            model for the chosen configuration.
         candidates: partition variant → predicted makespan, for every
             candidate evaluated (auditable alternatives).
         default_variant / default_predicted_s: the static default this
             plan is measured against.
-        scales: the calibrated ``{"compute", "transfer"}`` multipliers
-            applied to the cost model.
-        scale_provenance: where the scales came from (``git_sha`` /
-            ``date`` / ``source`` from the calibration baseline), or
-            ``None`` when the baseline carries no provenance block.
         params: scalar algorithm parameters the plan was made for.
     """
 
@@ -95,8 +85,6 @@ class TuningPlan:
     candidates: Mapping[str, float]
     default_variant: str
     default_predicted_s: float
-    scales: Mapping[str, float]
-    scale_provenance: Mapping[str, Any] | None
     params: Mapping[str, Any]
 
     @property
@@ -158,13 +146,6 @@ class TuningPlan:
             },
             "default_variant": self.default_variant,
             "default_predicted_s": float(self.default_predicted_s),
-            "scales": {
-                name: float(value) for name, value in self.scales.items()
-            },
-            "scale_provenance": (
-                dict(self.scale_provenance)
-                if self.scale_provenance is not None else None
-            ),
             "params": dict(self.params),
         }
 
@@ -173,8 +154,8 @@ class TuningPlan:
         """Rehydrate a plan from :meth:`to_document` output.
 
         Keys the plan does not read are ignored, so a document written
-        when plans also named kernel variants and a checkpoint cadence
-        still loads.
+        when plans also named kernel variants, a checkpoint cadence or
+        calibration scales still loads.
         """
         schema = doc.get("schema")
         if schema != PLAN_SCHEMA:
@@ -183,7 +164,6 @@ class TuningPlan:
             )
         scene = doc["scene"]
         platform = doc["platform"]
-        provenance = doc.get("scale_provenance")
         return cls(
             algorithm=str(doc["algorithm"]),
             backend=str(doc["backend"]),
@@ -202,10 +182,6 @@ class TuningPlan:
             },
             default_variant=str(doc["default_variant"]),
             default_predicted_s=float(doc["default_predicted_s"]),
-            scales={str(k): float(v) for k, v in doc["scales"].items()},
-            scale_provenance=(
-                dict(provenance) if provenance is not None else None
-            ),
             params=dict(doc.get("params", {})),
         )
 
@@ -215,27 +191,6 @@ class TuningPlan:
         return cls.from_document(
             json.loads(Path(path).read_text(encoding="utf-8"))
         )
-
-
-def _load_scales(
-    calibration: str | Path | Mapping[str, Any] | None,
-    backend: str,
-) -> tuple[dict[str, float], dict[str, Any] | None]:
-    if calibration is None:
-        committed = Path(DEFAULT_CALIBRATION)
-        if not committed.is_file():
-            # No baseline in reach (e.g. planning from an installed
-            # package outside the repo): neutral scales, silently.
-            return {"compute": 1.0, "transfer": 1.0}, None
-        calibration = committed
-    # Imported here, not at module level: ``obs.profile`` also holds the
-    # ``profile`` CLI, and importing the planner need not load argparse.
-    from repro.obs.profile import scales_from_calibration
-
-    scales, provenance = scales_from_calibration(
-        calibration, backend=backend, with_provenance=True
-    )
-    return scales, provenance
 
 
 def plan_run(
@@ -248,7 +203,6 @@ def plan_run(
     *,
     backend: str = "sim",
     cost_model: CostModel | None = None,
-    calibration: str | Path | Mapping[str, Any] | None = None,
     default_variant: str = "hetero",
 ) -> TuningPlan:
     """Plan one run: the WEA partition variant it predicts fastest.
@@ -260,13 +214,10 @@ def plan_run(
             pixel data — partitions and the analytic model depend only
             on shape, which is what makes plans reproducible artifacts).
         params: algorithm parameters, as for ``run_parallel``.
-        backend: which backend the plan targets (selects the calibrated
-            scale set; predictions are exact on ``"sim"`` for the
-            detectors and upper bounds for pct/morph).
-        cost_model: base cost model before calibration scaling.
-        calibration: calibration document (path or parsed mapping);
-            ``None`` uses the committed baseline when present and
-            neutral 1.0 scales otherwise.
+        backend: which backend the plan targets, recorded in the plan
+            (predictions are exact on ``"sim"`` for the detectors and
+            upper bounds for pct/morph).
+        cost_model: the cost model the candidates are priced under.
         default_variant: the static choice the plan is measured against;
             always included in the candidate set, and ties break in
             candidate order, so the plan's prediction is ≤ the
@@ -274,8 +225,7 @@ def plan_run(
 
     Returns:
         A :class:`TuningPlan` carrying the chosen configuration, its
-        prediction, every candidate's prediction, and the calibration
-        scale provenance.
+        prediction and every candidate's prediction.
     """
     if algorithm not in ALGORITHM_NAMES:
         raise ConfigurationError(
@@ -288,25 +238,19 @@ def plan_run(
             f"of {PARTITION_VARIANTS}"
         )
     params = dict(params or {})
-    base_cost = cost_model or DEFAULT_COST_MODEL
-    scales, provenance = _load_scales(calibration, backend)
-    tuned_cost = dataclasses.replace(
-        base_cost,
-        compute_scale=base_cost.compute_scale * scales["compute"],
-        comm_scale=base_cost.comm_scale * scales["transfer"],
-    )
+    cost = cost_model or DEFAULT_COST_MODEL
 
     candidates: dict[str, float] = {}
     partitions: dict[str, RowPartition] = {}
     for variant in PARTITION_VARIANTS:
         partition = make_row_partition_for_dims(
             platform, rows, cols, bands, algorithm, params,
-            variant=variant, cost_model=base_cost,
+            variant=variant, cost_model=cost,
         )
         partitions[variant] = partition
         candidates[variant] = float(model_run(
             algorithm, platform, partition, rows, cols, bands,
-            params=params, cost_model=tuned_cost,
+            params=params, cost_model=cost,
         ).total)
 
     best = default_variant
@@ -334,10 +278,5 @@ def plan_run(
         candidates=candidates,
         default_variant=default_variant,
         default_predicted_s=candidates[default_variant],
-        scales={
-            "compute": float(scales["compute"]),
-            "transfer": float(scales["transfer"]),
-        },
-        scale_provenance=provenance,
         params=scalar_params,
     )

@@ -7,14 +7,12 @@ import pytest
 
 from repro.cluster.presets import fully_heterogeneous
 from repro.core.runner import ALGORITHM_NAMES, run_parallel
-from repro.errors import ConfigurationError
 from repro.experiments.config import ExperimentConfig
 from repro.faults.injector import FaultInjector
 from repro.faults.plan import FaultPlan, RankComputeScale
 from repro.hsi import SceneConfig, make_wtc_scene
 from repro.obs import ObsSession
 from repro.obs.health import MIN_OPS, HealthMonitor, relative_error
-from repro.obs.profile import scales_from_calibration
 
 
 def _slowdown_plan(rank: int = 1, factor: float = 3.0) -> FaultPlan:
@@ -92,51 +90,6 @@ class TestHealthMonitor:
             monitor.observe_compute(0, 2.0, 2.0, at=float(i))
         assert monitor.events == []
         assert monitor.flagged_ranks() == []
-
-    def test_scales_from_committed_calibration(self):
-        for backend in ("sim", "inproc"):
-            scales = scales_from_calibration(
-                "benchmarks/baselines/calibration.json", backend=backend
-            )
-            assert scales == {"compute": 1.0, "transfer": 1.0}
-        # Missing block -> neutral scales (warns); bad values rejected.
-        with pytest.warns(UserWarning):
-            assert scales_from_calibration({}, backend="sim") == {
-                "compute": 1.0, "transfer": 1.0
-            }
-        with pytest.raises(ConfigurationError):
-            scales_from_calibration(
-                {"scales": {"sim": {"compute": -1.0}}}, backend="sim"
-            )
-
-    @pytest.mark.parametrize("doc,reason", [
-        ({}, 'missing "scales" block'),
-        ({"scales": [1.0, 2.0]}, "expected a mapping"),
-        ({"scales": {"sim": "fast"}}, "expected a mapping"),
-        ({"scales": {"sim": {"compute": "quick"}}}, "is not a number"),
-    ])
-    def test_stale_baselines_warn_and_degrade(self, doc, reason):
-        """Older or malformed calibration exports must not break the
-        planner: they warn once and fall back to neutral scales."""
-        with pytest.warns(UserWarning, match="no usable scales") as record:
-            scales = scales_from_calibration(doc, backend="sim")
-        assert scales == {"compute": 1.0, "transfer": 1.0}
-        assert reason in str(record[0].message)
-
-    def test_missing_backend_key_is_silent_identity(self):
-        """A calibration fitted only for the other backend is not
-        stale — its absence for this backend is the identity, no
-        warning."""
-        import warnings
-
-        doc = {"scales": {"inproc": {"compute": 2.0, "transfer": 3.0}}}
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            scales = scales_from_calibration(doc, backend="sim")
-        assert scales == {"compute": 1.0, "transfer": 1.0}
-        assert scales_from_calibration(doc, backend="inproc") == {
-            "compute": 2.0, "transfer": 3.0
-        }
 
 
 class TestCrossBackendDeterminism:

@@ -188,6 +188,29 @@ class TestNonFiniteInput:
                 params=self.PARAMS[algorithm], backend=backend,
             )
 
+    @pytest.mark.parametrize("driver", ["run_parallel", "run_with_recovery"])
+    @pytest.mark.parametrize("algorithm", ALGORITHM_NAMES)
+    def test_both_drivers_reject_a_nan_pixel(self, algorithm, driver):
+        """The fault-tolerant driver launches through the same path, so
+        it raises the same error instead of detecting, or classifying,
+        on a NaN."""
+        from repro.errors import DataError
+        from repro.faults.recovery import run_with_recovery
+        from repro.hsi.cube import HyperspectralImage
+
+        scene = make_wtc_scene(SceneConfig(rows=48, cols=8, bands=16, seed=7))
+        values = np.array(scene.image.values, copy=True)
+        values[3, 2, 5] = np.nan  # flat pixel 3 * 8 + 2
+        run = run_parallel if driver == "run_parallel" else run_with_recovery
+        with pytest.raises(
+            DataError,
+            match=r"^pixels must be finite: pixel 26, band 5 is nan$",
+        ):
+            run(
+                algorithm, HyperspectralImage(values), make_tiny_platform(),
+                params=self.PARAMS[algorithm],
+            )
+
 
 class TestClassifierAgreement:
     def test_pct_high_label_agreement(self, small_scene, platform):

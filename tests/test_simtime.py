@@ -71,16 +71,13 @@ def _state(core):
 
 class TestOneArithmetic:
     @pytest.mark.parametrize("perturbed", [False, True])
-    @pytest.mark.parametrize(
-        "scales", [None, {"compute": 1.3, "transfer": 0.7}]
-    )
-    def test_run_equals_one_op_at_a_time(self, perturbed, scales):
+    def test_run_equals_one_op_at_a_time(self, perturbed):
         platform = fully_heterogeneous()
         ops = _program(platform)
 
         def core():
             hook = _hook(platform) if perturbed else None
-            return TimingCore(platform, perturb=hook, scales=scales)
+            return TimingCore(platform, perturb=hook)
 
         whole = core()
         records = []

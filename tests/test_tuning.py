@@ -8,6 +8,7 @@ dispatch through ``run_parallel``/``run_with_recovery``, and the
 from __future__ import annotations
 
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -157,9 +158,12 @@ class TestPlanDocument:
         assert doc["schema"] == PLAN_SCHEMA
         again = TuningPlan.from_document(doc)
         assert again == auto_plan
-        # Plans once also named kernel variants and a checkpoint
-        # cadence; a document that still carries such keys loads.
+        # Plans once also named kernel variants, a checkpoint cadence
+        # and calibration scales; a document that still carries such
+        # keys loads.
         doc["kernels"] = {"osp_step": "incremental"}
+        doc["scales"] = {"compute": 1.0, "transfer": 1.0}
+        doc["scale_provenance"] = None
         assert TuningPlan.from_document(doc) == auto_plan
 
     def test_serialization_is_deterministic(self, auto_plan, tmp_path):
@@ -370,24 +374,9 @@ class TestMicrobenchCli:
         assert "Traceback" not in err
 
 
-class TestScaleProvenance:
-    def test_committed_baseline_carries_provenance(self):
-        from repro.obs.profile import scales_from_calibration
-
-        scales, provenance = scales_from_calibration(
-            "benchmarks/baselines/calibration.json",
-            backend="sim", with_provenance=True,
-        )
-        assert set(scales) == {"compute", "transfer"}
-        assert provenance is not None
-        assert set(provenance) >= {"git_sha", "date", "source"}
-
-    def test_plan_carries_the_provenance(self, auto_plan):
-        assert auto_plan.scale_provenance is not None
-        assert "git_sha" in auto_plan.scale_provenance
-
-    def test_planned_trace_exposes_the_provenance(self, platform, scene,
-                                                  auto_plan):
+class TestPlannedTrace:
+    def test_planned_trace_records_the_decision(self, platform, scene,
+                                                auto_plan):
         from repro.obs import ObsSession, analyze_trace
 
         obs = ObsSession.create()
@@ -399,6 +388,24 @@ class TestScaleProvenance:
         assert analysis.tuning is not None
         doc = analysis.to_dict()["tuning"]
         assert doc["plan_partition_variant"] == auto_plan.partition_variant
-        assert doc["plan_scales_git_sha"] == (
-            auto_plan.scale_provenance["git_sha"]
+        assert doc["plan_predicted_s"] == auto_plan.predicted_makespan_s
+
+    def test_plan_does_not_depend_on_the_working_directory(
+        self, tmp_path, monkeypatch
+    ):
+        """``--plan auto`` writes the same plan document wherever the
+        command runs: a plan depends on its arguments only."""
+        from repro.experiments.runner import main
+
+        def plan_bytes(cwd, out):
+            monkeypatch.chdir(cwd)
+            assert main([
+                "--trace", str(out), "--outdir", str(out), "--plan", "auto",
+                "--rows", "32", "--cols", "8", "--bands", "18",
+            ]) == 0
+            return (out / "atdca_sim.plan.json").read_bytes()
+
+        repo = Path(__file__).resolve().parents[1]
+        assert plan_bytes(repo, tmp_path / "root") == plan_bytes(
+            tmp_path, tmp_path / "elsewhere"
         )
