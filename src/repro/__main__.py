@@ -24,7 +24,7 @@ TOOLS: dict[str, tuple[str, str]] = {
     ),
     "bench": (
         "repro.obs.bench",
-        "benchmark artifacts: plan, microbench",
+        "benchmark artifacts: plan",
     ),
     "profile": (
         "repro.obs.profile",

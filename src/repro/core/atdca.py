@@ -104,10 +104,10 @@ def atdca_pixels(pixels: FloatArray, n_targets: int) -> TargetDetectionResult:
     Gram–Schmidt step per new target instead of a full QR per
     iteration, O(n·bands) amortized per target.  Up to the spectral
     rank (``n_targets <= bands``) its picks equal a from-scratch
-    recompute's (:class:`~repro.linalg.osp.ScratchOSP`); beyond it every
-    residual is round-off, so which pixel wins — or whether the argmax
-    repeats a target and raises :class:`DataError` — is decided by
-    round-off.
+    recompute's (:func:`~repro.linalg.osp.residual_energy`); beyond it
+    every residual is round-off, so which pixel wins — or whether the
+    argmax repeats a target and raises :class:`DataError` — is decided
+    by round-off.
     """
     pix = _check_inputs(pixels, n_targets)
     indices: list[int] = []

@@ -127,9 +127,8 @@ def greedy_unique_reference(
     to *every* kept signature exceeds ``threshold`` — the literal
     reading of the paper's step.  O(k·n·bands) like the vectorized
     filter but with a Python-level loop over candidates; the oracle the
-    tests and the microbench check the vectorized survivor filtering
-    against (the per-pair angle test is identical, so the kept sets
-    match bit for bit).
+    tests check the vectorized survivor filtering against (the per-pair
+    angle test is identical, so the kept sets match bit for bit).
     """
     pix = np.asarray(pixels, dtype=float)
     if pix.ndim != 2 or pix.shape[0] == 0:

@@ -259,9 +259,9 @@ class ScratchFCLS:
     :func:`reconstruction_error` directly.  It is the oracle the
     incremental state is checked against, never run by a detector:
     near-collinear target sets go through the one fully regularized
-    solve instead of a bordering update plus guard, and the microbench
-    verifies the incremental state's picks against the picks this one
-    makes.  Batch-size independent, like the incremental state.
+    solve instead of a bordering update plus guard, and the tests check
+    the incremental state's picks against the picks this one makes.
+    Batch-size independent, like the incremental state.
     """
 
     def __init__(self, pixels: FloatArray, ridge: float = 1e-10) -> None:

@@ -25,7 +25,6 @@ __all__ = [
     "residual_energy",
     "brightest_pixel_index",
     "IncrementalOSP",
-    "ScratchOSP",
 ]
 
 
@@ -198,63 +197,6 @@ class IncrementalOSP:
     def residual_energy(self) -> FloatArray:
         """Current ``‖P^⊥_U x‖²`` per pixel, clipped at zero (round-off)."""
         return np.maximum(self._residual, 0.0)
-
-
-class ScratchOSP:
-    """Reference OSP state: a full QR sweep per residual query.
-
-    Presents the same ``add_target``/``residual_energy`` surface as
-    :class:`IncrementalOSP` but keeps no basis across iterations —
-    every :meth:`residual_energy` call evaluates :func:`residual_energy`
-    against the accumulated target matrix from scratch.  It is the
-    oracle the incremental state is checked against, never run by a
-    detector: rank-deficient target sets go through
-    :func:`orthonormal_basis`'s SVD cut every query instead of an
-    incremental bypass, and the microbench verifies the incremental
-    state's picks against the picks this one makes.
-
-    Like the incremental state, the arithmetic is batch-size
-    independent, so partitioned ranks reproduce a sequential pass.
-    """
-
-    def __init__(self, pixels: FloatArray, tol: float = 1e-10) -> None:
-        pix = np.asarray(pixels, dtype=float)
-        if pix.ndim != 2:
-            raise ShapeError(f"expected (n, bands), got {pix.shape}")
-        self._pix = pix
-        self._bands = pix.shape[1]
-        self._tol = float(tol)
-        self._targets: list[FloatArray] = []
-
-    @property
-    def n_directions(self) -> int:
-        """Rank of the accumulated target matrix (scratch QR/SVD)."""
-        if not self._targets:
-            return 0
-        try:
-            basis = orthonormal_basis(np.vstack(self._targets), self._tol)
-        except DataError:  # all-zero target matrix
-            return 0
-        return int(basis.shape[1])
-
-    def add_target(self, signature: FloatArray) -> bool:
-        """Append one target row; returns ``True`` iff it grew the rank."""
-        sig = np.asarray(signature, dtype=float).reshape(-1)
-        if sig.shape[0] != self._bands:
-            raise ShapeError(
-                f"signature has {sig.shape[0]} bands, expected {self._bands}"
-            )
-        before = self.n_directions
-        self._targets.append(sig)
-        if self.n_directions == before:
-            self._targets.pop()
-            return False
-        return True
-
-    def residual_energy(self) -> FloatArray:
-        """``‖P^⊥_U x‖²`` per pixel, recomputed from scratch."""
-        u = np.vstack(self._targets) if self._targets else None
-        return residual_energy(self._pix, u)
 
 
 def brightest_pixel_index(pixels: FloatArray) -> int:

@@ -62,7 +62,6 @@ from repro.obs.export import (
 from repro.obs.metrics import (
     DEFAULT_BUCKET_BOUNDS,
     Counter,
-    Gauge,
     Histogram,
     MetricsRegistry,
 )
@@ -113,7 +112,6 @@ __all__ = [
     "NULL_TRACER",
     "tracer_of",
     "Counter",
-    "Gauge",
     "Histogram",
     "MetricsRegistry",
     "DEFAULT_BUCKET_BOUNDS",
@@ -169,7 +167,7 @@ class ObsSession:
 
     Attributes:
         tracer: span collector (clock rebound by the chosen backend).
-        metrics: labelled counter/gauge/histogram registry.
+        metrics: labelled counter/histogram registry.
         health: optional :class:`~repro.obs.health.HealthMonitor` (the
             rank drift detector); both backends feed it when present.
     """

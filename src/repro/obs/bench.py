@@ -1,19 +1,15 @@
-"""Benchmark artifacts: the autotuning planner grid and the kernel
-microbenchmarks.
+"""Benchmark artifacts: the autotuning planner grid.
 
 ``python -m repro bench plan`` runs the planner against the static
 default on a pinned grid of virtual-time cells and gates its
-predictions; ``python -m repro bench microbench`` times each fast-path
-kernel against its scratch reference and gates the speedups.  Both
-write schema-versioned JSON artifacts.  The paper's Tables 5–8 are
-gated exactly by ``experiments_output/grid.json``, which
-``python -m repro experiments`` writes; wall-clock claims are judged by
-the paired runs of ``benchmarks/wall``.
+predictions, writing a schema-versioned JSON artifact.  The paper's
+Tables 5–8 are gated exactly by ``experiments_output/grid.json``, which
+``python -m repro experiments`` writes; wall-clock numbers, end to end
+and per kernel, come from the paired runs of ``benchmarks/wall``.
 
 Usage::
 
     python -m repro bench plan --gate          # autotuning planner gate
-    python -m repro bench microbench --gate    # fast-path kernel floors
 
 See README "Benchmarking & the regression gate" and EXPERIMENTS.md.
 """
@@ -340,35 +336,6 @@ def _csv(text: str) -> tuple[str, ...]:
     return tuple(part.strip() for part in text.split(",") if part.strip())
 
 
-def _add_microbench_parser(sub: Any) -> None:
-    from repro.obs.microbench import MicrobenchConfig
-
-    defaults = MicrobenchConfig()
-    p = sub.add_parser(
-        "microbench",
-        help="time each fast-path kernel against its scratch reference, "
-             "gate on the committed speedup floors",
-    )
-    p.add_argument("--out", default=None,
-                   help="write the microbench artifact JSON here")
-    p.add_argument("--date", default=None,
-                   help="ISO date stamped into the artifact")
-    p.add_argument("--repeats", type=int, default=defaults.repeats,
-                   help="timing repetitions per side (best-of wins)")
-    p.add_argument("--rows", type=int, default=defaults.rows)
-    p.add_argument("--cols", type=int, default=defaults.cols)
-    p.add_argument("--bands", type=int, default=defaults.bands)
-    p.add_argument("--seed", type=int, default=defaults.seed)
-    p.add_argument("--paper-scale", action="store_true",
-                   help="use the paper's 614x512x224 cube (float64 cube "
-                        "~563 MB, reference MEI peak ~2 GB — check memory)")
-    p.add_argument("--gate", nargs="?", metavar="FLOORS",
-                   const="benchmarks/baselines/MICROBENCH_floors.json",
-                   default=None,
-                   help="fail (exit 1) when any measured speedup is below "
-                        "the committed floors file (default: %(const)s)")
-
-
 def _add_plan_parser(sub: Any) -> None:
     p = sub.add_parser(
         "plan",
@@ -441,60 +408,11 @@ def _run_plan_command(args: argparse.Namespace) -> int:
     return 0
 
 
-def _run_microbench_command(args: argparse.Namespace) -> int:
-    from repro.obs.microbench import (
-        MicrobenchConfig,
-        gate_microbench,
-        microbench_report,
-        run_microbench,
-    )
-
-    scale = {"rows": args.rows, "cols": args.cols, "bands": args.bands}
-    if args.paper_scale:
-        from repro.obs.microbench import PAPER_SCALE
-
-        scale = dict(PAPER_SCALE)
-    try:
-        config = MicrobenchConfig(
-            seed=args.seed, repeats=args.repeats, **scale
-        )
-    except ReproError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    date = args.date or datetime.date.today().isoformat()
-    artifact = run_microbench(config, date=date)
-    print(microbench_report(artifact))
-    if args.out is not None:
-        out = write_json(args.out, artifact)
-        print(f"{len(artifact['kernels'])} kernels -> {out}")
-    if args.gate is not None:
-        try:
-            floors = json.loads(Path(args.gate).read_text(encoding="utf-8"))
-        except (OSError, json.JSONDecodeError) as exc:
-            print(f"error: cannot read floors {args.gate}: {exc}",
-                  file=sys.stderr)
-            return 2
-        failures = gate_microbench(artifact, floors)
-        if failures:
-            print("MICROBENCH GATE FAILED:", file=sys.stderr)
-            for line in failures:
-                print(f"  {line}", file=sys.stderr)
-            return 1
-        floors_map = floors.get("floors", {})
-        print(f"microbench gate: {len(floors_map)} floors satisfied")
-    return 0
-
-
 def main(argv: Sequence[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro bench",
-        description="Benchmark artifacts: the autotuning planner grid and "
-                    "the kernel microbenchmarks.",
+        description="Benchmark artifacts: the autotuning planner grid.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    _add_microbench_parser(sub)
     _add_plan_parser(sub)
-    args = parser.parse_args(argv)
-    if args.command == "microbench":
-        return _run_microbench_command(args)
-    return _run_plan_command(args)
+    return _run_plan_command(parser.parse_args(argv))

@@ -247,12 +247,12 @@ def _om_float(value: float) -> str:
 def openmetrics_text(source: Any) -> str:
     """The registry in OpenMetrics text exposition format.
 
-    Counters become ``<name>_total`` samples, gauges plain samples,
-    histograms the standard ``_bucket``/``_sum``/``_count`` triple with
-    cumulative *le*-labelled buckets.  Families are emitted sorted by
-    name and samples sorted by labels, so the exposition is
-    deterministic and diffable; the document ends with the mandated
-    ``# EOF`` marker and is scrapeable by standard Prometheus tooling.
+    Counters become ``<name>_total`` samples, histograms the standard
+    ``_bucket``/``_sum``/``_count`` triple with cumulative *le*-labelled
+    buckets.  Families are emitted sorted by name and samples sorted by
+    labels, so the exposition is deterministic and diffable; the
+    document ends with the mandated ``# EOF`` marker and is scrapeable
+    by standard Prometheus tooling.
     """
     records = metrics_records(source)
     by_family: dict[str, list[dict[str, Any]]] = {}
@@ -275,10 +275,6 @@ def openmetrics_text(source: Any) -> str:
                 lines.append(
                     f"{om}_total{_om_labels(labels)} "
                     f"{_om_float(record['value'])}"
-                )
-            elif kind == "gauge":
-                lines.append(
-                    f"{om}{_om_labels(labels)} {_om_float(record['value'])}"
                 )
             else:  # histogram
                 for bound, cumulative in record["buckets"]:

@@ -1,4 +1,4 @@
-"""Metrics registry: labelled counters, gauges, histograms.
+"""Metrics registry: labelled counters and histograms.
 
 The registry is the numeric side of the observability layer: the
 communicator and backends populate it with per-peer message and byte
@@ -25,7 +25,6 @@ from repro.errors import ConfigurationError
 
 __all__ = [
     "Counter",
-    "Gauge",
     "Histogram",
     "MetricsRegistry",
     "DEFAULT_BUCKET_BOUNDS",
@@ -59,24 +58,6 @@ class Counter:
             raise ConfigurationError(f"counter increment must be >= 0, got {amount}")
         with self._lock:
             self.value += amount
-
-    def snapshot(self) -> dict[str, float]:
-        return {"value": self.value}
-
-
-class Gauge:
-    """A last-write-wins instantaneous value."""
-
-    kind = "gauge"
-    __slots__ = ("value", "_lock")
-
-    def __init__(self) -> None:
-        self.value = 0.0
-        self._lock = threading.Lock()
-
-    def set(self, value: float) -> None:
-        with self._lock:
-            self.value = float(value)
 
     def snapshot(self) -> dict[str, float]:
         return {"value": self.value}
@@ -182,13 +163,13 @@ class MetricsRegistry:
 
     def __init__(self) -> None:
         self._lock = threading.Lock()
-        self._metrics: dict[MetricKey, Counter | Gauge | Histogram] = {}
+        self._metrics: dict[MetricKey, Counter | Histogram] = {}
         #: Each handle already handed out, keyed by the request as
         #: passed (kind, name, label items and their types), so a
         #: repeated request skips building the sorted key.
-        self._memo: dict[tuple[Any, ...], Counter | Gauge | Histogram] = {}
+        self._memo: dict[tuple[Any, ...], Counter | Histogram] = {}
 
-    def _get(self, cls: type, name: str, labels: dict[str, Any], **kwargs: Any):
+    def _get(self, cls: type, name: str, labels: dict[str, Any]):
         types = tuple(map(type, labels.values()))
         request = (cls, name, tuple(labels.items()), types)
         try:
@@ -201,7 +182,7 @@ class MetricsRegistry:
         with self._lock:
             metric = self._metrics.get(key)
             if metric is None:
-                metric = cls(**kwargs)
+                metric = cls()
                 self._metrics[key] = metric
             elif not isinstance(metric, cls):
                 raise ConfigurationError(
@@ -215,31 +196,13 @@ class MetricsRegistry:
     def counter(self, name: str, **labels: Any) -> Counter:
         return self._get(Counter, name, labels)
 
-    def gauge(self, name: str, **labels: Any) -> Gauge:
-        return self._get(Gauge, name, labels)
-
-    def histogram(
-        self,
-        name: str,
-        buckets: Sequence[float] | None = None,
-        **labels: Any,
-    ) -> Histogram:
-        """Get-or-create a histogram; ``buckets`` overrides the default
-        bounds at creation time (re-requesting with different bounds
-        raises)."""
-        metric = self._get(Histogram, name, labels, bounds=buckets)
-        if buckets is not None and metric.bounds != tuple(
-            float(b) for b in buckets
-        ):
-            raise ConfigurationError(
-                f"histogram {name!r} already registered with bounds "
-                f"{metric.bounds}, requested {tuple(buckets)}"
-            )
-        return metric
+    def histogram(self, name: str, **labels: Any) -> Histogram:
+        """Get-or-create a histogram over :data:`DEFAULT_BUCKET_BOUNDS`."""
+        return self._get(Histogram, name, labels)
 
     # -- reading ----------------------------------------------------------
     def value(self, name: str, **labels: Any) -> float | None:
-        """A counter/gauge value by exact name + labels, else ``None``."""
+        """A counter value by exact name + labels, else ``None``."""
         key = (name, _label_key(labels))
         with self._lock:
             metric = self._metrics.get(key)
@@ -248,7 +211,7 @@ class MetricsRegistry:
         return metric.value
 
     def total(self, name: str) -> float:
-        """Sum of a metric over all label sets (counter/gauge values,
+        """Sum of a metric over all label sets (counter values,
         histogram totals)."""
         out = 0.0
         for record in self.records():

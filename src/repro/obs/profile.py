@@ -48,7 +48,6 @@ from pathlib import Path
 from typing import Any, Mapping, Sequence
 
 from repro.cluster.platform import HeterogeneousPlatform
-from repro.cluster.presets import platform_by_name
 from repro.errors import ConfigurationError
 from repro.obs.analyze import EnclosingOps, original_rank_lookup
 from repro.obs.dag import build_dag
@@ -428,9 +427,10 @@ def calibration_gate(
 
 def _cmd_analyze(args: argparse.Namespace) -> int:
     from repro.obs.export import read_jsonl
+    from repro.obs.whatif import trace_platform
 
-    loaded = read_jsonl(args.trace)
-    report = profile_trace(loaded.spans, platform_by_name(args.platform))
+    spans = read_jsonl(args.trace).spans
+    report = profile_trace(spans, trace_platform(spans, args.platform))
     if args.json:
         write_json(args.json, report.to_dict())
     print(report.to_text())

@@ -1,10 +1,10 @@
 """Provenance stamping for exported artifacts.
 
 The machine-readable artifacts the observability layer writes
-(``analysis.json``, what-if predictions, plan and microbench
-artifacts) carry a small provenance header — git commit, python and
-numpy versions, platform string — so their numbers can be traced to
-the environment that produced them.
+(``analysis.json``, what-if predictions, plan-bench artifacts) carry a
+small provenance header — git commit, python and numpy versions,
+platform string — so their numbers can be traced to the environment
+that produced them.
 
 The header is intentionally *additive*: schemas are unchanged, and
 readers that ignore unknown keys keep working.

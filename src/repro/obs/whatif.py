@@ -38,7 +38,6 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import json
 import math
 import sys
 from pathlib import Path
@@ -78,6 +77,7 @@ __all__ = [
     "replay",
     "replay_ops_from_trace",
     "run_meta_of",
+    "trace_platform",
     "predict",
     "capacity_sweep",
     "run_validation",
@@ -91,7 +91,7 @@ PREDICT_SCHEMA = "repro.obs.whatif/1"
 SWEEP_SCHEMA = "repro.obs.whatif.sweep/1"
 VALIDATE_SCHEMA = "repro.obs.whatif.validate/1"
 
-#: Default validation tolerance (the calibration sim exactness bound).
+#: The validation tolerance (the calibration sim exactness bound).
 DEFAULT_REL_TOLERANCE = 1e-9
 
 
@@ -205,6 +205,26 @@ def run_meta_of(source: Any) -> dict[str, Any] | None:
         if span.category == "meta" and span.name == "run.meta":
             meta = dict(span.attrs)
     return meta
+
+
+def trace_platform(source: Any, name: str) -> HeterogeneousPlatform:
+    """The platform preset ``name`` (a CLI's ``--platform``) for
+    replaying ``source``.
+
+    Raises :class:`~repro.errors.ConfigurationError` when the trace's
+    ``run.meta`` records another platform: a trace replayed on the wrong
+    processors and links gives wrong times and no other sign of it.  A
+    trace without ``run.meta`` is not checked.
+    """
+    platform = platform_by_name(name)
+    meta = run_meta_of(source)
+    recorded = None if meta is None else meta.get("platform")
+    if recorded is not None and recorded != name:
+        raise ConfigurationError(
+            f"--platform {name!r} is not the platform the trace was "
+            f"recorded on, {recorded!r}"
+        )
+    return platform
 
 
 def _kernel_label(
@@ -527,8 +547,6 @@ def run_validation(
     cols: int = 16,
     bands: int = 24,
     seed: int = 7,
-    tolerance: float | None = None,
-    baseline_path: str | Path = "benchmarks/baselines/whatif.json",
 ) -> dict[str, Any]:
     """Gate the replay engine against actual sim-engine runs.
 
@@ -545,7 +563,7 @@ def run_validation(
     4. ``tier_upgrade`` (accelerator on ranks 2 and 5) vs an actual run
        on the edited platform table (same partition).
 
-    Every case must match to the committed relative tolerance.
+    Every case must match to :data:`DEFAULT_REL_TOLERANCE`.
     """
     from repro.cluster.presets import fully_heterogeneous
     from repro.core.runner import make_row_partition_for_dims, run_parallel
@@ -555,16 +573,6 @@ def run_validation(
     from repro.hsi.scene import SceneConfig, make_wtc_scene
     from repro.obs import ObsSession
     from repro.obs.causal import causal_profile
-
-    if tolerance is None:
-        tolerance = DEFAULT_REL_TOLERANCE
-        try:
-            doc = json.loads(
-                Path(baseline_path).read_text(encoding="utf-8")
-            )
-            tolerance = float(doc["rel_tolerance"])
-        except (OSError, KeyError, ValueError):
-            pass
 
     cfg = ExperimentConfig(
         scene=SceneConfig(rows=rows, cols=cols, bands=bands, seed=seed)
@@ -589,7 +597,7 @@ def run_validation(
             "predicted_makespan_s": predicted,
             "actual_makespan_s": actual,
             "rel_error": rel,
-            "pass": rel <= tolerance,
+            "pass": rel <= DEFAULT_REL_TOLERANCE,
         })
 
     # Case 0: unperturbed replay must reproduce the recorded makespan.
@@ -686,7 +694,7 @@ def run_validation(
     return {
         "schema": VALIDATE_SCHEMA,
         "scene": {"rows": rows, "cols": cols, "bands": bands, "seed": seed},
-        "rel_tolerance": tolerance,
+        "rel_tolerance": DEFAULT_REL_TOLERANCE,
         "cases": cases,
         "pass": ok,
         "provenance": provenance(),
@@ -730,11 +738,8 @@ def _write_doc(doc: Mapping[str, Any], path: str | None) -> None:
 
 def _cmd_predict(args: argparse.Namespace) -> int:
     plan = load_whatif_plan(args.plan)
-    doc = predict(
-        _load_trace(args.trace),
-        platform_by_name(args.platform),
-        plan=plan,
-    )
+    trace = _load_trace(args.trace)
+    doc = predict(trace, trace_platform(trace, args.platform), plan=plan)
     print(
         f"baseline {doc['baseline_makespan_s']:.6f}s -> predicted "
         f"{doc['predicted_makespan_s']:.6f}s "
@@ -748,10 +753,8 @@ def _cmd_predict(args: argparse.Namespace) -> int:
 def _cmd_causal(args: argparse.Namespace) -> int:
     from repro.obs.causal import causal_profile
 
-    profile = causal_profile(
-        _load_trace(args.trace),
-        platform_by_name(args.platform),
-    )
+    trace = _load_trace(args.trace)
+    profile = causal_profile(trace, trace_platform(trace, args.platform))
     print(profile.to_text())
     _write_doc(profile.to_dict(), args.json)
     return 0
@@ -760,11 +763,9 @@ def _cmd_causal(args: argparse.Namespace) -> int:
 def _cmd_sweep(args: argparse.Namespace) -> int:
     sizes = [int(s) for s in args.sizes.split(",") if s.strip()]
     plan = load_whatif_plan(args.plan) if args.plan else None
+    trace = _load_trace(args.trace)
     doc = capacity_sweep(
-        _load_trace(args.trace),
-        platform_by_name(args.platform),
-        sizes,
-        plan=plan,
+        trace, trace_platform(trace, args.platform), sizes, plan=plan
     )
     print(sweep_table(doc))
     _write_doc(doc, args.json)
@@ -774,7 +775,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 def _cmd_validate(args: argparse.Namespace) -> int:
     doc = run_validation(
         rows=args.rows, cols=args.cols, bands=args.bands, seed=args.seed,
-        baseline_path=args.baseline,
     )
     print(validation_table(doc))
     _write_doc(doc, args.json)
@@ -844,10 +844,6 @@ def main(argv: Sequence[str] | None = None) -> int:
     validate.add_argument("--cols", type=int, default=16)
     validate.add_argument("--bands", type=int, default=24)
     validate.add_argument("--seed", type=int, default=7)
-    validate.add_argument(
-        "--baseline", default="benchmarks/baselines/whatif.json",
-        help="committed tolerance (default: %(default)s)",
-    )
     validate.add_argument(
         "--json", default=None, help="write the validation document here"
     )

@@ -30,17 +30,23 @@ from repro.mpi.inproc import run_inproc
 
 
 class TestIncrementalOSP:
-    def test_residuals_match_scratch_every_iteration(self, rng):
-        pix = rng.normal(size=(200, 24))
-        inc = IncrementalOSP(pix)
-        picks = []
-        for step in range(12):
-            picks.append(int(np.argmax(inc.residual_energy())))
-            inc.add_target(pix[picks[-1]])
-            scratch = residual_energy(pix, pix[np.asarray(picks)])
-            np.testing.assert_allclose(
-                inc.residual_energy(), scratch, atol=1e-10
-            )
+    def test_residuals_match_scratch_every_iteration(self, rng, small_scene):
+        # A random cloud, and ATDCA's pick sequence on a WTC scene at
+        # the paper's depth (t = 30): each step's argmax must agree too.
+        for pix, steps in (
+            (rng.normal(size=(200, 24)), 12),
+            (small_scene.image.flatten_pixels(), 30),
+        ):
+            inc = IncrementalOSP(pix)
+            picks = []
+            for step in range(steps):
+                picks.append(int(np.argmax(inc.residual_energy())))
+                inc.add_target(pix[picks[-1]])
+                scratch = residual_energy(pix, pix[np.asarray(picks)])
+                np.testing.assert_allclose(
+                    inc.residual_energy(), scratch, atol=1e-10
+                )
+                assert np.argmax(inc.residual_energy()) == np.argmax(scratch)
 
     def test_basis_spans_scratch_subspace(self, rng):
         pix = rng.normal(size=(50, 16))

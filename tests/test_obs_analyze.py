@@ -107,33 +107,27 @@ class TestHistogramBuckets:
         with pytest.raises(ConfigurationError):
             Histogram(bounds=(1.0, 1.0))
 
-    def test_registry_rejects_conflicting_bounds(self):
-        registry = MetricsRegistry()
-        registry.histogram("lat", buckets=(1.0, 2.0), rank=0)
-        with pytest.raises(ConfigurationError):
-            registry.histogram("lat", buckets=(1.0, 3.0), rank=0)
-
     def test_snapshot_carries_buckets(self):
         registry = MetricsRegistry()
-        registry.histogram("lat", buckets=(1.0,), rank=0).observe(0.5)
+        registry.histogram("lat", rank=0).observe(0.5)
         record = [
             r for r in registry.records() if r["name"] == "lat"
         ][0]
-        assert record["buckets"] == [[1.0, 1], ["+Inf", 1]]
+        assert record["buckets"] == [
+            [bound, int(bound >= 0.5)] for bound in DEFAULT_BUCKET_BOUNDS
+        ] + [["+Inf", 1]]
 
 
 class TestOpenMetrics:
     def test_exposition_format(self):
         registry = MetricsRegistry()
         registry.counter("comm.bytes", rank=0).inc(12.5)
-        registry.gauge("queue.depth", rank=1).set(3)
-        hist = registry.histogram("op.seconds", buckets=(0.1, 1.0), rank=0)
+        hist = registry.histogram("op.seconds", rank=0)
         hist.observe(0.1)
         hist.observe(5.0)
         text = openmetrics_text(registry)
         assert "# TYPE comm_bytes counter" in text
         assert 'comm_bytes_total{rank="0"} 12.5' in text
-        assert 'queue_depth{rank="1"} 3.0' in text
         assert '# TYPE op_seconds histogram' in text
         assert 'op_seconds_bucket{rank="0",le="0.1"} 1' in text
         assert 'op_seconds_bucket{rank="0",le="+Inf"} 2' in text

@@ -488,12 +488,6 @@ class TestValidationGate:
             if "rel_error" in case:
                 assert case["rel_error"] <= doc["rel_tolerance"]
 
-    def test_committed_tolerance_is_loaded(self):
-        baseline = json.loads(
-            open("benchmarks/baselines/whatif.json").read()
-        )
-        assert baseline["rel_tolerance"] == REL_TOL
-
 
 class TestAcceleratorTier:
     def test_compute_seconds_formula(self):
@@ -579,6 +573,42 @@ class TestWhatIfCli:
         rc = main(["predict", str(trace_file), "no-such-plan.json"])
         assert rc == 2
         assert "error:" in capsys.readouterr().err
+
+    def test_a_trace_replays_only_on_the_platform_it_recorded(
+        self, tmp_path, capsys
+    ):
+        from repro.cluster.presets import platform_by_name
+        from repro.obs.profile import main as profile_main
+
+        obs = ObsSession.create()
+        run = run_parallel(
+            "atdca", make_wtc_scene(_CFG.scene).image,
+            platform_by_name("partially homogeneous"),
+            params=_CFG.params_for("atdca"), obs=obs,
+        )
+        trace = str(write_jsonl(tmp_path / "trace.jsonl", obs))
+        plan = tmp_path / "empty.json"
+        plan.write_text('{"perturbations": []}', encoding="utf-8")
+        # Each command defaults to --platform "fully heterogeneous".
+        for cli, argv in (
+            (main, ["predict", trace, str(plan)]),
+            (main, ["causal", trace]),
+            (main, ["sweep", trace, "--sizes", "16"]),
+            (profile_main, ["analyze", trace]),
+        ):
+            assert cli(argv) == 2, argv
+            err = capsys.readouterr().err
+            assert err.startswith("error: ") and err.count("\n") == 1
+            assert "'fully heterogeneous'" in err
+            assert "'partially homogeneous'" in err
+        out = tmp_path / "predict.json"
+        assert main([
+            "predict", trace, str(plan), "--platform",
+            "partially homogeneous", "--json", str(out),
+        ]) == 0
+        doc = json.loads(out.read_text())
+        assert doc["baseline_makespan_s"] == run.makespan
+        assert doc["predicted_makespan_s"] == run.makespan
 
 
 class TestUmbrellaCli:

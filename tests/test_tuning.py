@@ -351,29 +351,6 @@ class TestPlanBenchGate:
             )
 
 
-class TestMicrobenchCli:
-    @pytest.mark.parametrize("flag, value", [
-        ("--repeats", "0"),
-        ("--rows", "8"),
-        ("--seed", "-1"),
-        ("--bands", "16"),
-    ])
-    def test_cli_rejects_a_bad_value_before_any_kernel_runs(
-        self, flag, value, capsys, monkeypatch
-    ):
-        import repro.obs.bench as bench
-        import repro.obs.microbench as microbench
-
-        def no_kernels(*args, **kwargs):
-            raise AssertionError("a kernel ran")
-
-        monkeypatch.setattr(microbench, "run_microbench", no_kernels)
-        assert bench.main(["microbench", flag, value]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("error: ") and value in err
-        assert "Traceback" not in err
-
-
 class TestPlannedTrace:
     def test_planned_trace_records_the_decision(self, platform, scene,
                                                 auto_plan):
